@@ -1,11 +1,23 @@
 """Dense linear programming via the two-phase tableau simplex method.
 
 All variables are non-negative; optional per-variable upper bounds and
-arbitrary equality / less-or-equal rows are accepted.  Pivoting follows
-Bland's rule (smallest eligible index enters, smallest-index basic variable
-leaves on ties), which cannot cycle, so the solver terminates on every
-input.  Intended for the desk-scale programs this package builds: hundreds
-of variables, not more.
+arbitrary equality / less-or-equal rows are accepted.
+
+Pricing differs by phase.  Phase 1 (driving the artificials out) uses
+Bland's rule: the smallest-index column with a positive reduced cost
+enters.  Phase 2 uses Dantzig's rule: the column with the largest reduced
+cost enters, ties going to the smallest index.  On the package's wide
+programs (a handful of rows, tens of thousands of purchase columns) that
+takes tens of pivots where Bland's rule takes thousands or more.  In both
+phases the ratio test breaks ties towards the smallest-index basic variable.
+
+Dantzig's rule alone can cycle on degenerate vertices, so after
+_DEGENERATE_RUN consecutive degenerate pivots (step length at most
+_DEGENERATE_STEP) phase 2 falls back to Bland's rule until the next
+non-degenerate pivot.  This terminates on every input: each non-degenerate
+pivot strictly raises the objective, so no basis recurs across one, and
+within a degenerate run Bland's rule cannot cycle.  _MAX_ITER therefore
+trips only on numerical trouble.
 """
 
 from __future__ import annotations
@@ -48,6 +60,8 @@ class LpSolution:
 
 _PIVOT_TOL = 1e-10
 _MAX_ITER = 100_000
+_DEGENERATE_STEP = 1e-12
+_DEGENERATE_RUN = 50
 
 
 def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
@@ -119,7 +133,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
     if n_art:
         phase1 = np.zeros(width)
         phase1[n + n_slack :] = -1.0
-        iterations += _iterate(T, basis, phase1, tol, unbounded_ok=False)
+        iterations += _iterate(T, basis, phase1, tol, phase=1)
         art_total = T[:, -1][basis >= n + n_slack].sum()
         if art_total > tol * (1.0 + max(rhs, default=0.0)):
             raise Infeasible(f"phase 1 left {art_total:.3e} of artificial mass")
@@ -130,7 +144,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
 
     obj = np.zeros(n + n_slack)
     obj[:n] = c
-    iterations += _iterate(T, basis, obj, tol, unbounded_ok=True)
+    iterations += _iterate(T, basis, obj, tol, phase=2)
 
     x = np.zeros(n + n_slack)
     x[basis] = T[:, -1]
@@ -143,20 +157,23 @@ def _iterate(
     basis: np.ndarray,
     obj: np.ndarray,
     tol: float,
-    unbounded_ok: bool,
+    phase: int,
 ) -> int:
-    """Pivot until no reduced cost exceeds tol.  Returns the pivot count."""
+    """Pivot until no reduced cost exceeds tol.  Returns the pivot count.
+
+    Phase 1 prices by Bland's rule; phase 2 by Dantzig's, with Bland's rule
+    after a run of degenerate pivots (see the module docstring).
+    """
     count = 0
+    degenerate = 0
     width = len(obj)
     while True:
         reduced = obj - obj[basis] @ T[:, :width]
-        enter = -1
-        for j in range(width):
-            if reduced[j] > tol:
-                enter = j
-                break
-        if enter < 0:
+        enter = int(reduced.argmax())
+        if reduced[enter] <= tol:
             return count
+        if phase == 1 or degenerate >= _DEGENERATE_RUN:
+            enter = int((reduced > tol).argmax())
         col = T[:, enter]
         best = -1
         best_ratio = np.inf
@@ -171,14 +188,18 @@ def _iterate(
                     best = i
                     best_ratio = ratio
         if best < 0:
-            if unbounded_ok:
+            if phase == 2:
                 raise Unbounded(f"column {enter} can grow without bound")
             raise RuntimeError("phase 1 unbounded; this should be impossible")
+        degenerate = degenerate + 1 if best_ratio <= _DEGENERATE_STEP else 0
         _pivot(T, best, enter)
         basis[best] = enter
         count += 1
         if count > _MAX_ITER:
-            raise RuntimeError("simplex exceeded the iteration guard")
+            raise RuntimeError(
+                f"simplex exceeded the iteration guard ({_MAX_ITER} pivots,"
+                f" phase {phase}, {T.shape[0]}x{width})"
+            )
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:

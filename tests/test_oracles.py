@@ -125,6 +125,30 @@ def test_extract_policy_i1_pure():
     assert (z, j) == (1, 1) and p == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "unit_cost, optimum", [([2, 2, 1, 1, 3], 91.0), ([3, 1, 2, 1, 3], 90.0)]
+)
+def test_wide_budget_lp_solves(unit_cost, optimum):
+    # Eight rows and 14-19k purchase columns.  Both products sell at price
+    # 100 (mean demand 0.5 each), using one unit of every material per slot:
+    # profit 100 - sum(unit_cost).
+    cfg = PlantConfig(
+        beta=[[1, 1]] * 5,
+        alpha=[0.0, 0.0],
+        price_set=[[1.0, 50.0, 100.0]] * 2,
+        D_max=[2, 2],
+        A_max=[8] * 5,
+        c_max=30,
+    )
+    supply = [SupplyState(id="s0", unit_cost=unit_cost, available=[8] * 5)]
+    demand = [DemandState(id="d0", F=[[2.0, 1.0, 0.5], [2.0, 1.0, 0.5]])]
+    model = validate_config(cfg, supply, demand)
+    value, plp, sol = optimal_profit(model, one(1), one(1))
+    assert plp.lp.a_eq.shape[0] == 8
+    assert value == pytest.approx(optimum, abs=1e-9)
+    assert sol.iterations < 500
+
+
 def test_extract_policy_zero_demand_idles():
     cfg = PlantConfig(
         beta=[[1]],
