@@ -21,7 +21,6 @@ from plantsim.model import (
     SupplyState,
     DemandState,
     SlotDecision,
-    SlotOutcome,
     Model,
     validate_config,
     purchase_cost,
@@ -32,7 +31,6 @@ from plantsim.model import (
 from plantsim.processes import (
     RngStream,
     StateProcessSpec,
-    StateProcess,
     stationary_distribution,
     realize_demand,
 )
@@ -44,7 +42,6 @@ from plantsim.controller import (
     compute_indicators,
     decide_purchase,
     decide_pricing,
-    controller_step,
     init_state,
     init_placeholder,
 )

@@ -24,17 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plantsim.model import (
-    PlantConfig,
-    SlotDecision,
-    SlotOutcome,
-    SupplyState,
-    DemandState,
-    material_usage,
-    nominal_profit,
-    purchase_cost,
-)
-from plantsim.processes import realize_demand
+from plantsim.model import DemandState, PlantConfig, SupplyState, purchase_cost
 
 
 class InvariantViolation(RuntimeError):
@@ -70,7 +60,6 @@ class ControllerState:
 
     Q: list[int]
     fake: list[int]
-    slot: int = 0
 
     def actual_inventory(self) -> list[int]:
         return [q - f for q, f in zip(self.Q, self.fake)]
@@ -318,48 +307,3 @@ def init_placeholder(
             )
         Q.append(total)
     return ControllerState(Q=Q, fake=list(mu_max))
-
-
-def controller_step(
-    state: ControllerState,
-    x: SupplyState,
-    y: DemandState,
-    rng: np.random.Generator,
-    cfg: PlantConfig,
-    params: ControllerParams,
-) -> tuple[SlotDecision, SlotOutcome, ControllerState]:
-    """Run one slot: decide, realize demand, account profit, advance queues.
-
-    Demand is drawn only for offered products, in ascending product order.
-    Offered demand is always served in full (the pricing rule guarantees the
-    inventory is there), so nominal and realized profit coincide; a shortfall
-    would raise InvariantViolation.  The updated queues are checked against
-    the guaranteed band.
-    """
-    Q = state.Q
-    A = decide_purchase(Q, x, params, cfg)
-    Z, P = decide_pricing(Q, y, params, cfg)
-    dec = SlotDecision(A=A, Z=Z, P=P)
-    D = [
-        realize_demand(k, P[k], y, cfg, rng) if Z[k] else 0
-        for k in range(cfg.K)
-    ]
-    used = material_usage(D, cfg)
-    for m in range(cfg.M):
-        if used[m] > Q[m]:
-            raise InvariantViolation(
-                f"slot {state.slot}: accepted demand needs {used[m]} of "
-                f"material {m} but only {Q[m]} is stored"
-            )
-    phi = nominal_profit(dec, D, x, cfg)
-    out = SlotOutcome(D=D, D_tilde=list(D), consumption=used, phi=phi, phi_actual=phi)
-    mu_max = cfg.mu_max()
-    Qn = [Q[m] - used[m] + A[m] for m in range(cfg.M)]
-    for m in range(cfg.M):
-        if not mu_max[m] <= Qn[m] <= params.theta[m] + cfg.A_max[m]:
-            raise InvariantViolation(
-                f"slot {state.slot}: queue {m} left its band: {Qn[m]} not in "
-                f"[{mu_max[m]}, {params.theta[m] + cfg.A_max[m]}]"
-            )
-    nxt = ControllerState(Q=Qn, fake=list(state.fake), slot=state.slot + 1)
-    return dec, out, nxt

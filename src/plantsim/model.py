@@ -4,8 +4,8 @@ A plant keeps M raw-material buffers and sells K product types in discrete
 time slots.  Every slot it purchases materials at exogenous unit costs,
 decides which products to offer and at what price from a finite menu, and
 assembles sold units out of the material buffers.  This module holds the
-static configuration, the exogenous state types, the per-slot decision and
-outcome records, and the pure arithmetic shared by the controller, the
+static configuration, the exogenous state types, the per-slot decision
+record, and the pure arithmetic shared by the controller, the
 optimality oracles and the simulator: purchase cost, profit accounting,
 demand fulfillment under limited inventory, and the material-queue update.
 """
@@ -111,17 +111,6 @@ class SlotDecision:
     A: list[int]
     Z: list[int]
     P: list[float]
-
-
-@dataclass
-class SlotOutcome:
-    """Realized demand, scheduled fulfillment and the slot's profit."""
-
-    D: list[int]
-    D_tilde: list[int]
-    consumption: list[int]
-    phi: float
-    phi_actual: float
 
 
 @dataclass

@@ -606,19 +606,8 @@ def _upper_hull(pts):
 
 
 @dataclass
-class SlotPlan:
-    """Expected per-slot actions of a lookahead solution."""
-
-    purchases: list[float]
-    consumption: list[float]
-    cost: float
-    revenue: float
-
-
-@dataclass
 class LookaheadResult:
     phi_T: float
-    slots: list[SlotPlan]
 
 
 def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
@@ -694,29 +683,4 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
         row += 1
 
     sol = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq))
-
-    slots = []
-    for t in range(T):
-        buy = [0.0] * cfg.M
-        cost = 0.0
-        base = buy_offset[t]
-        for ai, a in enumerate(actions[t]):
-            p = sol.x[base + ai]
-            if p > 0:
-                cost += p * purchase_cost(list(a), states_x[t])
-                for m in range(cfg.M):
-                    buy[m] += p * a[m]
-        use = [0.0] * cfg.M
-        revenue = 0.0
-        for k in range(cfg.K):
-            obase = opt_offset[(t, k)]
-            for oi, (z, j) in enumerate(product_options(cfg, k)):
-                p = sol.x[obase + oi]
-                if z and p > 0:
-                    f = states_y[t].F[k][j]
-                    revenue += p * (cfg.price_set[k][j] - cfg.alpha[k]) * f
-                    for m in range(cfg.M):
-                        use[m] += p * cfg.beta[m][k] * f
-        slots.append(SlotPlan(purchases=buy, consumption=use, cost=cost, revenue=revenue))
-
-    return LookaheadResult(phi_T=sol.value, slots=slots)
+    return LookaheadResult(phi_T=sol.value)

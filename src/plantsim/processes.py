@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,42 +102,6 @@ def constant_process(state_id: str) -> StateProcessSpec:
     return StateProcessSpec(mode=IID, state_ids=[state_id], probs=[1.0])
 
 
-class StateProcess:
-    """Stateful sampler for a StateProcessSpec.
-
-    next_state(t, rng) must be called with consecutive t starting at 0; the
-    Markov mode keeps the current state between calls.  reset() rewinds to
-    slot 0.
-    """
-
-    def __init__(self, spec: StateProcessSpec):
-        self.spec = spec
-        if spec.mode == IID:
-            self._cum = _cumulative(spec.probs)
-        elif spec.mode == MARKOV:
-            self._rows = [_cumulative(row) for row in spec.transition]
-        self.reset()
-
-    def reset(self) -> None:
-        self._current = self.spec.initial
-
-    def next_state(self, t: int, rng: np.random.Generator) -> int:
-        """State index occupied during slot t."""
-        spec = self.spec
-        if spec.mode == IID:
-            return bisect_right(self._cum, rng.random())
-        if spec.mode == MARKOV:
-            if t == 0:
-                return self._current
-            self._current = bisect_right(self._rows[self._current], rng.random())
-            return self._current
-        if t >= len(spec.trace):
-            raise TraceExhausted(
-                f"trace has {len(spec.trace)} slots, slot {t} requested"
-            )
-        return spec.trace[t]
-
-
 def _cumulative(probs: list[float]) -> list[float]:
     cum = []
     acc = 0.0
@@ -154,8 +118,9 @@ def generate_states(
 ) -> np.ndarray:
     """Sample slots 0..horizon-1 of the process in one go.
 
-    Consumes exactly the uniforms the slot-by-slot sampler would, so batched
-    and incremental generation agree draw for draw.
+    IID and Markov modes consume one uniform per slot (Markov none for slot
+    0, which is the initial state) in slot order, exactly as a stepwise
+    sampler drawing one uniform per transition would.
     """
     if spec.mode == IID:
         cum = np.cumsum(spec.probs)

@@ -1,12 +1,22 @@
 """Episode simulation, metrics and long-run bound checks.
 
-run_episode plays the online controller (or a fixed stationary oracle
-policy) against sampled supply/demand state paths and verifies the
-controller's guarantees slot by slot: queues stay inside their band, every
-accepted unit of demand is served, and the per-slot drift never exceeds its
-constant bound.  Decisions are pure functions of (queues, supply state,
-demand state), so they are memoized per run, which keeps million-slot
-episodes cheap.
+run_episode plays one slot loop for both controllers.  A small setup per
+controller hands the loop a decide(Q, x, y) function, the starting queues
+with their fake-unit ledger, and the queue band:
+
+* the online controller decides by decide_purchase and decide_pricing.
+  Its decisions are pure functions of (queues, supply state, demand
+  state), so the loop memoizes them per run, which keeps million-slot
+  episodes cheap.  Its band is [mu_max, theta + A_max].
+* oracle playback draws the purchase and the offers of a fixed stationary
+  policy from the policy channel and has no band.
+
+Every slot the loop draws the demand of the offered products, serves it in
+full when the queues cover it and otherwise by schedule_fulfillment (a
+short slot), updates the queues and records the drift 0.5 * sum (A -
+used)^2 against its constant bound.  With a band, the loop verifies the
+controller's guarantees slot by slot: the queues stay inside it and no
+slot is short.
 
 The check_* helpers run whole experiments: comparing the controller's mean
 profit against the stationary optimum, against per-frame lookahead values
@@ -24,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from plantsim.controller import (
-    ControllerParams,
+    ControllerState,
     InvariantViolation,
     compute_theta,
     decide_pricing,
@@ -37,7 +47,6 @@ from plantsim.model import (
     Model,
     material_usage,
     purchase_cost,
-    queue_update,
     schedule_fulfillment,
 )
 from plantsim.oracles import OraclePolicy, lookahead_value, optimal_profit
@@ -46,6 +55,7 @@ from plantsim.processes import (
     MARKOV,
     RngStream,
     StateProcessSpec,
+    _cumulative,
     generate_states,
     stationary_distribution,
 )
@@ -162,88 +172,58 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     With check_bounds set (the default) any breach of the controller's queue
     band or of full fulfillment raises InvariantViolation immediately;
     otherwise breaches are only counted, which supports deliberately unsafe
-    threshold experiments.
+    threshold experiments.  Oracle playback has no band: its short slots are
+    served by schedule_fulfillment and only counted as mismatches.
     """
     if ec.horizon <= 0:
         raise ValueError("horizon must be positive")
     if ec.controller not in ("online", "oracle"):
         raise ValueError(f"unknown controller {ec.controller!r}")
-    if ec.controller == "oracle":
-        if ec.oracle_policy is None:
-            raise ValueError("oracle controller needs oracle_policy")
-        return _run_oracle(ec, model)
-    return _run_online(ec, model)
-
-
-def _episode_params(ec: EpisodeConfig, model: Model) -> ControllerParams:
-    return make_params(
-        model.cfg,
-        ec.V,
-        theta=ec.theta,
-        demand_blind=ec.demand_blind,
-        placeholder=ec.placeholder,
-        allow_unsafe_theta=ec.allow_unsafe_theta,
-    )
-
-
-def _check_blind_tables(model: Model) -> None:
-    base = model.demand_states[0].F_hat
-    for y in model.demand_states:
-        if y.F_hat is None or y.h is None:
-            raise ValueError(
-                f"demand state {y.id!r} lacks the factorization needed for "
-                "demand-blind pricing"
-            )
-        if y.F_hat != base:
-            raise ValueError(
-                "demand-blind pricing needs one shared base table across states"
-            )
-
-
-def _run_online(ec: EpisodeConfig, model: Model) -> Metrics:
+    if ec.controller == "oracle" and ec.oracle_policy is None:
+        raise ValueError("oracle controller needs oracle_policy")
     cfg = model.cfg
     M, K = cfg.M, cfg.K
-    params = _episode_params(ec, model)
-    if ec.demand_blind:
-        _check_blind_tables(model)
-    if ec.placeholder:
-        state = init_placeholder(cfg, params, ec.Q0 or [0] * M)
-    else:
-        state = init_state(cfg, params, ec.Q0)
-
+    d_max = cfg.D_max
+    alpha = cfg.alpha
+    prices = cfg.price_set
+    # sell[yi][k][j]: what the loop needs to draw and book the demand of
+    # product k offered at menu price j in demand state yi.
+    sell = [
+        [
+            [
+                (
+                    k,
+                    prices[k][j] - alpha[k],
+                    y.F[k][j] / d_max[k],
+                    d_max[k],
+                    [(m, cfg.beta[m][k]) for m in range(M) if cfg.beta[m][k] > 0],
+                )
+                for j in range(len(prices[k]))
+            ]
+            for k in range(K)
+        ]
+        for y in model.demand_states
+    ]
     rs = RngStream(ec.seed, ec.stream)
+    online = ec.controller == "online"
+    if online:
+        decide, state, band = _online_setup(ec, model, sell)
+    else:
+        decide, state, band = _oracle_setup(ec, model, sell, rs)
     xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X)).tolist()
     ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y)).tolist()
     dbuf = _UniformBuffer(rs.generator(_CH_DEMAND))
 
-    theta = params.theta
-    mu_max = model.mu_max
-    hi = [theta[m] + cfg.A_max[m] for m in range(M)]
-    d_max = cfg.D_max
-    alpha = cfg.alpha
-    prices = cfg.price_set
-    # prob[yi][k][j]: per-unit sale probability at menu price j in state yi.
-    prob = [
-        [[y.F[k][j] / d_max[k] for j in range(len(prices[k]))] for k in range(K)]
-        for y in model.demand_states
-    ]
-    beta_cols = [
-        [(m, cfg.beta[m][k]) for m in range(M) if cfg.beta[m][k] > 0]
-        for k in range(K)
-    ]
-    supply = model.supply_states
-    demand = model.demand_states
-    ids_x = [x.id for x in supply]
-    ids_y = [y.id for y in demand]
-
+    # Without a band, infinite limits keep the per-material check branch-free.
+    lo, hi = band or ([-math.inf] * M, [math.inf] * M)
+    ids_x = [x.id for x in model.supply_states]
+    ids_y = [y.id for y in model.demand_states]
     check = ec.check_bounds
-    delay = ec.assembly_delay
-    product_q = list(d_max) if delay else None
-    startup = (
-        sum(d_max[k] * alpha[k] for k in range(K)) if delay else 0.0
-    )
+    # Units sold from the assembly-delay product queues are re-assembled by
+    # the end of the slot, so the queues always start full and only their
+    # initial stock costs anything.
+    startup = sum(d_max[k] * alpha[k] for k in range(K)) if ec.assembly_delay else 0.0
 
-    B = drift_constant(model)
     max_bt = 0.0
     violations = 0
     mismatch = 0
@@ -253,32 +233,21 @@ def _run_online(ec: EpisodeConfig, model: Model) -> Metrics:
     q_min = list(Q)
     q_max = list(Q)
     log: list[tuple] | None = [] if ec.record_log else None
-
-    cache: dict = {}
-
-    def decide(Qt: tuple, xi: int, yi: int):
-        Ql = list(Qt)
-        A = decide_purchase(Ql, supply[xi], params, cfg)
-        Z, P = decide_pricing(Ql, demand[yi], params, cfg)
-        cost = purchase_cost(A, supply[xi])
-        sells = []
-        for k in range(K):
-            if Z[k]:
-                j = prices[k].index(P[k])
-                sells.append(
-                    (k, P[k] - alpha[k], prob[yi][k][j], d_max[k], beta_cols[k])
-                )
-        return A, cost, Z, P, sells
+    # Online decisions are pure functions of (Q, x, y); playback draws them.
+    cache: dict | None = {} if online else None
 
     for t in range(ec.horizon):
         xi = xs[t]
         yi = ys[t]
-        key = (tuple(Q), xi, yi)
-        entry = cache.get(key)
-        if entry is None:
-            entry = decide(key[0], xi, yi)
-            cache[key] = entry
-        A, cost, Z, P, sells = entry
+        if cache is None:
+            A, cost, Z, P, sells = decide(Q, xi, yi)
+        else:
+            key = (tuple(Q), xi, yi)
+            entry = cache.get(key)
+            if entry is None:
+                entry = decide(Q, xi, yi)
+                cache[key] = entry
+            A, cost, Z, P, sells = entry
 
         phi = -cost
         used = [0] * M
@@ -300,11 +269,12 @@ def _run_online(ec: EpisodeConfig, model: Model) -> Metrics:
                 short = True
                 break
         if short:
-            if check:
-                raise InvariantViolation(
-                    f"slot {t}: accepted demand exceeds stored material"
-                )
-            violations += 1
+            if band is not None:
+                if check:
+                    raise InvariantViolation(
+                        f"slot {t}: accepted demand exceeds stored material"
+                    )
+                violations += 1
             mismatch += 1
             d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
             phia = (
@@ -314,174 +284,6 @@ def _run_online(ec: EpisodeConfig, model: Model) -> Metrics:
         else:
             phia = phi
 
-        if delay:
-            sold = d_tilde if short else D
-            for k in range(K):
-                if product_q[k] != d_max[k]:
-                    raise InvariantViolation(
-                        f"slot {t}: product queue {k} did not start full"
-                    )
-                if sold[k]:
-                    product_q[k] -= sold[k]
-                    if product_q[k] < 0:
-                        raise InvariantViolation(
-                            f"slot {t}: product queue {k} went negative"
-                        )
-                    product_q[k] += sold[k]
-
-        bt = 0.0
-        for m in range(M):
-            q = Q[m] - used[m] + A[m]
-            diff = A[m] - used[m]
-            bt += diff * diff
-            Q[m] = q
-            if q < q_min[m]:
-                q_min[m] = q
-            elif q > q_max[m]:
-                q_max[m] = q
-            if not mu_max[m] <= q <= hi[m]:
-                if check:
-                    raise InvariantViolation(
-                        f"slot {t}: queue {m} left its band: {q} not in "
-                        f"[{mu_max[m]}, {hi[m]}]"
-                    )
-                violations += 1
-        bt *= 0.5
-        if bt > max_bt:
-            max_bt = bt
-
-        tphi += phi
-        tphia += phia
-        if log is not None:
-            log.append(
-                (
-                    t,
-                    ids_x[xi],
-                    ids_y[yi],
-                    key[0],
-                    tuple(A),
-                    tuple(Z),
-                    tuple(P),
-                    tuple(D),
-                    phi,
-                    phia,
-                    tphia / (t + 1),
-                )
-            )
-
-    return Metrics(
-        horizon=ec.horizon,
-        seed=ec.seed,
-        stream=ec.stream,
-        total_phi=tphi,
-        total_phi_actual=tphia,
-        avg_phi=tphi / ec.horizon,
-        avg_phi_actual=tphia / ec.horizon,
-        q_min=q_min,
-        q_max=q_max,
-        q_lower_bound=list(mu_max),
-        q_upper_bound=hi,
-        drift_bound=B,
-        max_slot_drift=max_bt,
-        bound_violations=violations,
-        phi_mismatch_slots=mismatch,
-        final_Q=list(Q),
-        fake=list(state.fake),
-        startup_cost=startup,
-        log=log,
-    )
-
-
-def _run_oracle(ec: EpisodeConfig, model: Model) -> Metrics:
-    """Play a fixed stationary randomized policy without any queue safeguards."""
-    cfg = model.cfg
-    M, K = cfg.M, cfg.K
-    policy = ec.oracle_policy
-    rs = RngStream(ec.seed, ec.stream)
-    xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X)).tolist()
-    ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y)).tolist()
-    dbuf = _UniformBuffer(rs.generator(_CH_DEMAND))
-    pbuf = _UniformBuffer(rs.generator(_CH_POLICY))
-
-    buy_cum = []
-    for dist in policy.purchase_dist:
-        acc = 0.0
-        cum = []
-        for _, p in dist:
-            acc += p
-            cum.append(acc)
-        cum[-1] = math.inf
-        buy_cum.append((cum, [a for a, _ in dist]))
-    sell_cum = []
-    for k in range(K):
-        per_y = []
-        for dist in policy.price_dist[k]:
-            acc = 0.0
-            cum = []
-            for *_, p in dist:
-                acc += p
-                cum.append(acc)
-            cum[-1] = math.inf
-            per_y.append((cum, [(z, j) for z, j, _ in dist]))
-        sell_cum.append(per_y)
-
-    prices = cfg.price_set
-    alpha = cfg.alpha
-    d_max = cfg.D_max
-    prob = [
-        [[y.F[k][j] / d_max[k] for j in range(len(prices[k]))] for k in range(K)]
-        for y in model.demand_states
-    ]
-    ids_x = [x.id for x in model.supply_states]
-    ids_y = [y.id for y in model.demand_states]
-
-    mu_max = model.mu_max
-    Q = list(ec.Q0) if ec.Q0 is not None else list(mu_max)
-    q_min = list(Q)
-    q_max = list(Q)
-    tphi = 0.0
-    tphia = 0.0
-    mismatch = 0
-    max_bt = 0.0
-    log: list[tuple] | None = [] if ec.record_log else None
-
-    for t in range(ec.horizon):
-        xi = xs[t]
-        yi = ys[t]
-        cum, acts = buy_cum[xi]
-        A = list(acts[bisect_right(cum, pbuf.take1())])
-        Z = [0] * K
-        P = [0.0] * K
-        D = [0] * K
-        for k in range(K):
-            cumk, opts = sell_cum[k][yi]
-            z, j = opts[bisect_right(cumk, pbuf.take1())]
-            if z:
-                Z[k] = 1
-                P[k] = prices[k][j]
-                d = 0
-                for u in dbuf.take(d_max[k]):
-                    if u < prob[yi][k][j]:
-                        d += 1
-                D[k] = d
-            else:
-                P[k] = prices[k][0]
-        d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
-        cost = purchase_cost(A, model.supply_states[xi])
-        phi = sum(Z[k] * D[k] * (P[k] - alpha[k]) for k in range(K)) - cost
-        phia = sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(K)) - cost
-        if d_tilde != D:
-            mismatch += 1
-        used = material_usage(d_tilde, cfg)
-        bt = 0.5 * sum((A[m] - used[m]) ** 2 for m in range(M))
-        if bt > max_bt:
-            max_bt = bt
-        Q = queue_update(Q, d_tilde, A, cfg)
-        for m in range(M):
-            if Q[m] < q_min[m]:
-                q_min[m] = Q[m]
-            elif Q[m] > q_max[m]:
-                q_max[m] = Q[m]
         tphi += phi
         tphia += phia
         if log is not None:
@@ -501,6 +303,27 @@ def _run_oracle(ec: EpisodeConfig, model: Model) -> Metrics:
                 )
             )
 
+        bt = 0.0
+        for m in range(M):
+            q = Q[m] - used[m] + A[m]
+            diff = A[m] - used[m]
+            bt += diff * diff
+            Q[m] = q
+            if q < q_min[m]:
+                q_min[m] = q
+            elif q > q_max[m]:
+                q_max[m] = q
+            if not lo[m] <= q <= hi[m]:
+                if check:
+                    raise InvariantViolation(
+                        f"slot {t}: queue {m} left its band: {q} not in "
+                        f"[{lo[m]}, {hi[m]}]"
+                    )
+                violations += 1
+        bt *= 0.5
+        if bt > max_bt:
+            max_bt = bt
+
     return Metrics(
         horizon=ec.horizon,
         seed=ec.seed,
@@ -511,17 +334,117 @@ def _run_oracle(ec: EpisodeConfig, model: Model) -> Metrics:
         avg_phi_actual=tphia / ec.horizon,
         q_min=q_min,
         q_max=q_max,
-        q_lower_bound=None,
-        q_upper_bound=None,
+        q_lower_bound=band[0] if band else None,
+        q_upper_bound=band[1] if band else None,
         drift_bound=drift_constant(model),
         max_slot_drift=max_bt,
-        bound_violations=0,
+        bound_violations=violations,
         phi_mismatch_slots=mismatch,
         final_Q=list(Q),
-        fake=[0] * M,
-        startup_cost=0.0,
+        fake=list(state.fake),
+        startup_cost=startup,
         log=log,
     )
+
+
+def _check_blind_tables(model: Model) -> None:
+    base = model.demand_states[0].F_hat
+    for y in model.demand_states:
+        if y.F_hat is None or y.h is None:
+            raise ValueError(
+                f"demand state {y.id!r} lacks the factorization needed for "
+                "demand-blind pricing"
+            )
+        if y.F_hat != base:
+            raise ValueError(
+                "demand-blind pricing needs one shared base table across states"
+            )
+
+
+def _online_setup(ec: EpisodeConfig, model: Model, sell):
+    """The online controller: its decide, starting state and queue band."""
+    cfg = model.cfg
+    K = cfg.K
+    params = make_params(
+        cfg,
+        ec.V,
+        theta=ec.theta,
+        demand_blind=ec.demand_blind,
+        placeholder=ec.placeholder,
+        allow_unsafe_theta=ec.allow_unsafe_theta,
+    )
+    if ec.demand_blind:
+        _check_blind_tables(model)
+    if ec.placeholder:
+        state = init_placeholder(cfg, params, ec.Q0 or [0] * cfg.M)
+    else:
+        state = init_state(cfg, params, ec.Q0)
+    supply = model.supply_states
+    demand = model.demand_states
+    prices = cfg.price_set
+
+    def decide(Q, xi, yi):
+        x = supply[xi]
+        A = decide_purchase(Q, x, params, cfg)
+        Z, P = decide_pricing(Q, demand[yi], params, cfg)
+        sells = [sell[yi][k][prices[k].index(P[k])] for k in range(K) if Z[k]]
+        return A, purchase_cost(A, x), Z, P, sells
+
+    hi = [params.theta[m] + cfg.A_max[m] for m in range(cfg.M)]
+    return decide, state, (list(model.mu_max), hi)
+
+
+def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
+    """Playback of a stationary policy: its decide, starting state and band.
+
+    decide draws the purchase, then each product's offer, from channel
+    _CH_POLICY.  There is no band and no fake unit; the queues start at Q0,
+    by default mu_max.
+    """
+    cfg = model.cfg
+    K = cfg.K
+    policy = ec.oracle_policy
+    buy = [
+        (
+            _cumulative([p for _, p in dist]),
+            [(list(a), purchase_cost(list(a), x)) for a, _ in dist],
+        )
+        for x, dist in zip(model.supply_states, policy.purchase_dist)
+    ]
+    # offer[k][yi]: cumulative weights and (z, posted price, sell entry) per
+    # option; a withheld product posts its lowest price.
+    offer = [
+        [
+            (
+                _cumulative([p for *_, p in dist]),
+                [
+                    (1, cfg.price_set[k][j], sell[yi][k][j])
+                    if z
+                    else (0, cfg.price_set[k][0], None)
+                    for z, j, _ in dist
+                ],
+            )
+            for yi, dist in enumerate(policy.price_dist[k])
+        ]
+        for k in range(K)
+    ]
+    take1 = _UniformBuffer(rs.generator(_CH_POLICY)).take1
+
+    def decide(Q, xi, yi):
+        cum, acts = buy[xi]
+        A, cost = acts[bisect_right(cum, take1())]
+        Z = [0] * K
+        P = [0.0] * K
+        sells = []
+        for k in range(K):
+            cum, opts = offer[k][yi]
+            Z[k], P[k], s = opts[bisect_right(cum, take1())]
+            if s is not None:
+                sells.append(s)
+        return A, cost, Z, P, sells
+
+    Q0 = list(ec.Q0) if ec.Q0 is not None else list(model.mu_max)
+    return decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
 
 
 def run_assembly_delay(ec: EpisodeConfig, model: Model) -> Metrics:

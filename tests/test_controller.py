@@ -6,7 +6,6 @@ from plantsim.controller import (
     ThetaTooSmall,
     compute_indicators,
     compute_theta,
-    controller_step,
     decide_pricing,
     decide_purchase,
     init_placeholder,
@@ -14,7 +13,8 @@ from plantsim.controller import (
     make_params,
 )
 from plantsim.model import DemandState, PlantConfig, SupplyState, validate_config
-from plantsim.processes import RngStream
+from plantsim.processes import constant_process
+from plantsim.simulator import EpisodeConfig, run_episode
 
 from conftest import make_i1, make_i1_cfg
 
@@ -232,58 +232,49 @@ def test_init_placeholder(i1_model):
         init_placeholder(cfg, params, [25])
 
 
+def _one_slot_run(model, seed, Q0, horizon=1):
+    """Seeded i1 episode from Q0; slot demand comes from channel 2 of the seed."""
+    ec = EpisodeConfig(
+        horizon=horizon,
+        seed=seed,
+        V=10.0,
+        process_x=constant_process("s0"),
+        process_y=constant_process("d0"),
+        Q0=Q0,
+        record_log=True,
+    )
+    return run_episode(ec, model)
+
+
 def test_controller_step_composition(i1_model):
-    cfg = i1_model.cfg
-    params = make_params(cfg, 10.0)
-    x = i1_model.supply_states[0]
-    y = i1_model.demand_states[0]
     # find a seed whose first demand draw at price 2 is exactly one unit
     for seed in range(50):
-        rng = RngStream(seed, 0).generator(2)
-        st = init_state(cfg, params, Q0=[5])
-        dec, out, nxt = controller_step(st, x, y, rng, cfg, params)
-        assert dec.A == [2]
-        assert dec.Z == [1] and dec.P == [2.0]
-        assert out.phi == out.phi_actual
-        if out.D == [1]:
-            assert out.phi == pytest.approx(0.0)
-            assert nxt.Q == [6]
+        m = _one_slot_run(i1_model, seed, [5])
+        _, _, _, _, A, Z, P, D, phi, phi_actual, _ = m.log[0]
+        assert list(A) == [2]
+        assert list(Z) == [1] and list(P) == [2.0]
+        assert phi == phi_actual
+        if list(D) == [1]:
+            assert phi == pytest.approx(0.0)
+            assert m.final_Q == [6]
             break
     else:
         pytest.fail("no seed produced a single-unit draw")
 
 
 def test_controller_step_upper_corner(i1_model):
-    cfg = i1_model.cfg
-    params = make_params(cfg, 10.0)
-    x = i1_model.supply_states[0]
-    y = i1_model.demand_states[0]
-    rng = RngStream(1, 0).generator(2)
-    st = init_state(cfg, params, Q0=[26])
-    dec, out, nxt = controller_step(st, x, y, rng, cfg, params)
-    assert dec.A == [0]
-    assert nxt.Q[0] <= 26
+    m = _one_slot_run(i1_model, 1, [26])
+    assert list(m.log[0][4]) == [0]
+    assert m.final_Q[0] <= 26
 
 
 def test_controller_step_lower_corner_no_departure(i1_model):
-    cfg = i1_model.cfg
-    params = make_params(cfg, 10.0)
-    x = i1_model.supply_states[0]
-    y = i1_model.demand_states[0]
-    rng = RngStream(1, 0).generator(2)
-    st = init_state(cfg, params, Q0=[2])
     # 2*mu_max = 4 > 2 = Q: weight-based pricing cannot fire below mu_max+...
-    dec, out, nxt = controller_step(st, x, y, rng, cfg, params)
-    assert nxt.Q[0] >= 2
+    m = _one_slot_run(i1_model, 1, [2])
+    assert m.final_Q[0] >= 2
 
 
 def test_queue_band_always_holds(i1_model):
-    cfg = i1_model.cfg
-    params = make_params(cfg, 10.0)
-    x = i1_model.supply_states[0]
-    y = i1_model.demand_states[0]
-    rng = RngStream(77, 0).generator(2)
-    st = init_state(cfg, params)
-    for _ in range(2000):
-        _, _, st = controller_step(st, x, y, rng, cfg, params)
-        assert 2 <= st.Q[0] <= 26
+    m = _one_slot_run(i1_model, 77, None, horizon=2000)
+    for q in [row[3][0] for row in m.log[1:]] + m.final_Q:
+        assert 2 <= q <= 26

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from plantsim.processes import (
     TRACE,
     NotErgodic,
     RngStream,
-    StateProcess,
     StateProcessSpec,
     TraceExhausted,
+    _cumulative,
     constant_process,
     empirical_distribution,
     generate_states,
@@ -20,6 +21,30 @@ from plantsim.processes import (
 )
 
 from conftest import make_i1
+
+
+class StateProcess:
+    """Stepwise reference sampler for the IID and Markov modes.
+
+    next_state(t, rng) must be called with consecutive t starting at 0; it
+    draws one uniform per IID slot and per Markov transition, which is the
+    draw order generate_states must reproduce in one batch.
+    """
+
+    def __init__(self, spec: StateProcessSpec):
+        self.spec = spec
+        if spec.mode == IID:
+            self._cum = _cumulative(spec.probs)
+        else:
+            self._rows = [_cumulative(row) for row in spec.transition]
+        self._current = spec.initial
+
+    def next_state(self, t: int, rng: np.random.Generator) -> int:
+        if self.spec.mode == IID:
+            return bisect_right(self._cum, rng.random())
+        if t > 0:
+            self._current = bisect_right(self._rows[self._current], rng.random())
+        return self._current
 
 
 def test_rng_stream_reproducible():
@@ -50,9 +75,8 @@ def test_batched_uniforms_match_scalar_calls():
 
 def test_iid_single_state_degenerate():
     spec = constant_process("only")
-    proc = StateProcess(spec)
     rng = RngStream(1, 0).generator(0)
-    assert [proc.next_state(t, rng) for t in range(5)] == [0] * 5
+    assert generate_states(spec, 5, rng).tolist() == [0] * 5
 
 
 def test_iid_frequencies_match_probs():
@@ -96,14 +120,19 @@ def test_markov_batch_equals_stepwise():
     assert batch[0] == 1  # starts at the declared initial state
 
 
+def test_iid_batch_equals_stepwise():
+    spec = StateProcessSpec(mode=IID, state_ids=["a", "b", "c"], probs=[0.2, 0.5, 0.3])
+    batch = generate_states(spec, 200, RngStream(6, 0).generator(0)).tolist()
+    proc = StateProcess(spec)
+    rng = RngStream(6, 0).generator(0)
+    assert batch == [proc.next_state(t, rng) for t in range(200)]
+
+
 def test_trace_mode_and_exhaustion():
     spec = StateProcessSpec(mode=TRACE, state_ids=["a", "b"], trace=[0, 1])
-    proc = StateProcess(spec)
     rng = RngStream(0, 0).generator(0)
-    assert proc.next_state(0, rng) == 0
-    assert proc.next_state(1, rng) == 1
-    with pytest.raises(TraceExhausted):
-        proc.next_state(2, rng)
+    assert generate_states(spec, 1, rng).tolist() == [0]
+    assert generate_states(spec, 2, rng).tolist() == [0, 1]
     with pytest.raises(TraceExhausted):
         generate_states(spec, 3, rng)
 
