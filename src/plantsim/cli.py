@@ -156,17 +156,11 @@ def cmd_simulate(args) -> int:
     return 2 if violations else 0
 
 
-def _stationary(sc: Scenario):
-    return (
-        process_distribution(sc.process_x),
-        process_distribution(sc.process_y),
-    )
-
-
 def cmd_oracle(args) -> int:
     sc = load_scenario(args.scenario)
     V, slots, seed, reps = _run_settings(args, sc)
-    pi_x, pi_y = _stationary(sc)
+    pi_x = process_distribution(sc.process_x)
+    pi_y = process_distribution(sc.process_y)
     model = sc.model
     value, plp, sol = optimal_profit(model, pi_x, pi_y)
     policy = extract_xy_policy(plp, sol)
@@ -222,24 +216,29 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _trace_lists(sc: Scenario):
+def _frame_split(sc: Scenario, T, J):
+    """Trace state lists and a fitting J x T split (T defaults to the trace)."""
     if sc.process_x.mode != TRACE or sc.process_y.mode != TRACE:
         raise ValidationError(
             "this command needs a trace scenario (TRACE processes or trace_file)"
         )
-    return list(sc.process_x.trace), list(sc.process_y.trace)
+    xs, ys = list(sc.process_x.trace), list(sc.process_y.trace)
+    n = min(len(xs), len(ys))
+    T = n if T is None else T
+    J = n // max(T, 1) if J is None else J
+    if T < 1 or J < 1 or J * T > n:
+        raise ValidationError(
+            f"frame split T={T} J={J} does not fit the {n}-slot trace "
+            "(T and J must be at least 1)"
+        )
+    return xs, ys, T, J
 
 
 def cmd_lookahead(args) -> int:
     sc = load_scenario(args.scenario)
-    xs, ys = _trace_lists(sc)
-    n = min(len(xs), len(ys))
-    T = _pick(args.T, sc.T, n)
-    J = _pick(args.J, sc.J, n // T)
-    if T <= 0 or J <= 0 or J * T > n:
-        raise ValidationError(
-            f"frame split T={T} J={J} does not fit the {n}-slot trace"
-        )
+    xs, ys, T, J = _frame_split(
+        sc, _pick(args.T, sc.T, None), _pick(args.J, sc.J, None)
+    )
     total = 0.0
     for j in range(J):
         res = lookahead_value(
@@ -260,7 +259,7 @@ def cmd_compare(args) -> int:
     model = sc.model
 
     if T is not None and J is not None:
-        xs, ys = _trace_lists(sc)
+        xs, ys, T, J = _frame_split(sc, T, J)
         rep = check_frame_bound(
             model, xs, ys, V, T, J, replications=reps, seed=seed
         )

@@ -260,18 +260,6 @@ def purchase_cost(A: list[int], x: SupplyState) -> int:
     return sum(c * a for c, a in zip(x.unit_cost, A))
 
 
-def check_purchase(A: list[int], x: SupplyState, cfg: PlantConfig) -> None:
-    """Raise ValueError if A violates the per-material or budget caps under x."""
-    for m in range(cfg.M):
-        if not 0 <= A[m] <= min(cfg.A_max[m], x.available[m]):
-            raise ValueError(
-                f"A[{m}] = {A[m]} outside [0, min(A_max, available)] "
-                f"= [0, {min(cfg.A_max[m], x.available[m])}]"
-            )
-    if purchase_cost(A, x) > cfg.c_max:
-        raise ValueError(f"purchase cost {purchase_cost(A, x)} exceeds c_max {cfg.c_max}")
-
-
 def nominal_profit(
     dec: SlotDecision, D: list[int], x: SupplyState, cfg: PlantConfig
 ) -> float:

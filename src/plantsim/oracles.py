@@ -10,8 +10,11 @@ can achieve, which online controllers are measured against.
 Also provided: an exhaustive search over pure and exactly-mixed policies
 (an independent cross-check of the LP), extraction of the optimal
 policy from the LP solution, a reduction of any per-state price
-distribution to at most two support points without losing revenue, and a
-finite-horizon lookahead program for arbitrary state traces.
+distribution to at most two support points without losing revenue, and the
+clairvoyant value of a frame of an arbitrary state trace.  The frame program
+couples its slots only through per-material totals, so slots in the same
+state pool onto one distribution without loss: a frame of T slots is worth
+T times the stationary optimum on its state histogram.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plantsim.model import Model, PlantConfig, SupplyState, purchase_cost
+from plantsim.model import (
+    Model,
+    PlantConfig,
+    SupplyState,
+    purchase_cost,
+    validate_config,
+)
 from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
 
@@ -613,74 +622,26 @@ class LookaheadResult:
 def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     """Best expected profit over a known frame of exogenous states.
 
-    xs and ys are state indices for the frame's slots.  Per-slot action
-    distributions are optimized jointly under one per-material constraint:
-    total expected purchases over the frame equal total expected
-    consumption.  Materials may thus be bought in any slot for use in any
-    other, which is exactly the slack an offline planner has.  The value is
-    never negative since staying idle is feasible.
+    xs and ys are state indices for the frame's T slots.  The clairvoyant
+    program picks purchase and offer distributions for every slot under one
+    per-material constraint: total expected purchases over the frame equal
+    total expected consumption, so materials may be bought in any slot for
+    use in any other.  Slots in the same state have the same coefficients,
+    so replacing their distributions by their average changes neither the
+    objective nor the material totals.  The optimum is therefore T times
+    the stationary optimum on the frame's state histogram, which is solved
+    over the visited states only: its size depends on the number of
+    distinct states, not on T.  The value is never negative since staying
+    idle is feasible.
     """
-    cfg = model.cfg
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys) or not xs:
+    if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equally long and non-empty")
-    T = len(xs)
-    states_x = [model.supply_states[i] for i in xs]
-    states_y = [model.demand_states[i] for i in ys]
-
-    actions = [enumerate_actions(x, cfg) for x in states_x]
-    buy_offset = []
-    n = 0
-    for acts in actions:
-        buy_offset.append(n)
-        n += len(acts)
-    opt_offset: dict[tuple[int, int], int] = {}
-    for t in range(T):
-        for k in range(cfg.K):
-            opt_offset[(t, k)] = n
-            n += len(product_options(cfg, k))
-
-    c = np.zeros(n)
-    for t in range(T):
-        base = buy_offset[t]
-        for ai, a in enumerate(actions[t]):
-            c[base + ai] = -purchase_cost(list(a), states_x[t])
-        for k in range(cfg.K):
-            obase = opt_offset[(t, k)]
-            for oi, (z, j) in enumerate(product_options(cfg, k)):
-                if z:
-                    c[obase + oi] = (
-                        cfg.price_set[k][j] - cfg.alpha[k]
-                    ) * states_y[t].F[k][j]
-
-    n_eq = T + T * cfg.K + cfg.M
-    a_eq = np.zeros((n_eq, n))
-    b_eq = np.zeros(n_eq)
-    row = 0
-    for t in range(T):
-        a_eq[row, buy_offset[t] : buy_offset[t] + len(actions[t])] = 1.0
-        b_eq[row] = 1.0
-        row += 1
-    for t in range(T):
-        for k in range(cfg.K):
-            base = opt_offset[(t, k)]
-            a_eq[row, base : base + len(product_options(cfg, k))] = 1.0
-            b_eq[row] = 1.0
-            row += 1
-    for m in range(cfg.M):
-        for t in range(T):
-            base = buy_offset[t]
-            for ai, a in enumerate(actions[t]):
-                a_eq[row, base + ai] = a[m]
-            for k in range(cfg.K):
-                if cfg.beta[m][k] == 0:
-                    continue
-                obase = opt_offset[(t, k)]
-                for oi, (z, j) in enumerate(product_options(cfg, k)):
-                    if z:
-                        a_eq[row, obase + oi] -= cfg.beta[m][k] * states_y[t].F[k][j]
-        row += 1
-
-    sol = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq))
-    return LookaheadResult(phi_T=sol.value)
+    vx, nx = np.unique(xs, return_counts=True)
+    vy, ny = np.unique(ys, return_counts=True)
+    visited = validate_config(
+        model.cfg,
+        [model.supply_states[i] for i in vx],
+        [model.demand_states[i] for i in vy],
+    )
+    value, _, _ = optimal_profit(visited, nx / len(xs), ny / len(ys))
+    return LookaheadResult(phi_T=len(xs) * value)

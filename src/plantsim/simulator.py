@@ -461,6 +461,8 @@ def run_assembly_delay(ec: EpisodeConfig, model: Model) -> Metrics:
 
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:
     """Run n independent replications differing only in their stream id."""
+    if n < 1:
+        raise ValueError(f"need at least 1 replication, got {n}")
     return [run_episode(replace(ec, stream=ec.stream + i), model) for i in range(n)]
 
 
@@ -486,6 +488,12 @@ def summarize(metrics: list[Metrics], net: bool = False) -> ReplicationSummary:
         else float("nan")
     )
     return ReplicationSummary(n=n, mean=mean, se=se, per_rep=vals)
+
+
+def _need_replications(n: int) -> None:
+    """Bound checks allow 3 standard errors, which take 2 runs to estimate."""
+    if n < 2:
+        raise ValueError(f"a bound check needs at least 2 replications, got {n}")
 
 
 def lyapunov_value(Q0: list[int], theta: list[float]) -> float:
@@ -520,6 +528,7 @@ def check_profit_bound(
     Needs state processes with a well-defined stationary distribution (IID
     probabilities or an ergodic Markov chain).
     """
+    _need_replications(replications)
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)
     phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)
@@ -587,8 +596,9 @@ def check_frame_bound(
     """
     xs = list(xs)
     ys = list(ys)
-    if len(xs) < J * T or len(ys) < J * T:
-        raise ValueError("trace shorter than J*T slots")
+    if T < 1 or J < 1 or min(len(xs), len(ys)) < J * T:
+        raise ValueError(f"frame split T={T} J={J} needs T, J >= 1 and J*T trace slots")
+    _need_replications(replications)
     xs = xs[: J * T]
     ys = ys[: J * T]
     spec_x = StateProcessSpec(
@@ -661,6 +671,7 @@ def check_markov_bound(
 
     within 3 standard errors across replications.
     """
+    _need_replications(replications)
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)
     phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from plantsim.model import DemandState, PlantConfig, SupplyState, validate_config
+from plantsim.model import (
+    DemandState,
+    PlantConfig,
+    SupplyState,
+    purchase_cost,
+    validate_config,
+)
 from plantsim.oracles import (
     ActionSpaceTooLarge,
     InstanceTooLarge,
@@ -12,9 +18,10 @@ from plantsim.oracles import (
     extract_xy_policy,
     lookahead_value,
     optimal_profit,
+    product_options,
     two_price_reduce,
 )
-from plantsim.simplex import solve_lp
+from plantsim.simplex import LinearProgram, solve_lp
 
 from conftest import make_i1, make_two_phase, random_tiny_instance
 
@@ -395,3 +402,127 @@ def test_lookahead_nonnegative_on_random_frames(rng):
         ys = rng.integers(0, 2, size=4).tolist()
         res = lookahead_value(model, xs, ys)
         assert res.phi_T >= -1e-9
+
+
+def _per_slot_lookahead(model, xs, ys) -> float:
+    """Reference frame value: one purchase and offer block per slot.
+
+    This is the frame program written out slot by slot, as lookahead_value
+    built it before it solved the stationary program on the frame's state
+    histogram.  Its size grows with T.
+    """
+    cfg = model.cfg
+    xs = list(xs)
+    ys = list(ys)
+    if len(xs) != len(ys) or not xs:
+        raise ValueError("xs and ys must be equally long and non-empty")
+    T = len(xs)
+    states_x = [model.supply_states[i] for i in xs]
+    states_y = [model.demand_states[i] for i in ys]
+
+    actions = [enumerate_actions(x, cfg) for x in states_x]
+    buy_offset = []
+    n = 0
+    for acts in actions:
+        buy_offset.append(n)
+        n += len(acts)
+    opt_offset: dict[tuple[int, int], int] = {}
+    for t in range(T):
+        for k in range(cfg.K):
+            opt_offset[(t, k)] = n
+            n += len(product_options(cfg, k))
+
+    c = np.zeros(n)
+    for t in range(T):
+        base = buy_offset[t]
+        for ai, a in enumerate(actions[t]):
+            c[base + ai] = -purchase_cost(list(a), states_x[t])
+        for k in range(cfg.K):
+            obase = opt_offset[(t, k)]
+            for oi, (z, j) in enumerate(product_options(cfg, k)):
+                if z:
+                    c[obase + oi] = (
+                        cfg.price_set[k][j] - cfg.alpha[k]
+                    ) * states_y[t].F[k][j]
+
+    n_eq = T + T * cfg.K + cfg.M
+    a_eq = np.zeros((n_eq, n))
+    b_eq = np.zeros(n_eq)
+    row = 0
+    for t in range(T):
+        a_eq[row, buy_offset[t] : buy_offset[t] + len(actions[t])] = 1.0
+        b_eq[row] = 1.0
+        row += 1
+    for t in range(T):
+        for k in range(cfg.K):
+            base = opt_offset[(t, k)]
+            a_eq[row, base : base + len(product_options(cfg, k))] = 1.0
+            b_eq[row] = 1.0
+            row += 1
+    for m in range(cfg.M):
+        for t in range(T):
+            base = buy_offset[t]
+            for ai, a in enumerate(actions[t]):
+                a_eq[row, base + ai] = a[m]
+            for k in range(cfg.K):
+                if cfg.beta[m][k] == 0:
+                    continue
+                obase = opt_offset[(t, k)]
+                for oi, (z, j) in enumerate(product_options(cfg, k)):
+                    if z:
+                        a_eq[row, obase + oi] -= cfg.beta[m][k] * states_y[t].F[k][j]
+        row += 1
+
+    return solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)).value
+
+
+def test_lookahead_matches_per_slot_reference():
+    rng = np.random.default_rng(4040)
+    single_slot = unvisited = 0
+    for _ in range(240):
+        model, _, _ = random_tiny_instance(rng)
+        n_x, n_y = len(model.supply_states), len(model.demand_states)
+        T = int(rng.integers(1, 9))
+        xs = rng.integers(0, n_x, size=T)
+        ys = rng.integers(0, n_y, size=T)
+        if rng.random() < 0.3:
+            # Pin the frame to one state per process so the rest go unvisited.
+            xs[:] = rng.integers(0, n_x)
+            ys[:] = rng.integers(0, n_y)
+        single_slot += T == 1
+        unvisited += len(set(xs)) < n_x or len(set(ys)) < n_y
+        ref = _per_slot_lookahead(model, xs.tolist(), ys.tolist())
+        new = lookahead_value(model, xs.tolist(), ys.tolist()).phi_T
+        assert abs(new - ref) <= 1e-9 * (1.0 + abs(ref)), (xs, ys)
+    assert single_slot >= 10 and unvisited >= 50
+
+
+def test_lookahead_ignores_unvisited_states():
+    # A supply state past the enumeration cap only matters once visited.
+    cfg = PlantConfig(
+        beta=[[1], [0], [0]],
+        alpha=[0.0],
+        price_set=[[2.0]],
+        D_max=[1],
+        A_max=[99, 99, 99],
+        c_max=10**9,
+    )
+    supply = [
+        SupplyState(id="small", unit_cost=[1, 1, 1], available=[1, 0, 0]),
+        SupplyState(id="huge", unit_cost=[0, 0, 0], available=[99, 99, 99]),
+    ]
+    demand = [DemandState(id="d", F=[[1.0]])]
+    model = validate_config(cfg, supply, demand)
+    res = lookahead_value(model, [0, 0], [0, 0])
+    assert res.phi_T == pytest.approx(2.0, abs=1e-9)
+    assert _per_slot_lookahead(model, [0, 0], [0, 0]) == pytest.approx(2.0, abs=1e-9)
+    with pytest.raises(ActionSpaceTooLarge):
+        lookahead_value(model, [0, 1], [0, 0])
+
+
+def test_lookahead_rejects_bad_frames():
+    model = make_i1()
+    with pytest.raises(ValueError):
+        lookahead_value(model, [], [])
+    with pytest.raises(ValueError):
+        lookahead_value(model, [0, 0], [0])

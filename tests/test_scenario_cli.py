@@ -211,14 +211,19 @@ def test_cli_oracle_playback(capsys):
     assert "playback" in out
 
 
-def test_cli_lookahead_and_compare_frames(tmp_path, capsys):
+def _trace_scenario(tmp_path):
     data = i1_data()
     data["name"] = "i1-trace"
     data["process_x"] = {"mode": "TRACE", "sequence": ["s0"] * 16}
     data["process_y"] = {"mode": "TRACE", "sequence": ["d0"] * 16}
     path = tmp_path / "trace.scenario"
     path.write_text(json.dumps(data))
-    code = main(["lookahead", "--scenario", str(path), "--T", "4", "--J", "4"])
+    return str(path)
+
+
+def test_cli_lookahead_and_compare_frames(tmp_path, capsys):
+    path = _trace_scenario(tmp_path)
+    code = main(["lookahead", "--scenario", path, "--T", "4", "--J", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "frame 1" in out and "frame 4" in out
@@ -226,7 +231,7 @@ def test_cli_lookahead_and_compare_frames(tmp_path, capsys):
         [
             "compare",
             "--scenario",
-            str(path),
+            path,
             "--T",
             "4",
             "--J",
@@ -238,6 +243,46 @@ def test_cli_lookahead_and_compare_frames(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+
+
+def test_cli_bad_frame_split_exits_one(tmp_path, capsys):
+    path = _trace_scenario(tmp_path)
+    for argv in (
+        ["lookahead", "--scenario", path, "--T", "0"],
+        ["lookahead", "--scenario", path, "--T", "4", "--J", "5"],
+        ["compare", "--scenario", path, "--T", "-4", "--J", "-4"],
+        ["compare", "--scenario", path, "--T", "0", "--J", "4"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert "frame split" in captured.err
+        assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_cli_nonpositive_replications_exit_one(reps, capsys):
+    for argv in (
+        ["simulate", "--scenario", I1_PATH, "--slots", "50"],
+        ["compare", "--scenario", I1_PATH, "--slots", "50"],
+        ["oracle", "--scenario", I1_PATH, "--slots", "50"],
+    ):
+        code = main(argv + ["--replications", reps])
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert "replication" in err and "internal error" not in err
+
+
+def test_cli_compare_one_replication_exits_one(tmp_path, capsys):
+    for argv in (
+        ["compare", "--scenario", I1_PATH, "--slots", "2000"],
+        ["compare", "--scenario", _trace_scenario(tmp_path), "--T", "4", "--J", "4"],
+    ):
+        code = main(argv + ["--replications", "1"])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert "needs at least 2 replications" in captured.err
+        assert "FAIL" not in captured.out
 
 
 def test_cli_compare_default_bound(capsys):

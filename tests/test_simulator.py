@@ -270,6 +270,37 @@ def test_check_frame_bound_two_phase():
     assert rep.passed
 
 
+def test_run_replications_rejects_nonpositive_count():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1 replication"):
+            run_replications(_i1_ec(horizon=10), make_i1(), n)
+
+
+def test_check_frame_bound_rejects_nonpositive_split():
+    model = make_two_phase()
+    xs = [0] * 16
+    ys = [1] * 16
+    for T, J in ((0, 4), (4, 0), (-4, -4)):
+        with pytest.raises(ValueError, match="T, J >= 1"):
+            check_frame_bound(model, xs, ys, V=20.0, T=T, J=J, replications=4)
+    with pytest.raises(ValueError):
+        check_frame_bound(model, xs, ys, V=20.0, T=4, J=5, replications=4)
+
+
+def test_bound_checks_need_two_replications():
+    model = make_i1()
+    s0, d0 = constant_process("s0"), constant_process("d0")
+    msg = "needs at least 2 replications"
+    with pytest.raises(ValueError, match=msg):
+        check_profit_bound(model, s0, d0, V=10.0, horizon=100, replications=1, seed=0)
+    with pytest.raises(ValueError, match=msg):
+        check_frame_bound(model, [0] * 8, [0] * 8, V=10.0, T=4, J=2, replications=1)
+    with pytest.raises(ValueError, match=msg):
+        check_markov_bound(
+            model, s0, d0, V=10.0, epsilon=0.05, T=4, horizon=100, replications=1
+        )
+
+
 def test_check_markov_bound_variant():
     cfg = make_i1_cfg()
     supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
