@@ -15,16 +15,18 @@ The parameter V >= 0 trades queue size for profit: larger V tracks the best
 achievable profit more closely at the cost of proportionally larger buffers.
 With thresholds from compute_theta the queues provably stay inside
 [mu_max[m], theta[m] + A_max[m]] on every sample path, and every accepted
-slot of demand can be served in full.
+slot of demand can be served in full.  The rest of what pricing reads is
+fixed per model and tabulated once per ControllerParams, on first use; the
+knapsack evaluates only the budgets reachable from the full budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from plantsim.model import DemandState, PlantConfig, SupplyState, purchase_cost
+from plantsim.model import DemandState, PlantConfig, SupplyState
 
 
 class InvariantViolation(RuntimeError):
@@ -47,6 +49,44 @@ class ControllerParams:
     theta: list[float]
     demand_blind: bool = False
     placeholder: bool = False
+    _cache: _Tables | None = field(default=None, init=False, repr=False, compare=False)
+
+
+class _Tables:
+    """What pricing reads besides the queues, for one (params, cfg) pair.
+
+    demand(y) gives per product (p, V * (p - alpha) * F, F) for each menu
+    price p, with F = y.F, or y.F_hat in blind mode (None if y lacks it).
+    Built per state object on first use; y and params must not change after.
+    """
+
+    def __init__(self, params: ControllerParams, cfg: PlantConfig):
+        self.cfg, self.V, self.blind = cfg, params.V, params.demand_blind
+        self.mu_max = cfg.mu_max()
+        # feeders[k]: (m, beta[m][k]) for each material product k consumes
+        self.feeders = [
+            [(m, row[k]) for m, row in enumerate(cfg.beta) if row[k] > 0]
+            for k in range(cfg.K)
+        ]
+        self._rows: dict[int, tuple] = {}  # id(y) -> (y, rows); y keeps its id
+
+    def demand(self, y: DemandState) -> list[list[tuple]] | None:
+        hit = self._rows.get(id(y))
+        if hit is None:
+            table = y.F_hat if self.blind else y.F
+            rows = table and [
+                [(p, self.V * (p - a) * f, f) for p, f in zip(prices, row)]
+                for prices, a, row in zip(self.cfg.price_set, self.cfg.alpha, table)
+            ]
+            hit = self._rows[id(y)] = (y, rows)
+        return hit[1]
+
+
+def _tables(params: ControllerParams, cfg: PlantConfig) -> _Tables:
+    t = params._cache
+    if t is None or t.cfg is not cfg:
+        t = params._cache = _Tables(params, cfg)
+    return t
 
 
 @dataclass
@@ -154,22 +194,17 @@ def decide_purchase(
     purchases under supply state x.  Only materials with negative linear
     weight w[m] = V * unit_cost[m] + Q[m] - theta[m] are worth buying; they
     are bought at their caps when the budget allows, otherwise an exact
-    bounded knapsack over integer cost units decides, returning the
-    lexicographically smallest optimal vector.
+    bounded knapsack over integer cost units decides (see
+    _bounded_knapsack_lex_min for its tie rule).
     """
-    M = cfg.M
-    w = [params.V * x.unit_cost[m] + Q[m] - params.theta[m] for m in range(M)]
-    ub = [min(cfg.A_max[m], x.available[m]) for m in range(M)]
-    want = [ub[m] if w[m] < 0 else 0 for m in range(M)]
-    if purchase_cost(want, x) <= cfg.c_max:
-        return want
-
-    items = [m for m in range(M) if w[m] < 0]
-    values = [-w[m] for m in items]
-    costs = [x.unit_cost[m] for m in items]
-    caps = [ub[m] for m in items]
-    picked = _bounded_knapsack_lex_min(values, costs, caps, cfg.c_max)
-    A = [0] * M
+    w = [params.V * c + q - th for c, q, th in zip(x.unit_cost, Q, params.theta)]
+    items = [m for m, wm in enumerate(w) if wm < 0]
+    picked = [min(cfg.A_max[m], x.available[m]) for m in items]
+    if sum(x.unit_cost[m] * a for m, a in zip(items, picked)) > cfg.c_max:
+        values = [-w[m] for m in items]
+        costs = [x.unit_cost[m] for m in items]
+        picked = _bounded_knapsack_lex_min(values, costs, picked, cfg.c_max)
+    A = [0] * cfg.M
     for m, a in zip(items, picked):
         A[m] = a
     return A
@@ -180,19 +215,26 @@ def _bounded_knapsack_lex_min(
 ) -> list[int]:
     """Maximize sum values[i]*a[i] st sum costs[i]*a[i] <= budget, 0 <= a <= caps.
 
-    Returns the lexicographically smallest maximizer.  best[i][b] holds the
-    optimum over items i.. with budget b; the reconstruction pass recomputes
-    candidate scores with the identical arithmetic, so exact float equality
-    identifies optimal choices.
+    best[i][b], the optimum over items i.. with budget b, is evaluated only at
+    the budgets reach[i] that items 0..i-1 can leave.  Item i then takes the
+    smallest count whose score, recomputed with the identical arithmetic,
+    equals best[i][b]: where rounding absorbs a small value, later items still
+    maximize their own suffix, so values [100, 1e-15], costs [3, 0], caps
+    [4, 1] and budget 13 give [4, 1], not the tied [4, 0].
     """
     n = len(values)
+    reach = [{budget}]
+    for c, u in zip(costs[: n - 1], caps):
+        reach.append({b - c * a for b in reach[-1] for a in range(u + 1) if c * a <= b})
     best = [[0.0] * (budget + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         v, cost, cap = values[i], costs[i], caps[i]
         nxt = best[i + 1]
         row = best[i]
-        for b in range(budget + 1):
-            top = cap if cost == 0 else min(cap, b // cost)
+        for b in reach[i]:
+            top = b // cost if cost else cap
+            if top > cap:
+                top = cap
             m = nxt[b]
             for a in range(1, top + 1):
                 cand = v * a + nxt[b - cost * a]
@@ -227,34 +269,26 @@ def decide_pricing(
     which leaves the decision unchanged whenever the true tables are the
     base table scaled by a positive state factor.
     """
-    ind = compute_indicators(Q, cfg)
+    t = _tables(params, cfg)
+    rows = t.demand(y)
+    low = any(q < u for q, u in zip(Q, t.mu_max))  # false inside the queue band
+    head = [q - th for q, th in zip(Q, params.theta)]
     Z = [0] * cfg.K
-    P = [0.0] * cfg.K
-    for k in range(cfg.K):
-        prices = cfg.price_set[k]
-        if ind[k]:
-            P[k] = prices[0]
+    P = [prices[0] for prices in cfg.price_set]
+    for k, feed in enumerate(t.feeders):
+        if low and any(Q[m] < t.mu_max[m] for m, _ in feed):
             continue
-        relief = sum(
-            cfg.beta[m][k] * (Q[m] - params.theta[m]) for m in range(cfg.M)
-        )
-        if params.demand_blind:
-            if y.F_hat is None:
-                raise ValueError(
-                    f"demand state {y.id!r} has no base table for blind pricing"
-                )
-            row = y.F_hat[k]
-        else:
-            row = y.F[k]
+        if rows is None:
+            raise ValueError(
+                f"demand state {y.id!r} has no base table for blind pricing"
+            )
+        relief = sum([b * head[m] for m, b in feed])
         best = -np.inf
-        best_j = 0
-        for j, p in enumerate(prices):
-            f = row[j]
-            g = params.V * (p - cfg.alpha[k]) * f + f * relief
+        for p, vm, f in rows[k]:
+            g = vm + f * relief
             if g > best:
                 best = g
-                best_j = j
-        P[k] = prices[best_j]
+                P[k] = p
         if best > 0:
             Z[k] = 1
     return Z, P
@@ -268,7 +302,7 @@ def init_state(
     The initial queues must already lie in the band the controller
     maintains, otherwise InitOutOfRange is raised.
     """
-    mu_max = cfg.mu_max()
+    mu_max = _tables(params, cfg).mu_max
     if Q0 is None:
         Q0 = list(mu_max)
     if len(Q0) != cfg.M:
@@ -292,7 +326,7 @@ def init_placeholder(
     as zero physical inventory.  Because the controller never lets Q[m] drop
     below mu_max[m], the fake units are never consumed.
     """
-    mu_max = cfg.mu_max()
+    mu_max = _tables(params, cfg).mu_max
     if len(Q_actual_0) != cfg.M:
         raise InitOutOfRange("Q_actual_0 must have one entry per material")
     Q = []

@@ -632,12 +632,15 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     the stationary optimum on the frame's state histogram, which is solved
     over the visited states only: its size depends on the number of
     distinct states, not on T.  The value is never negative since staying
-    idle is feasible.
+    idle is feasible.  An index outside [0, n) raises ValueError.
     """
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equally long and non-empty")
     vx, nx = np.unique(xs, return_counts=True)
     vy, ny = np.unique(ys, return_counts=True)
+    for v, states in ((vx, model.supply_states), (vy, model.demand_states)):
+        if v[0] < 0 or v[-1] >= len(states):
+            raise ValueError("xs or ys holds a state index outside [0, n)")
     visited = validate_config(
         model.cfg,
         [model.supply_states[i] for i in vx],

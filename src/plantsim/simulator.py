@@ -4,10 +4,10 @@ run_episode plays one slot loop for both controllers.  A small setup per
 controller hands the loop a decide(Q, x, y) function, the starting queues
 with their fake-unit ledger, and the queue band:
 
-* the online controller decides by decide_purchase and decide_pricing.
-  Its decisions are pure functions of (queues, supply state, demand
-  state), so the loop memoizes them per run, which keeps million-slot
-  episodes cheap.  Its band is [mu_max, theta + A_max].
+* the online controller decides by decide_purchase and decide_pricing,
+  pure functions of (queues, supply state, demand state) that read
+  per-model tables, so the loop memoizes them per run, which keeps
+  million-slot episodes cheap.  Its band is [mu_max, theta + A_max].
 * oracle playback draws the purchase and the offers of a fixed stationary
   policy from the policy channel and has no band.
 
@@ -381,13 +381,14 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
         state = init_state(cfg, params, ec.Q0)
     supply = model.supply_states
     demand = model.demand_states
-    prices = cfg.price_set
+    # offers[yi][k]: the sell entry of each menu price of product k
+    offers = [[dict(zip(ps, s)) for ps, s in zip(cfg.price_set, row)] for row in sell]
 
     def decide(Q, xi, yi):
         x = supply[xi]
         A = decide_purchase(Q, x, params, cfg)
         Z, P = decide_pricing(Q, demand[yi], params, cfg)
-        sells = [sell[yi][k][prices[k].index(P[k])] for k in range(K) if Z[k]]
+        sells = [offers[yi][k][P[k]] for k in range(K) if Z[k]]
         return A, purchase_cost(A, x), Z, P, sells
 
     hi = [params.theta[m] + cfg.A_max[m] for m in range(cfg.M)]
@@ -662,7 +663,7 @@ def check_markov_bound(
 ) -> MarkovBoundReport:
     """Check the long-run profit bound under Markov-modulated states.
 
-    The caller supplies the decaying-memory parameters (epsilon, T) they
+    The caller supplies the decaying-memory parameters (epsilon >= 0, T >= 1) they
     credit the chains with: over any window of T slots the conditional
     state distribution is assumed within epsilon of stationary.  The
     controller's long-run mean profit must then reach
@@ -671,6 +672,8 @@ def check_markov_bound(
 
     within 3 standard errors across replications.
     """
+    if T < 1 or not 0 <= epsilon < math.inf:
+        raise ValueError(f"need T >= 1 and finite epsilon >= 0, got {T}, {epsilon}")
     _need_replications(replications)
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)

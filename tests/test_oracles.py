@@ -526,3 +526,13 @@ def test_lookahead_rejects_bad_frames():
         lookahead_value(model, [], [])
     with pytest.raises(ValueError):
         lookahead_value(model, [0, 0], [0])
+
+
+def test_lookahead_rejects_out_of_range_states():
+    # negative indices used to be taken as Python list indices
+    model = make_two_phase()
+    bad = [([-1, 0], [0, -1]), ([-1, 0], [0, 1]), ([2, 0], [0, 0]), ([0, 0], [0, 2])]
+    for xs, ys in bad:
+        with pytest.raises(ValueError, match="outside"):
+            lookahead_value(model, xs, ys)
+    assert lookahead_value(model, [1, 0], [0, 1]).phi_T >= 0

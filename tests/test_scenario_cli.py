@@ -336,6 +336,28 @@ def test_cli_compare_epsilon_needs_t(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--epsilon", "0.05", "--T", "-8"],
+        ["--epsilon", "0.05", "--T", "0"],
+        ["--epsilon", "-5", "--T", "8"],
+        ["--epsilon", "nan", "--T", "8"],
+    ],
+)
+def test_cli_compare_rejects_bad_mixing_settings(tmp_path, capsys, flags):
+    # these used to print FAIL (exit 2), or PASS without the drift allowance
+    data = i1_data()
+    data["process_y"] = {"mode": "MARKOV", "transition": [[1.0]], "initial": "d0"}
+    path = tmp_path / "m.scenario"
+    path.write_text(json.dumps(data))
+    code = main(["compare", "--scenario", str(path), "--slots", "2000", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
 def test_cli_parse_errors_exit_one(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(tmp_path / "missing.scenario")])
     assert code == 1

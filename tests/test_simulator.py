@@ -301,6 +301,26 @@ def test_bound_checks_need_two_replications():
         )
 
 
+def test_check_markov_bound_rejects_bad_window_and_epsilon():
+    model = make_i1()
+    s0, d0 = constant_process("s0"), constant_process("d0")
+    for T, epsilon, msg in (
+        (0, 0.05, "T >= 1"),
+        (-8, 0.05, "T >= 1"),
+        (8, -5.0, "epsilon"),
+        (8, math.nan, "epsilon"),
+        (8, math.inf, "epsilon"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            check_markov_bound(
+                model, s0, d0, V=10.0, epsilon=epsilon, T=T, horizon=100, replications=2
+            )
+    rep = check_markov_bound(
+        model, s0, d0, V=10.0, epsilon=0.0, T=1, horizon=2000, replications=2
+    )
+    assert rep.epsilon == 0.0 and rep.T == 1
+
+
 def test_check_markov_bound_variant():
     cfg = make_i1_cfg()
     supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
