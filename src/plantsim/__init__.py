@@ -20,13 +20,10 @@ from plantsim.model import (
     PlantConfig,
     SupplyState,
     DemandState,
-    SlotDecision,
     Model,
     validate_config,
     purchase_cost,
-    nominal_profit,
     schedule_fulfillment,
-    queue_update,
 )
 from plantsim.processes import (
     RngStream,
@@ -39,7 +36,6 @@ from plantsim.controller import (
     ControllerState,
     make_params,
     compute_theta,
-    compute_indicators,
     decide_purchase,
     decide_pricing,
     init_state,

@@ -43,12 +43,11 @@ class ThetaTooSmall(ValueError):
 
 @dataclass
 class ControllerParams:
-    """Tuning of the controller: V, per-material thresholds and mode flags."""
+    """Tuning of the controller: V, per-material thresholds, demand-blind mode."""
 
     V: float
     theta: list[float]
     demand_blind: bool = False
-    placeholder: bool = False
     _cache: _Tables | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -141,7 +140,6 @@ def make_params(
     V: float,
     theta: list[float] | None = None,
     demand_blind: bool = False,
-    placeholder: bool = False,
     allow_unsafe_theta: bool = False,
 ) -> ControllerParams:
     """Build controller parameters, defaulting theta to the safe thresholds.
@@ -163,26 +161,7 @@ def make_params(
                 raise ThetaTooSmall(
                     f"theta[{m}] = {theta[m]} is below the safe value {safe[m]}"
                 )
-    return ControllerParams(
-        V=V,
-        theta=list(theta),
-        demand_blind=demand_blind,
-        placeholder=placeholder,
-    )
-
-
-def compute_indicators(Q: list[int], cfg: PlantConfig) -> list[int]:
-    """Flag products whose feeder queues cannot cover worst-case demand.
-
-    indicator[k] == 1 when some material m with beta[m][k] > 0 holds fewer
-    than mu_max[m] units; such products must not be offered this slot.
-    """
-    mu_max = cfg.mu_max()
-    low = [Q[m] < mu_max[m] for m in range(cfg.M)]
-    return [
-        int(any(low[m] and cfg.beta[m][k] > 0 for m in range(cfg.M)))
-        for k in range(cfg.K)
-    ]
+    return ControllerParams(V=V, theta=list(theta), demand_blind=demand_blind)
 
 
 def decide_purchase(

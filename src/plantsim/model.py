@@ -4,10 +4,10 @@ A plant keeps M raw-material buffers and sells K product types in discrete
 time slots.  Every slot it purchases materials at exogenous unit costs,
 decides which products to offer and at what price from a finite menu, and
 assembles sold units out of the material buffers.  This module holds the
-static configuration, the exogenous state types, the per-slot decision
-record, and the pure arithmetic shared by the controller, the
-optimality oracles and the simulator: purchase cost, profit accounting,
-demand fulfillment under limited inventory, and the material-queue update.
+static configuration, the exogenous state types, and the pure arithmetic
+shared by the controller, the optimality oracles and the simulator:
+purchase cost, material usage and demand fulfillment under limited
+inventory.
 """
 
 from __future__ import annotations
@@ -100,20 +100,6 @@ class DemandState:
 
 
 @dataclass
-class SlotDecision:
-    """One slot's control: purchases A, offer flags Z and chosen prices P.
-
-    P[k] is only meaningful where Z[k] == 1; for withheld products it holds
-    the price the pricing rule would have picked, which keeps the record
-    deterministic.
-    """
-
-    A: list[int]
-    Z: list[int]
-    P: list[float]
-
-
-@dataclass
 class Model:
     """A validated configuration bundle with derived quantities attached."""
 
@@ -121,8 +107,6 @@ class Model:
     supply_states: list[SupplyState]
     demand_states: list[DemandState]
     mu_max: list[int]
-    supply_index: dict[str, int]
-    demand_index: dict[str, int]
     warnings: list[str] = field(default_factory=list)
 
 
@@ -187,21 +171,21 @@ def validate_config(
 
     if not supply_states:
         raise ConfigError("need at least one supply state")
-    supply_index: dict[str, int] = {}
-    for i, x in enumerate(supply_states):
-        if x.id in supply_index:
+    seen: set[str] = set()
+    for x in supply_states:
+        if x.id in seen:
             raise ConfigError(f"duplicate supply state id {x.id!r}")
-        supply_index[x.id] = i
+        seen.add(x.id)
         _check_int_vector(f"supply state {x.id!r} unit_cost", x.unit_cost, M)
         _check_int_vector(f"supply state {x.id!r} available", x.available, M)
 
     if not demand_states:
         raise ConfigError("need at least one demand state")
-    demand_index: dict[str, int] = {}
-    for i, y in enumerate(demand_states):
-        if y.id in demand_index:
+    seen = set()
+    for y in demand_states:
+        if y.id in seen:
             raise ConfigError(f"duplicate demand state id {y.id!r}")
-        demand_index[y.id] = i
+        seen.add(y.id)
         _validate_demand_tables(cfg, y)
 
     return Model(
@@ -209,8 +193,6 @@ def validate_config(
         supply_states=supply_states,
         demand_states=demand_states,
         mu_max=mu_max,
-        supply_index=supply_index,
-        demand_index=demand_index,
         warnings=warnings,
     )
 
@@ -260,22 +242,6 @@ def purchase_cost(A: list[int], x: SupplyState) -> int:
     return sum(c * a for c, a in zip(x.unit_cost, A))
 
 
-def nominal_profit(
-    dec: SlotDecision, D: list[int], x: SupplyState, cfg: PlantConfig
-) -> float:
-    """Slot profit if every unit of demand D were served.
-
-    Revenue counts only offered products (Z[k] == 1) at their chosen price
-    net of assembly cost; the purchase bill of the slot is subtracted.
-    Passing the scheduled fulfillment instead of D gives the realized
-    profit.
-    """
-    revenue = sum(
-        dec.Z[k] * D[k] * (dec.P[k] - cfg.alpha[k]) for k in range(cfg.K)
-    )
-    return revenue - purchase_cost(dec.A, x)
-
-
 def material_usage(D_tilde: list[int], cfg: PlantConfig) -> list[int]:
     """Material consumed when D_tilde[k] units of each product are assembled."""
     return [
@@ -315,11 +281,3 @@ def schedule_fulfillment(
             for m in range(cfg.M):
                 residual[m] -= cfg.beta[m][k] * n
     return out
-
-
-def queue_update(
-    Q: list[int], D_tilde: list[int], A: list[int], cfg: PlantConfig
-) -> list[int]:
-    """Advance the material queues by one slot: serve D_tilde, then add A."""
-    used = material_usage(D_tilde, cfg)
-    return [max(Q[m] - used[m], 0) + A[m] for m in range(cfg.M)]

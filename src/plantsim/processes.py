@@ -143,30 +143,26 @@ def generate_states(
     return np.asarray(spec.trace[:horizon], dtype=np.int64)
 
 
-def stationary_distribution(
-    spec: StateProcessSpec, residual: float = 1e-12, max_iter: int = 500_000
-) -> np.ndarray:
-    """Stationary distribution of a MARKOV process spec by power iteration.
+def stationary_distribution(spec: StateProcessSpec) -> np.ndarray:
+    """Stationary distribution of a MARKOV process spec.
 
     Raises NotErgodic when the chain is reducible or periodic, which is
-    decided from the transition graph before iterating.  Iteration stops
-    when the one-step change drops to the requested residual in L1 norm.
+    decided from the transition graph.  Otherwise pi solves pi (T - I) = 0
+    with one equation replaced by sum(pi) = 1, a nonsingular system for an
+    irreducible chain, so slowly mixing chains cost no more than fast ones.
+    Rounding negatives are clipped and the result renormalized.
     """
     if spec.mode != MARKOV:
         raise ValueError("stationary_distribution applies to MARKOV processes")
     T = np.asarray(spec.transition, dtype=float)
-    n = T.shape[0]
-    if n == 1:
-        return np.array([1.0])
     _check_ergodic(T)
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pi @ T
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() <= residual:
-            return nxt
-        pi = nxt
-    raise RuntimeError("power iteration did not reach the requested residual")
+    n = T.shape[0]
+    a = T.T - np.eye(n)
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.maximum(np.linalg.solve(a, b), 0.0)
+    return pi / pi.sum()
 
 
 def _check_ergodic(T: np.ndarray) -> None:

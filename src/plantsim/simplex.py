@@ -58,19 +58,20 @@ class LpSolution:
     iterations: int = 0
 
 
+_TOL = 1e-9  # optimality and phase-1 feasibility tolerance
 _PIVOT_TOL = 1e-10
 _MAX_ITER = 100_000
 _DEGENERATE_STEP = 1e-12
 _DEGENERATE_RUN = 50
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the program to optimality.
 
     Raises Infeasible or Unbounded where appropriate.  The reported value is
-    accurate to roughly the requested tolerance relative to the problem's
-    coefficient scale; the same program always yields the same value and the
-    same vertex, since the pivot order is deterministic.
+    accurate to roughly _TOL relative to the problem's coefficient scale;
+    the same program always yields the same value and the same vertex,
+    since the pivot order is deterministic.
     """
     c = np.asarray(lp.c, dtype=float)
     n = c.shape[0]
@@ -133,9 +134,9 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
     if n_art:
         phase1 = np.zeros(width)
         phase1[n + n_slack :] = -1.0
-        iterations += _iterate(T, basis, phase1, tol, phase=1)
+        iterations += _iterate(T, basis, phase1, phase=1)
         art_total = T[:, -1][basis >= n + n_slack].sum()
-        if art_total > tol * (1.0 + max(rhs, default=0.0)):
+        if art_total > _TOL * (1.0 + max(rhs, default=0.0)):
             raise Infeasible(f"phase 1 left {art_total:.3e} of artificial mass")
         _drive_out_artificials(T, basis, n + n_slack)
         keep = [i for i in range(m) if basis[i] < n + n_slack]
@@ -144,7 +145,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
 
     obj = np.zeros(n + n_slack)
     obj[:n] = c
-    iterations += _iterate(T, basis, obj, tol, phase=2)
+    iterations += _iterate(T, basis, obj, phase=2)
 
     x = np.zeros(n + n_slack)
     x[basis] = T[:, -1]
@@ -156,10 +157,9 @@ def _iterate(
     T: np.ndarray,
     basis: np.ndarray,
     obj: np.ndarray,
-    tol: float,
     phase: int,
 ) -> int:
-    """Pivot until no reduced cost exceeds tol.  Returns the pivot count.
+    """Pivot until no reduced cost exceeds _TOL.  Returns the pivot count.
 
     Phase 1 prices by Bland's rule; phase 2 by Dantzig's, with Bland's rule
     after a run of degenerate pivots (see the module docstring).
@@ -170,10 +170,10 @@ def _iterate(
     while True:
         reduced = obj - obj[basis] @ T[:, :width]
         enter = int(reduced.argmax())
-        if reduced[enter] <= tol:
+        if reduced[enter] <= _TOL:
             return count
         if phase == 1 or degenerate >= _DEGENERATE_RUN:
-            enter = int((reduced > tol).argmax())
+            enter = int((reduced > _TOL).argmax())
         col = T[:, enter]
         best = -1
         best_ratio = np.inf

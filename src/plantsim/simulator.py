@@ -35,6 +35,7 @@ import numpy as np
 
 from plantsim.controller import (
     ControllerState,
+    InitOutOfRange,
     InvariantViolation,
     compute_theta,
     decide_pricing,
@@ -148,14 +149,6 @@ class _UniformBuffer:
         out.extend(self._buf[:need])
         self._pos = need
         return out
-
-    def take1(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(self._CHUNK).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
 
 
 def drift_constant(model: Model) -> float:
@@ -370,13 +363,13 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
         ec.V,
         theta=ec.theta,
         demand_blind=ec.demand_blind,
-        placeholder=ec.placeholder,
         allow_unsafe_theta=ec.allow_unsafe_theta,
     )
     if ec.demand_blind:
         _check_blind_tables(model)
     if ec.placeholder:
-        state = init_placeholder(cfg, params, ec.Q0 or [0] * cfg.M)
+        Q0 = [0] * cfg.M if ec.Q0 is None else ec.Q0
+        state = init_placeholder(cfg, params, Q0)
     else:
         state = init_state(cfg, params, ec.Q0)
     supply = model.supply_states
@@ -398,9 +391,10 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
 def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
     """Playback of a stationary policy: its decide, starting state and band.
 
-    decide draws the purchase, then each product's offer, from channel
-    _CH_POLICY.  There is no band and no fake unit; the queues start at Q0,
-    by default mu_max.
+    decide takes 1 + K uniforms per slot from channel _CH_POLICY: the
+    purchase draw, then each product's offer in ascending k.  There is no
+    band and no fake unit; the queues start at Q0, by default mu_max, and
+    a Q0 of the wrong length or with a negative entry raises InitOutOfRange.
     """
     cfg = model.cfg
     K = cfg.K
@@ -429,35 +423,28 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
         ]
         for k in range(K)
     ]
-    take1 = _UniformBuffer(rs.generator(_CH_POLICY)).take1
+    take = _UniformBuffer(rs.generator(_CH_POLICY)).take
 
     def decide(Q, xi, yi):
+        u = take(K + 1)
         cum, acts = buy[xi]
-        A, cost = acts[bisect_right(cum, take1())]
+        A, cost = acts[bisect_right(cum, u[0])]
         Z = [0] * K
         P = [0.0] * K
         sells = []
         for k in range(K):
             cum, opts = offer[k][yi]
-            Z[k], P[k], s = opts[bisect_right(cum, take1())]
+            Z[k], P[k], s = opts[bisect_right(cum, u[k + 1])]
             if s is not None:
                 sells.append(s)
         return A, cost, Z, P, sells
 
-    Q0 = list(ec.Q0) if ec.Q0 is not None else list(model.mu_max)
+    Q0 = list(model.mu_max if ec.Q0 is None else ec.Q0)
+    if len(Q0) != cfg.M:
+        raise InitOutOfRange("Q0 must have one entry per material")
+    if min(Q0) < 0:
+        raise InitOutOfRange(f"Q0 {Q0} has a negative entry")
     return decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
-
-
-def run_assembly_delay(ec: EpisodeConfig, model: Model) -> Metrics:
-    """Run with full product queues absorbing the one-slot assembly delay.
-
-    Consumers take finished units immediately; assembly refills the product
-    queues by end of slot, so every slot starts with exactly D_max[k] units
-    on the shelf.  Decisions, queues and per-slot profits match the plain
-    episode bit for bit; the only difference is the one-time cost of
-    assembling the initial shelf stock, reported as startup_cost.
-    """
-    return run_episode(replace(ec, assembly_delay=True), model)
 
 
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:

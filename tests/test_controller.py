@@ -7,7 +7,6 @@ from plantsim.controller import (
     InitOutOfRange,
     ThetaTooSmall,
     _bounded_knapsack_lex_min,
-    compute_indicators,
     compute_theta,
     decide_pricing,
     decide_purchase,
@@ -61,9 +60,16 @@ def test_theta_unused_material_is_zero():
 
 
 def test_indicators():
+    """A product with a feeder queue below mu_max is withheld.
+
+    Thresholds of 0 make the relief term non-negative, so every score is
+    positive and only the feeder check can withhold.
+    """
     cfg = make_i1_cfg()
-    assert compute_indicators([1], cfg) == [1]
-    assert compute_indicators([2], cfg) == [0]
+    y = DemandState(id="d0", F=[[2.0, 1.0]])
+    params = make_params(cfg, 10.0, theta=[0.0], allow_unsafe_theta=True)
+    assert decide_pricing([1], y, params, cfg) == ([0], [1.0])
+    assert decide_pricing([2], y, params, cfg)[0] == [1]
     cfg2 = PlantConfig(
         beta=[[1], [2]],
         alpha=[0.0],
@@ -72,9 +78,12 @@ def test_indicators():
         A_max=[2, 2],
         c_max=100,
     )
+    y2 = DemandState(id="d0", F=[[1.0]])
+    params2 = make_params(cfg2, 10.0, theta=[0.0, 0.0], allow_unsafe_theta=True)
     # mu_max = [2, 4]; the product draws on both materials
-    assert compute_indicators([10, 1], cfg2) == [1]
-    assert compute_indicators([10, 4], cfg2) == [0]
+    assert decide_pricing([10, 1], y2, params2, cfg2)[0] == [0]
+    assert decide_pricing([1, 10], y2, params2, cfg2)[0] == [0]
+    assert decide_pricing([10, 4], y2, params2, cfg2)[0] == [1]
 
 
 def test_make_params_requires_positive_v(i1_cfg):
@@ -250,6 +259,20 @@ def _ref_knapsack(
     return out
 
 
+def _ref_compute_indicators(Q: list[int], cfg: PlantConfig) -> list[int]:
+    """Flag products whose feeder queues cannot cover worst-case demand.
+
+    indicator[k] == 1 when some material m with beta[m][k] > 0 holds fewer
+    than mu_max[m] units; such products must not be offered this slot.
+    """
+    mu_max = cfg.mu_max()
+    low = [Q[m] < mu_max[m] for m in range(cfg.M)]
+    return [
+        int(any(low[m] and cfg.beta[m][k] > 0 for m in range(cfg.M)))
+        for k in range(cfg.K)
+    ]
+
+
 def _ref_decide_pricing(
     Q: list[int], y: DemandState, params: ControllerParams, cfg: PlantConfig
 ) -> tuple[list[int], list[float]]:
@@ -264,7 +287,7 @@ def _ref_decide_pricing(
     which leaves the decision unchanged whenever the true tables are the
     base table scaled by a positive state factor.
     """
-    ind = compute_indicators(Q, cfg)
+    ind = _ref_compute_indicators(Q, cfg)
     Z = [0] * cfg.K
     P = [0.0] * cfg.K
     for k in range(cfg.K):

@@ -9,13 +9,10 @@ from plantsim.model import (
     PlantConfig,
     SupplyState,
     material_usage,
-    nominal_profit,
     purchase_cost,
-    queue_update,
     schedule_fulfillment,
     validate_config,
 )
-from plantsim.model import SlotDecision
 
 from conftest import make_i1, make_i1_cfg
 
@@ -154,17 +151,6 @@ def test_purchase_cost_linear(rng):
         assert purchase_cost(ab, x) == purchase_cost(a, x) + purchase_cost(b, x)
 
 
-def test_nominal_profit_cases():
-    cfg = make_i1_cfg()
-    x = SupplyState(id="s0", unit_cost=[1], available=[2])
-    idle = SlotDecision(A=[0], Z=[0], P=[1.0])
-    assert nominal_profit(idle, [0], x, cfg) == 0
-    dec = SlotDecision(A=[1], Z=[1], P=[2.0])
-    assert nominal_profit(dec, [1], x, cfg) == 1
-    dec = SlotDecision(A=[2], Z=[1], P=[1.0])
-    assert nominal_profit(dec, [2], x, cfg) == 0
-
-
 # --- fulfillment and queues ----------------------------------------------
 
 
@@ -234,25 +220,3 @@ def test_fulfillment_respects_constraints_random(rng):
         used = material_usage(out, cfg)
         for m in range(M):
             assert used[m] <= Q[m]
-
-
-def test_queue_update_cases():
-    cfg = make_i1_cfg()
-    assert queue_update([5], [2], [1], cfg) == [4]
-    assert queue_update([0], [0], [2], cfg) == [2]
-    assert queue_update([5], [2], [2], cfg) == [5]
-
-
-def test_queue_update_clamps_at_zero():
-    cfg = make_i1_cfg()
-    # demand above stock only arises outside the controller; max(,0) applies
-    assert queue_update([1], [2], [0], cfg) == [0]
-
-
-def test_queue_update_matches_linear_form_when_feasible(rng):
-    cfg = make_i1_cfg()
-    for _ in range(100):
-        q = int(rng.integers(0, 10))
-        d = int(rng.integers(0, q + 1))
-        a = int(rng.integers(0, 3))
-        assert queue_update([q], [d], [a], cfg) == [q - d + a]

@@ -161,9 +161,25 @@ def test_stationary_known_chain():
     )
     pi = stationary_distribution(spec)
     assert np.allclose(pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-10)
-    # fixed point of the transition within the iteration tolerance
+    # fixed point of the transition
     T = np.array(spec.transition)
     assert np.abs(pi @ T - pi).max() < 1e-11
+
+
+def test_stationary_slowly_mixing_chain():
+    # Aperiodic and irreducible, but the second eigenvalue is eps - 1, so
+    # pi_0 T^t approaches pi only like (1 - eps)^t.
+    eps = 1e-5
+    spec = StateProcessSpec(
+        mode=MARKOV,
+        state_ids=["a", "b"],
+        transition=[[eps, 1.0 - eps], [1.0, 0.0]],
+        initial=0,
+    )
+    pi = stationary_distribution(spec)
+    assert np.allclose(pi, [1.0 / (2.0 - eps), (1.0 - eps) / (2.0 - eps)], atol=1e-15)
+    assert np.abs(pi @ np.array(spec.transition) - pi).max() < 1e-15
+    assert pi.min() >= 0.0 and pi.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_stationary_long_run_frequencies():

@@ -194,6 +194,22 @@ def test_cli_oracle(capsys):
     assert "two-price form" in out
 
 
+def test_cli_oracle_slowly_mixing_chain(tmp_path, capsys):
+    data = i1_data()
+    data["supply_states"].append({"id": "s1", "unit_cost": [2], "available": [2]})
+    data["process_x"] = {
+        "mode": "MARKOV",
+        "transition": [[1e-5, 1 - 1e-5], [1.0, 0.0]],
+        "initial": "s0",
+    }
+    path = tmp_path / "slow.scenario"
+    path.write_text(json.dumps(data))
+    code = main(["oracle", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "stationary optimum" in captured.out
+
+
 def test_cli_oracle_playback(capsys):
     code = main(
         [

@@ -10,7 +10,7 @@ from plantsim.simplex import Infeasible, LinearProgram, Unbounded, solve_lp
 from conftest import random_tiny_instance
 
 
-def _bland_iterate(T, basis, obj, tol, phase):
+def _bland_iterate(T, basis, obj, phase):
     """Reference pivot loop: Bland's rule in both phases.
 
     The smallest-index column with a positive reduced cost enters; the
@@ -23,7 +23,7 @@ def _bland_iterate(T, basis, obj, tol, phase):
         reduced = obj - obj[basis] @ T[:, :width]
         enter = -1
         for j in range(width):
-            if reduced[j] > tol:
+            if reduced[j] > simplex._TOL:
                 enter = j
                 break
         if enter < 0:

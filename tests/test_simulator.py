@@ -1,26 +1,29 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from plantsim.controller import InvariantViolation
+from plantsim.controller import InitOutOfRange, InvariantViolation
 from plantsim.model import DemandState, PlantConfig, SupplyState, validate_config
 from plantsim.oracles import extract_xy_policy, optimal_profit
 from plantsim.processes import (
     IID,
     MARKOV,
+    RngStream,
     StateProcessSpec,
     TraceExhausted,
     constant_process,
+    realize_demand,
 )
 from plantsim.simulator import (
+    _CH_DEMAND,
     EpisodeConfig,
     check_frame_bound,
     check_markov_bound,
     check_profit_bound,
     drift_constant,
     log_header,
-    run_assembly_delay,
     run_episode,
     run_replications,
     summarize,
@@ -28,6 +31,7 @@ from plantsim.simulator import (
 )
 
 from conftest import make_i1, make_i1_cfg, make_blind, make_two_phase
+from test_episode_digest import CASES, run_case
 
 
 def _i1_ec(**kw):
@@ -142,6 +146,51 @@ def test_placeholder_equivalence():
     assert ph.final_Q[0] - ph.fake[0] == shifted.final_Q[0] - 2
 
 
+@pytest.mark.parametrize("placeholder", [False, True])
+def test_empty_Q0_rejected(placeholder):
+    with pytest.raises(InitOutOfRange):
+        run_episode(_i1_ec(horizon=10, placeholder=placeholder, Q0=[]), make_i1())
+
+
+def test_playback_checks_Q0():
+    model = make_i1()
+    _, plp, sol = optimal_profit(model, np.array([1.0]), np.array([1.0]))
+    pol = extract_xy_policy(plp, sol)
+    for Q0 in ([5, 7, 9], [-3], []):
+        with pytest.raises(InitOutOfRange):
+            run_episode(
+                _i1_ec(horizon=10, controller="oracle", oracle_policy=pol, Q0=Q0),
+                model,
+            )
+    # playback has no band: any non-negative start of the right length runs
+    ec = _i1_ec(horizon=10, controller="oracle", oracle_policy=pol, Q0=[0])
+    assert len(run_episode(ec, model).final_Q) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_loop_demand_is_realize_demand(name):
+    """The slot loop draws demand exactly as realize_demand does.
+
+    Replaying channel _CH_DEMAND of the episode's stream through
+    realize_demand, one call per offered product in ascending k, gives
+    every logged D; withheld products log 0.  So the tests of
+    realize_demand cover the sampler that the runs use.
+    """
+    model, ec, m = run_case(name)
+    states = {y.id: y for y in model.demand_states}
+    rng = RngStream(ec.seed, ec.stream).generator(_CH_DEMAND)
+    offers = sold = 0
+    for _, _, y_id, _, _, Z, P, D, *_ in m.log:
+        for k, (z, p, d) in enumerate(zip(Z, P, D)):
+            if z:
+                assert d == realize_demand(k, p, states[y_id], model.cfg, rng)
+                offers += 1
+                sold += d
+            else:
+                assert d == 0
+    assert offers > 1000 and sold > 0
+
+
 def test_demand_blind_equivalence():
     model = make_blind()
     spec_y = StateProcessSpec(
@@ -167,8 +216,9 @@ def test_assembly_delay_matches_base():
     supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
     demand = [DemandState(id="d0", F=[[2.0, 1.0]])]
     model = validate_config(cfg, supply, demand)
-    base = run_episode(_i1_ec(record_log=True), model)
-    delayed = run_assembly_delay(_i1_ec(record_log=True), model)
+    ec = _i1_ec(record_log=True)
+    base = run_episode(ec, model)
+    delayed = run_episode(replace(ec, assembly_delay=True), model)
     assert delayed.log == base.log
     assert delayed.total_phi == base.total_phi
     assert base.startup_cost == 0.0
