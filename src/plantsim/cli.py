@@ -20,7 +20,7 @@ from plantsim.controller import InvariantViolation
 from plantsim.model import ConfigError
 from plantsim.oracles import (
     extract_xy_policy,
-    lookahead_value,
+    frame_values,
     optimal_profit,
     two_price_reduce,
 )
@@ -108,8 +108,7 @@ def _run_settings(args, sc: Scenario):
     return V, slots, seed, reps
 
 
-def cmd_simulate(args) -> int:
-    sc = load_scenario(args.scenario)
+def cmd_simulate(args, sc: Scenario) -> int:
     V, slots, seed, reps = _run_settings(args, sc)
     ec = EpisodeConfig(
         horizon=slots,
@@ -156,8 +155,7 @@ def cmd_simulate(args) -> int:
     return 2 if violations else 0
 
 
-def cmd_oracle(args) -> int:
-    sc = load_scenario(args.scenario)
+def cmd_oracle(args, sc: Scenario) -> int:
     V, slots, seed, reps = _run_settings(args, sc)
     pi_x = process_distribution(sc.process_x)
     pi_y = process_distribution(sc.process_y)
@@ -217,41 +215,35 @@ def cmd_oracle(args) -> int:
 
 
 def _frame_split(sc: Scenario, T, J):
-    """Trace state lists and a fitting J x T split (T defaults to the trace)."""
+    """Trace state lists and a J x T split (T defaults to the whole trace)."""
     if sc.process_x.mode != TRACE or sc.process_y.mode != TRACE:
         raise ValidationError(
             "this command needs a trace scenario (TRACE processes or trace_file)"
         )
-    xs, ys = list(sc.process_x.trace), list(sc.process_y.trace)
+    xs, ys = sc.process_x.trace, sc.process_y.trace
     n = min(len(xs), len(ys))
     T = n if T is None else T
     J = n // max(T, 1) if J is None else J
-    if T < 1 or J < 1 or J * T > n:
-        raise ValidationError(
-            f"frame split T={T} J={J} does not fit the {n}-slot trace "
-            "(T and J must be at least 1)"
-        )
     return xs, ys, T, J
 
 
-def cmd_lookahead(args) -> int:
-    sc = load_scenario(args.scenario)
+def cmd_lookahead(args, sc: Scenario) -> int:
     xs, ys, T, J = _frame_split(
         sc, _pick(args.T, sc.T, None), _pick(args.J, sc.J, None)
     )
-    total = 0.0
-    for j in range(J):
-        res = lookahead_value(
-            sc.model, xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T]
-        )
-        total += res.phi_T
-        print(f"frame {j + 1}: value {res.phi_T:.6g}")
-    print(f"mean per-slot value over {J} frame(s): {total / (J * T):.6g}")
+    values = frame_values(sc.model, xs, ys, T, J)
+    for j, value in enumerate(values):
+        print(f"frame {j + 1}: value {value:.6g}")
+    print(f"mean per-slot value over {J} frame(s): {sum(values) / (J * T):.6g}")
     return 0
 
 
-def cmd_compare(args) -> int:
-    sc = load_scenario(args.scenario)
+def cmd_compare(args, sc: Scenario) -> int:
+    for key in ("theta", "unsafe_theta"):
+        if getattr(sc, key) not in (None, False):
+            raise ValidationError(
+                f"{key}: compare checks the controller at its safe thresholds"
+            )
     V, slots, seed, reps = _run_settings(args, sc)
     T = _pick(args.T, sc.T, None)
     J = _pick(args.J, sc.J, None)
@@ -310,7 +302,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        sc = load_scenario(args.scenario)
+        for warning in sc.model.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        return args.func(args, sc)
     except SystemExit as e:
         return int(e.code or 0)
     except InvariantViolation as e:

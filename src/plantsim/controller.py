@@ -100,9 +100,6 @@ class ControllerState:
     Q: list[int]
     fake: list[int]
 
-    def actual_inventory(self) -> list[int]:
-        return [q - f for q, f in zip(self.Q, self.fake)]
-
 
 def compute_theta(cfg: PlantConfig, V: float) -> list[float]:
     """Safe queue thresholds for a given V.

@@ -648,3 +648,17 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     )
     value, _, _ = optimal_profit(visited, nx / len(xs), ny / len(ys))
     return LookaheadResult(phi_T=len(xs) * value)
+
+
+def frame_values(model: Model, xs, ys, T: int, J: int) -> list[float]:
+    """Lookahead values of the J consecutive T-slot frames of a trace."""
+    n = min(len(xs), len(ys))
+    if T < 1 or J < 1 or J * T > n:
+        raise ValueError(
+            f"frame split T={T} J={J} does not fit the {n}-slot trace "
+            f"(needs T, J >= 1 and J*T <= {n})"
+        )
+    return [
+        lookahead_value(model, xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T]).phi_T
+        for j in range(J)
+    ]

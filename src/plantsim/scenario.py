@@ -2,9 +2,11 @@
 
 A scenario bundles the plant configuration (materials, products, prices,
 state spaces) with the state processes and optional run defaults (V,
-horizon, seed, ...).  Parsing is strict: unknown keys and wrong types are
-rejected with the offending path in the message, so a typo in a scenario
-never silently changes an experiment.
+horizon, seed, ...).  Each optional key appears once, in _RUN_KEYS, with
+its parser, and fills the Scenario field of the same name.  Parsing is
+strict: unknown keys and wrong types are rejected with the offending path
+in the message, so a typo in a scenario never silently changes an
+experiment.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ class Scenario:
     epsilon: float | None = None
 
 
-_TOP_KEYS = {
-    "name",
+_PLANT_KEYS = {
     "beta",
     "alpha",
     "price_set",
@@ -67,18 +68,6 @@ _TOP_KEYS = {
     "process_x",
     "process_y",
     "trace_file",
-    "V",
-    "horizon",
-    "seed",
-    "replications",
-    "placeholder",
-    "assembly_delay",
-    "demand_blind",
-    "theta",
-    "unsafe_theta",
-    "T",
-    "J",
-    "epsilon",
 }
 
 
@@ -266,11 +255,29 @@ def _read_trace_file(path: str, x_ids: list[str], y_ids: list[str]):
     )
 
 
+# Optional top-level keys: each fills the Scenario field of the same name.
+_RUN_KEYS = {
+    "name": _as_str,
+    "V": _as_num,
+    "horizon": _as_int,
+    "seed": _as_int,
+    "replications": _as_int,
+    "placeholder": _as_bool,
+    "assembly_delay": _as_bool,
+    "demand_blind": _as_bool,
+    "theta": _num_list,
+    "unsafe_theta": _as_bool,
+    "T": _as_int,
+    "J": _as_int,
+    "epsilon": _as_num,
+}
+
+
 def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     """Build a Scenario from already-decoded JSON data."""
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
-    _check_keys(data, _TOP_KEYS, "top level")
+    _check_keys(data, _PLANT_KEYS | _RUN_KEYS.keys(), "top level")
 
     cfg = PlantConfig(
         beta=_int_matrix(_get(data, "beta", "top level"), "beta"),
@@ -300,39 +307,10 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
         spec_x = _parse_process(_get(data, "process_x", "top level"), x_ids, "process_x")
         spec_y = _parse_process(_get(data, "process_y", "top level"), y_ids, "process_y")
 
-    theta = None
-    if "theta" in data:
-        theta = _num_list(data["theta"], "theta")
-        if len(theta) != cfg.M:
-            _fail("theta", f"expected {cfg.M} entries, got {len(theta)}")
-
-    def opt_int(key):
-        return _as_int(data[key], key) if key in data else None
-
-    def opt_num(key):
-        return _as_num(data[key], key) if key in data else None
-
-    def opt_bool(key):
-        return _as_bool(data[key], key) if key in data else False
-
-    return Scenario(
-        model=model,
-        process_x=spec_x,
-        process_y=spec_y,
-        name=_as_str(data["name"], "name") if "name" in data else None,
-        V=opt_num("V"),
-        horizon=opt_int("horizon"),
-        seed=opt_int("seed"),
-        replications=opt_int("replications"),
-        placeholder=opt_bool("placeholder"),
-        assembly_delay=opt_bool("assembly_delay"),
-        demand_blind=opt_bool("demand_blind"),
-        theta=theta,
-        unsafe_theta=opt_bool("unsafe_theta"),
-        T=opt_int("T"),
-        J=opt_int("J"),
-        epsilon=opt_num("epsilon"),
-    )
+    run = {key: parse(data[key], key) for key, parse in _RUN_KEYS.items() if key in data}
+    if "theta" in run and len(run["theta"]) != cfg.M:
+        _fail("theta", f"expected {cfg.M} entries, got {len(run['theta'])}")
+    return Scenario(model=model, process_x=spec_x, process_y=spec_y, **run)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -345,66 +323,3 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as e:
         raise ParseError(f"{path!r} is not valid JSON: {e}") from e
     return parse_scenario(data, base_dir=os.path.dirname(path) or ".")
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Serialize back to plain JSON data; parse(serialize(s)) is equivalent."""
-    cfg = sc.model.cfg
-    data: dict = {}
-    if sc.name is not None:
-        data["name"] = sc.name
-    data["beta"] = cfg.beta
-    data["alpha"] = cfg.alpha
-    data["price_set"] = cfg.price_set
-    data["D_max"] = cfg.D_max
-    data["A_max"] = cfg.A_max
-    data["c_max"] = cfg.c_max
-    data["supply_states"] = [
-        {"id": s.id, "unit_cost": s.unit_cost, "available": s.available}
-        for s in sc.model.supply_states
-    ]
-    out_demand = []
-    for s in sc.model.demand_states:
-        item: dict = {"id": s.id, "F": s.F}
-        if s.h is not None:
-            item["h"] = s.h
-        if s.F_hat is not None:
-            item["F_hat"] = s.F_hat
-        out_demand.append(item)
-    data["demand_states"] = out_demand
-    data["process_x"] = _process_to_dict(sc.process_x)
-    data["process_y"] = _process_to_dict(sc.process_y)
-    for key in ("V", "horizon", "seed", "replications", "T", "J", "epsilon"):
-        val = getattr(sc, key)
-        if val is not None:
-            data[key] = val
-    for key in ("placeholder", "assembly_delay", "demand_blind", "unsafe_theta"):
-        if getattr(sc, key):
-            data[key] = True
-    if sc.theta is not None:
-        data["theta"] = sc.theta
-    return data
-
-
-def _process_to_dict(spec: StateProcessSpec) -> dict:
-    if spec.mode == IID:
-        return {
-            "mode": IID,
-            "probs": {name: p for name, p in zip(spec.state_ids, spec.probs)},
-        }
-    if spec.mode == MARKOV:
-        return {
-            "mode": MARKOV,
-            "transition": spec.transition,
-            "initial": spec.state_ids[spec.initial],
-        }
-    return {
-        "mode": TRACE,
-        "sequence": [spec.state_ids[i] for i in spec.trace],
-    }
-
-
-def save_scenario(sc: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=2)
-        fh.write("\n")

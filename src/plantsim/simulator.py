@@ -50,10 +50,11 @@ from plantsim.model import (
     purchase_cost,
     schedule_fulfillment,
 )
-from plantsim.oracles import OraclePolicy, lookahead_value, optimal_profit
+from plantsim.oracles import OraclePolicy, frame_values, optimal_profit
 from plantsim.processes import (
     IID,
     MARKOV,
+    TRACE,
     RngStream,
     StateProcessSpec,
     _cumulative,
@@ -166,14 +167,20 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     band or of full fulfillment raises InvariantViolation immediately;
     otherwise breaches are only counted, which supports deliberately unsafe
     threshold experiments.  Oracle playback has no band: its short slots are
-    served by schedule_fulfillment and only counted as mismatches.
+    served by schedule_fulfillment and only counted as mismatches.  It
+    rejects the online-only settings placeholder, demand_blind, theta and
+    allow_unsafe_theta rather than ignore them.
     """
     if ec.horizon <= 0:
         raise ValueError("horizon must be positive")
     if ec.controller not in ("online", "oracle"):
         raise ValueError(f"unknown controller {ec.controller!r}")
-    if ec.controller == "oracle" and ec.oracle_policy is None:
-        raise ValueError("oracle controller needs oracle_policy")
+    if ec.controller == "oracle":
+        if ec.oracle_policy is None:
+            raise ValueError("oracle controller needs oracle_policy")
+        for name in ("placeholder", "demand_blind", "theta", "allow_unsafe_theta"):
+            if getattr(ec, name) not in (None, False):
+                raise ValueError(f"oracle playback does not use {name}")
     cfg = model.cfg
     M, K = cfg.M, cfg.K
     d_max = cfg.D_max
@@ -478,15 +485,28 @@ def summarize(metrics: list[Metrics], net: bool = False) -> ReplicationSummary:
     return ReplicationSummary(n=n, mean=mean, se=se, per_rep=vals)
 
 
-def _need_replications(n: int) -> None:
-    """Bound checks allow 3 standard errors, which take 2 runs to estimate."""
-    if n < 2:
-        raise ValueError(f"a bound check needs at least 2 replications, got {n}")
+def _bound_runs(
+    model: Model,
+    process_x: StateProcessSpec,
+    process_y: StateProcessSpec,
+    V: float,
+    horizon: int,
+    replications: int,
+    seed: int,
+) -> tuple[ReplicationSummary, int]:
+    """Run a bound check's episodes: their summary and band violations.
 
-
-def lyapunov_value(Q0: list[int], theta: list[float]) -> float:
-    """Quadratic distance of the initial queues from their thresholds."""
-    return 0.5 * sum((q - th) ** 2 for q, th in zip(Q0, theta))
+    Bound checks allow 3 standard errors, which take 2 runs to estimate.
+    """
+    if replications < 2:
+        raise ValueError(
+            f"a bound check needs at least 2 replications, got {replications}"
+        )
+    ec = EpisodeConfig(
+        horizon=horizon, seed=seed, V=V, process_x=process_x, process_y=process_y
+    )
+    runs = run_replications(ec, model, replications)
+    return summarize(runs), sum(m.bound_violations for m in runs)
 
 
 @dataclass
@@ -516,21 +536,13 @@ def check_profit_bound(
     Needs state processes with a well-defined stationary distribution (IID
     probabilities or an ergodic Markov chain).
     """
-    _need_replications(replications)
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)
     phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)
-    ec = EpisodeConfig(
-        horizon=horizon,
-        seed=seed,
-        V=V,
-        process_x=process_x,
-        process_y=process_y,
+    s, violations = _bound_runs(
+        model, process_x, process_y, V, horizon, replications, seed
     )
-    runs = run_replications(ec, model, replications)
-    s = summarize(runs)
     slack = drift_constant(model) / V
-    violations = sum(m.bound_violations for m in runs)
     passed = s.mean >= phi_opt - slack - 3 * s.se and violations == 0
     return ProfitBoundReport(
         phi_opt=phi_opt,
@@ -582,34 +594,24 @@ def check_frame_bound(
     lookahead value minus B*T/V and minus the initial-condition term spread
     over the trace, within 3 standard errors of the replication mean.
     """
-    xs = list(xs)
-    ys = list(ys)
-    if T < 1 or J < 1 or min(len(xs), len(ys)) < J * T:
-        raise ValueError(f"frame split T={T} J={J} needs T, J >= 1 and J*T trace slots")
-    _need_replications(replications)
-    xs = xs[: J * T]
-    ys = ys[: J * T]
+    frames = frame_values(model, xs, ys, T, J)
     spec_x = StateProcessSpec(
-        mode="TRACE", state_ids=[x.id for x in model.supply_states], trace=xs
+        mode=TRACE,
+        state_ids=[x.id for x in model.supply_states],
+        trace=list(xs[: J * T]),
     )
     spec_y = StateProcessSpec(
-        mode="TRACE", state_ids=[y.id for y in model.demand_states], trace=ys
+        mode=TRACE,
+        state_ids=[y.id for y in model.demand_states],
+        trace=list(ys[: J * T]),
     )
-    ec = EpisodeConfig(
-        horizon=J * T, seed=seed, V=V, process_x=spec_x, process_y=spec_y
-    )
-    runs = run_replications(ec, model, replications)
-    s = summarize(runs)
-
-    frames = [
-        lookahead_value(model, xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T]).phi_T
-        for j in range(J)
-    ]
+    s, _ = _bound_runs(model, spec_x, spec_y, V, J * T, replications, seed)
     frame_mean = sum(frames) / (J * T)
     theta = compute_theta(model.cfg, V)
-    q0 = model.mu_max
     drift_term = drift_constant(model) * T / V
-    init_term = lyapunov_value(q0, theta) / (V * J * T)
+    # the initial queues' quadratic distance from their thresholds
+    lyapunov = 0.5 * sum((q - th) ** 2 for q, th in zip(model.mu_max, theta))
+    init_term = lyapunov / (V * J * T)
     bound = frame_mean - drift_term - init_term
     passed = s.mean >= bound - 3 * s.se
     return FrameBoundReport(
@@ -661,7 +663,6 @@ def check_markov_bound(
     """
     if T < 1 or not 0 <= epsilon < math.inf:
         raise ValueError(f"need T >= 1 and finite epsilon >= 0, got {T}, {epsilon}")
-    _need_replications(replications)
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)
     phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)
@@ -669,15 +670,7 @@ def check_markov_bound(
     cfg = model.cfg
     spill = sum(max(theta[m], float(cfg.A_max[m])) for m in range(cfg.M))
     rhs = phi_opt - T * drift_constant(model) / V - epsilon * (1.0 + spill / V)
-    ec = EpisodeConfig(
-        horizon=horizon,
-        seed=seed,
-        V=V,
-        process_x=process_x,
-        process_y=process_y,
-    )
-    runs = run_replications(ec, model, replications)
-    s = summarize(runs)
+    s, _ = _bound_runs(model, process_x, process_y, V, horizon, replications, seed)
     passed = s.mean >= rhs - 3 * s.se
     return MarkovBoundReport(
         phi_opt=phi_opt,

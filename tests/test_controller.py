@@ -577,7 +577,7 @@ def test_init_placeholder(i1_model):
     params = make_params(cfg, 10.0)
     st = init_placeholder(cfg, params, [0])
     assert st.Q == [2] and st.fake == [2]
-    assert st.actual_inventory() == [0]
+    assert [q - f for q, f in zip(st.Q, st.fake)] == [0]
     top = init_placeholder(cfg, params, [24])  # theta + A_max - mu_max
     assert top.Q == [26]
     with pytest.raises(InitOutOfRange):

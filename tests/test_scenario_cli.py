@@ -1,16 +1,16 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from plantsim.cli import main
 from plantsim.scenario import (
+    _RUN_KEYS,
     ParseError,
     ValidationError,
     load_scenario,
     parse_scenario,
-    save_scenario,
-    scenario_to_dict,
 )
 
 from conftest import make_i1
@@ -132,18 +132,43 @@ def test_trace_file_conflicts_with_processes(tmp_path):
         load_scenario(str(path))
 
 
-def test_round_trip_idempotent(tmp_path):
-    sc = load_scenario(I1_PATH)
-    data = scenario_to_dict(sc)
-    sc2 = parse_scenario(data)
-    assert scenario_to_dict(sc2) == data
-    out = tmp_path / "copy.scenario"
-    save_scenario(sc, str(out))
-    sc3 = load_scenario(str(out))
-    assert scenario_to_dict(sc3) == data
+def test_run_keys_fill_their_fields():
+    run = {
+        "name": "every-key",
+        "V": 7.5,
+        "horizon": 123,
+        "seed": 9,
+        "replications": 3,
+        "placeholder": True,
+        "assembly_delay": True,
+        "demand_blind": True,
+        "theta": [30.0],
+        "unsafe_theta": True,
+        "T": 4,
+        "J": 5,
+        "epsilon": 0.05,
+    }
+    assert set(run) == set(_RUN_KEYS)
+    sc = parse_scenario({**i1_data(), **run})
+    for key, value in run.items():
+        assert getattr(sc, key) == value, key
+    for key in run:
+        bad = 5 if key == "name" else "five"
+        with pytest.raises(ParseError, match=f"^{key}:"):
+            parse_scenario({**i1_data(), key: bad})
 
 
 # --- CLI ------------------------------------------------------------------
+
+
+def test_readme_outputs_reproduce(monkeypatch, capsys):
+    text = (REPO / "README.md").read_text()
+    examples = re.findall(r"^\$ plantsim ([^\n]*)\n(.*?)^```", text, re.M | re.S)
+    assert [cmd.split()[0] for cmd, _ in examples] == ["simulate", "oracle"]
+    monkeypatch.chdir(REPO)
+    for cmd, expected in examples:
+        assert main(cmd.split()) == 0, cmd
+        assert capsys.readouterr().out.splitlines() == expected.splitlines(), cmd
 
 
 def test_cli_simulate(capsys):
@@ -317,6 +342,47 @@ def test_cli_compare_default_bound(capsys):
     assert code == 0
     assert "PASS" in out
     assert "allowed gap B/V: 0.2" in out
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"theta": [10.0], "unsafe_theta": True}, "theta"),
+        ({"theta": [30.0]}, "theta"),
+        ({"unsafe_theta": True}, "unsafe_theta"),
+    ],
+)
+def test_cli_compare_rejects_custom_thresholds(tmp_path, capsys, extra, key):
+    # the bound checks run the controller at its safe thresholds, so a
+    # custom theta would go unchecked behind a PASS
+    path = tmp_path / "theta.scenario"
+    path.write_text(json.dumps({**i1_data(), **extra}))
+    code = main(["compare", "--scenario", str(path), "--slots", "2000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {key}:")
+    assert "PASS" not in captured.out
+
+
+def test_cli_prints_model_warnings(tmp_path, capsys):
+    data = i1_data()
+    data["beta"] = [[1], [0]]
+    data["A_max"] = [2, 2]
+    data["supply_states"][0].update(unit_cost=[1, 1], available=[2, 2])
+    path = tmp_path / "unused.scenario"
+    path.write_text(json.dumps(data))
+    warning = "warning: material 1 is used by no product; it will never be purchased\n"
+    for argv in (
+        ["oracle"],
+        ["simulate", "--slots", "50", "--replications", "1"],
+        ["compare", "--slots", "50", "--replications", "2"],
+    ):
+        code = main(argv + ["--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0, argv
+        assert captured.err == warning, argv
+    assert main(["oracle", "--scenario", I1_PATH]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_compare_epsilon_needs_t(tmp_path, capsys):

@@ -167,6 +167,24 @@ def test_playback_checks_Q0():
     assert len(run_episode(ec, model).final_Q) == 1
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("placeholder", True),
+        ("demand_blind", True),
+        ("theta", [1.0]),
+        ("allow_unsafe_theta", True),
+    ],
+)
+def test_playback_rejects_online_settings(name, value):
+    model = make_i1()
+    _, plp, sol = optimal_profit(model, np.array([1.0]), np.array([1.0]))
+    pol = extract_xy_policy(plp, sol)
+    ec = _i1_ec(horizon=10, controller="oracle", oracle_policy=pol)
+    with pytest.raises(ValueError, match=name):
+        run_episode(replace(ec, **{name: value}), model)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_loop_demand_is_realize_demand(name):
     """The slot loop draws demand exactly as realize_demand does.
