@@ -239,10 +239,11 @@ def cmd_lookahead(args, sc: Scenario) -> int:
 
 
 def cmd_compare(args, sc: Scenario) -> int:
-    for key in ("theta", "unsafe_theta"):
+    refused = ("theta", "unsafe_theta", "placeholder", "assembly_delay", "demand_blind")
+    for key in refused:
         if getattr(sc, key) not in (None, False):
             raise ValidationError(
-                f"{key}: compare checks the controller at its safe thresholds"
+                f"{key}: compare checks the default controller at safe thresholds"
             )
     V, slots, seed, reps = _run_settings(args, sc)
     T = _pick(args.T, sc.T, None)

@@ -145,8 +145,8 @@ def make_params(
     raise ThetaTooSmall unless allow_unsafe_theta is set, because they void
     the full-fulfillment guarantee.
     """
-    if V <= 0:
-        raise ValueError("V must be positive")
+    if not 0 < V < np.inf:
+        raise ValueError("V must be positive and finite")
     safe = compute_theta(cfg, V)
     if theta is None:
         theta = safe

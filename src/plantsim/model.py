@@ -164,7 +164,7 @@ def validate_config(
 
     mu_max = cfg.mu_max()
     warnings = [
-        f"material {m} is used by no product; it will never be purchased"
+        f"material {m + 1} is used by no product; it will never be purchased"
         for m in range(M)
         if mu_max[m] == 0
     ]

@@ -5,7 +5,9 @@ a distribution over feasible purchase vectors for every supply state and a
 distribution over offer/price options for every product and demand state,
 tied together by a per-material balance between mean purchases and mean
 consumption.  Its optimum is the best long-run average profit any policy
-can achieve, which online controllers are measured against.
+can achieve, which online controllers are measured against.  Its columns
+form one list of blocks, one per supply state and per (product, demand
+state) pair; a state of probability 0 gets a single idle column.
 
 Also provided: an exhaustive search over pure and exactly-mixed policies
 (an independent cross-check of the LP), extraction of the optimal
@@ -14,7 +16,7 @@ distribution to at most two support points without losing revenue, and the
 clairvoyant value of a frame of an arbitrary state trace.  The frame program
 couples its slots only through per-material totals, so slots in the same
 state pool onto one distribution without loss: a frame of T slots is worth
-T times the stationary optimum on its state histogram.
+T times the stationary optimum of the full model on its state histogram.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plantsim.model import (
-    Model,
-    PlantConfig,
-    SupplyState,
-    purchase_cost,
-    validate_config,
-)
+from plantsim.model import Model, PlantConfig, SupplyState, purchase_cost
 from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
 
@@ -93,16 +89,19 @@ def enumerate_actions(x: SupplyState, cfg: PlantConfig) -> list[tuple[int, ...]]
 
 @dataclass
 class ProfitLp:
-    """The stationary-profit LP plus the layout needed to read its solution."""
+    """The stationary-profit LP plus the layout needed to read its solution.
+
+    blocks lists, in column order, the labels of each block's columns: the
+    purchase vectors of every supply state, then the product_options of
+    every (product k, demand state) pair, k outer.  Block i sums to one in
+    equality row i; the M material-balance rows follow the block rows.
+    """
 
     lp: LinearProgram
     model: Model
     pi_x: np.ndarray
     pi_y: np.ndarray
-    actions: list[list[tuple[int, ...]]]
-    purchase_offset: list[int]
-    option_offset: dict[tuple[int, int], int]
-    n_vars: int
+    blocks: list[list]
 
 
 def build_profit_lp(model: Model, pi_x, pi_y) -> ProfitLp:
@@ -114,83 +113,54 @@ def build_profit_lp(model: Model, pi_x, pi_y) -> ProfitLp:
     to one and mean purchases equal mean consumption per material.  Balance
     is written as an equality, which costs no optimality: any slack purchase
     mass can be shifted onto smaller vectors without raising the objective.
+    A state of probability 0 adds nothing to the objective or the balance,
+    so its block is the single zero-purchase or IDLE column and its
+    purchase vectors are never enumerated.
     """
     cfg = model.cfg
     pi_x = _check_dist(pi_x, len(model.supply_states), "pi_x")
     pi_y = _check_dist(pi_y, len(model.demand_states), "pi_y")
 
-    actions = [enumerate_actions(x, cfg) for x in model.supply_states]
-    purchase_offset = []
-    n = 0
-    for acts in actions:
-        purchase_offset.append(n)
-        n += len(acts)
-    option_offset: dict[tuple[int, int], int] = {}
-    for k in range(cfg.K):
-        n_opts = len(product_options(cfg, k))
-        for yi in range(len(model.demand_states)):
-            option_offset[(k, yi)] = n
-            n += n_opts
+    blocks, obj, flow = [], [], []
+    for labels, c_block, flow_block in _lp_blocks(model, pi_x, pi_y):
+        blocks.append(labels)
+        obj += c_block
+        flow += flow_block
+    n_blocks = len(blocks)
+    c = np.array(obj)
+    a_eq = np.zeros((n_blocks + cfg.M, len(c)))
+    a_eq[n_blocks:] = np.array(flow).reshape(-1, cfg.M).T
+    b_eq = np.zeros(n_blocks + cfg.M)
+    b_eq[:n_blocks] = 1.0
+    col = 0
+    for i, labels in enumerate(blocks):
+        a_eq[i, col : col + len(labels)] = 1.0
+        col += len(labels)
+    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)
+    return ProfitLp(lp=lp, model=model, pi_x=pi_x, pi_y=pi_y, blocks=blocks)
 
-    c = np.zeros(n)
-    for xi, x in enumerate(model.supply_states):
-        base = purchase_offset[xi]
-        for ai, a in enumerate(actions[xi]):
-            c[base + ai] = -pi_x[xi] * purchase_cost(list(a), x)
+
+def _lp_blocks(model: Model, pi_x: np.ndarray, pi_y: np.ndarray):
+    """Yield each block's labels, objective entries and flows (M per column)."""
+    # Plain floats: per-block numpy calls cost more than they save on tiny blocks.
+    cfg = model.cfg
+    for x, w in zip(model.supply_states, pi_x.tolist()):
+        acts = enumerate_actions(x, cfg) if w > 0 else [(0,) * cfg.M]
+        cost = [-w * purchase_cost(list(a), x) for a in acts]
+        yield acts, cost, [w * a_m for a in acts for a_m in a]
     for k in range(cfg.K):
         opts = product_options(cfg, k)
-        for yi, y in enumerate(model.demand_states):
-            base = option_offset[(k, yi)]
-            for oi, (z, j) in enumerate(opts):
-                if z:
-                    c[base + oi] = (
-                        pi_y[yi] * (cfg.price_set[k][j] - cfg.alpha[k]) * y.F[k][j]
-                    )
-
-    n_eq = len(actions) + cfg.K * len(model.demand_states) + cfg.M
-    a_eq = np.zeros((n_eq, n))
-    b_eq = np.zeros(n_eq)
-    row = 0
-    for xi, acts in enumerate(actions):
-        a_eq[row, purchase_offset[xi] : purchase_offset[xi] + len(acts)] = 1.0
-        b_eq[row] = 1.0
-        row += 1
-    for k in range(cfg.K):
-        n_opts = len(product_options(cfg, k))
-        for yi in range(len(model.demand_states)):
-            base = option_offset[(k, yi)]
-            a_eq[row, base : base + n_opts] = 1.0
-            b_eq[row] = 1.0
-            row += 1
-    for m in range(cfg.M):
-        for xi, acts in enumerate(actions):
-            base = purchase_offset[xi]
-            for ai, a in enumerate(acts):
-                a_eq[row, base + ai] = pi_x[xi] * a[m]
-        for k in range(cfg.K):
-            if cfg.beta[m][k] == 0:
-                continue
-            opts = product_options(cfg, k)
-            for yi, y in enumerate(model.demand_states):
-                base = option_offset[(k, yi)]
-                for oi, (z, j) in enumerate(opts):
-                    if z:
-                        a_eq[row, base + oi] -= (
-                            pi_y[yi] * cfg.beta[m][k] * y.F[k][j]
-                        )
-        row += 1
-
-    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)
-    return ProfitLp(
-        lp=lp,
-        model=model,
-        pi_x=pi_x,
-        pi_y=pi_y,
-        actions=actions,
-        purchase_offset=purchase_offset,
-        option_offset=option_offset,
-        n_vars=n,
-    )
+        net = [p - cfg.alpha[k] for p in cfg.price_set[k]]
+        beta = [cfg.beta[m][k] for m in range(cfg.M)]
+        for y, w in zip(model.demand_states, pi_y.tolist()):
+            labels = opts if w > 0 else [IDLE]
+            f = [y.F[k][j] if z else 0.0 for z, j in labels]
+            yield (
+                labels,
+                [(w * net[j]) * f_j if z else 0.0 for (z, j), f_j in zip(labels, f)],
+                # 0.0 - x rather than -x, so that a zero flow stays +0.0.
+                [0.0 - (w * b) * f_j for f_j in f for b in beta],
+            )
 
 
 def _check_dist(pi, n: int, name: str) -> np.ndarray:
@@ -234,36 +204,28 @@ def extract_xy_policy(plp: ProfitLp, sol: LpSolution) -> OraclePolicy:
     whose mass strays from one raise NormalizationFailure.  The recomputed
     aggregates must reproduce the LP value and balance purchases against
     consumption to within 1e-9, which guards the bookkeeping end to end.
+    A state of probability 0 comes out idle with probability 1.
     """
     model, cfg = plp.model, plp.model.cfg
-    x_vals = sol.x
+    n_x, n_y = len(model.supply_states), len(model.demand_states)
 
-    purchase_dist = []
-    for xi, acts in enumerate(plp.actions):
-        base = plp.purchase_offset[xi]
-        block = _normalize_block(
-            x_vals[base : base + len(acts)], f"purchases of state {xi}"
-        )
-        purchase_dist.append(
-            [(acts[ai], p) for ai, p in enumerate(block) if p > 1e-12]
-        )
-    price_dist: list[list[list[tuple[int, int, float]]]] = []
-    for k in range(cfg.K):
-        opts = product_options(cfg, k)
-        per_y = []
-        for yi in range(len(model.demand_states)):
-            base = plp.option_offset[(k, yi)]
-            block = _normalize_block(
-                x_vals[base : base + len(opts)], f"offers of product {k}"
-            )
-            per_y.append(
-                [
-                    (opts[oi][0], opts[oi][1], p)
-                    for oi, p in enumerate(block)
-                    if p > 1e-12
-                ]
-            )
-        price_dist.append(per_y)
+    dists = []
+    col = 0
+    for i, labels in enumerate(plp.blocks):
+        block = sol.x[col : col + len(labels)]
+        col += len(labels)
+        k = (i - n_x) // n_y
+        what = f"offers of product {k}" if i >= n_x else f"purchases of state {i}"
+        if (block < -1e-7).any():
+            raise NormalizationFailure(f"{what}: negative probability mass")
+        block = np.clip(block, 0.0, None)
+        total = block.sum()
+        if abs(total - 1.0) > 1e-6:
+            raise NormalizationFailure(f"{what}: mass {total} instead of 1")
+        dists.append([(a, p) for a, p in zip(labels, block / total) if p > 1e-12])
+    purchase_dist = dists[:n_x]
+    offers = [[(z, j, p) for (z, j), p in d] for d in dists[n_x:]]
+    price_dist = [offers[k * n_y : (k + 1) * n_y] for k in range(cfg.K)]
 
     c_hat = 0.0
     a_hat = [0.0] * cfg.M
@@ -308,17 +270,6 @@ def extract_xy_policy(plp: ProfitLp, sol: LpSolution) -> OraclePolicy:
         mu_hat=mu_hat,
         phi=phi,
     )
-
-
-def _normalize_block(block: np.ndarray, what: str) -> np.ndarray:
-    block = np.asarray(block, dtype=float)
-    if (block < -1e-7).any():
-        raise NormalizationFailure(f"{what}: negative probability mass")
-    block = np.clip(block, 0.0, None)
-    total = block.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise NormalizationFailure(f"{what}: mass {total} instead of 1")
-    return block / total
 
 
 @dataclass
@@ -629,24 +580,19 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     use in any other.  Slots in the same state have the same coefficients,
     so replacing their distributions by their average changes neither the
     objective nor the material totals.  The optimum is therefore T times
-    the stationary optimum on the frame's state histogram, which is solved
-    over the visited states only: its size depends on the number of
-    distinct states, not on T.  The value is never negative since staying
-    idle is feasible.  An index outside [0, n) raises ValueError.
+    the stationary optimum of the full model on the frame's state
+    histogram, in which an unvisited state costs one column.  The value is
+    never negative since staying idle is feasible.  An index outside
+    [0, n) raises ValueError.
     """
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equally long and non-empty")
-    vx, nx = np.unique(xs, return_counts=True)
-    vy, ny = np.unique(ys, return_counts=True)
-    for v, states in ((vx, model.supply_states), (vy, model.demand_states)):
-        if v[0] < 0 or v[-1] >= len(states):
+    pis = []
+    for v, states in ((xs, model.supply_states), (ys, model.demand_states)):
+        if min(v) < 0 or max(v) >= len(states):
             raise ValueError("xs or ys holds a state index outside [0, n)")
-    visited = validate_config(
-        model.cfg,
-        [model.supply_states[i] for i in vx],
-        [model.demand_states[i] for i in vy],
-    )
-    value, _, _ = optimal_profit(visited, nx / len(xs), ny / len(ys))
+        pis.append(np.bincount(v, minlength=len(states)) / len(v))
+    value, _, _ = optimal_profit(model, *pis)
     return LookaheadResult(phi_T=len(xs) * value)
 
 

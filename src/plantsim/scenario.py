@@ -12,6 +12,7 @@ experiment.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -94,9 +95,14 @@ def _as_int(v, where: str) -> int:
 
 
 def _as_num(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(where, f"expected a number, got {v!r}")
-    return float(v)
+    # json.load accepts NaN, Infinity and integers too large for a float.
+    if not isinstance(v, bool) and isinstance(v, (int, float)):
+        try:
+            if math.isfinite(v):
+                return float(v)
+        except OverflowError:
+            pass
+    _fail(where, f"expected a finite number, got {v!r}")
 
 
 def _as_bool(v, where: str) -> bool:

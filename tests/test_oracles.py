@@ -9,6 +9,7 @@ from plantsim.model import (
     validate_config,
 )
 from plantsim.oracles import (
+    ACTION_CAP,
     ActionSpaceTooLarge,
     InstanceTooLarge,
     OraclePolicy,
@@ -173,6 +174,162 @@ def test_extract_policy_zero_demand_idles():
     assert pol.c_hat == pytest.approx(0.0, abs=1e-9)
     assert pol.r_hat == pytest.approx(0.0, abs=1e-9)
     assert pol.a_hat[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def _reference_profit_lp(model, pi_x, pi_y) -> LinearProgram:
+    """The stationary-profit LP as build_profit_lp wrote it, pass by pass.
+
+    Kept as the reference for the block layout: it tracks a purchase offset
+    per supply state and an option offset per (product, demand state), and
+    fills the objective and each row kind in a separate loop.
+    """
+    cfg = model.cfg
+    pi_x = np.asarray(pi_x, dtype=float)
+    pi_y = np.asarray(pi_y, dtype=float)
+
+    actions = [enumerate_actions(x, cfg) for x in model.supply_states]
+    purchase_offset = []
+    n = 0
+    for acts in actions:
+        purchase_offset.append(n)
+        n += len(acts)
+    option_offset: dict[tuple[int, int], int] = {}
+    for k in range(cfg.K):
+        n_opts = len(product_options(cfg, k))
+        for yi in range(len(model.demand_states)):
+            option_offset[(k, yi)] = n
+            n += n_opts
+
+    c = np.zeros(n)
+    for xi, x in enumerate(model.supply_states):
+        base = purchase_offset[xi]
+        for ai, a in enumerate(actions[xi]):
+            c[base + ai] = -pi_x[xi] * purchase_cost(list(a), x)
+    for k in range(cfg.K):
+        opts = product_options(cfg, k)
+        for yi, y in enumerate(model.demand_states):
+            base = option_offset[(k, yi)]
+            for oi, (z, j) in enumerate(opts):
+                if z:
+                    c[base + oi] = (
+                        pi_y[yi] * (cfg.price_set[k][j] - cfg.alpha[k]) * y.F[k][j]
+                    )
+
+    n_eq = len(actions) + cfg.K * len(model.demand_states) + cfg.M
+    a_eq = np.zeros((n_eq, n))
+    b_eq = np.zeros(n_eq)
+    row = 0
+    for xi, acts in enumerate(actions):
+        a_eq[row, purchase_offset[xi] : purchase_offset[xi] + len(acts)] = 1.0
+        b_eq[row] = 1.0
+        row += 1
+    for k in range(cfg.K):
+        n_opts = len(product_options(cfg, k))
+        for yi in range(len(model.demand_states)):
+            base = option_offset[(k, yi)]
+            a_eq[row, base : base + n_opts] = 1.0
+            b_eq[row] = 1.0
+            row += 1
+    for m in range(cfg.M):
+        for xi, acts in enumerate(actions):
+            base = purchase_offset[xi]
+            for ai, a in enumerate(acts):
+                a_eq[row, base + ai] = pi_x[xi] * a[m]
+        for k in range(cfg.K):
+            if cfg.beta[m][k] == 0:
+                continue
+            opts = product_options(cfg, k)
+            for yi, y in enumerate(model.demand_states):
+                base = option_offset[(k, yi)]
+                for oi, (z, j) in enumerate(opts):
+                    if z:
+                        a_eq[row, base + oi] -= (
+                            pi_y[yi] * cfg.beta[m][k] * y.F[k][j]
+                        )
+        row += 1
+
+    return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)
+
+
+def _m3_k4_plant(rng):
+    """A seeded M=3, K=4 plant with three supply and three demand states."""
+    M, K = 3, 4
+    beta = [[int(rng.integers(0, 3)) for _ in range(K)] for _ in range(M)]
+    for k in range(K):
+        beta[k % M][k] = max(beta[k % M][k], 1)
+    menu = [4.0, 6.0, 8.0, 10.0]
+    price_set = [sorted(rng.choice(menu, size=2, replace=False)) for _ in range(K)]
+    cfg = PlantConfig(
+        beta=beta,
+        alpha=[1.0] * K,
+        price_set=price_set,
+        D_max=[3] * K,
+        A_max=[4] * M,
+        c_max=8,
+    )
+    supply = [
+        SupplyState(
+            id=f"x{i}",
+            unit_cost=rng.integers(1, 4, size=M).tolist(),
+            available=rng.integers(2, 5, size=M).tolist(),
+        )
+        for i in range(3)
+    ]
+    demand = [
+        DemandState(
+            id=f"y{i}",
+            F=[
+                sorted(rng.uniform(0, 3, size=2).round(3).tolist(), reverse=True)
+                for _ in range(K)
+            ],
+        )
+        for i in range(3)
+    ]
+    pi_x, pi_y = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+    return validate_config(cfg, supply, demand), pi_x, pi_y
+
+
+def test_block_layout_matches_reference_builder():
+    # With every probability positive the block layout must reproduce the
+    # reference program bit for bit, so optima and policies cannot move.
+    rng = np.random.default_rng(909)
+    cases = [random_tiny_instance(rng) for _ in range(200)]
+    cases += [_m3_k4_plant(rng) for _ in range(5)]
+    for model, pi_x, pi_y in cases:
+        new = build_profit_lp(model, pi_x, pi_y).lp
+        ref = _reference_profit_lp(model, pi_x, pi_y)
+        assert np.array_equal(new.c, ref.c)
+        assert np.array_equal(new.a_eq, ref.a_eq)
+        assert np.array_equal(new.b_eq, ref.b_eq)
+
+
+def test_zero_probability_state_is_one_idle_column():
+    # A supply state past the enumeration cap is never enumerated at pi = 0.
+    cfg = PlantConfig(
+        beta=[[1], [0], [0]],
+        alpha=[0.0],
+        price_set=[[2.0]],
+        D_max=[1],
+        A_max=[99, 99, 99],
+        c_max=10**9,
+    )
+    supply = [
+        SupplyState(id="small", unit_cost=[1, 1, 1], available=[1, 0, 0]),
+        SupplyState(id="huge", unit_cost=[0, 0, 0], available=[99, 99, 99]),
+    ]
+    demand = [
+        DemandState(id="d", F=[[1.0]]),
+        DemandState(id="never", F=[[1.0]]),
+    ]
+    model = validate_config(cfg, supply, demand)
+    with pytest.raises(ActionSpaceTooLarge, match=str(ACTION_CAP)):
+        enumerate_actions(supply[1], cfg)
+    value, plp, sol = optimal_profit(model, [1.0, 0.0], [1.0, 0.0])
+    assert value == pytest.approx(1.0, abs=1e-9)
+    assert plp.blocks[1] == [(0, 0, 0)] and plp.blocks[3] == [(0, -1)]
+    policy = extract_xy_policy(plp, sol)
+    assert policy.purchase_dist[1] == [((0, 0, 0), 1.0)]
+    assert policy.price_dist[0][1] == [(0, -1, 1.0)]
 
 
 def test_brute_force_i1():

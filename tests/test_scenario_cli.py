@@ -350,6 +350,9 @@ def test_cli_compare_default_bound(capsys):
         ({"theta": [10.0], "unsafe_theta": True}, "theta"),
         ({"theta": [30.0]}, "theta"),
         ({"unsafe_theta": True}, "unsafe_theta"),
+        ({"placeholder": True}, "placeholder"),
+        ({"assembly_delay": True}, "assembly_delay"),
+        ({"demand_blind": True}, "demand_blind"),
     ],
 )
 def test_cli_compare_rejects_custom_thresholds(tmp_path, capsys, extra, key):
@@ -371,7 +374,7 @@ def test_cli_prints_model_warnings(tmp_path, capsys):
     data["supply_states"][0].update(unit_cost=[1, 1], available=[2, 2])
     path = tmp_path / "unused.scenario"
     path.write_text(json.dumps(data))
-    warning = "warning: material 1 is used by no product; it will never be purchased\n"
+    warning = "warning: material 2 is used by no product; it will never be purchased\n"
     for argv in (
         ["oracle"],
         ["simulate", "--slots", "50", "--replications", "1"],
@@ -451,6 +454,32 @@ def test_cli_parse_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "junk" in err
+
+
+def _nan_probs(data):
+    data["supply_states"].append({"id": "s1", "unit_cost": [1], "available": [2]})
+    data["process_x"]["probs"] = {"s0": float("nan"), "s1": 1.0}
+
+
+@pytest.mark.parametrize(
+    "edit, argv",
+    [
+        (_nan_probs, ["oracle"]),
+        (lambda d: d["demand_states"][0].update(F=[[float("nan"), 1.0]]), ["oracle"]),
+        (lambda d: d.update(V=float("inf")), ["simulate", "--slots", "50"]),
+        (lambda d: d.update(V=10**400), ["simulate", "--slots", "50"]),
+        (lambda d: None, ["simulate", "--slots", "50", "--V", "nan"]),
+    ],
+    ids=["nan-prob", "nan-F", "infinite-V", "huge-V", "nan-V-flag"],
+)
+def test_cli_non_finite_numbers_exit_one(tmp_path, capsys, edit, argv):
+    # json.load accepts NaN and Infinity, so they must be refused as bad input
+    data = i1_data()
+    edit(data)
+    path = tmp_path / "nonfinite.scenario"
+    path.write_text(json.dumps(data))
+    assert main(argv + ["--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_unknown_flag_exits_one(capsys):
