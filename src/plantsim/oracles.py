@@ -6,8 +6,7 @@ distribution over offer/price options for every product and demand state,
 tied together by a per-material balance between mean purchases and mean
 consumption.  Its optimum is the best long-run average profit any policy
 can achieve, which online controllers are measured against.  Its columns
-form one list of blocks, one per supply state and per (product, demand
-state) pair; a state of probability 0 gets a single idle column.
+form one block per supply state and per (product, demand state) pair.
 
 Also provided: an exhaustive search over pure and exactly-mixed policies
 (an independent cross-check of the LP), extraction of the optimal
@@ -93,8 +92,9 @@ class ProfitLp:
 
     blocks lists, in column order, the labels of each block's columns: the
     purchase vectors of every supply state, then the product_options of
-    every (product k, demand state) pair, k outer.  Block i sums to one in
-    equality row i; the M material-balance rows follow the block rows.
+    every (product k, demand state) pair, k outer.  Each non-empty block
+    sums to one in its own equality row, in order; a state of probability 0
+    has an empty block and no row.  The M balance rows follow.
     """
 
     lp: LinearProgram
@@ -113,9 +113,8 @@ def build_profit_lp(model: Model, pi_x, pi_y) -> ProfitLp:
     to one and mean purchases equal mean consumption per material.  Balance
     is written as an equality, which costs no optimality: any slack purchase
     mass can be shifted onto smaller vectors without raising the objective.
-    A state of probability 0 adds nothing to the objective or the balance,
-    so its block is the single zero-purchase or IDLE column and its
-    purchase vectors are never enumerated.
+    A state of probability 0 adds nothing to either, so its block is empty
+    and its purchase vectors are never enumerated.
     """
     cfg = model.cfg
     pi_x = _check_dist(pi_x, len(model.supply_states), "pi_x")
@@ -126,14 +125,13 @@ def build_profit_lp(model: Model, pi_x, pi_y) -> ProfitLp:
         blocks.append(labels)
         obj += c_block
         flow += flow_block
-    n_blocks = len(blocks)
+    rows = [labels for labels in blocks if labels]
     c = np.array(obj)
-    a_eq = np.zeros((n_blocks + cfg.M, len(c)))
-    a_eq[n_blocks:] = np.array(flow).reshape(-1, cfg.M).T
-    b_eq = np.zeros(n_blocks + cfg.M)
-    b_eq[:n_blocks] = 1.0
+    a_eq = np.zeros((len(rows) + cfg.M, len(c)))
+    a_eq[len(rows) :] = np.array(flow).reshape(-1, cfg.M).T
+    b_eq = np.concatenate([np.ones(len(rows)), np.zeros(cfg.M)])
     col = 0
-    for i, labels in enumerate(blocks):
+    for i, labels in enumerate(rows):
         a_eq[i, col : col + len(labels)] = 1.0
         col += len(labels)
     lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)
@@ -145,7 +143,7 @@ def _lp_blocks(model: Model, pi_x: np.ndarray, pi_y: np.ndarray):
     # Plain floats: per-block numpy calls cost more than they save on tiny blocks.
     cfg = model.cfg
     for x, w in zip(model.supply_states, pi_x.tolist()):
-        acts = enumerate_actions(x, cfg) if w > 0 else [(0,) * cfg.M]
+        acts = enumerate_actions(x, cfg) if w > 0 else []
         cost = [-w * purchase_cost(list(a), x) for a in acts]
         yield acts, cost, [w * a_m for a in acts for a_m in a]
     for k in range(cfg.K):
@@ -153,7 +151,7 @@ def _lp_blocks(model: Model, pi_x: np.ndarray, pi_y: np.ndarray):
         net = [p - cfg.alpha[k] for p in cfg.price_set[k]]
         beta = [cfg.beta[m][k] for m in range(cfg.M)]
         for y, w in zip(model.demand_states, pi_y.tolist()):
-            labels = opts if w > 0 else [IDLE]
+            labels = opts if w > 0 else []
             f = [y.F[k][j] if z else 0.0 for z, j in labels]
             yield (
                 labels,
@@ -204,14 +202,16 @@ def extract_xy_policy(plp: ProfitLp, sol: LpSolution) -> OraclePolicy:
     whose mass strays from one raise NormalizationFailure.  The recomputed
     aggregates must reproduce the LP value and balance purchases against
     consumption to within 1e-9, which guards the bookkeeping end to end.
-    A state of probability 0 comes out idle with probability 1.
+    A state of probability 0 (an empty block) comes out idle.
     """
     model, cfg = plp.model, plp.model.cfg
     n_x, n_y = len(model.supply_states), len(model.demand_states)
 
-    dists = []
-    col = 0
+    dists, col = [], 0
     for i, labels in enumerate(plp.blocks):
+        if not labels:
+            dists.append([((0,) * cfg.M if i < n_x else IDLE, 1.0)])
+            continue
         block = sol.x[col : col + len(labels)]
         col += len(labels)
         k = (i - n_x) // n_y
@@ -581,9 +581,9 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     so replacing their distributions by their average changes neither the
     objective nor the material totals.  The optimum is therefore T times
     the stationary optimum of the full model on the frame's state
-    histogram, in which an unvisited state costs one column.  The value is
-    never negative since staying idle is feasible.  An index outside
-    [0, n) raises ValueError.
+    histogram; unvisited states get empty blocks, so the program grows
+    with the distinct states, not with T.  Staying idle is feasible, so the
+    value is never negative.  An index outside [0, n) raises ValueError.
     """
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equally long and non-empty")

@@ -303,8 +303,9 @@ def test_block_layout_matches_reference_builder():
         assert np.array_equal(new.b_eq, ref.b_eq)
 
 
-def test_zero_probability_state_is_one_idle_column():
-    # A supply state past the enumeration cap is never enumerated at pi = 0.
+def test_zero_probability_state_is_empty_block():
+    # A state of probability 0 gets no column and no row, so a supply state
+    # past the enumeration cap is never enumerated; it is reported idle.
     cfg = PlantConfig(
         beta=[[1], [0], [0]],
         alpha=[0.0],
@@ -326,7 +327,13 @@ def test_zero_probability_state_is_one_idle_column():
         enumerate_actions(supply[1], cfg)
     value, plp, sol = optimal_profit(model, [1.0, 0.0], [1.0, 0.0])
     assert value == pytest.approx(1.0, abs=1e-9)
-    assert plp.blocks[1] == [(0, 0, 0)] and plp.blocks[3] == [(0, -1)]
+    assert plp.blocks[1] == [] and plp.blocks[3] == []
+    ref = _reference_profit_lp(
+        validate_config(cfg, supply[:1], demand[:1]), [1.0], [1.0]
+    )
+    assert np.array_equal(plp.lp.c, ref.c)
+    assert np.array_equal(plp.lp.a_eq, ref.a_eq)
+    assert np.array_equal(plp.lp.b_eq, ref.b_eq)
     policy = extract_xy_policy(plp, sol)
     assert policy.purchase_dist[1] == [((0, 0, 0), 1.0)]
     assert policy.price_dist[0][1] == [(0, -1, 1.0)]
