@@ -29,7 +29,6 @@ from plantsim.scenario import ParseError, Scenario, ValidationError, load_scenar
 from plantsim.simulator import (
     EpisodeConfig,
     check_frame_bound,
-    check_markov_bound,
     check_profit_bound,
     process_distribution,
     run_episode,
@@ -83,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="check a profit bound")
     common(sp)
-    sp.add_argument("--T", type=int, default=None, help="frame length")
+    sp.add_argument("--T", type=int, default=None, help="frame length or mixing window")
     sp.add_argument("--J", type=int, default=None, help="number of frames")
     sp.add_argument(
         "--epsilon", type=float, default=None, help="mixing tolerance of the chains"
@@ -121,7 +120,6 @@ def cmd_simulate(args, sc: Scenario) -> int:
         demand_blind=args.demand_blind or sc.demand_blind,
         theta=sc.theta,
         allow_unsafe_theta=sc.unsafe_theta,
-        check_bounds=not sc.unsafe_theta,
     )
     runs = run_replications(ec, sc.model, reps)
     s = summarize(runs)
@@ -157,6 +155,10 @@ def cmd_simulate(args, sc: Scenario) -> int:
 
 def cmd_oracle(args, sc: Scenario) -> int:
     V, slots, seed, reps = _run_settings(args, sc)
+    if args.slots is not None and (slots < 1 or reps < 1):
+        raise ValidationError(
+            f"playback needs slots >= 1 and replications >= 1, got {slots}, {reps}"
+        )
     pi_x = process_distribution(sc.process_x)
     pi_y = process_distribution(sc.process_y)
     model = sc.model
@@ -249,9 +251,16 @@ def cmd_compare(args, sc: Scenario) -> int:
     T = _pick(args.T, sc.T, None)
     J = _pick(args.J, sc.J, None)
     epsilon = _pick(args.epsilon, sc.epsilon, None)
+    flags = {"--T": T, "--J": J, "--epsilon": epsilon}
+    given = [f for f, v in flags.items() if v is not None]
+    if given not in ([], ["--T", "--J"], ["--T", "--epsilon"]):
+        raise ValidationError(
+            f"compare got {' '.join(given)}; it takes --T with --J (frame bound), "
+            "--T with --epsilon (Markov bound) or neither (B/V bound)"
+        )
     model = sc.model
 
-    if T is not None and J is not None:
+    if J is not None:
         xs, ys, T, J = _frame_split(sc, T, J)
         rep = check_frame_bound(
             model, xs, ys, V, T, J, replications=reps, seed=seed
@@ -266,35 +275,20 @@ def cmd_compare(args, sc: Scenario) -> int:
         print("PASS" if rep.passed else "FAIL")
         return 0 if rep.passed else 2
 
-    if epsilon is not None:
-        if sc.process_x.mode != MARKOV and sc.process_y.mode != MARKOV:
-            raise ValidationError("--epsilon applies to Markov-modulated scenarios")
-        if T is None:
-            raise ValidationError("--epsilon needs --T (the mixing window)")
-        rep = check_markov_bound(
-            model,
-            sc.process_x,
-            sc.process_y,
-            V,
-            epsilon,
-            T,
-            horizon=slots,
-            replications=reps,
-            seed=seed,
-        )
-        print(f"stationary optimum: {rep.phi_opt:.6g}")
-        print(f"bound: {rep.rhs:.6g} (epsilon={epsilon:g}, T={T})")
-        print(f"controller: {rep.mean:.6g} (se {rep.se:.3g})")
-        print("PASS" if rep.passed else "FAIL")
-        return 0 if rep.passed else 2
-
+    if epsilon is not None and MARKOV not in (sc.process_x.mode, sc.process_y.mode):
+        raise ValidationError("--epsilon applies to Markov-modulated scenarios")
+    mixing = {} if epsilon is None else {"epsilon": epsilon, "T": T}
     rep = check_profit_bound(
-        model, sc.process_x, sc.process_y, V, slots, reps, seed
+        model, sc.process_x, sc.process_y, V, slots, reps, seed, **mixing
     )
     print(f"stationary optimum: {rep.phi_opt:.6g}")
-    print(f"allowed gap B/V: {rep.slack:.6g}")
+    if epsilon is None:
+        print(f"allowed gap B/V: {rep.slack:.6g}")
+    else:
+        print(f"bound: {rep.rhs:.6g} (epsilon={epsilon:g}, T={T})")
     print(f"controller: {rep.mean:.6g} (se {rep.se:.3g})")
-    print(f"queue violations: {rep.violations}")
+    if epsilon is None:
+        print(f"queue violations: {rep.violations}")
     print("PASS" if rep.passed else "FAIL")
     return 0 if rep.passed else 2
 

@@ -14,10 +14,10 @@ statistics of the supply or demand processes.  Each slot it
 The parameter V >= 0 trades queue size for profit: larger V tracks the best
 achievable profit more closely at the cost of proportionally larger buffers.
 With thresholds from compute_theta the queues provably stay inside
-[mu_max[m], theta[m] + A_max[m]] on every sample path, and every accepted
-slot of demand can be served in full.  The rest of what pricing reads is
-fixed per model and tabulated once per ControllerParams, on first use; the
-knapsack evaluates only the budgets reachable from the full budget.
+queue_band on every sample path, and every accepted slot of demand can be
+served in full.  The rest of what pricing reads is fixed per model and
+tabulated once per ControllerParams, on first use; the knapsack evaluates
+only the budgets reachable from the full budget.
 """
 
 from __future__ import annotations
@@ -270,25 +270,30 @@ def decide_pricing(
     return Z, P
 
 
+def queue_band(
+    params: ControllerParams, cfg: PlantConfig
+) -> tuple[list[int], list[float]]:
+    """The band [mu_max[m], theta[m] + A_max[m]] the controller keeps Q[m] in."""
+    mu_max = _tables(params, cfg).mu_max
+    return list(mu_max), [th + a for th, a in zip(params.theta, cfg.A_max)]
+
+
 def init_state(
     cfg: PlantConfig, params: ControllerParams, Q0: list[int] | None = None
 ) -> ControllerState:
     """Start a run with physical inventory Q0 (default: exactly mu_max).
 
-    The initial queues must already lie in the band the controller
-    maintains, otherwise InitOutOfRange is raised.
+    The initial queues must already lie in queue_band, otherwise
+    InitOutOfRange is raised.
     """
-    mu_max = _tables(params, cfg).mu_max
+    lo, hi = queue_band(params, cfg)
     if Q0 is None:
-        Q0 = list(mu_max)
+        Q0 = lo
     if len(Q0) != cfg.M:
         raise InitOutOfRange("Q0 must have one entry per material")
-    for m in range(cfg.M):
-        hi = params.theta[m] + cfg.A_max[m]
-        if not mu_max[m] <= Q0[m] <= hi:
-            raise InitOutOfRange(
-                f"Q0[{m}] = {Q0[m]} outside [{mu_max[m]}, {hi}]"
-            )
+    for m, (q, a, b) in enumerate(zip(Q0, lo, hi)):
+        if not a <= q <= b:
+            raise InitOutOfRange(f"Q0[{m}] = {q} outside [{a}, {b}]")
     return ControllerState(Q=list(Q0), fake=[0] * cfg.M)
 
 
@@ -302,18 +307,12 @@ def init_placeholder(
     as zero physical inventory.  Because the controller never lets Q[m] drop
     below mu_max[m], the fake units are never consumed.
     """
-    mu_max = _tables(params, cfg).mu_max
     if len(Q_actual_0) != cfg.M:
         raise InitOutOfRange("Q_actual_0 must have one entry per material")
-    Q = []
-    for m in range(cfg.M):
-        if Q_actual_0[m] < 0:
+    for m, q in enumerate(Q_actual_0):
+        if q < 0:
             raise InitOutOfRange(f"Q_actual_0[{m}] is negative")
-        total = Q_actual_0[m] + mu_max[m]
-        hi = params.theta[m] + cfg.A_max[m]
-        if total > hi:
-            raise InitOutOfRange(
-                f"Q_actual_0[{m}] + mu_max[{m}] = {total} exceeds {hi}"
-            )
-        Q.append(total)
-    return ControllerState(Q=Q, fake=list(mu_max))
+    mu_max, _ = queue_band(params, cfg)
+    state = init_state(cfg, params, [q + u for q, u in zip(Q_actual_0, mu_max)])
+    state.fake = mu_max
+    return state

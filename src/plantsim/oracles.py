@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from plantsim.model import Model, PlantConfig, SupplyState, purchase_cost
+from plantsim.processes import empirical_distribution
 from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
 
@@ -591,7 +592,7 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     for v, states in ((xs, model.supply_states), (ys, model.demand_states)):
         if min(v) < 0 or max(v) >= len(states):
             raise ValueError("xs or ys holds a state index outside [0, n)")
-        pis.append(np.bincount(v, minlength=len(states)) / len(v))
+        pis.append(empirical_distribution(v, len(states)))
     value, _, _ = optimal_profit(model, *pis)
     return LookaheadResult(phi_T=len(xs) * value)
 

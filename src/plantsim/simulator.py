@@ -7,7 +7,8 @@ with their fake-unit ledger, and the queue band:
 * the online controller decides by decide_purchase and decide_pricing,
   pure functions of (queues, supply state, demand state) that read
   per-model tables, so the loop memoizes them per run, which keeps
-  million-slot episodes cheap.  Its band is [mu_max, theta + A_max].
+  million-slot episodes cheap.  Its band is controller.queue_band,
+  [mu_max, theta + A_max].
 * oracle playback draws the purchase and the offers of a fixed stationary
   policy from the policy channel and has no band.
 
@@ -16,12 +17,14 @@ full when the queues cover it and otherwise by schedule_fulfillment (a
 short slot), updates the queues and records the drift 0.5 * sum (A -
 used)^2 against its constant bound.  With a band, the loop verifies the
 controller's guarantees slot by slot: the queues stay inside it and no
-slot is short.
+slot is short.  A breach raises InvariantViolation, or is only counted
+when the run sets allow_unsafe_theta.
 
-The check_* helpers run whole experiments: comparing the controller's mean
-profit against the stationary optimum, against per-frame lookahead values
-on arbitrary traces, and against the stationary optimum under
-Markov-modulated states.  Monte Carlo comparisons carry a 3-standard-error
+The check_* helpers run whole experiments: check_profit_bound compares
+the controller's mean profit against the stationary optimum, for i.i.d.
+states or, given a mixing window and tolerance, Markov-modulated ones;
+check_frame_bound compares it against per-frame lookahead values on
+arbitrary traces.  Monte Carlo comparisons carry a 3-standard-error
 allowance; everything else is exact.
 """
 
@@ -43,6 +46,7 @@ from plantsim.controller import (
     init_placeholder,
     init_state,
     make_params,
+    queue_band,
 )
 from plantsim.model import (
     Model,
@@ -87,7 +91,6 @@ class EpisodeConfig:
     theta: list[float] | None = None
     allow_unsafe_theta: bool = False
     Q0: list[int] | None = None
-    check_bounds: bool = True
     record_log: bool = False
 
 
@@ -163,9 +166,9 @@ def drift_constant(model: Model) -> float:
 def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     """Simulate one episode and return its metrics.
 
-    With check_bounds set (the default) any breach of the controller's queue
-    band or of full fulfillment raises InvariantViolation immediately;
-    otherwise breaches are only counted, which supports deliberately unsafe
+    A breach of the controller's queue band or of full fulfillment raises
+    InvariantViolation immediately, unless the run sets allow_unsafe_theta:
+    then breaches are only counted, which supports deliberately unsafe
     threshold experiments.  Oracle playback has no band: its short slots are
     served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
@@ -218,7 +221,7 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     lo, hi = band or ([-math.inf] * M, [math.inf] * M)
     ids_x = [x.id for x in model.supply_states]
     ids_y = [y.id for y in model.demand_states]
-    check = ec.check_bounds
+    check = not ec.allow_unsafe_theta
     # Units sold from the assembly-delay product queues are re-assembled by
     # the end of the slot, so the queues always start full and only their
     # initial stock costs anything.
@@ -391,8 +394,7 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
         sells = [offers[yi][k][P[k]] for k in range(K) if Z[k]]
         return A, purchase_cost(A, x), Z, P, sells
 
-    hi = [params.theta[m] + cfg.A_max[m] for m in range(cfg.M)]
-    return decide, state, (list(model.mu_max), hi)
+    return decide, state, queue_band(params, cfg)
 
 
 def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
@@ -514,9 +516,12 @@ class ProfitBoundReport:
     """Long-run profit of the controller vs the stationary optimum."""
 
     phi_opt: float
+    rhs: float
     mean: float
     se: float
     slack: float
+    epsilon: float
+    T: int
     violations: int
     n: int
     passed: bool
@@ -528,30 +533,47 @@ def check_profit_bound(
     process_y: StateProcessSpec,
     V: float,
     horizon: int,
-    replications: int,
-    seed: int,
+    replications: int = 8,
+    seed: int = 0,
+    epsilon: float = 0.0,
+    T: int = 1,
 ) -> ProfitBoundReport:
-    """Check mean profit >= stationary optimum - B/V within 3 standard errors.
+    """Check the long-run profit bound of the T-slot drift argument.
 
-    Needs state processes with a well-defined stationary distribution (IID
-    probabilities or an ergodic Markov chain).
+    Needs state processes with a stationary distribution (IID probabilities
+    or an ergodic Markov chain), credited with a mixing window T >= 1 and a
+    tolerance epsilon >= 0: over any T slots the conditional state
+    distribution is within epsilon of stationary.  Mean profit must reach
+
+        rhs = phi_opt - T*B/V - epsilon * (1 + sum_m max(theta[m], A_max[m]) / V)
+
+    within 3 standard errors, with no band violation; slack = phi_opt - rhs.
+    The defaults T = 1, epsilon = 0 give the i.i.d. bound phi_opt - B/V.
     """
+    if T < 1 or not 0 <= epsilon < math.inf:
+        raise ValueError(f"need T >= 1 and finite epsilon >= 0, got {T}, {epsilon}")
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)
     phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)
+    theta = compute_theta(model.cfg, V)
+    spill = sum(max(th, float(a)) for th, a in zip(theta, model.cfg.A_max))
+    drift = T * drift_constant(model) / V
+    mixing = epsilon * (1.0 + spill / V)
+    rhs = phi_opt - drift - mixing
     s, violations = _bound_runs(
         model, process_x, process_y, V, horizon, replications, seed
     )
-    slack = drift_constant(model) / V
-    passed = s.mean >= phi_opt - slack - 3 * s.se and violations == 0
     return ProfitBoundReport(
         phi_opt=phi_opt,
+        rhs=rhs,
         mean=s.mean,
         se=s.se,
-        slack=slack,
+        slack=drift + mixing,
+        epsilon=epsilon,
+        T=T,
         violations=violations,
         n=replications,
-        passed=passed,
+        passed=s.mean >= rhs - 3 * s.se and violations == 0,
     )
 
 
@@ -622,63 +644,6 @@ def check_frame_bound(
         bound=bound,
         mean=s.mean,
         se=s.se,
-        passed=passed,
-    )
-
-
-@dataclass
-class MarkovBoundReport:
-    """Controller profit under Markov states vs the discounted optimum."""
-
-    phi_opt: float
-    rhs: float
-    mean: float
-    se: float
-    epsilon: float
-    T: int
-    passed: bool
-
-
-def check_markov_bound(
-    model: Model,
-    process_x: StateProcessSpec,
-    process_y: StateProcessSpec,
-    V: float,
-    epsilon: float,
-    T: int,
-    horizon: int,
-    replications: int = 8,
-    seed: int = 0,
-) -> MarkovBoundReport:
-    """Check the long-run profit bound under Markov-modulated states.
-
-    The caller supplies the decaying-memory parameters (epsilon >= 0, T >= 1) they
-    credit the chains with: over any window of T slots the conditional
-    state distribution is assumed within epsilon of stationary.  The
-    controller's long-run mean profit must then reach
-
-        phi_opt - T*B/V - epsilon * (1 + sum_m max(theta[m], A_max[m]) / V)
-
-    within 3 standard errors across replications.
-    """
-    if T < 1 or not 0 <= epsilon < math.inf:
-        raise ValueError(f"need T >= 1 and finite epsilon >= 0, got {T}, {epsilon}")
-    pi_x = process_distribution(process_x)
-    pi_y = process_distribution(process_y)
-    phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)
-    theta = compute_theta(model.cfg, V)
-    cfg = model.cfg
-    spill = sum(max(theta[m], float(cfg.A_max[m])) for m in range(cfg.M))
-    rhs = phi_opt - T * drift_constant(model) / V - epsilon * (1.0 + spill / V)
-    s, _ = _bound_runs(model, process_x, process_y, V, horizon, replications, seed)
-    passed = s.mean >= rhs - 3 * s.se
-    return MarkovBoundReport(
-        phi_opt=phi_opt,
-        rhs=rhs,
-        mean=s.mean,
-        se=s.se,
-        epsilon=epsilon,
-        T=T,
         passed=passed,
     )
 

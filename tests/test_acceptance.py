@@ -26,7 +26,7 @@ from plantsim.processes import MARKOV, StateProcessSpec, constant_process
 from plantsim.simulator import (
     EpisodeConfig,
     check_frame_bound,
-    check_markov_bound,
+    check_profit_bound,
     drift_constant,
     run_episode,
     run_replications,
@@ -233,7 +233,7 @@ def test_criterion_07_markov_consequence_bound():
             initial=0,
         )
         # four replications of 250k slots: one million simulated slots
-        rep = check_markov_bound(
+        rep = check_profit_bound(
             model,
             constant_process("s0"),
             spec_y,

@@ -13,6 +13,7 @@ from plantsim.controller import (
     init_placeholder,
     init_state,
     make_params,
+    queue_band,
 )
 from plantsim.model import (
     DemandState,
@@ -25,6 +26,7 @@ from plantsim.processes import constant_process
 from plantsim.simulator import EpisodeConfig, run_episode
 
 from conftest import make_i1, make_i1_cfg
+from test_episode_digest import make_mid
 
 
 def test_theta_i1():
@@ -570,6 +572,25 @@ def test_init_state_band(i1_model):
         init_state(cfg, params, Q0=[1])
     with pytest.raises(InitOutOfRange):
         init_state(cfg, params, Q0=[27])
+
+
+@pytest.mark.parametrize("make", [make_i1, make_mid])
+def test_init_state_accepts_exactly_the_band(make):
+    model = make()
+    cfg = model.cfg
+    params = make_params(cfg, 10.0)
+    lo, hi = queue_band(params, cfg)
+    assert lo == model.mu_max
+    assert hi == [th + a for th, a in zip(compute_theta(cfg, 10.0), cfg.A_max)]
+    for m in range(cfg.M):
+        top = int(hi[m])
+        assert top == hi[m]  # integral here, so Q0 can sit on the upper end
+        for q in (lo[m], top):
+            Q0 = lo[:m] + [q] + lo[m + 1 :]
+            assert init_state(cfg, params, Q0).Q == Q0
+        for q in (lo[m] - 1, top + 1):
+            with pytest.raises(InitOutOfRange, match=f"Q0\\[{m}\\]"):
+                init_state(cfg, params, lo[:m] + [q] + lo[m + 1 :])
 
 
 def test_init_placeholder(i1_model):

@@ -116,15 +116,13 @@ CASES = {
     "i1-online": lambda: _i1(),
     "i1-placeholder": lambda: _i1(placeholder=True, Q0=[3]),
     "i1-assembly-delay": lambda: _i1(assembly_delay=True, stream=2),
-    "i1-unsafe-theta": lambda: _i1(
-        theta=[12.0], allow_unsafe_theta=True, check_bounds=False
-    ),
+    "i1-unsafe-theta": lambda: _i1(theta=[12.0], allow_unsafe_theta=True),
     "blind-demand-blind": _blind,
     "mid-online": lambda: _mid(),
     "mid-placeholder": lambda: _mid(placeholder=True, Q0=[1, 0, 2]),
     "mid-assembly-delay": lambda: _mid(assembly_delay=True, seed=6),
     "mid-unsafe-theta": lambda: _mid(
-        theta=[100.0, 80.0, 100.0], allow_unsafe_theta=True, check_bounds=False
+        theta=[100.0, 80.0, 100.0], allow_unsafe_theta=True
     ),
     "i1-oracle": lambda: _with_oracle(*_i1(), [1.0], [1.0]),
     "i1-oracle-Q0": lambda: _with_oracle(*_i1(seed=4, Q0=[7]), [1.0], [1.0]),

@@ -367,6 +367,143 @@ def test_cli_compare_rejects_custom_thresholds(tmp_path, capsys, extra, key):
     assert "PASS" not in captured.out
 
 
+def _markov_data():
+    """i1 with a second, weaker demand state and a two-state demand chain."""
+    data = i1_data()
+    data["name"] = "i1-markov"
+    data["demand_states"].append(
+        {"id": "d1", "F": [[1.0, 0.5]], "h": 0.5, "F_hat": [[2.0, 1.0]]}
+    )
+    data["process_y"] = {
+        "mode": "MARKOV",
+        "transition": [[0.9, 0.1], [0.2, 0.8]],
+        "initial": "d0",
+    }
+    return data
+
+
+def _two_phase_trace_data():
+    """_markov_data's plant plus a dear supply state, on a 40-slot trace."""
+    data = _markov_data()
+    data["name"] = "i1-trace"
+    data["supply_states"].append({"id": "s1", "unit_cost": [2], "available": [2]})
+    data["process_x"] = {"mode": "TRACE", "sequence": ["s0"] * 20 + ["s1"] * 20}
+    data["process_y"] = {"mode": "TRACE", "sequence": ["d1"] * 20 + ["d0"] * 20}
+    return data
+
+
+def _write(tmp_path, data):
+    path = tmp_path / f"{data['name']}.scenario"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+# stdout of each compare form, recorded before the B/V and Markov checks
+# were folded into one check_profit_bound
+COMPARE_OUTPUTS = [
+    (
+        None,
+        [],
+        "stationary optimum: 1\n"
+        "allowed gap B/V: 0.2\n"
+        "controller: 1.0022 (se 0.00537)\n"
+        "queue violations: 0\n"
+        "PASS\n",
+    ),
+    (
+        _markov_data,
+        [],
+        "stationary optimum: 0.833333\n"
+        "allowed gap B/V: 0.2\n"
+        "controller: 0.8395 (se 0.00445)\n"
+        "queue violations: 0\n"
+        "PASS\n",
+    ),
+    (
+        _markov_data,
+        ["--epsilon", "0.05", "--T", "8"],
+        "stationary optimum: 0.833333\n"
+        "bound: -0.936667 (epsilon=0.05, T=8)\n"
+        "controller: 0.8395 (se 0.00445)\n"
+        "PASS\n",
+    ),
+    (
+        _two_phase_trace_data,
+        ["--T", "4", "--J", "10"],
+        "frame values: 2 2 2 2 2 0 0 0 0 0\n"
+        "mean frame value/slot: 0.25  drift term: 0.8  init term: 0.605\n"
+        "bound: -1.155\n"
+        "controller: 0.4125 (se 0.0375)\n"
+        "PASS\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, flags, expected",
+    COMPARE_OUTPUTS,
+    ids=["i1", "markov-bv", "markov-epsilon", "trace-frames"],
+)
+def test_cli_compare_outputs_reproduce(tmp_path, capsys, make, flags, expected):
+    path = I1_PATH if make is None else _write(tmp_path, make())
+    assert main(["compare", "--scenario", path, *flags]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "make, keys, flags, named",
+    [
+        (i1_data, {}, ["--T", "4"], "--T"),
+        (i1_data, {}, ["--J", "4"], "--J"),
+        (i1_data, {"T": 4}, [], "--T"),
+        (_markov_data, {}, ["--J", "4", "--epsilon", "0.05"], "--J --epsilon"),
+        (_markov_data, {"J": 4}, ["--epsilon", "0.05"], "--J --epsilon"),
+        (
+            _two_phase_trace_data,
+            {},
+            ["--T", "4", "--J", "10", "--epsilon", "0.05"],
+            "--T --J --epsilon",
+        ),
+        (
+            _two_phase_trace_data,
+            {"epsilon": 0.05},
+            ["--T", "4", "--J", "10"],
+            "--T --J --epsilon",
+        ),
+    ],
+    ids=[
+        "i1-T",
+        "i1-J",
+        "i1-T-key",
+        "markov-J-epsilon",
+        "markov-J-key",
+        "trace-T-J-epsilon",
+        "trace-epsilon-key",
+    ],
+)
+def test_cli_compare_rejects_unused_bound_settings(
+    tmp_path, capsys, make, keys, flags, named
+):
+    # each of these used to run a check that ignores some of the settings
+    path = _write(tmp_path, {**make(), **keys})
+    code = main(["compare", "--scenario", path, "--slots", "2000", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: compare got {named};")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--slots", "0"], ["--slots", "-3"], ["--replications", "0", "--slots", "100"]],
+)
+def test_cli_oracle_checks_playback_before_solving(capsys, flags):
+    assert main(["oracle", "--scenario", I1_PATH, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: playback needs")
+
+
 def test_cli_prints_model_warnings(tmp_path, capsys):
     data = i1_data()
     data["beta"] = [[1], [0]]

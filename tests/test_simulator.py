@@ -4,7 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plantsim.controller import InitOutOfRange, InvariantViolation
+from plantsim.controller import (
+    InitOutOfRange,
+    compute_theta,
+    make_params,
+    queue_band,
+)
 from plantsim.model import DemandState, PlantConfig, SupplyState, validate_config
 from plantsim.oracles import extract_xy_policy, optimal_profit
 from plantsim.processes import (
@@ -20,7 +25,6 @@ from plantsim.simulator import (
     _CH_DEMAND,
     EpisodeConfig,
     check_frame_bound,
-    check_markov_bound,
     check_profit_bound,
     drift_constant,
     log_header,
@@ -122,15 +126,9 @@ def test_unsafe_theta_counts_violations():
         horizon=500,
         theta=[10.0],
         allow_unsafe_theta=True,
-        check_bounds=False,
     )
     m = run_episode(ec, model)
     assert m.bound_violations > 0
-    # and with checking on, the same run raises
-    with pytest.raises(InvariantViolation):
-        run_episode(
-            _i1_ec(horizon=500, theta=[10.0], allow_unsafe_theta=True), model
-        )
 
 
 def test_placeholder_equivalence():
@@ -328,6 +326,32 @@ def test_check_profit_bound_i1():
     assert rep.passed
 
 
+def test_check_profit_bound_defaults_are_the_iid_bound():
+    model = make_i1()
+    s0, d0 = constant_process("s0"), constant_process("d0")
+    B = drift_constant(model)
+    rep = check_profit_bound(model, s0, d0, 10.0, 2000)
+    assert (rep.epsilon, rep.T, rep.n) == (0.0, 1, 8)
+    assert rep.rhs == rep.phi_opt - B / 10.0
+    assert rep.slack == B / 10.0
+    rep = check_profit_bound(model, s0, d0, 10.0, 2000, epsilon=0.05, T=32)
+    theta = compute_theta(model.cfg, 10.0)
+    spill = sum(max(th, float(a)) for th, a in zip(theta, model.cfg.A_max))
+    assert rep.rhs == rep.phi_opt - 32 * B / 10.0 - 0.05 * (1.0 + spill / 10.0)
+    assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "name", ["i1-online", "i1-placeholder", "mid-online", "mid-placeholder"]
+)
+def test_metrics_report_queue_band(name):
+    model, ec, m = run_case(name)
+    lo, hi = queue_band(make_params(model.cfg, ec.V), model.cfg)
+    assert m.q_lower_bound == lo and m.q_upper_bound == hi
+    assert all(a <= q for a, q in zip(lo, m.q_min))
+    assert all(q <= b for q, b in zip(m.q_max, hi))
+
+
 def test_check_frame_bound_two_phase():
     model = make_two_phase()
     xs = [0] * 20 + [1] * 20
@@ -364,7 +388,7 @@ def test_bound_checks_need_two_replications():
     with pytest.raises(ValueError, match=msg):
         check_frame_bound(model, [0] * 8, [0] * 8, V=10.0, T=4, J=2, replications=1)
     with pytest.raises(ValueError, match=msg):
-        check_markov_bound(
+        check_profit_bound(
             model, s0, d0, V=10.0, epsilon=0.05, T=4, horizon=100, replications=1
         )
 
@@ -380,10 +404,10 @@ def test_check_markov_bound_rejects_bad_window_and_epsilon():
         (8, math.inf, "epsilon"),
     ):
         with pytest.raises(ValueError, match=msg):
-            check_markov_bound(
+            check_profit_bound(
                 model, s0, d0, V=10.0, epsilon=epsilon, T=T, horizon=100, replications=2
             )
-    rep = check_markov_bound(
+    rep = check_profit_bound(
         model, s0, d0, V=10.0, epsilon=0.0, T=1, horizon=2000, replications=2
     )
     assert rep.epsilon == 0.0 and rep.T == 1
@@ -403,7 +427,7 @@ def test_check_markov_bound_variant():
         transition=[[0.9, 0.1], [0.1, 0.9]],
         initial=0,
     )
-    rep = check_markov_bound(
+    rep = check_profit_bound(
         model,
         constant_process("s0"),
         spec_y,
