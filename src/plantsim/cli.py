@@ -6,8 +6,11 @@ Subcommands:
   lookahead   evaluate per-frame clairvoyant values on a trace scenario
   compare     check a profit bound (long-run, frame or Markov form)
 
-Exit codes: 0 success, 1 parse or validation problem, 2 a checked bound
-or invariant was violated, 3 internal error.
+Run flags: simulate and compare read --V, --slots, --seed, --replications;
+oracle all but --V, taking --seed and --replications only with --slots;
+lookahead none.  compare reads --slots only without --J.
+Exit codes: 0 success, 1 bad input (an InputError), 2 a checked bound or
+invariant was violated, 3 internal error.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ import sys
 from dataclasses import replace
 
 from plantsim.controller import InvariantViolation
-from plantsim.model import ConfigError
+from plantsim.model import InputError
 from plantsim.oracles import (
     extract_xy_policy,
     frame_values,
     optimal_profit,
     two_price_reduce,
 )
-from plantsim.processes import MARKOV, TRACE, TraceExhausted
-from plantsim.scenario import ParseError, Scenario, ValidationError, load_scenario
+from plantsim.processes import MARKOV, TRACE
+from plantsim.scenario import Scenario, ValidationError, load_scenario
 from plantsim.simulator import (
     EpisodeConfig,
     check_frame_bound,
@@ -37,57 +40,56 @@ from plantsim.simulator import (
     write_slot_log,
 )
 
-_DEF_V = 10.0
-_DEF_SLOTS = 10_000
-_DEF_SEED = 0
-_DEF_REPS = 4
+# Run flag -> (type, Scenario field, default, help); a subcommand lacking it reads None.
+_RUN_FLAGS = {
+    "V": (float, "V", 10.0, "profit weight"),
+    "slots": (int, "horizon", 10_000, "episode length"),
+    "seed": (int, "seed", 0, None),
+    "replications": (int, "replications", 4, None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors to match our exit contract."""
+    """argparse whose usage errors are bad input, like every other exit 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="plantsim", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(sp):
+    def subcommand(name, func, summary, run_flags=tuple(_RUN_FLAGS)):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
-        sp.add_argument("--V", type=float, default=None, help="profit weight")
-        sp.add_argument("--slots", type=int, default=None, help="episode length")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--replications", type=int, default=None)
+        for flag in run_flags:
+            kind, _, _, text = _RUN_FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=kind, help=text)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="run the online controller")
-    common(sp)
+    sp = subcommand("simulate", cmd_simulate, "run the online controller")
     sp.add_argument("--placeholder", action="store_true")
     sp.add_argument("--assembly-delay", action="store_true")
     sp.add_argument("--demand-blind", action="store_true")
     sp.add_argument("--out", default=None, help="write per-slot CSV log here")
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("oracle", help="stationary optimum and its policy")
-    common(sp)
-    sp.set_defaults(func=cmd_oracle)
+    oracle_flags = ("slots", "seed", "replications")  # playback never reads V
+    subcommand("oracle", cmd_oracle, "stationary optimum and its policy", oracle_flags)
 
-    sp = sub.add_parser("lookahead", help="clairvoyant frame values on a trace")
-    common(sp)
+    summary = "clairvoyant frame values on a trace"
+    sp = subcommand("lookahead", cmd_lookahead, summary, run_flags=())
     sp.add_argument("--T", type=int, default=None, help="frame length")
     sp.add_argument("--J", type=int, default=None, help="number of frames")
-    sp.set_defaults(func=cmd_lookahead)
 
-    sp = sub.add_parser("compare", help="check a profit bound")
-    common(sp)
+    sp = subcommand("compare", cmd_compare, "check a profit bound")
     sp.add_argument("--T", type=int, default=None, help="frame length or mixing window")
     sp.add_argument("--J", type=int, default=None, help="number of frames")
     sp.add_argument(
         "--epsilon", type=float, default=None, help="mixing tolerance of the chains"
     )
-    sp.set_defaults(func=cmd_compare)
     return p
 
 
@@ -100,11 +102,11 @@ def _pick(flag, scen, default):
 
 
 def _run_settings(args, sc: Scenario):
-    V = _pick(args.V, sc.V, _DEF_V)
-    slots = _pick(args.slots, sc.horizon, _DEF_SLOTS)
-    seed = _pick(args.seed, sc.seed, _DEF_SEED)
-    reps = _pick(args.replications, sc.replications, _DEF_REPS)
-    return V, slots, seed, reps
+    """V, slots, seed and replications: the flag, else the scenario, else default."""
+    return [
+        _pick(vars(args).get(flag), getattr(sc, field), default)
+        for flag, (_, field, default, _) in _RUN_FLAGS.items()
+    ]
 
 
 def cmd_simulate(args, sc: Scenario) -> int:
@@ -122,6 +124,12 @@ def cmd_simulate(args, sc: Scenario) -> int:
         allow_unsafe_theta=sc.unsafe_theta,
     )
     runs = run_replications(ec, sc.model, reps)
+    if args.out:
+        logged = run_episode(replace(ec, record_log=True), sc.model)
+        try:
+            write_slot_log(args.out, sc.model, logged)
+        except OSError as e:
+            raise InputError(f"--out: cannot write {args.out!r}: {e}") from e
     s = summarize(runs)
     name = sc.name or args.scenario
     print(f"scenario: {name}")
@@ -147,14 +155,14 @@ def cmd_simulate(args, sc: Scenario) -> int:
         net = summarize(runs, net=True)
         print(f"mean avg profit net of startup: {net.mean:.6g}")
     if args.out:
-        logged = run_episode(replace(ec, record_log=True), sc.model)
-        write_slot_log(args.out, sc.model, logged)
         print(f"slot log written to {args.out}")
     return 2 if violations else 0
 
 
 def cmd_oracle(args, sc: Scenario) -> int:
     V, slots, seed, reps = _run_settings(args, sc)
+    if args.slots is None and (args.seed, args.replications) != (None, None):
+        raise ValidationError("--seed and --replications apply to playback: add --slots")
     if args.slots is not None and (slots < 1 or reps < 1):
         raise ValidationError(
             f"playback needs slots >= 1 and replications >= 1, got {slots}, {reps}"
@@ -164,6 +172,25 @@ def cmd_oracle(args, sc: Scenario) -> int:
     model = sc.model
     value, plp, sol = optimal_profit(model, pi_x, pi_y)
     policy = extract_xy_policy(plp, sol)
+    reduced = two_price_reduce(policy, model)
+    playback = None
+    if args.slots is not None:
+        ec = EpisodeConfig(
+            horizon=slots,
+            seed=seed,
+            V=V,
+            process_x=sc.process_x,
+            process_y=sc.process_y,
+            controller="oracle",
+            oracle_policy=policy,
+        )
+        runs = run_replications(ec, model, reps)
+        s = summarize(runs)
+        playback = (
+            f"playback over {slots} slots x {reps}: realized {s.mean:.6g} "
+            f"(se {s.se:.3g}), nominal LP value {value:.6g}, "
+            f"short slots {sum(r.phi_mismatch_slots for r in runs)}"
+        )
     print(f"stationary optimum: {value:.6g}")
     print(
         f"purchase cost rate: {policy.c_hat:.6g}  revenue rate: {policy.r_hat:.6g}"
@@ -177,7 +204,6 @@ def cmd_oracle(args, sc: Scenario) -> int:
             f"{tuple(a)} w.p. {p:.4g}" for a, p in policy.purchase_dist[xi]
         ]
         print(f"purchase | x={x.id}: " + "; ".join(parts))
-    reduced = two_price_reduce(policy, model)
     for k in range(model.cfg.K):
         for yi, y in enumerate(model.demand_states):
             parts = []
@@ -195,24 +221,8 @@ def cmd_oracle(args, sc: Scenario) -> int:
                 + "; ".join(parts)
                 + f"  (revenue {ent.r_star:.6g}, was {ent.r_orig:.6g})"
             )
-    if args.slots is not None:
-        ec = EpisodeConfig(
-            horizon=slots,
-            seed=seed,
-            V=V,
-            process_x=sc.process_x,
-            process_y=sc.process_y,
-            controller="oracle",
-            oracle_policy=policy,
-        )
-        runs = run_replications(ec, model, reps)
-        s = summarize(runs)
-        mm = sum(r.phi_mismatch_slots for r in runs)
-        print(
-            f"playback over {slots} slots x {reps}: realized {s.mean:.6g} "
-            f"(se {s.se:.3g}), nominal LP value {value:.6g}, "
-            f"short slots {mm}"
-        )
+    if playback is not None:
+        print(playback)
     return 0
 
 
@@ -258,6 +268,8 @@ def cmd_compare(args, sc: Scenario) -> int:
             f"compare got {' '.join(given)}; it takes --T with --J (frame bound), "
             "--T with --epsilon (Markov bound) or neither (B/V bound)"
         )
+    if J is not None and args.slots is not None:
+        raise ValidationError("--slots is unused: the frame bound runs J*T slots")
     model = sc.model
 
     if J is not None:
@@ -306,10 +318,7 @@ def main(argv=None) -> int:
     except InvariantViolation as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 2
-    except TraceExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ParseError, ValidationError, ConfigError, ValueError) as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # pragma: no cover - safety net

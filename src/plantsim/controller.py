@@ -26,18 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from plantsim.model import DemandState, PlantConfig, SupplyState
+from plantsim.model import DemandState, InputError, PlantConfig, SupplyState
 
 
 class InvariantViolation(RuntimeError):
     """A queue left its guaranteed band; this indicates a bug, not bad input."""
 
 
-class InitOutOfRange(ValueError):
+class InitOutOfRange(InputError):
     """Requested initial inventory is outside the band the controller maintains."""
 
 
-class ThetaTooSmall(ValueError):
+class ThetaTooSmall(InputError):
     """An override threshold is below the safe value and was not forced."""
 
 
@@ -146,12 +146,12 @@ def make_params(
     the full-fulfillment guarantee.
     """
     if not 0 < V < np.inf:
-        raise ValueError("V must be positive and finite")
+        raise InputError("V must be positive and finite")
     safe = compute_theta(cfg, V)
     if theta is None:
         theta = safe
     elif len(theta) != cfg.M:
-        raise ValueError("theta must have one entry per material")
+        raise InputError("theta must have one entry per material")
     elif not allow_unsafe_theta:
         for m in range(cfg.M):
             if theta[m] < safe[m] - 1e-12:
@@ -255,7 +255,7 @@ def decide_pricing(
         if low and any(Q[m] < t.mu_max[m] for m, _ in feed):
             continue
         if rows is None:
-            raise ValueError(
+            raise InputError(
                 f"demand state {y.id!r} has no base table for blind pricing"
             )
         relief = sum([b * head[m] for m, b in feed])

@@ -15,7 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class ConfigError(ValueError):
+class InputError(ValueError):
+    """Bad input: every rejected argument, setting or scenario derives from this."""
+
+
+class ConfigError(InputError):
     """A plant configuration or exogenous state table was rejected."""
 
 
@@ -110,7 +114,8 @@ class Model:
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_int_vector(name: str, vec, length: int, minimum: int = 0) -> None:
+def _check_int_vector(name: str, vec, length: int, minimum=0, maximum=2**53) -> None:
+    # The default maximum keeps each entry exact as a float (the LP computes in floats).
     if len(vec) != length:
         raise ConfigError(f"{name} must have length {length}, got {len(vec)}")
     for v in vec:
@@ -120,6 +125,8 @@ def _check_int_vector(name: str, vec, length: int, minimum: int = 0) -> None:
             if v < 0:
                 raise NegativeEntry(f"{name} entry {v} is negative")
             raise ConfigError(f"{name} entry {v} is below the minimum {minimum}")
+        if v > maximum:
+            raise ConfigError(f"{name} entry {v} is above the maximum {maximum}")
 
 
 def validate_config(
@@ -142,7 +149,8 @@ def validate_config(
         raise ConfigError("alpha, price_set and D_max must all have length K")
     for m, row in enumerate(cfg.beta):
         _check_int_vector(f"beta[{m}]", row, K)
-    _check_int_vector("D_max", cfg.D_max, K, minimum=1)
+    # A slot draws D_max[k] uniforms per offered product; bound that cost.
+    _check_int_vector("D_max", cfg.D_max, K, minimum=1, maximum=10**6)
     _check_int_vector("A_max", cfg.A_max, M, minimum=1)
     if not isinstance(cfg.c_max, int) or isinstance(cfg.c_max, bool):
         raise ConfigError("c_max must be an integer")

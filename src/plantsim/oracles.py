@@ -26,16 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plantsim.model import Model, PlantConfig, SupplyState, purchase_cost
+from plantsim.model import InputError, Model, PlantConfig, SupplyState, purchase_cost
 from plantsim.processes import empirical_distribution
 from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
 
-class ActionSpaceTooLarge(ValueError):
+class ActionSpaceTooLarge(InputError):
     """A supply state admits more purchase vectors than the enumeration cap."""
 
 
-class InstanceTooLarge(ValueError):
+class InstanceTooLarge(InputError):
     """The instance is beyond what the exhaustive search is meant for."""
 
 
@@ -165,9 +165,9 @@ def _lp_blocks(model: Model, pi_x: np.ndarray, pi_y: np.ndarray):
 def _check_dist(pi, n: int, name: str) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (n,):
-        raise ValueError(f"{name} must have length {n}")
+        raise InputError(f"{name} must have length {n}")
     if (pi < 0).any() or abs(pi.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a probability distribution")
+        raise InputError(f"{name} must be a probability distribution")
     return pi
 
 
@@ -584,14 +584,14 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     the stationary optimum of the full model on the frame's state
     histogram; unvisited states get empty blocks, so the program grows
     with the distinct states, not with T.  Staying idle is feasible, so the
-    value is never negative.  An index outside [0, n) raises ValueError.
+    value is never negative.  An index outside [0, n) raises InputError.
     """
     if len(xs) != len(ys) or not len(xs):
-        raise ValueError("xs and ys must be equally long and non-empty")
+        raise InputError("xs and ys must be equally long and non-empty")
     pis = []
     for v, states in ((xs, model.supply_states), (ys, model.demand_states)):
         if min(v) < 0 or max(v) >= len(states):
-            raise ValueError("xs or ys holds a state index outside [0, n)")
+            raise InputError("xs or ys holds a state index outside [0, n)")
         pis.append(empirical_distribution(v, len(states)))
     value, _, _ = optimal_profit(model, *pis)
     return LookaheadResult(phi_T=len(xs) * value)
@@ -601,7 +601,7 @@ def frame_values(model: Model, xs, ys, T: int, J: int) -> list[float]:
     """Lookahead values of the J consecutive T-slot frames of a trace."""
     n = min(len(xs), len(ys))
     if T < 1 or J < 1 or J * T > n:
-        raise ValueError(
+        raise InputError(
             f"frame split T={T} J={J} does not fit the {n}-slot trace "
             f"(needs T, J >= 1 and J*T <= {n})"
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plantsim.model import DemandState, PlantConfig
+from plantsim.model import DemandState, InputError, PlantConfig
 
 IID = "IID"
 MARKOV = "MARKOV"
@@ -24,11 +24,11 @@ TRACE = "TRACE"
 _MODES = (IID, MARKOV, TRACE)
 
 
-class TraceExhausted(RuntimeError):
+class TraceExhausted(InputError):
     """A trace-driven process was asked for a slot beyond the recorded trace."""
 
 
-class NotErgodic(ValueError):
+class NotErgodic(InputError):
     """The chain has no unique stationary distribution reachable from everywhere."""
 
 
@@ -43,6 +43,10 @@ class RngStream:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self) -> None:
+        if self.seed < 0 or self.stream < 0:
+            raise InputError(f"negative seed or stream: {self.seed}, {self.stream}")
 
     def generator(self, channel: int = 0) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, channel))
@@ -69,32 +73,32 @@ class StateProcessSpec:
     def __post_init__(self) -> None:
         n = len(self.state_ids)
         if self.mode not in _MODES:
-            raise ValueError(f"unknown process mode {self.mode!r}")
+            raise InputError(f"unknown process mode {self.mode!r}")
         if n == 0:
-            raise ValueError("process needs at least one state")
+            raise InputError("process needs at least one state")
         if self.mode == IID:
             if self.probs is None or len(self.probs) != n:
-                raise ValueError("IID process needs one probability per state")
+                raise InputError("IID process needs one probability per state")
             if any(p < 0 for p in self.probs):
-                raise ValueError("IID probabilities must be non-negative")
+                raise InputError("IID probabilities must be non-negative")
             if abs(sum(self.probs) - 1.0) > 1e-9:
-                raise ValueError("IID probabilities must sum to 1")
+                raise InputError("IID probabilities must sum to 1")
         elif self.mode == MARKOV:
             t = self.transition
             if t is None or len(t) != n or any(len(row) != n for row in t):
-                raise ValueError("MARKOV process needs an n-by-n transition matrix")
+                raise InputError("MARKOV process needs an n-by-n transition matrix")
             for i, row in enumerate(t):
                 if any(p < 0 for p in row):
-                    raise ValueError(f"transition row {i} has a negative entry")
+                    raise InputError(f"transition row {i} has a negative entry")
                 if abs(sum(row) - 1.0) > 1e-9:
-                    raise ValueError(f"transition row {i} does not sum to 1")
+                    raise InputError(f"transition row {i} does not sum to 1")
             if not 0 <= self.initial < n:
-                raise ValueError("MARKOV initial state out of range")
+                raise InputError("MARKOV initial state out of range")
         else:
             if not self.trace:
-                raise ValueError("TRACE process needs a non-empty trace")
+                raise InputError("TRACE process needs a non-empty trace")
             if any(not 0 <= s < n for s in self.trace):
-                raise ValueError("trace contains an out-of-range state index")
+                raise InputError("trace contains an out-of-range state index")
 
 
 def constant_process(state_id: str) -> StateProcessSpec:
@@ -137,9 +141,7 @@ def generate_states(
             out[t] = cur
         return out
     if horizon > len(spec.trace):
-        raise TraceExhausted(
-            f"trace has {len(spec.trace)} slots, {horizon} requested"
-        )
+        raise TraceExhausted(f"trace has {len(spec.trace)} slots, {horizon} requested")
     return np.asarray(spec.trace[:horizon], dtype=np.int64)
 
 
@@ -153,7 +155,7 @@ def stationary_distribution(spec: StateProcessSpec) -> np.ndarray:
     Rounding negatives are clipped and the result renormalized.
     """
     if spec.mode != MARKOV:
-        raise ValueError("stationary_distribution applies to MARKOV processes")
+        raise InputError("stationary_distribution applies to MARKOV processes")
     T = np.asarray(spec.transition, dtype=float)
     _check_ergodic(T)
     n = T.shape[0]
@@ -228,7 +230,7 @@ def realize_demand(
     try:
         j = prices.index(price)
     except ValueError:
-        raise ValueError(f"price {price} is not in price_set[{k}]") from None
+        raise InputError(f"price {price} is not in price_set[{k}]") from None
     n = cfg.D_max[k]
     p = y.F[k][j] / n
     if size is None:

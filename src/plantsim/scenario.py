@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from plantsim.model import (
     ConfigError,
     DemandState,
+    InputError,
     Model,
     PlantConfig,
     SupplyState,
@@ -27,11 +28,11 @@ from plantsim.model import (
 from plantsim.processes import IID, MARKOV, TRACE, StateProcessSpec
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed scenario JSON (unknown key, wrong type, bad reference)."""
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError):
     """Scenario parsed fine but describes an inconsistent plant."""
 
 
@@ -205,24 +206,14 @@ def _parse_process(obj, ids: list[str], where: str) -> StateProcessSpec:
         for name in ids:
             if name not in raw:
                 _fail(f"{where}.probs", f"missing probability for state {name!r}")
-        probs = [_as_num(raw[name], f"{where}.probs[{name!r}]") for name in ids]
-        try:
-            return StateProcessSpec(mode=IID, state_ids=ids, probs=probs)
-        except ValueError as e:
-            raise ParseError(f"{where}: {e}") from e
-    if mode == MARKOV:
+        fields = {"probs": [_as_num(raw[n], f"{where}.probs[{n!r}]") for n in ids]}
+    elif mode == MARKOV:
         _check_keys(obj, {"mode", "transition", "initial"}, where)
         transition = _num_matrix(_get(obj, "transition", where), f"{where}.transition")
-        initial = 0
+        fields = {"transition": transition}
         if "initial" in obj:
-            initial = _state_index(ids, obj["initial"], f"{where}.initial")
-        try:
-            return StateProcessSpec(
-                mode=MARKOV, state_ids=ids, transition=transition, initial=initial
-            )
-        except ValueError as e:
-            raise ParseError(f"{where}: {e}") from e
-    if mode == TRACE:
+            fields["initial"] = _state_index(ids, obj["initial"], f"{where}.initial")
+    elif mode == TRACE:
         _check_keys(obj, {"mode", "sequence"}, where)
         seq = _get(obj, "sequence", where)
         if not isinstance(seq, list) or not seq:
@@ -230,11 +221,13 @@ def _parse_process(obj, ids: list[str], where: str) -> StateProcessSpec:
         trace = [
             _state_index(ids, e, f"{where}.sequence[{i}]") for i, e in enumerate(seq)
         ]
-        try:
-            return StateProcessSpec(mode=TRACE, state_ids=ids, trace=trace)
-        except ValueError as e:
-            raise ParseError(f"{where}: {e}") from e
-    _fail(f"{where}.mode", f"unknown mode {mode!r}")
+        fields = {"trace": trace}
+    else:
+        _fail(f"{where}.mode", f"unknown mode {mode!r}")
+    try:
+        return StateProcessSpec(mode=mode, state_ids=ids, **fields)
+    except InputError as e:
+        raise ParseError(f"{where}: {e}") from e
 
 
 def _read_trace_file(path: str, x_ids: list[str], y_ids: list[str]):

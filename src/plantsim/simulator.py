@@ -49,6 +49,7 @@ from plantsim.controller import (
     queue_band,
 )
 from plantsim.model import (
+    InputError,
     Model,
     material_usage,
     purchase_cost,
@@ -175,15 +176,15 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     allow_unsafe_theta rather than ignore them.
     """
     if ec.horizon <= 0:
-        raise ValueError("horizon must be positive")
+        raise InputError("horizon must be positive")
     if ec.controller not in ("online", "oracle"):
-        raise ValueError(f"unknown controller {ec.controller!r}")
+        raise InputError(f"unknown controller {ec.controller!r}")
     if ec.controller == "oracle":
         if ec.oracle_policy is None:
-            raise ValueError("oracle controller needs oracle_policy")
+            raise InputError("oracle controller needs oracle_policy")
         for name in ("placeholder", "demand_blind", "theta", "allow_unsafe_theta"):
             if getattr(ec, name) not in (None, False):
-                raise ValueError(f"oracle playback does not use {name}")
+                raise InputError(f"oracle playback does not use {name}")
     cfg = model.cfg
     M, K = cfg.M, cfg.K
     d_max = cfg.D_max
@@ -354,12 +355,12 @@ def _check_blind_tables(model: Model) -> None:
     base = model.demand_states[0].F_hat
     for y in model.demand_states:
         if y.F_hat is None or y.h is None:
-            raise ValueError(
+            raise InputError(
                 f"demand state {y.id!r} lacks the factorization needed for "
                 "demand-blind pricing"
             )
         if y.F_hat != base:
-            raise ValueError(
+            raise InputError(
                 "demand-blind pricing needs one shared base table across states"
             )
 
@@ -459,7 +460,7 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:
     """Run n independent replications differing only in their stream id."""
     if n < 1:
-        raise ValueError(f"need at least 1 replication, got {n}")
+        raise InputError(f"need at least 1 replication, got {n}")
     return [run_episode(replace(ec, stream=ec.stream + i), model) for i in range(n)]
 
 
@@ -501,7 +502,7 @@ def _bound_runs(
     Bound checks allow 3 standard errors, which take 2 runs to estimate.
     """
     if replications < 2:
-        raise ValueError(
+        raise InputError(
             f"a bound check needs at least 2 replications, got {replications}"
         )
     ec = EpisodeConfig(
@@ -551,18 +552,19 @@ def check_profit_bound(
     The defaults T = 1, epsilon = 0 give the i.i.d. bound phi_opt - B/V.
     """
     if T < 1 or not 0 <= epsilon < math.inf:
-        raise ValueError(f"need T >= 1 and finite epsilon >= 0, got {T}, {epsilon}")
+        raise InputError(f"need T >= 1 and finite epsilon >= 0, got {T}, {epsilon}")
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)
     phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)
+    # the runs check V before it divides the allowances below
+    s, violations = _bound_runs(
+        model, process_x, process_y, V, horizon, replications, seed
+    )
     theta = compute_theta(model.cfg, V)
     spill = sum(max(th, float(a)) for th, a in zip(theta, model.cfg.A_max))
     drift = T * drift_constant(model) / V
     mixing = epsilon * (1.0 + spill / V)
     rhs = phi_opt - drift - mixing
-    s, violations = _bound_runs(
-        model, process_x, process_y, V, horizon, replications, seed
-    )
     return ProfitBoundReport(
         phi_opt=phi_opt,
         rhs=rhs,
@@ -582,7 +584,7 @@ def process_distribution(spec: StateProcessSpec) -> np.ndarray:
         return np.asarray(spec.probs, dtype=float)
     if spec.mode == MARKOV:
         return stationary_distribution(spec)
-    raise ValueError("trace processes have no stationary distribution")
+    raise InputError("trace processes have no stationary distribution")
 
 
 @dataclass
@@ -663,7 +665,7 @@ def log_header(model: Model) -> list[str]:
 def write_slot_log(path: str, model: Model, metrics: Metrics) -> None:
     """Write the per-slot log as CSV with 9-significant-digit floats."""
     if metrics.log is None:
-        raise ValueError("episode was run without record_log")
+        raise InputError("episode was run without record_log")
     with open(path, "w") as fh:
         fh.write(",".join(log_header(model)) + "\n")
         for t, xid, yid, Q, A, Z, P, D, phi, phia, avg in metrics.log:

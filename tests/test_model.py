@@ -1,6 +1,7 @@
 import pytest
 
 from plantsim.model import (
+    ConfigError,
     DemandExceedsCap,
     DemandState,
     EmptyPriceSet,
@@ -30,6 +31,30 @@ def test_demand_above_cap_rejected():
     demand = [DemandState(id="d0", F=[[3.0, 1.0]])]
     with pytest.raises(DemandExceedsCap):
         validate_config(cfg, supply, demand)
+
+
+@pytest.mark.parametrize(
+    "field, value, ok",
+    [
+        ("D_max", [10**6], True),
+        ("D_max", [10**6 + 1], False),
+        ("beta", [[2**53]], True),
+        ("beta", [[2**53 + 1]], False),
+        ("A_max", [10**400], False),
+    ],
+)
+def test_integer_entries_have_a_maximum(field, value, ok):
+    # D_max costs one uniform per unit and slot; other integers must be exact
+    # as floats
+    cfg = make_i1_cfg()
+    setattr(cfg, field, value)
+    supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
+    demand = [DemandState(id="d0", F=[[1.0, 1.0]])]
+    if ok:
+        validate_config(cfg, supply, demand)
+    else:
+        with pytest.raises(ConfigError, match="above the maximum"):
+            validate_config(cfg, supply, demand)
 
 
 def test_empty_price_set_rejected():

@@ -4,6 +4,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from plantsim.model import InputError
 from plantsim.processes import (
     IID,
     MARKOV,
@@ -51,6 +52,12 @@ def test_rng_stream_reproducible():
     a = RngStream(123, 0).generator(0).random(16)
     b = RngStream(123, 0).generator(0).random(16)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -2)])
+def test_rng_stream_rejects_negative_seed_or_stream(seed, stream):
+    with pytest.raises(InputError, match=f"{seed}, {stream}"):
+        RngStream(seed, stream)
 
 
 def test_rng_stream_channels_independent():

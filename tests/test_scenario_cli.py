@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plantsim import cli
 from plantsim.cli import main
 from plantsim.scenario import (
     _RUN_KEYS,
@@ -636,3 +640,179 @@ def test_cli_unsafe_scenario_exits_two(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "bound violations" in out
+
+
+# --- one input contract ---------------------------------------------------
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, keys, flags, named",
+    [
+        ("lookahead", {}, ["--T", "4", "--J", "10", "--V", "99"], "--V"),
+        ("lookahead", {}, ["--T", "4", "--J", "10", "--slots", "7"], "--slots"),
+        ("lookahead", {}, ["--T", "4", "--J", "10", "--seed", "5"], "--seed"),
+        (
+            "lookahead",
+            {},
+            ["--T", "4", "--J", "10", "--replications", "9"],
+            "--replications",
+        ),
+        ("oracle", {}, ["--slots", "100", "--V", "1"], "--V"),
+        ("oracle", {}, ["--seed", "5"], "--seed"),
+        ("oracle", {}, ["--replications", "9"], "--replications"),
+        ("compare", {}, ["--T", "4", "--J", "10", "--slots", "7"], "--slots"),
+        ("compare", {"T": 4, "J": 10}, ["--slots", "7"], "--slots"),
+    ],
+    ids=[
+        "lookahead-V",
+        "lookahead-slots",
+        "lookahead-seed",
+        "lookahead-replications",
+        "oracle-V",
+        "oracle-seed-without-slots",
+        "oracle-replications-without-slots",
+        "compare-slots-with-J",
+        "compare-slots-with-J-key",
+    ],
+)
+def test_cli_rejects_flags_it_would_not_read(tmp_path, command, keys, flags, named):
+    # each of these used to run and ignore the flag
+    path = _write(tmp_path, {**_two_phase_trace_data(), **keys})
+    code, out, err = _run([command, "--scenario", path, *flags])
+    assert code == 1
+    assert out == ""
+    assert named in err and "internal error" not in err
+
+
+def test_cli_help_lists_only_the_flags_read():
+    def options(command):
+        code, out, _ = _run([command, "--help"])
+        assert code == 0
+        return re.findall(r"^  (--\w+)", out, re.M)
+
+    assert options("lookahead") == ["--scenario", "--T", "--J"]
+    assert options("oracle") == ["--scenario", "--slots", "--seed", "--replications"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--slots", "50", "--seed", "-3"],
+        ["simulate", "--slots", "50", "--seed", "-1"],
+    ],
+)
+def test_cli_negative_seed_exits_one_before_printing(argv):
+    # oracle used to print its report before numpy refused the seed
+    code, out, err = _run([*argv, "--scenario", I1_PATH])
+    assert (code, out) == (1, "")
+    assert "seed" in err and argv[-1] in err
+
+
+def test_cli_unwritable_out_exits_one_before_printing(tmp_path):
+    target = str(tmp_path / "missing" / "log.csv")
+    code, out, err = _run(
+        ["simulate", "--scenario", I1_PATH, "--slots", "50", "--out", target]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --out:") and target in err
+
+
+@pytest.mark.parametrize(
+    "edit, argv",
+    [
+        (lambda d: d.update(D_max=[10**6 + 1]), ["oracle", "--slots", "30"]),
+        (lambda d: d.update(beta=[[10**400]]), ["simulate", "--slots", "30"]),
+        (lambda d: d.update(A_max=[10**400]), ["compare", "--slots", "30"]),
+        (lambda d: d.update(V=0), ["compare", "--slots", "30"]),
+    ],
+    ids=["huge-D_max-playback", "beta-beyond-float", "A_max-beyond-float", "zero-V"],
+)
+def test_cli_out_of_range_scenarios_exit_one(tmp_path, edit, argv):
+    # these used to exit 3 (MemoryError, OverflowError, ZeroDivisionError)
+    data = {**i1_data(), "name": "edited"}
+    edit(data)
+    code, out, err = _run([*argv, "--scenario", _write(tmp_path, data)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_cli_plain_value_error_is_internal(monkeypatch):
+    def broken(*args):
+        raise ValueError("stray library error")
+
+    monkeypatch.setattr(cli, "optimal_profit", broken)
+    code, out, err = _run(["oracle", "--scenario", I1_PATH])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ValueError")
+
+
+def test_bad_input_types_share_one_base():
+    from plantsim.controller import InitOutOfRange, ThetaTooSmall
+    from plantsim.model import ConfigError, InputError
+    from plantsim.oracles import ActionSpaceTooLarge, InstanceTooLarge
+    from plantsim.processes import NotErgodic, TraceExhausted
+
+    for kind in (
+        ConfigError,
+        ParseError,
+        ValidationError,
+        InitOutOfRange,
+        ThetaTooSmall,
+        NotErgodic,
+        TraceExhausted,
+        ActionSpaceTooLarge,
+        InstanceTooLarge,
+    ):
+        assert issubclass(kind, InputError), kind
+    assert issubclass(InputError, ValueError)
+
+
+def _leaf_paths(obj, path=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+_I1_LEAVES = sorted(_leaf_paths(i1_data()), key=str)
+_BAD_VALUES = [-1, -3, 0, float("nan"), 10**9, 10**400, "x", None, [], True, 1.5]
+_FUZZ_FLAGS = {
+    "simulate": ["--slots", "30", "--replications", "2"],
+    "oracle": ["--slots", "30", "--replications", "2"],
+    "compare": ["--slots", "30", "--replications", "2"],
+    "lookahead": [],
+}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(_I1_LEAVES), st.sampled_from(_BAD_VALUES)),
+        min_size=1,
+        max_size=2,
+    ),
+    command=st.sampled_from(sorted(_FUZZ_FLAGS)),
+)
+def test_cli_fuzzed_i1_keeps_the_exit_contract(tmp_path_factory, edits, command):
+    data = i1_data()
+    for path, value in edits:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    scenario = tmp_path_factory.mktemp("fuzz") / "i1.scenario"
+    scenario.write_text(json.dumps(data))
+    code, out, err = _run([command, "--scenario", str(scenario), *_FUZZ_FLAGS[command]])
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert out == "", err
