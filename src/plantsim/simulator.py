@@ -1,16 +1,16 @@
 """Episode simulation, metrics and long-run bound checks.
 
 run_episode plays one slot loop for both controllers.  A small setup per
-controller hands the loop a decide(Q, x, y) function, the starting queues
-with their fake-unit ledger, and the queue band:
+controller hands the loop each slot's memo key, a decide(key) function
+that makes the key's memo entry, the starting queues with their fake-unit
+ledger, and the queue band:
 
 * the online controller decides by decide_purchase and decide_pricing,
-  pure functions of (queues, supply state, demand state) that read
-  per-model tables, so the loop memoizes them per run, which keeps
-  million-slot episodes cheap.  Its band is controller.queue_band,
-  [mu_max, theta + A_max].
+  pure functions of (queues, supply state, demand state), so its key is
+  (Q, x, y).  Its band is controller.queue_band, [mu_max, theta + A_max].
 * oracle playback draws the purchase and the offers of a fixed stationary
-  policy from the policy channel and has no band.
+  policy from the policy channel; its key is (x, y) and the drawn option
+  indices, which do not depend on the queues.  It has no band.
 
 Every slot the loop draws the demand of the offered products, serves it in
 full when the queues cover it and otherwise by schedule_fulfillment (a
@@ -19,6 +19,20 @@ used)^2 against its constant bound.  With a band, the loop verifies the
 controller's guarantees slot by slot: the queues stay inside it and no
 slot is short.  A breach raises InvariantViolation, or is only counted
 when the run sets allow_unsafe_theta.
+
+From its second use on, a memo entry also keeps an outcome table keyed by
+the slot's demand code (each offered product's demand as one digit of
+radix D_max[k] + 1): the profit, D and material use, none of which depend
+on the queues.  An online entry starts from one Q, so once an outcome has
+passed every check from there it also keeps the next queues, and a later
+hit only books its profit and moves Q: the short-slot and band checks and
+the queue-extreme and drift records it skips are functions of that
+transition and were done.  This is what keeps million-slot episodes cheap.  Per run, each of
+these counts is at most the horizon and at most
+* online entries: the band's integer volume times |X| * |Y| (queues stay
+  in the band unless a count-only unsafe run leaves it);
+* outcomes per entry: the product of D_max[k] + 1;
+* playback entries: |X| * |Y| times the number of option combinations.
 
 The check_* helpers run whole experiments: check_profit_bound compares
 the controller's mean profit against the stationary optimum, for i.i.d.
@@ -31,8 +45,9 @@ allowance; everything else is exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import gt
 
 import numpy as np
 
@@ -72,6 +87,11 @@ _CH_X = 0
 _CH_Y = 1
 _CH_DEMAND = 2
 _CH_POLICY = 3
+# Demand uniforms are drawn this many at a time, playback's policy uniforms
+# for this many slots at a time.  numpy generators fill batched requests
+# from the same bit stream as repeated scalar calls, so any grouping of
+# the draws reproduces the plain call-by-call sequence.
+_CHUNK = 1 << 15
 
 
 @dataclass
@@ -124,44 +144,28 @@ class Metrics:
         return self.total_phi_actual - self.startup_cost
 
 
-class _UniformBuffer:
-    """Chunked uniform variates, identical to sequential Generator.random calls.
-
-    numpy generators fill batched requests from the same bit stream as
-    repeated scalar calls, so pulling draws through this buffer in any
-    grouping reproduces the plain call-by-call sequence.
-    """
-
-    _CHUNK = 1 << 15
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def take(self, n: int) -> list[float]:
-        pos = self._pos
-        buf = self._buf
-        if pos + n <= len(buf):
-            self._pos = pos + n
-            return buf[pos : pos + n]
-        out = buf[pos:]
-        need = n - len(out)
-        while need > self._CHUNK:
-            out.extend(self._rng.random(self._CHUNK).tolist())
-            need -= self._CHUNK
-        self._buf = self._rng.random(self._CHUNK).tolist()
-        out.extend(self._buf[:need])
-        self._pos = need
-        return out
-
-
 def drift_constant(model: Model) -> float:
     """Uniform bound on the per-slot drift 0.5 * sum (A[m] - used[m])^2."""
     cfg = model.cfg
     return 0.5 * sum(
         max(cfg.A_max[m] ** 2, model.mu_max[m] ** 2) for m in range(cfg.M)
     )
+
+
+def _outcome(cost, sells, code: int, K: int, M: int) -> list:
+    """[phi, next queues (None until linked), D, used] of a demand code."""
+    D = [0] * K
+    for k, _, _, n, _ in reversed(sells):
+        code, D[k] = divmod(code, n + 1)
+    phi = -cost
+    used = [0] * M
+    for k, margin, _, _, cols in sells:
+        d = D[k]
+        if d:
+            phi += d * margin
+            for m, b in cols:
+                used[m] += b * d
+    return [phi, None, D, used]
 
 
 def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
@@ -173,7 +177,9 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     threshold experiments.  Oracle playback has no band: its short slots are
     served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
-    allow_unsafe_theta rather than ignore them.
+    allow_unsafe_theta rather than ignore them.  Decisions and outcomes are
+    memoized as the module docstring says, with results bit-identical to
+    checking every slot.
     """
     if ec.horizon <= 0:
         raise InputError("horizon must be positive")
@@ -209,14 +215,14 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
         for y in model.demand_states
     ]
     rs = RngStream(ec.seed, ec.stream)
-    online = ec.controller == "online"
-    if online:
-        decide, state, band = _online_setup(ec, model, sell)
+    if ec.controller == "online":
+        picks, decide, state, band = _online_setup(ec, model, sell)
     else:
-        decide, state, band = _oracle_setup(ec, model, sell, rs)
+        picks, decide, state, band = _oracle_setup(ec, model, sell, rs)
     xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X)).tolist()
     ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y)).tolist()
-    dbuf = _UniformBuffer(rs.generator(_CH_DEMAND))
+    keys = repeat(None) if picks is None else picks(xs, ys)
+    demand = rs.generator(_CH_DEMAND)
 
     # Without a band, infinite limits keep the per-material check branch-free.
     lo, hi = band or ([-math.inf] * M, [math.inf] * M)
@@ -233,60 +239,73 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     mismatch = 0
     tphi = 0.0
     tphia = 0.0
-    Q = list(state.Q)
+    Q = tuple(state.Q)
     q_min = list(Q)
     q_max = list(Q)
     log: list[tuple] | None = [] if ec.record_log else None
-    # Online decisions are pure functions of (Q, x, y); playback draws them.
-    cache: dict | None = {} if online else None
+    # memo[key] = [A, cost, Z, P, sells, outcomes]; outcomes is made on the
+    # entry's second use and maps a demand code to its _outcome.
+    memo: dict = {}
+    buf: list[float] = []
+    pos = 0
 
-    for t in range(ec.horizon):
-        xi = xs[t]
-        yi = ys[t]
-        if cache is None:
-            A, cost, Z, P, sells = decide(Q, xi, yi)
-        else:
-            key = (tuple(Q), xi, yi)
-            entry = cache.get(key)
-            if entry is None:
-                entry = decide(Q, xi, yi)
-                cache[key] = entry
-            A, cost, Z, P, sells = entry
+    for t, (xi, yi, key) in enumerate(zip(xs, ys, keys)):
+        if key is None:
+            key = (Q, xi, yi)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = decide(key)
+        elif entry[5] is None:
+            entry[5] = {}
+        A, cost, Z, P, sells, outcomes = entry
 
-        phi = -cost
-        used = [0] * M
-        D = [0] * K
+        # A first use books the draw as it goes; later uses look it up by its
+        # demand code: each offered product's demand d as one digit of radix
+        # D_max[k] + 1, the first product's the most significant.
+        if outcomes is None:
+            phi, nxt, D, used = -cost, None, [0] * K, [0] * M
+        code = 0
         for k, margin, pr, n, cols in sells:
+            end = pos + n
+            if end > len(buf):
+                buf = buf[pos:] + demand.random(max(_CHUNK, end - len(buf))).tolist()
+                pos, end = 0, n
             d = 0
-            for u in dbuf.take(n):
+            for u in buf[pos:end]:
                 if u < pr:
                     d += 1
-            if d:
+            pos = end
+            if outcomes is not None:
+                code = code * (n + 1) + d
+            elif d:
                 D[k] = d
                 phi += d * margin
                 for m, b in cols:
                     used[m] += b * d
+        if outcomes is not None:
+            out = outcomes.get(code)
+            if out is None:
+                out = outcomes[code] = _outcome(cost, sells, code, K, M)
+            phi, nxt, D, used = out
 
-        short = False
-        for m in range(M):
-            if used[m] > Q[m]:
-                short = True
-                break
-        if short:
-            if band is not None:
-                if check:
-                    raise InvariantViolation(
-                        f"slot {t}: accepted demand exceeds stored material"
-                    )
-                violations += 1
-            mismatch += 1
-            d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
-            phia = (
-                sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(K)) - cost
-            )
-            used = material_usage(d_tilde, cfg)
-        else:
-            phia = phi
+        # nxt is set once this transition passed every check below from Q.
+        phia = phi
+        if nxt is None:
+            short = any(map(gt, used, Q))
+            if short:
+                if band is not None:
+                    if check:
+                        raise InvariantViolation(
+                            f"slot {t}: accepted demand exceeds stored material"
+                        )
+                    violations += 1
+                mismatch += 1
+                d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
+                phia = (
+                    sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(K))
+                    - cost
+                )
+                used = material_usage(d_tilde, cfg)
 
         tphi += phi
         tphia += phia
@@ -296,7 +315,7 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
                     t,
                     ids_x[xi],
                     ids_y[yi],
-                    tuple(Q),
+                    Q,
                     tuple(A),
                     tuple(Z),
                     tuple(P),
@@ -306,13 +325,18 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
                     tphia / (t + 1),
                 )
             )
+        if nxt is not None:
+            Q = nxt
+            continue
 
+        Qn = list(Q)
         bt = 0.0
+        clean = not short
         for m in range(M):
-            q = Q[m] - used[m] + A[m]
             diff = A[m] - used[m]
             bt += diff * diff
-            Q[m] = q
+            q = Qn[m] + diff
+            Qn[m] = q
             if q < q_min[m]:
                 q_min[m] = q
             elif q > q_max[m]:
@@ -324,9 +348,14 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
                         f"[{lo[m]}, {hi[m]}]"
                     )
                 violations += 1
+                clean = False
         bt *= 0.5
         if bt > max_bt:
             max_bt = bt
+        Q = tuple(Qn)
+        # Only an online entry is keyed by the queues it starts from.
+        if clean and picks is None and outcomes is not None:
+            out[1] = Q
 
     return Metrics(
         horizon=ec.horizon,
@@ -366,9 +395,8 @@ def _check_blind_tables(model: Model) -> None:
 
 
 def _online_setup(ec: EpisodeConfig, model: Model, sell):
-    """The online controller: its decide, starting state and queue band."""
+    """The online controller: no picks, its decide, starting state and band."""
     cfg = model.cfg
-    K = cfg.K
     params = make_params(
         cfg,
         ec.V,
@@ -388,23 +416,26 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
     # offers[yi][k]: the sell entry of each menu price of product k
     offers = [[dict(zip(ps, s)) for ps, s in zip(cfg.price_set, row)] for row in sell]
 
-    def decide(Q, xi, yi):
+    def decide(key):
+        Q, xi, yi = key
         x = supply[xi]
         A = decide_purchase(Q, x, params, cfg)
         Z, P = decide_pricing(Q, demand[yi], params, cfg)
-        sells = [offers[yi][k][P[k]] for k in range(K) if Z[k]]
-        return A, purchase_cost(A, x), Z, P, sells
+        sells = [o[p] for o, z, p in zip(offers[yi], Z, P) if z]
+        return [A, purchase_cost(A, x), Z, P, sells, None]
 
-    return decide, state, queue_band(params, cfg)
+    return None, decide, state, queue_band(params, cfg)
 
 
 def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
-    """Playback of a stationary policy: its decide, starting state and band.
+    """Playback of a stationary policy: its picks, decide, starting state, band.
 
-    decide takes 1 + K uniforms per slot from channel _CH_POLICY: the
-    purchase draw, then each product's offer in ascending k.  There is no
-    band and no fake unit; the queues start at Q0, by default mu_max, and
-    a Q0 of the wrong length or with a negative entry raises InitOutOfRange.
+    picks(xs, ys) yields each slot's memo key (x, y, purchase option, offer
+    option of each product), drawn with 1 + K uniforms per slot from channel
+    _CH_POLICY: the purchase draw, then each product's offer in ascending k.
+    There is no band and no fake unit; the queues start at Q0, by default
+    mu_max, and a Q0 of the wrong length or with a negative entry raises
+    InitOutOfRange.
     """
     cfg = model.cfg
     K = cfg.K
@@ -433,28 +464,44 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
         ]
         for k in range(K)
     ]
-    take = _UniformBuffer(rs.generator(_CH_POLICY)).take
 
-    def decide(Q, xi, yi):
-        u = take(K + 1)
-        cum, acts = buy[xi]
-        A, cost = acts[bisect_right(cum, u[0])]
+    def picks(xs, ys):
+        rng = rs.generator(_CH_POLICY)
+        for t in range(0, len(xs), _CHUNK):
+            x = np.asarray(xs[t : t + _CHUNK])
+            y = np.asarray(ys[t : t + _CHUNK])
+            u = rng.random((len(x), K + 1))
+            cols = [_bisect_rows(buy, x, u[:, 0])]
+            cols += [_bisect_rows(offer[k], y, u[:, k + 1]) for k in range(K)]
+            yield from zip(x.tolist(), y.tolist(), *cols)
+
+    def decide(key):
+        xi, yi, i, *js = key
+        A, cost = buy[xi][1][i]
         Z = [0] * K
         P = [0.0] * K
         sells = []
-        for k in range(K):
-            cum, opts = offer[k][yi]
-            Z[k], P[k], s = opts[bisect_right(cum, u[k + 1])]
+        for k, j in enumerate(js):
+            Z[k], P[k], s = offer[k][yi][1][j]
             if s is not None:
                 sells.append(s)
-        return A, cost, Z, P, sells
+        return [A, cost, Z, P, sells, None]
 
     Q0 = list(model.mu_max if ec.Q0 is None else ec.Q0)
     if len(Q0) != cfg.M:
         raise InitOutOfRange("Q0 must have one entry per material")
     if min(Q0) < 0:
         raise InitOutOfRange(f"Q0 {Q0} has a negative entry")
-    return decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
+    return picks, decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
+
+
+def _bisect_rows(rows, states, u) -> list[int]:
+    """bisect_right of each u in the cumulative weights of its state's row."""
+    out = np.zeros(len(u), dtype=np.int64)
+    for s, (cum, _) in enumerate(rows):
+        sel = states == s
+        out[sel] = np.searchsorted(cum, u[sel], side="right")
+    return out.tolist()
 
 
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:
