@@ -15,14 +15,25 @@ The parameter V >= 0 trades queue size for profit: larger V tracks the best
 achievable profit more closely at the cost of proportionally larger buffers.
 With thresholds from compute_theta the queues provably stay inside
 queue_band on every sample path, and every accepted slot of demand can be
-served in full.  The rest of what pricing reads is fixed per model and
-tabulated once per ControllerParams, on first use; the knapsack evaluates
-only the budgets reachable from the full budget.
+served in full.
+
+Everything the decisions read besides Q is tabulated once per
+ControllerParams, on first use (_Tables): for pricing, each product's
+feeders and each demand state's scores per menu price; for purchasing,
+V * unit_cost per supply state and, per (supply state, buy set), the caps,
+whether they fit the budget and, when they do not, a knapsack plan.  The
+plan holds only the budgets reachable from the full budget, so the
+knapsack's time and memory scale with those, not with c_max or with the
+cap of a material that costs nothing in that state.  A call does only
+the arithmetic that depends on Q, in the order the untabulated rule does
+it, so its decisions are bit-identical to that rule's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import lt
 
 import numpy as np
 
@@ -52,22 +63,31 @@ class ControllerParams:
 
 
 class _Tables:
-    """What pricing reads besides the queues, for one (params, cfg) pair.
+    """What the decisions read besides the queues, for one (params, cfg) pair.
 
-    demand(y) gives per product (p, V * (p - alpha) * F, F) for each menu
-    price p, with F = y.F, or y.F_hat in blind mode (None if y lacks it).
-    Built per state object on first use; y and params must not change after.
+    feeders[k] lists (m, beta[m][k], theta[m]) for each material product k
+    consumes.  demand(y) gives per product (p, V * (p - alpha) * F, F) for
+    each menu price p, with F = y.F, or y.F_hat in blind mode (None if y
+    lacks it).  supply(x) gives V * unit_cost and the purchase plans of x,
+    one per buy set (see _purchase_plan).  Built per state object on first
+    use and keyed by its id; each entry holds its state, so the id cannot
+    be reused while the table lives.  States and params must not change
+    after first use.
     """
 
     def __init__(self, params: ControllerParams, cfg: PlantConfig):
         self.cfg, self.V, self.blind = cfg, params.V, params.demand_blind
         self.mu_max = cfg.mu_max()
-        # feeders[k]: (m, beta[m][k]) for each material product k consumes
         self.feeders = [
-            [(m, row[k]) for m, row in enumerate(cfg.beta) if row[k] > 0]
+            [
+                (m, row[k], th)
+                for m, (row, th) in enumerate(zip(cfg.beta, params.theta))
+                if row[k] > 0
+            ]
             for k in range(cfg.K)
         ]
-        self._rows: dict[int, tuple] = {}  # id(y) -> (y, rows); y keeps its id
+        self._rows: dict[int, tuple] = {}  # id(y) -> (y, rows)
+        self._supply: dict[int, tuple] = {}  # id(x) -> (x, V * unit_cost, plans)
 
     def demand(self, y: DemandState) -> list[list[tuple]] | None:
         hit = self._rows.get(id(y))
@@ -79,6 +99,13 @@ class _Tables:
             ]
             hit = self._rows[id(y)] = (y, rows)
         return hit[1]
+
+    def supply(self, x: SupplyState) -> tuple:
+        hit = self._supply.get(id(x))
+        if hit is None:
+            vc = [self.V * c for c in x.unit_cost]
+            hit = self._supply[id(x)] = (x, vc, {})
+        return hit
 
 
 def _tables(params: ControllerParams, cfg: PlantConfig) -> _Tables:
@@ -171,19 +198,39 @@ def decide_purchase(
     weight w[m] = V * unit_cost[m] + Q[m] - theta[m] are worth buying; they
     are bought at their caps when the budget allows, otherwise an exact
     bounded knapsack over integer cost units decides (see
-    _bounded_knapsack_lex_min for its tie rule).
+    _bounded_knapsack_lex_min for its tie rule).  What does not depend on Q
+    is built once per (x, buy set) and kept on the params' tables:
+    V * unit_cost, the caps, whether they fit the budget and, if not, the
+    knapsack plan, so a call computes only w and the knapsack's values.
     """
-    w = [params.V * c + q - th for c, q, th in zip(x.unit_cost, Q, params.theta)]
-    items = [m for m, wm in enumerate(w) if wm < 0]
-    picked = [min(cfg.A_max[m], x.available[m]) for m in items]
-    if sum(x.unit_cost[m] * a for m, a in zip(items, picked)) > cfg.c_max:
-        values = [-w[m] for m in items]
-        costs = [x.unit_cost[m] for m in items]
-        picked = _bounded_knapsack_lex_min(values, costs, picked, cfg.c_max)
-    A = [0] * cfg.M
-    for m, a in zip(items, picked):
-        A[m] = a
+    _, vc, plans = _tables(params, cfg).supply(x)
+    w = [v + q - th for v, q, th in zip(vc, Q, params.theta)]
+    buy = tuple([m for m, wm in enumerate(w) if wm < 0])
+    plan = plans.get(buy)
+    if plan is None:
+        plan = plans[buy] = _purchase_plan(x, buy, cfg)
+    A, knapsack = plan
+    A = A[:]
+    if knapsack is not None:
+        for m, a in zip(buy, _knapsack_solve(knapsack, [-w[m] for m in buy])):
+            A[m] = a
     return A
+
+
+def _purchase_plan(x: SupplyState, buy: tuple[int, ...], cfg: PlantConfig) -> tuple:
+    """What decide_purchase does under x for the materials buy, before values.
+
+    Returns (A, None) when buying each material of buy at its cap fits the
+    budget, A being that decision; otherwise (A, knapsack plan) with A all
+    zeros, the template the knapsack's counts are written into.
+    """
+    caps = [min(cfg.A_max[m], x.available[m]) for m in buy]
+    A = [0] * cfg.M
+    if sum(x.unit_cost[m] * a for m, a in zip(buy, caps)) > cfg.c_max:
+        return A, _knapsack_plan([x.unit_cost[m] for m in buy], caps, cfg.c_max)
+    for m, a in zip(buy, caps):
+        A[m] = a
+    return A, None
 
 
 def _bounded_knapsack_lex_min(
@@ -192,41 +239,112 @@ def _bounded_knapsack_lex_min(
     """Maximize sum values[i]*a[i] st sum costs[i]*a[i] <= budget, 0 <= a <= caps.
 
     best[i][b], the optimum over items i.. with budget b, is evaluated only at
-    the budgets reach[i] that items 0..i-1 can leave.  Item i then takes the
-    smallest count whose score, recomputed with the identical arithmetic,
+    the budgets that items 0..i-1 can leave, so time and memory scale with
+    those reachable budgets, not with the budget itself nor with the cap of
+    an item of cost 0.  Item i then takes
+    the smallest count whose score, recomputed with the identical arithmetic,
     equals best[i][b]: where rounding absorbs a small value, later items still
     maximize their own suffix, so values [100, 1e-15], costs [3, 0], caps
-    [4, 1] and budget 13 give [4, 1], not the tied [4, 0].
+    [4, 1] and budget 13 give [4, 1], not the tied [4, 0].  The work splits
+    into _knapsack_plan, which depends on costs, caps and budget only, and
+    _knapsack_solve, which decide_purchase reruns per call on a kept plan.
     """
-    n = len(values)
-    reach = [{budget}]
-    for c, u in zip(costs[: n - 1], caps):
-        reach.append({b - c * a for b in reach[-1] for a in range(u + 1) if c * a <= b})
-    best = [[0.0] * (budget + 1) for _ in range(n + 1)]
+    return _knapsack_solve(_knapsack_plan(costs, caps, budget), values)
+
+
+def _knapsack_plan(costs: list[int], caps: list[int], budget: int) -> tuple:
+    """The part of _bounded_knapsack_lex_min that does not depend on values.
+
+    Returns (moves, steps, zeros).  For an item i of positive cost,
+    moves[i][j] lists, for the j-th budget b that items 0..i-1 can leave,
+    the position of b - costs[i] * a among the budgets item i can leave, for
+    each count a from 0 to min(caps[i], b // costs[i]); position 0 is always
+    the full budget.  steps[i] is what the DP of item i reads per budget:
+    for the last item its top count, since every budget after it is worth
+    0.0; for the others the position of count 0 and the (count, position)
+    pairs of the rest, in count order.  An item of cost 0 leaves every
+    budget where it is: moves[i] is None and steps[i] is its cap, so no
+    list grows with the cap.  zeros is the all-0.0 row after the last item.
+    """
+    moves: list = []
+    steps: list = []
+    reach = [budget]
+    for i, (c, u) in enumerate(zip(costs, caps)):
+        if c == 0:
+            moves.append(None)
+            steps.append(u)
+            continue
+        pos: dict[int, int] = {}  # remaining budget -> its position
+        level = [
+            [pos.setdefault(b - c * a, len(pos)) for a in range(min(u, b // c) + 1)]
+            for b in reach
+        ]
+        moves.append(level)
+        if i == len(costs) - 1:
+            steps.append([len(js) - 1 for js in level])
+        else:
+            steps.append([(js[0], tuple(enumerate(js))[1:]) for js in level])
+        reach = list(pos)
+    return moves, steps, [0.0] * len(reach)
+
+
+def _knapsack_solve(plan: tuple, values: list[float]) -> list[int]:
+    """_bounded_knapsack_lex_min's DP and traceback on a _knapsack_plan.
+
+    rows[i][j] is best[i][b] at the j-th budget b of level i.  Each score is
+    v * a + best[i + 1][b - cost * a], compared in count order with
+    cand > m from m = best[i + 1][b].  For an item of cost 0 the score
+    v * a + m is monotone in a, as rounding is, so the DP compares count 0
+    with the cap alone and the traceback bisects the counts; both give what
+    the scan over every count gives.
+    """
+    moves, steps, zeros = plan
+    n = len(moves)
+    rows: list = [None] * n + [zeros]
     for i in range(n - 1, -1, -1):
-        v, cost, cap = values[i], costs[i], caps[i]
-        nxt = best[i + 1]
-        row = best[i]
-        for b in reach[i]:
-            top = b // cost if cost else cap
-            if top > cap:
-                top = cap
-            m = nxt[b]
-            for a in range(1, top + 1):
-                cand = v * a + nxt[b - cost * a]
+        v, step, nxt = values[i], steps[i], rows[i + 1]
+        if moves[i] is None:
+            row = []
+            for m in nxt:
+                cand = v * step + m
+                row.append(cand if cand > m else m)
+        elif i == n - 1:
+            m = 0.0
+            run = [m]  # run[t]: the best score over counts 0..t
+            for a in range(1, len(moves[i][0])):
+                cand = v * a + 0.0
                 if cand > m:
                     m = cand
-            row[b] = m
+                run.append(m)
+            row = [run[top] for top in step]
+        else:
+            va = [v * a for a in range(len(moves[i][0]))]
+            row = []
+            for j0, rest in step:
+                m = nxt[j0]
+                for a, j in rest:
+                    cand = va[a] + nxt[j]
+                    if cand > m:
+                        m = cand
+                row.append(m)
+        rows[i] = row
     out = [0] * n
-    b = budget
+    j = 0
     for i in range(n):
-        v, cost, cap = values[i], costs[i], caps[i]
-        top = cap if cost == 0 else min(cap, b // cost)
-        target = best[i][b]
-        for a in range(top + 1):
-            if v * a + best[i + 1][b - cost * a] == target:
+        v, nxt, target = values[i], rows[i + 1], rows[i][j]
+        if moves[i] is None:
+            m, cap = nxt[j], steps[i]
+            if v * 0 + m != target:
+                a = bisect_left(range(cap + 1), target, 1, key=lambda a: v * a + m)
+                if a <= cap and v * a + m == target:
+                    out[i] = a
+            continue
+        js = moves[i][j]
+        j = js[0]
+        for a, r in enumerate(js):
+            if v * a + nxt[r] == target:
                 out[i] = a
-                b -= cost * a
+                j = r
                 break
     return out
 
@@ -247,18 +365,17 @@ def decide_pricing(
     """
     t = _tables(params, cfg)
     rows = t.demand(y)
-    low = any(q < u for q, u in zip(Q, t.mu_max))  # false inside the queue band
-    head = [q - th for q, th in zip(Q, params.theta)]
+    low = any(map(lt, Q, t.mu_max))  # false inside the queue band
     Z = [0] * cfg.K
     P = [prices[0] for prices in cfg.price_set]
     for k, feed in enumerate(t.feeders):
-        if low and any(Q[m] < t.mu_max[m] for m, _ in feed):
+        if low and any(Q[m] < t.mu_max[m] for m, _, _ in feed):
             continue
         if rows is None:
             raise InputError(
                 f"demand state {y.id!r} has no base table for blind pricing"
             )
-        relief = sum([b * head[m] for m, b in feed])
+        relief = sum([b * (Q[m] - th) for m, b, th in feed])
         best = -np.inf
         for p, vm, f in rows[k]:
             g = vm + f * relief

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -520,6 +523,146 @@ def test_knapsack_matches_reference(case):
     assert _bounded_knapsack_lex_min(values, costs, caps, budget) == _ref_knapsack(
         values, costs, caps, budget
     )
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        # scaled costs leave a handful of reachable budgets, whatever the budget
+        (([5.0, 4.0], [10**6, 10**6], [2, 2], 3 * 10**6), [2, 1]),
+        # an item of cost 0 leaves every budget as it is, whatever its cap
+        (([5.0, 4.0], [0, 1], [10**6, 2], 1), [10**6, 1]),
+    ],
+)
+def test_knapsack_memory_follows_reachable_budgets(args, expected):
+    tracemalloc.start()
+    try:
+        got = _bounded_knapsack_lex_min(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 10**6, peak
+
+
+def test_knapsack_free_items_match_reference():
+    """Items of cost 0 with large caps, where the rounding can absorb counts."""
+    rng = np.random.default_rng(8)
+    pool = [1e-15, 0.1, 0.3, 1.0, 3.0, 100.0, 1e16]
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        values = [float(rng.choice(pool)) for _ in range(n)]
+        costs = [int(c) for c in rng.choice([0, 0, 1, 2, 3], size=n)]
+        caps = [int(rng.integers(0, 60 if c == 0 else 5)) for c in costs]
+        budget = int(rng.integers(0, 13))
+        case = (values, costs, caps, budget)
+        assert _bounded_knapsack_lex_min(*case) == _ref_knapsack(*case), case
+
+
+def test_purchase_plans_follow_each_supply_state():
+    """States made and dropped under one params each get their own plans.
+
+    A freed state's id is soon reused by the next one; plans keyed by a bare
+    id would hand the new state the old state's costs and caps.
+    """
+    cfg = PlantConfig(
+        beta=[[1], [1], [1]], alpha=[0.0], price_set=[[1.0]], D_max=[1],
+        A_max=[3, 4, 5], c_max=7,
+    )
+    params = ControllerParams(V=2.0, theta=[14.0, 11.0, 9.0])
+    rng = np.random.default_rng(11)
+    grid = [[int(q) for q in row] for row in rng.integers(0, 16, size=(12, 3))]
+
+    def draw():
+        return (
+            [int(c) for c in rng.integers(0, 4, size=3)],
+            [int(a) for a in rng.integers(0, 6, size=3)],
+        )
+
+    unit_cost, available = draw()
+    for i in range(30):
+        gc.collect()
+        x = SupplyState(id="x", unit_cost=unit_cost, available=available)
+        for Q in grid:
+            assert decide_purchase(Q, x, params, cfg) == _ref_decide_purchase(
+                Q, x, params, cfg
+            ), (i, Q, x)
+        unit_cost, available = draw()  # the next state's, drawn while x lives
+        del x
+
+
+def _decide_plant(rng):
+    """A plant shaped like the benchmark's mid instances, at V = 100.
+
+    M = 3, K = 4, unit costs 1-3 against up to 6 units of each material and
+    c_max = 12, so the budget binds on most buy sets; prices with three
+    decimals put theta in the hundreds, off the integers, so every weight
+    is a large float with a fractional part.
+    """
+    M, K = 3, 4
+    beta = [[int(rng.integers(0, 3)) for _ in range(K)] for _ in range(M)]
+    for k in range(K):
+        if all(beta[m][k] == 0 for m in range(M)):
+            beta[int(rng.integers(0, M))][k] = 1
+    for m in range(M):
+        if all(beta[m][k] == 0 for k in range(K)):
+            beta[m][int(rng.integers(0, K))] = 1
+    price_set = [
+        sorted(round(float(p), 3) for p in rng.uniform(4.0, 15.0, size=3))
+        for _ in range(K)
+    ]
+    cfg = PlantConfig(
+        beta=beta, alpha=[1.0] * K, price_set=price_set, D_max=[3] * K,
+        A_max=[6] * M, c_max=12,
+    )
+    supply = [
+        SupplyState(
+            id=f"x{i}",
+            unit_cost=[int(c) for c in rng.integers(1, 4, size=M)],
+            available=[int(a) for a in rng.integers(2, 7, size=M)],
+        )
+        for i in range(4)
+    ]
+    demand = [
+        DemandState(
+            id=f"y{i}",
+            F=[
+                [round(float(f), 3) for f in sorted(rng.uniform(0, 3, size=3))[::-1]]
+                for _ in range(K)
+            ],
+        )
+        for i in range(4)
+    ]
+    return validate_config(cfg, supply, demand)
+
+
+def test_decisions_match_reference_at_large_weights():
+    """Seeded sweep at V = 100 over in-band queues, every buy-set size met."""
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(3):
+        model = _decide_plant(rng)
+        cfg = model.cfg
+        params = make_params(cfg, 100.0)
+        assert all(th > 100 and th != int(th) for th in params.theta), params.theta
+        lo, hi = queue_band(params, cfg)
+        for _ in range(2000):
+            Q = [int(rng.integers(a, int(b) + 1)) for a, b in zip(lo, hi)]
+            for x in model.supply_states:
+                got = decide_purchase(Q, x, params, cfg)
+                assert got == _ref_decide_purchase(Q, x, params, cfg), (Q, x)
+                buys = sum(
+                    params.V * c + q - th < 0
+                    for c, q, th in zip(x.unit_cost, Q, params.theta)
+                )
+                binds = _purchase_corners(Q, x, params, cfg)["knapsack"]
+                seen.add((buys, binds))
+            y = model.demand_states[int(rng.integers(0, len(model.demand_states)))]
+            got = decide_pricing(Q, y, params, cfg)
+            assert got == _ref_decide_pricing(Q, y, params, cfg), (Q, y)
+    # an empty buy set cannot bind; every other size is met binding and not
+    sizes = {(0, False)} | {(n, b) for n in (1, 2, 3) for b in (False, True)}
+    assert seen == sizes, seen
 
 
 def test_pricing_i1_cases(i1_model):
