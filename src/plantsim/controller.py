@@ -31,6 +31,7 @@ it, so its decisions are bit-identical to that rule's.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import lt
@@ -177,8 +178,8 @@ def make_params(
     safe = compute_theta(cfg, V)
     if theta is None:
         theta = safe
-    elif len(theta) != cfg.M:
-        raise InputError("theta must have one entry per material")
+    elif len(theta) != cfg.M or not all(map(math.isfinite, theta)):
+        raise InputError("theta must have one finite entry per material")
     elif not allow_unsafe_theta:
         for m in range(cfg.M):
             if theta[m] < safe[m] - 1e-12:

@@ -12,6 +12,7 @@ inventory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -157,14 +158,14 @@ def validate_config(
     if cfg.c_max < 0:
         raise NegativeEntry(f"c_max {cfg.c_max} is negative")
     for k in range(K):
-        if cfg.alpha[k] < 0:
-            raise NegativeEntry(f"alpha[{k}] is negative")
+        if not 0 <= cfg.alpha[k] < math.inf:
+            _refuse_amount(f"alpha[{k}]", cfg.alpha[k])
         prices = cfg.price_set[k]
         if len(prices) == 0:
             raise EmptyPriceSet(f"product {k} has an empty price set")
         for p in prices:
-            if p < 0:
-                raise NegativeEntry(f"price {p} of product {k} is negative")
+            if not 0 <= p < math.inf:
+                _refuse_amount(f"price {p} of product {k}", p)
         if any(b >= a for a, b in zip(prices[1:], prices)):
             raise ConfigError(f"price_set[{k}] must be strictly ascending")
         if not any(cfg.beta[m][k] > 0 for m in range(M)):
@@ -205,44 +206,53 @@ def validate_config(
     )
 
 
+def _refuse_amount(name: str, v) -> None:
+    """Raise for a price, cost or mean demand outside [0, inf)."""
+    if v < 0:
+        raise NegativeEntry(f"{name} is negative")
+    raise ConfigError(f"{name} is not finite")
+
+
+def _table_entries(cfg: PlantConfig, y: DemandState, name: str, table):
+    """Yield (k, j, entry) of a demand table, each checked once reached.
+
+    The table needs one row per product, aligned with its price set, and
+    finite, non-negative entries.
+    """
+    where = f"demand state {y.id!r}: {name}"
+    if len(table) != cfg.K:
+        raise ConfigError(f"{where} must have one row per product")
+    for k, (row, prices) in enumerate(zip(table, cfg.price_set)):
+        if len(row) != len(prices):
+            raise ConfigError(f"{where}[{k}] must align with price_set[{k}]")
+        for j, f in enumerate(row):
+            if not 0 <= f < math.inf:
+                _refuse_amount(f"{where}[{k}][{j}]", f)
+            yield k, j, f
+
+
 def _validate_demand_tables(cfg: PlantConfig, y: DemandState) -> None:
-    if len(y.F) != cfg.K:
-        raise ConfigError(f"demand state {y.id!r}: F must have one row per product")
-    for k in range(cfg.K):
-        if len(y.F[k]) != len(cfg.price_set[k]):
-            raise ConfigError(
-                f"demand state {y.id!r}: F[{k}] must align with price_set[{k}]"
+    for k, j, f in _table_entries(cfg, y, "F", y.F):
+        if f > cfg.D_max[k]:
+            raise DemandExceedsCap(
+                f"demand state {y.id!r}: F[{k}][{j}] = {f} exceeds "
+                f"D_max[{k}] = {cfg.D_max[k]}"
             )
-        for j, f in enumerate(y.F[k]):
-            if f < 0:
-                raise NegativeEntry(f"demand state {y.id!r}: F[{k}][{j}] is negative")
-            if f > cfg.D_max[k]:
-                raise DemandExceedsCap(
-                    f"demand state {y.id!r}: F[{k}][{j}] = {f} exceeds "
-                    f"D_max[{k}] = {cfg.D_max[k]}"
-                )
     if (y.h is None) != (y.F_hat is None):
         raise ConfigError(
             f"demand state {y.id!r}: factorization needs both h and F_hat"
         )
     if y.h is not None:
+        if not math.isfinite(y.h):
+            raise ConfigError(f"demand state {y.id!r}: scale h is not finite")
         if y.h <= 0:
             raise ConfigError(f"demand state {y.id!r}: scale h must be positive")
-        if len(y.F_hat) != cfg.K:
-            raise ConfigError(f"demand state {y.id!r}: F_hat shape mismatch")
-        for k in range(cfg.K):
-            if len(y.F_hat[k]) != len(cfg.price_set[k]):
-                raise ConfigError(f"demand state {y.id!r}: F_hat shape mismatch")
-            for j, fh in enumerate(y.F_hat[k]):
-                if fh < 0:
-                    raise NegativeEntry(
-                        f"demand state {y.id!r}: F_hat[{k}][{j}] is negative"
-                    )
-                if abs(y.h * fh - y.F[k][j]) > 1e-9:
-                    raise ConfigError(
-                        f"demand state {y.id!r}: F[{k}][{j}] does not equal "
-                        f"h * F_hat[{k}][{j}]"
-                    )
+        for k, j, fh in _table_entries(cfg, y, "F_hat", y.F_hat):
+            if abs(y.h * fh - y.F[k][j]) > 1e-9:
+                raise ConfigError(
+                    f"demand state {y.id!r}: F[{k}][{j}] does not equal "
+                    f"h * F_hat[{k}][{j}]"
+                )
 
 
 def purchase_cost(A: list[int], x: SupplyState) -> int:

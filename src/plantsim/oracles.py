@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from plantsim.model import InputError, Model, PlantConfig, SupplyState, purchase_cost
-from plantsim.processes import empirical_distribution
+from plantsim.processes import check_distribution, empirical_distribution
 from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
 
@@ -118,8 +118,8 @@ def build_profit_lp(model: Model, pi_x, pi_y) -> ProfitLp:
     and its purchase vectors are never enumerated.
     """
     cfg = model.cfg
-    pi_x = _check_dist(pi_x, len(model.supply_states), "pi_x")
-    pi_y = _check_dist(pi_y, len(model.demand_states), "pi_y")
+    pi_x = check_distribution(pi_x, len(model.supply_states), "pi_x")
+    pi_y = check_distribution(pi_y, len(model.demand_states), "pi_y")
 
     blocks, obj, flow = [], [], []
     for labels, c_block, flow_block in _lp_blocks(model, pi_x, pi_y):
@@ -160,15 +160,6 @@ def _lp_blocks(model: Model, pi_x: np.ndarray, pi_y: np.ndarray):
                 # 0.0 - x rather than -x, so that a zero flow stays +0.0.
                 [0.0 - (w * b) * f_j for f_j in f for b in beta],
             )
-
-
-def _check_dist(pi, n: int, name: str) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (n,):
-        raise InputError(f"{name} must have length {n}")
-    if (pi < 0).any() or abs(pi.sum() - 1.0) > 1e-9:
-        raise InputError(f"{name} must be a probability distribution")
-    return pi
 
 
 def optimal_profit(model: Model, pi_x, pi_y) -> tuple[float, ProfitLp, LpSolution]:
@@ -305,8 +296,8 @@ def brute_force_opt(model: Model, pi_x, pi_y) -> BruteForceResult:
         or any(len(ps) > 3 for ps in cfg.price_set)
     ):
         raise InstanceTooLarge("exhaustive search is limited to tiny instances")
-    pi_x = _check_dist(pi_x, len(model.supply_states), "pi_x")
-    pi_y = _check_dist(pi_y, len(model.demand_states), "pi_y")
+    pi_x = check_distribution(pi_x, len(model.supply_states), "pi_x")
+    pi_y = check_distribution(pi_y, len(model.demand_states), "pi_y")
 
     # Combined purchase choices across supply states: (mean cost, mean A).
     per_x = []
@@ -452,8 +443,6 @@ def _pareto_max(pts: np.ndarray) -> np.ndarray:
     n = len(pts)
     keep = np.ones(n, dtype=bool)
     for i in range(n):
-        if not keep[i]:
-            continue
         ge = (pts >= pts[i] - 1e-15).all(axis=1)
         gt = (pts > pts[i] + 1e-15).any(axis=1)
         dominators = ge & gt
@@ -502,14 +491,15 @@ def two_price_reduce(policy: OraclePolicy, model: Model) -> TwoPricePolicy:
             pts = [(0.0, 0.0, IDLE)]
             for j in range(len(cfg.price_set[k])):
                 f = y.F[k][j]
-                pts.append(((cfg.price_set[k][j] - cfg.alpha[k]) * f, f, (1, j)))
+                pts.append((f, (cfg.price_set[k][j] - cfg.alpha[k]) * f, (1, j)))
             per_y.append(_reduce_one(pts, d_hat, r_hat))
         entries.append(per_y)
     return TwoPricePolicy(entries=entries)
 
 
 def _reduce_one(pts, d_hat: float, r_hat: float) -> TwoPriceEntry:
-    hull = _upper_hull([(d, r, lab) for r, d, lab in pts])
+    """Reduce to the envelope of (mean demand, net revenue, label) points."""
+    hull = _upper_hull(pts)
     ds = [h[0] for h in hull]
     if d_hat < ds[0] - 1e-9 or d_hat > ds[-1] + 1e-9:
         raise TargetOutsideHull(

@@ -77,21 +77,13 @@ class StateProcessSpec:
         if n == 0:
             raise InputError("process needs at least one state")
         if self.mode == IID:
-            if self.probs is None or len(self.probs) != n:
-                raise InputError("IID process needs one probability per state")
-            if any(p < 0 for p in self.probs):
-                raise InputError("IID probabilities must be non-negative")
-            if abs(sum(self.probs) - 1.0) > 1e-9:
-                raise InputError("IID probabilities must sum to 1")
+            check_distribution(self.probs, n, "IID probabilities")
         elif self.mode == MARKOV:
             t = self.transition
             if t is None or len(t) != n or any(len(row) != n for row in t):
                 raise InputError("MARKOV process needs an n-by-n transition matrix")
             for i, row in enumerate(t):
-                if any(p < 0 for p in row):
-                    raise InputError(f"transition row {i} has a negative entry")
-                if abs(sum(row) - 1.0) > 1e-9:
-                    raise InputError(f"transition row {i} does not sum to 1")
+                check_distribution(row, n, f"transition row {i}")
             if not 0 <= self.initial < n:
                 raise InputError("MARKOV initial state out of range")
         else:
@@ -99,6 +91,26 @@ class StateProcessSpec:
                 raise InputError("TRACE process needs a non-empty trace")
             if any(not 0 <= s < n for s in self.trace):
                 raise InputError("trace contains an out-of-range state index")
+
+
+def check_distribution(p, n: int, name: str) -> np.ndarray:
+    """p as an array, checked to be a probability vector over n states.
+
+    Its entries must be finite and non-negative and sum to 1 within 1e-9;
+    otherwise InputError names the first rule broken.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.shape != (n,):
+        raise InputError(f"{name} must have length {n}")
+    # Plain floats: numpy calls cost more than they save on a few entries.
+    v = p.tolist()
+    if not all(map(math.isfinite, v)):
+        raise InputError(f"{name} must be finite")
+    if min(v, default=0.0) < 0:
+        raise InputError(f"{name} must be non-negative")
+    if abs(sum(v) - 1.0) > 1e-9:
+        raise InputError(f"{name} must sum to 1")
+    return p
 
 
 def constant_process(state_id: str) -> StateProcessSpec:

@@ -2,11 +2,12 @@
 
 A scenario bundles the plant configuration (materials, products, prices,
 state spaces) with the state processes and optional run defaults (V,
-horizon, seed, ...).  Each optional key appears once, in _RUN_KEYS, with
-its parser, and fills the Scenario field of the same name.  Parsing is
-strict: unknown keys and wrong types are rejected with the offending path
-in the message, so a typo in a scenario never silently changes an
-experiment.
+horizon, seed, ...).  Every JSON object of the format is read by _fields
+from its key table, which names each key's parser; each optional run key
+appears once, in _RUN_KEYS, and fills the Scenario field of the same name.
+Parsing is strict: unknown keys and wrong types are rejected with the
+offending path in the message, so a typo in a scenario never silently
+changes an experiment.
 """
 
 from __future__ import annotations
@@ -58,35 +59,42 @@ class Scenario:
     epsilon: float | None = None
 
 
-_PLANT_KEYS = {
-    "beta",
-    "alpha",
-    "price_set",
-    "D_max",
-    "A_max",
-    "c_max",
-    "supply_states",
-    "demand_states",
-    "process_x",
-    "process_y",
-    "trace_file",
-}
+_TOP = "top level"
 
 
 def _fail(where: str, msg: str):
     raise ParseError(f"{where}: {msg}")
 
 
-def _get(d: dict, key: str, where: str):
-    if key not in d:
-        _fail(where, f"missing required key {key!r}")
-    return d[key]
+def _fields(obj, where: str, required: dict, optional: dict, closed=True) -> dict:
+    """Read a JSON object by its key table: the parsed value of each key given.
+
+    required and optional map each key to its parser, which gets the value
+    and the value's path.  Keys are read in table order, required ones
+    first, and the first fault raises: a non-object, a key in neither table
+    (unless closed is false: the object's other keys belong to another
+    table), a missing required key or a bad value.
+    """
+    if not isinstance(obj, dict):
+        _fail(where, "expected an object")
+    if closed:
+        for key in obj:
+            if key not in required and key not in optional:
+                _fail(where, f"unknown key {key!r}")
+    prefix = "" if where == _TOP else f"{where}."
+    out = {}
+    for table in (required, optional):
+        for key, parse in table.items():
+            if key in obj:
+                out[key] = parse(obj[key], prefix + key)
+            elif table is required:
+                _fail(where, f"missing required key {key!r}")
+    return out
 
 
-def _check_keys(d: dict, allowed: set, where: str) -> None:
-    for key in d:
-        if key not in allowed:
-            _fail(where, f"unknown key {key!r}")
+def _nullable(parse):
+    """parse, with null meaning the key is absent."""
+    return lambda v, where: None if v is None else parse(v, where)
 
 
 def _as_int(v, where: str) -> int:
@@ -118,69 +126,50 @@ def _as_str(v, where: str) -> str:
     return v
 
 
-def _int_list(v, where: str) -> list[int]:
-    if not isinstance(v, list):
-        _fail(where, "expected a list of integers")
-    return [_as_int(e, f"{where}[{i}]") for i, e in enumerate(v)]
+def _list_of(parse, what: str, non_empty: bool = False):
+    """The parser of a JSON list whose entries parse reads, at path[i]."""
+    need = f"a non-empty list of {what}" if non_empty else f"a list of {what}"
+
+    def read(v, where: str) -> list:
+        if not isinstance(v, list) or (non_empty and not v):
+            _fail(where, f"expected {need}")
+        return [parse(e, f"{where}[{i}]") for i, e in enumerate(v)]
+
+    return read
 
 
-def _num_list(v, where: str) -> list[float]:
-    if not isinstance(v, list):
-        _fail(where, "expected a list of numbers")
-    return [_as_num(e, f"{where}[{i}]") for i, e in enumerate(v)]
+_int_list = _list_of(_as_int, "integers")
+_num_list = _list_of(_as_num, "numbers")
+_num_matrix = _list_of(_num_list, "rows")
 
+_SUPPLY_KEYS = {"id": _as_str, "unit_cost": _int_list, "available": _int_list}
+_DEMAND_KEYS = {"id": _as_str, "F": _num_matrix}
+_DEMAND_OPTIONAL = {"h": _nullable(_as_num), "F_hat": _nullable(_num_matrix)}
 
-def _int_matrix(v, where: str) -> list[list[int]]:
-    if not isinstance(v, list):
-        _fail(where, "expected a list of rows")
-    return [_int_list(row, f"{where}[{i}]") for i, row in enumerate(v)]
-
-
-def _num_matrix(v, where: str) -> list[list[float]]:
-    if not isinstance(v, list):
-        _fail(where, "expected a list of rows")
-    return [_num_list(row, f"{where}[{i}]") for i, row in enumerate(v)]
-
-
-def _parse_supply(items, where: str) -> list[SupplyState]:
-    if not isinstance(items, list) or not items:
-        _fail(where, "expected a non-empty list of supply states")
-    out = []
-    for i, item in enumerate(items):
-        w = f"{where}[{i}]"
-        if not isinstance(item, dict):
-            _fail(w, "expected an object")
-        _check_keys(item, {"id", "unit_cost", "available"}, w)
-        out.append(
-            SupplyState(
-                id=_as_str(_get(item, "id", w), f"{w}.id"),
-                unit_cost=_int_list(_get(item, "unit_cost", w), f"{w}.unit_cost"),
-                available=_int_list(_get(item, "available", w), f"{w}.available"),
-            )
-        )
-    return out
-
-
-def _parse_demand(items, where: str) -> list[DemandState]:
-    if not isinstance(items, list) or not items:
-        _fail(where, "expected a non-empty list of demand states")
-    out = []
-    for i, item in enumerate(items):
-        w = f"{where}[{i}]"
-        if not isinstance(item, dict):
-            _fail(w, "expected an object")
-        _check_keys(item, {"id", "F", "h", "F_hat"}, w)
-        h = item.get("h")
-        f_hat = item.get("F_hat")
-        out.append(
-            DemandState(
-                id=_as_str(_get(item, "id", w), f"{w}.id"),
-                F=_num_matrix(_get(item, "F", w), f"{w}.F"),
-                h=None if h is None else _as_num(h, f"{w}.h"),
-                F_hat=None if f_hat is None else _num_matrix(f_hat, f"{w}.F_hat"),
-            )
-        )
-    return out
+_CFG_KEYS = {
+    "beta": _list_of(_int_list, "rows"),
+    "alpha": _num_list,
+    "price_set": _num_matrix,
+    "D_max": _int_list,
+    "A_max": _int_list,
+    "c_max": _as_int,
+}
+# The required top-level keys: the PlantConfig fields, then the state lists.
+_PLANT_KEYS = {
+    **_CFG_KEYS,
+    "supply_states": _list_of(
+        lambda v, where: SupplyState(**_fields(v, where, _SUPPLY_KEYS, {})),
+        "supply states",
+        non_empty=True,
+    ),
+    "demand_states": _list_of(
+        lambda v, where: DemandState(
+            **_fields(v, where, _DEMAND_KEYS, _DEMAND_OPTIONAL)
+        ),
+        "demand states",
+        non_empty=True,
+    ),
+}
 
 
 def _state_index(ids: list[str], ref, where: str) -> int:
@@ -191,41 +180,35 @@ def _state_index(ids: list[str], ref, where: str) -> int:
         _fail(where, f"unknown state id {name!r}")
 
 
+def _probs(raw, ids: list[str], where: str) -> list[float]:
+    if not isinstance(raw, dict):
+        _fail(where, "expected an object mapping state id to weight")
+    for name in raw:
+        if name not in ids:
+            _fail(where, f"unknown state id {name!r}")
+    for name in ids:
+        if name not in raw:
+            _fail(where, f"missing probability for state {name!r}")
+    return [_as_num(raw[n], f"{where}[{n!r}]") for n in ids]
+
+
 def _parse_process(obj, ids: list[str], where: str) -> StateProcessSpec:
-    if not isinstance(obj, dict):
-        _fail(where, "expected an object")
-    mode = _as_str(_get(obj, "mode", where), f"{where}.mode")
-    if mode == IID:
-        _check_keys(obj, {"mode", "probs"}, where)
-        raw = _get(obj, "probs", where)
-        if not isinstance(raw, dict):
-            _fail(f"{where}.probs", "expected an object mapping state id to weight")
-        for name in raw:
-            if name not in ids:
-                _fail(f"{where}.probs", f"unknown state id {name!r}")
-        for name in ids:
-            if name not in raw:
-                _fail(f"{where}.probs", f"missing probability for state {name!r}")
-        fields = {"probs": [_as_num(raw[n], f"{where}.probs[{n!r}]") for n in ids]}
-    elif mode == MARKOV:
-        _check_keys(obj, {"mode", "transition", "initial"}, where)
-        transition = _num_matrix(_get(obj, "transition", where), f"{where}.transition")
-        fields = {"transition": transition}
-        if "initial" in obj:
-            fields["initial"] = _state_index(ids, obj["initial"], f"{where}.initial")
-    elif mode == TRACE:
-        _check_keys(obj, {"mode", "sequence"}, where)
-        seq = _get(obj, "sequence", where)
-        if not isinstance(seq, list) or not seq:
-            _fail(f"{where}.sequence", "expected a non-empty list of state ids")
-        trace = [
-            _state_index(ids, e, f"{where}.sequence[{i}]") for i, e in enumerate(seq)
-        ]
-        fields = {"trace": trace}
-    else:
+    mode = _fields(obj, where, {"mode": _as_str}, {}, closed=False)["mode"]
+    state = lambda v, w: _state_index(ids, v, w)  # noqa: E731
+    # mode -> its other required and optional keys; TRACE's sequence fills trace.
+    tables = {
+        IID: ({"probs": lambda v, w: _probs(v, ids, w)}, {}),
+        MARKOV: ({"transition": _num_matrix}, {"initial": state}),
+        TRACE: ({"sequence": _list_of(state, "state ids", non_empty=True)}, {}),
+    }
+    if mode not in tables:
         _fail(f"{where}.mode", f"unknown mode {mode!r}")
+    required, optional = tables[mode]
+    fields = _fields(obj, where, {"mode": _as_str, **required}, optional)
+    if "sequence" in fields:
+        fields["trace"] = fields.pop("sequence")
     try:
-        return StateProcessSpec(mode=mode, state_ids=ids, **fields)
+        return StateProcessSpec(state_ids=ids, **fields)
     except InputError as e:
         raise ParseError(f"{where}: {e}") from e
 
@@ -271,23 +254,21 @@ _RUN_KEYS = {
     "epsilon": _as_num,
 }
 
+# Optional top-level keys read once the plant is valid: processes, then run keys.
+_LATER_KEYS = dict.fromkeys(
+    ["process_x", "process_y", "trace_file", *_RUN_KEYS], lambda v, where: v
+)
+
 
 def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
-    """Build a Scenario from already-decoded JSON data."""
-    if not isinstance(data, dict):
-        raise ParseError("top level: expected an object")
-    _check_keys(data, _PLANT_KEYS | _RUN_KEYS.keys(), "top level")
+    """Build a Scenario from already-decoded JSON data.
 
-    cfg = PlantConfig(
-        beta=_int_matrix(_get(data, "beta", "top level"), "beta"),
-        alpha=_num_list(_get(data, "alpha", "top level"), "alpha"),
-        price_set=_num_matrix(_get(data, "price_set", "top level"), "price_set"),
-        D_max=_int_list(_get(data, "D_max", "top level"), "D_max"),
-        A_max=_int_list(_get(data, "A_max", "top level"), "A_max"),
-        c_max=_as_int(_get(data, "c_max", "top level"), "c_max"),
-    )
-    supply = _parse_supply(_get(data, "supply_states", "top level"), "supply_states")
-    demand = _parse_demand(_get(data, "demand_states", "top level"), "demand_states")
+    The first fault raises, in this order: an unknown top-level key, the
+    plant keys, validate_config, the processes, the run keys, theta's length.
+    """
+    top = _fields(data, _TOP, _PLANT_KEYS, _LATER_KEYS)
+    cfg = PlantConfig(**{key: top[key] for key in _CFG_KEYS})
+    supply, demand = top["supply_states"], top["demand_states"]
     try:
         model = validate_config(cfg, supply, demand)
     except ConfigError as e:
@@ -297,16 +278,19 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     y_ids = [s.id for s in demand]
     if "trace_file" in data:
         if "process_x" in data or "process_y" in data:
-            _fail("top level", "trace_file excludes process_x/process_y")
+            _fail(_TOP, "trace_file excludes process_x/process_y")
         path = _as_str(data["trace_file"], "trace_file")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         spec_x, spec_y = _read_trace_file(path, x_ids, y_ids)
     else:
-        spec_x = _parse_process(_get(data, "process_x", "top level"), x_ids, "process_x")
-        spec_y = _parse_process(_get(data, "process_y", "top level"), y_ids, "process_y")
+        processes = {
+            "process_x": lambda v, w: _parse_process(v, x_ids, w),
+            "process_y": lambda v, w: _parse_process(v, y_ids, w),
+        }
+        spec_x, spec_y = _fields(data, _TOP, processes, {}, closed=False).values()
 
-    run = {key: parse(data[key], key) for key, parse in _RUN_KEYS.items() if key in data}
+    run = _fields(data, _TOP, {}, _RUN_KEYS, closed=False)
     if "theta" in run and len(run["theta"]) != cfg.M:
         _fail("theta", f"expected {cfg.M} entries, got {len(run['theta'])}")
     return Scenario(model=model, process_x=spec_x, process_y=spec_y, **run)

@@ -177,9 +177,9 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     threshold experiments.  Oracle playback has no band: its short slots are
     served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
-    allow_unsafe_theta rather than ignore them.  Decisions and outcomes are
-    memoized as the module docstring says, with results bit-identical to
-    checking every slot.
+    allow_unsafe_theta rather than ignore them, as an online run rejects
+    oracle_policy.  Decisions and outcomes are memoized as the module
+    docstring says, with results bit-identical to checking every slot.
     """
     if ec.horizon <= 0:
         raise InputError("horizon must be positive")
@@ -191,6 +191,8 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
         for name in ("placeholder", "demand_blind", "theta", "allow_unsafe_theta"):
             if getattr(ec, name) not in (None, False):
                 raise InputError(f"oracle playback does not use {name}")
+    elif ec.oracle_policy is not None:
+        raise InputError("the online controller does not use oracle_policy")
     cfg = model.cfg
     M, K = cfg.M, cfg.K
     d_max = cfg.D_max
@@ -516,7 +518,6 @@ class ReplicationSummary:
     n: int
     mean: float
     se: float
-    per_rep: list[float]
 
 
 def summarize(metrics: list[Metrics], net: bool = False) -> ReplicationSummary:
@@ -532,7 +533,7 @@ def summarize(metrics: list[Metrics], net: bool = False) -> ReplicationSummary:
         if n > 1
         else float("nan")
     )
-    return ReplicationSummary(n=n, mean=mean, se=se, per_rep=vals)
+    return ReplicationSummary(n=n, mean=mean, se=se)
 
 
 def _bound_runs(

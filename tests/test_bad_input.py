@@ -1,0 +1,557 @@
+"""Every bad-input check raises its type with its message.
+
+Table-driven: each case builds one bad input and names the exception type
+and the exact message it must raise.  The scenario cases pin the messages
+of the parser's own checks; the library cases pin each argument check of
+model, processes, controller, simulator and oracles, including the
+refusal of non-finite numbers.
+"""
+
+import copy
+import json
+import math
+
+import numpy as np
+import pytest
+
+from plantsim.controller import InitOutOfRange, init_placeholder, make_params
+from plantsim.model import (
+    ConfigError,
+    DemandState,
+    InputError,
+    NegativeEntry,
+    PlantConfig,
+    SupplyState,
+    validate_config,
+)
+from plantsim.oracles import (
+    InstanceTooLarge,
+    brute_force_opt,
+    extract_xy_policy,
+    optimal_profit,
+)
+from plantsim.processes import (
+    IID,
+    MARKOV,
+    TRACE,
+    StateProcessSpec,
+    constant_process,
+    realize_demand,
+    stationary_distribution,
+)
+from plantsim.scenario import ParseError, load_scenario, parse_scenario
+from plantsim.simulator import EpisodeConfig, process_distribution, run_episode
+
+from conftest import make_i1, make_i1_cfg, make_two_phase
+
+NAN = math.nan
+
+I1 = {
+    "name": "i1",
+    "beta": [[1]],
+    "alpha": [0],
+    "price_set": [[1, 2]],
+    "D_max": [2],
+    "A_max": [2],
+    "c_max": 2,
+    "supply_states": [{"id": "s0", "unit_cost": [1], "available": [2]}],
+    "demand_states": [
+        {"id": "d0", "F": [[2.0, 1.0]], "h": 1.0, "F_hat": [[2.0, 1.0]]}
+    ],
+    "process_x": {"mode": "IID", "probs": {"s0": 1.0}},
+    "process_y": {"mode": "IID", "probs": {"d0": 1.0}},
+}
+
+
+def _i1(**changes):
+    data = copy.deepcopy(I1)
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return data
+
+
+def _raises(kind, message, call, *args, **kwargs):
+    with pytest.raises(kind) as err:
+        call(*args, **kwargs)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+# --- scenario files -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "top level: expected an object"),
+        (_i1(beta=None), "top level: missing required key 'beta'"),
+        (_i1(beta=1), "beta: expected a list of rows"),
+        (_i1(price_set=1), "price_set: expected a list of rows"),
+        (_i1(D_max=2), "D_max: expected a list of integers"),
+        (_i1(alpha={}), "alpha: expected a list of numbers"),
+        (
+            _i1(supply_states=[]),
+            "supply_states: expected a non-empty list of supply states",
+        ),
+        (_i1(supply_states=[1]), "supply_states[0]: expected an object"),
+        (
+            _i1(demand_states={}),
+            "demand_states: expected a non-empty list of demand states",
+        ),
+        (_i1(demand_states=["d0"]), "demand_states[0]: expected an object"),
+        (
+            _i1(demand_states=[{"id": "d0"}]),
+            "demand_states[0]: missing required key 'F'",
+        ),
+        (_i1(process_x="IID"), "process_x: expected an object"),
+        (
+            _i1(process_x={"probs": {"s0": 1.0}, "extra": 1}),
+            "process_x: missing required key 'mode'",
+        ),
+        (
+            _i1(process_x={"mode": "IID", "probs": [1.0]}),
+            "process_x.probs: expected an object mapping state id to weight",
+        ),
+        (
+            _i1(process_y={"mode": "TRACE", "sequence": []}),
+            "process_y.sequence: expected a non-empty list of state ids",
+        ),
+        (
+            _i1(process_y={"mode": "MARKOV", "transition": [[1.0]], "extra": 1}),
+            "process_y: unknown key 'extra'",
+        ),
+        (
+            _i1(process_y={"mode": "MARKOV", "transition": [[1.0]], "initial": 0}),
+            "process_y.initial: expected a string, got 0",
+        ),
+        (_i1(process_y={"mode": "EVERY"}), "process_y.mode: unknown mode 'EVERY'"),
+        (_i1(process_y=None), "top level: missing required key 'process_y'"),
+    ],
+)
+def test_scenario_object_errors(data, message):
+    _raises(ParseError, message, parse_scenario, data)
+
+
+def test_scenario_null_h_and_f_hat_mean_absent():
+    data = _i1()
+    data["demand_states"][0].update(h=None, F_hat=None)
+    y = parse_scenario(data).model.demand_states[0]
+    assert (y.h, y.F_hat) == (None, None)
+
+
+def _trace_scenario(tmp_path, trace_text):
+    data = _i1(process_x=None, process_y=None, trace_file="run.trace")
+    if trace_text is not None:
+        (tmp_path / "run.trace").write_text(trace_text)
+    path = tmp_path / "sc.scenario"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "trace_text, message",
+    [
+        ("s0 d0\ns0\n", "trace_file: line 2: expected 'x_id y_id', got 's0'"),
+        ("s0 d0 d0\n", "trace_file: line 1: expected 'x_id y_id', got 's0 d0 d0'"),
+        ("s0 d9\n", "trace_file line 1: unknown state id 'd9'"),
+        ("# nothing\n\n", "trace_file: {trace!r} contains no state pairs"),
+        (None, "trace_file: cannot read {trace!r}: [Errno 2] No such file or "
+         "directory: {trace!r}"),
+    ],
+)
+def test_scenario_trace_file_errors(tmp_path, trace_text, message):
+    path = _trace_scenario(tmp_path, trace_text)
+    trace = str(tmp_path / "run.trace")
+    _raises(ParseError, message.format(trace=trace), load_scenario, path)
+
+
+def test_scenario_file_that_is_not_json(tmp_path):
+    path = tmp_path / "broken.scenario"
+    path.write_text("{")
+    message = (
+        f"{str(path)!r} is not valid JSON: Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)"
+    )
+    _raises(ParseError, message, load_scenario, str(path))
+
+
+# --- processes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mode, ids, fields, message",
+    [
+        ("EVERY", ["a"], {}, "unknown process mode 'EVERY'"),
+        (IID, [], {"probs": []}, "process needs at least one state"),
+        (IID, ["a"], {}, "IID probabilities must have length 1"),
+        (IID, ["a"], {"probs": [0.5, 0.5]}, "IID probabilities must have length 1"),
+        (IID, ["a"], {"probs": [NAN]}, "IID probabilities must be finite"),
+        (IID, ["a", "b"], {"probs": [math.inf, 0]}, "IID probabilities must be finite"),
+        (
+            IID,
+            ["a", "b"],
+            {"probs": [1.5, -0.5]},
+            "IID probabilities must be non-negative",
+        ),
+        (IID, ["a", "b"], {"probs": [0.5, 0.4]}, "IID probabilities must sum to 1"),
+        (
+            MARKOV,
+            ["a", "b"],
+            {"transition": [[1.0]]},
+            "MARKOV process needs an n-by-n transition matrix",
+        ),
+        (
+            MARKOV,
+            ["a", "b"],
+            {"transition": [[NAN, 1.0], [0.5, 0.5]]},
+            "transition row 0 must be finite",
+        ),
+        (
+            MARKOV,
+            ["a", "b"],
+            {"transition": [[1.5, -0.5], [0.5, 0.5]]},
+            "transition row 0 must be non-negative",
+        ),
+        (
+            MARKOV,
+            ["a", "b"],
+            {"transition": [[0.5, 0.5], [0.5, 0.4]]},
+            "transition row 1 must sum to 1",
+        ),
+        (
+            MARKOV,
+            ["a"],
+            {"transition": [[1.0]], "initial": 1},
+            "MARKOV initial state out of range",
+        ),
+        (TRACE, ["a"], {"trace": []}, "TRACE process needs a non-empty trace"),
+        (TRACE, ["a"], {"trace": [0, 1]}, "trace contains an out-of-range state index"),
+    ],
+)
+def test_state_process_spec_errors(mode, ids, fields, message):
+    _raises(InputError, message, StateProcessSpec, mode=mode, state_ids=ids, **fields)
+
+
+def test_process_function_errors():
+    model = make_i1()
+    _raises(
+        InputError,
+        "stationary_distribution applies to MARKOV processes",
+        stationary_distribution,
+        constant_process("s0"),
+    )
+    rng = np.random.default_rng(0)
+    y = model.demand_states[0]
+    message = "price 3.0 is not in price_set[0]"
+    _raises(InputError, message, realize_demand, 0, 3.0, y, model.cfg, rng)
+
+
+# --- model --------------------------------------------------------------
+
+_S0 = SupplyState(id="s0", unit_cost=[1], available=[2])
+
+
+def _d0(**changes):
+    fields = {"id": "d0", "F": [[2.0, 1.0]], "h": 1.0, "F_hat": [[2.0, 1.0]]}
+    return DemandState(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "cfg_changes, supply, demand, kind, message",
+    [
+        (
+            {"A_max": [2, 2]},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "A_max must have length 1, got 2",
+        ),
+        (
+            {"A_max": [2.0]},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "A_max entries must be integers, got 2.0",
+        ),
+        (
+            {"beta": []},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "need at least one material and one product",
+        ),
+        (
+            {"alpha": [0.0, 0.0]},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "alpha, price_set and D_max must all have length K",
+        ),
+        ({"c_max": 2.0}, [_S0], [_d0()], ConfigError, "c_max must be an integer"),
+        ({"c_max": -1}, [_S0], [_d0()], NegativeEntry, "c_max -1 is negative"),
+        ({"alpha": [NAN]}, [_S0], [_d0()], ConfigError, "alpha[0] is not finite"),
+        (
+            {"price_set": [[NAN, 2.0]]},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "price nan of product 0 is not finite",
+        ),
+        (
+            {"price_set": [[1.0, math.inf]]},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "price inf of product 0 is not finite",
+        ),
+        ({}, [], [_d0()], ConfigError, "need at least one supply state"),
+        ({}, [_S0], [], ConfigError, "need at least one demand state"),
+        (
+            {},
+            [_S0],
+            [_d0(), _d0()],
+            ConfigError,
+            "duplicate demand state id 'd0'",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(F=[[2.0, 1.0], [1.0, 1.0]], h=None, F_hat=None)],
+            ConfigError,
+            "demand state 'd0': F must have one row per product",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(F=[[2.0]], h=None, F_hat=None)],
+            ConfigError,
+            "demand state 'd0': F[0] must align with price_set[0]",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(F=[[NAN, 1.0]], h=None, F_hat=None)],
+            ConfigError,
+            "demand state 'd0': F[0][0] is not finite",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(F_hat=None)],
+            ConfigError,
+            "demand state 'd0': factorization needs both h and F_hat",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(h=NAN)],
+            ConfigError,
+            "demand state 'd0': scale h is not finite",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(F_hat=[[2.0, 1.0], [1.0, 1.0]])],
+            ConfigError,
+            "demand state 'd0': F_hat must have one row per product",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(F_hat=[[2.0]])],
+            ConfigError,
+            "demand state 'd0': F_hat[0] must align with price_set[0]",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(F_hat=[[2.0, NAN]])],
+            ConfigError,
+            "demand state 'd0': F_hat[0][1] is not finite",
+        ),
+    ],
+)
+def test_validate_config_errors(cfg_changes, supply, demand, kind, message):
+    cfg = make_i1_cfg()
+    for key, value in cfg_changes.items():
+        setattr(cfg, key, value)
+    _raises(kind, message, validate_config, cfg, supply, demand)
+
+
+# --- controller ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "theta, unsafe",
+    [([30.0, 30.0], False), ([NAN], False), ([NAN], True), ([math.inf], False)],
+)
+def test_make_params_theta_errors(theta, unsafe):
+    _raises(
+        InputError,
+        "theta must have one finite entry per material",
+        make_params,
+        make_i1_cfg(),
+        10.0,
+        theta=theta,
+        allow_unsafe_theta=unsafe,
+    )
+
+
+def test_init_placeholder_refuses_negative_stock():
+    cfg = make_i1_cfg()
+    params = make_params(cfg, 10.0)
+    _raises(
+        InitOutOfRange, "Q_actual_0[0] is negative", init_placeholder, cfg, params, [-1]
+    )
+
+
+# --- simulator ----------------------------------------------------------
+
+
+def _ec(**changes):
+    fields = dict(
+        horizon=20,
+        seed=0,
+        V=10.0,
+        process_x=constant_process("s0"),
+        process_y=constant_process("d0"),
+    )
+    return EpisodeConfig(**{**fields, **changes})
+
+
+def _two_base_tables():
+    demand = [
+        DemandState(id="lo", F=[[1.0, 0.5]], h=0.5, F_hat=[[2.0, 1.0]]),
+        DemandState(id="hi", F=[[2.0, 1.0]], h=0.5, F_hat=[[4.0, 2.0]]),
+    ]
+    return validate_config(make_i1_cfg(), [_S0], demand)
+
+
+def _trace(ids):
+    return StateProcessSpec(mode=TRACE, state_ids=ids, trace=[0] * 20)
+
+
+@pytest.mark.parametrize(
+    "make_model, changes, message",
+    [
+        (make_i1, {"horizon": 0}, "horizon must be positive"),
+        (make_i1, {"controller": "greedy"}, "unknown controller 'greedy'"),
+        (make_i1, {"controller": "oracle"}, "oracle controller needs oracle_policy"),
+        (
+            make_two_phase,
+            {
+                "demand_blind": True,
+                "process_x": _trace(["cheap", "dear"]),
+                "process_y": _trace(["hot", "cold"]),
+            },
+            "demand state 'hot' lacks the factorization needed for demand-blind "
+            "pricing",
+        ),
+        (
+            _two_base_tables,
+            {"demand_blind": True, "process_y": _trace(["lo", "hi"])},
+            "demand-blind pricing needs one shared base table across states",
+        ),
+    ],
+    ids=[
+        "horizon",
+        "controller",
+        "oracle-without-policy",
+        "blind-without-factorization",
+        "blind-with-two-base-tables",
+    ],
+)
+def test_run_episode_errors(make_model, changes, message):
+    _raises(InputError, message, run_episode, _ec(**changes), make_model())
+
+
+def test_online_run_refuses_oracle_policy():
+    # it used to run the online controller and ignore the policy
+    model = make_i1()
+    _, plp, sol = optimal_profit(model, [1.0], [1.0])
+    ec = _ec(horizon=100, oracle_policy=extract_xy_policy(plp, sol))
+    message = "the online controller does not use oracle_policy"
+    _raises(InputError, message, run_episode, ec, model)
+
+
+def test_trace_process_has_no_stationary_distribution():
+    _raises(
+        InputError,
+        "trace processes have no stationary distribution",
+        process_distribution,
+        _trace(["s0"]),
+    )
+
+
+# --- oracles ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "solve", [optimal_profit, brute_force_opt], ids=["lp", "brute-force"]
+)
+@pytest.mark.parametrize(
+    "pi_x, pi_y, message",
+    [
+        ([1.0, 0.0], [1.0], "pi_x must have length 1"),
+        ([[1.0]], [1.0], "pi_x must have length 1"),
+        ([NAN], [1.0], "pi_x must be finite"),
+        ([1.0], [-1.0], "pi_y must be non-negative"),
+        ([0.5], [1.0], "pi_x must sum to 1"),
+    ],
+)
+def test_state_distribution_errors(solve, pi_x, pi_y, message):
+    _raises(InputError, message, solve, make_i1(), pi_x, pi_y)
+
+
+def _plant(beta, prices, A_max, c_max, supply, demand):
+    K = len(prices)
+    cfg = PlantConfig(
+        beta=beta,
+        alpha=[0.0] * K,
+        price_set=prices,
+        D_max=[1] * K,
+        A_max=A_max,
+        c_max=c_max,
+    )
+    return validate_config(cfg, supply, demand)
+
+
+def _grid_plant(n):
+    """Two materials bought at unit cost 1, n + 1 units each: (n+1)^2 buys."""
+    x = SupplyState(id="x", unit_cost=[1, 1], available=[n, n])
+    y = DemandState(id="y", F=[[1.0]])
+    return _plant([[1], [1]], [[1.0]], [n, n], 2 * n, [x], [y]), [1.0], [1.0]
+
+
+def _free_buys_plant():
+    """Two supply states of 31 free buys each, two products of three prices."""
+    xs = [SupplyState(id=f"x{i}", unit_cost=[0], available=[30]) for i in range(2)]
+    ys = [DemandState(id=f"y{i}", F=[[1.0, 1.0, 1.0]] * 2) for i in range(2)]
+    model = _plant([[1, 1]], [[1.0, 2.0, 3.0]] * 2, [30], 0, xs, ys)
+    return model, [0.5, 0.5], [0.5, 0.5]
+
+
+def _free_grid_plant():
+    x = SupplyState(id="x", unit_cost=[0, 0], available=[50, 50])
+    y = DemandState(id="y", F=[[1.0]])
+    return _plant([[1], [1]], [[1.0]], [50, 50], 0, [x], [y]), [1.0], [1.0]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # 51^2 purchase vectors in one state: past the 2,000 per-side cap
+        (_free_grid_plant, "too many pure policies to enumerate"),
+        # 31^2 purchase combinations times 4^4 offer combinations
+        (_free_buys_plant, "too many pure policies to enumerate"),
+        # every purchase vector is undominated at positive unit costs
+        (lambda: _grid_plant(25), "too many undominated policies to mix exactly"),
+        (lambda: _grid_plant(16), "too many policy triples to mix exactly"),
+    ],
+    ids=["per-side-cap", "pure-pairs", "undominated", "triples"],
+)
+def test_brute_force_size_limits(make, message):
+    _raises(InstanceTooLarge, message, brute_force_opt, *make())

@@ -21,6 +21,7 @@ from plantsim.oracles import (
     optimal_profit,
     product_options,
     two_price_reduce,
+    _reduce_one,
 )
 from plantsim.simplex import LinearProgram, solve_lp
 
@@ -700,3 +701,32 @@ def test_lookahead_rejects_out_of_range_states():
         with pytest.raises(ValueError, match="outside"):
             lookahead_value(model, xs, ys)
     assert lookahead_value(model, [1, 0], [0, 1]).phi_T >= 0
+
+
+def test_two_price_single_vertex_hull():
+    # an all-zero demand row: every option sits at (0, 0), so the envelope
+    # is one vertex and the reduction withholds the product
+    cfg = make_i1().cfg
+    supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
+    model = validate_config(cfg, supply, [DemandState(id="dead", F=[[0.0, 0.0]])])
+    _, plp, sol = optimal_profit(model, one(1), one(1))
+    ent = two_price_reduce(extract_xy_policy(plp, sol), model).entries[0][0]
+    assert ent.support == [(0, -1, 1.0)]
+    assert (ent.r_star, ent.d_target, ent.r_orig) == (0.0, 0.0, 0.0)
+
+
+def test_two_price_target_at_rightmost_vertex():
+    # the lowest price draws the most demand, the envelope's last vertex
+    model = make_i1()
+    pol = _policy_with_mix(model, [[[(1, 0, 1.0)]]])
+    ent = two_price_reduce(pol, model).entries[0][0]
+    assert ent.support == [(1, 0, 1.0)]
+    assert (ent.r_star, ent.d_target, ent.r_orig) == (2.0, 2.0, 2.0)
+
+
+def test_two_price_target_just_below_a_vertex():
+    # within 1e-12 of the upper end of a segment: the upper vertex alone
+    pts = [(0.0, 0.0, (0, -1)), (1.0, 1.0, (1, 0)), (2.0, 1.5, (1, 1))]
+    ent = _reduce_one(pts, 1.0 - 1e-13, 1.0 - 1e-13)
+    assert ent.support == [(1, 0, 1.0)]
+    assert ent.r_star == 1.0

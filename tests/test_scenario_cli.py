@@ -816,3 +816,46 @@ def test_cli_fuzzed_i1_keeps_the_exit_contract(tmp_path_factory, edits, command)
     assert code in (0, 1, 2), err
     if code == 1:
         assert out == "", err
+
+
+# --- paths no other test runs ---------------------------------------------
+
+
+def test_cli_simulate_assembly_delay_output(tmp_path):
+    # i1's alpha is 0, which would print a startup cost of 0
+    path = _write(tmp_path, {**i1_data(), "name": "i1-alpha", "alpha": [0.5]})
+    argv = ["simulate", "--scenario", path, "--slots", "2000", "--replications", "2"]
+    code, out, err = _run([*argv, "--assembly-delay"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "scenario: i1-alpha\n"
+        "V=10 slots=2000 seed=0 replications=2\n"
+        "mean avg profit: 0.4845  (se 0.00075)\n"
+        "material 1: queue range [2, 10], band [2, 21]\n"
+        "max slot drift: 2  (bound 2)\n"
+        "bound violations: 0  fulfillment mismatches: 0\n"
+        "startup cost: 1\n"
+        "mean avg profit net of startup: 0.484\n"
+    )
+
+
+def test_cli_compare_epsilon_on_iid_scenario_exits_one():
+    code, out, err = _run(
+        ["compare", "--scenario", I1_PATH, "--epsilon", "0.05", "--T", "8"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --epsilon applies to Markov-modulated scenarios\n"
+
+
+def test_cli_invariant_violation_exits_two(monkeypatch):
+    from plantsim import simulator
+
+    # buy every slot and never sell, so the queue leaves its band
+    monkeypatch.setattr(simulator, "decide_purchase", lambda Q, x, params, cfg: [2])
+    monkeypatch.setattr(
+        simulator, "decide_pricing", lambda Q, y, params, cfg: ([0], [1.0])
+    )
+    code, out, err = _run(["simulate", "--scenario", I1_PATH, "--slots", "50"])
+    assert (code, out) == (2, "")
+    assert err.startswith("invariant violated: slot ")
+    assert "left its band" in err
