@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from plantsim.controller import InvariantViolation
-from plantsim.model import InputError
+from plantsim.model import InputError, check_int
 from plantsim.oracles import (
     extract_xy_policy,
     frame_values,
@@ -34,7 +33,6 @@ from plantsim.simulator import (
     check_frame_bound,
     check_profit_bound,
     process_distribution,
-    run_episode,
     run_replications,
     summarize,
     write_slot_log,
@@ -93,12 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _pick(flag, scen, default):
-    if flag is not None:
-        return flag
-    if scen is not None:
-        return scen
-    return default
+def _pick(*values):
+    return next((v for v in values if v is not None), None)
 
 
 def _run_settings(args, sc: Scenario):
@@ -122,12 +116,12 @@ def cmd_simulate(args, sc: Scenario) -> int:
         demand_blind=args.demand_blind or sc.demand_blind,
         theta=sc.theta,
         allow_unsafe_theta=sc.unsafe_theta,
+        record_log=bool(args.out),  # kept for replication 0 only
     )
     runs = run_replications(ec, sc.model, reps)
     if args.out:
-        logged = run_episode(replace(ec, record_log=True), sc.model)
         try:
-            write_slot_log(args.out, sc.model, logged)
+            write_slot_log(args.out, sc.model, runs[0])
         except OSError as e:
             raise InputError(f"--out: cannot write {args.out!r}: {e}") from e
     s = summarize(runs)
@@ -163,10 +157,10 @@ def cmd_oracle(args, sc: Scenario) -> int:
     V, slots, seed, reps = _run_settings(args, sc)
     if args.slots is None and (args.seed, args.replications) != (None, None):
         raise ValidationError("--seed and --replications apply to playback: add --slots")
-    if args.slots is not None and (slots < 1 or reps < 1):
-        raise ValidationError(
-            f"playback needs slots >= 1 and replications >= 1, got {slots}, {reps}"
-        )
+    if args.slots is not None:
+        for n in (slots, reps):
+            message = f"playback needs slots and replications >= 1, got {slots}, {reps}"
+            check_int("playback", n, 1, error=ValidationError, message=message)
     pi_x = process_distribution(sc.process_x)
     pi_y = process_distribution(sc.process_y)
     model = sc.model

@@ -38,7 +38,7 @@ from operator import lt
 
 import numpy as np
 
-from plantsim.model import DemandState, InputError, PlantConfig, SupplyState
+from plantsim.model import DemandState, InputError, PlantConfig, SupplyState, check_int
 
 
 class InvariantViolation(RuntimeError):
@@ -53,14 +53,17 @@ class ThetaTooSmall(InputError):
     """An override threshold is below the safe value and was not forced."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerParams:
-    """Tuning of the controller: V, per-material thresholds, demand-blind mode."""
+    """Controller tuning, frozen so its tables never go stale: V, theta, blind mode."""
 
     V: float
-    theta: list[float]
+    theta: tuple[float, ...]
     demand_blind: bool = False
     _cache: _Tables | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", tuple(self.theta))
 
 
 class _Tables:
@@ -72,8 +75,8 @@ class _Tables:
     lacks it).  supply(x) gives V * unit_cost and the purchase plans of x,
     one per buy set (see _purchase_plan).  Built per state object on first
     use and keyed by its id; each entry holds its state, so the id cannot
-    be reused while the table lives.  States and params must not change
-    after first use.
+    be reused while the table lives.  States must not change after first
+    use; params cannot.
     """
 
     def __init__(self, params: ControllerParams, cfg: PlantConfig):
@@ -112,7 +115,8 @@ class _Tables:
 def _tables(params: ControllerParams, cfg: PlantConfig) -> _Tables:
     t = params._cache
     if t is None or t.cfg is not cfg:
-        t = params._cache = _Tables(params, cfg)
+        t = _Tables(params, cfg)
+        object.__setattr__(params, "_cache", t)
     return t
 
 
@@ -141,22 +145,16 @@ def compute_theta(cfg: PlantConfig, V: float) -> list[float]:
     theta = []
     for m in range(cfg.M):
         best = 0.0
-        found = False
         for k in range(cfg.K):
             b = cfg.beta[m][k]
             if b == 0:
                 continue
-            found = True
             others = sum(
                 cfg.beta[i][k] * cfg.A_max[i] for i in range(cfg.M) if i != m
             )
-            cand = (
-                V * (cfg.max_price(k) - cfg.alpha[k]) / b
-                + others / b
-                + 2 * mu_max[m]
-            )
-            best = max(best, cand)
-        theta.append(best if found else 0.0)
+            margin = V * (cfg.price_set[k][-1] - cfg.alpha[k])
+            best = max(best, margin / b + others / b + 2 * mu_max[m])
+        theta.append(best)
     return theta
 
 
@@ -186,7 +184,7 @@ def make_params(
                 raise ThetaTooSmall(
                     f"theta[{m}] = {theta[m]} is below the safe value {safe[m]}"
                 )
-    return ControllerParams(V=V, theta=list(theta), demand_blind=demand_blind)
+    return ControllerParams(V=V, theta=theta, demand_blind=demand_blind)
 
 
 def decide_purchase(
@@ -396,6 +394,16 @@ def queue_band(
     return list(mu_max), [th + a for th, a in zip(params.theta, cfg.A_max)]
 
 
+def check_start(name: str, Q0, lo, hi) -> list[int]:
+    """The start rule of every run: Q0 as one integer per material in [lo, hi]."""
+    if len(Q0) != len(lo):
+        raise InitOutOfRange(f"{name} must have one entry per material")
+    return [
+        check_int(f"{name}[{m}]", q, a, b, error=InitOutOfRange)
+        for m, (q, a, b) in enumerate(zip(Q0, lo, hi))
+    ]
+
+
 def init_state(
     cfg: PlantConfig, params: ControllerParams, Q0: list[int] | None = None
 ) -> ControllerState:
@@ -405,14 +413,8 @@ def init_state(
     InitOutOfRange is raised.
     """
     lo, hi = queue_band(params, cfg)
-    if Q0 is None:
-        Q0 = lo
-    if len(Q0) != cfg.M:
-        raise InitOutOfRange("Q0 must have one entry per material")
-    for m, (q, a, b) in enumerate(zip(Q0, lo, hi)):
-        if not a <= q <= b:
-            raise InitOutOfRange(f"Q0[{m}] = {q} outside [{a}, {b}]")
-    return ControllerState(Q=list(Q0), fake=[0] * cfg.M)
+    Q = check_start("Q0", lo if Q0 is None else Q0, lo, hi)
+    return ControllerState(Q=Q, fake=[0] * cfg.M)
 
 
 def init_placeholder(
@@ -425,12 +427,7 @@ def init_placeholder(
     as zero physical inventory.  Because the controller never lets Q[m] drop
     below mu_max[m], the fake units are never consumed.
     """
-    if len(Q_actual_0) != cfg.M:
-        raise InitOutOfRange("Q_actual_0 must have one entry per material")
-    for m, q in enumerate(Q_actual_0):
-        if q < 0:
-            raise InitOutOfRange(f"Q_actual_0[{m}] is negative")
-    mu_max, _ = queue_band(params, cfg)
-    state = init_state(cfg, params, [q + u for q, u in zip(Q_actual_0, mu_max)])
-    state.fake = mu_max
-    return state
+    mu_max, hi = queue_band(params, cfg)
+    room = [b - u for u, b in zip(mu_max, hi)]
+    Q = check_start("Q_actual_0", Q_actual_0, [0] * cfg.M, room)
+    return ControllerState(Q=[q + u for q, u in zip(Q, mu_max)], fake=mu_max)

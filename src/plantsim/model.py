@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Bad input: every rejected argument, setting or scenario derives from this."""
@@ -74,9 +76,6 @@ class PlantConfig:
             for m in range(self.M)
         ]
 
-    def max_price(self, k: int) -> float:
-        return self.price_set[k][-1]
-
 
 @dataclass
 class SupplyState:
@@ -115,19 +114,35 @@ class Model:
     warnings: list[str] = field(default_factory=list)
 
 
+def check_int(
+    name, value, lo=0, hi=math.inf, *, error=InputError, message=None, negative=None
+) -> int:
+    """value as an int if it is a Python or numpy integer in [lo, hi], else raise error.
+
+    The package's one integer rule; it refuses bools, floats and NaN.  The
+    message names name and the fault unless message replaces it; negative,
+    if given, is the type raised for a negative integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        fault = f"must be an integer, got {value!r}"
+    elif lo <= value <= hi:
+        return int(value)
+    elif negative is not None and value < 0:
+        raise negative(message or f"{name} {value} is negative")
+    elif value < lo:
+        fault = f"{value} is below the minimum {lo}"
+    else:
+        fault = f"{value} is above the maximum {hi}"
+    raise error(message or f"{name} {fault}")
+
+
 def _check_int_vector(name: str, vec, length: int, minimum=0, maximum=2**53) -> None:
     # The default maximum keeps each entry exact as a float (the LP computes in floats).
     if len(vec) != length:
         raise ConfigError(f"{name} must have length {length}, got {len(vec)}")
+    name += " entry"
     for v in vec:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigError(f"{name} entries must be integers, got {v!r}")
-        if v < minimum:
-            if v < 0:
-                raise NegativeEntry(f"{name} entry {v} is negative")
-            raise ConfigError(f"{name} entry {v} is below the minimum {minimum}")
-        if v > maximum:
-            raise ConfigError(f"{name} entry {v} is above the maximum {maximum}")
+        check_int(name, v, minimum, maximum, error=ConfigError, negative=NegativeEntry)
 
 
 def validate_config(
@@ -153,10 +168,7 @@ def validate_config(
     # A slot draws D_max[k] uniforms per offered product; bound that cost.
     _check_int_vector("D_max", cfg.D_max, K, minimum=1, maximum=10**6)
     _check_int_vector("A_max", cfg.A_max, M, minimum=1)
-    if not isinstance(cfg.c_max, int) or isinstance(cfg.c_max, bool):
-        raise ConfigError("c_max must be an integer")
-    if cfg.c_max < 0:
-        raise NegativeEntry(f"c_max {cfg.c_max} is negative")
+    check_int("c_max", cfg.c_max, error=ConfigError, negative=NegativeEntry)
     for k in range(K):
         if not 0 <= cfg.alpha[k] < math.inf:
             _refuse_amount(f"alpha[{k}]", cfg.alpha[k])

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plantsim.model import InputError, Model, PlantConfig, SupplyState, purchase_cost
+from plantsim.model import InputError, Model, PlantConfig, SupplyState, check_int
+from plantsim.model import purchase_cost
 from plantsim.processes import check_distribution, empirical_distribution
 from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
@@ -574,14 +575,14 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     the stationary optimum of the full model on the frame's state
     histogram; unvisited states get empty blocks, so the program grows
     with the distinct states, not with T.  Staying idle is feasible, so the
-    value is never negative.  An index outside [0, n) raises InputError.
+    value is never negative.  An entry that is not an index in [0, n) raises InputError.
     """
     if len(xs) != len(ys) or not len(xs):
         raise InputError("xs and ys must be equally long and non-empty")
+    message = "xs or ys holds an entry outside the state indices [0, n)"
     pis = []
     for v, states in ((xs, model.supply_states), (ys, model.demand_states)):
-        if min(v) < 0 or max(v) >= len(states):
-            raise InputError("xs or ys holds a state index outside [0, n)")
+        v = [check_int("index", s, 0, len(states) - 1, message=message) for s in v]
         pis.append(empirical_distribution(v, len(states)))
     value, _, _ = optimal_profit(model, *pis)
     return LookaheadResult(phi_T=len(xs) * value)
@@ -590,11 +591,12 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
 def frame_values(model: Model, xs, ys, T: int, J: int) -> list[float]:
     """Lookahead values of the J consecutive T-slot frames of a trace."""
     n = min(len(xs), len(ys))
-    if T < 1 or J < 1 or J * T > n:
-        raise InputError(
-            f"frame split T={T} J={J} does not fit the {n}-slot trace "
-            f"(needs T, J >= 1 and J*T <= {n})"
-        )
+    message = (
+        f"frame split T={T!r} J={J!r} does not fit the {n}-slot trace "
+        f"(needs integers T, J >= 1 and J*T <= {n})"
+    )
+    T = check_int("T", T, 1, n, message=message)
+    J = check_int("J", J, 1, n // T, message=message)
     return [
         lookahead_value(model, xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T]).phi_T
         for j in range(J)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from plantsim.model import DemandState, InputError, PlantConfig
+from plantsim.model import DemandState, InputError, PlantConfig, check_int
 
 IID = "IID"
 MARKOV = "MARKOV"
@@ -45,8 +46,9 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0 or self.stream < 0:
-            raise InputError(f"negative seed or stream: {self.seed}, {self.stream}")
+        message = f"need integers seed, stream >= 0, got {self.seed!r}, {self.stream!r}"
+        for v in (self.seed, self.stream):
+            check_int("seed or stream", v, message=message)
 
     def generator(self, channel: int = 0) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, channel))
@@ -84,13 +86,14 @@ class StateProcessSpec:
                 raise InputError("MARKOV process needs an n-by-n transition matrix")
             for i, row in enumerate(t):
                 check_distribution(row, n, f"transition row {i}")
-            if not 0 <= self.initial < n:
-                raise InputError("MARKOV initial state out of range")
+            message = "MARKOV initial state out of range"
+            check_int("initial", self.initial, 0, n - 1, message=message)
         else:
-            if not self.trace:
+            if self.trace is None or not len(self.trace):
                 raise InputError("TRACE process needs a non-empty trace")
-            if any(not 0 <= s < n for s in self.trace):
-                raise InputError("trace contains an out-of-range state index")
+            message = "trace contains an out-of-range state index"
+            for s in self.trace:
+                check_int("trace entry", s, 0, n - 1, message=message)
 
 
 def check_distribution(p, n: int, name: str) -> np.ndarray:
@@ -119,14 +122,8 @@ def constant_process(state_id: str) -> StateProcessSpec:
 
 
 def _cumulative(probs: list[float]) -> list[float]:
-    cum = []
-    acc = 0.0
-    for p in probs:
-        acc += p
-        cum.append(acc)
-    # Guard the final bucket against rounding so bisect never falls off the end.
-    cum[-1] = math.inf
-    return cum
+    # The last bucket is inf, so that rounding never lets bisect fall off the end.
+    return [*accumulate(probs[:-1]), math.inf]
 
 
 def generate_states(
@@ -138,6 +135,7 @@ def generate_states(
     0, which is the initial state) in slot order, exactly as a stepwise
     sampler drawing one uniform per transition would.
     """
+    horizon = check_int("horizon", horizon)
     if spec.mode == IID:
         cum = np.cumsum(spec.probs)
         cum[-1] = np.inf
@@ -152,8 +150,9 @@ def generate_states(
                 cur = bisect_right(rows[cur], u[t - 1])
             out[t] = cur
         return out
-    if horizon > len(spec.trace):
-        raise TraceExhausted(f"trace has {len(spec.trace)} slots, {horizon} requested")
+    n = len(spec.trace)
+    message = f"trace has {n} slots, {horizon} requested"
+    check_int("horizon", horizon, 0, n, error=TraceExhausted, message=message)
     return np.asarray(spec.trace[:horizon], dtype=np.int64)
 
 
@@ -238,6 +237,8 @@ def realize_demand(
     support is {0, ..., D_max[k]}.  With size=n an array of n independent
     draws is returned, consuming the same uniforms as n scalar calls.
     """
+    k = check_int("product index k", k, 0, cfg.K - 1)
+    size = size if size is None else check_int("size", size)
     prices = cfg.price_set[k]
     try:
         j = prices.index(price)

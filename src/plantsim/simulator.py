@@ -53,8 +53,8 @@ import numpy as np
 
 from plantsim.controller import (
     ControllerState,
-    InitOutOfRange,
     InvariantViolation,
+    check_start,
     compute_theta,
     decide_pricing,
     decide_purchase,
@@ -66,6 +66,7 @@ from plantsim.controller import (
 from plantsim.model import (
     InputError,
     Model,
+    check_int,
     material_usage,
     purchase_cost,
     schedule_fulfillment,
@@ -181,8 +182,7 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     oracle_policy.  Decisions and outcomes are memoized as the module
     docstring says, with results bit-identical to checking every slot.
     """
-    if ec.horizon <= 0:
-        raise InputError("horizon must be positive")
+    check_int("horizon", ec.horizon, 1)
     if ec.controller not in ("online", "oracle"):
         raise InputError(f"unknown controller {ec.controller!r}")
     if ec.controller == "oracle":
@@ -436,8 +436,7 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
     option of each product), drawn with 1 + K uniforms per slot from channel
     _CH_POLICY: the purchase draw, then each product's offer in ascending k.
     There is no band and no fake unit; the queues start at Q0, by default
-    mu_max, and a Q0 of the wrong length or with a negative entry raises
-    InitOutOfRange.
+    mu_max, and the start rule check_start asks only for non-negative integers.
     """
     cfg = model.cfg
     K = cfg.K
@@ -489,11 +488,8 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
                 sells.append(s)
         return [A, cost, Z, P, sells, None]
 
-    Q0 = list(model.mu_max if ec.Q0 is None else ec.Q0)
-    if len(Q0) != cfg.M:
-        raise InitOutOfRange("Q0 must have one entry per material")
-    if min(Q0) < 0:
-        raise InitOutOfRange(f"Q0 {Q0} has a negative entry")
+    Q0 = model.mu_max if ec.Q0 is None else ec.Q0
+    Q0 = check_start("Q0", Q0, [0] * cfg.M, [math.inf] * cfg.M)
     return picks, decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
 
 
@@ -507,10 +503,13 @@ def _bisect_rows(rows, states, u) -> list[int]:
 
 
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:
-    """Run n independent replications differing only in their stream id."""
-    if n < 1:
-        raise InputError(f"need at least 1 replication, got {n}")
-    return [run_episode(replace(ec, stream=ec.stream + i), model) for i in range(n)]
+    """Run n replications differing only in their stream id; the first keeps its log."""
+    n = check_int("n", n, 1, message=f"need at least 1 replication, got {n!r}")
+    log = ec.record_log  # one log only, however many replications
+    return [
+        run_episode(replace(ec, stream=ec.stream + i, record_log=log and not i), model)
+        for i in range(n)
+    ]
 
 
 @dataclass
@@ -549,10 +548,8 @@ def _bound_runs(
 
     Bound checks allow 3 standard errors, which take 2 runs to estimate.
     """
-    if replications < 2:
-        raise InputError(
-            f"a bound check needs at least 2 replications, got {replications}"
-        )
+    message = f"a bound check needs at least 2 replications, got {replications!r}"
+    check_int("replications", replications, 2, message=message)
     ec = EpisodeConfig(
         horizon=horizon, seed=seed, V=V, process_x=process_x, process_y=process_y
     )
@@ -599,8 +596,10 @@ def check_profit_bound(
     within 3 standard errors, with no band violation; slack = phi_opt - rhs.
     The defaults T = 1, epsilon = 0 give the i.i.d. bound phi_opt - B/V.
     """
-    if T < 1 or not 0 <= epsilon < math.inf:
-        raise InputError(f"need T >= 1 and finite epsilon >= 0, got {T}, {epsilon}")
+    message = f"need an integer T >= 1 and finite epsilon >= 0, got {T!r}, {epsilon!r}"
+    check_int("T", T, 1, message=message)
+    if not 0 <= epsilon < math.inf:
+        raise InputError(message)
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)
     phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)
@@ -667,15 +666,10 @@ def check_frame_bound(
     over the trace, within 3 standard errors of the replication mean.
     """
     frames = frame_values(model, xs, ys, T, J)
-    spec_x = StateProcessSpec(
-        mode=TRACE,
-        state_ids=[x.id for x in model.supply_states],
-        trace=list(xs[: J * T]),
-    )
-    spec_y = StateProcessSpec(
-        mode=TRACE,
-        state_ids=[y.id for y in model.demand_states],
-        trace=list(ys[: J * T]),
+    ids = ([x.id for x in model.supply_states], [y.id for y in model.demand_states])
+    spec_x, spec_y = (
+        StateProcessSpec(mode=TRACE, state_ids=i, trace=list(v[: J * T]))
+        for i, v in zip(ids, (xs, ys))
     )
     s, _ = _bound_runs(model, spec_x, spec_y, V, J * T, replications, seed)
     frame_mean = sum(frames) / (J * T)

@@ -10,6 +10,7 @@ refusal of non-finite numbers.
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,19 +29,30 @@ from plantsim.oracles import (
     InstanceTooLarge,
     brute_force_opt,
     extract_xy_policy,
+    frame_values,
+    lookahead_value,
     optimal_profit,
 )
 from plantsim.processes import (
     IID,
     MARKOV,
     TRACE,
+    RngStream,
     StateProcessSpec,
     constant_process,
+    generate_states,
     realize_demand,
     stationary_distribution,
 )
 from plantsim.scenario import ParseError, load_scenario, parse_scenario
-from plantsim.simulator import EpisodeConfig, process_distribution, run_episode
+from plantsim.simulator import (
+    EpisodeConfig,
+    check_frame_bound,
+    check_profit_bound,
+    process_distribution,
+    run_episode,
+    run_replications,
+)
 
 from conftest import make_i1, make_i1_cfg, make_two_phase
 
@@ -274,7 +286,7 @@ def _d0(**changes):
             [_S0],
             [_d0()],
             ConfigError,
-            "A_max entries must be integers, got 2.0",
+            "A_max entry must be an integer, got 2.0",
         ),
         (
             {"beta": []},
@@ -290,7 +302,13 @@ def _d0(**changes):
             ConfigError,
             "alpha, price_set and D_max must all have length K",
         ),
-        ({"c_max": 2.0}, [_S0], [_d0()], ConfigError, "c_max must be an integer"),
+        (
+            {"c_max": 2.0},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "c_max must be an integer, got 2.0",
+        ),
         ({"c_max": -1}, [_S0], [_d0()], NegativeEntry, "c_max -1 is negative"),
         ({"alpha": [NAN]}, [_S0], [_d0()], ConfigError, "alpha[0] is not finite"),
         (
@@ -403,9 +421,8 @@ def test_make_params_theta_errors(theta, unsafe):
 def test_init_placeholder_refuses_negative_stock():
     cfg = make_i1_cfg()
     params = make_params(cfg, 10.0)
-    _raises(
-        InitOutOfRange, "Q_actual_0[0] is negative", init_placeholder, cfg, params, [-1]
-    )
+    message = "Q_actual_0[0] -1 is below the minimum 0"
+    _raises(InitOutOfRange, message, init_placeholder, cfg, params, [-1])
 
 
 # --- simulator ----------------------------------------------------------
@@ -437,7 +454,7 @@ def _trace(ids):
 @pytest.mark.parametrize(
     "make_model, changes, message",
     [
-        (make_i1, {"horizon": 0}, "horizon must be positive"),
+        (make_i1, {"horizon": 0}, "horizon 0 is below the minimum 1"),
         (make_i1, {"controller": "greedy"}, "unknown controller 'greedy'"),
         (make_i1, {"controller": "oracle"}, "oracle controller needs oracle_policy"),
         (
@@ -555,3 +572,216 @@ def _free_grid_plant():
 )
 def test_brute_force_size_limits(make, message):
     _raises(InstanceTooLarge, message, brute_force_opt, *make())
+
+
+# --- integers -----------------------------------------------------------
+#
+# Every count, index, seed and starting queue goes through model.check_int:
+# a Python or numpy integer in range passes, anything else raises the
+# site's InputError subclass, never TypeError, IndexError or numpy's
+# ValueError.
+
+
+def _with_cfg(field, value):
+    cfg = make_i1_cfg()
+    setattr(cfg, field, value)
+    return validate_config(cfg, [_S0], [_d0()])
+
+
+def _with_supply(field, value):
+    x = SupplyState(id="s0", unit_cost=[1], available=[2])
+    setattr(x, field, value)
+    return validate_config(make_i1_cfg(), [x], [_d0()])
+
+
+def _playback(**changes):
+    model = make_i1()
+    _, plp, sol = optimal_profit(model, [1.0], [1.0])
+    ec = _ec(controller="oracle", oracle_policy=extract_xy_policy(plp, sol))
+    return run_episode(replace(ec, **changes), model)
+
+
+def _placeholder_state(Q_actual_0):
+    cfg = make_i1_cfg()
+    return init_placeholder(cfg, make_params(cfg, 10.0), Q_actual_0)
+
+
+def _draw(k=0, size=None):
+    model = make_i1()
+    rng = np.random.default_rng(0)
+    return realize_demand(k, 1.0, model.demand_states[0], model.cfg, rng, size)
+
+
+def _profit_bound(**changes):
+    args = dict(V=10.0, horizon=50, replications=2, seed=0, epsilon=0.0, T=1)
+    s0, d0 = constant_process("s0"), constant_process("d0")
+    return check_profit_bound(make_i1(), s0, d0, **{**args, **changes})
+
+
+def _frame_bound(replications):
+    xs, ys = [0] * 8, [0] * 8
+    return check_frame_bound(make_two_phase(), xs, ys, 20.0, 4, 2, replications)
+
+
+# site -> (call with the integer v, a valid value, the value just out of
+# range, the type every refusal raises)
+INTEGER_SITES = {
+    "beta": (lambda v: _with_cfg("beta", [[v]]), 1, -1, ConfigError),
+    "D_max": (lambda v: _with_cfg("D_max", [v]), 2, 10**6 + 1, ConfigError),
+    "A_max": (lambda v: _with_cfg("A_max", [v]), 2, 0, ConfigError),
+    "c_max": (lambda v: _with_cfg("c_max", v), 2, -1, ConfigError),
+    "unit_cost": (lambda v: _with_supply("unit_cost", [v]), 1, 2**53 + 1, ConfigError),
+    "available": (lambda v: _with_supply("available", [v]), 2, -1, ConfigError),
+    "seed": (lambda v: RngStream(v, 0), 0, -1, InputError),
+    "stream": (lambda v: RngStream(0, v), 0, -1, InputError),
+    "MARKOV initial": (
+        lambda v: StateProcessSpec(
+            mode=MARKOV, state_ids=["a"], transition=[[1.0]], initial=v
+        ),
+        0,
+        1,
+        InputError,
+    ),
+    "TRACE entry": (
+        lambda v: StateProcessSpec(mode=TRACE, state_ids=["a", "b"], trace=[0, v]),
+        1,
+        2,
+        InputError,
+    ),
+    "realize_demand k": (lambda v: _draw(k=v), 0, 1, InputError),
+    "realize_demand size": (lambda v: _draw(size=v), 3, -1, InputError),
+    "generate_states horizon": (
+        lambda v: generate_states(_trace(["s0"]), v, np.random.default_rng(0)),
+        20,
+        21,
+        InputError,
+    ),
+    "run_episode horizon": (
+        lambda v: run_episode(_ec(horizon=v), make_i1()),
+        20,
+        0,
+        InputError,
+    ),
+    "run_replications n": (
+        lambda v: run_replications(_ec(), make_i1(), v),
+        2,
+        0,
+        InputError,
+    ),
+    "check_profit_bound replications": (
+        lambda v: _profit_bound(replications=v),
+        2,
+        1,
+        InputError,
+    ),
+    "check_frame_bound replications": (_frame_bound, 2, 1, InputError),
+    "check_profit_bound T": (lambda v: _profit_bound(T=v), 2, 0, InputError),
+    "frame_values T": (
+        lambda v: frame_values(make_two_phase(), [0] * 8, [0] * 8, v, 1),
+        8,
+        9,
+        InputError,
+    ),
+    "frame_values J": (
+        lambda v: frame_values(make_two_phase(), [0] * 8, [0] * 8, 4, v),
+        2,
+        3,
+        InputError,
+    ),
+    "lookahead_value index": (
+        lambda v: lookahead_value(make_two_phase(), [0, v], [0, 0]),
+        1,
+        2,
+        InputError,
+    ),
+    "online Q0": (
+        lambda v: run_episode(_ec(Q0=[v]), make_i1()),
+        2,
+        1,
+        InitOutOfRange,
+    ),
+    "placeholder Q_actual_0": (
+        lambda v: run_episode(_ec(placeholder=True, Q0=[v]), make_i1()),
+        0,
+        -1,
+        InitOutOfRange,
+    ),
+    "playback Q0": (lambda v: _playback(Q0=[v]), 0, -1, InitOutOfRange),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_every_integer_site_takes_one_rule(site):
+    call, ok, out_of_range, kind = INTEGER_SITES[site]
+    call(np.int64(ok))  # numpy integers are integers
+    for bad in (2.5, NAN, True, out_of_range, float(ok)):
+        with pytest.raises(InputError) as err:
+            call(bad)
+        assert isinstance(err.value, kind), (site, bad, err.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_episode(_ec(Q0=[2.5]), make_i1()),
+        lambda: _placeholder_state([0.5]),
+        lambda: _playback(Q0=[1.5]),
+    ],
+    ids=["online", "placeholder", "playback"],
+)
+def test_fractional_start_queues_are_refused(call):
+    # they used to run, ending at final_Q [12.5], starting at Q [2.5] and
+    # ending at [5.5]
+    with pytest.raises(InitOutOfRange, match=r"\[0\] must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # used to sample as [0, 1]
+        lambda: StateProcessSpec(mode=TRACE, state_ids=["a", "b"], trace=[0.5, 1.7]),
+        # used to equal the value of [0, 1]
+        lambda: lookahead_value(make_two_phase(), [0.5, 1.5], [0, 1]),
+        # used to draw the last product's demand
+        lambda: _draw(k=-1),
+        # used to raise IndexError
+        lambda: _draw(k=5),
+        # used to return a report with passed=False
+        lambda: _profit_bound(T=NAN),
+        # these four used to raise TypeError
+        lambda: frame_values(make_two_phase(), [0] * 8, [0] * 8, 1.5, 2),
+        lambda: run_episode(_ec(horizon=2.5), make_i1()),
+        lambda: run_episode(_ec(horizon=True), make_i1()),
+        lambda: run_replications(_ec(), make_i1(), NAN),
+    ],
+    ids=[
+        "trace",
+        "lookahead",
+        "k=-1",
+        "k=5",
+        "bound-T-nan",
+        "frame-T",
+        "horizon-2.5",
+        "horizon-True",
+        "replications-nan",
+    ],
+)
+def test_integer_inputs_that_ran_or_crashed(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_trace_may_be_a_numpy_array():
+    # it used to raise numpy's ValueError (the truth value of an array)
+    ids = ["hot", "cold"]
+    trace = [0, 1, 1, 0] * 5
+    as_list = StateProcessSpec(mode=TRACE, state_ids=ids, trace=trace)
+    as_array = StateProcessSpec(mode=TRACE, state_ids=ids, trace=np.array(trace))
+    model = make_two_phase()
+    xs = StateProcessSpec(mode=TRACE, state_ids=["cheap", "dear"], trace=trace)
+    runs = [
+        run_episode(_ec(process_x=xs, process_y=spec), model)
+        for spec in (as_list, as_array)
+    ]
+    assert runs[0] == runs[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -100,9 +101,25 @@ def test_theta_override_guard(i1_cfg):
     with pytest.raises(ThetaTooSmall):
         make_params(i1_cfg, 10.0, theta=[20.0])
     p = make_params(i1_cfg, 10.0, theta=[30.0])
-    assert p.theta == [30.0]
+    assert p.theta == (30.0,)
     p = make_params(i1_cfg, 10.0, theta=[20.0], allow_unsafe_theta=True)
-    assert p.theta == [20.0]
+    assert p.theta == (20.0,)
+
+
+def test_params_cannot_change_under_their_tables(i1_model):
+    # changing V or theta used to leave the tables built on first use stale:
+    # the old params kept posting 2.0 where fresh ones post 1.0
+    cfg, y = i1_model.cfg, i1_model.demand_states[0]
+    p = make_params(cfg, 10.0)
+    assert decide_pricing([10], y, p, cfg)[1] == [2.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.V = 0.01
+    with pytest.raises(TypeError):
+        p.theta[0] = 0.0
+    assert decide_pricing([10], y, p, cfg)[1] == [2.0]
+    fresh = ControllerParams(V=0.01, theta=[0.0])
+    assert fresh.theta == (0.0,)
+    assert decide_pricing([10], y, fresh, cfg)[1] == [1.0]
 
 
 def test_purchase_i1_cases(i1_model):

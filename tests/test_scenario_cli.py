@@ -215,6 +215,26 @@ def test_cli_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 51
 
 
+def test_cli_simulate_out_runs_each_replication_once(tmp_path, monkeypatch):
+    # the log used to come from a second run of replication 0
+    from plantsim import simulator
+
+    calls = []
+    run = simulator.run_episode
+
+    def counted(ec, model):
+        calls.append((ec.stream, ec.record_log))
+        return run(ec, model)
+
+    monkeypatch.setattr(simulator, "run_episode", counted)
+    monkeypatch.setattr(cli, "run_episode", counted, raising=False)
+    out_csv = tmp_path / "run.csv"
+    argv = ["simulate", "--scenario", I1_PATH, "--slots", "50", "--replications", "3"]
+    assert _run(argv + ["--out", str(out_csv)])[0] == 0
+    assert calls == [(0, True), (1, False), (2, False)]
+    assert len(out_csv.read_text().splitlines()) == 51
+
+
 def test_cli_oracle(capsys):
     code = main(["oracle", "--scenario", I1_PATH])
     out = capsys.readouterr().out
