@@ -38,7 +38,14 @@ from operator import lt
 
 import numpy as np
 
-from plantsim.model import DemandState, InputError, PlantConfig, SupplyState, check_int
+from plantsim.model import (
+    DemandState,
+    InputError,
+    PlantConfig,
+    SupplyState,
+    check_int,
+    check_seq,
+)
 
 
 class InvariantViolation(RuntimeError):
@@ -174,10 +181,13 @@ def make_params(
     if not 0 < V < np.inf:
         raise InputError("V must be positive and finite")
     safe = compute_theta(cfg, V)
+    message = "theta must have one finite entry per material"
     if theta is None:
         theta = safe
-    elif len(theta) != cfg.M or not all(map(math.isfinite, theta)):
-        raise InputError("theta must have one finite entry per material")
+    elif not all(
+        map(math.isfinite, check_seq("theta", theta, cfg.M, message=message))
+    ):
+        raise InputError(message)
     elif not allow_unsafe_theta:
         for m in range(cfg.M):
             if theta[m] < safe[m] - 1e-12:
@@ -396,8 +406,8 @@ def queue_band(
 
 def check_start(name: str, Q0, lo, hi) -> list[int]:
     """The start rule of every run: Q0 as one integer per material in [lo, hi]."""
-    if len(Q0) != len(lo):
-        raise InitOutOfRange(f"{name} must have one entry per material")
+    message = f"{name} must have one entry per material"
+    check_seq(name, Q0, len(lo), error=InitOutOfRange, message=message)
     return [
         check_int(f"{name}[{m}]", q, a, b, error=InitOutOfRange)
         for m, (q, a, b) in enumerate(zip(Q0, lo, hi))

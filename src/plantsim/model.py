@@ -13,6 +13,7 @@ inventory.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,27 @@ def check_int(
         fault = f"{value} is below the minimum {lo}"
     else:
         fault = f"{value} is above the maximum {hi}"
+    raise error(message or f"{name} {fault}")
+
+
+def check_seq(name, value, length=None, *, error=InputError, message=None):
+    """value if it is a sequence, of the given length if one is given, else raise error.
+
+    The package's one sequence rule: a list, a tuple, a range or a numpy
+    array of at least one dimension; a number, a string, a mapping or None
+    is refused.  The message names name and the fault unless message
+    replaces it.
+    """
+    if isinstance(value, np.ndarray):
+        seq = value.ndim > 0
+    else:
+        seq = isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+    if not seq:
+        fault = f"must be a sequence, got {value!r}"
+    elif length is None or len(value) == length:
+        return value
+    else:
+        fault = f"must have {length} entries, got {len(value)}"
     raise error(message or f"{name} {fault}")
 
 

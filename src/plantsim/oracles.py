@@ -26,8 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plantsim.model import InputError, Model, PlantConfig, SupplyState, check_int
-from plantsim.model import purchase_cost
+from plantsim.model import (
+    InputError,
+    Model,
+    PlantConfig,
+    SupplyState,
+    check_int,
+    check_seq,
+    purchase_cost,
+)
 from plantsim.processes import check_distribution, empirical_distribution
 from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
@@ -577,8 +584,11 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     with the distinct states, not with T.  Staying idle is feasible, so the
     value is never negative.  An entry that is not an index in [0, n) raises InputError.
     """
-    if len(xs) != len(ys) or not len(xs):
-        raise InputError("xs and ys must be equally long and non-empty")
+    message = "xs and ys must be equally long and non-empty"
+    n = len(check_seq("xs", xs, message=message))
+    check_seq("ys", ys, n, message=message)
+    if not n:
+        raise InputError(message)
     message = "xs or ys holds an entry outside the state indices [0, n)"
     pis = []
     for v, states in ((xs, model.supply_states), (ys, model.demand_states)):
@@ -590,7 +600,7 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
 
 def frame_values(model: Model, xs, ys, T: int, J: int) -> list[float]:
     """Lookahead values of the J consecutive T-slot frames of a trace."""
-    n = min(len(xs), len(ys))
+    n = min(len(check_seq("xs", xs)), len(check_seq("ys", ys)))
     message = (
         f"frame split T={T!r} J={J!r} does not fit the {n}-slot trace "
         f"(needs integers T, J >= 1 and J*T <= {n})"

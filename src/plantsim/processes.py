@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from plantsim.model import DemandState, InputError, PlantConfig, check_int
+from plantsim.model import DemandState, InputError, PlantConfig, check_int, check_seq
 
 IID = "IID"
 MARKOV = "MARKOV"
@@ -73,7 +73,7 @@ class StateProcessSpec:
     trace: list[int] | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.state_ids)
+        n = len(check_seq("state_ids", self.state_ids))
         if self.mode not in _MODES:
             raise InputError(f"unknown process mode {self.mode!r}")
         if n == 0:
@@ -81,16 +81,18 @@ class StateProcessSpec:
         if self.mode == IID:
             check_distribution(self.probs, n, "IID probabilities")
         elif self.mode == MARKOV:
-            t = self.transition
-            if t is None or len(t) != n or any(len(row) != n for row in t):
-                raise InputError("MARKOV process needs an n-by-n transition matrix")
-            for i, row in enumerate(t):
+            message = "MARKOV process needs an n-by-n transition matrix"
+            rows = check_seq("transition", self.transition, n, message=message)
+            for row in rows:
+                check_seq("transition row", row, n, message=message)
+            for i, row in enumerate(rows):
                 check_distribution(row, n, f"transition row {i}")
             message = "MARKOV initial state out of range"
             check_int("initial", self.initial, 0, n - 1, message=message)
         else:
-            if self.trace is None or not len(self.trace):
-                raise InputError("TRACE process needs a non-empty trace")
+            message = "TRACE process needs a non-empty trace"
+            if not len(check_seq("trace", self.trace, message=message)):
+                raise InputError(message)
             message = "trace contains an out-of-range state index"
             for s in self.trace:
                 check_int("trace entry", s, 0, n - 1, message=message)

@@ -66,11 +66,14 @@ def _fail(where: str, msg: str):
     raise ParseError(f"{where}: {msg}")
 
 
-def _fields(obj, where: str, required: dict, optional: dict, closed=True) -> dict:
+def _fields(
+    obj, where: str, required: dict, optional: dict, closed=True, ids=None
+) -> dict:
     """Read a JSON object by its key table: the parsed value of each key given.
 
     required and optional map each key to its parser, which gets the value
-    and the value's path.  Keys are read in table order, required ones
+    and the value's path, and also ids unless it is None (the state ids a
+    process's parsers need).  Keys are read in table order, required ones
     first, and the first fault raises: a non-object, a key in neither table
     (unless closed is false: the object's other keys belong to another
     table), a missing required key or a bad value.
@@ -86,7 +89,8 @@ def _fields(obj, where: str, required: dict, optional: dict, closed=True) -> dic
     for table in (required, optional):
         for key, parse in table.items():
             if key in obj:
-                out[key] = parse(obj[key], prefix + key)
+                v, path = obj[key], prefix + key
+                out[key] = parse(v, path) if ids is None else parse(v, path, ids)
             elif table is required:
                 _fail(where, f"missing required key {key!r}")
     return out
@@ -172,7 +176,7 @@ _PLANT_KEYS = {
 }
 
 
-def _state_index(ids: list[str], ref, where: str) -> int:
+def _state_index(ref, where: str, ids: list[str]) -> int:
     name = _as_str(ref, where)
     try:
         return ids.index(name)
@@ -180,7 +184,7 @@ def _state_index(ids: list[str], ref, where: str) -> int:
         _fail(where, f"unknown state id {name!r}")
 
 
-def _probs(raw, ids: list[str], where: str) -> list[float]:
+def _probs(raw, where: str, ids: list[str]) -> list[float]:
     if not isinstance(raw, dict):
         _fail(where, "expected an object mapping state id to weight")
     for name in raw:
@@ -192,19 +196,34 @@ def _probs(raw, ids: list[str], where: str) -> list[float]:
     return [_as_num(raw[n], f"{where}[{n!r}]") for n in ids]
 
 
+def _state_list(v, where: str, ids: list[str]) -> list[int]:
+    if not isinstance(v, list) or not v:
+        _fail(where, "expected a non-empty list of state ids")
+    return [_state_index(e, f"{where}[{i}]", ids) for i, e in enumerate(v)]
+
+
+def _read_mode(v, where: str, ids: list[str]) -> str:
+    return v  # checked before the mode's table was chosen
+
+
+# mode -> the required and optional keys of a process object, each parser
+# also given the process's state ids; TRACE's sequence fills trace.
+_PROCESS_KEYS = {
+    IID: ({"mode": _read_mode, "probs": _probs}, {}),
+    MARKOV: (
+        {"mode": _read_mode, "transition": lambda v, where, ids: _num_matrix(v, where)},
+        {"initial": _state_index},
+    ),
+    TRACE: ({"mode": _read_mode, "sequence": _state_list}, {}),
+}
+
+
 def _parse_process(obj, ids: list[str], where: str) -> StateProcessSpec:
     mode = _fields(obj, where, {"mode": _as_str}, {}, closed=False)["mode"]
-    state = lambda v, w: _state_index(ids, v, w)  # noqa: E731
-    # mode -> its other required and optional keys; TRACE's sequence fills trace.
-    tables = {
-        IID: ({"probs": lambda v, w: _probs(v, ids, w)}, {}),
-        MARKOV: ({"transition": _num_matrix}, {"initial": state}),
-        TRACE: ({"sequence": _list_of(state, "state ids", non_empty=True)}, {}),
-    }
-    if mode not in tables:
+    if mode not in _PROCESS_KEYS:
         _fail(f"{where}.mode", f"unknown mode {mode!r}")
-    required, optional = tables[mode]
-    fields = _fields(obj, where, {"mode": _as_str, **required}, optional)
+    required, optional = _PROCESS_KEYS[mode]
+    fields = _fields(obj, where, required, optional, ids=ids)
     if "sequence" in fields:
         fields["trace"] = fields.pop("sequence")
     try:
@@ -227,8 +246,8 @@ def _read_trace_file(path: str, x_ids: list[str], y_ids: list[str]):
         parts = line.split()
         if len(parts) != 2:
             _fail("trace_file", f"line {ln}: expected 'x_id y_id', got {line!r}")
-        xs.append(_state_index(x_ids, parts[0], f"trace_file line {ln}"))
-        ys.append(_state_index(y_ids, parts[1], f"trace_file line {ln}"))
+        xs.append(_state_index(parts[0], f"trace_file line {ln}", x_ids))
+        ys.append(_state_index(parts[1], f"trace_file line {ln}", y_ids))
     if not xs:
         _fail("trace_file", f"{path!r} contains no state pairs")
     return (

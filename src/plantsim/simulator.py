@@ -1,13 +1,12 @@
 """Episode simulation, metrics and long-run bound checks.
 
 run_episode plays one slot loop for both controllers.  A small setup per
-controller hands the loop each slot's memo key, a decide(key) function
-that makes the key's memo entry, the starting queues with their fake-unit
-ledger, and the queue band:
+controller hands the loop a decide function, the starting queues with
+their fake-unit ledger, the queue band and, for playback, each slot's key:
 
 * the online controller decides by decide_purchase and decide_pricing,
-  pure functions of (queues, supply state, demand state), so its key is
-  (Q, x, y).  Its band is controller.queue_band, [mu_max, theta + A_max].
+  pure functions of (queues, supply state, demand state).  Its band is
+  controller.queue_band, [mu_max, theta + A_max].
 * oracle playback draws the purchase and the offers of a fixed stationary
   policy from the policy channel; its key is (x, y) and the drawn option
   indices, which do not depend on the queues.  It has no band.
@@ -20,19 +19,28 @@ controller's guarantees slot by slot: the queues stay inside it and no
 slot is short.  A breach raises InvariantViolation, or is only counted
 when the run sets allow_unsafe_theta.
 
-From its second use on, a memo entry also keeps an outcome table keyed by
-the slot's demand code (each offered product's demand as one digit of
-radix D_max[k] + 1): the profit, D and material use, none of which depend
-on the queues.  An online entry starts from one Q, so once an outcome has
-passed every check from there it also keeps the next queues, and a later
-hit only books its profit and moves Q: the short-slot and band checks and
-the queue-extreme and drift records it skips are functions of that
-transition and were done.  This is what keeps million-slot episodes cheap.  Per run, each of
-these counts is at most the horizon and at most
-* online entries: the band's integer volume times |X| * |Y| (queues stay
-  in the band unless a count-only unsafe run leaves it);
-* outcomes per entry: the product of D_max[k] + 1;
-* playback entries: |X| * |Y| times the number of option combinations.
+The loop keeps a decision table and a state table.  A decision (A, cost,
+Z, P, the offered products' sell entries) is made once per (x, y, A, Z, P),
+or once per playback key, and carries the outcome table of its demand
+codes: each offered product's demand as one digit of radix D_max[k] + 1,
+mapped to the profit, D, the material use and the queue change, none of
+which depend on the queues.  Inside a finite band the online controller is
+a finite chain on (Q, x, y): its queues are one mixed-radix integer q, the
+state code is s = (q * |X| + x) * |Y| + y, and the memo maps s to its
+decision.  Once the transition from s under a demand code has passed every
+check, its link s * n_code + code is kept (n_code is the product of
+D_max[k] + 1).  A linked slot only books its profit and adds the outcome's
+change to q: the short-slot and band checks and the queue-extreme and
+drift records it skips are functions of that transition and were done.
+Queues outside the band have no code: their memo key is (Q, x, y) and
+they are never linked.  Per run, each of these counts is at most the
+horizon and at most
+* online states: the band's integer volume times |X| * |Y|, plus the
+  out-of-band (Q, x, y) of a count-only unsafe run;
+* decisions: the states, or the playback keys;
+* outcomes per decision: the product of D_max[k] + 1 over offered products;
+* links: the states times n_code;
+* playback keys: |X| * |Y| times the number of option combinations.
 
 The check_* helpers run whole experiments: check_profit_bound compares
 the controller's mean profit against the stationary optimum, for i.i.d.
@@ -47,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import gt
+from operator import gt, le, mul, sub
 
 import numpy as np
 
@@ -92,7 +100,7 @@ _CH_POLICY = 3
 # for this many slots at a time.  numpy generators fill batched requests
 # from the same bit stream as repeated scalar calls, so any grouping of
 # the draws reproduces the plain call-by-call sequence.
-_CHUNK = 1 << 15
+_CHUNK = 1 << 12
 
 
 @dataclass
@@ -153,8 +161,14 @@ def drift_constant(model: Model) -> float:
     )
 
 
-def _outcome(cost, sells, code: int, K: int, M: int) -> list:
-    """[phi, next queues (None until linked), D, used] of a demand code."""
+def _outcome(dec, code: int, K: int, radix: list) -> tuple:
+    """(phi, D, used, A - used, drift, dq) of a demand code under a decision.
+
+    The last three are the queue change, the drift 0.5 * sum (A - used)^2
+    and the change dq of the state code q of a slot that is not short.
+    """
+    A, cost, _, _, sells, _ = dec
+    M = len(radix)
     D = [0] * K
     for k, _, _, n, _ in reversed(sells):
         code, D[k] = divmod(code, n + 1)
@@ -166,7 +180,128 @@ def _outcome(cost, sells, code: int, K: int, M: int) -> list:
             phi += d * margin
             for m, b in cols:
                 used[m] += b * d
-    return [phi, None, D, used]
+    diff, bt = _change(A, used)
+    return phi, tuple(D), tuple(used), diff, bt, sum(map(mul, diff, radix))
+
+
+def _change(A, used) -> tuple:
+    """The queue change A - used and its drift."""
+    diff = tuple(map(sub, A, used))
+    return diff, 0.5 * sum(map(mul, diff, diff), 0.0)
+
+
+class _Transitions:
+    """The checked transitions of one run, its state codes and its records.
+
+    step runs a slot that has no link.  Inside a finite band, queues Q have
+    the code q = sum (Q[m] - lo[m]) * radix[m], where radix[m] is the
+    product of the band's integer widths below m; other queues have none.
+    """
+
+    def __init__(self, cfg, band, check: bool, Q: tuple) -> None:
+        M = cfg.M
+        self.cfg = cfg
+        self.banded = band is not None
+        self.lo, self.hi = band or (None, None)
+        self.coded = self.banded and all(map(math.isfinite, self.hi))
+        lo, hi = band if self.coded else ([0] * M, [0] * M)
+        self.width = [math.floor(b) - a + 1 for a, b in zip(lo, hi)]
+        self.radix = [math.prod(self.width[:m]) for m in range(M)]
+        self.offset = -sum(map(mul, lo, self.radix))
+        self.check = check
+        self.q_min = list(Q)
+        self.q_max = list(Q)
+        self.max_bt = 0.0
+        self.violations = 0
+        self.mismatch = 0
+
+    def encode(self, Q) -> int | None:
+        """The code of queues Q, or None if they have none."""
+        inside = self.coded and all(map(le, self.lo, Q)) and all(map(le, Q, self.hi))
+        return self.offset + sum(map(mul, Q, self.radix)) if inside else None
+
+    def decode(self, q: int) -> tuple:
+        """The queues of code q."""
+        Q = []
+        for a, w in zip(self.lo, self.width):
+            q, r = divmod(q, w)
+            Q.append(a + r)
+        return tuple(Q)
+
+    def step(self, t: int, Q: tuple, dec, out) -> tuple:
+        """(next Q, its code or None, phi_actual, clean) of slot t from Q.
+
+        A short slot is served by schedule_fulfillment; a short slot or a
+        band breach raises InvariantViolation, or is counted in a count-only
+        run.  clean is true when neither happened, so the transition may be
+        linked.
+        """
+        phia, _, used, diff, bt, _ = out
+        short = any(map(gt, used, Q))
+        if short:
+            if self.banded:
+                if self.check:
+                    raise InvariantViolation(
+                        f"slot {t}: accepted demand exceeds stored material"
+                    )
+                self.violations += 1
+            self.mismatch += 1
+            cfg = self.cfg
+            A, cost, Z, P, _, _ = dec
+            d_tilde = schedule_fulfillment(Q, Z, P, out[1], cfg)
+            alpha = cfg.alpha
+            phia = (
+                sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(cfg.K))
+                - cost
+            )
+            diff, bt = _change(A, material_usage(d_tilde, cfg))
+
+        lo, hi, q_min, q_max = self.lo, self.hi, self.q_min, self.q_max
+        banded = self.banded
+        Qn = list(Q)
+        inside = self.coded
+        for m in range(len(Qn)):
+            q = Qn[m] + diff[m]
+            Qn[m] = q
+            if q < q_min[m]:
+                q_min[m] = q
+            elif q > q_max[m]:
+                q_max[m] = q
+            if banded and not lo[m] <= q <= hi[m]:
+                if self.check:
+                    raise InvariantViolation(
+                        f"slot {t}: queue {m} left its band: {q} not in "
+                        f"[{lo[m]}, {hi[m]}]"
+                    )
+                self.violations += 1
+                inside = False
+        if bt > self.max_bt:
+            self.max_bt = bt
+        if not inside:
+            return tuple(Qn), None, phia, False
+        return tuple(Qn), self.offset + sum(map(mul, Qn, self.radix)), phia, not short
+
+
+def _sell_table(model: Model) -> list:
+    """sell[yi][k][j]: draw and booking data of product k at price j in state yi."""
+    cfg = model.cfg
+    beta, d_max, prices = cfg.beta, cfg.D_max, cfg.price_set
+    return [
+        [
+            [
+                (
+                    k,
+                    p - cfg.alpha[k],
+                    f / d_max[k],
+                    d_max[k],
+                    [(m, row[k]) for m, row in enumerate(beta) if row[k] > 0],
+                )
+                for p, f in zip(prices[k], y.F[k])
+            ]
+            for k in range(cfg.K)
+        ]
+        for y in model.demand_states
+    ]
 
 
 def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
@@ -179,8 +314,9 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
     allow_unsafe_theta rather than ignore them, as an online run rejects
-    oracle_policy.  Decisions and outcomes are memoized as the module
-    docstring says, with results bit-identical to checking every slot.
+    oracle_policy.  Decisions, outcomes and transitions are kept in the
+    tables the module docstring describes, with results bit-identical to
+    checking every slot.
     """
     check_int("horizon", ec.horizon, 1)
     if ec.controller not in ("online", "oracle"):
@@ -196,26 +332,7 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     cfg = model.cfg
     M, K = cfg.M, cfg.K
     d_max = cfg.D_max
-    alpha = cfg.alpha
-    prices = cfg.price_set
-    # sell[yi][k][j]: what the loop needs to draw and book the demand of
-    # product k offered at menu price j in demand state yi.
-    sell = [
-        [
-            [
-                (
-                    k,
-                    prices[k][j] - alpha[k],
-                    y.F[k][j] / d_max[k],
-                    d_max[k],
-                    [(m, cfg.beta[m][k]) for m in range(M) if cfg.beta[m][k] > 0],
-                )
-                for j in range(len(prices[k]))
-            ]
-            for k in range(K)
-        ]
-        for y in model.demand_states
-    ]
+    sell = _sell_table(model)
     rs = RngStream(ec.seed, ec.stream)
     if ec.controller == "online":
         picks, decide, state, band = _online_setup(ec, model, sell)
@@ -226,48 +343,42 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     keys = repeat(None) if picks is None else picks(xs, ys)
     demand = rs.generator(_CH_DEMAND)
 
-    # Without a band, infinite limits keep the per-material check branch-free.
-    lo, hi = band or ([-math.inf] * M, [math.inf] * M)
     ids_x = [x.id for x in model.supply_states]
     ids_y = [y.id for y in model.demand_states]
-    check = not ec.allow_unsafe_theta
+    n_x, n_y = len(ids_x), len(ids_y)
     # Units sold from the assembly-delay product queues are re-assembled by
     # the end of the slot, so the queues always start full and only their
     # initial stock costs anything.
-    startup = sum(d_max[k] * alpha[k] for k in range(K)) if ec.assembly_delay else 0.0
+    startup = sum(map(mul, d_max, cfg.alpha)) if ec.assembly_delay else 0.0
 
-    max_bt = 0.0
-    violations = 0
-    mismatch = 0
     tphi = 0.0
     tphia = 0.0
+    # Q is the queue tuple, or None after a link until a slot needs it; q
+    # is its state code, or None outside a finite band.
     Q = tuple(state.Q)
-    q_min = list(Q)
-    q_max = list(Q)
+    run = _Transitions(cfg, band, not ec.allow_unsafe_theta, Q)
+    q = run.encode(Q)
     log: list[tuple] | None = [] if ec.record_log else None
-    # memo[key] = [A, cost, Z, P, sells, outcomes]; outcomes is made on the
-    # entry's second use and maps a demand code to its _outcome.
-    memo: dict = {}
+    memo: dict = {}  # state code, out-of-band (Q, x, y) or playback key -> decision
+    links: set = set()  # s * n_code + demand code of each checked transition
+    n_code = math.prod(n + 1 for n in d_max)
     buf: list[float] = []
     pos = 0
 
     for t, (xi, yi, key) in enumerate(zip(xs, ys, keys)):
         if key is None:
-            key = (Q, xi, yi)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = decide(key)
-        elif entry[5] is None:
-            entry[5] = {}
-        A, cost, Z, P, sells, outcomes = entry
+            key = (Q, xi, yi) if q is None else (q * n_x + xi) * n_y + yi
+        dec = memo.get(key)
+        if dec is None:
+            if Q is None:
+                Q = run.decode(q)
+            dec = memo[key] = decide(Q, xi, yi, key)
+        sells = dec[4]
 
-        # A first use books the draw as it goes; later uses look it up by its
-        # demand code: each offered product's demand d as one digit of radix
-        # D_max[k] + 1, the first product's the most significant.
-        if outcomes is None:
-            phi, nxt, D, used = -cost, None, [0] * K, [0] * M
+        # The demand code: each offered product's demand d as one digit of
+        # radix D_max[k] + 1, the first product's the most significant.
         code = 0
-        for k, margin, pr, n, cols in sells:
+        for _, _, pr, n, _ in sells:
             end = pos + n
             if end > len(buf):
                 buf = buf[pos:] + demand.random(max(_CHUNK, end - len(buf))).tolist()
@@ -277,87 +388,30 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
                 if u < pr:
                     d += 1
             pos = end
-            if outcomes is not None:
-                code = code * (n + 1) + d
-            elif d:
-                D[k] = d
-                phi += d * margin
-                for m, b in cols:
-                    used[m] += b * d
-        if outcomes is not None:
-            out = outcomes.get(code)
-            if out is None:
-                out = outcomes[code] = _outcome(cost, sells, code, K, M)
-            phi, nxt, D, used = out
+            code = code * (n + 1) + d
+        outcomes = dec[5]
+        out = outcomes.get(code)
+        if out is None:
+            out = outcomes[code] = _outcome(dec, code, K, run.radix)
+        phi = out[0]
 
-        # nxt is set once this transition passed every check below from Q.
-        phia = phi
-        if nxt is None:
-            short = any(map(gt, used, Q))
-            if short:
-                if band is not None:
-                    if check:
-                        raise InvariantViolation(
-                            f"slot {t}: accepted demand exceeds stored material"
-                        )
-                    violations += 1
-                mismatch += 1
-                d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
-                phia = (
-                    sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(K))
-                    - cost
-                )
-                used = material_usage(d_tilde, cfg)
-
+        if q is not None and key * n_code + code in links:
+            Qn, nq, phia = None, q + out[5], phi
+        else:
+            if Q is None:
+                Q = run.decode(q)
+            Qn, nq, phia, clean = run.step(t, Q, dec, out)
+            if clean and q is not None:
+                links.add(key * n_code + code)
         tphi += phi
         tphia += phia
         if log is not None:
-            log.append(
-                (
-                    t,
-                    ids_x[xi],
-                    ids_y[yi],
-                    Q,
-                    tuple(A),
-                    tuple(Z),
-                    tuple(P),
-                    tuple(D),
-                    phi,
-                    phia,
-                    tphia / (t + 1),
-                )
-            )
-        if nxt is not None:
-            Q = nxt
-            continue
-
-        Qn = list(Q)
-        bt = 0.0
-        clean = not short
-        for m in range(M):
-            diff = A[m] - used[m]
-            bt += diff * diff
-            q = Qn[m] + diff
-            Qn[m] = q
-            if q < q_min[m]:
-                q_min[m] = q
-            elif q > q_max[m]:
-                q_max[m] = q
-            if not lo[m] <= q <= hi[m]:
-                if check:
-                    raise InvariantViolation(
-                        f"slot {t}: queue {m} left its band: {q} not in "
-                        f"[{lo[m]}, {hi[m]}]"
-                    )
-                violations += 1
-                clean = False
-        bt *= 0.5
-        if bt > max_bt:
-            max_bt = bt
-        Q = tuple(Qn)
-        # Only an online entry is keyed by the queues it starts from.
-        if clean and picks is None and outcomes is not None:
-            out[1] = Q
+            if Q is None:
+                Q = run.decode(q)
+            A, _, Z, P, _, _ = dec
+            row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), phi, phia)
+            log.append((t, ids_x[xi], ids_y[yi], Q, *row, tphia / (t + 1)))
+        Q, q = Qn, nq
 
     return Metrics(
         horizon=ec.horizon,
@@ -367,15 +421,15 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
         total_phi_actual=tphia,
         avg_phi=tphi / ec.horizon,
         avg_phi_actual=tphia / ec.horizon,
-        q_min=q_min,
-        q_max=q_max,
+        q_min=run.q_min,
+        q_max=run.q_max,
         q_lower_bound=band[0] if band else None,
         q_upper_bound=band[1] if band else None,
         drift_bound=drift_constant(model),
-        max_slot_drift=max_bt,
-        bound_violations=violations,
-        phi_mismatch_slots=mismatch,
-        final_Q=list(Q),
+        max_slot_drift=run.max_bt,
+        bound_violations=run.violations,
+        phi_mismatch_slots=run.mismatch,
+        final_Q=list(run.decode(q) if Q is None else Q),
         fake=list(state.fake),
         startup_cost=startup,
         log=log,
@@ -418,13 +472,18 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
     # offers[yi][k]: the sell entry of each menu price of product k
     offers = [[dict(zip(ps, s)) for ps, s in zip(cfg.price_set, row)] for row in sell]
 
-    def decide(key):
-        Q, xi, yi = key
+    decisions: dict = {}
+
+    def decide(Q, xi, yi, key):
         x = supply[xi]
         A = decide_purchase(Q, x, params, cfg)
         Z, P = decide_pricing(Q, demand[yi], params, cfg)
-        sells = [o[p] for o, z, p in zip(offers[yi], Z, P) if z]
-        return [A, purchase_cost(A, x), Z, P, sells, None]
+        dkey = (xi, yi, *A, *Z, *P)
+        dec = decisions.get(dkey)
+        if dec is None:
+            sells = [o[p] for o, z, p in zip(offers[yi], Z, P) if z]
+            dec = decisions[dkey] = (A, purchase_cost(A, x), Z, P, sells, {})
+        return dec
 
     return None, decide, state, queue_band(params, cfg)
 
@@ -476,8 +535,8 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
             cols += [_bisect_rows(offer[k], y, u[:, k + 1]) for k in range(K)]
             yield from zip(x.tolist(), y.tolist(), *cols)
 
-    def decide(key):
-        xi, yi, i, *js = key
+    def decide(Q, xi, yi, key):
+        _, _, i, *js = key
         A, cost = buy[xi][1][i]
         Z = [0] * K
         P = [0.0] * K
@@ -486,7 +545,7 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
             Z[k], P[k], s = offer[k][yi][1][j]
             if s is not None:
                 sells.append(s)
-        return [A, cost, Z, P, sells, None]
+        return A, cost, Z, P, sells, {}
 
     Q0 = model.mu_max if ec.Q0 is None else ec.Q0
     Q0 = check_start("Q0", Q0, [0] * cfg.M, [math.inf] * cfg.M)

@@ -785,3 +785,68 @@ def test_trace_may_be_a_numpy_array():
         for spec in (as_list, as_array)
     ]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: run_episode(_ec(Q0=5), make_i1()), InitOutOfRange, "Q0 must have"),
+        (lambda: _playback(Q0=5), InitOutOfRange, "Q0 must have"),
+        (lambda: _placeholder_state(5), InitOutOfRange, "Q_actual_0 must have"),
+        (lambda: run_episode(_ec(theta=12.0), make_i1()), InputError, "theta must"),
+        (
+            lambda: StateProcessSpec(mode=TRACE, state_ids=["a"], trace=5),
+            InputError,
+            "TRACE process needs a non-empty trace",
+        ),
+        (
+            lambda: StateProcessSpec(mode=MARKOV, state_ids=["a"], transition=5),
+            InputError,
+            "MARKOV process needs an n-by-n transition matrix",
+        ),
+        (
+            lambda: StateProcessSpec(mode=MARKOV, state_ids=["a"], transition=[1.0]),
+            InputError,
+            "MARKOV process needs an n-by-n transition matrix",
+        ),
+        (
+            lambda: StateProcessSpec(mode=IID, state_ids="a", probs=[1.0]),
+            InputError,
+            "state_ids must be a sequence",
+        ),
+        (
+            lambda: lookahead_value(make_two_phase(), 0, 0),
+            InputError,
+            "xs and ys must be equally long and non-empty",
+        ),
+        (
+            lambda: frame_values(make_two_phase(), 0, [0] * 8, 4, 2),
+            InputError,
+            "xs must be a sequence, got 0",
+        ),
+    ],
+    ids=[
+        "online-Q0",
+        "playback-Q0",
+        "placeholder-Q0",
+        "theta",
+        "trace",
+        "transition",
+        "transition-row",
+        "state-ids",
+        "lookahead",
+        "frame-values",
+    ],
+)
+def test_sequence_arguments_take_one_rule(call, kind, message):
+    # each used to raise TypeError from len(), which exits 3 as an internal fault
+    with pytest.raises(kind, match=message):
+        call()
+
+
+def test_sequence_rule_accepts_tuples_ranges_and_arrays():
+    model = make_two_phase()
+    want = lookahead_value(model, [0, 1, 1], [1, 0, 1]).phi_T
+    assert lookahead_value(model, (0, 1, 1), np.array([1, 0, 1])).phi_T == want
+    spec = StateProcessSpec(mode=TRACE, state_ids=("a", "b"), trace=range(2))
+    assert generate_states(spec, 2, np.random.default_rng(0)).tolist() == [0, 1]

@@ -11,6 +11,7 @@ the update, so the Q column is left out of the playback log hash.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,3 +367,23 @@ def test_oracle_log_queue_at_slot_start(name):
         served = schedule_fulfillment(list(Q), list(Z), list(P), list(D), cfg)
         used = material_usage(served, cfg)
         assert Qs[t + 1] == [Q[i] - used[i] + A[i] for i in range(cfg.M)]
+
+
+def test_online_tables_stay_small():
+    """A 5,000-slot online mid run peaks under 2 MB of traced memory.
+
+    The slot loop keeps one decision per (x, y, A, Z, P), an integer per
+    visited state and one per checked transition; a list and an outcome
+    table per (Q, x, y) would take 4.2 MB here.
+    """
+    model, ec = _mid(horizon=5000, seed=3, V=20.0)
+    ec.process_x = _iid(["x0", "x1"], [0.5, 0.5])
+    ec.process_y = _iid(["y0", "y1"], [0.5, 0.5])
+    run_episode(ec, model)  # one-time imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        run_episode(ec, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
