@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -296,10 +297,7 @@ def purchase_cost(A: list[int], x: SupplyState) -> int:
 
 def material_usage(D_tilde: list[int], cfg: PlantConfig) -> list[int]:
     """Material consumed when D_tilde[k] units of each product are assembled."""
-    return [
-        sum(cfg.beta[m][k] * D_tilde[k] for k in range(cfg.K))
-        for m in range(cfg.M)
-    ]
+    return [sum(map(mul, row, D_tilde)) for row in cfg.beta]
 
 
 def schedule_fulfillment(
@@ -316,20 +314,21 @@ def schedule_fulfillment(
     quantity the residual material inventory allows, never more than its
     demand.  When inventory covers everything the result is exactly Z * D.
     """
+    K, alpha, beta = cfg.K, cfg.alpha, cfg.beta
     order = sorted(
-        (k for k in range(cfg.K) if Z[k] == 1 and D[k] > 0),
-        key=lambda k: (-(P[k] - cfg.alpha[k]), k),
+        (k for k in range(K) if Z[k] == 1 and D[k] > 0),
+        key=lambda k: (-(P[k] - alpha[k]), k),
     )
     residual = list(Q)
-    out = [0] * cfg.K
+    out = [0] * K
     for k in order:
         n = D[k]
-        for m in range(cfg.M):
-            b = cfg.beta[m][k]
+        for m, row in enumerate(beta):
+            b = row[k]
             if b > 0:
                 n = min(n, residual[m] // b)
         if n > 0:
             out[k] = n
-            for m in range(cfg.M):
-                residual[m] -= cfg.beta[m][k] * n
+            for m, row in enumerate(beta):
+                residual[m] -= row[k] * n
     return out

@@ -1,8 +1,9 @@
 """Episode simulation, metrics and long-run bound checks.
 
-run_episode plays one slot loop for both controllers.  A small setup per
-controller hands the loop a decide function, the starting queues with
-their fake-unit ledger, the queue band and, for playback, each slot's key:
+run_episode runs the online controller through the slot loop and oracle
+playback through the block driver.  A small setup per controller hands
+them a decide function, the starting queues with their fake-unit ledger
+and the queue band:
 
 * the online controller decides by decide_purchase and decide_pricing,
   pure functions of (queues, supply state, demand state).  Its band is
@@ -11,30 +12,44 @@ their fake-unit ledger, the queue band and, for playback, each slot's key:
   policy from the policy channel; its key is (x, y) and the drawn option
   indices, which do not depend on the queues.  It has no band.
 
-Every slot the loop draws the demand of the offered products, serves it in
-full when the queues cover it and otherwise by schedule_fulfillment (a
-short slot), updates the queues and records the drift 0.5 * sum (A -
-used)^2 against its constant bound.  With a band, the loop verifies the
-controller's guarantees slot by slot: the queues stay inside it and no
-slot is short.  A breach raises InvariantViolation, or is only counted
-when the run sets allow_unsafe_theta.
+Both share the rules of a slot.  Each offered product draws D_max[k]
+uniforms from the demand channel, in slot order and ascending k, and its
+demand is the count below its threshold.  _outcome books a demand code
+under a decision; _Transitions.step serves a short slot (the queues do
+not cover the demand) by schedule_fulfillment, updates the queues and
+records the drift 0.5 * sum (A - used)^2 against its constant bound.
+With a band, step verifies the controller's guarantees: the queues stay
+inside it and no slot is short.  A breach raises InvariantViolation, or is
+only counted when the run sets allow_unsafe_theta.
 
-The loop keeps a decision table and a state table.  A decision (A, cost,
-Z, P, the offered products' sell entries) is made once per (x, y, A, Z, P),
-or once per playback key, and carries the outcome table of its demand
-codes: each offered product's demand as one digit of radix D_max[k] + 1,
-mapped to the profit, D, the material use and the queue change, none of
-which depend on the queues.  Inside a finite band the online controller is
-a finite chain on (Q, x, y): its queues are one mixed-radix integer q, the
-state code is s = (q * |X| + x) * |Y| + y, and the memo maps s to its
-decision.  Once the transition from s under a demand code has passed every
-check, its link s * n_code + code is kept (n_code is the product of
-D_max[k] + 1).  A linked slot only books its profit and adds the outcome's
-change to q: the short-slot and band checks and the queue-extreme and
-drift records it skips are functions of that transition and were done.
-Queues outside the band have no code: their memo key is (Q, x, y) and
-they are never linked.  Per run, each of these counts is at most the
-horizon and at most
+Both keep a decision table.  A decision (A, cost, Z, P, the offered
+products' sell entries) is made once per (x, y, A, Z, P), or once per
+playback key, and carries the outcome table of its demand codes: each
+offered product's demand as one digit of radix D_max[k] + 1, mapped to
+the profit, D, the material use and the queue change, none of which
+depend on the queues.
+
+The slot loop keeps a state table.  Inside a finite band the online
+controller is a finite chain on (Q, x, y): its queues are one mixed-radix
+integer q, the state code is s = (q * |X| + x) * |Y| + y, and the memo
+maps s to its decision.  Once the transition from s under a demand code
+has passed every check, its link s * n_code + code is kept (n_code is the
+product of D_max[k] + 1).  A linked slot only books its profit and adds
+the outcome's change to q: the short-slot and band checks and the
+queue-extreme and drift records it skips are functions of that
+transition and were done.  Queues outside the band have no code: their
+memo key is (Q, x, y) and they are never linked.
+
+The block driver plays up to _CHUNK slots, and at most 2**16 demand
+uniforms, at a time: it draws the block's policy and demand uniforms,
+makes each distinct decision and books each distinct (decision, demand)
+outcome once.  Queues at least mu_max cannot fall short in the next slot,
+so from there the queues follow a cumulative sum of the outcomes' queue
+changes up to the first short slot; that slot and any slot that starts
+below mu_max go through step.  Totals are summed in slot order, so the
+results equal the slot loop's bit for bit.
+
+Per run, each of these counts is at most the horizon and at most
 * online states: the band's integer volume times |X| * |Y|, plus the
   out-of-band (Q, x, y) of a count-only unsafe run;
 * decisions: the states, or the playback keys;
@@ -54,8 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
-from operator import gt, le, mul, sub
+from operator import ge, gt, le, mul, sub
 
 import numpy as np
 
@@ -96,10 +110,11 @@ _CH_X = 0
 _CH_Y = 1
 _CH_DEMAND = 2
 _CH_POLICY = 3
-# Demand uniforms are drawn this many at a time, playback's policy uniforms
-# for this many slots at a time.  numpy generators fill batched requests
-# from the same bit stream as repeated scalar calls, so any grouping of
-# the draws reproduces the plain call-by-call sequence.
+# The slot loop draws demand uniforms this many at a time, and counts a
+# product with a larger D_max in numpy; the block driver plays at most this
+# many slots at a time.  numpy generators fill batched requests from the
+# same bit stream as repeated scalar calls, so any grouping of the draws
+# reproduces the plain call-by-call sequence.
 _CHUNK = 1 << 12
 
 
@@ -314,9 +329,9 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
     allow_unsafe_theta rather than ignore them, as an online run rejects
-    oracle_policy.  Decisions, outcomes and transitions are kept in the
-    tables the module docstring describes, with results bit-identical to
-    checking every slot.
+    oracle_policy.  The online controller runs the slot loop, playback the
+    block driver; both keep the tables the module docstring describes, with
+    results bit-identical to checking every slot.
     """
     check_int("horizon", ec.horizon, 1)
     if ec.controller not in ("online", "oracle"):
@@ -330,44 +345,72 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     elif ec.oracle_policy is not None:
         raise InputError("the online controller does not use oracle_policy")
     cfg = model.cfg
-    M, K = cfg.M, cfg.K
-    d_max = cfg.D_max
     sell = _sell_table(model)
     rs = RngStream(ec.seed, ec.stream)
     if ec.controller == "online":
-        picks, decide, state, band = _online_setup(ec, model, sell)
+        pick, decide, state, band = _online_setup(ec, model, sell)
     else:
-        picks, decide, state, band = _oracle_setup(ec, model, sell, rs)
-    xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X)).tolist()
-    ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y)).tolist()
-    keys = repeat(None) if picks is None else picks(xs, ys)
-    demand = rs.generator(_CH_DEMAND)
-
-    ids_x = [x.id for x in model.supply_states]
-    ids_y = [y.id for y in model.demand_states]
-    n_x, n_y = len(ids_x), len(ids_y)
+        pick, decide, state, band = _oracle_setup(ec, model, sell)
+    # the slot loop reads lists, the block driver arrays
+    states = np.ndarray.tolist if pick is None else np.asarray
+    xs = states(generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X)))
+    ys = states(generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y)))
     # Units sold from the assembly-delay product queues are re-assembled by
     # the end of the slot, so the queues always start full and only their
     # initial stock costs anything.
-    startup = sum(map(mul, d_max, cfg.alpha)) if ec.assembly_delay else 0.0
+    startup = sum(map(mul, cfg.D_max, cfg.alpha)) if ec.assembly_delay else 0.0
+    Q = tuple(state.Q)
+    run = _Transitions(cfg, band, not ec.allow_unsafe_theta, Q)
+    log: list[tuple] | None = [] if ec.record_log else None
+    if pick is None:
+        tphi, tphia, Q = _slot_loop(model, decide, run, Q, xs, ys, rs, log)
+    else:
+        tphi, tphia, Q = _play_blocks(model, pick, decide, run, Q, xs, ys, rs, log)
 
+    return Metrics(
+        horizon=ec.horizon,
+        seed=ec.seed,
+        stream=ec.stream,
+        total_phi=tphi,
+        total_phi_actual=tphia,
+        avg_phi=tphi / ec.horizon,
+        avg_phi_actual=tphia / ec.horizon,
+        q_min=run.q_min,
+        q_max=run.q_max,
+        q_lower_bound=band[0] if band else None,
+        q_upper_bound=band[1] if band else None,
+        drift_bound=drift_constant(model),
+        max_slot_drift=run.max_bt,
+        bound_violations=run.violations,
+        phi_mismatch_slots=run.mismatch,
+        final_Q=list(Q),
+        fake=list(state.fake),
+        startup_cost=startup,
+        log=log,
+    )
+
+
+def _slot_loop(model: Model, decide, run: _Transitions, Q, xs, ys, rs, log) -> tuple:
+    """The online controller, one slot at a time: (tphi, tphia, final Q)."""
+    K = model.cfg.K
+    d_max = model.cfg.D_max
+    ids_x = [x.id for x in model.supply_states]
+    ids_y = [y.id for y in model.demand_states]
+    n_x, n_y = len(ids_x), len(ids_y)
+    demand = rs.generator(_CH_DEMAND)
     tphi = 0.0
     tphia = 0.0
     # Q is the queue tuple, or None after a link until a slot needs it; q
     # is its state code, or None outside a finite band.
-    Q = tuple(state.Q)
-    run = _Transitions(cfg, band, not ec.allow_unsafe_theta, Q)
     q = run.encode(Q)
-    log: list[tuple] | None = [] if ec.record_log else None
-    memo: dict = {}  # state code, out-of-band (Q, x, y) or playback key -> decision
+    memo: dict = {}  # state code or out-of-band (Q, x, y) -> decision
     links: set = set()  # s * n_code + demand code of each checked transition
     n_code = math.prod(n + 1 for n in d_max)
     buf: list[float] = []
     pos = 0
 
-    for t, (xi, yi, key) in enumerate(zip(xs, ys, keys)):
-        if key is None:
-            key = (Q, xi, yi) if q is None else (q * n_x + xi) * n_y + yi
+    for t, (xi, yi) in enumerate(zip(xs, ys)):
+        key = (Q, xi, yi) if q is None else (q * n_x + xi) * n_y + yi
         dec = memo.get(key)
         if dec is None:
             if Q is None:
@@ -380,10 +423,17 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
         code = 0
         for _, _, pr, n, _ in sells:
             end = pos + n
-            if end > len(buf):
-                buf = buf[pos:] + demand.random(max(_CHUNK, end - len(buf))).tolist()
-                pos, end = 0, n
             d = 0
+            if end > len(buf):
+                if n > _CHUNK:
+                    # counted in numpy, over the same uniforms
+                    rest = np.concatenate((buf[pos:], demand.random(end - len(buf))))
+                    d = int(np.count_nonzero(rest < pr))
+                    buf, pos, end = [], 0, 0
+                else:
+                    fresh = demand.random(max(_CHUNK, end - len(buf)))
+                    buf = buf[pos:] + fresh.tolist()
+                    pos, end = 0, n
             for u in buf[pos:end]:
                 if u < pr:
                     d += 1
@@ -412,28 +462,191 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
             row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), phi, phia)
             log.append((t, ids_x[xi], ids_y[yi], Q, *row, tphia / (t + 1)))
         Q, q = Qn, nq
+    return tphi, tphia, run.decode(q) if Q is None else Q
 
-    return Metrics(
-        horizon=ec.horizon,
-        seed=ec.seed,
-        stream=ec.stream,
-        total_phi=tphi,
-        total_phi_actual=tphia,
-        avg_phi=tphi / ec.horizon,
-        avg_phi_actual=tphia / ec.horizon,
-        q_min=run.q_min,
-        q_max=run.q_max,
-        q_lower_bound=band[0] if band else None,
-        q_upper_bound=band[1] if band else None,
-        drift_bound=drift_constant(model),
-        max_slot_drift=run.max_bt,
-        bound_violations=run.violations,
-        phi_mismatch_slots=run.mismatch,
-        final_Q=list(run.decode(q) if Q is None else Q),
-        fake=list(state.fake),
-        startup_cost=startup,
-        log=log,
+
+def _play_blocks(
+    model: Model, pick, decide, run: _Transitions, Q, xs, ys, rs, log
+) -> tuple:
+    """Oracle playback, a block of slots at a time: (tphi, tphia, final Q).
+
+    A playback decision depends only on its slot's states and policy draws,
+    and the demand only on the decision, so a block draws, decides and
+    books all its slots at once, from the same draws and through the same
+    decisions and outcome tables as one slot at a time.  Only short slots
+    read the queues (_block_queues).
+    """
+    cfg = model.cfg
+    K = cfg.K
+    ids_x = [x.id for x in model.supply_states]
+    ids_y = [y.id for y in model.demand_states]
+    policy = rs.generator(_CH_POLICY)
+    demand = rs.generator(_CH_DEMAND)
+    # A block holds at most 2**16 demand uniforms, however large D_max is,
+    # and queues that could outgrow int64 stay Python integers.
+    size = min(_CHUNK, max(1, 2**16 // sum(cfg.D_max)))
+    reach = max(Q) + len(xs) * max(*cfg.A_max, *model.mu_max)
+    int_t = np.int64 if reach < 2**62 else object
+    memo: dict = {}  # playback key -> decision
+    tphi = 0.0
+    tphia = 0.0
+    for t0 in range(0, len(xs), size):
+        x, y = xs[t0 : t0 + size], ys[t0 : t0 + size]
+        u = policy.random((len(x), K + 1))
+        decs, slot_dec = _block_decisions(pick(x, y, u), decide, memo)
+        outs, slot_out = _block_outcomes(decs, slot_dec, demand, K, run.radix)
+        start = Q
+        Q, after, stepped = _block_queues(
+            run, t0, Q, model.mu_max, decs, slot_dec, outs, slot_out, int_t
+        )
+        phi = np.array([o[0] for o in outs], dtype=float)[slot_out]
+        phia = phi.copy()
+        if stepped:
+            phia[list(stepped)] = list(stepped.values())
+        # np.cumsum adds in slot order, as the slot loop does; np.sum would not
+        ctot = np.cumsum(np.concatenate(([tphi], phi)))
+        ctota = np.cumsum(np.concatenate(([tphia], phia)))
+        tphi, tphia = float(ctot[-1]), float(ctota[-1])
+        if log is not None:
+            avg = (ctota[1:] / np.arange(t0 + 1, t0 + len(x) + 1)).tolist()
+            starts = [start, *map(tuple, after[:-1].tolist())]
+            rows = zip(x.tolist(), y.tolist(), slot_dec.tolist(), slot_out.tolist())
+            for i, (xi, yi, j, o) in enumerate(rows):
+                A, _, Z, P, _, _ = decs[j]
+                out = outs[o]
+                real = stepped.get(i, out[0])
+                row = (tuple(A), tuple(Z), tuple(P), out[1], out[0], real, avg[i])
+                log.append((t0 + i, ids_x[xi], ids_y[yi], starts[i], *row))
+    return tphi, tphia, Q
+
+
+def _block_decisions(keys: np.ndarray, decide, memo: dict) -> tuple:
+    """(decisions, each slot's decision) of a block's playback keys.
+
+    Each distinct key is decided once per run and kept in memo.
+    """
+    first, slot_dec = _distinct(keys)
+    decs = []
+    for key in map(tuple, keys[first].tolist()):
+        dec = memo.get(key)
+        if dec is None:
+            dec = memo[key] = decide(None, key[0], key[1], key)
+        decs.append(dec)
+    return decs, slot_dec
+
+
+def _block_outcomes(decs: list, slot_dec, rng, K: int, radix: list) -> tuple:
+    """(outcomes, each slot's outcome) of a block, drawing its demand from rng.
+
+    Each distinct (decision, demand) is booked once, through the decision's
+    outcome table, with the demand code in the slot loop's radix order.
+    """
+    pairs = np.column_stack((slot_dec, _block_demand(decs, slot_dec, rng, K)))
+    first, slot_out = _distinct(pairs)
+    outs = []
+    for j, *D in pairs[first].tolist():
+        dec = decs[j]
+        code = 0
+        for k, _, _, n, _ in dec[4]:
+            code = code * (n + 1) + D[k]
+        out = dec[5].get(code)
+        if out is None:
+            out = dec[5][code] = _outcome(dec, code, K, radix)
+        outs.append(out)
+    return outs, slot_out
+
+
+def _block_queues(run: _Transitions, t0, Q, mu, decs, slot_dec, outs, slot_out, int_t):
+    """(final Q, the queues after each slot, phi_actual of each stepped slot).
+
+    From queues of at least mu_max the next slot cannot be short.  From
+    there the queue path is Q plus the cumulative queue change, taken in
+    windows that double, up to the first short slot: one whose queues
+    after it, less its purchase, would be negative.  That slot, and every
+    slot that starts with a queue below mu_max, runs through run.step;
+    the path's slots are booked into run's extremes and drift record here.
+    """
+    n, M = len(slot_dec), len(Q)
+    diff = np.array([o[3] for o in outs], dtype=int_t).reshape(-1, M)[slot_out]
+    bought = np.array([d[0] for d in decs], dtype=int_t).reshape(-1, M)[slot_dec]
+    dec_of, out_of = slot_dec.tolist(), slot_out.tolist()
+    after = np.empty((n, M), dtype=int_t)
+    fast = np.zeros(n, dtype=bool)
+    stepped: dict = {}  # slot -> phi_actual, of the slots run.step books
+    queues: list = []  # the queues after each of them
+    i = 0
+    while i < n:
+        w = 32 if all(map(ge, Q, mu)) else 0
+        while w and i < n:
+            e = min(n, i + w)
+            path = np.cumsum(diff[i:e], axis=0)
+            path += Q
+            short = (path < bought[i:e]).any(axis=1)
+            f = int(short.argmax())
+            if not short[f]:
+                f = e - i
+            if f:
+                after[i : i + f] = path[:f]
+                fast[i : i + f] = True
+                Q = tuple(path[f - 1].tolist())
+            w = 2 * w if i + f == e else 0
+            i += f
+        if i < n:
+            Q, _, stepped[i], _ = run.step(t0 + i, Q, decs[dec_of[i]], outs[out_of[i]])
+            queues.append(Q)
+            i += 1
+
+    if stepped:
+        after[list(stepped)] = queues
+    if fast.any():
+        bt = np.array([o[4] for o in outs], dtype=float)[slot_out]
+        run.max_bt = max(run.max_bt, float(bt[fast].max()))
+    run.q_min[:] = map(min, run.q_min, after.min(axis=0).tolist())
+    run.q_max[:] = map(max, run.q_max, after.max(axis=0).tolist())
+    return Q, after, stepped
+
+
+def _block_demand(decs: list, slot_dec: np.ndarray, rng, K: int) -> np.ndarray:
+    """D[t, k]: the demand of each offered product in each slot of a block.
+
+    As in the slot loop, product k takes D_max[k] uniforms from rng, in slot
+    order and ascending k, and its demand is the count below its threshold.
+    """
+    sells = [s for dec in decs for s in dec[4]]
+    k = np.array([s[0] for s in sells], dtype=np.int64)
+    pr = np.array([s[2] for s in sells], dtype=float)
+    width = np.array([s[3] for s in sells], dtype=np.int64)
+    per = np.array([len(dec[4]) for dec in decs])  # offered products per decision
+    count = per[slot_dec]  # per slot
+    slot = np.repeat(np.arange(len(slot_dec)), count)
+    # sell entry of each (slot, offered product), in draw order
+    seg = np.arange(len(slot)) + np.repeat(
+        (np.cumsum(per) - per)[slot_dec] - (np.cumsum(count) - count), count
     )
+    width = width[seg]
+    hits = np.zeros(width.sum() + 1, dtype=np.int64)
+    np.cumsum(rng.random(len(hits) - 1) < np.repeat(pr[seg], width), out=hits[1:])
+    end = np.cumsum(width)
+    D = np.zeros((len(slot_dec), K), dtype=np.int64)
+    D[slot, k[seg]] = hits[end] - hits[end - width]
+    return D
+
+
+def _distinct(rows: np.ndarray) -> tuple:
+    """(first, inverse) of the distinct rows of a non-negative integer array.
+
+    first[j] is a row index of distinct row j and inverse[t] the distinct
+    row of row t.  Each row is packed into one integer, a Python one when
+    int64 cannot hold it.
+    """
+    radix = (rows.max(axis=0) + 1).tolist()
+    if math.prod(radix) > 2**63:
+        rows = rows.astype(object)
+    key = rows[:, 0]
+    for c, r in zip(rows.T[1:], radix[1:]):
+        key = key * r + c
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _check_blind_tables(model: Model) -> None:
@@ -451,7 +664,7 @@ def _check_blind_tables(model: Model) -> None:
 
 
 def _online_setup(ec: EpisodeConfig, model: Model, sell):
-    """The online controller: no picks, its decide, starting state and band."""
+    """The online controller: no pick, its decide, starting state and band."""
     cfg = model.cfg
     params = make_params(
         cfg,
@@ -488,12 +701,13 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
     return None, decide, state, queue_band(params, cfg)
 
 
-def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
-    """Playback of a stationary policy: its picks, decide, starting state, band.
+def _oracle_setup(ec: EpisodeConfig, model: Model, sell):
+    """Playback of a stationary policy: its pick, decide, starting state, band.
 
-    picks(xs, ys) yields each slot's memo key (x, y, purchase option, offer
-    option of each product), drawn with 1 + K uniforms per slot from channel
-    _CH_POLICY: the purchase draw, then each product's offer in ascending k.
+    pick(x, y, u) gives the playback key (x, y, purchase option, offer option
+    of each product) of each slot of a block, from the slots' states and
+    their 1 + K uniforms u of channel _CH_POLICY: the purchase draw, then
+    each product's offer in ascending k.  decide makes the key's decision.
     There is no band and no fake unit; the queues start at Q0, by default
     mu_max, and the start rule check_start asks only for non-negative integers.
     """
@@ -525,15 +739,10 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
         for k in range(K)
     ]
 
-    def picks(xs, ys):
-        rng = rs.generator(_CH_POLICY)
-        for t in range(0, len(xs), _CHUNK):
-            x = np.asarray(xs[t : t + _CHUNK])
-            y = np.asarray(ys[t : t + _CHUNK])
-            u = rng.random((len(x), K + 1))
-            cols = [_bisect_rows(buy, x, u[:, 0])]
-            cols += [_bisect_rows(offer[k], y, u[:, k + 1]) for k in range(K)]
-            yield from zip(x.tolist(), y.tolist(), *cols)
+    def pick(x, y, u):
+        cols = [x, y, _bisect_rows(buy, x, u[:, 0])]
+        cols += [_bisect_rows(offer[k], y, u[:, k + 1]) for k in range(K)]
+        return np.column_stack(cols)
 
     def decide(Q, xi, yi, key):
         _, _, i, *js = key
@@ -549,16 +758,16 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell, rs: RngStream):
 
     Q0 = model.mu_max if ec.Q0 is None else ec.Q0
     Q0 = check_start("Q0", Q0, [0] * cfg.M, [math.inf] * cfg.M)
-    return picks, decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
+    return pick, decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
 
 
-def _bisect_rows(rows, states, u) -> list[int]:
+def _bisect_rows(rows, states, u) -> np.ndarray:
     """bisect_right of each u in the cumulative weights of its state's row."""
     out = np.zeros(len(u), dtype=np.int64)
     for s, (cum, _) in enumerate(rows):
         sel = states == s
         out[sel] = np.searchsorted(cum, u[sel], side="right")
-    return out.tolist()
+    return out
 
 
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:
@@ -625,6 +834,7 @@ class ProfitBoundReport:
     mean: float
     se: float
     slack: float
+    init_term: float
     epsilon: float
     T: int
     violations: int
@@ -654,6 +864,9 @@ def check_profit_bound(
 
     within 3 standard errors, with no band violation; slack = phi_opt - rhs.
     The defaults T = 1, epsilon = 0 give the i.i.d. bound phi_opt - B/V.
+    The report also gives the finite-horizon term init_term = L(mu_max) /
+    (V * horizon) of the runs' start, which a finite run may fall short by
+    (check_frame_bound subtracts it); the check does not use it.
     """
     message = f"need an integer T >= 1 and finite epsilon >= 0, got {T!r}, {epsilon!r}"
     check_int("T", T, 1, message=message)
@@ -677,12 +890,18 @@ def check_profit_bound(
         mean=s.mean,
         se=s.se,
         slack=drift + mixing,
+        init_term=_lyapunov(model, theta) / (V * horizon),
         epsilon=epsilon,
         T=T,
         violations=violations,
         n=replications,
         passed=s.mean >= rhs - 3 * s.se and violations == 0,
     )
+
+
+def _lyapunov(model: Model, theta) -> float:
+    """L(mu_max) = 0.5 * sum (mu_max - theta)^2 of a bound run's start."""
+    return 0.5 * sum((q - th) ** 2 for q, th in zip(model.mu_max, theta))
 
 
 def process_distribution(spec: StateProcessSpec) -> np.ndarray:
@@ -734,9 +953,7 @@ def check_frame_bound(
     frame_mean = sum(frames) / (J * T)
     theta = compute_theta(model.cfg, V)
     drift_term = drift_constant(model) * T / V
-    # the initial queues' quadratic distance from their thresholds
-    lyapunov = 0.5 * sum((q - th) ** 2 for q, th in zip(model.mu_max, theta))
-    init_term = lyapunov / (V * J * T)
+    init_term = _lyapunov(model, theta) / (V * J * T)
     bound = frame_mean - drift_term - init_term
     passed = s.mean >= bound - 3 * s.se
     return FrameBoundReport(

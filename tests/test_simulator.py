@@ -1,6 +1,7 @@
 import math
 from bisect import bisect_right
 from dataclasses import replace
+from operator import gt
 
 import numpy as np
 import pytest
@@ -922,3 +923,136 @@ def test_memoized_loop_matches_reference_loop(monkeypatch):
             ref, new = _both(replace(ec, allow_unsafe_theta=True), model)
             assert ref == new, (i, kind, "count-only")
     assert min(seen.values()) >= 3, seen
+
+
+def _never_buy(policy, M):
+    """policy with every supply state's purchase fixed at zero."""
+    idle = [[((0,) * M, 1.0)] for _ in policy.purchase_dist]
+    return replace(policy, purchase_dist=idle)
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 64])
+def test_block_playback_matches_reference_loop(monkeypatch, chunk):
+    """Playback in blocks equals the slot-by-slot reference, bit for bit.
+
+    Blocks of a few slots split the stretches the fast path books at once,
+    so short slots land on block edges; 64-slot blocks let its windows
+    double.  Per random small plant: IID, MARKOV or TRACE processes, the
+    optimal policy and a never-buy one (every slot with demand is short),
+    from empty queues and from the default start, with and without a log.
+    """
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    step = sim._Transitions.step
+    seen = {"booked at once": 0, "stepped": 0, "short on an edge": 0}
+
+    def counted(self, t, Q, dec, out):
+        seen["stepped"] += 1
+        seen["short on an edge"] += t % chunk == 0 and any(map(gt, out[2], Q))
+        return step(self, t, Q, dec, out)
+
+    monkeypatch.setattr(sim._Transitions, "step", counted)
+    rng = np.random.default_rng(20261019)
+    H = 150
+    modes = (IID, MARKOV, TRACE)
+    for i in range(9):
+        model = _random_plant(rng)
+        ids_x = [x.id for x in model.supply_states]
+        ids_y = [y.id for y in model.demand_states]
+        px = _random_process(rng, ids_x, modes[i % 3], H)
+        py = _random_process(rng, ids_y, modes[i // 3], H)
+        pi_x = np.full(len(ids_x), 1 / len(ids_x))
+        pi_y = np.full(len(ids_y), 1 / len(ids_y))
+        _, plp, sol = optimal_profit(model, pi_x, pi_y)
+        policy = extract_xy_policy(plp, sol)
+        for pol in (policy, _never_buy(policy, model.cfg.M)):
+            for Q0 in (None, [0] * model.cfg.M):
+                ec = EpisodeConfig(
+                    horizon=H,
+                    seed=i,
+                    V=5.0,
+                    process_x=px,
+                    process_y=py,
+                    controller="oracle",
+                    oracle_policy=pol,
+                    Q0=Q0,
+                    record_log=(i + (Q0 is None)) % 2 == 0,
+                )
+                before = seen["stepped"]
+                ref, new = _both(ec, model)
+                assert ref == new and isinstance(ref, dict), (i, Q0)
+                # the reference loop has no step; the block driver's run counts
+                seen["booked at once"] += H - (seen["stepped"] - before)
+    assert min(seen.values()) >= 3, seen
+
+
+def _i1_demand_cap(n):
+    cfg = replace(make_i1_cfg(), D_max=[n])
+    supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
+    demand = [DemandState(id="d0", F=[[2.0, 1.0]], h=1.0, F_hat=[[2.0, 1.0]])]
+    return validate_config(cfg, supply, demand)
+
+
+def test_large_demand_cap_draws_as_realize_demand():
+    """At D_max = 10**5 both drivers count demand in numpy, on the same stream.
+
+    The online run starts at the top of its band, so it offers; every logged
+    D equals the realize_demand replay of channel _CH_DEMAND, as in
+    test_loop_demand_is_realize_demand.
+    """
+    model = _i1_demand_cap(10**5)
+    _, hi = queue_band(make_params(model.cfg, 10.0), model.cfg)
+    _, plp, sol = optimal_profit(model, np.array([1.0]), np.array([1.0]))
+    runs = [
+        _i1_ec(horizon=12, Q0=[int(hi[0])], record_log=True),
+        _i1_ec(
+            horizon=12,
+            controller="oracle",
+            oracle_policy=extract_xy_policy(plp, sol),
+            record_log=True,
+        ),
+    ]
+    y = model.demand_states[0]
+    for ec in runs:
+        m = run_episode(ec, model)
+        rng = RngStream(ec.seed, ec.stream).generator(_CH_DEMAND)
+        offers = 0
+        for _, _, _, _, _, Z, P, D, *_ in m.log:
+            assert D[0] == (realize_demand(0, P[0], y, model.cfg, rng) if Z[0] else 0)
+            offers += Z[0]
+        assert offers >= 10, ec.controller
+
+
+def test_profit_bound_reports_its_init_term():
+    """init_term = L(mu_max) / (V * horizon) is reported and changes no verdict."""
+    model = make_i1()
+    s0, d0 = constant_process("s0"), constant_process("d0")
+    rep = check_profit_bound(model, s0, d0, 10.0, 2000)
+    theta = compute_theta(model.cfg, 10.0)
+    L = 0.5 * sum((q - th) ** 2 for q, th in zip(model.mu_max, theta))
+    assert rep.init_term == L / (10.0 * 2000) > 0
+    assert rep.rhs == rep.phi_opt - drift_constant(model) / 10.0
+    assert rep.passed
+
+
+def test_block_playback_keeps_huge_queues_exact():
+    """Queues beyond int64 stay Python integers, equal to the reference's."""
+    model = make_i1()
+    _, plp, sol = optimal_profit(model, np.array([1.0]), np.array([1.0]))
+    policy = extract_xy_policy(plp, sol)
+    for pol in (policy, _never_buy(policy, 1)):
+        ec = _i1_ec(horizon=300, controller="oracle", oracle_policy=pol, Q0=[2**70])
+        ref, new = _both(replace(ec, record_log=True), model)
+        assert ref == new and new["final_Q"][0] > 2**69
+
+
+def test_distinct_rows_beyond_int64():
+    """_distinct keeps rows apart whose packed keys differ by 2**64.
+
+    The columns' radixes are 2, 2**22, 2**22 and 2**22, so the second row
+    packs to 2**64 and the first to 0, which int64 keys would merge.
+    """
+    top = 2**22 - 1
+    rows = np.array([[0, 0, 0, 0], [0, 2**20, 0, 0], [1, top, top, top]] * 3)
+    first, inverse = sim._distinct(rows)
+    assert len(first) == 3
+    assert (rows[first][inverse] == rows).all()
