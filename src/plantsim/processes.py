@@ -139,8 +139,7 @@ def generate_states(
     """
     horizon = check_int("horizon", horizon)
     if spec.mode == IID:
-        cum = np.cumsum(spec.probs)
-        cum[-1] = np.inf
+        cum = _cumulative(spec.probs)
         return np.searchsorted(cum, rng.random(horizon), side="right").astype(np.int64)
     if spec.mode == MARKOV:
         rows = [_cumulative(row) for row in spec.transition]

@@ -1,7 +1,11 @@
 """Dense linear programming via the two-phase tableau simplex method.
 
-All variables are non-negative; optional per-variable upper bounds and
-arbitrary equality / less-or-equal rows are accepted.
+Every program is solved in one standard form: equality rows over
+non-negative columns.  Each <= row and each finite upper bound becomes an
+equality with a slack column of its own.  The rows are the equalities, the
+<= rows and the bounds, in that order, each negated if its right-hand side
+is negative.  A row whose slack keeps coefficient +1 starts on it; every
+other row starts on an artificial column of its own, numbered in row order.
 
 Pricing differs by phase.  Phase 1 (driving the artificials out) uses
 Bland's rule: the smallest-index column with a positive reduced cost
@@ -39,8 +43,8 @@ class Unbounded(RuntimeError):
 class LinearProgram:
     """maximize c @ x  subject to  a_eq @ x == b_eq,  a_ub @ x <= b_ub,  x >= 0.
 
-    upper, when given, adds per-variable bounds x[j] <= upper[j]; use
-    np.inf for unbounded entries.
+    upper, when given, adds bounds x[j] <= upper[j] (np.inf for none).  The
+    solver reads each <= as an equality with a slack (see the module docstring).
     """
 
     c: np.ndarray
@@ -75,60 +79,34 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     c = np.asarray(lp.c, dtype=float)
     n = c.shape[0]
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    kinds: list[str] = []
-
-    def add(coeffs: np.ndarray, b: float, kind: str) -> None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if b < 0:
-            coeffs = -coeffs
-            b = -b
-            kind = {"le": "ge", "ge": "le", "eq": "eq"}[kind]
-        rows.append(coeffs)
-        rhs.append(b)
-        kinds.append(kind)
-
-    if lp.a_eq is not None and len(lp.a_eq):
-        for coeffs, b in zip(np.atleast_2d(lp.a_eq), np.ravel(lp.b_eq)):
-            add(coeffs, float(b), "eq")
-    if lp.a_ub is not None and len(lp.a_ub):
-        for coeffs, b in zip(np.atleast_2d(lp.a_ub), np.ravel(lp.b_ub)):
-            add(coeffs, float(b), "le")
-    if lp.upper is not None:
-        for j, u in enumerate(np.ravel(lp.upper)):
-            if np.isfinite(u):
-                e = np.zeros(n)
-                e[j] = 1.0
-                add(e, float(u), "le")
-
-    m = len(rows)
-    n_slack = sum(1 for k in kinds if k in ("le", "ge"))
-    n_art = sum(1 for k in kinds if k in ("ge", "eq"))
+    a_eq, b_eq = _row_block(lp.a_eq, lp.b_eq, n)
+    a_ub, b_ub = _row_block(lp.a_ub, lp.b_ub, n)
+    if lp.upper is not None:  # each finite bound is one more <= row
+        upper = np.ravel(lp.upper).astype(float)
+        j = np.flatnonzero(np.isfinite(upper))
+        bound = np.zeros((len(j), n))
+        bound[np.arange(len(j)), j] = 1.0
+        a_ub, b_ub = np.vstack((a_ub, bound)), np.concatenate((b_ub, upper[j]))
+    m_eq, n_slack = len(a_eq), len(a_ub)  # a slack per <= row
+    m = m_eq + n_slack
+    rhs = np.concatenate((b_eq, b_ub))
+    neg = rhs < 0  # rows to negate
+    on_art = neg.copy()  # equalities and negated rows start on an artificial
+    on_art[:m_eq] = True
+    n_art = np.count_nonzero(on_art)
     width = n + n_slack + n_art
 
     T = np.zeros((m, width + 1))
-    basis = np.empty(m, dtype=int)
-    s = n
-    a = n + n_slack
-    for i in range(m):
-        T[i, :n] = rows[i]
-        T[i, -1] = rhs[i]
-        if kinds[i] == "le":
-            T[i, s] = 1.0
-            basis[i] = s
-            s += 1
-        elif kinds[i] == "ge":
-            T[i, s] = -1.0
-            T[i, a] = 1.0
-            basis[i] = a
-            s += 1
-            a += 1
-        else:
-            T[i, a] = 1.0
-            basis[i] = a
-            a += 1
+    T[:m_eq, :n] = a_eq
+    T[m_eq:, :n] = a_ub
+    if np.count_nonzero(neg):  # negate those rows: their slacks turn -1
+        T[neg, :n] *= -1.0
+        rhs[neg] *= -1.0
+        np.fill_diagonal(T[m_eq:, n : n + n_slack], np.where(neg[m_eq:], -1.0, 1.0))
+    T[:, -1] = rhs
+    basis = np.arange(n - m_eq, n - m_eq + m)  # row i's slack, for i >= m_eq
+    basis[on_art] = np.arange(n + n_slack, width)
+    T[np.arange(m), basis] = 1.0  # +1 on the column each row starts on
 
     iterations = 0
     if n_art:
@@ -136,7 +114,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         phase1[n + n_slack :] = -1.0
         iterations += _iterate(T, basis, phase1, phase=1)
         art_total = T[:, -1][basis >= n + n_slack].sum()
-        if art_total > _TOL * (1.0 + max(rhs, default=0.0)):
+        if art_total > _TOL * (1.0 + max(rhs.tolist(), default=0.0)):
             raise Infeasible(f"phase 1 left {art_total:.3e} of artificial mass")
         _drive_out_artificials(T, basis, n + n_slack)
         keep = [i for i in range(m) if basis[i] < n + n_slack]
@@ -151,6 +129,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     x[basis] = T[:, -1]
     x = np.maximum(x[:n], 0.0)
     return LpSolution(value=float(c @ x), x=x, iterations=iterations)
+
+
+def _row_block(a, b, n: int) -> tuple:
+    """(rows, right-hand sides) of a block as float arrays; empty when a is absent."""
+    if a is None or not len(a):
+        return np.zeros((0, n)), np.zeros(0)
+    return np.atleast_2d(np.asarray(a, dtype=float)), np.ravel(b).astype(float)
 
 
 def _iterate(

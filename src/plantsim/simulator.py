@@ -347,12 +347,13 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     cfg = model.cfg
     sell = _sell_table(model)
     rs = RngStream(ec.seed, ec.stream)
-    if ec.controller == "online":
-        pick, decide, state, band = _online_setup(ec, model, sell)
+    online = ec.controller == "online"
+    if online:
+        decide, state, band = _online_setup(ec, model, sell)
     else:
         pick, decide, state, band = _oracle_setup(ec, model, sell)
     # the slot loop reads lists, the block driver arrays
-    states = np.ndarray.tolist if pick is None else np.asarray
+    states = np.ndarray.tolist if online else np.asarray
     xs = states(generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X)))
     ys = states(generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y)))
     # Units sold from the assembly-delay product queues are re-assembled by
@@ -362,7 +363,7 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     Q = tuple(state.Q)
     run = _Transitions(cfg, band, not ec.allow_unsafe_theta, Q)
     log: list[tuple] | None = [] if ec.record_log else None
-    if pick is None:
+    if online:
         tphi, tphia, Q = _slot_loop(model, decide, run, Q, xs, ys, rs, log)
     else:
         tphi, tphia, Q = _play_blocks(model, pick, decide, run, Q, xs, ys, rs, log)
@@ -415,7 +416,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, xs, ys, rs, log) -> t
         if dec is None:
             if Q is None:
                 Q = run.decode(q)
-            dec = memo[key] = decide(Q, xi, yi, key)
+            dec = memo[key] = decide(Q, xi, yi)
         sells = dec[4]
 
         # The demand code: each offered product's demand d as one digit of
@@ -431,7 +432,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, xs, ys, rs, log) -> t
                     d = int(np.count_nonzero(rest < pr))
                     buf, pos, end = [], 0, 0
                 else:
-                    fresh = demand.random(max(_CHUNK, end - len(buf)))
+                    fresh = demand.random(_CHUNK)
                     buf = buf[pos:] + fresh.tolist()
                     pos, end = 0, n
             for u in buf[pos:end]:
@@ -530,7 +531,7 @@ def _block_decisions(keys: np.ndarray, decide, memo: dict) -> tuple:
     for key in map(tuple, keys[first].tolist()):
         dec = memo.get(key)
         if dec is None:
-            dec = memo[key] = decide(None, key[0], key[1], key)
+            dec = memo[key] = decide(key)
         decs.append(dec)
     return decs, slot_dec
 
@@ -611,25 +612,19 @@ def _block_demand(decs: list, slot_dec: np.ndarray, rng, K: int) -> np.ndarray:
 
     As in the slot loop, product k takes D_max[k] uniforms from rng, in slot
     order and ascending k, and its demand is the count below its threshold.
+    Read row by row, the (slot, product) grid is that order, when a product
+    a decision does not offer takes no uniform.
     """
-    sells = [s for dec in decs for s in dec[4]]
-    k = np.array([s[0] for s in sells], dtype=np.int64)
-    pr = np.array([s[2] for s in sells], dtype=float)
-    width = np.array([s[3] for s in sells], dtype=np.int64)
-    per = np.array([len(dec[4]) for dec in decs])  # offered products per decision
-    count = per[slot_dec]  # per slot
-    slot = np.repeat(np.arange(len(slot_dec)), count)
-    # sell entry of each (slot, offered product), in draw order
-    seg = np.arange(len(slot)) + np.repeat(
-        (np.cumsum(per) - per)[slot_dec] - (np.cumsum(count) - count), count
-    )
-    width = width[seg]
+    width = np.zeros((len(decs), K), dtype=np.int64)  # D_max[k] if offered
+    pr = np.zeros((len(decs), K))
+    for j, dec in enumerate(decs):
+        for k, _, p, n, _ in dec[4]:
+            width[j, k], pr[j, k] = n, p
+    width, pr = width[slot_dec].ravel(), pr[slot_dec].ravel()
     hits = np.zeros(width.sum() + 1, dtype=np.int64)
-    np.cumsum(rng.random(len(hits) - 1) < np.repeat(pr[seg], width), out=hits[1:])
+    np.cumsum(rng.random(len(hits) - 1) < np.repeat(pr, width), out=hits[1:])
     end = np.cumsum(width)
-    D = np.zeros((len(slot_dec), K), dtype=np.int64)
-    D[slot, k[seg]] = hits[end] - hits[end - width]
-    return D
+    return (hits[end] - hits[end - width]).reshape(len(slot_dec), K)
 
 
 def _distinct(rows: np.ndarray) -> tuple:
@@ -664,7 +659,7 @@ def _check_blind_tables(model: Model) -> None:
 
 
 def _online_setup(ec: EpisodeConfig, model: Model, sell):
-    """The online controller: no pick, its decide, starting state and band."""
+    """The online controller: its decide, starting state and band."""
     cfg = model.cfg
     params = make_params(
         cfg,
@@ -687,7 +682,7 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
 
     decisions: dict = {}
 
-    def decide(Q, xi, yi, key):
+    def decide(Q, xi, yi):
         x = supply[xi]
         A = decide_purchase(Q, x, params, cfg)
         Z, P = decide_pricing(Q, demand[yi], params, cfg)
@@ -698,7 +693,7 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
             dec = decisions[dkey] = (A, purchase_cost(A, x), Z, P, sells, {})
         return dec
 
-    return None, decide, state, queue_band(params, cfg)
+    return decide, state, queue_band(params, cfg)
 
 
 def _oracle_setup(ec: EpisodeConfig, model: Model, sell):
@@ -744,8 +739,8 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell):
         cols += [_bisect_rows(offer[k], y, u[:, k + 1]) for k in range(K)]
         return np.column_stack(cols)
 
-    def decide(Q, xi, yi, key):
-        _, _, i, *js = key
+    def decide(key):
+        xi, yi, i, *js = key
         A, cost = buy[xi][1][i]
         Z = [0] * K
         P = [0.0] * K

@@ -135,6 +135,15 @@ def test_iid_batch_equals_stepwise():
     assert batch == [proc.next_state(t, rng) for t in range(200)]
 
 
+def test_iid_integer_probabilities_draw_like_floats():
+    for probs in ([0, 1], [1], [0, 1, 0]):
+        ids = [f"s{i}" for i in range(len(probs))]
+        whole = StateProcessSpec(mode=IID, state_ids=ids, probs=probs)
+        real = StateProcessSpec(mode=IID, state_ids=ids, probs=[float(p) for p in probs])
+        got = generate_states(whole, 50, RngStream(2, 0).generator(0)).tolist()
+        assert got == generate_states(real, 50, RngStream(2, 0).generator(0)).tolist()
+
+
 def test_trace_mode_and_exhaustion():
     spec = StateProcessSpec(mode=TRACE, state_ids=["a", "b"], trace=[0, 1])
     rng = RngStream(0, 0).generator(0)

@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -244,3 +245,51 @@ def test_matches_bland_reference_on_profit_lps(rng):
         got = solve_lp(lp).value
         want = bland_solve(lp).value
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+# sha256 over (value.hex(), x.tobytes(), iterations) of _pinned_programs(),
+# recorded with the row-by-row tableau set-up that the one-form set-up
+# replaced.  A change of column order, starting basis, pricing or ratio
+# test moves a vertex or a pivot count, and shows up here.
+PIVOT_PATH_DIGEST = "9bc21ba17f6383b72dfb1515bfd77c837ecd7c615658d68ed5ee96f00965b94f"
+
+
+def _pinned_programs():
+    rng = np.random.default_rng(1963)
+    lps = [_random_feasible_lp(rng) for _ in range(300)]
+    for _ in range(60):
+        model, pi_x, pi_y = random_tiny_instance(rng)
+        lps.append(build_profit_lp(model, pi_x, pi_y).lp)
+    return lps
+
+
+def test_pivot_paths_are_pinned():
+    digest = hashlib.sha256()
+    for lp in _pinned_programs():
+        sol = solve_lp(lp)
+        digest.update(repr((sol.value.hex(), sol.x.tobytes(), sol.iterations)).encode())
+    assert digest.hexdigest() == PIVOT_PATH_DIGEST
+
+
+def _equality_form(lp):
+    """The same program in equality rows: each <= row and finite bound gets a slack."""
+    c = np.asarray(lp.c, dtype=float)
+    n = len(c)
+    upper = np.asarray(lp.upper, dtype=float)
+    bounded = np.flatnonzero(np.isfinite(upper))
+    a_le = np.vstack((lp.a_ub, np.eye(n)[bounded]))
+    b_le = np.concatenate((lp.b_ub, upper[bounded]))
+    m_eq, s = len(lp.a_eq), len(a_le)
+    return LinearProgram(
+        c=np.concatenate((c, np.zeros(s))),
+        a_eq=np.block([[lp.a_eq, np.zeros((m_eq, s))], [a_le, np.eye(s)]]),
+        b_eq=np.concatenate((lp.b_eq, b_le)),
+    )
+
+
+def test_le_rows_mean_equalities_with_slacks(rng):
+    for _ in range(200):
+        lp = _random_feasible_lp(rng)
+        eq = _equality_form(lp)
+        got = solve_lp(eq).value
+        assert got == pytest.approx(solve_lp(lp).value, rel=1e-9, abs=1e-9)
