@@ -70,29 +70,29 @@ def enumerate_actions(x: SupplyState, cfg: PlantConfig) -> list[tuple[int, ...]]
 
     Feasible means 0 <= A[m] <= min(A_max[m], available[m]) per material and
     total spend at most c_max.  Raises ActionSpaceTooLarge past the cap.
+
+    The vectors are built one material at a time, each prefix carrying its
+    unspent budget until the last material.  Every prefix extends at least
+    by A[m] = 0, so no level is longer than the last; the cap is checked on
+    each level's length before that level is built.
     """
-    ub = [min(cfg.A_max[m], x.available[m]) for m in range(cfg.M)]
-    out: list[tuple[int, ...]] = []
-    vec = [0] * cfg.M
-
-    def rec(m: int, budget: int) -> None:
-        if m == cfg.M:
-            if len(out) >= ACTION_CAP:
-                raise ActionSpaceTooLarge(
-                    f"supply state {x.id!r} admits more than {ACTION_CAP} "
-                    "purchase vectors"
-                )
-            out.append(tuple(vec))
-            return
-        cost = x.unit_cost[m]
-        top = ub[m] if cost == 0 else min(ub[m], budget // cost)
-        for a in range(top + 1):
-            vec[m] = a
-            rec(m + 1, budget - cost * a)
-        vec[m] = 0
-
-    rec(0, cfg.c_max)
-    return out
+    level: list[tuple[tuple[int, ...], int]] = [((), cfg.c_max)]
+    for m in range(cfg.M):
+        ub, cost = min(cfg.A_max[m], x.available[m]), x.unit_cost[m]
+        tops = [ub if cost == 0 else min(ub, budget // cost) for _, budget in level]
+        if len(tops) + sum(tops) > ACTION_CAP:
+            raise ActionSpaceTooLarge(
+                f"supply state {x.id!r} admits more than {ACTION_CAP} "
+                "purchase vectors"
+            )
+        if m == cfg.M - 1:
+            return [(*vec, a) for (vec, _), top in zip(level, tops) for a in range(top + 1)]
+        level = [
+            ((*vec, a), budget - cost * a)
+            for (vec, budget), top in zip(level, tops)
+            for a in range(top + 1)
+        ]
+    return [()]  # no materials: only the empty purchase
 
 
 @dataclass
@@ -124,20 +124,31 @@ def build_profit_lp(model: Model, pi_x, pi_y) -> ProfitLp:
     mass can be shifted onto smaller vectors without raising the objective.
     A state of probability 0 adds nothing to either, so its block is empty
     and its purchase vectors are never enumerated.
+
+    The purchase columns of all supply states come from one int64 array of
+    their vectors: spend is an exact integer (at most c_max <= 2**53), so
+    -w * spend and w * A round as the per-vector Python arithmetic did.
     """
     cfg = model.cfg
     pi_x = check_distribution(pi_x, len(model.supply_states), "pi_x")
     pi_y = check_distribution(pi_y, len(model.demand_states), "pi_y")
 
-    blocks, obj, flow = [], [], []
-    for labels, c_block, flow_block in _lp_blocks(model, pi_x, pi_y):
+    blocks = [
+        enumerate_actions(x, cfg) if w > 0 else []
+        for x, w in zip(model.supply_states, pi_x.tolist())
+    ]
+    w, spend, acts = _purchase_columns(model, pi_x, blocks)
+    obj, flow = [], []
+    for labels, c_block, flow_block in _offer_blocks(model, pi_y):
         blocks.append(labels)
         obj += c_block
         flow += flow_block
     rows = [labels for labels in blocks if labels]
-    c = np.array(obj)
+    n_buy = len(w)
+    c = np.concatenate([-w * spend, obj])
     a_eq = np.zeros((len(rows) + cfg.M, len(c)))
-    a_eq[len(rows) :] = np.array(flow).reshape(-1, cfg.M).T
+    np.multiply(acts.T, w, out=a_eq[len(rows) :, :n_buy])
+    a_eq[len(rows) :, n_buy:] = np.array(flow).reshape(-1, cfg.M).T
     b_eq = np.concatenate([np.ones(len(rows)), np.zeros(cfg.M)])
     col = 0
     for i, labels in enumerate(rows):
@@ -147,14 +158,31 @@ def build_profit_lp(model: Model, pi_x, pi_y) -> ProfitLp:
     return ProfitLp(lp=lp, model=model, pi_x=pi_x, pi_y=pi_y, blocks=blocks)
 
 
-def _lp_blocks(model: Model, pi_x: np.ndarray, pi_y: np.ndarray):
-    """Yield each block's labels, objective entries and flows (M per column)."""
-    # Plain floats: per-block numpy calls cost more than they save on tiny blocks.
+def _purchase_columns(model: Model, pi_x: np.ndarray, blocks: list) -> tuple:
+    """(weight, spend, vectors) of every purchase column, in column order.
+
+    blocks holds each supply state's purchase vectors; all of them go
+    through one int64 array.  A column's weight is its state's probability
+    and its spend the vector times its state's unit costs.
+    """
+    sizes = [len(acts) for acts in blocks]
+    acts = np.array([a for block in blocks for a in block], dtype=np.int64)
+    acts = acts.reshape(-1, model.cfg.M)
+    spend = np.empty(len(acts), dtype=np.int64)
+    col = 0
+    for x, size in zip(model.supply_states, sizes):
+        if size:
+            np.matmul(acts[col : col + size], x.unit_cost, out=spend[col : col + size])
+            col += size
+    return np.repeat(pi_x, sizes), spend, acts
+
+
+def _offer_blocks(model: Model, pi_y: np.ndarray):
+    """Yield each offer block's labels, objective entries and flows (M per column)."""
+    # Plain floats: an offer block has a handful of columns, too few to pay
+    # for numpy calls of its own.  The purchase columns, which are many, go
+    # through _purchase_columns in one array instead.
     cfg = model.cfg
-    for x, w in zip(model.supply_states, pi_x.tolist()):
-        acts = enumerate_actions(x, cfg) if w > 0 else []
-        cost = [-w * purchase_cost(list(a), x) for a in acts]
-        yield acts, cost, [w * a_m for a in acts for a_m in a]
     for k in range(cfg.K):
         opts = product_options(cfg, k)
         net = [p - cfg.alpha[k] for p in cfg.price_set[k]]
@@ -207,22 +235,25 @@ def extract_xy_policy(plp: ProfitLp, sol: LpSolution) -> OraclePolicy:
     model, cfg = plp.model, plp.model.cfg
     n_x, n_y = len(model.supply_states), len(model.demand_states)
 
+    x = np.maximum(sol.x, 0.0)  # clipped of solver noise
+    negative = (sol.x < -1e-7).tolist()
     dists, col = [], 0
     for i, labels in enumerate(plp.blocks):
         if not labels:
             dists.append([((0,) * cfg.M if i < n_x else IDLE, 1.0)])
             continue
-        block = sol.x[col : col + len(labels)]
-        col += len(labels)
-        k = (i - n_x) // n_y
-        what = f"offers of product {k}" if i >= n_x else f"purchases of state {i}"
-        if (block < -1e-7).any():
-            raise NormalizationFailure(f"{what}: negative probability mass")
-        block = np.clip(block, 0.0, None)
+        end = col + len(labels)
+        block, bad = x[col:end], any(negative[col:end])
+        col = end
         total = block.sum()
-        if abs(total - 1.0) > 1e-6:
+        if bad or abs(total - 1.0) > 1e-6:
+            k = (i - n_x) // n_y
+            what = f"offers of product {k}" if i >= n_x else f"purchases of state {i}"
+            if bad:
+                raise NormalizationFailure(f"{what}: negative probability mass")
             raise NormalizationFailure(f"{what}: mass {total} instead of 1")
-        dists.append([(a, p) for a, p in zip(labels, block / total) if p > 1e-12])
+        probs = (block / total).tolist()
+        dists.append([(a, p) for a, p in zip(labels, probs) if p > 1e-12])
     purchase_dist = dists[:n_x]
     offers = [[(z, j, p) for (z, j), p in d] for d in dists[n_x:]]
     price_dist = [offers[k * n_y : (k + 1) * n_y] for k in range(cfg.K)]
@@ -308,18 +339,13 @@ def brute_force_opt(model: Model, pi_x, pi_y) -> BruteForceResult:
     pi_y = check_distribution(pi_y, len(model.demand_states), "pi_y")
 
     # Combined purchase choices across supply states: (mean cost, mean A).
-    per_x = []
-    for xi, x in enumerate(model.supply_states):
-        acts = enumerate_actions(x, cfg)
-        per_x.append(
-            [
-                (
-                    pi_x[xi] * purchase_cost(list(a), x),
-                    np.asarray(a, dtype=float) * pi_x[xi],
-                )
-                for a in acts
-            ]
-        )
+    blocks = [enumerate_actions(x, cfg) for x in model.supply_states]
+    w, spend, acts = _purchase_columns(model, pi_x, blocks)
+    cost, mean_a = w * spend, w[:, None] * acts
+    per_x, col = [], 0
+    for labels in blocks:
+        per_x.append((cost[col : col + len(labels)], mean_a[col : col + len(labels)]))
+        col += len(labels)
     buy_pts = _combine(per_x, cfg.M, cap=2000)
 
     # Combined offer choices across (product, demand state): (mean net
@@ -328,19 +354,12 @@ def brute_force_opt(model: Model, pi_x, pi_y) -> BruteForceResult:
     for k in range(cfg.K):
         beta_col = np.array([cfg.beta[m][k] for m in range(cfg.M)], dtype=float)
         for yi, y in enumerate(model.demand_states):
-            opts = []
-            for z, j in product_options(cfg, k):
-                if z:
-                    f = y.F[k][j]
-                    opts.append(
-                        (
-                            pi_y[yi] * (cfg.price_set[k][j] - cfg.alpha[k]) * f,
-                            pi_y[yi] * f * beta_col,
-                        )
-                    )
-                else:
-                    opts.append((0.0, np.zeros(cfg.M)))
-            per_ky.append(opts)
+            rev, use = [0.0], [np.zeros(cfg.M)]  # IDLE, then each menu price
+            for j, price in enumerate(cfg.price_set[k]):
+                f = y.F[k][j]
+                rev.append(pi_y[yi] * (price - cfg.alpha[k]) * f)
+                use.append(pi_y[yi] * f * beta_col)
+            per_ky.append((np.array(rev), np.array(use)))
     sell_pts = _combine(per_ky, cfg.M, cap=2000)
 
     if len(buy_pts[0]) * len(sell_pts[0]) > 200_000:
@@ -433,12 +452,10 @@ def _best_triple_mix(pts: np.ndarray) -> float:
 
 
 def _combine(blocks, M: int, cap: int):
-    """Cartesian sums of per-block (scalar, vector) contribution lists."""
+    """Cartesian sums of per-block contributions, (scalars, M-vectors) arrays each."""
     scalars = np.array([0.0])
     vectors = np.zeros((1, M))
-    for opts in blocks:
-        s = np.array([o[0] for o in opts])
-        v = np.array([o[1] for o in opts])
+    for s, v in blocks:
         scalars = (scalars[:, None] + s[None, :]).ravel()
         vectors = (vectors[:, None, :] + v[None, :, :]).reshape(-1, M)
         if len(scalars) > cap:
@@ -448,14 +465,13 @@ def _combine(blocks, M: int, cap: int):
 
 def _pareto_max(pts: np.ndarray) -> np.ndarray:
     """Rows of pts not dominated coordinate-wise by another row."""
-    n = len(pts)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        ge = (pts >= pts[i] - 1e-15).all(axis=1)
-        gt = (pts > pts[i] + 1e-15).any(axis=1)
-        dominators = ge & gt
-        if dominators.any():
-            keep[i] = False
+    keep = np.ones(len(pts), dtype=bool)
+    step = max(1, 1_000_000 // max(pts.size, 1))  # rows compared at once
+    for i in range(0, len(pts), step):
+        p = pts[i : i + step, None, :]
+        ge = (pts >= p - 1e-15).all(axis=2)
+        gt = (pts > p + 1e-15).any(axis=2)
+        keep[i : i + step] = ~(ge & gt).any(axis=1)
     return pts[keep]
 
 

@@ -144,13 +144,12 @@ def generate_states(
     if spec.mode == MARKOV:
         rows = [_cumulative(row) for row in spec.transition]
         u = rng.random(horizon - 1).tolist() if horizon > 1 else []
-        out = np.empty(horizon, dtype=np.int64)
         cur = spec.initial
-        for t in range(horizon):
-            if t > 0:
-                cur = bisect_right(rows[cur], u[t - 1])
-            out[t] = cur
-        return out
+        path = [cur]
+        for v in u:
+            cur = bisect_right(rows[cur], v)
+            path.append(cur)
+        return np.array(path[:horizon], dtype=np.int64)
     n = len(spec.trace)
     message = f"trace has {n} slots, {horizon} requested"
     check_int("horizon", horizon, 0, n, error=TraceExhausted, message=message)

@@ -1,6 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from plantsim import oracles
 from plantsim.model import (
     DemandState,
     PlantConfig,
@@ -23,6 +27,7 @@ from plantsim.oracles import (
     two_price_reduce,
     _reduce_one,
 )
+from plantsim.processes import empirical_distribution
 from plantsim.simplex import LinearProgram, solve_lp
 
 from conftest import make_i1, make_two_phase, random_tiny_instance
@@ -65,6 +70,95 @@ def test_action_guard_fires():
     x = SupplyState(id="x", unit_cost=[0, 0, 0], available=[99, 99, 99])
     with pytest.raises(ActionSpaceTooLarge):
         enumerate_actions(x, cfg)
+
+
+def _ref_enumerate_actions(x, cfg):
+    """enumerate_actions as a depth-first recursion over the materials.
+
+    Kept as the reference for the level-by-level enumeration: it appends
+    the vectors one at a time and raises when one more would pass the cap.
+    """
+    ub = [min(cfg.A_max[m], x.available[m]) for m in range(cfg.M)]
+    out = []
+    vec = [0] * cfg.M
+
+    def rec(m, budget):
+        if m == cfg.M:
+            if len(out) >= oracles.ACTION_CAP:
+                raise ActionSpaceTooLarge(
+                    f"supply state {x.id!r} admits more than {oracles.ACTION_CAP} "
+                    "purchase vectors"
+                )
+            out.append(tuple(vec))
+            return
+        cost = x.unit_cost[m]
+        top = ub[m] if cost == 0 else min(ub[m], budget // cost)
+        for a in range(top + 1):
+            vec[m] = a
+            rec(m + 1, budget - cost * a)
+        vec[m] = 0
+
+    rec(0, cfg.c_max)
+    return out
+
+
+def test_enumerate_actions_matches_reference(monkeypatch):
+    # Zero unit costs, zero availability and budgets that bind below the
+    # caps, each common; then the cap itself, at the count and one below.
+    rng = np.random.default_rng(4242)
+    seen = set()
+    for i in range(300):
+        M = int(rng.integers(1, 5))
+        cfg = PlantConfig(
+            beta=[[1]] * M,
+            alpha=[0.0],
+            price_set=[[1.0]],
+            D_max=[1],
+            A_max=rng.integers(0, 6, size=M).tolist(),
+            c_max=int(rng.integers(0, 13)),
+        )
+        x = SupplyState(
+            id=f"x{i}",
+            unit_cost=rng.integers(0, 4, size=M).tolist(),
+            available=rng.integers(0, 5, size=M).tolist(),
+        )
+        ub = np.minimum(cfg.A_max, x.available)
+        seen |= {("free", 0 in x.unit_cost), ("empty", 0 in x.available)}
+        seen.add(("binding", cfg.c_max < np.dot(x.unit_cost, ub)))
+        want = _ref_enumerate_actions(x, cfg)
+        assert enumerate_actions(x, cfg) == want
+        monkeypatch.setattr(oracles, "ACTION_CAP", len(want))
+        assert enumerate_actions(x, cfg) == want
+        monkeypatch.setattr(oracles, "ACTION_CAP", len(want) - 1)
+        for enumerate_ in (enumerate_actions, _ref_enumerate_actions):
+            with pytest.raises(ActionSpaceTooLarge, match=f"more than {len(want) - 1} "):
+                enumerate_(x, cfg)
+        monkeypatch.undo()
+    assert {("free", True), ("empty", True), ("binding", True)} <= seen
+
+
+def test_action_guard_fires_before_the_over_cap_level():
+    # Three free materials with 99 units each admit 100**3 vectors.  The
+    # guard fires on the length of the third level before building it: the
+    # 10**4 two-material prefixes are all that is ever held, where a list of
+    # ACTION_CAP three-material vectors alone would take about 7 MB.
+    cfg = PlantConfig(
+        beta=[[1], [0], [0]],
+        alpha=[0.0],
+        price_set=[[2.0]],
+        D_max=[1],
+        A_max=[99, 99, 99],
+        c_max=10**9,
+    )
+    x = SupplyState(id="huge", unit_cost=[0, 0, 0], available=[99, 99, 99])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ActionSpaceTooLarge, match=str(ACTION_CAP)):
+            enumerate_actions(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_i1_optimum_is_one():
@@ -302,6 +396,59 @@ def test_block_layout_matches_reference_builder():
         assert np.array_equal(new.c, ref.c)
         assert np.array_equal(new.a_eq, ref.a_eq)
         assert np.array_equal(new.b_eq, ref.b_eq)
+    # On frame histograms that leave states unvisited, the program is the
+    # reference program of the plant restricted to the visited states.
+    for _ in range(20):
+        model, pi_x, pi_y = _frame_histograms(rng, _m3_k4_plant(rng)[0])
+        sx, sy = np.flatnonzero(pi_x), np.flatnonzero(pi_y)
+        visited = validate_config(
+            model.cfg,
+            [model.supply_states[i] for i in sx],
+            [model.demand_states[i] for i in sy],
+        )
+        new = build_profit_lp(model, pi_x, pi_y).lp
+        ref = _reference_profit_lp(visited, pi_x[sx], pi_y[sy])
+        assert np.array_equal(new.c, ref.c)
+        assert np.array_equal(new.a_eq, ref.a_eq)
+        assert np.array_equal(new.b_eq, ref.b_eq)
+
+
+def _frame_histograms(rng, model):
+    """The model with the state histograms of a random frame of 1-2 slots.
+
+    With three states per process such a frame leaves at least one supply
+    and one demand state unvisited, so their blocks are empty.
+    """
+    T = int(rng.integers(1, 3))
+    xs = rng.integers(0, len(model.supply_states), size=T)
+    ys = rng.integers(0, len(model.demand_states), size=T)
+    return (
+        model,
+        empirical_distribution(xs, len(model.supply_states)),
+        empirical_distribution(ys, len(model.demand_states)),
+    )
+
+
+# sha256 over (value.hex(), x.tobytes(), iterations) of _mid_pinned_programs(),
+# recorded with the builder and pivot kernel that read numpy scalars one at
+# a time (purchase_cost per vector, a row loop over the whole pivot column).
+# A change of column order, entry value or pivot path shows up here.
+MID_PIVOT_PATH_DIGEST = "490f53e209e183417880080090954f635f17486a55e8ae3df568a5b3ab8427c3"
+
+
+def _mid_pinned_programs():
+    rng = np.random.default_rng(2718)
+    cases = [_m3_k4_plant(rng) for _ in range(20)]
+    cases += [_frame_histograms(rng, _m3_k4_plant(rng)[0]) for _ in range(20)]
+    return [build_profit_lp(*case).lp for case in cases]
+
+
+def test_mid_pivot_paths_are_pinned():
+    digest = hashlib.sha256()
+    for lp in _mid_pinned_programs():
+        sol = solve_lp(lp)
+        digest.update(repr((sol.value.hex(), sol.x.tobytes(), sol.iterations)).encode())
+    assert digest.hexdigest() == MID_PIVOT_PATH_DIGEST
 
 
 def test_zero_probability_state_is_empty_block():
