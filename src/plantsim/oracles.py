@@ -21,7 +21,7 @@ T times the stationary optimum of the full model on its state histogram.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,24 +236,30 @@ def extract_xy_policy(plp: ProfitLp, sol: LpSolution) -> OraclePolicy:
     n_x, n_y = len(model.supply_states), len(model.demand_states)
 
     x = np.maximum(sol.x, 0.0)  # clipped of solver noise
-    negative = (sol.x < -1e-7).tolist()
-    dists, col = [], 0
+    # Only the support of the solution, a few entries per block, is read
+    # into Python; a block's probabilities are its entries over its total.
+    support = np.flatnonzero(sol.x)
+    cols, vals = support.tolist(), sol.x[support].tolist()
+    negative = any(v < -1e-7 for v in vals)
+    dists, col, a = [], 0, 0
     for i, labels in enumerate(plp.blocks):
         if not labels:
             dists.append([((0,) * cfg.M if i < n_x else IDLE, 1.0)])
             continue
         end = col + len(labels)
-        block, bad = x[col:end], any(negative[col:end])
-        col = end
-        total = block.sum()
+        b = bisect_left(cols, end, a)
+        total = x[col:end].sum()
+        bad = negative and any(v < -1e-7 for v in vals[a:b])
         if bad or abs(total - 1.0) > 1e-6:
             k = (i - n_x) // n_y
             what = f"offers of product {k}" if i >= n_x else f"purchases of state {i}"
             if bad:
                 raise NormalizationFailure(f"{what}: negative probability mass")
             raise NormalizationFailure(f"{what}: mass {total} instead of 1")
-        probs = (block / total).tolist()
-        dists.append([(a, p) for a, p in zip(labels, probs) if p > 1e-12])
+        t = float(total)
+        entries = zip(cols[a:b], vals[a:b])
+        dists.append([(labels[j - col], p) for j, v in entries if (p := v / t) > 1e-12])
+        col, a = end, b
     purchase_dist = dists[:n_x]
     offers = [[(z, j, p) for (z, j), p in d] for d in dists[n_x:]]
     price_dist = [offers[k * n_y : (k + 1) * n_y] for k in range(cfg.K)]

@@ -27,18 +27,33 @@ products' sell entries) is made once per (x, y, A, Z, P), or once per
 playback key, and carries the outcome table of its demand codes: each
 offered product's demand as one digit of radix D_max[k] + 1, mapped to
 the profit, D, the material use and the queue change, none of which
-depend on the queues.
+depend on the queues.  An online decision also carries its signature's
+demand-code table (below).
 
 The slot loop keeps a state table.  Inside a finite band the online
 controller is a finite chain on (Q, x, y): its queues are one mixed-radix
 integer q, the state code is s = (q * |X| + x) * |Y| + y, and the memo
-maps s to its decision.  Once the transition from s under a demand code
-has passed every check, its link s * n_code + code is kept (n_code is the
-product of D_max[k] + 1).  A linked slot only books its profit and adds
-the outcome's change to q: the short-slot and band checks and the
-queue-extreme and drift records it skips are functions of that
-transition and were done.  Queues outside the band have no code: their
-memo key is (Q, x, y) and they are never linked.
+maps s to its decision.  Once a transition from a revisited s under a
+demand code has passed every check, its link s * n_code + code maps to
+its outcome (n_code is the product of D_max[k] + 1); a first visit links
+nothing, since most states of a run that misses the memo are never
+revisited.  A linked slot only books the outcome's profit and adds its
+change to q: the short-slot and band checks and the queue-extreme and
+drift records it skips are functions of that transition and were done.
+Queues outside the band have no code: their memo key is (Q, x * |Y| + y)
+and they are never linked.
+
+A slot's demand code depends only on its decision's signature, the
+offered products' (threshold, D_max[k]) pairs in order, and on where the
+slot starts in the demand stream.  The loop buffers the demand uniforms,
+at least _CHUNK at a time, and keeps a code table per signature: the code
+from every start in the buffer, computed in numpy and read with one list
+index.  A table is built once revisited states have read its signature
+_TABLE_AFTER times without one, or when it runs out at the buffer's end.
+It is dated by the stream offset of the buffer's end, so a refill leaves
+the old tables stale without touching them.  A first visit, and a read
+without a table, counts the uniforms one by one; a signature wider than
+_CHUNK never gets a table.
 
 The block driver plays up to _CHUNK slots, and at most 2**16 demand
 uniforms, at a time: it draws the block's policy and demand uniforms,
@@ -56,6 +71,10 @@ Per run, each of these counts is at most the horizon and at most
 * outcomes per decision: the product of D_max[k] + 1 over offered products;
 * links: the states times n_code;
 * playback keys: |X| * |Y| times the number of option combinations.
+The slot loop also holds the state index as an array, built in place of
+the supply path, and as a list for _CHUNK slots, its demand buffer (as an
+array and a list) and a code table of one entry per buffered uniform for
+each signature a revisited state used.
 
 The check_* helpers run whole experiments: check_profit_bound compares
 the controller's mean profit against the stationary optimum, for i.i.d.
@@ -110,12 +129,17 @@ _CH_X = 0
 _CH_Y = 1
 _CH_DEMAND = 2
 _CH_POLICY = 3
-# The slot loop draws demand uniforms this many at a time, and counts a
-# product with a larger D_max in numpy; the block driver plays at most this
-# many slots at a time.  numpy generators fill batched requests from the
-# same bit stream as repeated scalar calls, so any grouping of the draws
-# reproduces the plain call-by-call sequence.
+# The slot loop draws demand uniforms this many at a time, counts a
+# product with a larger D_max in numpy and reads its state index this many
+# slots at a time; the block driver plays at most this many slots at a
+# time.  numpy generators fill batched requests from the same bit stream as
+# repeated scalar calls, so any grouping of the draws reproduces the plain
+# call-by-call sequence.
 _CHUNK = 1 << 12
+# The slot loop tables a signature on its this-many-th read without a table.
+# A build costs about as much as counting 100 slots one by one, so a
+# signature read only a few times per buffer is cheaper to count.
+_TABLE_AFTER = 8
 
 
 @dataclass
@@ -182,7 +206,7 @@ def _outcome(dec, code: int, K: int, radix: list) -> tuple:
     The last three are the queue change, the drift 0.5 * sum (A - used)^2
     and the change dq of the state code q of a slot that is not short.
     """
-    A, cost, _, _, sells, _ = dec
+    A, cost, _, _, sells = dec[:5]
     M = len(radix)
     D = [0] * K
     for k, _, _, n, _ in reversed(sells):
@@ -262,7 +286,7 @@ class _Transitions:
                 self.violations += 1
             self.mismatch += 1
             cfg = self.cfg
-            A, cost, Z, P, _, _ = dec
+            A, cost, Z, P = dec[:4]
             d_tilde = schedule_fulfillment(Q, Z, P, out[1], cfg)
             alpha = cfg.alpha
             phia = (
@@ -352,10 +376,8 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
         decide, state, band = _online_setup(ec, model, sell)
     else:
         pick, decide, state, band = _oracle_setup(ec, model, sell)
-    # the slot loop reads lists, the block driver arrays
-    states = np.ndarray.tolist if online else np.asarray
-    xs = states(generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X)))
-    ys = states(generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y)))
+    xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X))
+    ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y))
     # Units sold from the assembly-delay product queues are re-assembled by
     # the end of the slot, so the queues always start full and only their
     # initial stock costs anything.
@@ -364,7 +386,11 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     run = _Transitions(cfg, band, not ec.allow_unsafe_theta, Q)
     log: list[tuple] | None = [] if ec.record_log else None
     if online:
-        tphi, tphia, Q = _slot_loop(model, decide, run, Q, xs, ys, rs, log)
+        # the slot loop reads one state index x * |Y| + y per slot
+        xs *= len(model.demand_states)
+        xs += ys
+        del ys
+        tphi, tphia, Q = _slot_loop(model, decide, run, Q, xs, rs, log)
     else:
         tphi, tphia, Q = _play_blocks(model, pick, decide, run, Q, xs, ys, rs, log)
 
@@ -391,79 +417,150 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     )
 
 
-def _slot_loop(model: Model, decide, run: _Transitions, Q, xs, ys, rs, log) -> tuple:
-    """The online controller, one slot at a time: (tphi, tphia, final Q)."""
+def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> tuple:
+    """The online controller, one slot at a time: (tphi, tphia, final Q).
+
+    states holds each slot's state index s = x * |Y| + y; the loop reads
+    it as a list, _CHUNK slots at a time.  A slot's demand code is counted
+    one uniform at a time on a first visit to its state; a revisited state
+    reads it from its signature's code table (_code_table) once the
+    signature has one.  A linked slot then books the stored outcome of its
+    transition and moves q, without decoding the queues.
+    """
     K = model.cfg.K
-    d_max = model.cfg.D_max
     ids_x = [x.id for x in model.supply_states]
     ids_y = [y.id for y in model.demand_states]
-    n_x, n_y = len(ids_x), len(ids_y)
+    n_y = len(ids_y)
+    n_s = len(ids_x) * n_y
     demand = rs.generator(_CH_DEMAND)
     tphi = 0.0
     tphia = 0.0
     # Q is the queue tuple, or None after a link until a slot needs it; q
     # is its state code, or None outside a finite band.
     q = run.encode(Q)
-    memo: dict = {}  # state code or out-of-band (Q, x, y) -> decision
-    links: set = set()  # s * n_code + demand code of each checked transition
-    n_code = math.prod(n + 1 for n in d_max)
+    memo: dict = {}  # state code or out-of-band (Q, s) -> decision
+    links: dict = {}  # s * n_code + demand code -> outcome, per checked revisit
+    n_code = math.prod(n + 1 for n in model.cfg.D_max)
+    # The demand buffer, as an array for the code tables and a list to
+    # count; drawn is the stream offset of its end, which dates the tables.
+    arr = np.empty(0)
     buf: list[float] = []
-    pos = 0
+    pos = drawn = 0
 
-    for t, (xi, yi) in enumerate(zip(xs, ys)):
-        key = (Q, xi, yi) if q is None else (q * n_x + xi) * n_y + yi
-        dec = memo.get(key)
-        if dec is None:
-            if Q is None:
-                Q = run.decode(q)
-            dec = memo[key] = decide(Q, xi, yi)
-        sells = dec[4]
+    for t0 in range(0, len(states), _CHUNK):
+        for t, s in enumerate(states[t0 : t0 + _CHUNK].tolist(), t0):
+            key = (Q, s) if q is None else q * n_s + s
+            dec = memo.get(key)
+            revisit = dec is not None
+            if revisit:
+                tab = dec[6]
+                code = tab[1][pos] if tab[0] == drawn else -1
+                if code < 0 and tab[2] <= _CHUNK:
+                    # No table of this buffer, or the slot's uniforms cross
+                    # its end.  A signature is tabled on its _TABLE_AFTER-th
+                    # read without one, and again once its table runs out.
+                    tab[3] += 1
+                    if tab[3] >= _TABLE_AFTER or tab[0] == drawn:
+                        if pos + tab[2] > len(buf):
+                            arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
+                        codes = _code_table(arr, pos, dec[4])
+                        if codes is not None:
+                            tab[:] = drawn, codes, tab[2], 0
+                            code = codes[pos]
+            else:
+                if Q is None:
+                    Q = run.decode(q)
+                dec = memo[key] = decide(Q, *divmod(s, n_y))
+                code = -1
+            if code >= 0:
+                pos += tab[2]
+            else:
+                # Each offered product's demand d as one digit of radix
+                # D_max[k] + 1, the first product's the most significant.
+                code = 0
+                for _, _, pr, n, _ in dec[4]:
+                    end = pos + n
+                    d = 0
+                    if end > len(buf):
+                        if n > _CHUNK:
+                            # counted in numpy, over the same uniforms
+                            rest = demand.random(end - len(buf))
+                            drawn += len(rest)
+                            d = int(np.count_nonzero(arr[pos:] < pr))
+                            d += int(np.count_nonzero(rest < pr))
+                            arr, buf, pos, end = arr[:0], [], 0, 0
+                        else:
+                            arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
+                            end = n
+                    for u in buf[pos:end]:
+                        if u < pr:
+                            d += 1
+                    pos = end
+                    code = code * (n + 1) + d
 
-        # The demand code: each offered product's demand d as one digit of
-        # radix D_max[k] + 1, the first product's the most significant.
-        code = 0
-        for _, _, pr, n, _ in sells:
-            end = pos + n
-            d = 0
-            if end > len(buf):
-                if n > _CHUNK:
-                    # counted in numpy, over the same uniforms
-                    rest = np.concatenate((buf[pos:], demand.random(end - len(buf))))
-                    d = int(np.count_nonzero(rest < pr))
-                    buf, pos, end = [], 0, 0
-                else:
-                    fresh = demand.random(_CHUNK)
-                    buf = buf[pos:] + fresh.tolist()
-                    pos, end = 0, n
-            for u in buf[pos:end]:
-                if u < pr:
-                    d += 1
-            pos = end
-            code = code * (n + 1) + d
-        outcomes = dec[5]
-        out = outcomes.get(code)
-        if out is None:
-            out = outcomes[code] = _outcome(dec, code, K, run.radix)
-        phi = out[0]
-
-        if q is not None and key * n_code + code in links:
-            Qn, nq, phia = None, q + out[5], phi
-        else:
-            if Q is None:
-                Q = run.decode(q)
-            Qn, nq, phia, clean = run.step(t, Q, dec, out)
-            if clean and q is not None:
-                links.add(key * n_code + code)
-        tphi += phi
-        tphia += phia
-        if log is not None:
-            if Q is None:
-                Q = run.decode(q)
-            A, _, Z, P, _, _ = dec
-            row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), phi, phia)
-            log.append((t, ids_x[xi], ids_y[yi], Q, *row, tphia / (t + 1)))
-        Q, q = Qn, nq
+            out = None if q is None else links.get(key * n_code + code)
+            if out is not None:
+                phi = phia = out[0]
+                Qn, nq = None, q + out[5]
+            else:
+                outcomes = dec[5]
+                out = outcomes.get(code)
+                if out is None:
+                    out = outcomes[code] = _outcome(dec, code, K, run.radix)
+                if Q is None:
+                    Q = run.decode(q)
+                Qn, nq, phia, clean = run.step(t, Q, dec, out)
+                if clean and revisit and q is not None:
+                    links[key * n_code + code] = out
+                phi = out[0]
+            tphi += phi
+            tphia += phia
+            if log is not None:
+                if Q is None:
+                    Q = run.decode(q)
+                xi, yi = divmod(s, n_y)
+                A, _, Z, P = dec[:4]
+                row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), phi, phia)
+                log.append((t, ids_x[xi], ids_y[yi], Q, *row, tphia / (t + 1)))
+            Q, q = Qn, nq
     return tphi, tphia, run.decode(q) if Q is None else Q
+
+
+def _refill(arr: np.ndarray, buf: list, pos: int, drawn: int, rng) -> tuple:
+    """The demand buffer from pos on, with _CHUNK fresh uniforms drawn.
+
+    Returns it as an array and a list, its start position 0 and the stream
+    offset of its new end.
+    """
+    fresh = rng.random(_CHUNK)
+    buf = buf[pos:] + fresh.tolist()
+    return np.concatenate((arr[pos:], fresh)), buf, 0, drawn + _CHUNK
+
+
+def _code_table(arr: np.ndarray, pos: int, sells) -> list | None:
+    """codes[p]: the demand code of sells from each start p >= pos of arr.
+
+    The code from start p is the slot loop's: product j of sells, with
+    threshold pr and D_max n, counts the uniforms below pr in its window
+    of n after the windows of the products before it, as one digit of
+    radix n + 1.  Starts before pos, and those whose windows run past the
+    end of arr, hold -1.  None when the codes could outgrow int64.
+    """
+    if math.prod(n + 1 for *_, n, _ in sells) > 2**62:
+        return None
+    u = arr[pos:]
+    width = sum(n for *_, n, _ in sells)
+    starts = len(u) - width + 1
+    code = np.zeros(starts, dtype=np.int64)
+    hits = np.zeros(len(u) + 1, dtype=np.int64)
+    off = 0
+    for _, _, pr, n, _ in sells:
+        np.cumsum(u < pr, out=hits[1:])
+        code *= n + 1
+        code += hits[off + n : off + n + starts]
+        code -= hits[off : off + starts]
+        off += n
+    return [-1] * pos + code.tolist() + [-1] * width
 
 
 def _play_blocks(
@@ -681,6 +778,7 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
     offers = [[dict(zip(ps, s)) for ps, s in zip(cfg.price_set, row)] for row in sell]
 
     decisions: dict = {}
+    tables: dict = {}  # signature -> its demand-code table
 
     def decide(Q, xi, yi):
         x = supply[xi]
@@ -690,7 +788,13 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
         dec = decisions.get(dkey)
         if dec is None:
             sells = [o[p] for o, z, p in zip(offers[yi], Z, P) if z]
-            dec = decisions[dkey] = (A, purchase_cost(A, x), Z, P, sells, {})
+            # the demand-code table of the offers' (threshold, D_max) pairs:
+            # [stream offset it was built at, codes, width, reads without it]
+            sig = tuple((pr, n) for _, _, pr, n, _ in sells)
+            tab = tables.get(sig)
+            if tab is None:
+                tab = tables[sig] = [-1, None, sum(n for _, n in sig), 0]
+            dec = decisions[dkey] = (A, purchase_cost(A, x), Z, P, sells, {}, tab)
         return dec
 
     return decide, state, queue_band(params, cfg)

@@ -925,6 +925,132 @@ def test_memoized_loop_matches_reference_loop(monkeypatch):
     assert min(seen.values()) >= 3, seen
 
 
+class _Draws:
+    """A generator that records the stream offset at which each draw ends."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.ends = [0]
+
+    def random(self, n):
+        self.ends.append(self.ends[-1] + n)
+        return self.rng.random(n)
+
+
+def _straddles(log, d_max, ends) -> int:
+    """The logged slots whose demand uniforms hold a draw's end strictly inside."""
+    n = start = 0
+    for row in log:
+        end = start + sum(d for z, d in zip(row[5], d_max) if z)
+        i = bisect_right(ends, start)
+        n += i < len(ends) and ends[i] < end
+        start = end
+    return n
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
+    """The online loop equals the reference when its demand buffer refills.
+
+    With _CHUNK patched to a few uniforms, refills land inside slots: a
+    revisited state reads its demand code from its signature's table,
+    built after the refill, and a first visit counts its uniforms one by
+    one across it.  Per random plant, with IID, MARKOV or TRACE processes:
+    an online run (plain or placeholder, logged or not) and a count-only
+    unsafe-theta run; then i1 with D_max above _CHUNK, which is counted in
+    numpy.  Each of the four routes is taken at least 3 times.
+    """
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    routes = ["table reads", "first-visit counts", "refills in a slot", "linked"]
+    seen = dict.fromkeys(routes, 0)
+
+    class Table(list):
+        def __getitem__(self, i):
+            seen["table reads"] += 1
+            return list.__getitem__(self, i)
+
+    code_table, step, setup = sim._code_table, sim._Transitions.step, sim._online_setup
+
+    def counted_table(*args):
+        codes = code_table(*args)
+        return None if codes is None else Table(codes)
+
+    def counted_step(self, *args):
+        seen["linked"] -= 1  # each run adds its H slots; the linked ones take no step
+        return step(self, *args)
+
+    def counted_setup(*args):
+        decide, state, band = setup(*args)
+
+        def counted(*key):
+            dec = decide(*key)
+            seen["first-visit counts"] += bool(dec[4])
+            return dec
+
+        return counted, state, band
+
+    draws = []
+
+    class Recorded(RngStream):
+        def generator(self, channel=0):
+            rng = super().generator(channel)
+            if channel == _CH_DEMAND:
+                rng = _Draws(rng)
+                draws.append(rng)
+            return rng
+
+    monkeypatch.setattr(sim, "_code_table", counted_table)
+    monkeypatch.setattr(sim._Transitions, "step", counted_step)
+    monkeypatch.setattr(sim, "_online_setup", counted_setup)
+    monkeypatch.setattr(sim, "RngStream", Recorded)
+
+    rng = np.random.default_rng(20261020 + chunk)
+    H = 600
+    modes = (IID, MARKOV, TRACE)
+    runs = []
+    for i in range(6):
+        model = _random_plant(rng)
+        ids_x = [x.id for x in model.supply_states]
+        ids_y = [y.id for y in model.demand_states]
+        px = _random_process(rng, ids_x, modes[i % 3], H)
+        py = _random_process(rng, ids_y, modes[i // 2 % 3], H)
+        V = float(rng.choice([2.0, 5.0, 20.0]))
+        ec = EpisodeConfig(
+            horizon=H, seed=i, V=V, process_x=px, process_y=py, record_log=i % 2 == 0
+        )
+        if i % 3 == 1:
+            lo, hi = queue_band(make_params(model.cfg, V), model.cfg)
+            Q0 = [min(int(rng.integers(0, 3)), int(b - a)) for a, b in zip(lo, hi)]
+            ec = replace(ec, placeholder=True, Q0=Q0)
+        safe = compute_theta(model.cfg, V)
+        bottom = [u - a for u, a in zip(model.mu_max, model.cfg.A_max)]
+        theta = [max(0.5 * th, b) for th, b in zip(safe, bottom)]
+        unsafe = EpisodeConfig(
+            horizon=H,
+            seed=i,
+            V=V,
+            process_x=px,
+            process_y=py,
+            theta=theta,
+            allow_unsafe_theta=True,
+            record_log=i % 2 == 1,
+        )
+        runs += [(model, ec), (model, unsafe)]
+    wide = _i1_demand_cap(2 * chunk + 1)
+    _, hi = queue_band(make_params(wide.cfg, 10.0), wide.cfg)
+    for log in (True, False):
+        runs.append((wide, _i1_ec(horizon=H, Q0=[int(hi[0])], record_log=log)))
+
+    for model, ec in runs:
+        seen["linked"] += H
+        ref, new = _both(ec, model)
+        assert ref == new and isinstance(ref, dict), (ec.seed, ec.theta)
+        if ec.record_log:
+            ends = draws[-1].ends
+            seen["refills in a slot"] += _straddles(new["log"], model.cfg.D_max, ends)
+    assert min(seen.values()) >= 3, seen
+
+
 def _never_buy(policy, M):
     """policy with every supply state's purchase fixed at zero."""
     idle = [[((0,) * M, 1.0)] for _ in policy.purchase_dist]
