@@ -135,7 +135,9 @@ def generate_states(
 
     IID and Markov modes consume one uniform per slot (Markov none for slot
     0, which is the initial state) in slot order, exactly as a stepwise
-    sampler drawing one uniform per transition would.
+    sampler drawing one uniform per transition would.  The path is a fresh
+    array in every mode, never a view of a TRACE spec's own array, so the
+    caller may change it in place.
     """
     horizon = check_int("horizon", horizon)
     if spec.mode == IID:
@@ -153,7 +155,7 @@ def generate_states(
     n = len(spec.trace)
     message = f"trace has {n} slots, {horizon} requested"
     check_int("horizon", horizon, 0, n, error=TraceExhausted, message=message)
-    return np.asarray(spec.trace[:horizon], dtype=np.int64)
+    return np.array(spec.trace[:horizon], dtype=np.int64)
 
 
 def stationary_distribution(spec: StateProcessSpec) -> np.ndarray:

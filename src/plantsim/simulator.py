@@ -49,11 +49,12 @@ slot starts in the demand stream.  The loop buffers the demand uniforms,
 at least _CHUNK at a time, and keeps a code table per signature: the code
 from every start in the buffer, computed in numpy and read with one list
 index.  A table is built once revisited states have read its signature
-_TABLE_AFTER times without one, or when it runs out at the buffer's end.
-It is dated by the stream offset of the buffer's end, so a refill leaves
-the old tables stale without touching them.  A first visit, and a read
-without a table, counts the uniforms one by one; a signature wider than
-_CHUNK never gets a table.
+_TABLE_AFTER times without a table of the current buffer.  It is dated by
+the stream offset of the buffer's end, so a refill leaves the old tables
+stale without touching them; a stale table is dropped on its next read.
+A first visit, and a read without a table, counts the uniforms one by
+one; a signature with no offer, one wider than _CHUNK or one whose codes
+could outgrow int64 never gets a table.
 
 The block driver plays up to _CHUNK slots, and at most 2**16 demand
 uniforms, at a time: it draws the block's policy and demand uniforms,
@@ -74,7 +75,7 @@ Per run, each of these counts is at most the horizon and at most
 The slot loop also holds the state index as an array, built in place of
 the supply path, and as a list for _CHUNK slots, its demand buffer (as an
 array and a list) and a code table of one entry per buffered uniform for
-each signature a revisited state used.
+each tabled signature, until its first read after the next refill.
 
 The check_* helpers run whole experiments: check_profit_bound compares
 the controller's mean profit against the stationary optimum, for i.i.d.
@@ -88,7 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import ge, gt, le, mul, sub
+from operator import ge, gt, itemgetter, le, mul, sub
 
 import numpy as np
 
@@ -136,9 +137,10 @@ _CH_POLICY = 3
 # repeated scalar calls, so any grouping of the draws reproduces the plain
 # call-by-call sequence.
 _CHUNK = 1 << 12
-# The slot loop tables a signature on its this-many-th read without a table.
-# A build costs about as much as counting 100 slots one by one, so a
-# signature read only a few times per buffer is cheaper to count.
+# The slot loop tables a signature on its this-many-th read without a table
+# of the current buffer.  A build costs about as much as counting 100 slots
+# one by one, so a signature read only a few times per buffer is cheaper to
+# count.
 _TABLE_AFTER = 8
 
 
@@ -452,26 +454,27 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
             key = (Q, s) if q is None else q * n_s + s
             dec = memo.get(key)
             revisit = dec is not None
-            if revisit:
-                tab = dec[6]
-                code = tab[1][pos] if tab[0] == drawn else -1
-                if code < 0 and tab[2] <= _CHUNK:
-                    # No table of this buffer, or the slot's uniforms cross
-                    # its end.  A signature is tabled on its _TABLE_AFTER-th
-                    # read without one, and again once its table runs out.
-                    tab[3] += 1
-                    if tab[3] >= _TABLE_AFTER or tab[0] == drawn:
-                        if pos + tab[2] > len(buf):
-                            arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
-                        codes = _code_table(arr, pos, dec[4])
-                        if codes is not None:
-                            tab[:] = drawn, codes, tab[2], 0
-                            code = codes[pos]
-            else:
+            code = -1
+            if not revisit:
                 if Q is None:
                     Q = run.decode(q)
                 dec = memo[key] = decide(Q, *divmod(s, n_y))
-                code = -1
+            elif dec[6] is not None:
+                tab = dec[6]
+                if tab[0] == drawn:
+                    code = tab[1][pos]
+                else:
+                    tab[1] = None  # built before the last refill
+                if code < 0:
+                    # No table of this buffer, or the slot's uniforms cross
+                    # its end: the signature is tabled on its
+                    # _TABLE_AFTER-th such read.
+                    tab[3] += 1
+                    if tab[3] >= _TABLE_AFTER:
+                        if pos + tab[2] > len(buf):
+                            arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
+                        tab[:] = drawn, _code_table(arr, pos, dec[4]), tab[2], 0
+                        code = tab[1][pos]
             if code >= 0:
                 pos += tab[2]
             else:
@@ -537,17 +540,15 @@ def _refill(arr: np.ndarray, buf: list, pos: int, drawn: int, rng) -> tuple:
     return np.concatenate((arr[pos:], fresh)), buf, 0, drawn + _CHUNK
 
 
-def _code_table(arr: np.ndarray, pos: int, sells) -> list | None:
+def _code_table(arr: np.ndarray, pos: int, sells) -> list:
     """codes[p]: the demand code of sells from each start p >= pos of arr.
 
     The code from start p is the slot loop's: product j of sells, with
     threshold pr and D_max n, counts the uniforms below pr in its window
     of n after the windows of the products before it, as one digit of
     radix n + 1.  Starts before pos, and those whose windows run past the
-    end of arr, hold -1.  None when the codes could outgrow int64.
+    end of arr, hold -1.  The codes must fit in int64 (_online_setup).
     """
-    if math.prod(n + 1 for *_, n, _ in sells) > 2**62:
-        return None
     u = arr[pos:]
     width = sum(n for *_, n, _ in sells)
     starts = len(u) - width + 1
@@ -779,6 +780,7 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
 
     decisions: dict = {}
     tables: dict = {}  # signature -> its demand-code table
+    pr_n = itemgetter(2, 3)  # a sell entry's (threshold, D_max)
 
     def decide(Q, xi, yi):
         x = supply[xi]
@@ -789,11 +791,16 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
         if dec is None:
             sells = [o[p] for o, z, p in zip(offers[yi], Z, P) if z]
             # the demand-code table of the offers' (threshold, D_max) pairs:
-            # [stream offset it was built at, codes, width, reads without it]
-            sig = tuple((pr, n) for _, _, pr, n, _ in sells)
-            tab = tables.get(sig)
-            if tab is None:
-                tab = tables[sig] = [-1, None, sum(n for _, n in sig), 0]
+            # [stream offset it was built at, codes, width, reads without
+            # it], or None where the slot loop always counts: no offer, an
+            # offer wider than _CHUNK, or codes that could outgrow int64
+            sig = tuple(map(pr_n, sells))
+            if sig not in tables:
+                width = sum(n for _, n in sig)
+                n_sig = math.prod(n + 1 for _, n in sig)
+                tabled = 0 < width <= _CHUNK and n_sig <= 2**62
+                tables[sig] = [-1, None, width, 0] if tabled else None
+            tab = tables[sig]
             dec = decisions[dkey] = (A, purchase_cost(A, x), Z, P, sells, {}, tab)
         return dec
 

@@ -787,6 +787,30 @@ def test_trace_may_be_a_numpy_array():
     assert runs[0] == runs[1]
 
 
+def test_online_runs_leave_array_traces_unchanged():
+    """An online run neither changes nor reads back a caller's int64 trace.
+
+    The slot loop builds its state index in place of the supply path, so
+    that path must be a copy even when the trace is an int64 array, alone
+    or shared by both processes.  Reruns on the same config are equal to
+    the run on list traces.
+    """
+    trace = [0, 1, 1, 0, 1] * 8
+    model = make_two_phase()
+
+    def ec(tx, ty):
+        px = StateProcessSpec(mode=TRACE, state_ids=["cheap", "dear"], trace=tx)
+        py = StateProcessSpec(mode=TRACE, state_ids=["hot", "cold"], trace=ty)
+        return _ec(horizon=len(trace), process_x=px, process_y=py)
+
+    want = run_episode(ec(trace, trace), model)
+    alone = np.array(trace, dtype=np.int64)
+    shared = np.array(trace, dtype=np.int64)
+    for config in (ec(alone, trace), ec(shared, shared)):
+        assert [run_episode(config, model) for _ in range(2)] == [want, want]
+    assert alone.tolist() == trace and shared.tolist() == trace
+
+
 @pytest.mark.parametrize(
     "call, kind, message",
     [

@@ -972,8 +972,7 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
     code_table, step, setup = sim._code_table, sim._Transitions.step, sim._online_setup
 
     def counted_table(*args):
-        codes = code_table(*args)
-        return None if codes is None else Table(codes)
+        return Table(code_table(*args))
 
     def counted_step(self, *args):
         seen["linked"] -= 1  # each run adds its H slots; the linked ones take no step
