@@ -19,14 +19,19 @@ served in full.
 
 Everything the decisions read besides Q is tabulated once per
 ControllerParams, on first use (_Tables): for pricing, each product's
-feeders and each demand state's scores per menu price; for purchasing,
-V * unit_cost per supply state and, per (supply state, buy set), the caps,
-whether they fit the budget and, when they do not, a knapsack plan.  The
-plan holds only the budgets reachable from the full budget, so the
-knapsack's time and memory scale with those, not with c_max or with the
-cap of a material that costs nothing in that state.  A call does only
-the arithmetic that depends on Q, in the order the untabulated rule does
-it, so its decisions are bit-identical to that rule's.
+column of beta, its feeders, the first menu prices and each demand
+state's scores per menu price; for purchasing, V * unit_cost per supply
+state and, per (supply state, buy set), the caps, whether they fit the
+budget and, when they do not, a knapsack plan and the plan's maximal
+vectors (at most _CANDIDATE_CAP of them).  The plan holds only the
+budgets reachable from the full budget, so the knapsack's time and memory
+scale with those, not with c_max or with the cap of a material that
+costs nothing in that state.  A call does only the arithmetic that
+depends on Q.  Pricing does it in the order the untabulated rule does,
+up to the sign of a zero relief; a knapsack call takes the best maximal
+vector when it leads every other by a proven rounding margin and runs
+the DP otherwise (_scan).  So the decisions are bit-identical to the
+untabulated rule's.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import lt
+from operator import lt, mul, sub
 
 import numpy as np
 
@@ -76,27 +81,23 @@ class ControllerParams:
 class _Tables:
     """What the decisions read besides the queues, for one (params, cfg) pair.
 
-    feeders[k] lists (m, beta[m][k], theta[m]) for each material product k
-    consumes.  demand(y) gives per product (p, V * (p - alpha) * F, F) for
-    each menu price p, with F = y.F, or y.F_hat in blind mode (None if y
-    lacks it).  supply(x) gives V * unit_cost and the purchase plans of x,
-    one per buy set (see _purchase_plan).  Built per state object on first
-    use and keyed by its id; each entry holds its state, so the id cannot
-    be reused while the table lives.  States must not change after first
+    columns[k] is product k's column of beta, feeders[k] lists the
+    materials it consumes and first_prices[k] is its lowest menu price.
+    demand(y) gives per product (p, V * (p - alpha) * F, F) for each menu
+    price p, with F = y.F, or y.F_hat in blind mode (None if y lacks it).
+    supply(x) gives V * unit_cost and the purchase plans of x, one per buy
+    set (see _purchase_plan).  Built per state object on first use and
+    keyed by its id; each entry holds its state, so the id cannot be
+    reused while the table lives.  States must not change after first
     use; params cannot.
     """
 
     def __init__(self, params: ControllerParams, cfg: PlantConfig):
         self.cfg, self.V, self.blind = cfg, params.V, params.demand_blind
         self.mu_max = cfg.mu_max()
-        self.feeders = [
-            [
-                (m, row[k], th)
-                for m, (row, th) in enumerate(zip(cfg.beta, params.theta))
-                if row[k] > 0
-            ]
-            for k in range(cfg.K)
-        ]
+        self.first_prices = [prices[0] for prices in cfg.price_set]
+        self.columns = [tuple(row[k] for row in cfg.beta) for k in range(cfg.K)]
+        self.feeders = [[m for m, b in enumerate(col) if b > 0] for col in self.columns]
         self._rows: dict[int, tuple] = {}  # id(y) -> (y, rows)
         self._supply: dict[int, tuple] = {}  # id(x) -> (x, V * unit_cost, plans)
 
@@ -210,7 +211,11 @@ def decide_purchase(
     _bounded_knapsack_lex_min for its tie rule).  What does not depend on Q
     is built once per (x, buy set) and kept on the params' tables:
     V * unit_cost, the caps, whether they fit the budget and, if not, the
-    knapsack plan, so a call computes only w and the knapsack's values.
+    knapsack plan and the plan's maximal vectors (see _candidates).  A
+    knapsack call first reads the answer off those vectors (_scan), which
+    gives the DP's vector whenever the best one leads by a proven rounding
+    margin, and runs the DP (_knapsack_solve) only when it does not or
+    when the plan has too many maximal vectors to keep.
     """
     _, vc, plans = _tables(params, cfg).supply(x)
     w = [v + q - th for v, q, th in zip(vc, Q, params.theta)]
@@ -218,10 +223,14 @@ def decide_purchase(
     plan = plans.get(buy)
     if plan is None:
         plan = plans[buy] = _purchase_plan(x, buy, cfg)
-    A, knapsack = plan
+    A, knapsack, cands = plan
     A = A[:]
     if knapsack is not None:
-        for m, a in zip(buy, _knapsack_solve(knapsack, [-w[m] for m in buy])):
+        values = [-w[m] for m in buy]
+        counts = None if cands is None else _scan(cands, values)
+        if counts is None:
+            counts = _knapsack_solve(knapsack, values)
+        for m, a in zip(buy, counts):
             A[m] = a
     return A
 
@@ -229,17 +238,115 @@ def decide_purchase(
 def _purchase_plan(x: SupplyState, buy: tuple[int, ...], cfg: PlantConfig) -> tuple:
     """What decide_purchase does under x for the materials buy, before values.
 
-    Returns (A, None) when buying each material of buy at its cap fits the
-    budget, A being that decision; otherwise (A, knapsack plan) with A all
-    zeros, the template the knapsack's counts are written into.
+    Returns (A, None, None) when buying each material of buy at its cap
+    fits the budget, A being that decision; otherwise (A, knapsack plan,
+    candidates) with A all zeros, the template the knapsack's counts are
+    written into, and the candidates of _candidates.
     """
     caps = [min(cfg.A_max[m], x.available[m]) for m in buy]
+    costs = [x.unit_cost[m] for m in buy]
     A = [0] * cfg.M
-    if sum(x.unit_cost[m] * a for m, a in zip(buy, caps)) > cfg.c_max:
-        return A, _knapsack_plan([x.unit_cost[m] for m in buy], caps, cfg.c_max)
+    if sum(c * a for c, a in zip(costs, caps)) > cfg.c_max:
+        knapsack = _knapsack_plan(costs, caps, cfg.c_max)
+        return A, knapsack, _candidates(costs, caps, cfg.c_max)
     for m, a in zip(buy, caps):
         A[m] = a
-    return A, None
+    return A, None, None
+
+
+# A plan keeps at most this many maximal vectors; a wider one (many
+# materials, a large budget) decides through the DP alone.
+_CANDIDATE_CAP = 64
+
+
+def _candidates(costs: list[int], caps: list[int], budget: int) -> tuple | None:
+    """The knapsack's feasible count vectors that no single extra unit extends.
+
+    A vector a with 0 <= a <= caps and sum costs[i] * a[i] <= budget is
+    maximal when every item below its cap costs more than the budget a
+    leaves; every feasible vector lies below a maximal one.  Returns them
+    all as (float matrix, one row each; list of tuples), which is what
+    _scan reads, or None when there are more than _CANDIDATE_CAP.  The
+    search runs on the budgets reachable from the full one, as
+    _knapsack_plan does: least[i][b], the least budget items i.. can leave
+    from b, prunes every prefix that no maximal vector extends (a
+    least-leaving completion of an unpruned prefix is maximal).  So the
+    work is the size of the DP's own plan plus about _CANDIDATE_CAP * n *
+    max(caps) steps before the search gives up.
+    """
+    n = len(costs)
+    reach = [[budget]]  # reach[i]: the budgets items 0..i-1 can leave
+    for c, u in zip(costs, caps):
+        prev = reach[-1]
+        if c:
+            prev = sorted({b - c * a for b in prev for a in range(min(u, b // c) + 1)})
+        reach.append(prev)
+    least: list = [None] * n + [{b: b for b in reach[n]}]
+    for i in range(n - 1, -1, -1):
+        c, u, nxt = costs[i], caps[i], least[i + 1]
+        least[i] = nxt if c == 0 else {
+            b: min([nxt[b - c * a] for a in range(min(u, b // c) + 1)]) for b in reach[i]
+        }
+    out: list = []
+    # (item, budget left, the least cost of an earlier item below its cap,
+    # counts so far); the leftover must end below that cost
+    stack = [(0, budget, math.inf, ())]
+    while stack:
+        i, b, need, counts = stack.pop()
+        if i == n:
+            out.append(counts)
+            if len(out) > _CANDIDATE_CAP:
+                return None
+            continue
+        c, u, nxt = costs[i], caps[i], least[i + 1]
+        below = min(need, c)  # the bound once item i stops below its cap
+        for a in (u,) if c == 0 else range(min(u, b // c) + 1):
+            left, bound = b - c * a, need if a == u else below
+            if nxt[left] < bound:
+                stack.append((i + 1, left, bound, counts + (a,)))
+    return np.array(out, dtype=float), out
+
+
+def _scan(cands: tuple, values: list[float]) -> tuple[int, ...] | None:
+    """The knapsack's answer read off a plan's maximal vectors, or None.
+
+    cands is (matrix, vectors) from _candidates, and the scores are
+    matrix.dot(values).  The top vector is returned only when its score
+    leads the runner-up's by more than the margin (n + 1) * 2**-50 * top +
+    2**-1000, n = len(values), and every value exceeds that margin;
+    otherwise the caller runs the DP.  That answer is exactly the DP's:
+
+    * With values v >= 0, the DP's best[i][b] is the largest of its float
+      nested sums over the item-i.. vectors that fit b, since fl(v * a + s)
+      is monotone in s; its traceback takes, level by level, the smallest
+      count that reaches that largest sum.
+    * A float sum of n non-negative products, in any order and with or
+      without fused multiply-adds, is within gamma_n = n u / (1 - n u) of
+      the exact sum, u = 2**-53 (Higham, Accuracy and Stability of
+      Numerical Algorithms, ch. 3).  So if every other feasible vector's
+      exact value trails the top vector's by more than 2 gamma_n times
+      it, the top vector's suffix is the strict float maximum at every
+      level, and the traceback returns the top vector.
+    * That gap holds for every other maximal vector, because the scores,
+      each within gamma_n of exact, differ by more than 4 gamma_n * top;
+      the margin is twice that.  A vector below the top one trails it by
+      at least the smallest value, and any other vector lies below some
+      other maximal vector.
+    * The 2**-1000 term keeps every product and sum clear of underflow.
+      An overflow gives an infinite top and margin, and so the DP.
+
+    The scores need not be summed in the DP's order: the rule reads only
+    how far apart they are, never which way a near-tie rounds.
+    """
+    matrix, vectors = cands
+    scores = matrix.dot(values).tolist()
+    top = max(scores)
+    i = scores.index(top)
+    scores[i] = -math.inf
+    margin = (len(values) + 1) * 2.0**-50 * top + 2.0**-1000
+    if top - max(scores) > margin and min(values, default=math.inf) > margin:
+        return vectors[i]
+    return None
 
 
 def _bounded_knapsack_lex_min(
@@ -370,21 +477,26 @@ def decide_pricing(
     is whenever a feeder queue is below its worst-case one-slot consumption.
     In demand-blind mode the state-independent base table F_hat replaces F,
     which leaves the decision unchanged whenever the true tables are the
-    base table scaled by a positive state factor.
+    base table scaled by a positive state factor.  Every relief comes from
+    one pass d = Q - theta, as sum(map(mul, beta column, d)): the
+    materials product k does not consume add a zero product, so the sum
+    equals the one over the feeders alone except perhaps for the sign of
+    a zero, which no comparison below can see.
     """
     t = _tables(params, cfg)
     rows = t.demand(y)
     low = any(map(lt, Q, t.mu_max))  # false inside the queue band
+    d = list(map(sub, Q, params.theta))
     Z = [0] * cfg.K
-    P = [prices[0] for prices in cfg.price_set]
-    for k, feed in enumerate(t.feeders):
-        if low and any(Q[m] < t.mu_max[m] for m, _, _ in feed):
+    P = t.first_prices[:]
+    for k, col in enumerate(t.columns):
+        if low and any(Q[m] < t.mu_max[m] for m in t.feeders[k]):
             continue
         if rows is None:
             raise InputError(
                 f"demand state {y.id!r} has no base table for blind pricing"
             )
-        relief = sum([b * (Q[m] - th) for m, b, th in feed])
+        relief = sum(map(mul, col, d))
         best = -np.inf
         for p, vm, f in rows[k]:
             g = vm + f * relief

@@ -1,16 +1,22 @@
 import dataclasses
 import gc
+import itertools
+import math
 import tracemalloc
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plantsim import controller
 from plantsim.controller import (
     ControllerParams,
     InitOutOfRange,
     ThetaTooSmall,
     _bounded_knapsack_lex_min,
+    _candidates,
+    _scan,
     compute_theta,
     decide_pricing,
     decide_purchase,
@@ -811,3 +817,241 @@ def test_queue_band_always_holds(i1_model):
     m = _one_slot_run(i1_model, 77, None, horizon=2000)
     for q in [row[3][0] for row in m.log[1:]] + m.final_Q:
         assert 2 <= q <= 26
+
+
+# -- the knapsack read off each plan's maximal vectors ----------------------
+
+
+def _route(values, costs, caps, budget):
+    """decide_purchase's knapsack step on raw items, and the route it took."""
+    cands = _candidates(costs, caps, budget)
+    got = None if cands is None else _scan(cands, values)
+    if got is not None:
+        return list(got), "scan"
+    dp = _bounded_knapsack_lex_min(values, costs, caps, budget)
+    return dp, "dp" if cands is not None else "over-cap"
+
+
+@pytest.mark.parametrize("args,expected", ABSORPTION_CASES)
+def test_scan_keeps_absorption_ties(args, expected):
+    assert _route(*args)[0] == expected == _bounded_knapsack_lex_min(*args)
+
+
+_ULP_ABOVE_1 = math.nextafter(1.0, 2.0)
+
+SCAN_CASES = [
+    # 1-ulp near-ties and an exact tie are inside the margin: the DP decides
+    (([1.0, _ULP_ABOVE_1], [1, 1], [1, 1], 1), [0, 1], "dp"),
+    (([_ULP_ABOVE_1, 1.0], [1, 1], [1, 1], 1), [1, 0], "dp"),
+    (([1.0, 1.0], [1, 1], [1, 1], 1), [0, 1], "dp"),
+    (([2.0, 1.0, 1.0], [2, 1, 1], [1, 2, 2], 2), [0, 0, 2], "dp"),
+    # a lead of 2**-30 is far outside it: the scan decides
+    (([1.0, 1.0 + 2**-30], [1, 1], [1, 1], 1), [0, 1], "scan"),
+    (([1.0 + 2**-30, 1.0], [1, 1], [1, 1], 1), [1, 0], "scan"),
+    # an item of cost 0 is at its cap in every maximal vector
+    (([5.0, 2.0], [2, 0], [3, 4], 5), [2, 4], "scan"),
+    (([2.0, 5.0], [0, 2], [4, 3], 5), [4, 2], "scan"),
+    # ... but rounding may absorb a value below the margin, so the DP
+    # decides, and may stop short of the cap: 4e-15 + 10 rounds up, as
+    # does 3e-15 + 10, to the same float
+    (([5.0, 1e-15], [2, 0], [3, 4], 5), [2, 4], "dp"),
+    (([1e-15, 5.0], [0, 2], [4, 3], 5), [3, 2], "dp"),
+    # caps of 0
+    (([3.0, 7.0, 1.0], [1, 2, 1], [2, 0, 3], 3), [2, 0, 1], "scan"),
+    (([3.0, 7.0], [1, 1], [0, 0], 1), [0, 0], "scan"),
+    (([3.0, 7.0], [0, 0], [0, 0], 0), [0, 0], "scan"),
+]
+
+
+@pytest.mark.parametrize("args,expected,route", SCAN_CASES)
+def test_scan_near_ties_follow_the_dp(args, expected, route):
+    assert _bounded_knapsack_lex_min(*args) == expected == _ref_knapsack(*args)
+    assert _route(*args) == (expected, route)
+
+
+def _maximal_by_brute_force(costs, caps, budget):
+    out = set()
+    for a in itertools.product(*(range(u + 1) for u in caps)):
+        spend = sum(map(mul, costs, a))
+        if spend <= budget and all(
+            ai == u or spend + c > budget for ai, u, c in zip(a, caps, costs)
+        ):
+            out.add(a)
+    return out
+
+
+def test_scan_matches_knapsack():
+    """Random items: the DP's answer on every route, the exact maximal set."""
+    rng = np.random.default_rng(21)
+    pool = [1e-15, 0.1, 0.3, 1.0, 3.0, 100.0, 1e16]
+    for _ in range(300):
+        n = int(rng.integers(0, 5))
+        values = [
+            float(rng.choice(pool)) if rng.random() < 0.5 else float(rng.uniform(0, 1e3))
+            for _ in range(n)
+        ]
+        costs = [int(c) for c in rng.integers(0, 5, size=n)]
+        caps = [int(u) for u in rng.integers(0, 6, size=n)]
+        budget = int(rng.integers(0, 17))
+        case = (values, costs, caps, budget)
+        assert _route(*case)[0] == _bounded_knapsack_lex_min(*case), case
+        maximal = _maximal_by_brute_force(costs, caps, budget)
+        cands = _candidates(costs, caps, budget)
+        if cands is None:
+            assert len(maximal) > controller._CANDIDATE_CAP, case
+        else:
+            matrix, vectors = cands
+            assert set(vectors) == maximal and len(vectors) == len(maximal), case
+            assert matrix.tolist() == [list(map(float, a)) for a in vectors]
+
+
+def _route_plant(rng):
+    """A plant for the route sweep: M = 1-5, A_max up to 8, c_max up to 30.
+
+    One integer theta for every material at V = 1, with equal queues,
+    makes tied knapsack values common (the DP fallback); fractional
+    theta at V = 100 makes them rare (the scan);
+    five materials of unit cost 1-2 against a budget of 30 pass the
+    candidate cap.
+    """
+    wide = rng.random() < 0.2
+    M = 5 if wide else int(rng.integers(1, 4))
+    K = 2
+    beta = [[int(rng.integers(0, 3)) for _ in range(K)] for _ in range(M)]
+    for k in range(K):
+        if all(beta[m][k] == 0 for m in range(M)):
+            beta[int(rng.integers(0, M))][k] = 1
+    price_set = [sorted(float(p) for p in rng.choice([2.0, 3.5, 5.0, 8.0], 2, False))
+                 for _ in range(K)]
+    cfg = PlantConfig(
+        beta=beta,
+        alpha=[1.0] * K,
+        price_set=price_set,
+        D_max=[2] * K,
+        A_max=[8 if wide else int(rng.integers(1, 7)) for _ in range(M)],
+        c_max=30 if wide else int(rng.integers(0, 13)),
+    )
+    supply = [
+        SupplyState(
+            id=f"x{i}",
+            unit_cost=[int(rng.integers(1 if wide else 0, 3 if wide else 4)) for _ in range(M)],
+            available=[int(rng.integers(6 if wide else 0, 9)) for _ in range(M)],
+        )
+        for i in range(2)
+    ]
+    demand = [
+        DemandState(
+            id=f"y{i}",
+            F=[[float(rng.choice([0.0, 0.5, 1.0, 2.0])) for _ in ps] for ps in price_set],
+        )
+        for i in range(2)
+    ]
+    return validate_config(cfg, supply, demand)
+
+
+def test_decisions_match_reference_on_every_route(monkeypatch):
+    """Seeded sweep: decisions equal the reference on each knapsack route.
+
+    The routes are the scan, the DP after a scan too close to call, and
+    the DP of a plan past the candidate cap; each must run at least 3
+    times, so the sweep cannot pass without all three.
+    """
+    calls = dict.fromkeys(("scan", "scan_hit", "solve"), 0)
+    scan, solve = controller._scan, controller._knapsack_solve
+
+    def counted_scan(cands, values):
+        got = scan(cands, values)
+        calls["scan"] += 1
+        calls["scan_hit"] += got is not None
+        return got
+
+    def counted_solve(plan, values):
+        calls["solve"] += 1
+        return solve(plan, values)
+
+    monkeypatch.setattr(controller, "_scan", counted_scan)
+    monkeypatch.setattr(controller, "_knapsack_solve", counted_solve)
+    rng = np.random.default_rng(2110)
+    for trial in range(60):
+        model = _route_plant(rng)
+        cfg = model.cfg
+        if trial % 2:
+            params = make_params(cfg, 100.0)
+        else:
+            params = ControllerParams(V=1.0, theta=[float(rng.integers(0, 20))] * cfg.M)
+        hi = [int(th) + a + 1 for th, a in zip(params.theta, cfg.A_max)]
+        for _ in range(16):
+            Q = [int(rng.integers(0, h + 1)) for h in hi]
+            if rng.random() < 0.5:  # equal queues: materials of equal cost tie
+                Q = [min(Q)] * cfg.M
+            for x in model.supply_states:
+                got = decide_purchase(Q, x, params, cfg)
+                assert got == _ref_decide_purchase(Q, x, params, cfg), (trial, Q, x)
+            for y in model.demand_states:
+                got = decide_pricing(Q, y, params, cfg)
+                assert got == _ref_decide_pricing(Q, y, params, cfg), (trial, Q, y)
+    routes = {
+        "scan": calls["scan_hit"],
+        "dp": calls["scan"] - calls["scan_hit"],
+        "over-cap": calls["solve"] - (calls["scan"] - calls["scan_hit"]),
+    }
+    assert min(routes.values()) >= 3, routes
+
+
+def test_wide_plan_keeps_no_candidates(monkeypatch):
+    """5 materials, A_max 8, c_max 30: past the cap, the DP decides alone."""
+    cfg = PlantConfig(
+        beta=[[1]] * 5, alpha=[0.0], price_set=[[1.0]], D_max=[1],
+        A_max=[8] * 5, c_max=30,
+    )
+    x = SupplyState(id="x", unit_cost=[1, 1, 2, 1, 3], available=[8] * 5)
+    params = ControllerParams(V=1.0, theta=[40.0, 41.5, 39.25, 44.0, 50.0])
+    solves = []
+    solve = controller._knapsack_solve
+    monkeypatch.setattr(
+        controller, "_knapsack_solve", lambda plan, v: solves.append(v) or solve(plan, v)
+    )
+    Q = [3, 5, 2, 4, 1]
+    assert decide_purchase(Q, x, params, cfg) == _ref_decide_purchase(Q, x, params, cfg)
+    assert len(solves) == 1
+    plans = controller._tables(params, cfg).supply(x)[2]
+    assert list(plans) == [(0, 1, 2, 3, 4)]
+    assert plans[0, 1, 2, 3, 4][2] is None
+    assert _candidates([1] * 5, [8] * 5, 30) is None
+
+
+def _one_product(prices, F, M=1):
+    """One product fed by material 0 alone; any other material is unused."""
+    cfg = PlantConfig(
+        beta=[[1]] + [[0]] * (M - 1), alpha=[0.0], price_set=[prices], D_max=[1],
+        A_max=[1] * M, c_max=1,
+    )
+    return cfg, DemandState(id="y", F=[F])
+
+
+@pytest.mark.parametrize(
+    "prices,F,theta,relief,expected",
+    [
+        # lines 2 + 2r and 2.75 + r cross at r = 0.75; there and 1 ulp to
+        # either side both scores round to 3.5, so the smaller price wins
+        ([1.0, 2.75], [2.0, 1.0], 0.25, 0.75, ([1], [1.0])),
+        ([1.0, 2.75], [2.0, 1.0], 0.25 - 2**-53, 0.75 + 2**-53, ([1], [1.0])),
+        ([1.0, 2.75], [2.0, 1.0], 0.25 + 2**-53, 0.75 - 2**-53, ([1], [1.0])),
+        # 2**-40 below the crossing the second line is ahead in floats too
+        ([1.0, 2.75], [2.0, 1.0], 0.25 + 2**-40, 0.75 - 2**-40, ([1], [2.75])),
+        # the best score is exactly 0: withheld
+        ([1.0, 2.0], [2.0, 1.0], 3.0, -2.0, ([0], [2.0])),
+        # equal F at two prices: the higher price leads by V * F ...
+        ([1.0, 2.0], [1.5, 1.5], 0.5, 0.5, ([1], [2.0])),
+        # ... until the relief absorbs that lead, and the tie goes low
+        ([1.0, 2.0], [1.5, 1.5], -1e17, 1e17, ([1], [1.0])),
+    ],
+)
+def test_pricing_near_crossings_follow_the_loop(prices, F, theta, relief, expected):
+    for M in (1, 3):  # M = 3 adds beta-0 materials below their thresholds
+        cfg, y = _one_product(prices, F, M)
+        Q = [1] * M
+        assert Q[0] - theta == relief  # the relief is exactly the one named
+        params = ControllerParams(V=1.0, theta=[theta] + [5.0] * (M - 1))
+        assert decide_pricing(Q, y, params, cfg) == expected
+        assert _ref_decide_pricing(Q, y, params, cfg) == expected
