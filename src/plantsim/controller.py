@@ -275,17 +275,18 @@ def _candidates(costs: list[int], caps: list[int], budget: int) -> tuple | None:
     max(caps) steps before the search gives up.
     """
     n = len(costs)
-    reach = [[budget]]  # reach[i]: the budgets items 0..i-1 can leave
+    reach = [{budget}]  # reach[i]: the budgets items 0..i-1 can leave
     for c, u in zip(costs, caps):
         prev = reach[-1]
         if c:
-            prev = sorted({b - c * a for b in prev for a in range(min(u, b // c) + 1)})
+            prev = {b - c * a for b in prev for a in range(min(u, b // c) + 1)}
         reach.append(prev)
     least: list = [None] * n + [{b: b for b in reach[n]}]
     for i in range(n - 1, -1, -1):
         c, u, nxt = costs[i], caps[i], least[i + 1]
         least[i] = nxt if c == 0 else {
-            b: min([nxt[b - c * a] for a in range(min(u, b // c) + 1)]) for b in reach[i]
+            b: min([nxt[b - c * a] for a in range(min(u, b // c) + 1)])
+            for b in reach[i]
         }
     out: list = []
     # (item, budget left, the least cost of an earlier item below its cap,
@@ -344,7 +345,7 @@ def _scan(cands: tuple, values: list[float]) -> tuple[int, ...] | None:
     i = scores.index(top)
     scores[i] = -math.inf
     margin = (len(values) + 1) * 2.0**-50 * top + 2.0**-1000
-    if top - max(scores) > margin and min(values, default=math.inf) > margin:
+    if top - max(scores) > margin and min(values) > margin:
         return vectors[i]
     return None
 

@@ -885,9 +885,9 @@ def test_scan_matches_knapsack():
     rng = np.random.default_rng(21)
     pool = [1e-15, 0.1, 0.3, 1.0, 3.0, 100.0, 1e16]
     for _ in range(300):
-        n = int(rng.integers(0, 5))
+        n = int(rng.integers(1, 5))
         values = [
-            float(rng.choice(pool)) if rng.random() < 0.5 else float(rng.uniform(0, 1e3))
+            float(rng.choice(pool) if rng.random() < 0.5 else rng.uniform(0, 1e3))
             for _ in range(n)
         ]
         costs = [int(c) for c in rng.integers(0, 5, size=n)]
@@ -910,9 +910,8 @@ def _route_plant(rng):
 
     One integer theta for every material at V = 1, with equal queues,
     makes tied knapsack values common (the DP fallback); fractional
-    theta at V = 100 makes them rare (the scan);
-    five materials of unit cost 1-2 against a budget of 30 pass the
-    candidate cap.
+    theta at V = 100 makes them rare (the scan); and five materials of
+    unit cost 1-2 against a budget of 30 pass the candidate cap.
     """
     wide = rng.random() < 0.2
     M = 5 if wide else int(rng.integers(1, 4))
@@ -921,8 +920,10 @@ def _route_plant(rng):
     for k in range(K):
         if all(beta[m][k] == 0 for m in range(M)):
             beta[int(rng.integers(0, M))][k] = 1
-    price_set = [sorted(float(p) for p in rng.choice([2.0, 3.5, 5.0, 8.0], 2, False))
-                 for _ in range(K)]
+    price_set = [
+        sorted(float(p) for p in rng.choice([2.0, 3.5, 5.0, 8.0], 2, False))
+        for _ in range(K)
+    ]
     cfg = PlantConfig(
         beta=beta,
         alpha=[1.0] * K,
@@ -931,18 +932,20 @@ def _route_plant(rng):
         A_max=[8 if wide else int(rng.integers(1, 7)) for _ in range(M)],
         c_max=30 if wide else int(rng.integers(0, 13)),
     )
+    cost_range = (1, 3) if wide else (0, 4)
     supply = [
         SupplyState(
             id=f"x{i}",
-            unit_cost=[int(rng.integers(1 if wide else 0, 3 if wide else 4)) for _ in range(M)],
+            unit_cost=[int(c) for c in rng.integers(*cost_range, size=M)],
             available=[int(rng.integers(6 if wide else 0, 9)) for _ in range(M)],
         )
         for i in range(2)
     ]
+    grid = [0.0, 0.5, 1.0, 2.0]
     demand = [
         DemandState(
             id=f"y{i}",
-            F=[[float(rng.choice([0.0, 0.5, 1.0, 2.0])) for _ in ps] for ps in price_set],
+            F=[[float(rng.choice(grid)) for _ in ps] for ps in price_set],
         )
         for i in range(2)
     ]
@@ -1008,9 +1011,11 @@ def test_wide_plan_keeps_no_candidates(monkeypatch):
     params = ControllerParams(V=1.0, theta=[40.0, 41.5, 39.25, 44.0, 50.0])
     solves = []
     solve = controller._knapsack_solve
-    monkeypatch.setattr(
-        controller, "_knapsack_solve", lambda plan, v: solves.append(v) or solve(plan, v)
-    )
+    def counted_solve(plan, values):
+        solves.append(values)
+        return solve(plan, values)
+
+    monkeypatch.setattr(controller, "_knapsack_solve", counted_solve)
     Q = [3, 5, 2, 4, 1]
     assert decide_purchase(Q, x, params, cfg) == _ref_decide_purchase(Q, x, params, cfg)
     assert len(solves) == 1
