@@ -24,11 +24,11 @@ only counted when the run sets allow_unsafe_theta.
 
 Both keep a decision table.  A decision (A, cost, Z, P, the offered
 products' sell entries) is made once per (x, y, A, Z, P), or once per
-playback key, and carries the outcome table of its demand codes: each
-offered product's demand as one digit of radix D_max[k] + 1, mapped to
-the profit, D, the material use and the queue change, none of which
-depend on the queues.  An online decision also carries its signature's
-demand-code table (below).
+playback key.  An online decision also carries the outcome table of its
+demand codes, each offered product's demand as one digit of radix
+D_max[k] + 1, mapped by _outcome to the profit, D, the material use and
+the queue change, none of which depend on the queues; and its
+signature's demand-code table (below).
 
 The slot loop keeps a state table.  Inside a finite band the online
 controller is a finite chain on (Q, x, y): its queues are one mixed-radix
@@ -58,24 +58,27 @@ could outgrow int64 never gets a table.
 
 The block driver plays up to _CHUNK slots, and at most 2**16 demand
 uniforms, at a time: it draws the block's policy and demand uniforms,
-makes each distinct decision and books each distinct (decision, demand)
-outcome once.  Queues at least mu_max cannot fall short in the next slot,
-so from there the queues follow a cumulative sum of the outcomes' queue
-changes up to the first short slot; that slot and any slot that starts
-below mu_max go through step.  Totals are summed in slot order, so the
+makes each distinct decision once and books every slot with array
+operations, _outcome's sums taken in the same order.  The queues follow
+the start queues plus the cumulative queue change; only a short slot,
+found by searching that path, goes through step, and its correction
+offsets the path after it.  Totals are summed in slot order, so the
 results equal the slot loop's bit for bit.
 
 Per run, each of these counts is at most the horizon and at most
 * online states: the band's integer volume times |X| * |Y|, plus the
   out-of-band (Q, x, y) of a count-only unsafe run;
 * decisions: the states, or the playback keys;
-* outcomes per decision: the product of D_max[k] + 1 over offered products;
+* outcomes per online decision: the product of D_max[k] + 1 over offered
+  products;
 * links: the states times n_code;
 * playback keys: |X| * |Y| times the number of option combinations.
 The slot loop also holds the state index as an array, built in place of
 the supply path, and as a list for _CHUNK slots, its demand buffer (as an
 array and a list) and a code table of one entry per buffered uniform for
 each tabled signature, until its first read after the next refill.
+Playback keeps no outcomes; _play_blocks holds one block's arrays, a
+few rows per slot and its demand uniforms.
 
 The check_* helpers run whole experiments: check_profit_bound compares
 the controller's mean profit against the stationary optimum, for i.i.d.
@@ -89,7 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import ge, gt, itemgetter, le, mul, sub
+from operator import gt, itemgetter, le, mul, sub
 
 import numpy as np
 
@@ -207,6 +210,8 @@ def _outcome(dec, code: int, K: int, radix: list) -> tuple:
 
     The last three are the queue change, the drift 0.5 * sum (A - used)^2
     and the change dq of the state code q of a slot that is not short.
+    The slot loop books a slot by it; playback's array booking
+    (_block_book) must equal it.
     """
     A, cost, _, _, sells = dec[:5]
     M = len(radix)
@@ -570,10 +575,10 @@ def _play_blocks(
     """Oracle playback, a block of slots at a time: (tphi, tphia, final Q).
 
     A playback decision depends only on its slot's states and policy draws,
-    and the demand only on the decision, so a block draws, decides and
-    books all its slots at once, from the same draws and through the same
-    decisions and outcome tables as one slot at a time.  Only short slots
-    read the queues (_block_queues).
+    and the demand only on the decision, so a block draws and decides all
+    its slots at once and books them in arrays (_block_book), from the same
+    draws as one slot at a time.  The queues follow Q plus the cumulative
+    queue change; only short slots go through run.step (_block_queues).
     """
     cfg = model.cfg
     K = cfg.K
@@ -581,11 +586,14 @@ def _play_blocks(
     ids_y = [y.id for y in model.demand_states]
     policy = rs.generator(_CH_POLICY)
     demand = rs.generator(_CH_DEMAND)
-    # A block holds at most 2**16 demand uniforms, however large D_max is,
-    # and queues that could outgrow int64 stay Python integers.
+    # A block holds at most 2**16 demand uniforms, however large D_max is.
+    # Queues that could outgrow int64, or queue changes whose squares
+    # could, stay Python integers.
     size = min(_CHUNK, max(1, 2**16 // sum(cfg.D_max)))
-    reach = max(Q) + len(xs) * max(*cfg.A_max, *model.mu_max)
-    int_t = np.int64 if reach < 2**62 else object
+    change = max(*cfg.A_max, *model.mu_max)
+    reach = max(Q) + len(xs) * change
+    int_t = np.int64 if reach < 2**62 and change < 2**31 else object
+    beta = np.array(cfg.beta, dtype=int_t)
     memo: dict = {}  # playback key -> decision
     tphi = 0.0
     tphia = 0.0
@@ -593,12 +601,10 @@ def _play_blocks(
         x, y = xs[t0 : t0 + size], ys[t0 : t0 + size]
         u = policy.random((len(x), K + 1))
         decs, slot_dec = _block_decisions(pick(x, y, u), decide, memo)
-        outs, slot_out = _block_outcomes(decs, slot_dec, demand, K, run.radix)
+        book = _block_book(decs, slot_dec, demand, beta)
         start = Q
-        Q, after, stepped = _block_queues(
-            run, t0, Q, model.mu_max, decs, slot_dec, outs, slot_out, int_t
-        )
-        phi = np.array([o[0] for o in outs], dtype=float)[slot_out]
+        Q, after, stepped = _block_queues(run, t0, Q, decs, slot_dec, book)
+        phi, D = book[:2]
         phia = phi.copy()
         if stepped:
             phia[list(stepped)] = list(stepped.values())
@@ -609,13 +615,14 @@ def _play_blocks(
         if log is not None:
             avg = (ctota[1:] / np.arange(t0 + 1, t0 + len(x) + 1)).tolist()
             starts = [start, *map(tuple, after[:-1].tolist())]
-            rows = zip(x.tolist(), y.tolist(), slot_dec.tolist(), slot_out.tolist())
-            for i, (xi, yi, j, o) in enumerate(rows):
-                A, _, Z, P, _, _ = decs[j]
-                out = outs[o]
-                real = stepped.get(i, out[0])
-                row = (tuple(A), tuple(Z), tuple(P), out[1], out[0], real, avg[i])
-                log.append((t0 + i, ids_x[xi], ids_y[yi], starts[i], *row))
+            rows = zip(x.tolist(), y.tolist(), slot_dec.tolist(), D.tolist(), phi.tolist())
+            for i, (xi, yi, j, d, p) in enumerate(rows):
+                A, cost, Z, P, _ = decs[j]
+                # a slot with no sale books -cost as _outcome does, an int
+                # under an integer cost
+                p = p if any(d) else -cost
+                row = (tuple(A), tuple(Z), tuple(P), tuple(d), p, stepped.get(i, p))
+                log.append((t0 + i, ids_x[xi], ids_y[yi], starts[i], *row, avg[i]))
     return tphi, tphia, Q
 
 
@@ -634,95 +641,97 @@ def _block_decisions(keys: np.ndarray, decide, memo: dict) -> tuple:
     return decs, slot_dec
 
 
-def _block_outcomes(decs: list, slot_dec, rng, K: int, radix: list) -> tuple:
-    """(outcomes, each slot's outcome) of a block, drawing its demand from rng.
+def _block_book(decs: list, slot_dec, rng, beta: np.ndarray) -> tuple:
+    """(phi, D, used, A - used, drift) of each slot of a block, as arrays.
 
-    Each distinct (decision, demand) is booked once, through the decision's
-    outcome table, with the demand code in the slot loop's radix order.
+    As in the slot loop, each offered product k takes D_max[k] uniforms
+    from rng, in slot order and ascending k, and its demand is the count
+    below its threshold: read row by row, the (slot, product) grid is that
+    order when a withheld product takes no uniform.  The rest equal
+    _outcome's, bit for bit.  phi starts at -cost and adds D[k] * margin
+    for each product in ascending k, where a product with no demand adds
+    -0.0: that leaves every float as it is, sign of zero included, as
+    _outcome's skip does.  The drift 0.5 * sum (A - used)^2 adds the
+    squares in _change's order.  The integer arrays take beta's dtype,
+    object where int64 could overflow (_play_blocks).
     """
-    pairs = np.column_stack((slot_dec, _block_demand(decs, slot_dec, rng, K)))
-    first, slot_out = _distinct(pairs)
-    outs = []
-    for j, *D in pairs[first].tolist():
-        dec = decs[j]
-        code = 0
-        for k, _, _, n, _ in dec[4]:
-            code = code * (n + 1) + D[k]
-        out = dec[5].get(code)
-        if out is None:
-            out = dec[5][code] = _outcome(dec, code, K, radix)
-        outs.append(out)
-    return outs, slot_out
+    M, K = beta.shape
+    bought, width, terms = [], [], []  # A; widths; -cost, margins, thresholds
+    for A, cost, _, _, sells in decs:
+        # -cost is negated before the conversion, so an integer cost of 0
+        # starts at 0.0 as it does in _outcome, where -0 is the int 0
+        w, f = [0] * K, [-cost] + [0.0] * (2 * K)
+        for k, margin, pr, n, _ in sells:
+            w[k], f[1 + k], f[1 + K + k] = n, margin, pr
+        bought.append(A)
+        width.append(w)
+        terms.append(f)
+    terms = np.array(terms, dtype=float)[slot_dec]
+    width = np.array(width, dtype=np.int64)[slot_dec].ravel()
+    hits = np.zeros(width.sum() + 1, dtype=np.int64)
+    below = rng.random(len(hits) - 1) < np.repeat(terms[:, 1 + K :], width)
+    np.cumsum(below, out=hits[1:])
+    end = np.cumsum(width)
+    D = (hits[end] - hits[end - width]).reshape(-1, K)
+    used = D @ beta.T
+    diff = np.array(bought, dtype=beta.dtype)[slot_dec] - used
+    phi = terms[:, 0]
+    for k in range(K):
+        d = D[:, k]
+        phi += np.where(d != 0, d * terms[:, 1 + k], -0.0)
+    bt = 0.0
+    for m in range(M):
+        bt = bt + diff[:, m] * diff[:, m]
+    return phi, D, used, diff, 0.5 * bt
 
 
-def _block_queues(run: _Transitions, t0, Q, mu, decs, slot_dec, outs, slot_out, int_t):
+def _block_queues(run: _Transitions, t0, Q, decs, slot_dec, book) -> tuple:
     """(final Q, the queues after each slot, phi_actual of each stepped slot).
 
-    From queues of at least mu_max the next slot cannot be short.  From
-    there the queue path is Q plus the cumulative queue change, taken in
-    windows that double, up to the first short slot: one whose queues
-    after it, less its purchase, would be negative.  That slot, and every
-    slot that starts with a queue below mu_max, runs through run.step;
-    the path's slots are booked into run's extremes and drift record here.
+    The booked queue path is Q plus the cumulative queue change A - used
+    of the booking.  A slot is short when the queues it starts from hold
+    less than it uses, as in run.step.  The next short slot is searched in
+    windows that double and runs through run.step alone; the queues after
+    it less the booked ones are a correction that offsets the path from
+    there on.  The other slots are booked into run's extremes and drift
+    record here.
     """
-    n, M = len(slot_dec), len(Q)
-    diff = np.array([o[3] for o in outs], dtype=int_t).reshape(-1, M)[slot_out]
-    bought = np.array([d[0] for d in decs], dtype=int_t).reshape(-1, M)[slot_dec]
-    dec_of, out_of = slot_dec.tolist(), slot_out.tolist()
-    after = np.empty((n, M), dtype=int_t)
-    fast = np.zeros(n, dtype=bool)
-    stepped: dict = {}  # slot -> phi_actual, of the slots run.step books
-    queues: list = []  # the queues after each of them
-    i = 0
+    phi, D, used, diff, bt = book
+    n, int_t = len(diff), diff.dtype
+    path = np.cumsum(diff, axis=0)
+    path += np.array(Q, dtype=int_t)
+    # low[i] is slot i's booked start queues less its use; under the
+    # correction so far, c, slot i is short where low[i] < lim = -c.
+    low = path - diff - used
+    lim = np.zeros(len(Q), dtype=int_t)
+    fixes: dict = {}  # stepped slot -> the correction it adds
+    stepped: dict = {}  # stepped slot -> phi_actual
+    i, w = 0, 32
     while i < n:
-        w = 32 if all(map(ge, Q, mu)) else 0
-        while w and i < n:
-            e = min(n, i + w)
-            path = np.cumsum(diff[i:e], axis=0)
-            path += Q
-            short = (path < bought[i:e]).any(axis=1)
-            f = int(short.argmax())
-            if not short[f]:
-                f = e - i
-            if f:
-                after[i : i + f] = path[:f]
-                fast[i : i + f] = True
-                Q = tuple(path[f - 1].tolist())
-            w = 2 * w if i + f == e else 0
-            i += f
-        if i < n:
-            Q, _, stepped[i], _ = run.step(t0 + i, Q, decs[dec_of[i]], outs[out_of[i]])
-            queues.append(Q)
-            i += 1
+        short = low[i : i + w] < lim
+        f = int(short.argmax())  # the first short (slot, material), flat
+        if not short.flat[f]:
+            i, w = i + w, 2 * w
+            continue
+        i += f // len(Q)
+        start = Q if i == 0 else tuple((path[i - 1] - lim).tolist())
+        out = (phi[i], tuple(D[i].tolist()), tuple(used[i].tolist()), diff[i], bt[i], 0)
+        Qn, _, stepped[i], _ = run.step(t0 + i, start, decs[slot_dec[i]], out)
+        fix = path[i] - Qn  # the next lim
+        fixes[i] = lim - fix
+        lim = fix
+        i, w = i + 1, 32
 
     if stepped:
-        after[list(stepped)] = queues
-    if fast.any():
-        bt = np.array([o[4] for o in outs], dtype=float)[slot_out]
-        run.max_bt = max(run.max_bt, float(bt[fast].max()))
-    run.q_min[:] = map(min, run.q_min, after.min(axis=0).tolist())
-    run.q_max[:] = map(max, run.q_max, after.max(axis=0).tolist())
-    return Q, after, stepped
-
-
-def _block_demand(decs: list, slot_dec: np.ndarray, rng, K: int) -> np.ndarray:
-    """D[t, k]: the demand of each offered product in each slot of a block.
-
-    As in the slot loop, product k takes D_max[k] uniforms from rng, in slot
-    order and ascending k, and its demand is the count below its threshold.
-    Read row by row, the (slot, product) grid is that order, when a product
-    a decision does not offer takes no uniform.
-    """
-    width = np.zeros((len(decs), K), dtype=np.int64)  # D_max[k] if offered
-    pr = np.zeros((len(decs), K))
-    for j, dec in enumerate(decs):
-        for k, _, p, n, _ in dec[4]:
-            width[j, k], pr[j, k] = n, p
-    width, pr = width[slot_dec].ravel(), pr[slot_dec].ravel()
-    hits = np.zeros(width.sum() + 1, dtype=np.int64)
-    np.cumsum(rng.random(len(hits) - 1) < np.repeat(pr, width), out=hits[1:])
-    end = np.cumsum(width)
-    return (hits[end] - hits[end - width]).reshape(len(slot_dec), K)
+        corr = np.zeros_like(path)
+        corr[list(fixes)] = list(fixes.values())
+        path += np.cumsum(corr, axis=0)
+        bt = np.delete(bt, list(stepped))
+    if len(bt):
+        run.max_bt = max(run.max_bt, float(bt.max()))
+    run.q_min[:] = map(min, run.q_min, path.min(axis=0).tolist())
+    run.q_max[:] = map(max, run.q_max, path.max(axis=0).tolist())
+    return tuple(path[-1].tolist()), path, stepped
 
 
 def _distinct(rows: np.ndarray) -> tuple:
@@ -845,9 +854,12 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell):
         for k in range(K)
     ]
 
+    buy_cum = _weight_table([cum for cum, _ in buy])
+    offer_cum = [_weight_table([cum for cum, _ in rows]) for rows in offer]
+
     def pick(x, y, u):
-        cols = [x, y, _bisect_rows(buy, x, u[:, 0])]
-        cols += [_bisect_rows(offer[k], y, u[:, k + 1]) for k in range(K)]
+        cols = [x, y, _bisect_rows(buy_cum, x, u[:, 0])]
+        cols += [_bisect_rows(c, y, u[:, k + 1]) for k, c in enumerate(offer_cum)]
         return np.column_stack(cols)
 
     def decide(key):
@@ -860,20 +872,29 @@ def _oracle_setup(ec: EpisodeConfig, model: Model, sell):
             Z[k], P[k], s = offer[k][yi][1][j]
             if s is not None:
                 sells.append(s)
-        return A, cost, Z, P, sells, {}
+        return A, cost, Z, P, sells
 
     Q0 = model.mu_max if ec.Q0 is None else ec.Q0
     Q0 = check_start("Q0", Q0, [0] * cfg.M, [math.inf] * cfg.M)
     return pick, decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
 
 
-def _bisect_rows(rows, states, u) -> np.ndarray:
-    """bisect_right of each u in the cumulative weights of its state's row."""
-    out = np.zeros(len(u), dtype=np.int64)
-    for s, (cum, _) in enumerate(rows):
-        sel = states == s
-        out[sel] = np.searchsorted(cum, u[sel], side="right")
-    return out
+def _weight_table(cums: list) -> np.ndarray:
+    """Rows of cumulative weights as one array, each padded with inf."""
+    table = np.full((len(cums), max(map(len, cums))), np.inf)
+    for s, cum in enumerate(cums):
+        table[s, : len(cum)] = cum
+    return table
+
+
+def _bisect_rows(table: np.ndarray, states, u) -> np.ndarray:
+    """bisect_right of each u in row states[i] of a _weight_table.
+
+    A row's weights never decrease, so bisect_right is the count of those
+    at most u; the inf padding, like _cumulative's inf last bucket, counts
+    for no finite u.
+    """
+    return np.count_nonzero(table[states] <= u[:, None], axis=1)
 
 
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:

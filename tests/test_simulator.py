@@ -1170,6 +1170,30 @@ def test_block_playback_keeps_huge_queues_exact():
         assert ref == new and new["final_Q"][0] > 2**69
 
 
+@pytest.mark.parametrize("b, M", [(2**40, 1), (2**31 - 1, 3)])
+def test_block_playback_keeps_huge_changes_exact(b, M):
+    """Queue changes whose squares outgrow int64 stay exact, drift included.
+
+    An i1-like plant with D_max 1, using b units of each of M materials
+    per sale, under a policy that always offers.  At b = 2**40 a sale's
+    square overflows int64 though the queues would fit; at b = 2**31 - 1
+    each square fits but the three materials' sum does not.
+    """
+    cfg = replace(make_i1_cfg(), beta=[[b]] * M, D_max=[1], A_max=[2] * M)
+    cfg = replace(cfg, c_max=2 * M)
+    model = validate_config(
+        cfg,
+        [SupplyState(id="s0", unit_cost=[1] * M, available=[2] * M)],
+        [DemandState(id="d0", F=[[1.0, 0.5]], h=1.0, F_hat=[[1.0, 0.5]])],
+    )
+    _, plp, sol = optimal_profit(model, np.array([1.0]), np.array([1.0]))
+    policy = replace(extract_xy_policy(plp, sol), price_dist=[[[(1, 1, 1.0)]]])
+    ec = _i1_ec(horizon=300, controller="oracle", oracle_policy=policy, Q0=[3 * b] * M)
+    ref, new = _both(replace(ec, record_log=True), model)
+    assert ref == new and new["phi_mismatch_slots"] > 0
+    assert float.fromhex(new["max_slot_drift"]) >= 0.5 * M * (b - 2) ** 2
+
+
 def test_distinct_rows_beyond_int64():
     """_distinct keeps rows apart whose packed keys differ by 2**64.
 
@@ -1181,3 +1205,159 @@ def test_distinct_rows_beyond_int64():
     first, inverse = sim._distinct(rows)
     assert len(first) == 3
     assert (rows[first][inverse] == rows).all()
+
+
+def test_block_book_matches_outcome():
+    """_block_book equals _outcome row by row, bit for bit.
+
+    Random synthetic decisions: integer costs including 0, a float cost of
+    0.0 (its phi is -0.0 until a sale), margins of either sign and of
+    +-0.0, withheld products, and thresholds of 0 and 1, so whole rows
+    have no demand.  Each slot's D is also counted from its uniforms one
+    at a time, in slot order and ascending k.
+    """
+    rng = np.random.default_rng(20261022)
+    kinds = ["int cost 0", "phi -0.0", "no demand", "withheld", "negative margin sold"]
+    seen = dict.fromkeys(kinds, 0)
+    for _ in range(40):
+        M, K = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        beta = rng.integers(0, 3, size=(M, K))
+        d_max = rng.integers(1, 4, size=K).tolist()
+        decs = []
+        for _ in range(int(rng.integers(1, 6))):
+            A = rng.integers(0, 4, size=M).tolist()
+            cost = [0, 0.0, int(rng.integers(1, 9)), float(rng.uniform(0, 5))][
+                int(rng.integers(4))
+            ]
+            sells = [
+                (
+                    k,
+                    float(rng.choice([-1.25, -0.0, 0.0, 0.5, 2.75])),
+                    float(rng.choice([0.0, 0.4, 0.8, 1.0])),
+                    d_max[k],
+                    [(m, int(beta[m, k])) for m in range(M) if beta[m, k]],
+                )
+                for k in range(K)
+                if rng.random() < 0.7
+            ]
+            decs.append((A, cost, None, None, sells))
+        slot_dec = rng.integers(0, len(decs), size=50)
+        seed = int(rng.integers(2**32))
+        phi, D, used, diff, bt = sim._block_book(
+            decs, slot_dec, np.random.default_rng(seed), beta
+        )
+        width = sum(sum(s[3] for s in decs[j][4]) for j in slot_dec.tolist())
+        draws = np.random.default_rng(seed).random(width).tolist()
+        pos = 0
+        for t, j in enumerate(slot_dec.tolist()):
+            dec = decs[j]
+            code = 0
+            for _, _, pr, n, _ in dec[4]:
+                code = code * (n + 1) + sum(u < pr for u in draws[pos : pos + n])
+                pos += n
+            ref = sim._outcome(dec, code, K, [1] * M)
+            assert float(ref[0]).hex() == phi[t].hex(), (t, dec, ref)
+            assert ref[1:4] == tuple(tuple(a[t].tolist()) for a in (D, used, diff))
+            assert ref[4].hex() == bt[t].hex()
+            sold = [s for s in dec[4] if ref[1][s[0]]]
+            seen["int cost 0"] += type(dec[1]) is int and dec[1] == 0
+            seen["phi -0.0"] += ref[0] == 0 and math.copysign(1.0, ref[0]) < 0
+            seen["no demand"] += not any(ref[1])
+            seen["withheld"] += len(dec[4]) < K
+            seen["negative margin sold"] += any(s[1] < 0 for s in sold)
+        assert pos == width
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 64])
+def test_playback_steps_only_short_slots(monkeypatch, chunk):
+    """In playback, _Transitions.step runs exactly once per short slot.
+
+    From empty queues, under the optimal and a never-buy policy, most slots
+    start below mu_max; those that are not short are booked with the rest
+    of their block, so the step count equals phi_mismatch_slots.
+    """
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    calls = []
+    step = sim._Transitions.step
+
+    def counted(self, t, Q, dec, out):
+        calls.append(t)
+        return step(self, t, Q, dec, out)
+
+    monkeypatch.setattr(sim._Transitions, "step", counted)
+    rng = np.random.default_rng(20261023)
+    H = 150
+    stepped = booked = 0
+    for i in range(6):
+        model = _random_plant(rng)
+        ids_x = [x.id for x in model.supply_states]
+        ids_y = [y.id for y in model.demand_states]
+        pi_x = np.full(len(ids_x), 1 / len(ids_x))
+        pi_y = np.full(len(ids_y), 1 / len(ids_y))
+        _, plp, sol = optimal_profit(model, pi_x, pi_y)
+        policy = extract_xy_policy(plp, sol)
+        for pol in (policy, _never_buy(policy, model.cfg.M)):
+            ec = EpisodeConfig(
+                horizon=H,
+                seed=i,
+                V=5.0,
+                process_x=_random_process(rng, ids_x, IID, H),
+                process_y=_random_process(rng, ids_y, IID, H),
+                controller="oracle",
+                oracle_policy=pol,
+                Q0=[0] * model.cfg.M,
+            )
+            calls.clear()
+            m = run_episode(ec, model)
+            assert len(calls) == m.phi_mismatch_slots, (i, chunk)
+            stepped += len(calls)
+            booked += H - len(calls)
+    assert stepped >= 30 and booked >= 30, (stepped, booked)
+
+
+def test_logged_no_sale_playback_slot_keeps_int_phi():
+    """A zero-cost slot with no sale logs phi = -cost = 0 as an int.
+
+    A never-buy policy on i1 pays the integer cost 0 in every slot.  Its
+    rows equal the reference loop's, types included; the no-sale rows log
+    the int 0 for phi and phi_actual, the short ones their served profit.
+    """
+    model = make_i1()
+    _, plp, sol = optimal_profit(model, np.array([1.0]), np.array([1.0]))
+    pol = _never_buy(extract_xy_policy(plp, sol), 1)
+    for Q0 in (None, [0]):
+        ec = _i1_ec(horizon=60, controller="oracle", oracle_policy=pol, Q0=Q0)
+        ref, new = _both(replace(ec, record_log=True), model)
+        assert ref == new
+        log = run_episode(replace(ec, record_log=True), model).log
+        idle = [row for row in log if not any(row[7])]
+        assert len(idle) >= 3
+        for row in idle:
+            assert type(row[8]) is int and type(row[9]) is int
+            assert row[8] == row[9] == 0
+
+
+def test_bisect_rows_matches_bisect_right():
+    """_bisect_rows equals bisect_right on each state's cumulative weights.
+
+    Rows of unequal length from processes._cumulative (whose last bucket is
+    inf), u exactly on each weight and one ulp either side, 0 and the
+    largest uniform below 1, and blocks that leave states out.
+    """
+    rows = [
+        _cumulative([0.25, 0.25, 0.5]),
+        _cumulative([1.0]),
+        _cumulative([0.5, 0.0, 0.5]),
+        _cumulative([0.1] * 10),  # its first nine weights sum below 0.9
+    ]
+    table = sim._weight_table(rows)
+    edges = [w for row in rows for w in row[:-1]]
+    us = {0.0, 1.0 - 2**-53, *edges}
+    us |= {float(np.nextafter(w, d)) for w in edges for d in (0.0, 1.0)}
+    us = np.array(sorted(us))
+    for states in ([0, 1, 2, 3], [3], [0, 2], [2, 2, 1]):
+        s = np.resize(np.array(states), len(us))
+        got = sim._bisect_rows(table, s, us)
+        want = [bisect_right(rows[i], u) for i, u in zip(s.tolist(), us.tolist())]
+        assert got.tolist() == want, states
