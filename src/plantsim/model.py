@@ -146,7 +146,9 @@ def check_seq(name, value, length=None, *, error=InputError, message=None):
     is refused.  The message names name and the fault unless message
     replaces it.
     """
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (list, tuple)):  # the common case, without the ABC check
+        seq = True
+    elif isinstance(value, np.ndarray):
         seq = value.ndim > 0
     else:
         seq = isinstance(value, Sequence) and not isinstance(value, (str, bytes))

@@ -9,8 +9,8 @@ and the queue band:
   pure functions of (queues, supply state, demand state).  Its band is
   controller.queue_band, [mu_max, theta + A_max].
 * oracle playback draws the purchase and the offers of a fixed stationary
-  policy from the policy channel; its key is (x, y) and the drawn option
-  indices, which do not depend on the queues.  It has no band.
+  policy from the policy channel: each slot's options, drawn from its
+  states, which do not depend on the queues.  It has no band.
 
 Both share the rules of a slot.  Each offered product draws D_max[k]
 uniforms from the demand channel, in slot order and ascending k, and its
@@ -22,13 +22,16 @@ With a band, step verifies the controller's guarantees: the queues stay
 inside it and no slot is short.  A breach raises InvariantViolation, or is
 only counted when the run sets allow_unsafe_theta.
 
-Both keep a decision table.  A decision (A, cost, Z, P, the offered
-products' sell entries) is made once per (x, y, A, Z, P), or once per
-playback key.  An online decision also carries the outcome table of its
-demand codes, each offered product's demand as one digit of radix
-D_max[k] + 1, mapped by _outcome to the profit, D, the material use and
-the queue change, none of which depend on the queues; and its
-signature's demand-code table (below).
+The slot loop keeps a decision table.  A decision (A, cost, Z, P, the
+offered products' sell entries) is made once per (x, y, A, Z, P).  It
+also carries the outcome table of its demand codes, each offered
+product's demand as one digit of radix D_max[k] + 1, mapped by _outcome
+to the profit, D, the material use and the queue change, none of which
+depend on the queues; and its signature's demand-code table (below).
+Playback keeps no decisions.  Its set-up checks the policy and builds
+option tables: per supply state, each purchase option's A and -cost;
+per demand state and product, each offer option's D_max, margin and
+threshold.
 
 The slot loop keeps a state table.  Inside a finite band the online
 controller is a finite chain on (Q, x, y): its queues are one mixed-radix
@@ -58,27 +61,29 @@ could outgrow int64 never gets a table.
 
 The block driver plays up to _CHUNK slots, and at most 2**16 demand
 uniforms, at a time: it draws the block's policy and demand uniforms,
-makes each distinct decision once and books every slot with array
-operations, _outcome's sums taken in the same order.  The queues follow
-the start queues plus the cumulative queue change; only a short slot,
-found by searching that path, goes through step, and its correction
-offsets the path after it.  Totals are summed in slot order, so the
-results equal the slot loop's bit for bit.
+gathers each slot's rows from the option tables by its drawn options and
+books every slot with array operations, _outcome's sums taken in the
+same order.  The queues follow the start queues plus the cumulative
+queue change; only a short slot, found by searching that path, goes
+through step, and its correction offsets the path after it.  A decision
+(A, cost, Z, P) is made only for a short or a logged slot.  Totals are
+summed in slot order, so the results equal the slot loop's bit for bit.
 
 Per run, each of these counts is at most the horizon and at most
 * online states: the band's integer volume times |X| * |Y|, plus the
   out-of-band (Q, x, y) of a count-only unsafe run;
-* decisions: the states, or the playback keys;
+* decisions: the states;
 * outcomes per online decision: the product of D_max[k] + 1 over offered
   products;
-* links: the states times n_code;
-* playback keys: |X| * |Y| times the number of option combinations.
+* links: the states times n_code.
 The slot loop also holds the state index as an array, built in place of
 the supply path, and as a list for _CHUNK slots, its demand buffer (as an
 array and a list) and a code table of one entry per buffered uniform for
 each tabled signature, until its first read after the next refill.
-Playback keeps no outcomes; _play_blocks holds one block's arrays, a
-few rows per slot and its demand uniforms.
+Playback keeps its option tables, |X| rows of purchase options and
+|Y| * K rows of offer options, each padded to the longest row of its
+table, and _play_blocks one block's arrays, a few rows per slot and its
+demand uniforms.
 
 The check_* helpers run whole experiments: check_profit_bound compares
 the controller's mean profit against the stationary optimum, for i.i.d.
@@ -92,7 +97,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import gt, itemgetter, le, mul, sub
+from operator import getitem, gt, itemgetter, le, mul, sub
 
 import numpy as np
 
@@ -112,6 +117,7 @@ from plantsim.model import (
     InputError,
     Model,
     check_int,
+    check_seq,
     material_usage,
     purchase_cost,
     schedule_fulfillment,
@@ -124,6 +130,7 @@ from plantsim.processes import (
     RngStream,
     StateProcessSpec,
     _cumulative,
+    check_distribution,
     generate_states,
     stationary_distribution,
 )
@@ -360,9 +367,10 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
     allow_unsafe_theta rather than ignore them, as an online run rejects
-    oracle_policy.  The online controller runs the slot loop, playback the
-    block driver; both keep the tables the module docstring describes, with
-    results bit-identical to checking every slot.
+    oracle_policy, and a malformed policy before its first slot
+    (_oracle_setup).  The online controller runs the slot loop, playback
+    the block driver; both keep the tables the module docstring describes,
+    with results bit-identical to checking every slot.
     """
     check_int("horizon", ec.horizon, 1)
     if ec.controller not in ("online", "oracle"):
@@ -376,13 +384,12 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     elif ec.oracle_policy is not None:
         raise InputError("the online controller does not use oracle_policy")
     cfg = model.cfg
-    sell = _sell_table(model)
     rs = RngStream(ec.seed, ec.stream)
     online = ec.controller == "online"
     if online:
-        decide, state, band = _online_setup(ec, model, sell)
+        decide, state, band = _online_setup(ec, model)
     else:
-        pick, decide, state, band = _oracle_setup(ec, model, sell)
+        pick, decide, state, band = _oracle_setup(ec, model)
     xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X))
     ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y))
     # Units sold from the assembly-delay product queues are re-assembled by
@@ -574,11 +581,13 @@ def _play_blocks(
 ) -> tuple:
     """Oracle playback, a block of slots at a time: (tphi, tphia, final Q).
 
-    A playback decision depends only on its slot's states and policy draws,
-    and the demand only on the decision, so a block draws and decides all
-    its slots at once and books them in arrays (_block_book), from the same
-    draws as one slot at a time.  The queues follow Q plus the cumulative
-    queue change; only short slots go through run.step (_block_queues).
+    A playback slot's options depend only on its states and policy draws,
+    and its demand only on its options, so a block draws all its slots'
+    options at once, gathers their booking rows from the option tables
+    (pick) and books them in arrays (_block_book), from the same draws as
+    one slot at a time.  The queues follow Q plus the cumulative queue
+    change; only short slots go through run.step (_block_queues).  A
+    decision is rebuilt (decide) only for a stepped or a logged slot.
     """
     cfg = model.cfg
     K = cfg.K
@@ -594,16 +603,17 @@ def _play_blocks(
     reach = max(Q) + len(xs) * change
     int_t = np.int64 if reach < 2**62 and change < 2**31 else object
     beta = np.array(cfg.beta, dtype=int_t)
-    memo: dict = {}  # playback key -> decision
     tphi = 0.0
     tphia = 0.0
     for t0 in range(0, len(xs), size):
         x, y = xs[t0 : t0 + size], ys[t0 : t0 + size]
         u = policy.random((len(x), K + 1))
-        decs, slot_dec = _block_decisions(pick(x, y, u), decide, memo)
-        book = _block_book(decs, slot_dec, demand, beta)
+        opts, bought, width, terms = pick(x, y, u)
+        book = _block_book(bought, width, terms, demand, beta)
         start = Q
-        Q, after, stepped = _block_queues(run, t0, Q, decs, slot_dec, book)
+        Q, after, stepped = _block_queues(
+            run, t0, Q, lambda i: decide(x[i], y[i], opts[i].tolist()), book
+        )
         phi, D = book[:2]
         phia = phi.copy()
         if stepped:
@@ -615,9 +625,9 @@ def _play_blocks(
         if log is not None:
             avg = (ctota[1:] / np.arange(t0 + 1, t0 + len(x) + 1)).tolist()
             starts = [start, *map(tuple, after[:-1].tolist())]
-            rows = zip(x.tolist(), y.tolist(), slot_dec.tolist(), D.tolist(), phi.tolist())
-            for i, (xi, yi, j, d, p) in enumerate(rows):
-                A, cost, Z, P, _ = decs[j]
+            rows = zip(x.tolist(), y.tolist(), opts.tolist(), D.tolist(), phi.tolist())
+            for i, (xi, yi, opt, d, p) in enumerate(rows):
+                A, cost, Z, P = decide(xi, yi, opt)
                 # a slot with no sale books -cost as _outcome does, an int
                 # under an integer cost
                 p = p if any(d) else -cost
@@ -626,24 +636,12 @@ def _play_blocks(
     return tphi, tphia, Q
 
 
-def _block_decisions(keys: np.ndarray, decide, memo: dict) -> tuple:
-    """(decisions, each slot's decision) of a block's playback keys.
-
-    Each distinct key is decided once per run and kept in memo.
-    """
-    first, slot_dec = _distinct(keys)
-    decs = []
-    for key in map(tuple, keys[first].tolist()):
-        dec = memo.get(key)
-        if dec is None:
-            dec = memo[key] = decide(key)
-        decs.append(dec)
-    return decs, slot_dec
-
-
-def _block_book(decs: list, slot_dec, rng, beta: np.ndarray) -> tuple:
+def _block_book(bought, width, terms, rng, beta: np.ndarray) -> tuple:
     """(phi, D, used, A - used, drift) of each slot of a block, as arrays.
 
+    Row t of each input is slot t's: bought its purchase A, width each
+    product's D_max (0 where withheld), and terms its -cost, then each
+    product's margin, then each product's threshold (0.0 where withheld).
     As in the slot loop, each offered product k takes D_max[k] uniforms
     from rng, in slot order and ascending k, and its demand is the count
     below its threshold: read row by row, the (slot, product) grid is that
@@ -652,29 +650,18 @@ def _block_book(decs: list, slot_dec, rng, beta: np.ndarray) -> tuple:
     for each product in ascending k, where a product with no demand adds
     -0.0: that leaves every float as it is, sign of zero included, as
     _outcome's skip does.  The drift 0.5 * sum (A - used)^2 adds the
-    squares in _change's order.  The integer arrays take beta's dtype,
+    squares in _change's order.  used and A - used take beta's dtype,
     object where int64 could overflow (_play_blocks).
     """
     M, K = beta.shape
-    bought, width, terms = [], [], []  # A; widths; -cost, margins, thresholds
-    for A, cost, _, _, sells in decs:
-        # -cost is negated before the conversion, so an integer cost of 0
-        # starts at 0.0 as it does in _outcome, where -0 is the int 0
-        w, f = [0] * K, [-cost] + [0.0] * (2 * K)
-        for k, margin, pr, n, _ in sells:
-            w[k], f[1 + k], f[1 + K + k] = n, margin, pr
-        bought.append(A)
-        width.append(w)
-        terms.append(f)
-    terms = np.array(terms, dtype=float)[slot_dec]
-    width = np.array(width, dtype=np.int64)[slot_dec].ravel()
+    width = width.ravel()
     hits = np.zeros(width.sum() + 1, dtype=np.int64)
     below = rng.random(len(hits) - 1) < np.repeat(terms[:, 1 + K :], width)
     np.cumsum(below, out=hits[1:])
     end = np.cumsum(width)
     D = (hits[end] - hits[end - width]).reshape(-1, K)
     used = D @ beta.T
-    diff = np.array(bought, dtype=beta.dtype)[slot_dec] - used
+    diff = bought - used
     phi = terms[:, 0]
     for k in range(K):
         d = D[:, k]
@@ -685,16 +672,16 @@ def _block_book(decs: list, slot_dec, rng, beta: np.ndarray) -> tuple:
     return phi, D, used, diff, 0.5 * bt
 
 
-def _block_queues(run: _Transitions, t0, Q, decs, slot_dec, book) -> tuple:
+def _block_queues(run: _Transitions, t0, Q, decision, book) -> tuple:
     """(final Q, the queues after each slot, phi_actual of each stepped slot).
 
     The booked queue path is Q plus the cumulative queue change A - used
     of the booking.  A slot is short when the queues it starts from hold
     less than it uses, as in run.step.  The next short slot is searched in
-    windows that double and runs through run.step alone; the queues after
-    it less the booked ones are a correction that offsets the path from
-    there on.  The other slots are booked into run's extremes and drift
-    record here.
+    windows that double and runs through run.step alone, under the
+    decision that decision(i) gives slot i; the queues after it less the
+    booked ones are a correction that offsets the path from there on.  The
+    other slots are booked into run's extremes and drift record here.
     """
     phi, D, used, diff, bt = book
     n, int_t = len(diff), diff.dtype
@@ -716,7 +703,7 @@ def _block_queues(run: _Transitions, t0, Q, decs, slot_dec, book) -> tuple:
         i += f // len(Q)
         start = Q if i == 0 else tuple((path[i - 1] - lim).tolist())
         out = (phi[i], tuple(D[i].tolist()), tuple(used[i].tolist()), diff[i], bt[i], 0)
-        Qn, _, stepped[i], _ = run.step(t0 + i, start, decs[slot_dec[i]], out)
+        Qn, _, stepped[i], _ = run.step(t0 + i, start, decision(i), out)
         fix = path[i] - Qn  # the next lim
         fixes[i] = lim - fix
         lim = fix
@@ -734,23 +721,6 @@ def _block_queues(run: _Transitions, t0, Q, decs, slot_dec, book) -> tuple:
     return tuple(path[-1].tolist()), path, stepped
 
 
-def _distinct(rows: np.ndarray) -> tuple:
-    """(first, inverse) of the distinct rows of a non-negative integer array.
-
-    first[j] is a row index of distinct row j and inverse[t] the distinct
-    row of row t.  Each row is packed into one integer, a Python one when
-    int64 cannot hold it.
-    """
-    radix = (rows.max(axis=0) + 1).tolist()
-    if math.prod(radix) > 2**63:
-        rows = rows.astype(object)
-    key = rows[:, 0]
-    for c, r in zip(rows.T[1:], radix[1:]):
-        key = key * r + c
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse
-
-
 def _check_blind_tables(model: Model) -> None:
     base = model.demand_states[0].F_hat
     for y in model.demand_states:
@@ -765,7 +735,7 @@ def _check_blind_tables(model: Model) -> None:
             )
 
 
-def _online_setup(ec: EpisodeConfig, model: Model, sell):
+def _online_setup(ec: EpisodeConfig, model: Model):
     """The online controller: its decide, starting state and band."""
     cfg = model.cfg
     params = make_params(
@@ -785,6 +755,7 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
     supply = model.supply_states
     demand = model.demand_states
     # offers[yi][k]: the sell entry of each menu price of product k
+    sell = _sell_table(model)
     offers = [[dict(zip(ps, s)) for ps, s in zip(cfg.price_set, row)] for row in sell]
 
     decisions: dict = {}
@@ -816,85 +787,148 @@ def _online_setup(ec: EpisodeConfig, model: Model, sell):
     return decide, state, queue_band(params, cfg)
 
 
-def _oracle_setup(ec: EpisodeConfig, model: Model, sell):
+def _oracle_setup(ec: EpisodeConfig, model: Model):
     """Playback of a stationary policy: its pick, decide, starting state, band.
 
-    pick(x, y, u) gives the playback key (x, y, purchase option, offer option
-    of each product) of each slot of a block, from the slots' states and
-    their 1 + K uniforms u of channel _CH_POLICY: the purchase draw, then
-    each product's offer in ascending k.  decide makes the key's decision.
-    There is no band and no fake unit; the queues start at Q0, by default
-    mu_max, and the start rule check_start asks only for non-negative integers.
+    One pass over the policy checks it (_policy_options) and builds padded
+    option tables: per supply state, each purchase option's cumulative
+    weight, -cost and A; per demand state and product, each offer option's
+    cumulative weight, margin, threshold and D_max, zeros where the product
+    is withheld.  pick(x, y, u) draws each slot's options from its states
+    and its 1 + K uniforms u of channel _CH_POLICY (the purchase draw, then
+    each product's offer in ascending k) and gathers the rows _block_book
+    takes: it returns (options, bought, width, terms), the options being
+    each slot's purchase option and offer option of each product.
+    decide(xi, yi, opt) makes the decision (A, cost, Z, P) of one slot's
+    options.  There is no band and no fake unit; the queues start at Q0,
+    by default mu_max, and the start rule check_start asks only for
+    non-negative integers.
     """
     cfg = model.cfg
-    K = cfg.K
+    K, M = cfg.K, cfg.M
+    supply = model.supply_states
+    n_y = len(model.demand_states)
     policy = ec.oracle_policy
-    buy = [
-        (
-            _cumulative([p for _, p in dist]),
-            [(list(a), purchase_cost(list(a), x)) for a, _ in dist],
-        )
-        for x, dist in zip(model.supply_states, policy.purchase_dist)
+    purchase_dist = check_seq("purchase_dist", policy.purchase_dist, len(supply))
+    price_dist = [
+        check_seq(f"price_dist[{k}]", dists, n_y)
+        for k, dists in enumerate(check_seq("price_dist", policy.price_dist, K))
     ]
-    # offer[k][yi]: cumulative weights and (z, posted price, sell entry) per
-    # option; a withheld product posts its lowest price.
-    offer = [
-        [
-            (
-                _cumulative([p for *_, p in dist]),
+    # buy[xi][i]: (A, cost) of purchase option i in supply state xi, and
+    # offer[yi][k][j]: (z, posted price) of offer option j, where a withheld
+    # product posts its lowest price.  Their table rows are floats, which
+    # hold A and D_max exactly (validate_config bounds them by 2**53); -cost
+    # is negated before its conversion, so an integer cost of 0 starts at
+    # 0.0 as it does in _outcome, where -0 is the int 0.
+    buy, buy_cum, buy_rows = [], [], []
+    for xi, (x, dist) in enumerate(zip(supply, purchase_dist)):
+        name = f"purchase_dist[{xi}]"
+        opts, cum = _policy_options(name, dist, 2)
+        acts = [_purchase_option(f"{name} purchase", a, x, cfg) for a, in opts]
+        buy.append(acts)
+        buy_cum.append(cum)
+        buy_rows.append([(-c, *A) for A, c in acts])
+    offer, offer_cum, offer_rows = [], [], []
+    alpha, d_max = cfg.alpha, cfg.D_max
+    for yi, (y, dists) in enumerate(zip(model.demand_states, zip(*price_dist))):
+        offer.append([])
+        for k, (ps, dist) in enumerate(zip(cfg.price_set, dists)):
+            name = f"price_dist[{k}][{yi}]"
+            opts, cum = _policy_options(name, dist, 3)
+            opts = [_offer_option(name, z, j, len(ps)) for z, j in opts]
+            offer[-1].append([(z, ps[j] if z else ps[0]) for z, j in opts])
+            offer_cum.append(cum)
+            # margin, threshold and D_max, computed as _sell_table does
+            offer_rows.append(
                 [
-                    (1, cfg.price_set[k][j], sell[yi][k][j])
-                    if z
-                    else (0, cfg.price_set[k][0], None)
-                    for z, j, _ in dist
-                ],
+                    (ps[j] - alpha[k], y.F[k][j] / d_max[k], d_max[k]) if z else (0.0, 0.0, 0)
+                    for z, j in opts
+                ]
             )
-            for yi, dist in enumerate(policy.price_dist[k])
-        ]
-        for k in range(K)
-    ]
-
-    buy_cum = _weight_table([cum for cum, _ in buy])
-    offer_cum = [_weight_table([cum for cum, _ in rows]) for rows in offer]
+    # option i of supply state xi is row xi * n_i + i of buys, and offer
+    # option j of product k in demand state yi row (yi * K + k) * n_j + j
+    # of offers
+    buy_cum, offer_cum = _weight_table(buy_cum), _weight_table(offer_cum)
+    n_i, n_j = len(buy_cum), len(offer_cum)
+    buys = _padded(buy_rows, (0.0,) * (1 + M)).reshape(-1, 1 + M)
+    offers = _padded(offer_rows, (0.0, 0.0, 0)).reshape(-1, 3)
+    ks = np.arange(K)
 
     def pick(x, y, u):
-        cols = [x, y, _bisect_rows(buy_cum, x, u[:, 0])]
-        cols += [_bisect_rows(c, y, u[:, k + 1]) for k, c in enumerate(offer_cum)]
-        return np.column_stack(cols)
+        i = _bisect_rows(buy_cum, x, u[:, 0])
+        r = y[:, None] * K + ks
+        j = _bisect_rows(offer_cum, r, u[:, 1:])
+        b, o = buys.take(x * n_i + i, axis=0), offers.take(r * n_j + j, axis=0)
+        terms = np.concatenate((b[:, :1], o[..., 0], o[..., 1]), axis=1)
+        bought, width = b[:, 1:].astype(np.int64), o[..., 2].astype(np.int64)
+        return np.column_stack((i, j)), bought, width, terms
 
-    def decide(key):
-        xi, yi, i, *js = key
-        A, cost = buy[xi][1][i]
-        Z = [0] * K
-        P = [0.0] * K
-        sells = []
-        for k, j in enumerate(js):
-            Z[k], P[k], s = offer[k][yi][1][j]
-            if s is not None:
-                sells.append(s)
-        return A, cost, Z, P, sells
+    def decide(xi, yi, opt):
+        A, cost = buy[xi][opt[0]]
+        Z, P = zip(*map(getitem, offer[yi], opt[1:]))
+        return A, cost, Z, P
 
     Q0 = model.mu_max if ec.Q0 is None else ec.Q0
     Q0 = check_start("Q0", Q0, [0] * cfg.M, [math.inf] * cfg.M)
     return pick, decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
 
 
+def _policy_options(name: str, dist, fields: int) -> tuple:
+    """(options, cumulative weights) of one state's policy distribution.
+
+    dist lists entries of fields values each, an option then its
+    probability; the probabilities must form a distribution
+    (check_distribution).
+    """
+    entry = name + " entry"
+    entries = [check_seq(entry, e, fields) for e in check_seq(name, dist)]
+    p = check_distribution([e[-1] for e in entries], len(entries), f"{name} probabilities")
+    return [e[:-1] for e in entries], _cumulative(p.tolist())
+
+
+def _purchase_option(name: str, a, x, cfg) -> tuple:
+    """(A, cost) of purchase vector a in supply state x, checked feasible.
+
+    Feasible as in oracles.enumerate_actions: integers 0 <= A[m] <=
+    min(A_max[m], available[m]) whose spend is at most c_max.
+    """
+    a = check_seq(name, a, cfg.M)
+    A = [check_int(name, v, 0, min(c, n)) for v, c, n in zip(a, cfg.A_max, x.available)]
+    cost = purchase_cost(A, x)
+    if cost > cfg.c_max:
+        raise InputError(f"{name} {A} spends {cost}, above c_max {cfg.c_max}")
+    return A, cost
+
+
+def _offer_option(name: str, z, j, n_prices: int) -> tuple:
+    """(z, j) of an offer option: z in {0, 1}; j a menu index if z, else -1."""
+    if check_int(f"{name} z", z, 0, 1):
+        return 1, check_int(f"{name} price index", j, 0, n_prices - 1)
+    message = f"{name}: a withheld product has price index -1, got {j!r}"
+    return 0, check_int(name, j, -1, -1, message=message)
+
+
+def _padded(rows: list, fill) -> np.ndarray:
+    """Rows of unequal length as one float array, each padded with fill."""
+    width = max(map(len, rows))
+    return np.array([row + [fill] * (width - len(row)) for row in rows], dtype=float)
+
+
 def _weight_table(cums: list) -> np.ndarray:
-    """Rows of cumulative weights as one array, each padded with inf."""
-    table = np.full((len(cums), max(map(len, cums))), np.inf)
-    for s, cum in enumerate(cums):
-        table[s, : len(cum)] = cum
-    return table
+    """Rows of cumulative weights as the columns of one array, padded with inf."""
+    return np.ascontiguousarray(_padded(cums, np.inf).T)
 
 
 def _bisect_rows(table: np.ndarray, states, u) -> np.ndarray:
-    """bisect_right of each u in row states[i] of a _weight_table.
+    """bisect_right of each u in column states[i] of a _weight_table.
 
-    A row's weights never decrease, so bisect_right is the count of those
-    at most u; the inf padding, like _cumulative's inf last bucket, counts
-    for no finite u.
+    A column's weights never decrease, so bisect_right is the count of
+    those at most u; the inf padding, like _cumulative's inf last bucket,
+    counts for no finite u.  states and u have one shape.  The count runs
+    over the table's first axis, which numpy reduces far faster than a
+    short last one.
     """
-    return np.count_nonzero(table[states] <= u[:, None], axis=1)
+    return np.count_nonzero(table.take(states, axis=1) <= u, axis=0)
 
 
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:

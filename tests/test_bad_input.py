@@ -494,6 +494,117 @@ def test_online_run_refuses_oracle_policy():
     _raises(InputError, message, run_episode, ec, model)
 
 
+def _dear_i1():
+    # unit cost 2 against c_max 2: buying both units that A_max and
+    # available allow would spend 4
+    return _with_supply("unit_cost", [2])
+
+
+@pytest.mark.parametrize(
+    "make_model, changes, message",
+    [
+        (make_i1, {"purchase_dist": []}, "purchase_dist must have 1 entries, got 0"),
+        (make_i1, {"purchase_dist": [[]]}, "purchase_dist[0] probabilities must sum to 1"),
+        (
+            make_i1,
+            {"purchase_dist": [[((1,), 0.3)]]},
+            "purchase_dist[0] probabilities must sum to 1",
+        ),
+        (
+            make_i1,
+            {"purchase_dist": [[((0,), -0.5), ((1,), 1.5)]]},
+            "purchase_dist[0] probabilities must be non-negative",
+        ),
+        (
+            make_i1,
+            {"purchase_dist": [[((1,),)]]},
+            "purchase_dist[0] entry must have 2 entries, got 1",
+        ),
+        (
+            make_i1,
+            {"purchase_dist": [[((1, 1), 1.0)]]},
+            "purchase_dist[0] purchase must have 1 entries, got 2",
+        ),
+        (
+            make_i1,
+            {"purchase_dist": [[((5,), 1.0)]]},
+            "purchase_dist[0] purchase 5 is above the maximum 2",
+        ),
+        (
+            make_i1,
+            {"purchase_dist": [[((-3,), 1.0)]]},
+            "purchase_dist[0] purchase -3 is below the minimum 0",
+        ),
+        (
+            make_i1,
+            {"purchase_dist": [[((2.5,), 1.0)]]},
+            "purchase_dist[0] purchase must be an integer, got 2.5",
+        ),
+        (
+            _dear_i1,
+            {"purchase_dist": [[((2,), 1.0)]]},
+            "purchase_dist[0] purchase [2] spends 4, above c_max 2",
+        ),
+        (make_i1, {"price_dist": []}, "price_dist must have 1 entries, got 0"),
+        (
+            make_i1,
+            {"price_dist": [[[(1, 7, 1.0)]]]},
+            "price_dist[0][0] price index 7 is above the maximum 1",
+        ),
+        (
+            make_i1,
+            {"price_dist": [[[(1, -1, 1.0)]]]},
+            "price_dist[0][0] price index -1 is below the minimum 0",
+        ),
+        (
+            make_i1,
+            {"price_dist": [[[(0, 0, 1.0)]]]},
+            "price_dist[0][0]: a withheld product has price index -1, got 0",
+        ),
+        (
+            make_i1,
+            {"price_dist": [[[(2, 1, 1.0)]]]},
+            "price_dist[0][0] z 2 is above the maximum 1",
+        ),
+        (
+            make_i1,
+            {"price_dist": [[[(0, -1, 0.5), (1, 1, 0.25)]]]},
+            "price_dist[0][0] probabilities must sum to 1",
+        ),
+    ],
+    ids=[
+        "no-supply-state",
+        "empty-distribution",
+        "sum-0.3",
+        "negative-probability",
+        "short-entry",
+        "purchase-length",
+        "purchase-above-cap",
+        "purchase-negative",
+        "purchase-fractional",
+        "purchase-over-budget",
+        "no-product",
+        "offer-index-7",
+        "offered-index--1",
+        "withheld-index-0",
+        "z-2",
+        "offer-sum-0.75",
+    ],
+)
+def test_playback_checks_its_policy(make_model, changes, message):
+    """Playback refuses a malformed policy before its first slot.
+
+    Each case used to raise an IndexError or a ValueError, or to run: a
+    distribution not summing to 1, a purchase beyond A_max, available or
+    c_max, a negative or fractional one, and an offer at price index -1,
+    which Python reads as the top price.
+    """
+    _, plp, sol = optimal_profit(make_i1(), [1.0], [1.0])
+    policy = replace(extract_xy_policy(plp, sol), **changes)
+    ec = _ec(controller="oracle", oracle_policy=policy)
+    _raises(InputError, message, run_episode, ec, make_model())
+
+
 def test_trace_process_has_no_stationary_distribution():
     _raises(
         InputError,

@@ -27,7 +27,7 @@ from plantsim.model import (
     schedule_fulfillment,
     validate_config,
 )
-from plantsim.oracles import extract_xy_policy, optimal_profit
+from plantsim.oracles import OraclePolicy, extract_xy_policy, optimal_profit
 from plantsim.processes import (
     IID,
     MARKOV,
@@ -1110,6 +1110,109 @@ def test_block_playback_matches_reference_loop(monkeypatch, chunk):
     assert min(seen.values()) >= 3, seen
 
 
+def _ragged_plant_and_policy():
+    """A plant and a hand-built policy whose option lists differ in length.
+
+    Supply state x0 has five purchase options, one of weight 0, beside x1
+    and x2 with one each; product 0 has four offers in y0, one of weight
+    0, beside one in y1 and y2; product 1 has a zero-weight withheld offer
+    in y1.  x2 and y2 are never visited by the processes below.
+    """
+    cfg = PlantConfig(
+        beta=[[1, 0], [1, 2]],
+        alpha=[0.0, 0.25],
+        price_set=[[1.0, 2.0, 3.0], [1.5, 2.25]],
+        D_max=[2, 3],
+        A_max=[3, 2],
+        c_max=4,
+    )
+    supply = [
+        SupplyState(id="x0", unit_cost=[1, 1], available=[3, 2]),
+        SupplyState(id="x1", unit_cost=[2, 1], available=[1, 2]),
+        SupplyState(id="x2", unit_cost=[0, 0], available=[0, 0]),
+    ]
+    demand = [
+        DemandState(id="y0", F=[[1.5, 1.0, 0.5], [2.5, 1.0]]),
+        DemandState(id="y1", F=[[2.0, 1.25, 0.25], [3.0, 2.0]]),
+        DemandState(id="y2", F=[[0.5, 0.5, 0.5], [1.0, 1.0]]),
+    ]
+    model = validate_config(cfg, supply, demand)
+    purchase = [
+        [((0, 0), 0.1), ((1, 0), 0.0), ((1, 1), 0.3), ((2, 2), 0.2), ((3, 1), 0.4)],
+        [((1, 2), 1.0)],
+        [((0, 0), 1.0)],
+    ]
+    offers = [
+        [
+            [(0, -1, 0.2), (1, 0, 0.0), (1, 1, 0.3), (1, 2, 0.5)],
+            [(1, 2, 1.0)],
+            [(0, -1, 1.0)],
+        ],
+        [
+            [(1, 1, 1.0)],
+            [(0, -1, 0.0), (1, 0, 0.6), (1, 1, 0.4)],
+            [(1, 0, 0.5), (1, 1, 0.5)],
+        ],
+    ]
+    policy = OraclePolicy(
+        purchase_dist=purchase,
+        price_dist=offers,
+        c_hat=0.0,
+        r_hat=0.0,
+        a_hat=[0.0, 0.0],
+        mu_hat=[0.0, 0.0],
+        phi=0.0,
+    )
+    return model, policy
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 64])
+def test_ragged_policy_playback_matches_reference_loop(monkeypatch, chunk):
+    """Padded option tables play a ragged policy as the reference loop does.
+
+    Options of weight 0, states with one option beside states with four or
+    five, and states never visited; from empty queues (many short slots)
+    and from mu_max, with and without a log.  Every option of positive
+    weight of a visited state is drawn.
+    """
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    model, policy = _ragged_plant_and_policy()
+    H = 300
+    rng = np.random.default_rng(20261024)
+    px = StateProcessSpec(
+        mode=TRACE, state_ids=["x0", "x1", "x2"], trace=rng.integers(0, 2, H).tolist()
+    )
+    py = StateProcessSpec(mode=IID, state_ids=["y0", "y1", "y2"], probs=[0.6, 0.4, 0.0])
+    bought, offered = set(), set()
+    for Q0 in ([0, 0], None):
+        for log in (True, False):
+            ec = EpisodeConfig(
+                horizon=H,
+                seed=7,
+                V=5.0,
+                process_x=px,
+                process_y=py,
+                controller="oracle",
+                oracle_policy=policy,
+                Q0=Q0,
+                record_log=log,
+            )
+            ref, new = _both(ec, model)
+            assert ref == new and isinstance(ref, dict), (Q0, log)
+            assert ref["phi_mismatch_slots"] > 0 or Q0 is None
+            for _, x, y, _, A, Z, P, *_ in new["log"] or ():
+                bought.add((x, A))
+                offered |= {(y, k, z, float.fromhex(P[k])) for k, z in enumerate(Z)}
+    assert {x for x, _ in bought} == {"x0", "x1"}
+    assert len(bought) == 5
+    assert {(k, z, p) for y, k, z, p in offered if y == "y0"} == {
+        (0, 0, 1.0), (0, 1, 2.0), (0, 1, 3.0), (1, 1, 2.25)
+    }
+    assert {(k, z, p) for y, k, z, p in offered if y == "y1"} == {
+        (0, 1, 3.0), (1, 1, 1.5), (1, 1, 2.25)
+    }
+
+
 def _i1_demand_cap(n):
     cfg = replace(make_i1_cfg(), D_max=[n])
     supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
@@ -1194,26 +1297,15 @@ def test_block_playback_keeps_huge_changes_exact(b, M):
     assert float.fromhex(new["max_slot_drift"]) >= 0.5 * M * (b - 2) ** 2
 
 
-def test_distinct_rows_beyond_int64():
-    """_distinct keeps rows apart whose packed keys differ by 2**64.
-
-    The columns' radixes are 2, 2**22, 2**22 and 2**22, so the second row
-    packs to 2**64 and the first to 0, which int64 keys would merge.
-    """
-    top = 2**22 - 1
-    rows = np.array([[0, 0, 0, 0], [0, 2**20, 0, 0], [1, top, top, top]] * 3)
-    first, inverse = sim._distinct(rows)
-    assert len(first) == 3
-    assert (rows[first][inverse] == rows).all()
-
-
 def test_block_book_matches_outcome():
     """_block_book equals _outcome row by row, bit for bit.
 
     Random synthetic decisions: integer costs including 0, a float cost of
     0.0 (its phi is -0.0 until a sale), margins of either sign and of
     +-0.0, withheld products, and thresholds of 0 and 1, so whole rows
-    have no demand.  Each slot's D is also counted from its uniforms one
+    have no demand.  Each slot's rows (A; D_max, 0 where withheld; -cost,
+    margins and thresholds) are built from its decision as the option
+    tables hold them.  Each slot's D is also counted from its uniforms one
     at a time, in slot order and ascending k.
     """
     rng = np.random.default_rng(20261022)
@@ -1243,8 +1335,17 @@ def test_block_book_matches_outcome():
             decs.append((A, cost, None, None, sells))
         slot_dec = rng.integers(0, len(decs), size=50)
         seed = int(rng.integers(2**32))
+        rows = []
+        for A, cost, _, _, sells in decs:
+            w, f = [0] * K, [-cost] + [0.0] * (2 * K)
+            for k, margin, pr, n, _ in sells:
+                w[k], f[1 + k], f[1 + K + k] = n, margin, pr
+            rows.append((A, w, f))
+        picked = [rows[j] for j in slot_dec.tolist()]
+        bought, width = (np.array([r[c] for r in picked], dtype=np.int64) for c in (0, 1))
+        terms = np.array([r[2] for r in picked], dtype=float)
         phi, D, used, diff, bt = sim._block_book(
-            decs, slot_dec, np.random.default_rng(seed), beta
+            bought, width, terms, np.random.default_rng(seed), beta
         )
         width = sum(sum(s[3] for s in decs[j][4]) for j in slot_dec.tolist())
         draws = np.random.default_rng(seed).random(width).tolist()
