@@ -841,7 +841,9 @@ def _oracle_setup(ec: EpisodeConfig, model: Model):
             # margin, threshold and D_max, computed as _sell_table does
             offer_rows.append(
                 [
-                    (ps[j] - alpha[k], y.F[k][j] / d_max[k], d_max[k]) if z else (0.0, 0.0, 0)
+                    (ps[j] - alpha[k], y.F[k][j] / d_max[k], d_max[k])
+                    if z
+                    else (0.0, 0.0, 0)
                     for z, j in opts
                 ]
             )
@@ -882,7 +884,8 @@ def _policy_options(name: str, dist, fields: int) -> tuple:
     """
     entry = name + " entry"
     entries = [check_seq(entry, e, fields) for e in check_seq(name, dist)]
-    p = check_distribution([e[-1] for e in entries], len(entries), f"{name} probabilities")
+    weights = [e[-1] for e in entries]
+    p = check_distribution(weights, len(weights), f"{name} probabilities")
     return [e[:-1] for e in entries], _cumulative(p.tolist())
 
 

@@ -504,7 +504,11 @@ def _dear_i1():
     "make_model, changes, message",
     [
         (make_i1, {"purchase_dist": []}, "purchase_dist must have 1 entries, got 0"),
-        (make_i1, {"purchase_dist": [[]]}, "purchase_dist[0] probabilities must sum to 1"),
+        (
+            make_i1,
+            {"purchase_dist": [[]]},
+            "purchase_dist[0] probabilities must sum to 1",
+        ),
         (
             make_i1,
             {"purchase_dist": [[((1,), 0.3)]]},

@@ -1342,7 +1342,8 @@ def test_block_book_matches_outcome():
                 w[k], f[1 + k], f[1 + K + k] = n, margin, pr
             rows.append((A, w, f))
         picked = [rows[j] for j in slot_dec.tolist()]
-        bought, width = (np.array([r[c] for r in picked], dtype=np.int64) for c in (0, 1))
+        bought = np.array([r[0] for r in picked], dtype=np.int64)
+        width = np.array([r[1] for r in picked], dtype=np.int64)
         terms = np.array([r[2] for r in picked], dtype=float)
         phi, D, used, diff, bt = sim._block_book(
             bought, width, terms, np.random.default_rng(seed), beta
