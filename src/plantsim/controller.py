@@ -26,12 +26,13 @@ budget and, when they do not, a knapsack plan and the plan's maximal
 vectors (at most _CANDIDATE_CAP of them).  The plan holds only the
 budgets reachable from the full budget, so the knapsack's time and memory
 scale with those, not with c_max or with the cap of a material that
-costs nothing in that state.  A call does only the arithmetic that
-depends on Q.  Pricing does it in the order the untabulated rule does,
-up to the sign of a zero relief; a knapsack call takes the best maximal
-vector when it leads every other by a proven rounding margin and runs
-the DP otherwise (_scan).  So the decisions are bit-identical to the
-untabulated rule's.
+costs nothing in that state.  One walk over those budgets builds the
+plan, and the search for the maximal vectors runs on the plan.  A call
+does only the arithmetic that depends on Q.  Pricing does it in the
+order the untabulated rule does, up to the sign of a zero relief; a
+knapsack call takes the best maximal vector when it leads every other by
+a proven rounding margin and runs the DP otherwise (_scan).  So the
+decisions are bit-identical to the untabulated rule's.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Real
 from operator import lt, mul, sub
 
 import numpy as np
@@ -179,8 +181,8 @@ def make_params(
     raise ThetaTooSmall unless allow_unsafe_theta is set, because they void
     the full-fulfillment guarantee.
     """
-    if not 0 < V < np.inf:
-        raise InputError("V must be positive and finite")
+    if isinstance(V, bool) or not isinstance(V, Real) or not 0 < V < math.inf:
+        raise InputError(f"V must be a positive finite number, got {V!r}")
     safe = compute_theta(cfg, V)
     message = "theta must have one finite entry per material"
     if theta is None:
@@ -211,7 +213,7 @@ def decide_purchase(
     _bounded_knapsack_lex_min for its tie rule).  What does not depend on Q
     is built once per (x, buy set) and kept on the params' tables:
     V * unit_cost, the caps, whether they fit the budget and, if not, the
-    knapsack plan and the plan's maximal vectors (see _candidates).  A
+    knapsack plan and the maximal vectors found on it (see _candidates).  A
     knapsack call first reads the answer off those vectors (_scan), which
     gives the DP's vector whenever the best one leads by a proven rounding
     margin, and runs the DP (_knapsack_solve) only when it does not or
@@ -241,14 +243,14 @@ def _purchase_plan(x: SupplyState, buy: tuple[int, ...], cfg: PlantConfig) -> tu
     Returns (A, None, None) when buying each material of buy at its cap
     fits the budget, A being that decision; otherwise (A, knapsack plan,
     candidates) with A all zeros, the template the knapsack's counts are
-    written into, and the candidates of _candidates.
+    written into, and the candidates _candidates finds on that plan.
     """
     caps = [min(cfg.A_max[m], x.available[m]) for m in buy]
     costs = [x.unit_cost[m] for m in buy]
     A = [0] * cfg.M
     if sum(c * a for c, a in zip(costs, caps)) > cfg.c_max:
         knapsack = _knapsack_plan(costs, caps, cfg.c_max)
-        return A, knapsack, _candidates(costs, caps, cfg.c_max)
+        return A, knapsack, _candidates(costs, caps, knapsack)
     for m, a in zip(buy, caps):
         A[m] = a
     return A, None, None
@@ -259,7 +261,7 @@ def _purchase_plan(x: SupplyState, buy: tuple[int, ...], cfg: PlantConfig) -> tu
 _CANDIDATE_CAP = 64
 
 
-def _candidates(costs: list[int], caps: list[int], budget: int) -> tuple | None:
+def _candidates(costs: list[int], caps: list[int], plan: tuple) -> tuple | None:
     """The knapsack's feasible count vectors that no single extra unit extends.
 
     A vector a with 0 <= a <= caps and sum costs[i] * a[i] <= budget is
@@ -267,44 +269,42 @@ def _candidates(costs: list[int], caps: list[int], budget: int) -> tuple | None:
     leaves; every feasible vector lies below a maximal one.  Returns them
     all as (float matrix, one row each; list of tuples), which is what
     _scan reads, or None when there are more than _CANDIDATE_CAP.  The
-    search runs on the budgets reachable from the full one, as
-    _knapsack_plan does: least[i][b], the least budget items i.. can leave
-    from b, prunes every prefix that no maximal vector extends (a
-    least-leaving completion of an unpruned prefix is maximal).  So the
-    work is the size of the DP's own plan plus about _CANDIDATE_CAP * n *
-    max(caps) steps before the search gives up.
+    search runs on plan, the _knapsack_plan of (costs, caps, budget), and
+    walks no budgets of its own: least[i][j], the least budget items i..
+    can leave from the j-th budget of level i, is taken over the plan's
+    moves up from the budgets its last level leaves, and prunes every
+    prefix that no maximal vector extends (a least-leaving completion of
+    an unpruned prefix is maximal).  So the work is the size of the plan
+    plus about _CANDIDATE_CAP * n * max(caps) steps before the search
+    gives up.
     """
+    moves, _, _, left = plan
     n = len(costs)
-    reach = [{budget}]  # reach[i]: the budgets items 0..i-1 can leave
-    for c, u in zip(costs, caps):
-        prev = reach[-1]
-        if c:
-            prev = {b - c * a for b in prev for a in range(min(u, b // c) + 1)}
-        reach.append(prev)
-    least: list = [None] * n + [{b: b for b in reach[n]}]
+    least: list = [None] * n + [left]
     for i in range(n - 1, -1, -1):
-        c, u, nxt = costs[i], caps[i], least[i + 1]
-        least[i] = nxt if c == 0 else {
-            b: min([nxt[b - c * a] for a in range(min(u, b // c) + 1)])
-            for b in reach[i]
-        }
+        nxt = least[i + 1]
+        least[i] = nxt if moves[i] is None else [
+            min([nxt[r] for r in js]) for js in moves[i]
+        ]
     out: list = []
-    # (item, budget left, the least cost of an earlier item below its cap,
-    # counts so far); the leftover must end below that cost
-    stack = [(0, budget, math.inf, ())]
+    # (item, position of the budget left, the least cost of an earlier
+    # item below its cap, counts so far); the leftover must end below that
+    # cost
+    stack = [(0, 0, math.inf, ())]
     while stack:
-        i, b, need, counts = stack.pop()
+        i, j, need, counts = stack.pop()
         if i == n:
             out.append(counts)
             if len(out) > _CANDIDATE_CAP:
                 return None
             continue
-        c, u, nxt = costs[i], caps[i], least[i + 1]
-        below = min(need, c)  # the bound once item i stops below its cap
-        for a in (u,) if c == 0 else range(min(u, b // c) + 1):
-            left, bound = b - c * a, need if a == u else below
-            if nxt[left] < bound:
-                stack.append((i + 1, left, bound, counts + (a,)))
+        u, nxt = caps[i], least[i + 1]
+        below = min(need, costs[i])  # the bound once item i stops below its cap
+        # an item of cost 0 takes its cap and leaves the budget where it is
+        for a, r in ((u, j),) if moves[i] is None else enumerate(moves[i][j]):
+            bound = need if a == u else below
+            if nxt[r] < bound:
+                stack.append((i + 1, r, bound, counts + (a,)))
     return np.array(out, dtype=float), out
 
 
@@ -372,7 +372,7 @@ def _bounded_knapsack_lex_min(
 def _knapsack_plan(costs: list[int], caps: list[int], budget: int) -> tuple:
     """The part of _bounded_knapsack_lex_min that does not depend on values.
 
-    Returns (moves, steps, zeros).  For an item i of positive cost,
+    Returns (moves, steps, zeros, left).  For an item i of positive cost,
     moves[i][j] lists, for the j-th budget b that items 0..i-1 can leave,
     the position of b - costs[i] * a among the budgets item i can leave, for
     each count a from 0 to min(caps[i], b // costs[i]); position 0 is always
@@ -381,7 +381,8 @@ def _knapsack_plan(costs: list[int], caps: list[int], budget: int) -> tuple:
     0.0; for the others the position of count 0 and the (count, position)
     pairs of the rest, in count order.  An item of cost 0 leaves every
     budget where it is: moves[i] is None and steps[i] is its cap, so no
-    list grows with the cap.  zeros is the all-0.0 row after the last item.
+    list grows with the cap.  left lists the budgets the last item can
+    leave, in position order, and zeros is the all-0.0 row after it.
     """
     moves: list = []
     steps: list = []
@@ -402,7 +403,7 @@ def _knapsack_plan(costs: list[int], caps: list[int], budget: int) -> tuple:
         else:
             steps.append([(js[0], tuple(enumerate(js))[1:]) for js in level])
         reach = list(pos)
-    return moves, steps, [0.0] * len(reach)
+    return moves, steps, [0.0] * len(reach), reach
 
 
 def _knapsack_solve(plan: tuple, values: list[float]) -> list[int]:
@@ -415,7 +416,7 @@ def _knapsack_solve(plan: tuple, values: list[float]) -> list[int]:
     with the cap alone and the traceback bisects the counts; both give what
     the scan over every count gives.
     """
-    moves, steps, zeros = plan
+    moves, steps, zeros, _ = plan
     n = len(moves)
     rows: list = [None] * n + [zeros]
     for i in range(n - 1, -1, -1):

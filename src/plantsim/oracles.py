@@ -223,6 +223,14 @@ class OraclePolicy:
     phi: float
 
 
+def _offer_option(name: str, z, j, n_prices: int) -> tuple:
+    """(z, j) of an offer option: z in {0, 1}; j a menu index if z, else -1."""
+    if check_int(f"{name} z", z, 0, 1):
+        return 1, check_int(f"{name} price index", j, 0, n_prices - 1)
+    message = f"{name}: a withheld product has price index -1, got {j!r}"
+    return 0, check_int(name, j, -1, -1, message=message)
+
+
 def extract_xy_policy(plp: ProfitLp, sol: LpSolution) -> OraclePolicy:
     """Read the optimal policy out of a solved stationary-profit LP.
 
@@ -504,14 +512,20 @@ def two_price_reduce(policy: OraclePolicy, model: Model) -> TwoPricePolicy:
     envelope dominates every randomization.  The original mean demand is
     located on that envelope and expressed as a mix of the two bracketing
     options (one when it sits on a vertex), preserving mean demand exactly
-    and never losing revenue.
+    and never losing revenue.  The offers are checked as playback checks
+    them (_offer_option), but not their probabilities.
     """
     cfg = model.cfg
     entries: list[list[TwoPriceEntry]] = []
-    for k in range(cfg.K):
+    for k, dists in enumerate(check_seq("price_dist", policy.price_dist, cfg.K)):
         per_y = []
-        for yi, y in enumerate(model.demand_states):
-            dist = policy.price_dist[k][yi]
+        dists = check_seq(f"price_dist[{k}]", dists, len(model.demand_states))
+        for yi, (y, offers) in enumerate(zip(model.demand_states, dists)):
+            name = f"price_dist[{k}][{yi}]"
+            dist = []
+            for e in check_seq(name, offers):
+                z, j, p = check_seq(f"{name} entry", e, 3)
+                dist.append((*_offer_option(name, z, j, len(cfg.price_set[k])), p))
             d_hat = sum(p * y.F[k][j] for z, j, p in dist if z)
             r_hat = sum(
                 p * (cfg.price_set[k][j] - cfg.alpha[k]) * y.F[k][j]

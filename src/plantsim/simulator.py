@@ -122,7 +122,7 @@ from plantsim.model import (
     purchase_cost,
     schedule_fulfillment,
 )
-from plantsim.oracles import OraclePolicy, frame_values, optimal_profit
+from plantsim.oracles import OraclePolicy, _offer_option, frame_values, optimal_profit
 from plantsim.processes import (
     IID,
     MARKOV,
@@ -335,26 +335,24 @@ class _Transitions:
         return tuple(Qn), self.offset + sum(map(mul, Qn, self.radix)), phia, not short
 
 
-def _sell_table(model: Model) -> list:
-    """sell[yi][k][j]: draw and booking data of product k at price j in state yi."""
-    cfg = model.cfg
-    beta, d_max, prices = cfg.beta, cfg.D_max, cfg.price_set
-    return [
-        [
-            [
-                (
-                    k,
-                    p - cfg.alpha[k],
-                    f / d_max[k],
-                    d_max[k],
-                    [(m, row[k]) for m, row in enumerate(beta) if row[k] > 0],
-                )
-                for p, f in zip(prices[k], y.F[k])
-            ]
-            for k in range(cfg.K)
-        ]
-        for y in model.demand_states
-    ]
+def _check_state_ids(
+    model: Model, process_x: StateProcessSpec, process_y: StateProcessSpec
+) -> None:
+    """Each process must list the model's states, in the model's order.
+
+    A run plays a process's state indices as the model's states, so a
+    process over other states, or over the same ones in another order,
+    would run the wrong plant.
+    """
+    for name, spec, states in (
+        ("process_x", process_x, model.supply_states),
+        ("process_y", process_y, model.demand_states),
+    ):
+        ids = [s.id for s in states]
+        if list(spec.state_ids) != ids:
+            raise InputError(
+                f"{name} lists states {list(spec.state_ids)}, not the model's {ids}"
+            )
 
 
 def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
@@ -367,8 +365,9 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
     allow_unsafe_theta rather than ignore them, as an online run rejects
-    oracle_policy, and a malformed policy before its first slot
-    (_oracle_setup).  The online controller runs the slot loop, playback
+    oracle_policy, a malformed policy before its first slot
+    (_oracle_setup), and a process whose states are not the model's
+    (_check_state_ids).  The online controller runs the slot loop, playback
     the block driver; both keep the tables the module docstring describes,
     with results bit-identical to checking every slot.
     """
@@ -383,6 +382,7 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
                 raise InputError(f"oracle playback does not use {name}")
     elif ec.oracle_policy is not None:
         raise InputError("the online controller does not use oracle_policy")
+    _check_state_ids(model, ec.process_x, ec.process_y)
     cfg = model.cfg
     rs = RngStream(ec.seed, ec.stream)
     online = ec.controller == "online"
@@ -754,9 +754,18 @@ def _online_setup(ec: EpisodeConfig, model: Model):
         state = init_state(cfg, params, ec.Q0)
     supply = model.supply_states
     demand = model.demand_states
-    # offers[yi][k]: the sell entry of each menu price of product k
-    sell = _sell_table(model)
-    offers = [[dict(zip(ps, s)) for ps, s in zip(cfg.price_set, row)] for row in sell]
+    # offers[yi][k][p]: the sell entry of product k at menu price p in
+    # demand state yi, (k, margin, threshold, D_max, feeders), where
+    # feeders lists the (m, beta[m][k]) of the materials k consumes
+    feeders = [[(m, b) for m, b in enumerate(col) if b > 0] for col in zip(*cfg.beta)]
+    products = list(enumerate(zip(cfg.price_set, cfg.alpha, cfg.D_max, feeders)))
+    offers = [
+        [
+            {p: (k, p - a, f / n, n, cols) for p, f in zip(ps, F)}
+            for (k, (ps, a, n, cols)), F in zip(products, y.F)
+        ]
+        for y in demand
+    ]
 
     decisions: dict = {}
     tables: dict = {}  # signature -> its demand-code table
@@ -838,7 +847,7 @@ def _oracle_setup(ec: EpisodeConfig, model: Model):
             opts = [_offer_option(name, z, j, len(ps)) for z, j in opts]
             offer[-1].append([(z, ps[j] if z else ps[0]) for z, j in opts])
             offer_cum.append(cum)
-            # margin, threshold and D_max, computed as _sell_table does
+            # margin, threshold and D_max, computed as _online_setup does
             offer_rows.append(
                 [
                     (ps[j] - alpha[k], y.F[k][j] / d_max[k], d_max[k])
@@ -903,14 +912,6 @@ def _purchase_option(name: str, a, x, cfg) -> tuple:
     return A, cost
 
 
-def _offer_option(name: str, z, j, n_prices: int) -> tuple:
-    """(z, j) of an offer option: z in {0, 1}; j a menu index if z, else -1."""
-    if check_int(f"{name} z", z, 0, 1):
-        return 1, check_int(f"{name} price index", j, 0, n_prices - 1)
-    message = f"{name}: a withheld product has price index -1, got {j!r}"
-    return 0, check_int(name, j, -1, -1, message=message)
-
-
 def _padded(rows: list, fill) -> np.ndarray:
     """Rows of unequal length as one float array, each padded with fill."""
     width = max(map(len, rows))
@@ -953,6 +954,8 @@ class ReplicationSummary:
 
 def summarize(metrics: list[Metrics], net: bool = False) -> ReplicationSummary:
     """Mean and standard error of the replications' average realized profit."""
+    if not metrics:
+        raise InputError("summarize needs the metrics of at least 1 episode")
     vals = [
         (m.net_total_phi_actual if net else m.total_phi_actual) / m.horizon
         for m in metrics
@@ -1028,14 +1031,20 @@ def check_profit_bound(
 
     within 3 standard errors, with no band violation; slack = phi_opt - rhs.
     The defaults T = 1, epsilon = 0 give the i.i.d. bound phi_opt - B/V.
-    The report also gives the finite-horizon term init_term = L(mu_max) /
-    (V * horizon) of the runs' start, which a finite run may fall short by
-    (check_frame_bound subtracts it); the check does not use it.
+    This is the t -> infinity form of the bound.  Over t slots from Q(0)
+    the drift argument also subtracts L(Q(0)) / (V * t).  The report gives
+    that finite-horizon term of the runs' start, init_term = L(mu_max) /
+    (V * horizon), but rhs leaves it out, so a finite run may fall short
+    of rhs by up to init_term and still meet the finite form.  On one
+    seeded mid plant of the benchmark (sim-decide, seed 2008), two runs of
+    15,000 slots fall 0.195 short of rhs, with init_term 1.292.
+    check_frame_bound subtracts its own initial-condition term.
     """
     message = f"need an integer T >= 1 and finite epsilon >= 0, got {T!r}, {epsilon!r}"
     check_int("T", T, 1, message=message)
     if not 0 <= epsilon < math.inf:
         raise InputError(message)
+    _check_state_ids(model, process_x, process_y)
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)
     phi_opt, _, _ = optimal_profit(model, pi_x, pi_y)
@@ -1106,6 +1115,8 @@ def check_frame_bound(
     per-slot profit over the whole trace must reach the mean per-slot
     lookahead value minus B*T/V and minus the initial-condition term spread
     over the trace, within 3 standard errors of the replication mean.
+    This is the finite-horizon form: bound subtracts init_term =
+    L(mu_max) / (V * J * T), which check_profit_bound only reports.
     """
     frames = frame_values(model, xs, ys, T, J)
     ids = ([x.id for x in model.supply_states], [y.id for y in model.demand_states])

@@ -32,6 +32,7 @@ from plantsim.oracles import (
     frame_values,
     lookahead_value,
     optimal_profit,
+    two_price_reduce,
 )
 from plantsim.processes import (
     IID,
@@ -52,6 +53,7 @@ from plantsim.simulator import (
     process_distribution,
     run_episode,
     run_replications,
+    summarize,
 )
 
 from conftest import make_i1, make_i1_cfg, make_two_phase
@@ -418,6 +420,13 @@ def test_make_params_theta_errors(theta, unsafe):
     )
 
 
+@pytest.mark.parametrize("V", [True, None, "10", NAN, 0, -1.0, math.inf])
+def test_make_params_v_errors(V):
+    # True used to run as V = 1, and None or a string raised TypeError
+    message = f"V must be a positive finite number, got {V!r}"
+    _raises(InputError, message, make_params, make_i1_cfg(), V)
+
+
 def test_init_placeholder_refuses_negative_stock():
     cfg = make_i1_cfg()
     params = make_params(cfg, 10.0)
@@ -492,6 +501,52 @@ def test_online_run_refuses_oracle_policy():
     ec = _ec(horizon=100, oracle_policy=extract_xy_policy(plp, sol))
     message = "the online controller does not use oracle_policy"
     _raises(InputError, message, run_episode, ec, model)
+
+
+def _iid(ids, probs):
+    return StateProcessSpec(mode=IID, state_ids=ids, probs=probs)
+
+
+_STATE_ID_CASES = [
+    (
+        # the same process as ["cheap", "dear"] at [0.9, 0.1], which used
+        # to be played with the two supply states swapped
+        _iid(["dear", "cheap"], [0.1, 0.9]),
+        "process_x lists states ['dear', 'cheap'], not the model's "
+        "['cheap', 'dear']",
+    ),
+    (
+        # run_episode used to raise IndexError
+        _iid(["cheap", "dear", "spot"], [0.4, 0.3, 0.3]),
+        "process_x lists states ['cheap', 'dear', 'spot'], not the model's "
+        "['cheap', 'dear']",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "process_x, message", _STATE_ID_CASES, ids=["reordered", "third-state"]
+)
+def test_run_episode_needs_the_model_states(process_x, message):
+    ec = _ec(process_x=process_x, process_y=_iid(["hot", "cold"], [0.5, 0.5]))
+    _raises(InputError, message, run_episode, ec, make_two_phase())
+
+
+@pytest.mark.parametrize(
+    "process_x, message", _STATE_ID_CASES, ids=["reordered", "third-state"]
+)
+def test_profit_bound_needs_the_model_states(process_x, message):
+    # checked before the LP is solved: the reordered process used to
+    # report the optimum of the swapped plant
+    process_y = _iid(["hot", "cold"], [0.5, 0.5])
+    call = check_profit_bound
+    _raises(InputError, message, call, make_two_phase(), process_x, process_y, 10.0, 50)
+
+
+def test_summarize_needs_an_episode():
+    # used to raise ZeroDivisionError
+    message = "summarize needs the metrics of at least 1 episode"
+    _raises(InputError, message, summarize, [])
 
 
 def _dear_i1():
@@ -687,6 +742,46 @@ def _free_grid_plant():
 )
 def test_brute_force_size_limits(make, message):
     _raises(InstanceTooLarge, message, brute_force_opt, *make())
+
+
+def _two_phase_policy():
+    model = make_two_phase()
+    _, plp, sol = optimal_profit(model, [0.5, 0.5], [0.5, 0.5])
+    return extract_xy_policy(plp, sol)
+
+
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        (_two_phase_policy, "price_dist[0] must have 1 entries, got 2"),
+        (
+            lambda: _i1_policy(price_dist=[[[(1, 7, 1.0)]]]),
+            "price_dist[0][0] price index 7 is above the maximum 1",
+        ),
+        (
+            lambda: _i1_policy(price_dist=[[[(1, -1, 1.0)]]]),
+            "price_dist[0][0] price index -1 is below the minimum 0",
+        ),
+        (
+            lambda: _i1_policy(price_dist=[[[(1, 1)]]]),
+            "price_dist[0][0] entry must have 3 entries, got 2",
+        ),
+        (
+            lambda: _i1_policy(price_dist=[[]]),
+            "price_dist[0] must have 1 entries, got 0",
+        ),
+    ],
+    ids=["other-plant", "index-7", "offered-index--1", "short-entry", "no-state"],
+)
+def test_two_price_reduce_checks_its_offers(policy, message):
+    # another plant's policy and an offer at index -1, read as the top
+    # price, used to run; the others raised IndexError or ValueError
+    _raises(InputError, message, two_price_reduce, policy(), make_i1())
+
+
+def _i1_policy(**changes):
+    _, plp, sol = optimal_profit(make_i1(), [1.0], [1.0])
+    return replace(extract_xy_policy(plp, sol), **changes)
 
 
 # --- integers -----------------------------------------------------------

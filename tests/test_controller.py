@@ -824,7 +824,7 @@ def test_queue_band_always_holds(i1_model):
 
 def _route(values, costs, caps, budget):
     """decide_purchase's knapsack step on raw items, and the route it took."""
-    cands = _candidates(costs, caps, budget)
+    cands = _candidates(costs, caps, controller._knapsack_plan(costs, caps, budget))
     got = None if cands is None else _scan(cands, values)
     if got is not None:
         return list(got), "scan"
@@ -896,7 +896,7 @@ def test_scan_matches_knapsack():
         case = (values, costs, caps, budget)
         assert _route(*case)[0] == _bounded_knapsack_lex_min(*case), case
         maximal = _maximal_by_brute_force(costs, caps, budget)
-        cands = _candidates(costs, caps, budget)
+        cands = _candidates(costs, caps, controller._knapsack_plan(costs, caps, budget))
         if cands is None:
             assert len(maximal) > controller._CANDIDATE_CAP, case
         else:
@@ -1022,7 +1022,8 @@ def test_wide_plan_keeps_no_candidates(monkeypatch):
     plans = controller._tables(params, cfg).supply(x)[2]
     assert list(plans) == [(0, 1, 2, 3, 4)]
     assert plans[0, 1, 2, 3, 4][2] is None
-    assert _candidates([1] * 5, [8] * 5, 30) is None
+    plan = controller._knapsack_plan([1] * 5, [8] * 5, 30)
+    assert _candidates([1] * 5, [8] * 5, plan) is None
 
 
 def _one_product(prices, F, M=1):
