@@ -209,15 +209,15 @@ def decide_purchase(
     purchases under supply state x.  Only materials with negative linear
     weight w[m] = V * unit_cost[m] + Q[m] - theta[m] are worth buying; they
     are bought at their caps when the budget allows, otherwise an exact
-    bounded knapsack over integer cost units decides (see
-    _bounded_knapsack_lex_min for its tie rule).  What does not depend on Q
-    is built once per (x, buy set) and kept on the params' tables:
-    V * unit_cost, the caps, whether they fit the budget and, if not, the
-    knapsack plan and the maximal vectors found on it (see _candidates).  A
-    knapsack call first reads the answer off those vectors (_scan), which
-    gives the DP's vector whenever the best one leads by a proven rounding
-    margin, and runs the DP (_knapsack_solve) only when it does not or
-    when the plan has too many maximal vectors to keep.
+    bounded knapsack over integer cost units decides (see _knapsack_solve
+    for its tie rule).  What does not depend on Q is built once per (x,
+    buy set) and kept on the params' tables: V * unit_cost, the caps,
+    whether they fit the budget and, if not, the knapsack plan and the
+    maximal vectors found on it (see _candidates).  A knapsack call first
+    reads the answer off those vectors (_scan), which gives the DP's
+    vector whenever the best one leads by a proven rounding margin, and
+    runs the DP (_knapsack_solve) only when it does not or when the plan
+    has too many maximal vectors to keep.
     """
     _, vc, plans = _tables(params, cfg).supply(x)
     w = [v + q - th for v, q, th in zip(vc, Q, params.theta)]
@@ -350,27 +350,8 @@ def _scan(cands: tuple, values: list[float]) -> tuple[int, ...] | None:
     return None
 
 
-def _bounded_knapsack_lex_min(
-    values: list[float], costs: list[int], caps: list[int], budget: int
-) -> list[int]:
-    """Maximize sum values[i]*a[i] st sum costs[i]*a[i] <= budget, 0 <= a <= caps.
-
-    best[i][b], the optimum over items i.. with budget b, is evaluated only at
-    the budgets that items 0..i-1 can leave, so time and memory scale with
-    those reachable budgets, not with the budget itself nor with the cap of
-    an item of cost 0.  Item i then takes
-    the smallest count whose score, recomputed with the identical arithmetic,
-    equals best[i][b]: where rounding absorbs a small value, later items still
-    maximize their own suffix, so values [100, 1e-15], costs [3, 0], caps
-    [4, 1] and budget 13 give [4, 1], not the tied [4, 0].  The work splits
-    into _knapsack_plan, which depends on costs, caps and budget only, and
-    _knapsack_solve, which decide_purchase reruns per call on a kept plan.
-    """
-    return _knapsack_solve(_knapsack_plan(costs, caps, budget), values)
-
-
 def _knapsack_plan(costs: list[int], caps: list[int], budget: int) -> tuple:
-    """The part of _bounded_knapsack_lex_min that does not depend on values.
+    """The part of the knapsack (_knapsack_solve) that does not depend on values.
 
     Returns (moves, steps, zeros, left).  For an item i of positive cost,
     moves[i][j] lists, for the j-th budget b that items 0..i-1 can leave,
@@ -407,7 +388,18 @@ def _knapsack_plan(costs: list[int], caps: list[int], budget: int) -> tuple:
 
 
 def _knapsack_solve(plan: tuple, values: list[float]) -> list[int]:
-    """_bounded_knapsack_lex_min's DP and traceback on a _knapsack_plan.
+    """Maximize sum values[i]*a[i] st sum costs[i]*a[i] <= budget, 0 <= a <= caps.
+
+    The DP and traceback on a _knapsack_plan of the costs, caps and budget,
+    which decide_purchase keeps and reruns per call.  best[i][b], the
+    optimum over items i.. with budget b, is evaluated only at the budgets
+    that items 0..i-1 can leave, so time and memory scale with those
+    reachable budgets, not with the budget itself nor with the cap of an
+    item of cost 0.  Item i then takes the smallest count whose score,
+    recomputed with the identical arithmetic, equals best[i][b]: where
+    rounding absorbs a small value, later items still maximize their own
+    suffix, so values [100, 1e-15], costs [3, 0], caps [4, 1] and budget
+    13 give [4, 1], not the tied [4, 0].
 
     rows[i][j] is best[i][b] at the j-th budget b of level i.  Each score is
     v * a + best[i + 1][b - cost * a], compared in count order with

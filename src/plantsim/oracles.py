@@ -16,6 +16,10 @@ clairvoyant value of a frame of an arbitrary state trace.  The frame program
 couples its slots only through per-material totals, so slots in the same
 state pool onto one distribution without loss: a frame of T slots is worth
 T times the stationary optimum of the full model on its state histogram.
+
+A stationary policy given from outside, to be played back by the
+simulator or reduced here, is read and checked here, by one reader per
+part of the policy: _read_purchases and _read_offers.
 """
 
 from __future__ import annotations
@@ -221,6 +225,72 @@ class OraclePolicy:
     a_hat: list[float]
     mu_hat: list[float]
     phi: float
+
+
+def _read_purchases(policy: OraclePolicy, model: Model) -> list[tuple[list, list]]:
+    """The purchases of a policy: per supply state, (options, probabilities).
+
+    The options are the checked (A, cost) of each entry (_purchase_option),
+    the probabilities floats (_read_dists).
+    """
+    cfg, states = model.cfg, model.supply_states
+    dists = _read_dists("purchase_dist", policy.purchase_dist, len(states), 2)
+    return [
+        ([_purchase_option(f"{at} purchase", a, x, cfg) for a, _ in e], p)
+        for x, (at, e, p) in zip(states, dists)
+    ]
+
+
+def _read_offers(policy: OraclePolicy, model: Model) -> list[list[tuple[list, list]]]:
+    """The offers of a policy: per product k, per demand state, (options,
+    probabilities).
+
+    The options are the checked (z, j) of each entry (_offer_option), the
+    probabilities floats (_read_dists).  Only price_dist is read, so a
+    policy without purchases, as two_price_reduce may be given, passes.
+    """
+    cfg, n_y = model.cfg, len(model.demand_states)
+    out = []
+    for k, dists in enumerate(check_seq("price_dist", policy.price_dist, cfg.K)):
+        n = len(cfg.price_set[k])
+        dists = _read_dists(f"price_dist[{k}]", dists, n_y, 3)
+        out.append(
+            [([_offer_option(at, z, j, n) for z, j, _ in e], p) for at, e, p in dists]
+        )
+    return out
+
+
+def _read_dists(name: str, dists, n: int, fields: int) -> list[tuple]:
+    """(name[i], entries, probabilities) of each of the n distributions in dists.
+
+    Distribution i, named name[i], lists entries of fields values each, an
+    option then its probability.  Each entry is read once: its length is
+    checked here, its option by the caller.  The probabilities must form a
+    distribution (check_distribution) and come back as floats.
+    """
+    out = []
+    for i, dist in enumerate(check_seq(name, dists, n)):
+        at = f"{name}[{i}]"
+        entry = at + " entry"
+        entries = [check_seq(entry, e, fields) for e in check_seq(at, dist)]
+        p = [e[-1] for e in entries]
+        p = check_distribution(p, len(p), f"{at} probabilities").tolist()
+        out.append((at, entries, p))
+    return out
+
+
+def _purchase_option(name: str, a, x: SupplyState, cfg: PlantConfig) -> tuple:
+    """(A, cost) of purchase vector a in supply state x, checked feasible.
+
+    Feasible as in enumerate_actions: integers 0 <= A[m] <= min(A_max[m],
+    available[m]) whose spend is at most c_max.
+    """
+    a = check_seq(name, a, cfg.M)
+    A = [check_int(name, v, 0, min(c, n)) for v, c, n in zip(a, cfg.A_max, x.available)]
+    cost = purchase_cost(A, x)
+    if cost > cfg.c_max:
+        raise InputError(f"{name} {A} spends {cost}, above c_max {cfg.c_max}")
+    return A, cost
 
 
 def _offer_option(name: str, z, j, n_prices: int) -> tuple:
@@ -512,40 +582,38 @@ def two_price_reduce(policy: OraclePolicy, model: Model) -> TwoPricePolicy:
     envelope dominates every randomization.  The original mean demand is
     located on that envelope and expressed as a mix of the two bracketing
     options (one when it sits on a vertex), preserving mean demand exactly
-    and never losing revenue.  The offers are checked as playback checks
-    them (_offer_option), but not their probabilities.
+    and never losing revenue.  The offers and their probabilities are read
+    and checked as playback reads them (_read_offers); purchase_dist is not
+    read.
     """
     cfg = model.cfg
     entries: list[list[TwoPriceEntry]] = []
-    for k, dists in enumerate(check_seq("price_dist", policy.price_dist, cfg.K)):
+    for k, (ps, dists) in enumerate(zip(cfg.price_set, _read_offers(policy, model))):
+        margin = [p - cfg.alpha[k] for p in ps]
         per_y = []
-        dists = check_seq(f"price_dist[{k}]", dists, len(model.demand_states))
-        for yi, (y, offers) in enumerate(zip(model.demand_states, dists)):
-            name = f"price_dist[{k}][{yi}]"
-            dist = []
-            for e in check_seq(name, offers):
-                z, j, p = check_seq(f"{name} entry", e, 3)
-                dist.append((*_offer_option(name, z, j, len(cfg.price_set[k])), p))
-            d_hat = sum(p * y.F[k][j] for z, j, p in dist if z)
-            r_hat = sum(
-                p * (cfg.price_set[k][j] - cfg.alpha[k]) * y.F[k][j]
-                for z, j, p in dist
-                if z
-            )
+        for y, (opts, probs) in zip(model.demand_states, dists):
+            F, offered = y.F[k], list(zip(opts, probs))
+            d_hat = sum(p * F[j] for (z, j), p in offered if z)
+            r_hat = sum(p * margin[j] * F[j] for (z, j), p in offered if z)
             pts = [(0.0, 0.0, IDLE)]
-            for j in range(len(cfg.price_set[k])):
-                f = y.F[k][j]
-                pts.append((f, (cfg.price_set[k][j] - cfg.alpha[k]) * f, (1, j)))
+            pts += [(f, m * f, (1, j)) for j, (f, m) in enumerate(zip(F, margin))]
             per_y.append(_reduce_one(pts, d_hat, r_hat))
         entries.append(per_y)
     return TwoPricePolicy(entries=entries)
 
 
 def _reduce_one(pts, d_hat: float, r_hat: float) -> TwoPriceEntry:
-    """Reduce to the envelope of (mean demand, net revenue, label) points."""
+    """Reduce to the envelope of (mean demand, net revenue, label) points.
+
+    The target's demand must lie in the envelope's range, and the envelope
+    revenue reach r_hat, each to 1e-9 * (1 + scale): the rounding allowed
+    in the probabilities (check_distribution) grows with the demand and
+    revenue it weighs.
+    """
     hull = _upper_hull(pts)
     ds = [h[0] for h in hull]
-    if d_hat < ds[0] - 1e-9 or d_hat > ds[-1] + 1e-9:
+    tol = 1e-9 * (1.0 + max(abs(ds[0]), abs(ds[-1])))
+    if d_hat < ds[0] - tol or d_hat > ds[-1] + tol:
         raise TargetOutsideHull(
             f"mean demand {d_hat} outside the achievable range "
             f"[{ds[0]}, {ds[-1]}]"
@@ -572,7 +640,7 @@ def _reduce_one(pts, d_hat: float, r_hat: float) -> TwoPriceEntry:
             ]
             r_star = (1.0 - eta) * lo[1] + eta * hi[1]
         entry = TwoPriceEntry(support, r_star, d_hat, r_hat)
-    if entry.r_star < r_hat - 1e-9:
+    if entry.r_star < r_hat - 1e-9 * (1.0 + abs(r_hat)):
         raise TargetOutsideHull(
             f"envelope revenue {entry.r_star} fell below the original {r_hat}"
         )

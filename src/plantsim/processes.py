@@ -101,19 +101,37 @@ class StateProcessSpec:
 def check_distribution(p, n: int, name: str) -> np.ndarray:
     """p as an array, checked to be a probability vector over n states.
 
-    Its entries must be finite and non-negative and sum to 1 within 1e-9;
-    otherwise InputError names the first rule broken.
+    Its entries must be numbers (Python or numpy ints and floats, never
+    bools or strings; an int or float array passes as it is), finite and
+    non-negative, and sum to 1 within 1e-9; otherwise InputError names the
+    first rule broken.
     """
-    p = np.asarray(p, dtype=float)
+    # A list of plain ints and floats, the common case, skips the entry loop.
+    plain = isinstance(p, (list, tuple)) and {float, int}.issuperset(map(type, p))
+    if not plain and not (isinstance(p, np.ndarray) and p.dtype.kind in "iuf"):
+        shape = f"{name} must have length {n}"
+        for v in check_seq(name, p, n, message=shape):
+            if isinstance(v, (list, tuple)):
+                raise InputError(shape)
+            real = isinstance(v, (int, float, np.integer, np.floating))
+            if isinstance(v, bool) or not real:
+                raise InputError(f"{name} must be numbers, got {v!r}")
+    try:
+        p = np.asarray(p, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise InputError(f"{name} must be finite") from None
     if p.shape != (n,):
         raise InputError(f"{name} must have length {n}")
     # Plain floats: numpy calls cost more than they save on a few entries.
+    # A NaN or infinite entry makes the sum NaN or infinite, so the entries
+    # are tested one by one only when the sum is.
     v = p.tolist()
-    if not all(map(math.isfinite, v)):
+    total = sum(v)
+    if not math.isfinite(total) and not all(map(math.isfinite, v)):
         raise InputError(f"{name} must be finite")
     if min(v, default=0.0) < 0:
         raise InputError(f"{name} must be non-negative")
-    if abs(sum(v) - 1.0) > 1e-9:
+    if abs(total - 1.0) > 1e-9:
         raise InputError(f"{name} must sum to 1")
     return p
 

@@ -28,10 +28,11 @@ also carries the outcome table of its demand codes, each offered
 product's demand as one digit of radix D_max[k] + 1, mapped by _outcome
 to the profit, D, the material use and the queue change, none of which
 depend on the queues; and its signature's demand-code table (below).
-Playback keeps no decisions.  Its set-up checks the policy and builds
-option tables: per supply state, each purchase option's A and -cost;
-per demand state and product, each offer option's D_max, margin and
-threshold.
+Playback keeps no decisions.  Its set-up builds option tables from the
+policy's options and probabilities, which oracles reads and checks (this
+module does not read the policy format): per supply state, each purchase
+option's A and -cost; per demand state and product, each offer option's
+D_max, margin and threshold.
 
 The slot loop keeps a state table.  Inside a finite band the online
 controller is a finite chain on (Q, x, y): its queues are one mixed-radix
@@ -117,12 +118,12 @@ from plantsim.model import (
     InputError,
     Model,
     check_int,
-    check_seq,
     material_usage,
     purchase_cost,
     schedule_fulfillment,
 )
-from plantsim.oracles import OraclePolicy, _offer_option, frame_values, optimal_profit
+from plantsim.oracles import OraclePolicy, frame_values, optimal_profit
+from plantsim.oracles import _read_offers, _read_purchases
 from plantsim.processes import (
     IID,
     MARKOV,
@@ -130,7 +131,6 @@ from plantsim.processes import (
     RngStream,
     StateProcessSpec,
     _cumulative,
-    check_distribution,
     generate_states,
     stationary_distribution,
 )
@@ -799,7 +799,9 @@ def _online_setup(ec: EpisodeConfig, model: Model):
 def _oracle_setup(ec: EpisodeConfig, model: Model):
     """Playback of a stationary policy: its pick, decide, starting state, band.
 
-    One pass over the policy checks it (_policy_options) and builds padded
+    The policy's checked options and probabilities come from oracles'
+    readers, _read_purchases and _read_offers, which read each entry once
+    and raise InputError on a malformed policy.  From them it builds padded
     option tables: per supply state, each purchase option's cumulative
     weight, -cost and A; per demand state and product, each offer option's
     cumulative weight, margin, threshold and D_max, zeros where the product
@@ -815,38 +817,23 @@ def _oracle_setup(ec: EpisodeConfig, model: Model):
     """
     cfg = model.cfg
     K, M = cfg.K, cfg.M
-    supply = model.supply_states
-    n_y = len(model.demand_states)
-    policy = ec.oracle_policy
-    purchase_dist = check_seq("purchase_dist", policy.purchase_dist, len(supply))
-    price_dist = [
-        check_seq(f"price_dist[{k}]", dists, n_y)
-        for k, dists in enumerate(check_seq("price_dist", policy.price_dist, K))
-    ]
     # buy[xi][i]: (A, cost) of purchase option i in supply state xi, and
     # offer[yi][k][j]: (z, posted price) of offer option j, where a withheld
     # product posts its lowest price.  Their table rows are floats, which
     # hold A and D_max exactly (validate_config bounds them by 2**53); -cost
     # is negated before its conversion, so an integer cost of 0 starts at
     # 0.0 as it does in _outcome, where -0 is the int 0.
-    buy, buy_cum, buy_rows = [], [], []
-    for xi, (x, dist) in enumerate(zip(supply, purchase_dist)):
-        name = f"purchase_dist[{xi}]"
-        opts, cum = _policy_options(name, dist, 2)
-        acts = [_purchase_option(f"{name} purchase", a, x, cfg) for a, in opts]
-        buy.append(acts)
-        buy_cum.append(cum)
-        buy_rows.append([(-c, *A) for A, c in acts])
+    buy, buy_p = zip(*_read_purchases(ec.oracle_policy, model))
+    buy_cum = list(map(_cumulative, buy_p))
+    buy_rows = [[(-c, *A) for A, c in acts] for acts in buy]
     offer, offer_cum, offer_rows = [], [], []
     alpha, d_max = cfg.alpha, cfg.D_max
-    for yi, (y, dists) in enumerate(zip(model.demand_states, zip(*price_dist))):
+    by_y = zip(*_read_offers(ec.oracle_policy, model))  # per demand state, then k
+    for y, dists in zip(model.demand_states, by_y):
         offer.append([])
-        for k, (ps, dist) in enumerate(zip(cfg.price_set, dists)):
-            name = f"price_dist[{k}][{yi}]"
-            opts, cum = _policy_options(name, dist, 3)
-            opts = [_offer_option(name, z, j, len(ps)) for z, j in opts]
+        for k, (ps, (opts, p)) in enumerate(zip(cfg.price_set, dists)):
             offer[-1].append([(z, ps[j] if z else ps[0]) for z, j in opts])
-            offer_cum.append(cum)
+            offer_cum.append(_cumulative(p))
             # margin, threshold and D_max, computed as _online_setup does
             offer_rows.append(
                 [
@@ -882,34 +869,6 @@ def _oracle_setup(ec: EpisodeConfig, model: Model):
     Q0 = model.mu_max if ec.Q0 is None else ec.Q0
     Q0 = check_start("Q0", Q0, [0] * cfg.M, [math.inf] * cfg.M)
     return pick, decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
-
-
-def _policy_options(name: str, dist, fields: int) -> tuple:
-    """(options, cumulative weights) of one state's policy distribution.
-
-    dist lists entries of fields values each, an option then its
-    probability; the probabilities must form a distribution
-    (check_distribution).
-    """
-    entry = name + " entry"
-    entries = [check_seq(entry, e, fields) for e in check_seq(name, dist)]
-    weights = [e[-1] for e in entries]
-    p = check_distribution(weights, len(weights), f"{name} probabilities")
-    return [e[:-1] for e in entries], _cumulative(p.tolist())
-
-
-def _purchase_option(name: str, a, x, cfg) -> tuple:
-    """(A, cost) of purchase vector a in supply state x, checked feasible.
-
-    Feasible as in oracles.enumerate_actions: integers 0 <= A[m] <=
-    min(A_max[m], available[m]) whose spend is at most c_max.
-    """
-    a = check_seq(name, a, cfg.M)
-    A = [check_int(name, v, 0, min(c, n)) for v, c, n in zip(a, cfg.A_max, x.available)]
-    cost = purchase_cost(A, x)
-    if cost > cfg.c_max:
-        raise InputError(f"{name} {A} spends {cost}, above c_max {cfg.c_max}")
-    return A, cost
 
 
 def _padded(rows: list, fill) -> np.ndarray:

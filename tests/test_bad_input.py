@@ -11,9 +11,11 @@ import copy
 import json
 import math
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plantsim.controller import InitOutOfRange, init_placeholder, make_params
 from plantsim.model import (
@@ -507,6 +509,77 @@ def _iid(ids, probs):
     return StateProcessSpec(mode=IID, state_ids=ids, probs=probs)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: optimal_profit(make_i1(), "a", [1.0]), "pi_x must have length 1"),
+        (
+            lambda: optimal_profit(make_i1(), [1.0], ["a"]),
+            "pi_y must be numbers, got 'a'",
+        ),
+        (lambda: _iid(["a"], ["x"]), "IID probabilities must be numbers, got 'x'"),
+        (lambda: _iid(["a"], [True]), "IID probabilities must be numbers, got True"),
+        (
+            lambda: _iid(["a"], ["1.0"]),
+            "IID probabilities must be numbers, got '1.0'",
+        ),
+        (
+            lambda: _iid(["a"], np.array([True])),
+            "IID probabilities must be numbers, got np.True_",
+        ),
+        (
+            lambda: _iid(["a", "b"], [[0.5], [0.5, 0.0]]),
+            "IID probabilities must have length 2",
+        ),
+        (lambda: _iid(["a"], [10**400]), "IID probabilities must be finite"),
+        (
+            lambda: StateProcessSpec(
+                mode=MARKOV, state_ids=["a", "b"], transition=[[1, 0], [True, 0]]
+            ),
+            "transition row 1 must be numbers, got True",
+        ),
+        (
+            lambda: run_episode(_playback_ec(price_dist=[[[(1, 0, "a")]]]), make_i1()),
+            "price_dist[0][0] probabilities must be numbers, got 'a'",
+        ),
+        (
+            lambda: run_episode(_playback_ec(purchase_dist=[[((1,), "a")]]), make_i1()),
+            "purchase_dist[0] probabilities must be numbers, got 'a'",
+        ),
+        (
+            lambda: two_price_reduce(
+                _i1_policy(price_dist=[[[(1, 0, "a")]]]), make_i1()
+            ),
+            "price_dist[0][0] probabilities must be numbers, got 'a'",
+        ),
+    ],
+    ids=[
+        "pi-string",
+        "pi-entry-string",
+        "iid-string",
+        "iid-bool",
+        "iid-numeral",
+        "iid-bool-array",
+        "iid-ragged",
+        "iid-huge-int",
+        "markov-bool",
+        "playback-offer-string",
+        "playback-purchase-string",
+        "two-price-string",
+    ],
+)
+def test_probabilities_must_be_numbers(call, message):
+    # each used to raise numpy's ValueError or OverflowError (two-price: a
+    # TypeError), or, for the bools and the numeral, to run
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def _playback_ec(**changes):
+    return _ec(controller="oracle", oracle_policy=_i1_policy(**changes))
+
+
 _STATE_ID_CASES = [
     (
         # the same process as ["cheap", "dear"] at [0.9, 0.1], which used
@@ -782,6 +855,125 @@ def test_two_price_reduce_checks_its_offers(policy, message):
 def _i1_policy(**changes):
     _, plp, sol = optimal_profit(make_i1(), [1.0], [1.0])
     return replace(extract_xy_policy(plp, sol), **changes)
+
+
+@pytest.mark.parametrize(
+    "offers, message",
+    [
+        ([(1, 0, 2.0)], "price_dist[0][0] probabilities must sum to 1"),
+        (
+            [(0, -1, 1.5), (1, 0, -0.5)],
+            "price_dist[0][0] probabilities must be non-negative",
+        ),
+        ([(0, -1, 0.5), (1, 0, NAN)], "price_dist[0][0] probabilities must be finite"),
+        ([(1, 0, "a")], "price_dist[0][0] probabilities must be numbers, got 'a'"),
+        ([(1, 0, 0.3)], "price_dist[0][0] probabilities must sum to 1"),
+        # finite weights whose sum overflows
+        (
+            [(0, -1, 1e308), (1, 0, 1e308)],
+            "price_dist[0][0] probabilities must sum to 1",
+        ),
+    ],
+    ids=[
+        "weight-2",
+        "weight--0.5",
+        "weight-nan",
+        "weight-string",
+        "sum-0.3",
+        "sum-overflows",
+    ],
+)
+def test_two_price_reduce_checks_its_probabilities(offers, message):
+    # weights of 2.0 and -0.5 and the overflowing pair used to raise
+    # TargetOutsideHull, an internal fault; NaN and a sum of 0.3 returned an
+    # entry, and "a" raised TypeError
+    policy = _i1_policy(price_dist=[[offers]])
+    _raises(InputError, message, two_price_reduce, policy, make_i1())
+
+
+# One verdict: playback and two_price_reduce read a policy's offers with one
+# reader, so a malformed price_dist gets the same InputError from both, and
+# a malformed purchase_dist an InputError from playback.
+
+_POLICY_MUTATIONS = [NAN, math.inf, -math.inf, -1, 2.0, "a", None, []]
+
+
+@cache
+def _lp_policy(name):
+    """(model, LP policy, playback processes) of i1 or the two-phase plant."""
+    if name == "i1":
+        model, pi = make_i1(), [1.0]
+        processes = (constant_process("s0"), constant_process("d0"))
+    else:
+        model, pi = make_two_phase(), [0.5, 0.5]
+        processes = (_iid(["cheap", "dear"], pi), _iid(["hot", "cold"], pi))
+    _, plp, sol = optimal_profit(model, pi, pi)
+    return model, extract_xy_policy(plp, sol), processes
+
+
+def _containers(obj, path=()):
+    """The paths to obj and to every list or tuple nested in it."""
+    yield path
+    for i, v in enumerate(obj):
+        if isinstance(v, (list, tuple)):
+            yield from _containers(v, path + (i,))
+
+
+def _mutated(obj, path, edit):
+    """A copy of obj with the container at path edited: one entry set to a
+    value, or one entry more (a copy of the last) or fewer (the last)."""
+    items = list(obj)
+    if path:
+        items[path[0]] = _mutated(obj[path[0]], path[1:], edit)
+    elif edit == "more":
+        items.append(items[-1])
+    elif edit == "fewer":
+        items.pop()
+    else:
+        items[edit[0]] = edit[1]
+    return type(obj)(items)
+
+
+def _draw_mutation(data, tree):
+    path = data.draw(st.sampled_from(list(_containers(tree))))
+    node = tree
+    for i in path:
+        node = node[i]
+    leaf = st.tuples(st.integers(0, len(node) - 1), st.sampled_from(_POLICY_MUTATIONS))
+    edit = data.draw(st.one_of(st.sampled_from(["more", "fewer"]), leaf))
+    return _mutated(tree, path, edit)
+
+
+def _verdict(call, *args):
+    """The message of the InputError call raises, or None if it returns."""
+    try:
+        call(*args)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+def _play(model, policy, processes):
+    x, y = processes
+    ec = _ec(controller="oracle", oracle_policy=policy, process_x=x, process_y=y)
+    return run_episode(replace(ec, horizon=5), model)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(name=st.sampled_from(["i1", "two-phase"]), data=st.data())
+def test_playback_and_two_price_give_one_verdict(name, data):
+    model, policy, processes = _lp_policy(name)
+    policy = replace(policy, price_dist=_draw_mutation(data, policy.price_dist))
+    played = _verdict(_play, model, policy, processes)
+    assert played == _verdict(two_price_reduce, policy, model)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(name=st.sampled_from(["i1", "two-phase"]), data=st.data())
+def test_playback_refuses_mutated_purchases(name, data):
+    model, policy, processes = _lp_policy(name)
+    policy = replace(policy, purchase_dist=_draw_mutation(data, policy.purchase_dist))
+    assert _verdict(_play, model, policy, processes) is not None
 
 
 # --- integers -----------------------------------------------------------

@@ -14,7 +14,6 @@ from plantsim.controller import (
     ControllerParams,
     InitOutOfRange,
     ThetaTooSmall,
-    _bounded_knapsack_lex_min,
     _candidates,
     _scan,
     compute_theta,
@@ -37,6 +36,12 @@ from plantsim.simulator import EpisodeConfig, run_episode
 
 from conftest import make_i1, make_i1_cfg
 from test_episode_digest import make_mid
+
+
+def _bounded_knapsack_lex_min(values, costs, caps, budget):
+    """The package's bounded knapsack, the DP of decide_purchase, on a fresh plan."""
+    plan = controller._knapsack_plan(costs, caps, budget)
+    return controller._knapsack_solve(plan, values)
 
 
 def test_theta_i1():

@@ -685,6 +685,72 @@ def test_two_price_random_policies(rng):
                 assert wsum == pytest.approx(1.0, abs=1e-9)
 
 
+# sha256 over float.hex of every TwoPriceEntry field (each support triple,
+# then r_star, d_target and r_orig) of _two_price_pinned_policies(),
+# recorded with the reduction that read its offers itself.  A change of the
+# reduction's arithmetic or of the LP policies shows up here.
+TWO_PRICE_DIGEST = "7cbe9e1d1b7035a0fafb8cdcf47250180d2b55bd27d0c00015741ae57c2b629b"
+
+
+def _two_price_pinned_policies():
+    """(policy, model) of 20 mid LP policies and 20 random mixed tiny ones."""
+    rng = np.random.default_rng(1618)
+    cases = []
+    for _ in range(20):
+        model, pi_x, pi_y = _m3_k4_plant(rng)
+        _, plp, sol = optimal_profit(model, pi_x, pi_y)
+        cases.append((extract_xy_policy(plp, sol), model))
+    for _ in range(20):
+        model = random_tiny_instance(rng)[0]
+        mixes = []
+        for k in range(model.cfg.K):
+            opts = product_options(model.cfg, k)
+            per_y = []
+            for _ in model.demand_states:
+                w = rng.uniform(0.0, 1.0, size=len(opts))
+                w[rng.uniform(size=len(opts)) < 0.3] = 0.0
+                w[0] += 1e-3
+                w = w / w.sum()
+                per_y.append([(z, j, float(p)) for (z, j), p in zip(opts, w)])
+            mixes.append(per_y)
+        cases.append((_policy_with_mix(model, mixes), model))
+    return cases
+
+
+def test_two_price_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for policy, model in _two_price_pinned_policies():
+        for per_y in two_price_reduce(policy, model).entries:
+            for e in per_y:
+                fields = [v for triple in e.support for v in triple]
+                fields += [e.r_star, e.d_target, e.r_orig]
+                digest.update(" ".join(float(v).hex() for v in fields).encode())
+    assert digest.hexdigest() == TWO_PRICE_DIGEST
+
+
+def test_two_price_tolerates_rounding_at_large_demand():
+    # the probabilities sum to 1 + 9e-10, inside check_distribution's 1e-9,
+    # which at a demand of 10**6 moves the mean by 9e-4: an absolute 1e-9
+    # test used to raise TargetOutsideHull here
+    cfg = PlantConfig(
+        beta=[[1]],
+        alpha=[0.0],
+        price_set=[[1.0, 2.0]],
+        D_max=[10**6],
+        A_max=[2],
+        c_max=2,
+    )
+    supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
+    demand = [DemandState(id="d0", F=[[10.0**6, 5.0 * 10**5]])]
+    model = validate_config(cfg, supply, demand)
+    pol = _policy_with_mix(model, [[[(1, 0, 0.5), (1, 0, 0.5 + 9e-10)]]])
+    ent = two_price_reduce(pol, model).entries[0][0]
+    assert ent.support == [(1, 0, 1.0)]
+    assert ent.r_star == 10.0**6
+    # the targets keep the policy's own means, 10**6 + 9e-4
+    assert ent.d_target == ent.r_orig == pytest.approx(10.0**6, rel=1e-9)
+
+
 # --- lookahead ------------------------------------------------------------
 
 
