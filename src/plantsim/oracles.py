@@ -25,7 +25,7 @@ part of the policy: _read_purchases and _read_offers.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -619,32 +619,27 @@ def _reduce_one(pts, d_hat: float, r_hat: float) -> TwoPriceEntry:
             f"[{ds[0]}, {ds[-1]}]"
         )
     d = min(max(d_hat, ds[0]), ds[-1])
-    i = bisect_right(ds, d)
-    if i >= len(ds):
-        # d sits exactly on the rightmost vertex.
-        z, j = hull[-1][2]
-        entry = TwoPriceEntry([(z, j, 1.0)], hull[-1][1], d_hat, r_hat)
+    i = bisect_left(ds, d)
+    lo, hi = hull[i - 1], hull[i]
+    # d on vertex i takes it alone, as eta = 1 (lo is then not read).
+    eta = 1.0 if ds[i] == d else (d - lo[0]) / (hi[0] - lo[0])
+    if eta <= 1e-12:
+        support = [(lo[2][0], lo[2][1], 1.0)]
+        r_star = lo[1]
+    elif eta >= 1.0 - 1e-12:
+        support = [(hi[2][0], hi[2][1], 1.0)]
+        r_star = hi[1]
     else:
-        lo, hi = hull[i - 1], hull[i]
-        eta = (d - lo[0]) / (hi[0] - lo[0])
-        if eta <= 1e-12:
-            support = [(lo[2][0], lo[2][1], 1.0)]
-            r_star = lo[1]
-        elif eta >= 1.0 - 1e-12:
-            support = [(hi[2][0], hi[2][1], 1.0)]
-            r_star = hi[1]
-        else:
-            support = [
-                (lo[2][0], lo[2][1], 1.0 - eta),
-                (hi[2][0], hi[2][1], eta),
-            ]
-            r_star = (1.0 - eta) * lo[1] + eta * hi[1]
-        entry = TwoPriceEntry(support, r_star, d_hat, r_hat)
-    if entry.r_star < r_hat - 1e-9 * (1.0 + abs(r_hat)):
+        support = [
+            (lo[2][0], lo[2][1], 1.0 - eta),
+            (hi[2][0], hi[2][1], eta),
+        ]
+        r_star = (1.0 - eta) * lo[1] + eta * hi[1]
+    if r_star < r_hat - 1e-9 * (1.0 + abs(r_hat)):
         raise TargetOutsideHull(
-            f"envelope revenue {entry.r_star} fell below the original {r_hat}"
+            f"envelope revenue {r_star} fell below the original {r_hat}"
         )
-    return entry
+    return TwoPriceEntry(support, r_star, d_hat, r_hat)
 
 
 def _upper_hull(pts):

@@ -1,11 +1,10 @@
 """Dense linear programming via the two-phase tableau simplex method.
 
-Every program is solved in one standard form: equality rows over
-non-negative columns.  Each <= row and each finite upper bound becomes an
-equality with a slack column of its own.  The rows are the equalities, the
-<= rows and the bounds, in that order, each negated if its right-hand side
-is negative.  A row whose slack keeps coefficient +1 starts on it; every
-other row starts on an artificial column of its own, numbered in row order.
+Every program has one form: equality rows over non-negative columns.  A
+caller with a <= row or a bound writes its slack column in.  Each row is
+negated if its right-hand side is negative, and then starts on an
+artificial column of its own, numbered in row order after the program's
+columns.
 
 Pricing differs by phase.  Phase 1 (driving the artificials out) uses
 Bland's rule: the smallest-index column with a positive reduced cost
@@ -49,18 +48,20 @@ class Unbounded(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """maximize c @ x  subject to  a_eq @ x == b_eq,  a_ub @ x <= b_ub,  x >= 0.
+    """maximize c @ x  subject to  a_eq @ x == b_eq,  x >= 0.
 
-    upper, when given, adds bounds x[j] <= upper[j] (np.inf for none).  The
-    solver reads each <= as an equality with a slack (see the module docstring).
+    The only form: a <= row or a bound is an equality with a slack column
+    that the caller adds.  Each row starts on its own artificial column,
+    after negating the row if its right-hand side is negative.
     """
 
     c: np.ndarray
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    upper: np.ndarray | None = None
+
+    # Not fields: perfbench's tracer still reads lp.a_ub and lp.upper to
+    # count rows.  ROADMAP item 1 deletes these with that read.
+    a_ub = upper = None
 
 
 @dataclass
@@ -87,63 +88,42 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     c = np.asarray(lp.c, dtype=float)
     n = c.shape[0]
-    a_eq, b_eq = _row_block(lp.a_eq, lp.b_eq, n)
-    a_ub, b_ub = _row_block(lp.a_ub, lp.b_ub, n)
-    if lp.upper is not None:  # each finite bound is one more <= row
-        upper = np.ravel(lp.upper).astype(float)
-        j = np.flatnonzero(np.isfinite(upper))
-        bound = np.zeros((len(j), n))
-        bound[np.arange(len(j)), j] = 1.0
-        a_ub, b_ub = np.vstack((a_ub, bound)), np.concatenate((b_ub, upper[j]))
-    m_eq, n_slack = len(a_eq), len(a_ub)  # a slack per <= row
-    m = m_eq + n_slack
-    rhs = np.concatenate((b_eq, b_ub))
-    neg = rhs < 0  # rows to negate
-    on_art = neg.copy()  # equalities and negated rows start on an artificial
-    on_art[:m_eq] = True
-    n_art = np.count_nonzero(on_art)
-    width = n + n_slack + n_art
+    if lp.a_eq is None or not len(lp.a_eq):
+        a_eq, rhs = np.zeros((0, n)), np.zeros(0)
+    else:
+        a_eq = np.atleast_2d(np.asarray(lp.a_eq, dtype=float))
+        rhs = np.ravel(lp.b_eq).astype(float)
+    m = len(a_eq)
 
-    T = np.zeros((m, width + 1))
-    T[:m_eq, :n] = a_eq
-    T[m_eq:, :n] = a_ub
-    if np.count_nonzero(neg):  # negate those rows: their slacks turn -1
+    T = np.zeros((m, n + m + 1))
+    T[:, :n] = a_eq
+    neg = rhs < 0
+    if np.count_nonzero(neg):
         T[neg, :n] *= -1.0
         rhs[neg] *= -1.0
-        np.fill_diagonal(T[m_eq:, n : n + n_slack], np.where(neg[m_eq:], -1.0, 1.0))
     T[:, -1] = rhs
-    basis = np.arange(n - m_eq, n - m_eq + m)  # row i's slack, for i >= m_eq
-    basis[on_art] = np.arange(n + n_slack, width)
-    T[np.arange(m), basis] = 1.0  # +1 on the column each row starts on
+    basis = np.arange(n, n + m)  # row i starts on artificial column n + i
+    T[np.arange(m), basis] = 1.0
 
     iterations = 0
-    if n_art:
-        phase1 = np.zeros(width)
-        phase1[n + n_slack :] = -1.0
+    if m:
+        phase1 = np.zeros(n + m)
+        phase1[n:] = -1.0
         iterations += _iterate(T, basis, phase1, phase=1)
-        art_total = T[:, -1][basis >= n + n_slack].sum()
+        art_total = T[:, -1][basis >= n].sum()
         if art_total > _TOL * (1.0 + max(rhs.tolist(), default=0.0)):
             raise Infeasible(f"phase 1 left {art_total:.3e} of artificial mass")
-        _drive_out_artificials(T, basis, n + n_slack)
-        keep = basis < n + n_slack
-        T = np.hstack([T[keep, : n + n_slack], T[keep, -1:]])
+        _drive_out_artificials(T, basis, n)
+        keep = basis < n
+        T = np.hstack([T[keep, :n], T[keep, -1:]])
         basis = basis[keep]
 
-    obj = np.zeros(n + n_slack)
-    obj[:n] = c
-    iterations += _iterate(T, basis, obj, phase=2)
+    iterations += _iterate(T, basis, c, phase=2)
 
-    x = np.zeros(n + n_slack)
+    x = np.zeros(n)
     x[basis] = T[:, -1]
-    x = np.maximum(x[:n], 0.0)
+    x = np.maximum(x, 0.0)
     return LpSolution(value=float(c @ x), x=x, iterations=iterations)
-
-
-def _row_block(a, b, n: int) -> tuple:
-    """(rows, right-hand sides) of a block as float arrays; empty when a is absent."""
-    if a is None or not len(a):
-        return np.zeros((0, n)), np.zeros(0)
-    return np.atleast_2d(np.asarray(a, dtype=float)), np.ravel(b).astype(float)
 
 
 def _iterate(
