@@ -406,7 +406,12 @@ def _knapsack_solve(plan: tuple, values: list[float]) -> list[int]:
     cand > m from m = best[i + 1][b].  For an item of cost 0 the score
     v * a + m is monotone in a, as rounding is, so the DP compares count 0
     with the cap alone and the traceback bisects the counts; both give what
-    the scan over every count gives.
+    the scan over every count gives.  The last item's scores are
+    v * a + 0.0 against a start of 0.0, so its row is closed: for v > 0 the
+    rounded products v * a never decrease in a, and the scan ends at
+    v * top for a top count top > 0 (an overflow to inf included); for
+    v <= 0, NaN or top = 0 no score beats 0.0.  top = 0 is kept apart
+    because inf * 0 is NaN.
     """
     moves, steps, zeros, _ = plan
     n = len(moves)
@@ -419,14 +424,7 @@ def _knapsack_solve(plan: tuple, values: list[float]) -> list[int]:
                 cand = v * step + m
                 row.append(cand if cand > m else m)
         elif i == n - 1:
-            m = 0.0
-            run = [m]  # run[t]: the best score over counts 0..t
-            for a in range(1, len(moves[i][0])):
-                cand = v * a + 0.0
-                if cand > m:
-                    m = cand
-                run.append(m)
-            row = [run[top] for top in step]
+            row = [v * top if v > 0 and top else 0.0 for top in step]
         else:
             va = [v * a for a in range(len(moves[i][0]))]
             row = []

@@ -19,8 +19,10 @@ under a decision; _Transitions.step serves a short slot (the queues do
 not cover the demand) by schedule_fulfillment, updates the queues and
 records the drift 0.5 * sum (A - used)^2 against its constant bound.
 With a band, step verifies the controller's guarantees: the queues stay
-inside it and no slot is short.  A breach raises InvariantViolation, or is
-only counted when the run sets allow_unsafe_theta.
+inside it and no slot is short.  A short slot or a queue below the band
+raises InvariantViolation, or is only counted when the run sets
+allow_unsafe_theta.  A queue above theta + A_max, or below 0, only a
+faulty controller can reach (_Transitions), and it raises in every run.
 
 The slot loop keeps a decision table.  A decision (A, cost, Z, P, the
 offered products' sell entries) is made once per (x, y, A, Z, P).  It
@@ -34,18 +36,20 @@ module does not read the policy format): per supply state, each purchase
 option's A and -cost; per demand state and product, each offer option's
 D_max, margin and threshold.
 
-The slot loop keeps a state table.  Inside a finite band the online
-controller is a finite chain on (Q, x, y): its queues are one mixed-radix
-integer q, the state code is s = (q * |X| + x) * |Y| + y, and the memo
-maps s to its decision.  Once a transition from a revisited s under a
-demand code has passed every check, its link s * n_code + code maps to
-its outcome (n_code is the product of D_max[k] + 1); a first visit links
-nothing, since most states of a run that misses the memo are never
-revisited.  A linked slot only books the outcome's profit and adds its
-change to q: the short-slot and band checks and the queue-extreme and
-drift records it skips are functions of that transition and were done.
-Queues outside the band have no code: their memo key is (Q, x * |Y| + y)
-and they are never linked.
+The slot loop keeps a state table.  The online controller is a finite
+chain on (Q, x, y): from a start in its band each queue stays in
+[0, floor(theta[m] + A_max[m])], for safe and unsafe theta alike, so every
+queue vector it reaches is one mixed-radix integer q over that box.  The
+state code is s = (q * |X| + x) * |Y| + y, and the memo maps s to its
+decision.  Once a transition from a revisited s under a demand code has
+passed every check, its link s * n_code + code maps to its outcome
+(n_code is the product of D_max[k] + 1); a first visit links nothing,
+since most states of a run that misses the memo are never revisited.  A
+linked slot only books the outcome's profit and adds its change to q: the
+short-slot and band checks and the queue-extreme and drift records it
+skips are functions of that transition and were done.  So a count-only
+run counts every queue below mu_max and every short slot, and links the
+clean transitions out of states below the band too.
 
 A slot's demand code depends only on its decision's signature, the
 offered products' (threshold, D_max[k]) pairs in order, and on where the
@@ -71,8 +75,8 @@ through step, and its correction offsets the path after it.  A decision
 summed in slot order, so the results equal the slot loop's bit for bit.
 
 Per run, each of these counts is at most the horizon and at most
-* online states: the band's integer volume times |X| * |Y|, plus the
-  out-of-band (Q, x, y) of a count-only unsafe run;
+* online states: the integer volume of [0, theta + A_max] times
+  |X| * |Y|;
 * decisions: the states;
 * outcomes per online decision: the product of D_max[k] + 1 over offered
   products;
@@ -97,8 +101,9 @@ allowance; everything else is exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from operator import getitem, gt, itemgetter, le, mul, sub
+from operator import getitem, gt, itemgetter, mul, sub
 
 import numpy as np
 
@@ -246,9 +251,16 @@ def _change(A, used) -> tuple:
 class _Transitions:
     """The checked transitions of one run, its state codes and its records.
 
-    step runs a slot that has no link.  Inside a finite band, queues Q have
-    the code q = sum (Q[m] - lo[m]) * radix[m], where radix[m] is the
-    product of the band's integer widths below m; other queues have none.
+    step runs a slot that has no link.  With a band [lo, hi], queues Q have
+    the code q = sum Q[m] * radix[m], where radix[m] is the product of the
+    widths floor(hi[n]) + 1 for n < m.  Every queue vector an online run
+    reaches has one: from a start in the band the controller buys only
+    while Q < theta, at most A_max, a slot that is not short uses at most
+    Q and schedule_fulfillment serves a short one from stock, so Q stays
+    in [0, floor(hi)] whatever theta is.  A queue outside that box comes
+    only from a faulty controller and raises, in a count-only run too.  A
+    theta that overflowed to inf codes as the largest float, which no
+    queue reaches.  Playback has no band; its codes are never read.
     """
 
     def __init__(self, cfg, band, check: bool, Q: tuple) -> None:
@@ -256,11 +268,9 @@ class _Transitions:
         self.cfg = cfg
         self.banded = band is not None
         self.lo, self.hi = band or (None, None)
-        self.coded = self.banded and all(map(math.isfinite, self.hi))
-        lo, hi = band if self.coded else ([0] * M, [0] * M)
-        self.width = [math.floor(b) - a + 1 for a, b in zip(lo, hi)]
+        hi = [min(b, sys.float_info.max) for b in self.hi] if band else [0] * M
+        self.width = [math.floor(b) + 1 for b in hi]
         self.radix = [math.prod(self.width[:m]) for m in range(M)]
-        self.offset = -sum(map(mul, lo, self.radix))
         self.check = check
         self.q_min = list(Q)
         self.q_max = list(Q)
@@ -268,26 +278,25 @@ class _Transitions:
         self.violations = 0
         self.mismatch = 0
 
-    def encode(self, Q) -> int | None:
-        """The code of queues Q, or None if they have none."""
-        inside = self.coded and all(map(le, self.lo, Q)) and all(map(le, Q, self.hi))
-        return self.offset + sum(map(mul, Q, self.radix)) if inside else None
+    def encode(self, Q) -> int:
+        """The code of queues Q."""
+        return sum(map(mul, Q, self.radix))
 
     def decode(self, q: int) -> tuple:
         """The queues of code q."""
         Q = []
-        for a, w in zip(self.lo, self.width):
+        for w in self.width:
             q, r = divmod(q, w)
-            Q.append(a + r)
+            Q.append(r)
         return tuple(Q)
 
     def step(self, t: int, Q: tuple, dec, out) -> tuple:
-        """(next Q, its code or None, phi_actual, clean) of slot t from Q.
+        """(next Q, its code, phi_actual, clean) of slot t from Q.
 
         A short slot is served by schedule_fulfillment; a short slot or a
-        band breach raises InvariantViolation, or is counted in a count-only
-        run.  clean is true when neither happened, so the transition may be
-        linked.
+        queue below the band raises InvariantViolation, or is counted in a
+        count-only run, and a queue outside [0, hi] always raises.  clean is
+        true when nothing was counted, so the transition may be linked.
         """
         phia, _, used, diff, bt, _ = out
         short = any(map(gt, used, Q))
@@ -312,7 +321,7 @@ class _Transitions:
         lo, hi, q_min, q_max = self.lo, self.hi, self.q_min, self.q_max
         banded = self.banded
         Qn = list(Q)
-        inside = self.coded
+        clean = not short
         for m in range(len(Qn)):
             q = Qn[m] + diff[m]
             Qn[m] = q
@@ -321,18 +330,16 @@ class _Transitions:
             elif q > q_max[m]:
                 q_max[m] = q
             if banded and not lo[m] <= q <= hi[m]:
-                if self.check:
+                if self.check or not 0 <= q <= hi[m]:
                     raise InvariantViolation(
                         f"slot {t}: queue {m} left its band: {q} not in "
                         f"[{lo[m]}, {hi[m]}]"
                     )
                 self.violations += 1
-                inside = False
+                clean = False
         if bt > self.max_bt:
             self.max_bt = bt
-        if not inside:
-            return tuple(Qn), None, phia, False
-        return tuple(Qn), self.offset + sum(map(mul, Qn, self.radix)), phia, not short
+        return tuple(Qn), sum(map(mul, Qn, self.radix)), phia, clean
 
 
 def _check_state_ids(
@@ -360,8 +367,10 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
 
     A breach of the controller's queue band or of full fulfillment raises
     InvariantViolation immediately, unless the run sets allow_unsafe_theta:
-    then breaches are only counted, which supports deliberately unsafe
-    threshold experiments.  Oracle playback has no band: its short slots are
+    then a queue below the band and a short slot are only counted, which
+    supports deliberately unsafe threshold experiments.  A queue above
+    theta + A_max comes only from a faulty controller and raises in every
+    run.  Oracle playback has no band: its short slots are
     served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
     allow_unsafe_theta rather than ignore them, as an online run rejects
@@ -450,9 +459,10 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     tphi = 0.0
     tphia = 0.0
     # Q is the queue tuple, or None after a link until a slot needs it; q
-    # is its state code, or None outside a finite band.
+    # is its state code: every queue vector the loop reaches has one, below
+    # the band too (_Transitions).
     q = run.encode(Q)
-    memo: dict = {}  # state code or out-of-band (Q, s) -> decision
+    memo: dict = {}  # q * n_s + s -> decision
     links: dict = {}  # s * n_code + demand code -> outcome, per checked revisit
     n_code = math.prod(n + 1 for n in model.cfg.D_max)
     # The demand buffer, as an array for the code tables and a list to
@@ -463,7 +473,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
 
     for t0 in range(0, len(states), _CHUNK):
         for t, s in enumerate(states[t0 : t0 + _CHUNK].tolist(), t0):
-            key = (Q, s) if q is None else q * n_s + s
+            key = q * n_s + s
             dec = memo.get(key)
             revisit = dec is not None
             code = -1
@@ -513,7 +523,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                     pos = end
                     code = code * (n + 1) + d
 
-            out = None if q is None else links.get(key * n_code + code)
+            out = links.get(key * n_code + code)
             if out is not None:
                 phi = phia = out[0]
                 Qn, nq = None, q + out[5]
@@ -525,7 +535,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 if Q is None:
                     Q = run.decode(q)
                 Qn, nq, phia, clean = run.step(t, Q, dec, out)
-                if clean and revisit and q is not None:
+                if clean and revisit:
                     links[key * n_code + code] = out
                 phi = out[0]
             tphi += phi
@@ -735,6 +745,25 @@ def _check_blind_tables(model: Model) -> None:
             )
 
 
+def _sells(model: Model) -> list:
+    """sells[yi][k][j]: the sell entry of product k at menu index j in state yi.
+
+    The entry is (k, margin, threshold, D_max, feeders), where feeders lists
+    the (m, beta[m][k]) of the materials k consumes: what the slot loop
+    draws and books a sale by, and playback's offer rows read.
+    """
+    cfg = model.cfg
+    feeders = [[(m, b) for m, b in enumerate(col) if b > 0] for col in zip(*cfg.beta)]
+    products = list(enumerate(zip(cfg.price_set, cfg.alpha, cfg.D_max, feeders)))
+    return [
+        [
+            [(k, p - a, f / n, n, cols) for p, f in zip(ps, F)]
+            for (k, (ps, a, n, cols)), F in zip(products, y.F)
+        ]
+        for y in model.demand_states
+    ]
+
+
 def _online_setup(ec: EpisodeConfig, model: Model):
     """The online controller: its decide, starting state and band."""
     cfg = model.cfg
@@ -755,16 +784,10 @@ def _online_setup(ec: EpisodeConfig, model: Model):
     supply = model.supply_states
     demand = model.demand_states
     # offers[yi][k][p]: the sell entry of product k at menu price p in
-    # demand state yi, (k, margin, threshold, D_max, feeders), where
-    # feeders lists the (m, beta[m][k]) of the materials k consumes
-    feeders = [[(m, b) for m, b in enumerate(col) if b > 0] for col in zip(*cfg.beta)]
-    products = list(enumerate(zip(cfg.price_set, cfg.alpha, cfg.D_max, feeders)))
+    # demand state yi
     offers = [
-        [
-            {p: (k, p - a, f / n, n, cols) for p, f in zip(ps, F)}
-            for (k, (ps, a, n, cols)), F in zip(products, y.F)
-        ]
-        for y in demand
+        [dict(zip(ps, row)) for ps, row in zip(cfg.price_set, rows)]
+        for rows in _sells(model)
     ]
 
     decisions: dict = {}
@@ -827,22 +850,14 @@ def _oracle_setup(ec: EpisodeConfig, model: Model):
     buy_cum = list(map(_cumulative, buy_p))
     buy_rows = [[(-c, *A) for A, c in acts] for acts in buy]
     offer, offer_cum, offer_rows = [], [], []
-    alpha, d_max = cfg.alpha, cfg.D_max
     by_y = zip(*_read_offers(ec.oracle_policy, model))  # per demand state, then k
-    for y, dists in zip(model.demand_states, by_y):
+    for rows, dists in zip(_sells(model), by_y):
         offer.append([])
-        for k, (ps, (opts, p)) in enumerate(zip(cfg.price_set, dists)):
+        for ps, row, (opts, p) in zip(cfg.price_set, rows, dists):
             offer[-1].append([(z, ps[j] if z else ps[0]) for z, j in opts])
             offer_cum.append(_cumulative(p))
-            # margin, threshold and D_max, computed as _online_setup does
-            offer_rows.append(
-                [
-                    (ps[j] - alpha[k], y.F[k][j] / d_max[k], d_max[k])
-                    if z
-                    else (0.0, 0.0, 0)
-                    for z, j in opts
-                ]
-            )
+            # the sell entry's margin, threshold and D_max
+            offer_rows.append([row[j][1:4] if z else (0.0, 0.0, 0) for z, j in opts])
     # option i of supply state xi is row xi * n_i + i of buys, and offer
     # option j of product k in demand state yi row (yi * K + k) * n_j + j
     # of offers

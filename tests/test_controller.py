@@ -587,6 +587,25 @@ def test_knapsack_free_items_match_reference():
         assert _bounded_knapsack_lex_min(*case) == _ref_knapsack(*case), case
 
 
+def test_knapsack_matches_reference_at_extreme_values():
+    """The DP equals the reference at values decide_purchase never passes.
+
+    Zeros of either sign, subnormals, huge, infinite, NaN and negative
+    values reach the last level's closed form: v * top for v > 0 and
+    top > 0, and 0.0 otherwise.
+    """
+    rng = np.random.default_rng(29)
+    pool = [0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, math.inf, -math.inf, math.nan]
+    pool += [-2.5, -1e-300, 1.0, 3.0]
+    for _ in range(600):
+        n = int(rng.integers(1, 5))
+        values = [float(rng.choice(pool)) for _ in range(n)]
+        costs = [int(c) for c in rng.integers(0, 4, size=n)]
+        caps = [int(c) for c in rng.integers(0, 6, size=n)]
+        case = (values, costs, caps, int(rng.integers(0, 13)))
+        assert _bounded_knapsack_lex_min(*case) == _ref_knapsack(*case), case
+
+
 def test_purchase_plans_follow_each_supply_state():
     """States made and dropped under one params each get their own plans.
 

@@ -16,7 +16,9 @@ from plantsim.oracles import (
     ACTION_CAP,
     ActionSpaceTooLarge,
     InstanceTooLarge,
+    NormalizationFailure,
     OraclePolicy,
+    TargetOutsideHull,
     brute_force_opt,
     build_profit_lp,
     enumerate_actions,
@@ -28,7 +30,7 @@ from plantsim.oracles import (
     _reduce_one,
 )
 from plantsim.processes import empirical_distribution
-from plantsim.simplex import LinearProgram, solve_lp
+from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
 from conftest import make_i1, make_two_phase, random_tiny_instance
 
@@ -226,6 +228,37 @@ def test_extract_policy_i1_pure():
     assert action == (1,) and p == pytest.approx(1.0)
     [(z, j, p)] = pol.price_dist[0][0]
     assert (z, j) == (1, 1) and p == pytest.approx(1.0)
+
+
+def _scaled(x, value):
+    x[:3] *= 1.01
+    return x, value
+
+
+def _moved_purchase(x, value):
+    # buy (2,) instead of (1,): profit 2 - 2, one unit more bought than sold
+    x[1], x[2] = 0.0, 1.0
+    return x, 0.0
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda x, v: (np.r_[-1e-6, x[1:]], v), "negative probability mass"),
+        (_scaled, "mass 1.01"),
+        (lambda x, v: (x, v + 1e-3), "does not reproduce the LP value"),
+        (_moved_purchase, "do not balance"),
+    ],
+    ids=["negative", "scaled", "value", "balance"],
+)
+def test_extract_policy_refuses_corrupted_solutions(corrupt, message):
+    # i1's optimum buys (1,) and offers price index 1, each with mass 1
+    model = make_i1()
+    _, plp, sol = optimal_profit(model, one(1), one(1))
+    assert sol.x.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 1.0] and sol.value == 1.0
+    x, value = corrupt(sol.x.copy(), sol.value)
+    with pytest.raises(NormalizationFailure, match=message):
+        extract_xy_policy(plp, LpSolution(value=value, x=x))
 
 
 @pytest.mark.parametrize(
@@ -964,6 +997,25 @@ def test_two_price_target_at_rightmost_vertex():
     ent = two_price_reduce(pol, model).entries[0][0]
     assert ent.support == [(1, 0, 1.0)]
     assert (ent.r_star, ent.d_target, ent.r_orig) == (2.0, 2.0, 2.0)
+
+
+def test_two_price_target_just_past_a_vertex():
+    # i1's envelope has vertices at demands 0, 1 and 2; a target 1e-13 past
+    # the middle one takes that vertex alone
+    model = make_i1()
+    pol = _policy_with_mix(model, [[[(1, 1, 1 - 1e-13), (1, 0, 1e-13)]]])
+    ent = two_price_reduce(pol, model).entries[0][0]
+    assert ent.support == [(1, 1, 1.0)]
+    assert ent.r_star == 2.0 and ent.d_target > 1.0
+
+
+def test_reduce_one_refuses_targets_off_the_envelope():
+    # a demand past the last vertex, and a revenue above the envelope
+    pts = [(0.0, 0.0, (0, -1)), (1.0, 1.0, (1, 0)), (2.0, 1.5, (1, 1))]
+    with pytest.raises(TargetOutsideHull, match="outside the achievable range"):
+        _reduce_one(pts, 2.0 + 1e-6, 1.5)
+    with pytest.raises(TargetOutsideHull, match="fell below the original"):
+        _reduce_one(pts, 1.0, 1.0 + 1e-6)
 
 
 def test_two_price_target_just_below_a_vertex():

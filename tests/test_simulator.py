@@ -1,7 +1,7 @@
 import math
 from bisect import bisect_right
 from dataclasses import replace
-from operator import gt
+from operator import gt, le
 
 import numpy as np
 import pytest
@@ -858,7 +858,8 @@ def _offer_all(Q, y, params, cfg):
 
 
 def _no_band(params, cfg):
-    return [0] * cfg.M, [math.inf] * cfg.M
+    # no floor above 0; the ceiling theta + A_max holds for any theta
+    return [0] * cfg.M, [th + a for th, a in zip(params.theta, cfg.A_max)]
 
 
 def test_memoized_loop_matches_reference_loop(monkeypatch):
@@ -868,7 +869,8 @@ def test_memoized_loop_matches_reference_loop(monkeypatch):
     demand-blind, every other one logged), an unsafe-theta run that only
     counts its breaches, playback from empty queues, and runs with
     controller functions patched to breach the band or fall short, once
-    with checks on and once count-only.
+    with checks on and once count-only.  A queue above theta + A_max comes
+    only from a faulty controller, so it raises in a count-only run too.
     """
     rng = np.random.default_rng(20261018)
     H = 200
@@ -921,8 +923,76 @@ def test_memoized_loop_matches_reference_loop(monkeypatch):
             assert ref == new, (i, kind)
             seen[kind] += not isinstance(ref, dict)
             ref, new = _both(replace(ec, allow_unsafe_theta=True), model)
-            assert ref == new, (i, kind, "count-only")
+            if isinstance(ref, dict) and any(
+                q > float.fromhex(b) for q, b in zip(ref["q_max"], ref["q_upper_bound"])
+            ):
+                assert new[0] == "raised" and "left its band" in new[1], (i, kind)
+            else:
+                assert ref == new, (i, kind, "count-only")
     assert min(seen.values()) >= 3, seen
+
+
+def test_count_only_queues_stay_in_the_code_box():
+    """Below safe theta, count-only runs keep Q in [0, floor(theta + A_max)].
+
+    The slot loop codes exactly that box (_Transitions): from any start in
+    the band the controller buys only while Q < theta, at most A_max, and
+    serves a short slot from stock.  The slot-by-slot reference counts
+    every breach and raises none, so its extremes are read; run_episode
+    must equal it.
+    """
+    rng = np.random.default_rng(20261019)
+    H = 300
+    counted = 0
+    modes = (IID, MARKOV, TRACE)
+    for i in range(30):
+        model = _random_plant(rng)
+        cfg = model.cfg
+        ids_x = [x.id for x in model.supply_states]
+        ids_y = [y.id for y in model.demand_states]
+        px = _random_process(rng, ids_x, modes[i % 3], H)
+        py = _random_process(rng, ids_y, modes[i // 3 % 3], H)
+        V = float(rng.choice([1.0, 5.0, 20.0]))
+        safe = compute_theta(cfg, V)
+        # below safe, and high enough that the band holds mu_max
+        scale = rng.uniform(0, 1, cfg.M)
+        bottom = [u - a for u, a in zip(model.mu_max, cfg.A_max)]
+        theta = [max(f * th, b) for f, th, b in zip(scale, safe, bottom)]
+        top = [math.floor(th + a) for th, a in zip(theta, cfg.A_max)]
+        Q0 = [int(rng.integers(u, b + 1)) for u, b in zip(model.mu_max, top)]
+        ec = EpisodeConfig(
+            horizon=H,
+            seed=i,
+            V=V,
+            process_x=px,
+            process_y=py,
+            theta=theta,
+            allow_unsafe_theta=True,
+            Q0=Q0,
+        )
+        ref, new = _both(ec, model)
+        q_max = ref["q_max"]
+        assert min(ref["q_min"]) >= 0 and all(map(le, q_max, top)), (i, q_max, top)
+        assert ref == new, i
+        counted += ref["bound_violations"] > 0
+    assert counted >= 10, counted
+
+
+def test_count_only_run_raises_below_zero(monkeypatch):
+    # a purchase of -1 a slot leaves i1's band below (counted) and then the
+    # code box below 0, which only a faulty controller reaches
+    monkeypatch.setattr(sim, "decide_purchase", lambda Q, x, params, cfg: [-1])
+    monkeypatch.setattr(sim, "decide_pricing", lambda Q, y, params, cfg: ([0], [1.0]))
+    with pytest.raises(InvariantViolation, match="slot 2: queue 0 left its band: -1"):
+        run_episode(_i1_ec(horizon=10, allow_unsafe_theta=True), make_i1())
+
+
+def test_overflowed_theta_still_runs():
+    # V * margin overflows, so theta and the band's top are inf; the state
+    # codes cover the largest float instead, which no queue reaches
+    ec = _i1_ec(horizon=200, V=1.7e308)
+    ref, new = _both(ec, make_i1())
+    assert ref == new and new["q_upper_bound"] == [math.inf.hex()]
 
 
 class _Draws:
