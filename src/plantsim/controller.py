@@ -56,7 +56,11 @@ from plantsim.model import (
 
 
 class InvariantViolation(RuntimeError):
-    """A queue left its guaranteed band; this indicates a bug, not bad input."""
+    """A controller guarantee broke; this indicates a bug, not bad input.
+
+    A queue left its guaranteed band, or a slot accepted more demand than
+    its queues hold.
+    """
 
 
 class InitOutOfRange(InputError):

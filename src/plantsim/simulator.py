@@ -15,14 +15,16 @@ and the queue band:
 Both share the rules of a slot.  Each offered product draws D_max[k]
 uniforms from the demand channel, in slot order and ascending k, and its
 demand is the count below its threshold.  _outcome books a demand code
-under a decision; _Transitions.step serves a short slot (the queues do
-not cover the demand) by schedule_fulfillment, updates the queues and
-records the drift 0.5 * sum (A - used)^2 against its constant bound.
-With a band, step verifies the controller's guarantees: the queues stay
-inside it and no slot is short.  A short slot or a queue below the band
-raises InvariantViolation, or is only counted when the run sets
-allow_unsafe_theta.  A queue above theta + A_max, or below 0, only a
-faulty controller can reach (_Transitions), and it raises in every run.
+under a decision, and each slot records its drift 0.5 * sum (A - used)^2
+against its constant bound.  Online, _Transitions.step verifies the
+controller's guarantees as it updates the queues: they stay inside the
+band and no slot is short (the queues do not cover the demand).  A queue
+below the band raises InvariantViolation, or is only counted when the
+run sets allow_unsafe_theta.  A short slot, or a queue above theta +
+A_max or below 0, only a faulty controller can reach (_Transitions), and
+it raises in every run.  Playback has no band and no queue feedback, so
+its slots can fall short: _short_slot serves each short slot by
+schedule_fulfillment, and the run counts it as a mismatch.
 
 The slot loop keeps a decision table.  A decision (A, cost, Z, P, the
 offered products' sell entries) is made once per (x, y, A, Z, P).  It
@@ -48,8 +50,8 @@ since most states of a run that misses the memo are never revisited.  A
 linked slot only books the outcome's profit and adds its change to q: the
 short-slot and band checks and the queue-extreme and drift records it
 skips are functions of that transition and were done.  So a count-only
-run counts every queue below mu_max and every short slot, and links the
-clean transitions out of states below the band too.
+run counts every queue below mu_max, and only those, and links the clean
+transitions out of states below the band too.
 
 A slot's demand code depends only on its decision's signature, the
 offered products' (threshold, D_max[k]) pairs in order, and on where the
@@ -69,10 +71,11 @@ uniforms, at a time: it draws the block's policy and demand uniforms,
 gathers each slot's rows from the option tables by its drawn options and
 books every slot with array operations, _outcome's sums taken in the
 same order.  The queues follow the start queues plus the cumulative
-queue change; only a short slot, found by searching that path, goes
-through step, and its correction offsets the path after it.  A decision
-(A, cost, Z, P) is made only for a short or a logged slot.  Totals are
-summed in slot order, so the results equal the slot loop's bit for bit.
+queue change; only a short slot, found by searching that path, is served
+on its own (_short_slot), and its correction offsets the path after it.
+A decision (A, cost, Z, P) is made only for a short or a logged slot.
+Totals are summed in slot order, so the results equal the slot loop's bit
+for bit.
 
 Per run, each of these counts is at most the horizon and at most
 * online states: the integer volume of [0, theta + A_max] times
@@ -103,7 +106,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from operator import getitem, gt, itemgetter, mul, sub
+from operator import add, getitem, gt, itemgetter, mul, sub
 
 import numpy as np
 
@@ -182,7 +185,13 @@ class EpisodeConfig:
 
 @dataclass
 class Metrics:
-    """Per-episode results and invariant accounting."""
+    """Per-episode results and invariant accounting.
+
+    bound_violations counts the queues below the band of a count-only
+    online run.  phi_mismatch_slots counts playback's short slots, served
+    by schedule_fulfillment; it is 0 online, where a short slot raises.
+    Online, every slot is served in full, so total_phi_actual is total_phi.
+    """
 
     horizon: int
     seed: int
@@ -249,28 +258,26 @@ def _change(A, used) -> tuple:
 
 
 class _Transitions:
-    """The checked transitions of one run, its state codes and its records.
+    """The online chain's checked transitions, its state codes and records.
 
-    step runs a slot that has no link.  With a band [lo, hi], queues Q have
-    the code q = sum Q[m] * radix[m], where radix[m] is the product of the
-    widths floor(hi[n]) + 1 for n < m.  Every queue vector an online run
-    reaches has one: from a start in the band the controller buys only
-    while Q < theta, at most A_max, a slot that is not short uses at most
-    Q and schedule_fulfillment serves a short one from stock, so Q stays
-    in [0, floor(hi)] whatever theta is.  A queue outside that box comes
-    only from a faulty controller and raises, in a count-only run too.  A
-    theta that overflowed to inf codes as the largest float, which no
-    queue reaches.  Playback has no band; its codes are never read.
+    step runs a slot that has no link.  With the band [lo, hi], queues Q
+    have the code q = sum Q[m] * radix[m], where radix[m] is the product of
+    the widths floor(hi[n]) + 1 for n < m.  Every queue vector an online
+    run reaches has one: from a start in the band the controller buys only
+    while Q < theta, at most A_max, and offers a product only while each
+    of its feeders holds mu_max, the worst-case use over every product, so
+    no slot uses more than Q and Q stays in [0, floor(hi)] whatever theta
+    is.  A short slot or a queue outside that box comes only from a faulty
+    controller and raises, in a count-only run too.  A theta that
+    overflowed to inf codes as the largest float, which no queue reaches.
+    Playback has no band: it keeps only the records, q_min, q_max, max_bt
+    and mismatch, here (_block_queues).
     """
 
-    def __init__(self, cfg, band, check: bool, Q: tuple) -> None:
-        M = cfg.M
-        self.cfg = cfg
-        self.banded = band is not None
-        self.lo, self.hi = band or (None, None)
-        hi = [min(b, sys.float_info.max) for b in self.hi] if band else [0] * M
-        self.width = [math.floor(b) + 1 for b in hi]
-        self.radix = [math.prod(self.width[:m]) for m in range(M)]
+    def __init__(self, band, check: bool, Q: tuple) -> None:
+        self.lo, self.hi = band or ((), ())
+        self.width = [math.floor(min(b, sys.float_info.max)) + 1 for b in self.hi]
+        self.radix = [math.prod(self.width[:m]) for m in range(len(self.hi))]
         self.check = check
         self.q_min = list(Q)
         self.q_max = list(Q)
@@ -290,38 +297,21 @@ class _Transitions:
             Q.append(r)
         return tuple(Q)
 
-    def step(self, t: int, Q: tuple, dec, out) -> tuple:
-        """(next Q, its code, phi_actual, clean) of slot t from Q.
+    def step(self, t: int, Q: tuple, out) -> tuple:
+        """(next Q, its code, clean) of slot t from Q, under outcome out.
 
-        A short slot is served by schedule_fulfillment; a short slot or a
-        queue below the band raises InvariantViolation, or is counted in a
-        count-only run, and a queue outside [0, hi] always raises.  clean is
-        true when nothing was counted, so the transition may be linked.
+        A short slot (the queues do not cover the demand) always raises
+        InvariantViolation.  A queue below the band raises too, or is
+        counted in a count-only run; a queue outside [0, hi] always raises.
+        clean is true when nothing was counted, so the transition may be
+        linked.
         """
-        phia, _, used, diff, bt, _ = out
-        short = any(map(gt, used, Q))
-        if short:
-            if self.banded:
-                if self.check:
-                    raise InvariantViolation(
-                        f"slot {t}: accepted demand exceeds stored material"
-                    )
-                self.violations += 1
-            self.mismatch += 1
-            cfg = self.cfg
-            A, cost, Z, P = dec[:4]
-            d_tilde = schedule_fulfillment(Q, Z, P, out[1], cfg)
-            alpha = cfg.alpha
-            phia = (
-                sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(cfg.K))
-                - cost
-            )
-            diff, bt = _change(A, material_usage(d_tilde, cfg))
-
+        _, _, used, diff, bt, _ = out
+        if any(map(gt, used, Q)):
+            raise InvariantViolation(f"slot {t}: accepted demand exceeds stored material")
         lo, hi, q_min, q_max = self.lo, self.hi, self.q_min, self.q_max
-        banded = self.banded
         Qn = list(Q)
-        clean = not short
+        clean = True
         for m in range(len(Qn)):
             q = Qn[m] + diff[m]
             Qn[m] = q
@@ -329,7 +319,7 @@ class _Transitions:
                 q_min[m] = q
             elif q > q_max[m]:
                 q_max[m] = q
-            if banded and not lo[m] <= q <= hi[m]:
+            if not lo[m] <= q <= hi[m]:
                 if self.check or not 0 <= q <= hi[m]:
                     raise InvariantViolation(
                         f"slot {t}: queue {m} left its band: {q} not in "
@@ -339,7 +329,7 @@ class _Transitions:
                 clean = False
         if bt > self.max_bt:
             self.max_bt = bt
-        return tuple(Qn), sum(map(mul, Qn, self.radix)), phia, clean
+        return tuple(Qn), sum(map(mul, Qn, self.radix)), clean
 
 
 def _check_state_ids(
@@ -365,13 +355,14 @@ def _check_state_ids(
 def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     """Simulate one episode and return its metrics.
 
-    A breach of the controller's queue band or of full fulfillment raises
-    InvariantViolation immediately, unless the run sets allow_unsafe_theta:
-    then a queue below the band and a short slot are only counted, which
-    supports deliberately unsafe threshold experiments.  A queue above
-    theta + A_max comes only from a faulty controller and raises in every
-    run.  Oracle playback has no band: its short slots are
-    served by schedule_fulfillment and only counted as mismatches.  It
+    A breach of the controller's queue band raises InvariantViolation
+    immediately, unless the run sets allow_unsafe_theta: then a queue below
+    the band is only counted, which supports deliberately unsafe threshold
+    experiments.  A short slot, or a queue above theta + A_max, comes only
+    from a faulty controller and raises in every run: the controller offers
+    a product only while each of its feeders holds mu_max, the worst-case
+    use over every product.  Oracle playback has no band: its short slots
+    are served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
     allow_unsafe_theta rather than ignore them, as an online run rejects
     oracle_policy, a malformed policy before its first slot
@@ -406,14 +397,15 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     # initial stock costs anything.
     startup = sum(map(mul, cfg.D_max, cfg.alpha)) if ec.assembly_delay else 0.0
     Q = tuple(state.Q)
-    run = _Transitions(cfg, band, not ec.allow_unsafe_theta, Q)
+    run = _Transitions(band, not ec.allow_unsafe_theta, Q)
     log: list[tuple] | None = [] if ec.record_log else None
     if online:
         # the slot loop reads one state index x * |Y| + y per slot
         xs *= len(model.demand_states)
         xs += ys
         del ys
-        tphi, tphia, Q = _slot_loop(model, decide, run, Q, xs, rs, log)
+        tphi, Q = _slot_loop(model, decide, run, Q, xs, rs, log)
+        tphia = tphi
     else:
         tphi, tphia, Q = _play_blocks(model, pick, decide, run, Q, xs, ys, rs, log)
 
@@ -441,7 +433,7 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
 
 
 def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> tuple:
-    """The online controller, one slot at a time: (tphi, tphia, final Q).
+    """The online controller, one slot at a time: (tphi, final Q).
 
     states holds each slot's state index s = x * |Y| + y; the loop reads
     it as a list, _CHUNK slots at a time.  A slot's demand code is counted
@@ -457,7 +449,6 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     n_s = len(ids_x) * n_y
     demand = rs.generator(_CH_DEMAND)
     tphi = 0.0
-    tphia = 0.0
     # Q is the queue tuple, or None after a link until a slot needs it; q
     # is its state code: every queue vector the loop reaches has one, below
     # the band too (_Transitions).
@@ -525,7 +516,6 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
 
             out = links.get(key * n_code + code)
             if out is not None:
-                phi = phia = out[0]
                 Qn, nq = None, q + out[5]
             else:
                 outcomes = dec[5]
@@ -534,21 +524,20 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                     out = outcomes[code] = _outcome(dec, code, K, run.radix)
                 if Q is None:
                     Q = run.decode(q)
-                Qn, nq, phia, clean = run.step(t, Q, dec, out)
+                Qn, nq, clean = run.step(t, Q, out)
                 if clean and revisit:
                     links[key * n_code + code] = out
-                phi = out[0]
+            phi = out[0]
             tphi += phi
-            tphia += phia
             if log is not None:
                 if Q is None:
                     Q = run.decode(q)
                 xi, yi = divmod(s, n_y)
                 A, _, Z, P = dec[:4]
-                row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), phi, phia)
-                log.append((t, ids_x[xi], ids_y[yi], Q, *row, tphia / (t + 1)))
+                row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), phi, phi)
+                log.append((t, ids_x[xi], ids_y[yi], Q, *row, tphi / (t + 1)))
             Q, q = Qn, nq
-    return tphi, tphia, run.decode(q) if Q is None else Q
+    return tphi, run.decode(q) if Q is None else Q
 
 
 def _refill(arr: np.ndarray, buf: list, pos: int, drawn: int, rng) -> tuple:
@@ -596,8 +585,8 @@ def _play_blocks(
     options at once, gathers their booking rows from the option tables
     (pick) and books them in arrays (_block_book), from the same draws as
     one slot at a time.  The queues follow Q plus the cumulative queue
-    change; only short slots go through run.step (_block_queues).  A
-    decision is rebuilt (decide) only for a stepped or a logged slot.
+    change; only short slots are served one at a time (_block_queues).  A
+    decision is rebuilt (decide) only for a short or a logged slot.
     """
     cfg = model.cfg
     K = cfg.K
@@ -622,7 +611,7 @@ def _play_blocks(
         book = _block_book(bought, width, terms, demand, beta)
         start = Q
         Q, after, stepped = _block_queues(
-            run, t0, Q, lambda i: decide(x[i], y[i], opts[i].tolist()), book
+            run, cfg, Q, lambda i: decide(x[i], y[i], opts[i].tolist()), book
         )
         phi, D = book[:2]
         phia = phi.copy()
@@ -682,18 +671,19 @@ def _block_book(bought, width, terms, rng, beta: np.ndarray) -> tuple:
     return phi, D, used, diff, 0.5 * bt
 
 
-def _block_queues(run: _Transitions, t0, Q, decision, book) -> tuple:
-    """(final Q, the queues after each slot, phi_actual of each stepped slot).
+def _block_queues(run: _Transitions, cfg, Q, decision, book) -> tuple:
+    """(final Q, the queues after each slot, phi_actual of each short slot).
 
     The booked queue path is Q plus the cumulative queue change A - used
     of the booking.  A slot is short when the queues it starts from hold
-    less than it uses, as in run.step.  The next short slot is searched in
-    windows that double and runs through run.step alone, under the
-    decision that decision(i) gives slot i; the queues after it less the
-    booked ones are a correction that offsets the path from there on.  The
-    other slots are booked into run's extremes and drift record here.
+    less than it uses.  The next short slot is searched in windows that
+    double and served alone by _short_slot, under the decision that
+    decision(i) gives slot i; its drift replaces the booked one, and the
+    queues after it less the booked ones are a correction that offsets the
+    path from there on.  Every slot is then booked into run's extremes and
+    drift record, and the short ones into its mismatch count.
     """
-    phi, D, used, diff, bt = book
+    _, D, used, diff, bt = book
     n, int_t = len(diff), diff.dtype
     path = np.cumsum(diff, axis=0)
     path += np.array(Q, dtype=int_t)
@@ -701,8 +691,8 @@ def _block_queues(run: _Transitions, t0, Q, decision, book) -> tuple:
     # correction so far, c, slot i is short where low[i] < lim = -c.
     low = path - diff - used
     lim = np.zeros(len(Q), dtype=int_t)
-    fixes: dict = {}  # stepped slot -> the correction it adds
-    stepped: dict = {}  # stepped slot -> phi_actual
+    fixes: dict = {}  # short slot -> the correction it adds
+    stepped: dict = {}  # short slot -> phi_actual
     i, w = 0, 32
     while i < n:
         short = low[i : i + w] < lim
@@ -712,8 +702,7 @@ def _block_queues(run: _Transitions, t0, Q, decision, book) -> tuple:
             continue
         i += f // len(Q)
         start = Q if i == 0 else tuple((path[i - 1] - lim).tolist())
-        out = (phi[i], tuple(D[i].tolist()), tuple(used[i].tolist()), diff[i], bt[i], 0)
-        Qn, _, stepped[i], _ = run.step(t0 + i, start, decision(i), out)
+        Qn, stepped[i], bt[i] = _short_slot(cfg, start, decision(i), D[i].tolist())
         fix = path[i] - Qn  # the next lim
         fixes[i] = lim - fix
         lim = fix
@@ -723,12 +712,26 @@ def _block_queues(run: _Transitions, t0, Q, decision, book) -> tuple:
         corr = np.zeros_like(path)
         corr[list(fixes)] = list(fixes.values())
         path += np.cumsum(corr, axis=0)
-        bt = np.delete(bt, list(stepped))
-    if len(bt):
-        run.max_bt = max(run.max_bt, float(bt.max()))
+        run.mismatch += len(stepped)
+    run.max_bt = max(run.max_bt, float(bt.max()))
     run.q_min[:] = map(min, run.q_min, path.min(axis=0).tolist())
     run.q_max[:] = map(max, run.q_max, path.max(axis=0).tolist())
     return tuple(path[-1].tolist()), path, stepped
+
+
+def _short_slot(cfg, Q, dec, D) -> tuple:
+    """(next Q, phi_actual, drift) of a short playback slot from Q.
+
+    schedule_fulfillment serves what it can of demand D from the queues
+    under the decision (A, cost, Z, P); phi_actual books the served units'
+    margins less the cost, and the drift is the served change's.
+    """
+    A, cost, Z, P = dec
+    d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
+    alpha = cfg.alpha
+    phia = sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(cfg.K)) - cost
+    diff, bt = _change(A, material_usage(d_tilde, cfg))
+    return tuple(map(add, Q, diff)), phia, bt
 
 
 def _check_blind_tables(model: Model) -> None:

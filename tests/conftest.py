@@ -6,6 +6,8 @@ alpha=0, prices {1, 2}, D_max=2, A_max=2, c_max=2, one supply state (cost
 1, 1 at price 2).  Its stationary optimum is exactly 1 per slot.
 """
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+# Seconds any one test may take.  The slowest take about 1 s; a fault
+# that loops forever (say, a window search that stops advancing) fails
+# its test here instead of stalling the suite with no message.
+TEST_TIME_LIMIT = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail the test, by its node id, once it has run TEST_TIME_LIMIT seconds."""
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran over {TEST_TIME_LIMIT} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 import math
 from bisect import bisect_right
 from dataclasses import replace
-from operator import gt, le
+from operator import le
 
 import numpy as np
 import pytest
@@ -869,8 +869,9 @@ def test_memoized_loop_matches_reference_loop(monkeypatch):
     demand-blind, every other one logged), an unsafe-theta run that only
     counts its breaches, playback from empty queues, and runs with
     controller functions patched to breach the band or fall short, once
-    with checks on and once count-only.  A queue above theta + A_max comes
-    only from a faulty controller, so it raises in a count-only run too.
+    with checks on and once count-only.  A queue above theta + A_max or a
+    short slot comes only from a faulty controller, so it raises in a
+    count-only run too, where the reference counts it.
     """
     rng = np.random.default_rng(20261018)
     H = 200
@@ -927,6 +928,9 @@ def test_memoized_loop_matches_reference_loop(monkeypatch):
                 q > float.fromhex(b) for q, b in zip(ref["q_max"], ref["q_upper_bound"])
             ):
                 assert new[0] == "raised" and "left its band" in new[1], (i, kind)
+            elif isinstance(ref, dict) and ref["phi_mismatch_slots"] > 0:
+                assert new[0] == "raised", (i, kind)
+                assert "exceeds stored material" in new[1], (i, kind)
             else:
                 assert ref == new, (i, kind, "count-only")
     assert min(seen.values()) >= 3, seen
@@ -1137,15 +1141,19 @@ def test_block_playback_matches_reference_loop(monkeypatch, chunk):
     from empty queues and from the default start, with and without a log.
     """
     monkeypatch.setattr(sim, "_CHUNK", chunk)
-    step = sim._Transitions.step
+    block_queues = sim._block_queues
     seen = {"booked at once": 0, "stepped": 0, "short on an edge": 0}
 
-    def counted(self, t, Q, dec, out):
-        seen["stepped"] += 1
-        seen["short on an edge"] += t % chunk == 0 and any(map(gt, out[2], Q))
-        return step(self, t, Q, dec, out)
+    def counted(run, cfg, Q, decision, book):
+        # _block_queues asks for the decision of each short slot alone
+        def short(i):
+            seen["stepped"] += 1
+            seen["short on an edge"] += i == 0
+            return decision(i)
 
-    monkeypatch.setattr(sim._Transitions, "step", counted)
+        return block_queues(run, cfg, Q, short, book)
+
+    monkeypatch.setattr(sim, "_block_queues", counted)
     rng = np.random.default_rng(20261019)
     H = 150
     modes = (IID, MARKOV, TRACE)
@@ -1175,7 +1183,7 @@ def test_block_playback_matches_reference_loop(monkeypatch, chunk):
                 before = seen["stepped"]
                 ref, new = _both(ec, model)
                 assert ref == new and isinstance(ref, dict), (i, Q0)
-                # the reference loop has no step; the block driver's run counts
+                # the reference loop plays no blocks; the block driver's run counts
                 seen["booked at once"] += H - (seen["stepped"] - before)
     assert min(seen.values()) >= 3, seen
 
@@ -1443,7 +1451,7 @@ def test_block_book_matches_outcome():
 
 @pytest.mark.parametrize("chunk", [2, 5, 64])
 def test_playback_steps_only_short_slots(monkeypatch, chunk):
-    """In playback, _Transitions.step runs exactly once per short slot.
+    """In playback, _short_slot runs exactly once per short slot.
 
     From empty queues, under the optimal and a never-buy policy, most slots
     start below mu_max; those that are not short are booked with the rest
@@ -1451,13 +1459,13 @@ def test_playback_steps_only_short_slots(monkeypatch, chunk):
     """
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     calls = []
-    step = sim._Transitions.step
+    short_slot = sim._short_slot
 
-    def counted(self, t, Q, dec, out):
-        calls.append(t)
-        return step(self, t, Q, dec, out)
+    def counted(cfg, Q, dec, D):
+        calls.append(Q)
+        return short_slot(cfg, Q, dec, D)
 
-    monkeypatch.setattr(sim._Transitions, "step", counted)
+    monkeypatch.setattr(sim, "_short_slot", counted)
     rng = np.random.default_rng(20261023)
     H = 150
     stepped = booked = 0
