@@ -161,6 +161,20 @@ def check_seq(name, value, length=None, *, error=InputError, message=None):
     raise error(message or f"{name} {fault}")
 
 
+def check_class(name, cls: type, *values) -> None:
+    """Raise InputError unless each of values is an instance of cls.
+
+    An entry point checks its dataclass arguments by it once, where its
+    work starts, so an argument of the wrong class is bad input rather than
+    an AttributeError somewhere inside.
+    """
+    for value in values:
+        if not isinstance(value, cls):
+            raise InputError(
+                f"{name} must be of class {cls.__name__}, got {type(value).__name__}"
+            )
+
+
 def _check_int_vector(name: str, vec, length: int, minimum=0, maximum=2**53) -> None:
     # The default maximum keeps each entry exact as a float (the LP computes in floats).
     if len(vec) != length:

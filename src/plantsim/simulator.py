@@ -44,14 +44,21 @@ chain on (Q, x, y): from a start in its band each queue stays in
 queue vector it reaches is one mixed-radix integer q over that box.  The
 state code is s = (q * |X| + x) * |Y| + y, and the memo maps s to its
 decision.  Once a transition from a revisited s under a demand code has
-passed every check, its link s * n_code + code maps to its outcome
-(n_code is the product of D_max[k] + 1); a first visit links nothing,
-since most states of a run that misses the memo are never revisited.  A
-linked slot only books the outcome's profit and adds its change to q: the
-short-slot and band checks and the queue-extreme and drift records it
-skips are functions of that transition and were done.  So a count-only
-run counts every queue below mu_max, and only those, and links the clean
-transitions out of states below the band too.
+passed every check, it is linked: the link store maps s to one entry, its
+signature's code table (below) and a dict from each linked demand code to
+its outcome.  A first visit links nothing, since most states of a run
+that misses the memo are never revisited, and neither does a logged run,
+so that no slot skips its log row.  A slot opens with one lookup in the
+store: when s has an entry whose table is of the current buffer and
+whose code at the slot's start is linked, the slot only books the
+outcome's profit and adds its change to q.  The short-slot and band
+checks and the queue-extreme and drift records it skips are functions of
+that transition and were done.  Every other slot takes the checked path
+(decide or the memo, the code table or counting, _outcome and
+_Transitions.step), which still reads a linked outcome from the same
+entry before it steps.  So a count-only run counts every queue below
+mu_max, and only those, and links the clean transitions out of states
+below the band too.
 
 A slot's demand code depends only on its decision's signature, the
 offered products' (threshold, D_max[k]) pairs in order, and on where the
@@ -63,8 +70,10 @@ _TABLE_AFTER times without a table of the current buffer.  It is dated by
 the stream offset of the buffer's end, so a refill leaves the old tables
 stale without touching them; a stale table is dropped on its next read.
 A first visit, and a read without a table, counts the uniforms one by
-one; a signature with no offer, one wider than _CHUNK or one whose codes
-could outgrow int64 never gets a table.
+one; a signature wider than _CHUNK or one whose codes could outgrow int64
+never gets a table.  A signature with no offer gets one like any other:
+its codes are all 0, and it lets the states that offer nothing take the
+link store's fast path (above) too.
 
 The block driver plays up to _CHUNK slots, and at most 2**16 demand
 uniforms, at a time: it draws the block's policy and demand uniforms,
@@ -83,7 +92,8 @@ Per run, each of these counts is at most the horizon and at most
 * decisions: the states;
 * outcomes per online decision: the product of D_max[k] + 1 over offered
   products;
-* links: the states times n_code.
+* link entries: the states, each with at most the outcomes of its
+  decision.
 The slot loop also holds the state index as an array, built in place of
 the supply path, and as a list for _CHUNK slots, its demand buffer (as an
 array and a list) and a code table of one entry per buffered uniform for
@@ -125,6 +135,7 @@ from plantsim.controller import (
 from plantsim.model import (
     InputError,
     Model,
+    check_class,
     check_int,
     material_usage,
     purchase_cost,
@@ -339,12 +350,15 @@ def _check_state_ids(
 
     A run plays a process's state indices as the model's states, so a
     process over other states, or over the same ones in another order,
-    would run the wrong plant.
+    would run the wrong plant.  The model and both processes must first be
+    of their classes (check_class).
     """
+    check_class("model", Model, model)
     for name, spec, states in (
         ("process_x", process_x, model.supply_states),
         ("process_y", process_y, model.demand_states),
     ):
+        check_class(name, StateProcessSpec, spec)
         ids = [s.id for s in states]
         if list(spec.state_ids) != ids:
             raise InputError(
@@ -371,12 +385,14 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     the block driver; both keep the tables the module docstring describes,
     with results bit-identical to checking every slot.
     """
+    check_class("ec", EpisodeConfig, ec)
     check_int("horizon", ec.horizon, 1)
     if ec.controller not in ("online", "oracle"):
         raise InputError(f"unknown controller {ec.controller!r}")
     if ec.controller == "oracle":
         if ec.oracle_policy is None:
             raise InputError("oracle controller needs oracle_policy")
+        check_class("oracle_policy", OraclePolicy, ec.oracle_policy)
         for name in ("placeholder", "demand_blind", "theta", "allow_unsafe_theta"):
             if getattr(ec, name) not in (None, False):
                 raise InputError(f"oracle playback does not use {name}")
@@ -436,17 +452,22 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     """The online controller, one slot at a time: (tphi, final Q).
 
     states holds each slot's state index s = x * |Y| + y; the loop reads
-    it as a list, _CHUNK slots at a time.  A slot's demand code is counted
+    it as a list, _CHUNK slots at a time.  A slot first looks up its state
+    code in the link store: an entry whose code table is of the current
+    buffer, with the code at pos linked, serves the slot by advancing pos,
+    booking the outcome's profit and moving q, without decoding the queues.
+    Every other slot takes the checked path.  Its demand code is counted
     one uniform at a time on a first visit to its state; a revisited state
     reads it from its signature's code table (_code_table) once the
-    signature has one.  A linked slot then books the stored outcome of its
-    transition and moves q, without decoding the queues.
+    signature has one.  A code the state's entry links books its outcome
+    there too; otherwise _Transitions.step checks the slot, and a clean
+    step out of a revisited state of an unlogged run is linked.
     """
     K = model.cfg.K
-    ids_x = [x.id for x in model.supply_states]
-    ids_y = [y.id for y in model.demand_states]
-    n_y = len(ids_y)
-    n_s = len(ids_x) * n_y
+    n_y = len(model.demand_states)
+    # the (x, y) state ids of each state index
+    ids = [(x.id, y.id) for x in model.supply_states for y in model.demand_states]
+    n_s = len(ids)
     demand = rs.generator(_CH_DEMAND)
     tphi = 0.0
     # Q is the queue tuple, or None after a link until a slot needs it; q
@@ -454,8 +475,11 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     # the band too (_Transitions).
     q = run.encode(Q)
     memo: dict = {}  # q * n_s + s -> decision
-    links: dict = {}  # s * n_code + demand code -> outcome, per checked revisit
-    n_code = math.prod(n + 1 for n in model.cfg.D_max)
+    # q * n_s + s -> (its signature's code table, {demand code: outcome})
+    # of a state revisited after a clean checked step; unlinked stands for
+    # every other state, and an untabled signature's table is never current
+    links: dict = {}
+    unlinked = ((None,), {})
     # The demand buffer, as an array for the code tables and a list to
     # count; drawn is the stream offset of its end, which dates the tables.
     arr = np.empty(0)
@@ -465,6 +489,15 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     for t0 in range(0, len(states), _CHUNK):
         for t, s in enumerate(states[t0 : t0 + _CHUNK].tolist(), t0):
             key = q * n_s + s
+            tab, outs = links.get(key, unlinked)
+            if tab[0] == drawn:
+                out = outs.get(tab[1][pos])
+                if out is not None:
+                    pos += tab[2]
+                    tphi += out[0]
+                    q += out[5]
+                    Q = None
+                    continue
             dec = memo.get(key)
             revisit = dec is not None
             code = -1
@@ -514,7 +547,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                     pos = end
                     code = code * (n + 1) + d
 
-            out = links.get(key * n_code + code)
+            out = outs.get(code)
             if out is not None:
                 Qn, nq = None, q + out[5]
             else:
@@ -525,17 +558,15 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 if Q is None:
                     Q = run.decode(q)
                 Qn, nq, clean = run.step(t, Q, out)
-                if clean and revisit:
-                    links[key * n_code + code] = out
-            phi = out[0]
-            tphi += phi
+                # a logged run links nothing, so no slot skips its row and
+                # its queues are always decoded
+                if clean and revisit and log is None:
+                    links.setdefault(key, (dec[6] or unlinked[0], {}))[1][code] = out
+            tphi += out[0]
             if log is not None:
-                if Q is None:
-                    Q = run.decode(q)
-                xi, yi = divmod(s, n_y)
                 A, _, Z, P = dec[:4]
-                row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), phi, phi)
-                log.append((t, ids_x[xi], ids_y[yi], Q, *row, tphi / (t + 1)))
+                row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), out[0], out[0])
+                log.append((t, *ids[s], Q, *row, tphi / (t + 1)))
             Q, q = Qn, nq
     return tphi, run.decode(q) if Q is None else Q
 
@@ -807,13 +838,13 @@ def _online_setup(ec: EpisodeConfig, model: Model):
             sells = [o[p] for o, z, p in zip(offers[yi], Z, P) if z]
             # the demand-code table of the offers' (threshold, D_max) pairs:
             # [stream offset it was built at, codes, width, reads without
-            # it], or None where the slot loop always counts: no offer, an
-            # offer wider than _CHUNK, or codes that could outgrow int64
+            # it], or None where the slot loop always counts: offers wider
+            # than _CHUNK, or codes that could outgrow int64
             sig = tuple(map(pr_n, sells))
             if sig not in tables:
                 width = sum(n for _, n in sig)
                 n_sig = math.prod(n + 1 for _, n in sig)
-                tabled = 0 < width <= _CHUNK and n_sig <= 2**62
+                tabled = width <= _CHUNK and n_sig <= 2**62
                 tables[sig] = [-1, None, width, 0] if tabled else None
             tab = tables[sig]
             dec = decisions[dkey] = (A, purchase_cost(A, x), Z, P, sells, {}, tab)
@@ -933,6 +964,7 @@ def summarize(metrics: list[Metrics], net: bool = False) -> ReplicationSummary:
     """Mean and standard error of the replications' average realized profit."""
     if not metrics:
         raise InputError("summarize needs the metrics of at least 1 episode")
+    check_class("metrics entry", Metrics, *metrics)
     vals = [
         (m.net_total_phi_actual if net else m.total_phi_actual) / m.horizon
         for m in metrics

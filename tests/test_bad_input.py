@@ -622,6 +622,54 @@ def test_summarize_needs_an_episode():
     _raises(InputError, message, summarize, [])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: run_episode(_ec(process_x=None), make_i1()),
+            "process_x must be of class StateProcessSpec, got NoneType",
+        ),
+        (
+            lambda: run_episode(_ec(process_y="d0"), make_i1()),
+            "process_y must be of class StateProcessSpec, got str",
+        ),
+        (
+            lambda: run_episode(_ec(controller="oracle", oracle_policy="x"), make_i1()),
+            "oracle_policy must be of class OraclePolicy, got str",
+        ),
+        (
+            lambda: run_episode(None, make_i1()),
+            "ec must be of class EpisodeConfig, got NoneType",
+        ),
+        (
+            lambda: run_episode(_ec(), None),
+            "model must be of class Model, got NoneType",
+        ),
+        (
+            lambda: check_profit_bound(make_i1().cfg, None, None, 10.0, 50),
+            "model must be of class Model, got PlantConfig",
+        ),
+        (
+            lambda: summarize([1, 2]),
+            "metrics entry must be of class Metrics, got int",
+        ),
+    ],
+    ids=[
+        "process-none",
+        "process-string",
+        "policy-string",
+        "ec-none",
+        "model-none",
+        "bound-check-config",
+        "summarize-ints",
+    ],
+)
+def test_arguments_of_the_wrong_class(call, message):
+    # each used to raise AttributeError, which the command line reports as
+    # an internal fault (exit 3)
+    _raises(InputError, message, call)
+
+
 def _dear_i1():
     # unit cost 2 against c_max 2: buying both units that A_max and
     # available allow would spend 4

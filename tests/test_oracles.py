@@ -27,6 +27,7 @@ from plantsim.oracles import (
     optimal_profit,
     product_options,
     two_price_reduce,
+    _best_pair_mix,
     _reduce_one,
 )
 from plantsim.processes import empirical_distribution
@@ -554,6 +555,15 @@ def test_brute_force_i1():
     res = brute_force_opt(model, one(1), one(1))
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert res.is_pure
+
+
+def test_pair_mix_with_no_feasible_mixture_is_minus_inf():
+    # rows are (profit, slack of material 0): no mixture of two points with
+    # negative slack, nor a point with itself, has a nonnegative slack
+    pts = np.array([[1.0, -1.0], [2.0, -2.0]])
+    assert _best_pair_mix(pts) == -np.inf
+    # one point of positive slack makes the pair (and itself) feasible
+    assert _best_pair_mix(np.array([[1.0, -1.0], [2.0, 1.0]])) == 2.0
 
 
 def test_brute_force_guard():

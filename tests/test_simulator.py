@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import replace
 from operator import le
@@ -1122,6 +1124,87 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
             ends = draws[-1].ends
             seen["refills in a slot"] += _straddles(new["log"], model.cfg.D_max, ends)
     assert min(seen.values()) >= 3, seen
+
+
+# The lines of _slot_loop's `continue`s: one, its fast path's last.  They
+# are read when the tests are collected, from the source that was imported,
+# so an edit to simulator.py while the suite runs cannot move them.
+_lines, _first = inspect.getsourcelines(sim._slot_loop)
+_CONTINUES = [_first + i for i, t in enumerate(_lines) if t.strip() == "continue"]
+
+
+def _fast_slots(call):
+    """call() and the number of slots the slot loop served on its fast path.
+
+    Those are the runs of _slot_loop's one `continue` line, counted by a
+    line tracer on _slot_loop frames alone.  Every event still reaches the
+    tracer set before, if there is one.
+    """
+    code = sim._slot_loop.__code__
+    [line] = _CONTINUES
+    count = 0
+    outer = sys.gettrace()
+
+    def trace(frame, event, arg):
+        inner = outer(frame, event, arg) if outer else None
+        if frame.f_code is not code:
+            return inner
+
+        def local(frame, event, arg):
+            nonlocal count, inner
+            count += event == "line" and frame.f_lineno == line
+            if inner is not None:
+                inner = inner(frame, event, arg)
+            return local
+
+        return local
+
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(outer)
+    return result, count
+
+
+@pytest.mark.parametrize("chunk", [16, 64])
+def test_linked_slots_take_the_fast_path(monkeypatch, chunk):
+    """Linked slots skip the checked path and the run still equals the reference.
+
+    Per random plant, with IID, MARKOV and TRACE processes, an unlogged
+    online run serves at least 5 slots by the fast path (a linked state
+    whose current table gives a linked code) and equals the slot-by-slot
+    reference bit for bit.  The same run logged links nothing, so it serves
+    none and writes every row; it equals the reference, log included, and
+    its metrics, log aside, are the unlogged run's.  With _CHUNK patched
+    small, at least 3 runs draw 10 or more buffers, so their tables go
+    stale inside the run; a plant that never offers draws none.
+    """
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    rng = np.random.default_rng(20261021 + chunk)
+    H = 1000
+    modes = (IID, MARKOV, TRACE)
+    refilled = 0
+    for i in range(9):
+        model = _random_plant(rng)
+        ids_x = [x.id for x in model.supply_states]
+        ids_y = [y.id for y in model.demand_states]
+        px = _random_process(rng, ids_x, modes[i % 3], H)
+        py = _random_process(rng, ids_y, modes[i // 3 % 3], H)
+        V = float(rng.choice([1.0, 2.0, 5.0]))
+        ec = EpisodeConfig(horizon=H, seed=i, V=V, process_x=px, process_y=py)
+        (ref, new), fast = _fast_slots(lambda: _both(ec, model))
+        assert ref == new and isinstance(ref, dict), i
+        assert fast >= 5, (i, fast)
+        logged = replace(ec, record_log=True)
+        (ref, new_logged), fast = _fast_slots(lambda: _both(logged, model))
+        assert ref == new_logged and fast == 0, (i, fast)
+        assert len(new_logged["log"]) == H
+        assert {**new_logged, "log": None} == new, i
+        d_max = model.cfg.D_max
+        drawn = sum(d for row in new_logged["log"] for z, d in zip(row[5], d_max) if z)
+        refilled += drawn >= 10 * chunk
+    assert refilled >= 3, refilled
 
 
 def _never_buy(policy, M):

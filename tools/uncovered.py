@@ -2,14 +2,16 @@
 
     python tools/uncovered.py [PYTEST ARG ...]
 
-It sets a line tracer (sys.settrace) before plantsim is imported, runs
-pytest.main on tests/ in this process, with any extra arguments, and
-prints per file each statement of src/plantsim that never ran, by line
-number and first line.  A statement counts as run when any line of its
-own span ran.  For a compound statement (def, class, if, for, while,
-with, try) that span is its header: the lines before its body, and a
-definition's decorators.  Docstrings and global or nonlocal declarations
-are not statements here.
+It reads the text of every file of src/plantsim, sets a line tracer
+(sys.settrace) before plantsim is imported, runs pytest.main on tests/ in
+this process, with any extra arguments, and prints per file each
+statement of src/plantsim that never ran, by line number and first line.
+Statements are parsed from the text read at the start, so a file edited
+while the suite runs cannot shift their line numbers.  A statement counts
+as run when any line of its own span ran.  For a compound statement
+(def, class, if, for, while, with, try) that span is its header: the
+lines before its body, and a definition's decorators.  Docstrings and
+global or nonlocal declarations are not statements here.
 
 It exits 0 whatever the tests do, and is not part of the test suite.
 Tracing slows the suite several times over, so a test that holds a time
@@ -86,6 +88,7 @@ def main(argv: list[str]) -> int:
         return local if mine else None
 
     os.chdir(ROOT)
+    sources = {path: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
     import pytest  # plantsim is first imported by the tests
 
     sys.settrace(trace)
@@ -99,8 +102,7 @@ def main(argv: list[str]) -> int:
         lines.setdefault(Path(os.path.realpath(name)), set()).update(hit)
     print(f"\npytest exit code {int(code)}; statements of src/plantsim never run:")
     total = 0
-    for path in sorted(PACKAGE.rglob("*.py")):
-        source = path.read_text()
+    for path, source in sources.items():
         text = source.splitlines()
         hit = lines.get(path, set())
         missed = [
