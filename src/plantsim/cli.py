@@ -142,8 +142,7 @@ def cmd_simulate(args, sc: Scenario) -> int:
         f"(bound {m0.drift_bound:g})"
     )
     violations = sum(r.bound_violations for r in runs)
-    mismatches = sum(r.phi_mismatch_slots for r in runs)
-    print(f"bound violations: {violations}  fulfillment mismatches: {mismatches}")
+    print(f"bound violations: {violations}")
     if ec.assembly_delay:
         print(f"startup cost: {m0.startup_cost:g}")
         net = summarize(runs, net=True)

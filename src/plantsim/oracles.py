@@ -35,6 +35,7 @@ from plantsim.model import (
     Model,
     PlantConfig,
     SupplyState,
+    check_class,
     check_int,
     check_seq,
     purchase_cost,
@@ -133,6 +134,7 @@ def build_profit_lp(model: Model, pi_x, pi_y) -> ProfitLp:
     their vectors: spend is an exact integer (at most c_max <= 2**53), so
     -w * spend and w * A round as the per-vector Python arithmetic did.
     """
+    check_class("model", Model, model)
     cfg = model.cfg
     pi_x = check_distribution(pi_x, len(model.supply_states), "pi_x")
     pi_y = check_distribution(pi_y, len(model.demand_states), "pi_y")
@@ -310,6 +312,8 @@ def extract_xy_policy(plp: ProfitLp, sol: LpSolution) -> OraclePolicy:
     consumption to within 1e-9, which guards the bookkeeping end to end.
     A state of probability 0 (an empty block) comes out idle.
     """
+    check_class("plp", ProfitLp, plp)
+    check_class("sol", LpSolution, sol)
     model, cfg = plp.model, plp.model.cfg
     n_x, n_y = len(model.supply_states), len(model.demand_states)
 
@@ -410,6 +414,7 @@ def brute_force_opt(model: Model, pi_x, pi_y) -> BruteForceResult:
     InstanceTooLarge beyond two states per process, two products, two
     materials or three prices.
     """
+    check_class("model", Model, model)
     cfg = model.cfg
     if (
         len(model.supply_states) > 2
@@ -586,6 +591,8 @@ def two_price_reduce(policy: OraclePolicy, model: Model) -> TwoPricePolicy:
     and checked as playback reads them (_read_offers); purchase_dist is not
     read.
     """
+    check_class("policy", OraclePolicy, policy)
+    check_class("model", Model, model)
     cfg = model.cfg
     entries: list[list[TwoPriceEntry]] = []
     for k, (ps, dists) in enumerate(zip(cfg.price_set, _read_offers(policy, model))):
@@ -683,6 +690,7 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     with the distinct states, not with T.  Staying idle is feasible, so the
     value is never negative.  An entry that is not an index in [0, n) raises InputError.
     """
+    check_class("model", Model, model)
     message = "xs and ys must be equally long and non-empty"
     n = len(check_seq("xs", xs, message=message))
     check_seq("ys", ys, n, message=message)

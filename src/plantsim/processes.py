@@ -16,7 +16,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from plantsim.model import DemandState, InputError, PlantConfig, check_int, check_seq
+from plantsim.model import DemandState, InputError, PlantConfig, check_class
+from plantsim.model import check_int, check_seq
 
 IID = "IID"
 MARKOV = "MARKOV"
@@ -157,6 +158,7 @@ def generate_states(
     array in every mode, never a view of a TRACE spec's own array, so the
     caller may change it in place.
     """
+    check_class("spec", StateProcessSpec, spec)
     horizon = check_int("horizon", horizon)
     if spec.mode == IID:
         cum = _cumulative(spec.probs)
@@ -185,6 +187,7 @@ def stationary_distribution(spec: StateProcessSpec) -> np.ndarray:
     irreducible chain, so slowly mixing chains cost no more than fast ones.
     Rounding negatives are clipped and the result renormalized.
     """
+    check_class("spec", StateProcessSpec, spec)
     if spec.mode != MARKOV:
         raise InputError("stationary_distribution applies to MARKOV processes")
     T = np.asarray(spec.transition, dtype=float)

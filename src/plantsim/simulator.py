@@ -53,10 +53,11 @@ store: when s has an entry whose table is of the current buffer and
 whose code at the slot's start is linked, the slot only books the
 outcome's profit and adds its change to q.  The short-slot and band
 checks and the queue-extreme and drift records it skips are functions of
-that transition and were done.  Every other slot takes the checked path
-(decide or the memo, the code table or counting, _outcome and
-_Transitions.step), which still reads a linked outcome from the same
-entry before it steps.  So a count-only run counts every queue below
+that transition and were done.  Every other slot takes the checked path:
+decide or the memo, counting its demand code from the buffered uniforms,
+then _outcome and _Transitions.step, unless the state's entry links that
+code, whose outcome it books without a step.  Either way it adds the
+outcome's change to q.  So a count-only run counts every queue below
 mu_max, and only those, and links the clean transitions out of states
 below the band too.
 
@@ -64,16 +65,17 @@ A slot's demand code depends only on its decision's signature, the
 offered products' (threshold, D_max[k]) pairs in order, and on where the
 slot starts in the demand stream.  The loop buffers the demand uniforms,
 at least _CHUNK at a time, and keeps a code table per signature: the code
-from every start in the buffer, computed in numpy and read with one list
-index.  A table is built once revisited states have read its signature
-_TABLE_AFTER times without a table of the current buffer.  It is dated by
-the stream offset of the buffer's end, so a refill leaves the old tables
-stale without touching them; a stale table is dropped on its next read.
-A first visit, and a read without a table, counts the uniforms one by
-one; a signature wider than _CHUNK or one whose codes could outgrow int64
-never gets a table.  A signature with no offer gets one like any other:
-its codes are all 0, and it lets the states that offer nothing take the
-link store's fast path (above) too.
+from every start in the buffer, computed in numpy.  Only the fast path
+reads a table, with one list index; every checked slot counts its
+uniforms one by one.  A table is built once checked slots of revisited
+states have met its signature _TABLE_AFTER times without a table of the
+current buffer.  It is dated by the stream offset of the buffer's end, so
+a refill leaves the old tables stale without touching them; the next
+checked slot to meet a stale table drops it.  A signature wider than
+_CHUNK or one whose codes could outgrow int64 never gets a table.  A
+signature with no offer gets one like any other: its codes are all 0,
+and it lets the states that offer nothing take the link store's fast
+path (above) too.
 
 The block driver plays up to _CHUNK slots, and at most 2**16 demand
 uniforms, at a time: it draws the block's policy and demand uniforms,
@@ -137,6 +139,7 @@ from plantsim.model import (
     Model,
     check_class,
     check_int,
+    check_seq,
     material_usage,
     purchase_cost,
     schedule_fulfillment,
@@ -166,9 +169,10 @@ _CH_POLICY = 3
 # repeated scalar calls, so any grouping of the draws reproduces the plain
 # call-by-call sequence.
 _CHUNK = 1 << 12
-# The slot loop tables a signature on its this-many-th read without a table
-# of the current buffer.  A build costs about as much as counting 100 slots
-# one by one, so a signature read only a few times per buffer is cheaper to
+# The slot loop tables a signature, for its fast path to read, when checked
+# slots of revisited states have met it this many times without a table of
+# the current buffer.  A build costs about as much as counting 100 slots one
+# by one, so a signature met only a few times per buffer is cheaper to
 # count.
 _TABLE_AFTER = 8
 
@@ -309,13 +313,14 @@ class _Transitions:
         return tuple(Q)
 
     def step(self, t: int, Q: tuple, out) -> tuple:
-        """(next Q, its code, clean) of slot t from Q, under outcome out.
+        """(next Q, clean) of slot t from Q, under outcome out.
 
-        A short slot (the queues do not cover the demand) always raises
-        InvariantViolation.  A queue below the band raises too, or is
-        counted in a count-only run; a queue outside [0, hi] always raises.
-        clean is true when nothing was counted, so the transition may be
-        linked.
+        The slot loop moves the state code q by out's change itself, so
+        step computes no code.  A short slot (the queues do not cover the
+        demand) always raises InvariantViolation.  A queue below the band
+        raises too, or is counted in a count-only run; a queue outside
+        [0, hi] always raises.  clean is true when nothing was counted, so
+        the transition may be linked.
         """
         _, _, used, diff, bt, _ = out
         if any(map(gt, used, Q)):
@@ -340,7 +345,7 @@ class _Transitions:
                 clean = False
         if bt > self.max_bt:
             self.max_bt = bt
-        return tuple(Qn), sum(map(mul, Qn, self.radix)), clean
+        return tuple(Qn), clean
 
 
 def _check_state_ids(
@@ -456,12 +461,13 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     code in the link store: an entry whose code table is of the current
     buffer, with the code at pos linked, serves the slot by advancing pos,
     booking the outcome's profit and moving q, without decoding the queues.
-    Every other slot takes the checked path.  Its demand code is counted
-    one uniform at a time on a first visit to its state; a revisited state
-    reads it from its signature's code table (_code_table) once the
-    signature has one.  A code the state's entry links books its outcome
-    there too; otherwise _Transitions.step checks the slot, and a clean
-    step out of a revisited state of an unlogged run is linked.
+    Every other slot takes the checked path, which counts its demand code
+    one uniform at a time and reads no code table; a revisited state there
+    only dates its signature's table and builds it (_code_table) on the
+    _TABLE_AFTER-th slot without a current one.  A code the state's entry
+    links books its outcome there too; otherwise _Transitions.step checks
+    the slot, and a clean step out of a revisited state of an unlogged run
+    is linked.  Every slot moves q by its outcome's change.
     """
     K = model.cfg.K
     n_y = len(model.demand_states)
@@ -500,56 +506,46 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                     continue
             dec = memo.get(key)
             revisit = dec is not None
-            code = -1
             if not revisit:
                 if Q is None:
                     Q = run.decode(q)
                 dec = memo[key] = decide(Q, *divmod(s, n_y))
-            elif dec[6] is not None:
+            elif dec[6] is not None and dec[6][0] != drawn:
+                # No table of this buffer: the signature is tabled, for the
+                # fast path, on the _TABLE_AFTER-th such slot.
                 tab = dec[6]
-                if tab[0] == drawn:
-                    code = tab[1][pos]
-                else:
-                    tab[1] = None  # built before the last refill
-                if code < 0:
-                    # No table of this buffer, or the slot's uniforms cross
-                    # its end: the signature is tabled on its
-                    # _TABLE_AFTER-th such read.
-                    tab[3] += 1
-                    if tab[3] >= _TABLE_AFTER:
-                        if pos + tab[2] > len(buf):
-                            arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
-                        tab[:] = drawn, _code_table(arr, pos, dec[4]), tab[2], 0
-                        code = tab[1][pos]
-            if code >= 0:
-                pos += tab[2]
-            else:
-                # Each offered product's demand d as one digit of radix
-                # D_max[k] + 1, the first product's the most significant.
-                code = 0
-                for _, _, pr, n, _ in dec[4]:
-                    end = pos + n
-                    d = 0
-                    if end > len(buf):
-                        if n > _CHUNK:
-                            # counted in numpy, over the same uniforms
-                            rest = demand.random(end - len(buf))
-                            drawn += len(rest)
-                            d = int(np.count_nonzero(arr[pos:] < pr))
-                            d += int(np.count_nonzero(rest < pr))
-                            arr, buf, pos, end = arr[:0], [], 0, 0
-                        else:
-                            arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
-                            end = n
-                    for u in buf[pos:end]:
-                        if u < pr:
-                            d += 1
-                    pos = end
-                    code = code * (n + 1) + d
+                tab[1] = None  # built before the last refill
+                tab[3] += 1
+                if tab[3] >= _TABLE_AFTER:
+                    if pos + tab[2] > len(buf):
+                        arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
+                    tab[:] = drawn, _code_table(arr, pos, dec[4]), tab[2], 0
+            # Each offered product's demand d as one digit of radix
+            # D_max[k] + 1, the first product's the most significant.
+            code = 0
+            for _, _, pr, n, _ in dec[4]:
+                end = pos + n
+                d = 0
+                if end > len(buf):
+                    if n > _CHUNK:
+                        # counted in numpy, over the same uniforms
+                        rest = demand.random(end - len(buf))
+                        drawn += len(rest)
+                        d = int(np.count_nonzero(arr[pos:] < pr))
+                        d += int(np.count_nonzero(rest < pr))
+                        arr, buf, pos, end = arr[:0], [], 0, 0
+                    else:
+                        arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
+                        end = n
+                for u in buf[pos:end]:
+                    if u < pr:
+                        d += 1
+                pos = end
+                code = code * (n + 1) + d
 
             out = outs.get(code)
             if out is not None:
-                Qn, nq = None, q + out[5]
+                Qn = None
             else:
                 outcomes = dec[5]
                 out = outcomes.get(code)
@@ -557,7 +553,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                     out = outcomes[code] = _outcome(dec, code, K, run.radix)
                 if Q is None:
                     Q = run.decode(q)
-                Qn, nq, clean = run.step(t, Q, out)
+                Qn, clean = run.step(t, Q, out)
                 # a logged run links nothing, so no slot skips its row and
                 # its queues are always decoded
                 if clean and revisit and log is None:
@@ -567,7 +563,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 A, _, Z, P = dec[:4]
                 row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), out[0], out[0])
                 log.append((t, *ids[s], Q, *row, tphi / (t + 1)))
-            Q, q = Qn, nq
+            Q, q = Qn, q + out[5]
     return tphi, run.decode(q) if Q is None else Q
 
 
@@ -945,6 +941,7 @@ def _bisect_rows(table: np.ndarray, states, u) -> np.ndarray:
 
 def run_replications(ec: EpisodeConfig, model: Model, n: int) -> list[Metrics]:
     """Run n replications differing only in their stream id; the first keeps its log."""
+    check_class("ec", EpisodeConfig, ec)
     n = check_int("n", n, 1, message=f"need at least 1 replication, got {n!r}")
     log = ec.record_log  # one log only, however many replications
     return [
@@ -962,7 +959,7 @@ class ReplicationSummary:
 
 def summarize(metrics: list[Metrics], net: bool = False) -> ReplicationSummary:
     """Mean and standard error of the replications' average realized profit."""
-    if not metrics:
+    if len(check_seq("metrics", metrics)) == 0:
         raise InputError("summarize needs the metrics of at least 1 episode")
     check_class("metrics entry", Metrics, *metrics)
     vals = [
@@ -1087,6 +1084,7 @@ def _lyapunov(model: Model, theta) -> float:
 
 
 def process_distribution(spec: StateProcessSpec) -> np.ndarray:
+    check_class("spec", StateProcessSpec, spec)
     if spec.mode == IID:
         return np.asarray(spec.probs, dtype=float)
     if spec.mode == MARKOV:
@@ -1166,6 +1164,8 @@ def log_header(model: Model) -> list[str]:
 
 def write_slot_log(path: str, model: Model, metrics: Metrics) -> None:
     """Write the per-slot log as CSV with 9-significant-digit floats."""
+    check_class("model", Model, model)
+    check_class("metrics", Metrics, metrics)
     if metrics.log is None:
         raise InputError("episode was run without record_log")
     with open(path, "w") as fh:

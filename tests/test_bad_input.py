@@ -30,6 +30,7 @@ from plantsim.model import (
 from plantsim.oracles import (
     InstanceTooLarge,
     brute_force_opt,
+    build_profit_lp,
     extract_xy_policy,
     frame_values,
     lookahead_value,
@@ -56,6 +57,7 @@ from plantsim.simulator import (
     run_episode,
     run_replications,
     summarize,
+    write_slot_log,
 )
 
 from conftest import make_i1, make_i1_cfg, make_two_phase
@@ -653,6 +655,63 @@ def test_summarize_needs_an_episode():
             lambda: summarize([1, 2]),
             "metrics entry must be of class Metrics, got int",
         ),
+        (
+            lambda: run_replications(None, make_i1(), 2),
+            "ec must be of class EpisodeConfig, got NoneType",
+        ),
+        (
+            lambda: optimal_profit(None, [1.0], [1.0]),
+            "model must be of class Model, got NoneType",
+        ),
+        (
+            lambda: build_profit_lp(None, [1.0], [1.0]),
+            "model must be of class Model, got NoneType",
+        ),
+        (
+            lambda: brute_force_opt(None, [1.0], [1.0]),
+            "model must be of class Model, got NoneType",
+        ),
+        (
+            lambda: lookahead_value(None, [0], [0]),
+            "model must be of class Model, got NoneType",
+        ),
+        (
+            lambda: frame_values(None, [0, 0], [0, 0], 1, 2),
+            "model must be of class Model, got NoneType",
+        ),
+        (
+            lambda: check_frame_bound(None, [0, 0], [0, 0], 10.0, 1, 2),
+            "model must be of class Model, got NoneType",
+        ),
+        (
+            lambda: extract_xy_policy(None, None),
+            "plp must be of class ProfitLp, got NoneType",
+        ),
+        (
+            lambda: two_price_reduce("x", make_i1()),
+            "policy must be of class OraclePolicy, got str",
+        ),
+        (
+            lambda: process_distribution(None),
+            "spec must be of class StateProcessSpec, got NoneType",
+        ),
+        (
+            lambda: generate_states(None, 5, np.random.default_rng(0)),
+            "spec must be of class StateProcessSpec, got NoneType",
+        ),
+        (
+            lambda: stationary_distribution(None),
+            "spec must be of class StateProcessSpec, got NoneType",
+        ),
+        (
+            lambda: summarize(5),
+            "metrics must be a sequence, got 5",
+        ),
+        (
+            # raises before the file is opened
+            lambda: write_slot_log("slot-log.csv", make_i1(), None),
+            "metrics must be of class Metrics, got NoneType",
+        ),
     ],
     ids=[
         "process-none",
@@ -662,6 +721,20 @@ def test_summarize_needs_an_episode():
         "model-none",
         "bound-check-config",
         "summarize-ints",
+        "replications-ec-none",
+        "optimal-profit-none",
+        "profit-lp-none",
+        "brute-force-none",
+        "lookahead-none",
+        "frame-values-none",
+        "frame-bound-none",
+        "extract-none",
+        "two-price-string",
+        "process-distribution-none",
+        "generate-states-none",
+        "stationary-none",
+        "summarize-number",
+        "slot-log-none",
     ],
 )
 def test_arguments_of_the_wrong_class(call, message):

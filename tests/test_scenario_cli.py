@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -853,7 +855,7 @@ def test_cli_simulate_assembly_delay_output(tmp_path):
         "mean avg profit: 0.4845  (se 0.00075)\n"
         "material 1: queue range [2, 10], band [2, 21]\n"
         "max slot drift: 2  (bound 2)\n"
-        "bound violations: 0  fulfillment mismatches: 0\n"
+        "bound violations: 0\n"
         "startup cost: 1\n"
         "mean avg profit net of startup: 0.484\n"
     )
@@ -864,6 +866,21 @@ def test_cli_compare_epsilon_on_iid_scenario_exits_one():
         ["compare", "--scenario", I1_PATH, "--epsilon", "0.05", "--T", "8"]
     )
     assert (code, out) == (1, "")
+    assert err == "error: --epsilon applies to Markov-modulated scenarios\n"
+
+
+def test_cli_module_exits_with_mains_code(monkeypatch, capsys):
+    # `python -m plantsim.cli` ends in sys.exit(main()); runpy warns (an
+    # error under this suite's filterwarnings) when the module is already
+    # imported, so it runs from a fresh copy
+    argv = ["compare", "--scenario", I1_PATH, "--epsilon", "0.05", "--T", "8"]
+    monkeypatch.setattr(sys, "argv", ["plantsim", *argv])
+    monkeypatch.delitem(sys.modules, "plantsim.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("plantsim.cli", run_name="__main__")
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err == "error: --epsilon applies to Markov-modulated scenarios\n"
 
 

@@ -1167,6 +1167,36 @@ def _fast_slots(call):
     return result, count
 
 
+def _seeded_run(rng, i, H):
+    """A random plant and an unlogged H-slot online run of it.
+
+    Its supply and demand processes cycle through IID, MARKOV and TRACE
+    with i, the supply process fastest.
+    """
+    modes = (IID, MARKOV, TRACE)
+    model = _random_plant(rng)
+    ids_x = [x.id for x in model.supply_states]
+    ids_y = [y.id for y in model.demand_states]
+    px = _random_process(rng, ids_x, modes[i % 3], H)
+    py = _random_process(rng, ids_y, modes[i // 3 % 3], H)
+    V = float(rng.choice([1.0, 2.0, 5.0]))
+    return model, EpisodeConfig(horizon=H, seed=i, V=V, process_x=px, process_y=py)
+
+
+def _check_fast_path(model, ec):
+    """The fast-path rules of run ec, unlogged and logged; the logged metrics."""
+    i = ec.seed
+    (ref, new), fast = _fast_slots(lambda: _both(ec, model))
+    assert ref == new and isinstance(ref, dict), i
+    assert fast >= 5, (i, fast)
+    logged = replace(ec, record_log=True)
+    (ref, new_logged), fast = _fast_slots(lambda: _both(logged, model))
+    assert ref == new_logged and fast == 0, (i, fast)
+    assert len(new_logged["log"]) == ec.horizon
+    assert {**new_logged, "log": None} == new, i
+    return new_logged
+
+
 @pytest.mark.parametrize("chunk", [16, 64])
 def test_linked_slots_take_the_fast_path(monkeypatch, chunk):
     """Linked slots skip the checked path and the run still equals the reference.
@@ -1178,33 +1208,34 @@ def test_linked_slots_take_the_fast_path(monkeypatch, chunk):
     none and writes every row; it equals the reference, log included, and
     its metrics, log aside, are the unlogged run's.  With _CHUNK patched
     small, at least 3 runs draw 10 or more buffers, so their tables go
-    stale inside the run; a plant that never offers draws none.
+    stale inside the run; a plant that never offers draws none.  Many
+    random plants never offer, so five more plants are ones that sell: the
+    first draws of a second seed whose reference run sells (5 of its first
+    6), each logged run selling at least one unit.
     """
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     rng = np.random.default_rng(20261021 + chunk)
     H = 1000
-    modes = (IID, MARKOV, TRACE)
     refilled = 0
     for i in range(9):
-        model = _random_plant(rng)
-        ids_x = [x.id for x in model.supply_states]
-        ids_y = [y.id for y in model.demand_states]
-        px = _random_process(rng, ids_x, modes[i % 3], H)
-        py = _random_process(rng, ids_y, modes[i // 3 % 3], H)
-        V = float(rng.choice([1.0, 2.0, 5.0]))
-        ec = EpisodeConfig(horizon=H, seed=i, V=V, process_x=px, process_y=py)
-        (ref, new), fast = _fast_slots(lambda: _both(ec, model))
-        assert ref == new and isinstance(ref, dict), i
-        assert fast >= 5, (i, fast)
-        logged = replace(ec, record_log=True)
-        (ref, new_logged), fast = _fast_slots(lambda: _both(logged, model))
-        assert ref == new_logged and fast == 0, (i, fast)
-        assert len(new_logged["log"]) == H
-        assert {**new_logged, "log": None} == new, i
+        model, ec = _seeded_run(rng, i, H)
+        new_logged = _check_fast_path(model, ec)
         d_max = model.cfg.D_max
         drawn = sum(d for row in new_logged["log"] for z, d in zip(row[5], d_max) if z)
         refilled += drawn >= 10 * chunk
     assert refilled >= 3, refilled
+
+    rng = np.random.default_rng(20261037)
+    selling = []
+    for i in range(6):
+        model, ec = _seeded_run(rng, i, H)
+        ref = _reference_run_episode(replace(ec, record_log=True), model)
+        if any(any(row[7]) for row in ref.log):
+            selling.append((model, ec))
+    assert len(selling) == 5
+    for model, ec in selling:
+        new_logged = _check_fast_path(model, ec)
+        assert sum(sum(row[7]) for row in new_logged["log"]) >= 1, ec.seed
 
 
 def _never_buy(policy, M):
