@@ -152,6 +152,14 @@ def cmd_simulate(args, sc: Scenario) -> int:
     return 2 if violations else 0
 
 
+def _offers(prices, dist) -> str:
+    """Offer options (z, j, p) as text: "idle w.p. p; price 2 w.p. p"."""
+    return "; ".join(
+        ("idle" if z == 0 else f"price {prices[j]:g}") + f" w.p. {p:.4g}"
+        for z, j, p in dist
+    )
+
+
 def cmd_oracle(args, sc: Scenario) -> int:
     V, slots, seed, reps = _run_settings(args, sc)
     if args.slots is None and (args.seed, args.replications) != (None, None):
@@ -197,22 +205,14 @@ def cmd_oracle(args, sc: Scenario) -> int:
             f"{tuple(a)} w.p. {p:.4g}" for a, p in policy.purchase_dist[xi]
         ]
         print(f"purchase | x={x.id}: " + "; ".join(parts))
-    for k in range(model.cfg.K):
+    for k, prices in enumerate(model.cfg.price_set):
         for yi, y in enumerate(model.demand_states):
-            parts = []
-            for z, j, p in policy.price_dist[k][yi]:
-                label = "idle" if z == 0 else f"price {model.cfg.price_set[k][j]:g}"
-                parts.append(f"{label} w.p. {p:.4g}")
-            print(f"offer | product {k + 1}, y={y.id}: " + "; ".join(parts))
+            offers = _offers(prices, policy.price_dist[k][yi])
+            print(f"offer | product {k + 1}, y={y.id}: {offers}")
             ent = reduced.entries[k][yi]
-            parts = []
-            for z, j, w in ent.support:
-                label = "idle" if z == 0 else f"price {model.cfg.price_set[k][j]:g}"
-                parts.append(f"{label} w.p. {w:.4g}")
             print(
-                "  two-price form: "
-                + "; ".join(parts)
-                + f"  (revenue {ent.r_star:.6g}, was {ent.r_orig:.6g})"
+                f"  two-price form: {_offers(prices, ent.support)}"
+                f"  (revenue {ent.r_star:.6g}, was {ent.r_orig:.6g})"
             )
     if playback is not None:
         print(playback)
@@ -263,12 +263,13 @@ def cmd_compare(args, sc: Scenario) -> int:
         )
     if J is not None and args.slots is not None:
         raise ValidationError("--slots is unused: the frame bound runs J*T slots")
-    model = sc.model
+    if epsilon is not None and MARKOV not in (sc.process_x.mode, sc.process_y.mode):
+        raise ValidationError("--epsilon applies to Markov-modulated scenarios")
 
     if J is not None:
         xs, ys, T, J = _frame_split(sc, T, J)
         rep = check_frame_bound(
-            model, xs, ys, V, T, J, replications=reps, seed=seed
+            sc.model, xs, ys, V, T, J, replications=reps, seed=seed
         )
         print("frame values: " + " ".join(f"{v:.6g}" for v in rep.frame_values))
         print(
@@ -276,24 +277,17 @@ def cmd_compare(args, sc: Scenario) -> int:
             f"drift term: {rep.drift_term:.6g}  init term: {rep.init_term:.6g}"
         )
         print(f"bound: {rep.bound:.6g}")
-        print(f"controller: {rep.mean:.6g} (se {rep.se:.3g})")
-        print("PASS" if rep.passed else "FAIL")
-        return 0 if rep.passed else 2
-
-    if epsilon is not None and MARKOV not in (sc.process_x.mode, sc.process_y.mode):
-        raise ValidationError("--epsilon applies to Markov-modulated scenarios")
-    mixing = {} if epsilon is None else {"epsilon": epsilon, "T": T}
-    rep = check_profit_bound(
-        model, sc.process_x, sc.process_y, V, slots, reps, seed, **mixing
-    )
-    print(f"stationary optimum: {rep.phi_opt:.6g}")
-    if epsilon is None:
-        print(f"allowed gap B/V: {rep.slack:.6g}")
     else:
-        print(f"bound: {rep.rhs:.6g} (epsilon={epsilon:g}, T={T})")
+        mixing = {} if epsilon is None else {"epsilon": epsilon, "T": T}
+        rep = check_profit_bound(
+            sc.model, sc.process_x, sc.process_y, V, slots, reps, seed, **mixing
+        )
+        print(f"stationary optimum: {rep.phi_opt:.6g}")
+        if epsilon is None:
+            print(f"allowed gap B/V: {rep.slack:.6g}")
+        else:
+            print(f"bound: {rep.rhs:.6g} (epsilon={epsilon:g}, T={T})")
     print(f"controller: {rep.mean:.6g} (se {rep.se:.3g})")
-    if epsilon is None:
-        print(f"queue violations: {rep.violations}")
     print("PASS" if rep.passed else "FAIL")
     return 0 if rep.passed else 2
 

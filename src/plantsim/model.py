@@ -13,6 +13,7 @@ inventory.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import mul
@@ -173,6 +174,17 @@ def check_class(name, cls: type, *values) -> None:
             raise InputError(
                 f"{name} must be of class {cls.__name__}, got {type(value).__name__}"
             )
+
+
+def check_path(name, path, *, error=InputError) -> None:
+    """Raise error unless path is a file path: a str or an os.PathLike.
+
+    The path arguments' class check, which check_class cannot name: None
+    or a number would otherwise escape open as a TypeError, or an int be
+    read as a file descriptor.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise error(f"{name} must be a str or os.PathLike, got {type(path).__name__}")
 
 
 def _check_int_vector(name: str, vec, length: int, minimum=0, maximum=2**53) -> None:

@@ -159,6 +159,7 @@ def generate_states(
     caller may change it in place.
     """
     check_class("spec", StateProcessSpec, spec)
+    check_class("rng", np.random.Generator, rng)
     horizon = check_int("horizon", horizon)
     if spec.mode == IID:
         cum = _cumulative(spec.probs)

@@ -24,6 +24,7 @@ from plantsim.model import (
     Model,
     PlantConfig,
     SupplyState,
+    check_path,
     validate_config,
 )
 from plantsim.processes import IID, MARKOV, TRACE, StateProcessSpec
@@ -317,6 +318,7 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Read and parse a scenario file."""
+    check_path("path", path, error=ParseError)
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -139,6 +139,7 @@ from plantsim.model import (
     Model,
     check_class,
     check_int,
+    check_path,
     check_seq,
     material_usage,
     purchase_cost,
@@ -776,8 +777,10 @@ def _check_blind_tables(model: Model) -> None:
 
 
 def _sells(model: Model) -> list:
-    """sells[yi][k][j]: the sell entry of product k at menu index j in state yi.
+    """sells[yi][k][p]: the sell entry of product k at menu price p in state yi.
 
+    Keyed by price, since the online decisions post prices; a menu is
+    strictly ascending (validate_config), so its prices are distinct keys.
     The entry is (k, margin, threshold, D_max, feeders), where feeders lists
     the (m, beta[m][k]) of the materials k consumes: what the slot loop
     draws and books a sale by, and playback's offer rows read.
@@ -787,7 +790,7 @@ def _sells(model: Model) -> list:
     products = list(enumerate(zip(cfg.price_set, cfg.alpha, cfg.D_max, feeders)))
     return [
         [
-            [(k, p - a, f / n, n, cols) for p, f in zip(ps, F)]
+            {p: (k, p - a, f / n, n, cols) for p, f in zip(ps, F)}
             for (k, (ps, a, n, cols)), F in zip(products, y.F)
         ]
         for y in model.demand_states
@@ -813,12 +816,7 @@ def _online_setup(ec: EpisodeConfig, model: Model):
         state = init_state(cfg, params, ec.Q0)
     supply = model.supply_states
     demand = model.demand_states
-    # offers[yi][k][p]: the sell entry of product k at menu price p in
-    # demand state yi
-    offers = [
-        [dict(zip(ps, row)) for ps, row in zip(cfg.price_set, rows)]
-        for rows in _sells(model)
-    ]
+    offers = _sells(model)
 
     decisions: dict = {}
     tables: dict = {}  # signature -> its demand-code table
@@ -887,7 +885,7 @@ def _oracle_setup(ec: EpisodeConfig, model: Model):
             offer[-1].append([(z, ps[j] if z else ps[0]) for z, j in opts])
             offer_cum.append(_cumulative(p))
             # the sell entry's margin, threshold and D_max
-            offer_rows.append([row[j][1:4] if z else (0.0, 0.0, 0) for z, j in opts])
+            offer_rows.append([row[ps[j]][1:4] if z else (0.0, 0.0, 0) for z, j in opts])
     # option i of supply state xi is row xi * n_i + i of buys, and offer
     # option j of product k in demand state yi row (yi * K + k) * n_j + j
     # of offers
@@ -1000,7 +998,12 @@ def _bound_runs(
 
 @dataclass
 class ProfitBoundReport:
-    """Long-run profit of the controller vs the stationary optimum."""
+    """Long-run profit of the controller vs the stationary optimum.
+
+    violations is 0 in every report: a bound run keeps the band, so a
+    breach raises InvariantViolation before a report exists.  It stays
+    because the benchmark's sim-decide gate reads it.
+    """
 
     phi_opt: float
     rhs: float
@@ -1164,6 +1167,7 @@ def log_header(model: Model) -> list[str]:
 
 def write_slot_log(path: str, model: Model, metrics: Metrics) -> None:
     """Write the per-slot log as CSV with 9-significant-digit floats."""
+    check_path("path", path)
     check_class("model", Model, model)
     check_class("metrics", Metrics, metrics)
     if metrics.log is None:

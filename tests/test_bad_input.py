@@ -196,6 +196,17 @@ def test_scenario_file_that_is_not_json(tmp_path):
     _raises(ParseError, message, load_scenario, str(path))
 
 
+def test_scenario_path_of_the_wrong_class(tmp_path):
+    # refused before open, which would take an int for a file descriptor;
+    # a pathlib.Path loads as its str does
+    for path in (None, 0):
+        message = f"path must be a str or os.PathLike, got {type(path).__name__}"
+        _raises(ParseError, message, load_scenario, path)
+    path = tmp_path / "i1.scenario"
+    path.write_text(json.dumps(_i1()))
+    assert load_scenario(path).model == load_scenario(str(path)).model
+
+
 # --- processes ----------------------------------------------------------
 
 
@@ -712,6 +723,20 @@ def test_summarize_needs_an_episode():
             lambda: write_slot_log("slot-log.csv", make_i1(), None),
             "metrics must be of class Metrics, got NoneType",
         ),
+        (
+            lambda: write_slot_log(
+                None, make_i1(), run_episode(_ec(record_log=True), make_i1())
+            ),
+            "path must be a str or os.PathLike, got NoneType",
+        ),
+        (
+            lambda: generate_states(constant_process("s0"), 5, None),
+            "rng must be of class Generator, got NoneType",
+        ),
+        (
+            lambda: generate_states(constant_process("s0"), 5, "a"),
+            "rng must be of class Generator, got str",
+        ),
     ],
     ids=[
         "process-none",
@@ -735,6 +760,9 @@ def test_summarize_needs_an_episode():
         "stationary-none",
         "summarize-number",
         "slot-log-none",
+        "slot-log-path-none",
+        "generate-states-rng-none",
+        "generate-states-rng-string",
     ],
 )
 def test_arguments_of_the_wrong_class(call, message):

@@ -433,7 +433,6 @@ COMPARE_OUTPUTS = [
         "stationary optimum: 1\n"
         "allowed gap B/V: 0.2\n"
         "controller: 1.0022 (se 0.00537)\n"
-        "queue violations: 0\n"
         "PASS\n",
     ),
     (
@@ -442,7 +441,6 @@ COMPARE_OUTPUTS = [
         "stationary optimum: 0.833333\n"
         "allowed gap B/V: 0.2\n"
         "controller: 0.8395 (se 0.00445)\n"
-        "queue violations: 0\n"
         "PASS\n",
     ),
     (
@@ -896,3 +894,10 @@ def test_cli_invariant_violation_exits_two(monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("invariant violated: slot ")
     assert "left its band" in err
+    # a bound run keeps the band, so compare raises before its report and
+    # never prints a breach count
+    code, out, err = _run(["compare", "--scenario", I1_PATH, "--slots", "50"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "invariant violated: slot 12: queue 0 left its band: 28 not in [2, 26.0]\n"
+    )

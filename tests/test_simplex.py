@@ -133,6 +133,15 @@ def test_unbounded_detected():
         solve_lp(lp)
 
 
+def test_phase_one_unbounded_is_an_internal_fault():
+    # phase 1's objective is bounded by the artificials' sum, so a phase-1
+    # column with no ratio-test row is a fault of the tableau, never of the
+    # program: one row [0, 1 | 5], basis column 1, column 0 entering
+    T = np.array([[0.0, 1.0, 5.0]])
+    with pytest.raises(RuntimeError, match="phase 1 unbounded"):
+        simplex._iterate(T, np.array([1]), np.array([1.0, 0.0]), phase=1)
+
+
 def test_redundant_equalities_ok():
     lp = LinearProgram(
         c=[1.0, 1.0],
