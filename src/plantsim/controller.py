@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from numbers import Real
 from operator import lt, mul, sub
 
 import numpy as np
@@ -50,7 +49,9 @@ from plantsim.model import (
     InputError,
     PlantConfig,
     SupplyState,
+    check_class,
     check_int,
+    check_real,
     check_seq,
 )
 
@@ -154,7 +155,9 @@ def compute_theta(cfg: PlantConfig, V: float) -> list[float]:
     product could justify at weight V, the worst-case spend of the other
     materials feeding that product, and two slots of worst-case consumption.
     Materials no product consumes get threshold 0; they are never bought.
+    V may be 0 here, which leaves the buffer terms alone.
     """
+    check_real("V", V)
     mu_max = cfg.mu_max()
     theta = []
     for m in range(cfg.M):
@@ -183,19 +186,21 @@ def make_params(
 
     Larger overrides are accepted (the queue band just widens); smaller ones
     raise ThetaTooSmall unless allow_unsafe_theta is set, because they void
-    the full-fulfillment guarantee.
+    the full-fulfillment guarantee.  V and each theta entry go through
+    check_real, and the two flags must be bools.
     """
-    if isinstance(V, bool) or not isinstance(V, Real) or not 0 < V < math.inf:
-        raise InputError(f"V must be a positive finite number, got {V!r}")
-    safe = compute_theta(cfg, V)
-    message = "theta must have one finite entry per material"
-    if theta is None:
-        theta = safe
-    elif not all(
-        map(math.isfinite, check_seq("theta", theta, cfg.M, message=message))
-    ):
+    message = f"V must be a positive finite number, got {V!r}"
+    if check_real("V", V, message=message) == 0:
         raise InputError(message)
-    elif not allow_unsafe_theta:
+    check_class("demand_blind", bool, demand_blind)
+    check_class("allow_unsafe_theta", bool, allow_unsafe_theta)
+    safe = compute_theta(cfg, V)
+    if theta is None:
+        return ControllerParams(V=V, theta=safe, demand_blind=demand_blind)
+    message = "theta must have one finite entry per material"
+    for th in check_seq("theta", theta, cfg.M, message=message):
+        check_real("theta", th, -math.inf, message=message)
+    if not allow_unsafe_theta:
         for m in range(cfg.M):
             if theta[m] < safe[m] - 1e-12:
                 raise ThetaTooSmall(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import mul
@@ -139,6 +140,32 @@ def check_int(
     raise error(message or f"{name} {fault}")
 
 
+REAL_TYPES = (float, int, np.floating, np.integer)
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_real(name, value, lo=0.0, *, error=InputError, message=None, negative=None):
+    """value, unchanged, if it is a finite number of at least lo, else raise error.
+
+    The package's one real-number rule, check_int's twin: a number is a
+    Python or numpy int or float (REAL_TYPES), never a bool, and an int
+    beyond the float range counts as not finite.  The message names name
+    and the fault unless message replaces it; negative, if given, is the
+    type raised for a negative number.
+    """
+    if isinstance(value, bool) or not isinstance(value, REAL_TYPES):
+        fault = f"must be a number, got {value!r}"
+    elif isinstance(value, int) and abs(value) > _FLOAT_MAX or not math.isfinite(value):
+        fault = "is not finite"
+    elif value >= lo:
+        return value
+    elif negative is not None and value < 0:
+        raise negative(message or f"{name} is negative")
+    else:
+        fault = f"{value} is below the minimum {lo}"
+    raise error(message or f"{name} {fault}")
+
+
 def check_seq(name, value, length=None, *, error=InputError, message=None):
     """value if it is a sequence, of the given length if one is given, else raise error.
 
@@ -187,6 +214,11 @@ def check_path(name, path, *, error=InputError) -> None:
         raise error(f"{name} must be a str or os.PathLike, got {type(path).__name__}")
 
 
+def _check_amount(name: str, v) -> None:
+    """Check a price, an assembly cost or a mean demand: finite and non-negative."""
+    check_real(name, v, error=ConfigError, negative=NegativeEntry)
+
+
 def _check_int_vector(name: str, vec, length: int, minimum=0, maximum=2**53) -> None:
     # The default maximum keeps each entry exact as a float (the LP computes in floats).
     if len(vec) != length:
@@ -221,14 +253,12 @@ def validate_config(
     _check_int_vector("A_max", cfg.A_max, M, minimum=1)
     check_int("c_max", cfg.c_max, error=ConfigError, negative=NegativeEntry)
     for k in range(K):
-        if not 0 <= cfg.alpha[k] < math.inf:
-            _refuse_amount(f"alpha[{k}]", cfg.alpha[k])
+        _check_amount(f"alpha[{k}]", cfg.alpha[k])
         prices = cfg.price_set[k]
         if len(prices) == 0:
             raise EmptyPriceSet(f"product {k} has an empty price set")
         for p in prices:
-            if not 0 <= p < math.inf:
-                _refuse_amount(f"price {p} of product {k}", p)
+            _check_amount(f"price {p} of product {k}", p)
         if any(b >= a for a, b in zip(prices[1:], prices)):
             raise ConfigError(f"price_set[{k}] must be strictly ascending")
         if not any(cfg.beta[m][k] > 0 for m in range(M)):
@@ -269,13 +299,6 @@ def validate_config(
     )
 
 
-def _refuse_amount(name: str, v) -> None:
-    """Raise for a price, cost or mean demand outside [0, inf)."""
-    if v < 0:
-        raise NegativeEntry(f"{name} is negative")
-    raise ConfigError(f"{name} is not finite")
-
-
 def _table_entries(cfg: PlantConfig, y: DemandState, name: str, table):
     """Yield (k, j, entry) of a demand table, each checked once reached.
 
@@ -289,8 +312,7 @@ def _table_entries(cfg: PlantConfig, y: DemandState, name: str, table):
         if len(row) != len(prices):
             raise ConfigError(f"{where}[{k}] must align with price_set[{k}]")
         for j, f in enumerate(row):
-            if not 0 <= f < math.inf:
-                _refuse_amount(f"{where}[{k}][{j}]", f)
+            _check_amount(f"{where}[{k}][{j}]", f)
             yield k, j, f
 
 
@@ -306,10 +328,9 @@ def _validate_demand_tables(cfg: PlantConfig, y: DemandState) -> None:
             f"demand state {y.id!r}: factorization needs both h and F_hat"
         )
     if y.h is not None:
-        if not math.isfinite(y.h):
-            raise ConfigError(f"demand state {y.id!r}: scale h is not finite")
-        if y.h <= 0:
-            raise ConfigError(f"demand state {y.id!r}: scale h must be positive")
+        h = f"demand state {y.id!r}: scale h"
+        if check_real(h, y.h, -math.inf, error=ConfigError) <= 0:
+            raise ConfigError(f"{h} must be positive")
         for k, j, fh in _table_entries(cfg, y, "F_hat", y.F_hat):
             if abs(y.h * fh - y.F[k][j]) > 1e-9:
                 raise ConfigError(

@@ -16,8 +16,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from plantsim.model import DemandState, InputError, PlantConfig, check_class
-from plantsim.model import check_int, check_seq
+from plantsim.model import REAL_TYPES, DemandState, InputError, PlantConfig
+from plantsim.model import check_class, check_int, check_seq
 
 IID = "IID"
 MARKOV = "MARKOV"
@@ -102,10 +102,9 @@ class StateProcessSpec:
 def check_distribution(p, n: int, name: str) -> np.ndarray:
     """p as an array, checked to be a probability vector over n states.
 
-    Its entries must be numbers (Python or numpy ints and floats, never
-    bools or strings; an int or float array passes as it is), finite and
-    non-negative, and sum to 1 within 1e-9; otherwise InputError names the
-    first rule broken.
+    Its entries must be numbers (REAL_TYPES, never bools or strings; an
+    int or float array passes as it is), finite and non-negative, and sum
+    to 1 within 1e-9; otherwise InputError names the first rule broken.
     """
     # A list of plain ints and floats, the common case, skips the entry loop.
     plain = isinstance(p, (list, tuple)) and {float, int}.issuperset(map(type, p))
@@ -114,8 +113,7 @@ def check_distribution(p, n: int, name: str) -> np.ndarray:
         for v in check_seq(name, p, n, message=shape):
             if isinstance(v, (list, tuple)):
                 raise InputError(shape)
-            real = isinstance(v, (int, float, np.integer, np.floating))
-            if isinstance(v, bool) or not real:
+            if isinstance(v, bool) or not isinstance(v, REAL_TYPES):
                 raise InputError(f"{name} must be numbers, got {v!r}")
     try:
         p = np.asarray(p, dtype=float)
@@ -206,10 +204,21 @@ def _check_ergodic(T: np.ndarray) -> None:
     n = T.shape[0]
     edges = [[j for j in range(n) if T[i, j] > 0] for i in range(n)]
     redges = [[i for i in range(n) if T[i, j] > 0] for j in range(n)]
-    if len(_reachable(edges, 0)) < n or len(_reachable(redges, 0)) < n:
+    level = _levels(edges)
+    if len(level) < n or len(_levels(redges)) < n:
         raise NotErgodic("transition graph is not strongly connected")
     # Period of an irreducible chain via BFS levels: gcd over all edges of
     # level(u) + 1 - level(v); the chain is aperiodic iff the gcd is 1.
+    g = 0
+    for u in range(n):
+        for v in edges[u]:
+            g = math.gcd(g, level[u] + 1 - level[v])
+    if g != 1:
+        raise NotErgodic(f"chain is periodic with period {g}")
+
+
+def _levels(edges: list[list[int]]) -> dict[int, int]:
+    """The BFS level of each state that state 0 reaches along edges."""
     level = {0: 0}
     frontier = [0]
     while frontier:
@@ -220,24 +229,7 @@ def _check_ergodic(T: np.ndarray) -> None:
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in edges[u]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    if g != 1:
-        raise NotErgodic(f"chain is periodic with period {g}")
-
-
-def _reachable(edges: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in edges[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    return level
 
 
 def empirical_distribution(states: np.ndarray, n_states: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from plantsim.model import (
     PlantConfig,
     SupplyState,
     check_path,
+    check_real,
     validate_config,
 )
 from plantsim.processes import IID, MARKOV, TRACE, StateProcessSpec
@@ -110,13 +111,8 @@ def _as_int(v, where: str) -> int:
 
 def _as_num(v, where: str) -> float:
     # json.load accepts NaN, Infinity and integers too large for a float.
-    if not isinstance(v, bool) and isinstance(v, (int, float)):
-        try:
-            if math.isfinite(v):
-                return float(v)
-        except OverflowError:
-            pass
-    _fail(where, f"expected a finite number, got {v!r}")
+    message = f"{where}: expected a finite number, got {v!r}"
+    return float(check_real(where, v, -math.inf, error=ParseError, message=message))
 
 
 def _as_bool(v, where: str) -> bool:

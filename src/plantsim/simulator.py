@@ -140,6 +140,7 @@ from plantsim.model import (
     check_class,
     check_int,
     check_path,
+    check_real,
     check_seq,
     material_usage,
     purchase_cost,
@@ -378,10 +379,12 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     A breach of the controller's queue band raises InvariantViolation
     immediately, unless the run sets allow_unsafe_theta: then a queue below
     the band is only counted, which supports deliberately unsafe threshold
-    experiments.  A short slot, or a queue above theta + A_max, comes only
-    from a faulty controller and raises in every run: the controller offers
-    a product only while each of its feeders holds mu_max, the worst-case
-    use over every product.  Oracle playback has no band: its short slots
+    experiments.  Each flag (placeholder, assembly_delay, demand_blind,
+    allow_unsafe_theta, record_log) must be a bool, checked before anything
+    reads it.  A short slot, or a queue above theta + A_max, comes only from
+    a faulty controller and raises in every run: the controller offers a
+    product only while each of its feeders holds mu_max, the worst-case use
+    over every product.  Oracle playback has no band: its short slots
     are served by schedule_fulfillment and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
     allow_unsafe_theta rather than ignore them, as an online run rejects
@@ -393,6 +396,9 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     """
     check_class("ec", EpisodeConfig, ec)
     check_int("horizon", ec.horizon, 1)
+    for name in ("placeholder", "assembly_delay", "demand_blind", "allow_unsafe_theta"):
+        check_class(name, bool, getattr(ec, name))
+    check_class("record_log", bool, ec.record_log)
     if ec.controller not in ("online", "oracle"):
         raise InputError(f"unknown controller {ec.controller!r}")
     if ec.controller == "oracle":
@@ -960,6 +966,7 @@ def summarize(metrics: list[Metrics], net: bool = False) -> ReplicationSummary:
     if len(check_seq("metrics", metrics)) == 0:
         raise InputError("summarize needs the metrics of at least 1 episode")
     check_class("metrics entry", Metrics, *metrics)
+    check_class("net", bool, net)
     vals = [
         (m.net_total_phi_actual if net else m.total_phi_actual) / m.horizon
         for m in metrics
@@ -1051,8 +1058,7 @@ def check_profit_bound(
     """
     message = f"need an integer T >= 1 and finite epsilon >= 0, got {T!r}, {epsilon!r}"
     check_int("T", T, 1, message=message)
-    if not 0 <= epsilon < math.inf:
-        raise InputError(message)
+    check_real("epsilon", epsilon, message=message)
     _check_state_ids(model, process_x, process_y)
     pi_x = process_distribution(process_x)
     pi_y = process_distribution(process_y)

@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plantsim.controller import InitOutOfRange, init_placeholder, make_params
+from plantsim.controller import (
+    InitOutOfRange,
+    compute_theta,
+    init_placeholder,
+    make_params,
+)
 from plantsim.model import (
     ConfigError,
     DemandState,
@@ -737,6 +742,49 @@ def test_summarize_needs_an_episode():
             lambda: generate_states(constant_process("s0"), 5, "a"),
             "rng must be of class Generator, got str",
         ),
+        # each flag used to be read by its truth value: "no" ran a
+        # place-holder episode, logged every slot or let an unsafe theta run
+        (
+            lambda: run_episode(_ec(placeholder="no"), make_i1()),
+            "placeholder must be of class bool, got str",
+        ),
+        (
+            lambda: run_episode(_ec(assembly_delay=1), make_i1()),
+            "assembly_delay must be of class bool, got int",
+        ),
+        (
+            lambda: run_episode(_ec(demand_blind="no"), make_i1()),
+            "demand_blind must be of class bool, got str",
+        ),
+        (
+            lambda: run_episode(
+                _ec(theta=[5.0], allow_unsafe_theta="no"), make_i1()
+            ),
+            "allow_unsafe_theta must be of class bool, got str",
+        ),
+        (
+            lambda: run_episode(_ec(record_log="no"), make_i1()),
+            "record_log must be of class bool, got str",
+        ),
+        (
+            # the class message comes before playback's "does not use"
+            lambda: _playback(placeholder="no"),
+            "placeholder must be of class bool, got str",
+        ),
+        (
+            lambda: make_params(make_i1_cfg(), 10.0, demand_blind="no"),
+            "demand_blind must be of class bool, got str",
+        ),
+        (
+            lambda: make_params(
+                make_i1_cfg(), 10.0, theta=[5.0], allow_unsafe_theta="no"
+            ),
+            "allow_unsafe_theta must be of class bool, got str",
+        ),
+        (
+            lambda: summarize([run_episode(_ec(), make_i1())], net="no"),
+            "net must be of class bool, got str",
+        ),
     ],
     ids=[
         "process-none",
@@ -763,6 +811,15 @@ def test_summarize_needs_an_episode():
         "slot-log-path-none",
         "generate-states-rng-none",
         "generate-states-rng-string",
+        "placeholder-string",
+        "assembly-delay-int",
+        "demand-blind-string",
+        "unsafe-theta-string",
+        "record-log-string",
+        "playback-placeholder-string",
+        "make-params-demand-blind-string",
+        "make-params-unsafe-theta-string",
+        "summarize-net-string",
     ],
 )
 def test_arguments_of_the_wrong_class(call, message):
@@ -1266,6 +1323,54 @@ def test_every_integer_site_takes_one_rule(site):
     call, ok, out_of_range, kind = INTEGER_SITES[site]
     call(np.int64(ok))  # numpy integers are integers
     for bad in (2.5, NAN, True, out_of_range, float(ok)):
+        with pytest.raises(InputError) as err:
+            call(bad)
+        assert isinstance(err.value, kind), (site, bad, err.value)
+
+
+def _demand_table(F=(2.0, 1.0), h=None, F_hat=None):
+    F_hat = F_hat if F_hat is None else [list(F_hat)]
+    return validate_config(make_i1_cfg(), [_S0], [_d0(F=[list(F)], h=h, F_hat=F_hat)])
+
+
+# site: (the call with value v, a valid v, a v out of range, the error type)
+REAL_SITES = {
+    "alpha": (lambda v: _with_cfg("alpha", [v]), 0, -1, ConfigError),
+    "price": (lambda v: _with_cfg("price_set", [[v, 2.0]]), 1, -1, ConfigError),
+    "F": (lambda v: _demand_table(F=(v, 1.0)), 2, -1, ConfigError),
+    "F_hat": (
+        lambda v: _demand_table(h=1.0, F_hat=(v, 1.0)),
+        2,
+        -1,
+        ConfigError,
+    ),
+    "h": (lambda v: _demand_table(h=v, F_hat=(2.0, 1.0)), 1, 0, ConfigError),
+    "make_params V": (lambda v: make_params(make_i1_cfg(), v), 10, 0, InputError),
+    "make_params theta": (
+        lambda v: make_params(make_i1_cfg(), 10.0, theta=[v]),
+        30,
+        5.0,
+        InputError,
+    ),
+    "compute_theta V": (lambda v: compute_theta(make_i1_cfg(), v), 0, -1, InputError),
+    "check_profit_bound epsilon": (
+        lambda v: _profit_bound(epsilon=v),
+        0,
+        -0.5,
+        InputError,
+    ),
+    # the parser's own range is the finite numbers
+    "scenario V": (lambda v: parse_scenario({**I1, "V": v}), 10, -math.inf, ParseError),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_every_real_site_takes_one_rule(site):
+    call, ok, out_of_range, kind = REAL_SITES[site]
+    # numpy numbers are numbers, and pass without a RuntimeWarning (an error here)
+    for form in (int, np.float64, np.float32, np.int64):
+        call(form(ok))
+    for bad in ("a", None, True, [1.0], NAN, math.inf, 10**400, out_of_range):
         with pytest.raises(InputError) as err:
             call(bad)
         assert isinstance(err.value, kind), (site, bad, err.value)

@@ -233,6 +233,21 @@ def test_reducible_chain_rejected():
         stationary_distribution(spec)
 
 
+@pytest.mark.parametrize(
+    "transition",
+    [[[0.5, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.5, 0.5]]],
+    ids=["no-return-to-0", "0-never-reaches-1"],
+)
+def test_one_way_chain_rejected(transition):
+    # the reverse reach and the forward reach, each alone
+    spec = StateProcessSpec(
+        mode=MARKOV, state_ids=["a", "b"], transition=transition, initial=0
+    )
+    message = "^transition graph is not strongly connected$"
+    with pytest.raises(NotErgodic, match=message):
+        stationary_distribution(spec)
+
+
 # --- demand realization ---------------------------------------------------
 
 

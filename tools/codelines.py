@@ -7,13 +7,15 @@ out.  Prints one count per file and the total.
     python tools/codelines.py [PATH ...]
 
 Each PATH is a .py file or a directory searched for them; the default is
-src/plantsim.  Standard library only.
+the repository's src/plantsim, wherever the tool is run from.  A missing
+PATH ends the run with a message and exit code 2.  Standard library only.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -56,9 +58,14 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    paths = [Path(a) for a in argv] or [Path("src/plantsim")]
+    # the repository root, as a path relative to the current directory
+    root = Path(os.path.relpath(Path(__file__).resolve().parent.parent))
+    paths = [Path(a) for a in argv] or [root / "src" / "plantsim"]
     files = []
     for p in paths:
+        if not p.exists():
+            print(f"codelines: no such file or directory: {p}", file=sys.stderr)
+            return 2
         files.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
     total = 0
     for f in files:
