@@ -221,7 +221,7 @@ def _check_amount(name: str, v) -> None:
 
 def _check_int_vector(name: str, vec, length: int, minimum=0, maximum=2**53) -> None:
     # The default maximum keeps each entry exact as a float (the LP computes in floats).
-    if len(vec) != length:
+    if len(check_seq(name, vec, error=ConfigError)) != length:
         raise ConfigError(f"{name} must have length {length}, got {len(vec)}")
     name += " entry"
     for v in vec:
@@ -241,6 +241,13 @@ def validate_config(
     consumes are legal but reported in Model.warnings, since the controller
     will never purchase them.
     """
+    check_class("cfg", PlantConfig, cfg)
+    for name in ("beta", "alpha", "price_set", "D_max", "A_max"):
+        check_seq(name, getattr(cfg, name), error=ConfigError)
+    check_seq("supply_states", supply_states, error=ConfigError)
+    check_seq("demand_states", demand_states, error=ConfigError)
+    check_class("supply state", SupplyState, *supply_states)
+    check_class("demand state", DemandState, *demand_states)
     M, K = cfg.M, cfg.K
     if M == 0 or K == 0:
         raise ConfigError("need at least one material and one product")
@@ -254,7 +261,7 @@ def validate_config(
     check_int("c_max", cfg.c_max, error=ConfigError, negative=NegativeEntry)
     for k in range(K):
         _check_amount(f"alpha[{k}]", cfg.alpha[k])
-        prices = cfg.price_set[k]
+        prices = check_seq(f"price_set[{k}]", cfg.price_set[k], error=ConfigError)
         if len(prices) == 0:
             raise EmptyPriceSet(f"product {k} has an empty price set")
         for p in prices:
@@ -306,10 +313,10 @@ def _table_entries(cfg: PlantConfig, y: DemandState, name: str, table):
     finite, non-negative entries.
     """
     where = f"demand state {y.id!r}: {name}"
-    if len(table) != cfg.K:
+    if len(check_seq(where, table, error=ConfigError)) != cfg.K:
         raise ConfigError(f"{where} must have one row per product")
     for k, (row, prices) in enumerate(zip(table, cfg.price_set)):
-        if len(row) != len(prices):
+        if len(check_seq(f"{where}[{k}]", row, error=ConfigError)) != len(prices):
             raise ConfigError(f"{where}[{k}] must align with price_set[{k}]")
         for j, f in enumerate(row):
             _check_amount(f"{where}[{k}][{j}]", f)

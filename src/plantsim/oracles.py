@@ -691,6 +691,12 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     value is never negative.  An entry that is not an index in [0, n) raises InputError.
     """
     check_class("model", Model, model)
+    value, _, _ = optimal_profit(model, *_histograms(model, xs, ys))
+    return LookaheadResult(phi_T=len(xs) * value)
+
+
+def _histograms(model: Model, xs, ys) -> list[np.ndarray]:
+    """The supply and demand state frequencies of a frame, its entries checked."""
     message = "xs and ys must be equally long and non-empty"
     n = len(check_seq("xs", xs, message=message))
     check_seq("ys", ys, n, message=message)
@@ -701,12 +707,16 @@ def lookahead_value(model: Model, xs, ys) -> LookaheadResult:
     for v, states in ((xs, model.supply_states), (ys, model.demand_states)):
         v = [check_int("index", s, 0, len(states) - 1, message=message) for s in v]
         pis.append(empirical_distribution(v, len(states)))
-    value, _, _ = optimal_profit(model, *pis)
-    return LookaheadResult(phi_T=len(xs) * value)
+    return pis
 
 
 def frame_values(model: Model, xs, ys, T: int, J: int) -> list[float]:
-    """Lookahead values of the J consecutive T-slot frames of a trace."""
+    """Lookahead values of the J consecutive T-slot frames of a trace.
+
+    A frame's value depends only on its two state histograms, so
+    lookahead_value runs once per distinct pair; every frame's entries are
+    checked all the same.
+    """
     n = min(len(check_seq("xs", xs)), len(check_seq("ys", ys)))
     message = (
         f"frame split T={T!r} J={J!r} does not fit the {n}-slot trace "
@@ -714,7 +724,13 @@ def frame_values(model: Model, xs, ys, T: int, J: int) -> list[float]:
     )
     T = check_int("T", T, 1, n, message=message)
     J = check_int("J", J, 1, n // T, message=message)
-    return [
-        lookahead_value(model, xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T]).phi_T
-        for j in range(J)
-    ]
+    check_class("model", Model, model)
+    values = {}
+    out = []
+    for j in range(J):
+        fx, fy = xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T]
+        key = tuple(pi.tobytes() for pi in _histograms(model, fx, fy))
+        if key not in values:
+            values[key] = lookahead_value(model, fx, fy).phi_T
+        out.append(values[key])
+    return out

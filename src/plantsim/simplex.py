@@ -2,9 +2,11 @@
 
 Every program has one form: equality rows over non-negative columns.  A
 caller with a <= row or a bound writes its slack column in.  Each row is
-negated if its right-hand side is negative, and then starts on an
-artificial column of its own, numbered in row order after the program's
-columns.
+negated if its right-hand side is negative.  Then a row with a unit column
+(one whose only non-zero is 1.0, in that row) starts on its first one: a
+slack, or in a profit LP a block's idle column.  The other rows start on
+artificial columns, numbered in row order after the program's columns, and
+phase 1 runs only if there are any.
 
 Pricing differs by phase.  Phase 1 (driving the artificials out) uses
 Bland's rule: the smallest-index column with a positive reduced cost
@@ -51,8 +53,9 @@ class LinearProgram:
     """maximize c @ x  subject to  a_eq @ x == b_eq,  x >= 0.
 
     The only form: a <= row or a bound is an equality with a slack column
-    that the caller adds.  Each row starts on its own artificial column,
-    after negating the row if its right-hand side is negative.
+    that the caller adds.  After negating the row if its right-hand side is
+    negative, each row starts on its first unit column, else on an
+    artificial column of its own.
     """
 
     c: np.ndarray
@@ -101,13 +104,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if np.count_nonzero(neg):
         T[neg, :n] *= -1.0
         rhs[neg] *= -1.0
+    basis, k = _start_basis(T, n)
+    T = T[:, : n + k + 1]
     T[:, -1] = rhs
-    basis = np.arange(n, n + m)  # row i starts on artificial column n + i
-    T[np.arange(m), basis] = 1.0
 
     iterations = 0
-    if m:
-        phase1 = np.zeros(n + m)
+    if k:
+        phase1 = np.zeros(n + k)
         phase1[n:] = -1.0
         iterations += _iterate(T, basis, phase1, phase=1)
         art_total = T[:, -1][basis >= n].sum()
@@ -124,6 +127,27 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     x[basis] = T[:, -1]
     x = np.maximum(x, 0.0)
     return LpSolution(value=float(c @ x), x=x, iterations=iterations)
+
+
+def _start_basis(T: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Start each row on its first unit column, else on the next artificial.
+
+    A unit column is one of the program's n columns whose only non-zero is
+    1.0.  The artificials take columns n, n + 1, ... of T in row order, and
+    their count is returned with the basis.  The boolean tables die on
+    return, so they add nothing to the solve's peak memory.
+    """
+    A = T[:, :n]
+    unit = A == 1.0
+    unit &= A.astype(bool).sum(axis=0) == 1
+    basis = unit.argmax(axis=1) if n else np.zeros(len(T), dtype=np.intp)
+    k = 0
+    for i, own in enumerate(unit.any(axis=1).tolist()):
+        if not own:
+            basis[i] = n + k
+            T[i, n + k] = 1.0
+            k += 1
+    return basis, k
 
 
 def _iterate(

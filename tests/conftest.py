@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from plantsim.model import DemandState, PlantConfig, SupplyState, validate_config
+from plantsim.simplex import LinearProgram
 
 
 def make_i1_cfg():
@@ -122,6 +123,20 @@ def random_tiny_instance(rng):
     pi_y = rng.uniform(0.2, 1.0, size=n_y)
     pi_y = pi_y / pi_y.sum()
     return model, pi_x, pi_y
+
+
+def doubled_rows(lp):
+    """lp with every row and its right-hand side times 2.0: the same program.
+
+    The scaling is exact, so the copy has the same feasible set and optimum.
+    Where lp has a column whose only non-zero is 1.0, the copy has 2.0, so
+    solve_lp starts the copy's rows on artificial columns.
+    """
+    return LinearProgram(
+        c=lp.c,
+        a_eq=np.asarray(lp.a_eq, dtype=float) * 2.0,
+        b_eq=np.asarray(lp.b_eq, dtype=float) * 2.0,
+    )
 
 
 acceptance_lines: list = []

@@ -412,6 +412,29 @@ def _d0(**changes):
             ConfigError,
             "demand state 'd0': F_hat[0][1] is not finite",
         ),
+        # a number where a list belongs used to raise TypeError from len()
+        ({"alpha": 5}, [_S0], [_d0()], ConfigError, "alpha must be a sequence, got 5"),
+        (
+            {"price_set": [5]},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "price_set[0] must be a sequence, got 5",
+        ),
+        (
+            {"beta": [5]},
+            [_S0],
+            [_d0()],
+            ConfigError,
+            "beta[0] must be a sequence, got 5",
+        ),
+        (
+            {},
+            [_S0],
+            [_d0(F=[5], h=None, F_hat=None)],
+            ConfigError,
+            "demand state 'd0': F[0] must be a sequence, got 5",
+        ),
     ],
 )
 def test_validate_config_errors(cfg_changes, supply, demand, kind, message):
@@ -785,6 +808,14 @@ def test_summarize_needs_an_episode():
             lambda: summarize([run_episode(_ec(), make_i1())], net="no"),
             "net must be of class bool, got str",
         ),
+        (
+            lambda: validate_config(None, [_S0], [_d0()]),
+            "cfg must be of class PlantConfig, got NoneType",
+        ),
+        (
+            lambda: validate_config(make_i1_cfg(), [None], [_d0()]),
+            "supply state must be of class SupplyState, got NoneType",
+        ),
     ],
     ids=[
         "process-none",
@@ -820,6 +851,8 @@ def test_summarize_needs_an_episode():
         "make-params-demand-blind-string",
         "make-params-unsafe-theta-string",
         "summarize-net-string",
+        "validate-config-none",
+        "supply-state-none",
     ],
 )
 def test_arguments_of_the_wrong_class(call, message):

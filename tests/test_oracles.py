@@ -23,6 +23,7 @@ from plantsim.oracles import (
     build_profit_lp,
     enumerate_actions,
     extract_xy_policy,
+    frame_values,
     lookahead_value,
     optimal_profit,
     product_options,
@@ -30,10 +31,16 @@ from plantsim.oracles import (
     _best_pair_mix,
     _reduce_one,
 )
-from plantsim.processes import empirical_distribution
+from plantsim.processes import (
+    IID,
+    MARKOV,
+    StateProcessSpec,
+    empirical_distribution,
+    generate_states,
+)
 from plantsim.simplex import LinearProgram, LpSolution, solve_lp
 
-from conftest import make_i1, make_two_phase, random_tiny_instance
+from conftest import doubled_rows, make_i1, make_two_phase, random_tiny_instance
 
 
 def one(state_count):
@@ -493,10 +500,11 @@ def _frame_histograms(rng, model):
 
 
 # sha256 over (value.hex(), x.tobytes(), iterations) of _mid_pinned_programs(),
-# recorded with the builder and pivot kernel that read numpy scalars one at
-# a time (purchase_cost per vector, a row loop over the whole pivot column).
-# A change of column order, entry value or pivot path shows up here.
-MID_PIVOT_PATH_DIGEST = "490f53e209e183417880080090954f635f17486a55e8ae3df568a5b3ab8427c3"
+# recorded with each convexity row starting on its idle column (the zero
+# purchase or IDLE); starting every row on an artificial gave the same
+# values and vertices in 924 pivots instead of 500.  A change of column
+# order, entry value or pivot path shows up here.
+MID_PIVOT_PATH_DIGEST = "6ab0c4538067c9053dbb05dd75f714fcf2153afb55328372c1e0a84962ec9eba"
 
 
 def _mid_pinned_programs():
@@ -512,6 +520,65 @@ def test_mid_pivot_paths_are_pinned():
         sol = solve_lp(lp)
         digest.update(repr((sol.value.hex(), sol.x.tobytes(), sol.iterations)).encode())
     assert digest.hexdigest() == MID_PIVOT_PATH_DIGEST
+
+
+def test_mid_crash_start_keeps_the_vertex():
+    # Doubled, every row starts on an artificial: the same value and vertex,
+    # in 924 pivots where the idle columns' start takes 500.
+    pivots = [0, 0]
+    for lp in _mid_pinned_programs():
+        got, want = solve_lp(lp), solve_lp(doubled_rows(lp))
+        assert got.value.hex() == want.value.hex()
+        assert got.x.tobytes() == want.x.tobytes()
+        pivots[0] += got.iterations
+        pivots[1] += want.iterations
+    assert pivots == [500, 924]
+
+
+def _frame_traces():
+    """(xs, ys) of 200 slots: criterion 6's ten traces, then seeded IID,
+    Markov and adversarial ones, all on make_two_phase's two states each."""
+    rng = np.random.default_rng(606060)
+    traces = [
+        (rng.integers(0, 2, size=200).tolist(), rng.integers(0, 2, size=200).tolist())
+        for _ in range(9)
+    ]
+    traces.append(([0] * 100 + [1] * 100, [1] * 100 + [0] * 100))
+    rng = np.random.default_rng(77)
+    ids = ["a", "b"]
+    for _ in range(3):
+        iid = StateProcessSpec(mode=IID, state_ids=ids, probs=rng.dirichlet([1, 1]))
+        p, q = rng.uniform(0.05, 0.5, size=2)
+        markov = StateProcessSpec(
+            mode=MARKOV, state_ids=ids, transition=[[1 - p, p], [q, 1 - q]]
+        )
+        for spec in (iid, markov):
+            traces.append(
+                tuple(generate_states(spec, 200, rng).tolist() for _ in range(2))
+            )
+        # adversarial: dear supply exactly when demand is live, in runs
+        runs = np.repeat(rng.integers(0, 2, size=25), 8).tolist()
+        traces.append((runs, [1 - v for v in runs]))
+    return traces
+
+
+def test_frame_values_solve_each_histogram_once(monkeypatch):
+    model = make_two_phase()
+    solves = []
+    solve = oracles.optimal_profit
+    monkeypatch.setattr(
+        oracles, "optimal_profit", lambda *a: solves.append(a) or solve(*a)
+    )
+    for T, J in ((4, 50), (8, 25), (1, 200)):
+        for xs, ys in _frame_traces():
+            frames = [
+                (xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T]) for j in range(J)
+            ]
+            want = [lookahead_value(model, fx, fy).phi_T for fx, fy in frames]
+            solves.clear()
+            assert frame_values(model, xs, ys, T, J) == want
+            keys = {(tuple(sorted(fx)), tuple(sorted(fy))) for fx, fy in frames}
+            assert len(solves) == len(keys)
 
 
 def test_zero_probability_state_is_empty_block():

@@ -9,7 +9,7 @@ from plantsim import simplex
 from plantsim.oracles import build_profit_lp
 from plantsim.simplex import Infeasible, LinearProgram, Unbounded, solve_lp
 
-from conftest import random_tiny_instance
+from conftest import doubled_rows, make_i1, random_tiny_instance
 
 
 def _bland_iterate(T, basis, obj, phase):
@@ -133,6 +133,13 @@ def test_unbounded_detected():
         solve_lp(lp)
 
 
+def test_program_without_columns_is_infeasible():
+    # every row starts on an artificial, which phase 1 cannot drive out
+    lp = LinearProgram(c=np.zeros(0), a_eq=np.zeros((1, 0)), b_eq=[1.0])
+    with pytest.raises(Infeasible):
+        solve_lp(lp)
+
+
 def test_phase_one_unbounded_is_an_internal_fault():
     # phase 1's objective is bounded by the artificials' sum, so a phase-1
     # column with no ratio-test row is a fault of the tableau, never of the
@@ -206,10 +213,9 @@ def test_random_lps_against_feasible_enumeration(rng):
 
 
 def test_beale_cycling_example():
-    # Beale (1955): from its slack basis it cycles under largest-coefficient
-    # pricing without an anti-cycling rule.  Here every row starts on an
-    # artificial and phase 1 reaches another basis, so the degenerate-run
-    # fallback is left to test_cycling_guard_degenerate_lp.
+    # Beale (1955): from its slack basis, where solve_lp starts it, it
+    # cycles under largest-coefficient pricing without an anti-cycling rule;
+    # the degenerate-run fallback ends the cycle.
     lp = _equality_form(
         c=[0.75, -20.0, 0.5, -6.0],
         a_ub=[
@@ -229,18 +235,27 @@ def test_beale_cycling_example():
     "lp, where",
     [
         (
-            _equality_form(
-                c=[3.0, 1.0], a_ub=[[1.0, 1.0], [2.0, 1.0]], b_ub=[4.0, 6.0]
+            doubled_rows(
+                _equality_form(
+                    c=[3.0, 1.0], a_ub=[[1.0, 1.0], [2.0, 1.0]], b_ub=[4.0, 6.0]
+                )
             ),
             "phase 1, 2x6",
         ),
         (
-            LinearProgram(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
+            LinearProgram(c=[1.0, 2.0], a_eq=[[2.0, 2.0]], b_eq=[2.0]),
             "phase 1, 1x3",
         ),
         (
             LinearProgram(c=[1.0, 3.0], a_eq=[[-1.0, -1.0]], b_eq=[0.0]),
             "phase 2, 1x2",
+        ),
+        (
+            # every row starts on its slack, so no phase 1 runs
+            _equality_form(
+                c=[3.0, 1.0], a_ub=[[1.0, 1.0], [2.0, 1.0]], b_ub=[4.0, 6.0]
+            ),
+            "phase 2, 2x4",
         ),
     ],
 )
@@ -292,11 +307,64 @@ def test_matches_bland_reference_on_profit_lps(rng):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def _unit_columns(a):
+    """(row, column) of each column of a whose only non-zero is 1.0."""
+    out = []
+    for j, col in enumerate(np.asarray(a, dtype=float).T.tolist()):
+        rows = [i for i, v in enumerate(col) if v != 0.0]
+        if len(rows) == 1 and col[rows[0]] == 1.0:
+            out.append((rows[0], j))
+    return out
+
+
+def _as_solved(lp):
+    """lp's rows as solve_lp reads them: negated where the rhs is negative."""
+    sign = np.where(np.ravel(lp.b_eq) < 0, -1.0, 1.0)
+    return np.asarray(lp.a_eq, dtype=float) * sign[:, None]
+
+
+# Column 0 is no unit column: its only non-zero is 2.0 in the first program,
+# and its 1.0 has a second non-zero beside it in the second.
+_NOT_UNIT = [
+    LinearProgram(c=[1.0, 0.0, 0.0], a_eq=[[2.0, 1.0, 1.0]], b_eq=[4.0]),
+    LinearProgram(
+        c=[0.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], b_eq=[1.0, 2.0]
+    ),
+]
+
+
+def test_crash_start_matches_artificial_start(rng):
+    # Each program is solved as given, its rows starting on unit columns
+    # where they have one, and doubled, every row starting on an artificial.
+    lps = [_random_feasible_lp(rng) for _ in range(150)] + _NOT_UNIT
+    assert [solve_lp(lp).value for lp in _NOT_UNIT] == [2.0, 3.0]
+    for lp in lps:
+        ref = doubled_rows(lp)
+        assert not _unit_columns(_as_solved(ref))
+        got, want = solve_lp(lp).value, solve_lp(ref).value
+        assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+    # profit LPs reach the very same vertex from either start
+    for _ in range(40):
+        lp = build_profit_lp(*random_tiny_instance(rng)).lp
+        got, want = solve_lp(lp), solve_lp(doubled_rows(lp))
+        assert got.value.hex() == want.value.hex()
+        assert got.x.tobytes() == want.x.tobytes()
+
+
+def test_i1_starts_on_its_idle_columns():
+    # the zero purchase and IDLE are the convexity rows' unit columns; the
+    # balance row has none and starts on the one artificial
+    lp = build_profit_lp(make_i1(), [1.0], [1.0]).lp
+    assert _unit_columns(lp.a_eq) == [(0, 0), (1, 3)]
+    assert solve_lp(lp).iterations == 3
+    assert solve_lp(doubled_rows(lp)).iterations == 5
+
+
 # sha256 over (value.hex(), x.tobytes(), iterations) of _pinned_programs(),
-# recorded while solve_lp still took <= rows and bounds, on these same
-# equality forms.  A change of column order, starting basis, pricing or
-# ratio test moves a vertex or a pivot count, and shows up here.
-PIVOT_PATH_DIGEST = "14509ae253a4536056c250b792f505e9a3a2b1c69758034d14f67121c69d47df"
+# recorded with each row starting on its first unit column, else on an
+# artificial.  A change of column order, starting basis, pricing or ratio
+# test moves a vertex or a pivot count, and shows up here.
+PIVOT_PATH_DIGEST = "8a3b9fcda3382b87c3e92b47fc35eca8e861a4506a9fcf3b4b9d1f5cabfae967"
 
 
 def _pinned_programs():
