@@ -16,30 +16,4 @@ that arrives in response, all in discrete time slots.  It provides:
   ``plantsim.cli``).
 """
 
-from plantsim.model import (
-    PlantConfig,
-    SupplyState,
-    DemandState,
-    Model,
-    validate_config,
-    purchase_cost,
-    schedule_fulfillment,
-)
-from plantsim.processes import (
-    RngStream,
-    StateProcessSpec,
-    stationary_distribution,
-    realize_demand,
-)
-from plantsim.controller import (
-    ControllerParams,
-    ControllerState,
-    make_params,
-    compute_theta,
-    decide_purchase,
-    decide_pricing,
-    init_state,
-    init_placeholder,
-)
-
 __version__ = "0.1.0"

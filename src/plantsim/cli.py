@@ -26,13 +26,12 @@ from plantsim.oracles import (
     optimal_profit,
     two_price_reduce,
 )
-from plantsim.processes import MARKOV, TRACE
+from plantsim.processes import MARKOV, TRACE, stationary_distribution
 from plantsim.scenario import Scenario, ValidationError, load_scenario
 from plantsim.simulator import (
     EpisodeConfig,
     check_frame_bound,
     check_profit_bound,
-    process_distribution,
     run_replications,
     summarize,
     write_slot_log,
@@ -168,8 +167,8 @@ def cmd_oracle(args, sc: Scenario) -> int:
         for n in (slots, reps):
             message = f"playback needs slots and replications >= 1, got {slots}, {reps}"
             check_int("playback", n, 1, error=ValidationError, message=message)
-    pi_x = process_distribution(sc.process_x)
-    pi_y = process_distribution(sc.process_y)
+    pi_x = stationary_distribution(sc.process_x)
+    pi_y = stationary_distribution(sc.process_y)
     model = sc.model
     value, plp, sol = optimal_profit(model, pi_x, pi_y)
     policy = extract_xy_policy(plp, sol)

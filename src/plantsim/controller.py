@@ -74,7 +74,12 @@ class ThetaTooSmall(InputError):
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Controller tuning, frozen so its tables never go stale: V, theta, blind mode."""
+    """Controller tuning, frozen so its tables never go stale: V, theta, blind mode.
+
+    make_params is the checked way to build one: it checks V and each
+    theta entry, which the decisions read unchecked from one built
+    directly.
+    """
 
     V: float
     theta: tuple[float, ...]

@@ -248,6 +248,7 @@ def validate_config(
     check_seq("demand_states", demand_states, error=ConfigError)
     check_class("supply state", SupplyState, *supply_states)
     check_class("demand state", DemandState, *demand_states)
+    check_class("state id", str, *[s.id for s in (*supply_states, *demand_states)])
     M, K = cfg.M, cfg.K
     if M == 0 or K == 0:
         raise ConfigError("need at least one material and one product")

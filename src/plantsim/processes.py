@@ -178,17 +178,21 @@ def generate_states(
 
 
 def stationary_distribution(spec: StateProcessSpec) -> np.ndarray:
-    """Stationary distribution of a MARKOV process spec.
+    """Stationary distribution of a process spec, as a float array.
 
-    Raises NotErgodic when the chain is reducible or periodic, which is
-    decided from the transition graph.  Otherwise pi solves pi (T - I) = 0
-    with one equation replaced by sum(pi) = 1, a nonsingular system for an
-    irreducible chain, so slowly mixing chains cost no more than fast ones.
-    Rounding negatives are clipped and the result renormalized.
+    An IID spec's is its probs.  A TRACE spec has none and raises
+    InputError.  For a MARKOV spec, NotErgodic is raised when the chain is
+    reducible or periodic, which is decided from the transition graph.
+    Otherwise pi solves pi (T - I) = 0 with one equation replaced by
+    sum(pi) = 1, a nonsingular system for an irreducible chain, so slowly
+    mixing chains cost no more than fast ones.  Rounding negatives are
+    clipped and the result renormalized.
     """
     check_class("spec", StateProcessSpec, spec)
-    if spec.mode != MARKOV:
-        raise InputError("stationary_distribution applies to MARKOV processes")
+    if spec.mode == IID:
+        return np.asarray(spec.probs, dtype=float)
+    if spec.mode == TRACE:
+        raise InputError("trace processes have no stationary distribution")
     T = np.asarray(spec.transition, dtype=float)
     _check_ergodic(T)
     n = T.shape[0]

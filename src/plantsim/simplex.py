@@ -121,7 +121,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         T = np.hstack([T[keep, :n], T[keep, -1:]])
         basis = basis[keep]
 
-    iterations += _iterate(T, basis, c, phase=2)
+    if n:  # pricing over no columns enters nothing
+        iterations += _iterate(T, basis, c, phase=2)
 
     x = np.zeros(n)
     x[basis] = T[:, -1]

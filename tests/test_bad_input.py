@@ -271,12 +271,7 @@ def test_state_process_spec_errors(mode, ids, fields, message):
 
 def test_process_function_errors():
     model = make_i1()
-    _raises(
-        InputError,
-        "stationary_distribution applies to MARKOV processes",
-        stationary_distribution,
-        constant_process("s0"),
-    )
+    assert stationary_distribution(constant_process("s0")).tolist() == [1.0]
     rng = np.random.default_rng(0)
     y = model.demand_states[0]
     message = "price 3.0 is not in price_set[0]"
@@ -442,6 +437,15 @@ def test_validate_config_errors(cfg_changes, supply, demand, kind, message):
     for key, value in cfg_changes.items():
         setattr(cfg, key, value)
     _raises(kind, message, validate_config, cfg, supply, demand)
+
+
+@pytest.mark.parametrize("bad_id", [["a"], None], ids=["list", "None"])
+def test_state_id_must_be_a_str(bad_id):
+    # a list id used to raise TypeError at the duplicate-id check
+    message = f"state id must be of class str, got {type(bad_id).__name__}"
+    x = SupplyState(id=bad_id, unit_cost=[1], available=[2])
+    for states in ([x], [_d0()]), ([_S0], [_d0(id=bad_id)]):
+        _raises(InputError, message, validate_config, make_i1_cfg(), *states)
 
 
 # --- controller ---------------------------------------------------------

@@ -4,6 +4,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from plantsim import simulator
 from plantsim.model import InputError
 from plantsim.processes import (
     IID,
@@ -209,6 +210,23 @@ def test_stationary_long_run_frequencies():
     freq = empirical_distribution(xs, 2)
     pi = stationary_distribution(spec)
     assert abs(freq[0] - pi[0]) < 0.01
+
+
+def test_stationary_of_iid_is_its_probs():
+    spec = StateProcessSpec(mode=IID, state_ids=["a", "b"], probs=[0.25, 0.75])
+    pi = stationary_distribution(spec)
+    assert pi.dtype == float and pi.tolist() == [0.25, 0.75]
+
+
+def test_trace_has_no_stationary_distribution():
+    spec = StateProcessSpec(mode=TRACE, state_ids=["a"], trace=[0, 0])
+    message = "^trace processes have no stationary distribution$"
+    with pytest.raises(InputError, match=message):
+        stationary_distribution(spec)
+
+
+def test_simulator_alias_is_the_one_rule():
+    assert simulator.process_distribution is stationary_distribution
 
 
 def test_periodic_chain_rejected():

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -175,6 +177,21 @@ def test_readme_outputs_reproduce(monkeypatch, capsys):
     for cmd, expected in examples:
         assert main(cmd.split()) == 0, cmd
         assert capsys.readouterr().out.splitlines() == expected.splitlines(), cmd
+
+
+def test_readme_python_example_runs(capsys):
+    # the one documented library entry, run as a fresh interpreter would
+    text = (REPO / "README.md").read_text()
+    [block] = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    names: dict = {}
+    exec(block, names)
+    assert names["phi_opt"] == 1.0
+    assert run.stdout == f"{names['reps'].mean} 1.0\n" == capsys.readouterr().out
 
 
 def test_cli_simulate(capsys):

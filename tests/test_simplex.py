@@ -133,6 +133,20 @@ def test_unbounded_detected():
         solve_lp(lp)
 
 
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LinearProgram(c=np.zeros(0)),
+        LinearProgram(c=np.zeros(0), a_eq=np.zeros((1, 0)), b_eq=[0.0]),
+    ],
+    ids=["no-rows", "zero-row"],
+)
+def test_program_without_columns_solves(lp):
+    # pricing over zero columns used to take the argmax of an empty array
+    sol = solve_lp(lp)
+    assert (sol.value, sol.x.shape, sol.iterations) == (0.0, (0,), 0)
+
+
 def test_program_without_columns_is_infeasible():
     # every row starts on an artificial, which phase 1 cannot drive out
     lp = LinearProgram(c=np.zeros(0), a_eq=np.zeros((1, 0)), b_eq=[1.0])
