@@ -168,12 +168,13 @@ def _purchase_columns(model: Model, pi_x: np.ndarray, blocks: list) -> tuple:
     """(weight, spend, vectors) of every purchase column, in column order.
 
     blocks holds each supply state's purchase vectors; all of them go
-    through one int64 array.  A column's weight is its state's probability
-    and its spend the vector times its state's unit costs.
+    through one int64 array, filled in one pass of exactly its length.  A
+    column's weight is its state's probability and its spend the vector
+    times its state's unit costs.
     """
-    sizes = [len(acts) for acts in blocks]
-    acts = np.array([a for block in blocks for a in block], dtype=np.int64)
-    acts = acts.reshape(-1, model.cfg.M)
+    sizes, M = [len(acts) for acts in blocks], model.cfg.M
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(blocks))
+    acts = np.fromiter(flat, np.int64, sum(sizes) * M).reshape(-1, M)
     spend = np.empty(len(acts), dtype=np.int64)
     col = 0
     for x, size in zip(model.supply_states, sizes):

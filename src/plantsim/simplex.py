@@ -27,10 +27,11 @@ trips only on numerical trouble.
 The package's programs have tens of rows and hundreds to thousands of
 columns, and a pivot changes only the few rows with a non-zero entry in the
 entering column.  So each pivot reads the entering column and the
-right-hand side once, as Python lists, for the ratio test, and the
-elimination reads the pivot column once more and updates the non-zero rows
-one at a time, in row order.  Updating them as one fancy-indexed block was
-measured slower on such programs.
+right-hand side once, as Python lists; the ratio test and the elimination
+share that column, and the elimination updates the non-zero rows one at a
+time, in row order, through one scratch row.  Updating them as one
+fancy-indexed block was measured slower on such programs.  The basic
+variables' costs are kept between pivots, not gathered anew each time.
 """
 
 from __future__ import annotations
@@ -165,17 +166,18 @@ def _iterate(
     count = 0
     degenerate = 0
     width = len(obj)
+    A, cost, scratch = T[:, :width], obj[basis], np.empty(T.shape[1])
     while True:
-        reduced = obj - obj[basis] @ T[:, :width]
+        reduced = obj - cost @ A
         enter = int(reduced.argmax())
         if reduced[enter] <= _TOL:
             return count
         if phase == 1 or degenerate >= _DEGENERATE_RUN:
             enter = int((reduced > _TOL).argmax())
-        rhs = T[:, -1].tolist()
+        rhs, column = T[:, -1].tolist(), T[:, enter].tolist()
         best = -1
         best_ratio = np.inf
-        for i, a in enumerate(T[:, enter].tolist()):
+        for i, a in enumerate(column):
             if a > _PIVOT_TOL:
                 ratio = rhs[i] / a
                 if ratio < best_ratio - 1e-15 or (
@@ -190,8 +192,9 @@ def _iterate(
                 raise Unbounded(f"column {enter} can grow without bound")
             raise RuntimeError("phase 1 unbounded; this should be impossible")
         degenerate = degenerate + 1 if best_ratio <= _DEGENERATE_STEP else 0
-        _pivot(T, best, enter)
+        _pivot(T, best, enter, column, scratch)
         basis[best] = enter
+        cost[best] = obj[enter]
         count += 1
         if count > _MAX_ITER:
             raise RuntimeError(
@@ -200,18 +203,26 @@ def _iterate(
             )
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, row: int, col: int, column=None, scratch=None) -> None:
     """Divide the pivot row by its entry, then eliminate col from the other rows.
 
+    column is T[:, col] as a list, read before the pivot, and scratch a row
+    of T's width; each is made here when not given.  The division leaves
+    the column's other entries alone, so that one read serves every row.
     The rows are updated one at a time, in row order, and only where the
-    pivot column is non-zero; each update leaves the column's other
-    entries alone, so one read of the column serves them all.
+    column is non-zero, each as r - f * pivot_row: the floats of
+    T[i] -= f * pivot_row, without a temporary per row.
     """
-    T[row] /= T[row, col]
+    if column is None:
+        column = T[:, col].tolist()
+    if scratch is None:
+        scratch = np.empty(T.shape[1])
     pivot_row = T[row]
-    for i, f in enumerate(T[:, col].tolist()):
+    pivot_row /= column[row]
+    for i, f in enumerate(column):
         if f != 0.0 and i != row:
-            T[i] -= f * pivot_row
+            r = T[i]
+            np.subtract(r, np.multiply(pivot_row, f, out=scratch), out=r)
 
 
 def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, n_real: int) -> None:

@@ -1101,3 +1101,34 @@ def test_two_price_target_just_below_a_vertex():
     ent = _reduce_one(pts, 1.0 - 1e-13, 1.0 - 1e-13)
     assert ent.support == [(1, 0, 1.0)]
     assert ent.r_star == 1.0
+
+
+def _t8_frame_programs():
+    """20 profit LPs of _m3_k4_plant on the state histograms of 8-slot frames.
+
+    The oracle benchmark's lookahead frames have T = 8, so these pin the
+    pivot paths of the programs it solves, where _mid_pinned_programs'
+    frames have only one or two slots.
+    """
+    rng = np.random.default_rng(8080)
+    lps = []
+    for _ in range(20):
+        model = _m3_k4_plant(rng)[0]
+        xs, ys = rng.integers(0, 3, size=(2, 8))
+        pi_x, pi_y = empirical_distribution(xs, 3), empirical_distribution(ys, 3)
+        lps.append(build_profit_lp(model, pi_x, pi_y).lp)
+    return lps
+
+
+# sha256 over (value.hex(), x.tobytes(), iterations) of _t8_frame_programs(),
+# recorded with the plain tableau kernel that test_simplex.py's
+# _tableau_iterate keeps: a kernel that moves any float shows up here.
+FRAME_PIVOT_PATH_DIGEST = "6bc35b864fbe6fd2e930a46e6b7c635371fb71cb577d3cd0f6eb45e3c10805a6"
+
+
+def test_frame_pivot_paths_are_pinned():
+    digest = hashlib.sha256()
+    for lp in _t8_frame_programs():
+        sol = solve_lp(lp)
+        digest.update(repr((sol.value.hex(), sol.x.tobytes(), sol.iterations)).encode())
+    assert digest.hexdigest() == FRAME_PIVOT_PATH_DIGEST

@@ -10,6 +10,7 @@ from plantsim.oracles import build_profit_lp
 from plantsim.simplex import Infeasible, LinearProgram, Unbounded, solve_lp
 
 from conftest import doubled_rows, make_i1, random_tiny_instance
+from test_oracles import _m3_k4_plant, _t8_frame_programs
 
 
 def _bland_iterate(T, basis, obj, phase):
@@ -56,6 +57,65 @@ def _bland_iterate(T, basis, obj, phase):
 
 def bland_solve(lp):
     with mock.patch.object(simplex, "_iterate", _bland_iterate):
+        return solve_lp(lp)
+
+
+def _tableau_pivot(T, row, col):
+    """Reference pivot: divide the pivot row, then re-read the column and
+    update each other non-zero row with a temporary of its own."""
+    T[row] /= T[row, col]
+    pivot_row = T[row]
+    for i, f in enumerate(T[:, col].tolist()):
+        if f != 0.0 and i != row:
+            T[i] -= f * pivot_row
+
+
+def _tableau_iterate(T, basis, obj, phase):
+    """Reference pivot loop: solve_lp's pricing and ratio test, computed the
+    plain way.
+
+    It prices with obj[basis] taken afresh each iteration, reads the
+    entering column once for the ratio test and once more for the
+    elimination, and updates each row with T[i] -= f * pivot_row.  The
+    kernel tests below require solve_lp to match it bit for bit.
+    """
+    count = 0
+    degenerate = 0
+    width = len(obj)
+    while True:
+        reduced = obj - obj[basis] @ T[:, :width]
+        enter = int(reduced.argmax())
+        if reduced[enter] <= simplex._TOL:
+            return count
+        if phase == 1 or degenerate >= simplex._DEGENERATE_RUN:
+            enter = int((reduced > simplex._TOL).argmax())
+        rhs = T[:, -1].tolist()
+        best = -1
+        best_ratio = np.inf
+        for i, a in enumerate(T[:, enter].tolist()):
+            if a > simplex._PIVOT_TOL:
+                ratio = rhs[i] / a
+                if ratio < best_ratio - 1e-15 or (
+                    abs(ratio - best_ratio) <= 1e-15
+                    and best >= 0
+                    and basis[i] < basis[best]
+                ):
+                    best = i
+                    best_ratio = ratio
+        if best < 0:
+            if phase == 2:
+                raise Unbounded(f"column {enter} can grow without bound")
+            raise RuntimeError("phase 1 unbounded; this should be impossible")
+        degenerate = degenerate + 1 if best_ratio <= simplex._DEGENERATE_STEP else 0
+        _tableau_pivot(T, best, enter)
+        basis[best] = enter
+        count += 1
+        if count > simplex._MAX_ITER:
+            raise RuntimeError("simplex exceeded the iteration guard")
+
+
+def tableau_solve(lp):
+    with mock.patch.object(simplex, "_iterate", _tableau_iterate):
         return solve_lp(lp)
 
 
@@ -396,3 +456,35 @@ def test_pivot_paths_are_pinned():
         sol = solve_lp(lp)
         digest.update(repr((sol.value.hex(), sol.x.tobytes(), sol.iterations)).encode())
     assert digest.hexdigest() == PIVOT_PATH_DIGEST
+
+
+def _kernel_programs():
+    """Programs for the kernel test: random feasible programs, tiny profit
+    LPs, _m3_k4_plant programs and T = 8 frames of _m3_k4_plant."""
+    rng = np.random.default_rng(4242)
+    lps = [_random_feasible_lp(rng) for _ in range(200)]
+    lps += [build_profit_lp(*random_tiny_instance(rng)).lp for _ in range(60)]
+    lps += [build_profit_lp(*_m3_k4_plant(rng)).lp for _ in range(20)]
+    return lps + _t8_frame_programs()
+
+
+def test_kernel_matches_tableau_reference():
+    # The same floats in the same order: value, vertex and pivot count.
+    for lp in _kernel_programs():
+        got, want = solve_lp(lp), tableau_solve(lp)
+        assert got.value.hex() == want.value.hex()
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.iterations == want.iterations
+
+
+def test_pivot_reads_its_own_column():
+    # Called without a column, as _drive_out_artificials calls it, _pivot
+    # reads the column itself and updates the rows as the reference does.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        T = rng.integers(-3, 4, size=(4, 7)).astype(float)
+        T[1, 2] = 2.0
+        want = T.copy()
+        simplex._pivot(T, 1, 2)
+        _tableau_pivot(want, 1, 2)
+        assert T.tobytes() == want.tobytes()
