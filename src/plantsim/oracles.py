@@ -408,12 +408,15 @@ def brute_force_opt(model: Model, pi_x, pi_y) -> BruteForceResult:
     pair of pure policies the feasible weight interval is computed in
     closed form and the profit evaluated at its endpoints, and with two
     materials every triple is additionally checked at the point where both
-    material balances are tight.  An optimal stationary policy mixes at
-    most one extra policy per material balance, so this search attains the
-    true optimum and the best value found both lower-bounds and, within
-    rounding, matches the LP.  Meant for tiny instances only; raises
-    InstanceTooLarge beyond two states per process, two products, two
-    materials or three prices.
+    material balances are tight.  Only distinct undominated (profit, slack)
+    points are mixed: rounded to 12 decimals, deduplicated by one
+    lexicographic sort and cut by _pareto_max, since replacing a point by
+    one that dominates it never lowers a mixture's profit or slack.  An
+    optimal stationary policy mixes at most one extra policy per material
+    balance, so this search attains the true optimum and the best value
+    found both lower-bounds and, within rounding, matches the LP.  Meant
+    for tiny instances only; raises InstanceTooLarge beyond two states per
+    process, two products, two materials or three prices.
     """
     check_class("model", Model, model)
     cfg = model.cfg
@@ -465,8 +468,7 @@ def brute_force_opt(model: Model, pi_x, pi_y) -> BruteForceResult:
     pts = np.concatenate(
         [profit[..., None], slack], axis=2
     ).reshape(-1, 1 + cfg.M)
-    pts = np.unique(np.round(pts, 12), axis=0)
-    pts = _pareto_max(pts)
+    pts = _pareto_max(_distinct_rows(np.round(pts, 12)))
     if len(pts) > 600:
         raise InstanceTooLarge("too many undominated policies to mix exactly")
 
@@ -513,12 +515,15 @@ def _best_triple_mix(pts: np.ndarray) -> float:
     With two materials an optimal mixture can need three policies, but any
     such optimum not already covered by the pair search has both material
     balances active.  That leaves one candidate point per triple, found by
-    a 2x2 linear solve and kept when it lies in the weight simplex.
+    a 2x2 linear solve and kept when it lies in the weight simplex.  The
+    triples' index array is filled in one pass of exact length.
     """
     n = len(pts)
-    if n * (n - 1) * (n - 2) // 6 > 2_000_000:
+    count = n * (n - 1) * (n - 2) // 6
+    if count > 2_000_000:
         raise InstanceTooLarge("too many policy triples to mix exactly")
-    idx = np.array(list(itertools.combinations(range(n), 3)))
+    triples = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
+    idx = np.fromiter(triples, np.intp, 3 * count).reshape(-1, 3)
     p = pts[idx]  # (n_triples, 3, 1 + 2)
     pk, pi_, pj = p[:, 2], p[:, 0], p[:, 1]
     a11 = pi_[:, 1] - pk[:, 1]
@@ -551,6 +556,18 @@ def _combine(blocks, M: int, cap: int):
         if len(scalars) > cap:
             raise InstanceTooLarge("too many pure policies to enumerate")
     return scalars, vectors
+
+
+def _distinct_rows(pts: np.ndarray) -> np.ndarray:
+    """The distinct rows of a non-empty pts in lexicographic order, by one sort.
+
+    The rows of np.unique(pts, axis=0) in its order.  Like np.unique it
+    compares by value, so rows that differ only in the sign of a zero are
+    one row; the stable sort keeps the first of them in input order, where
+    np.unique's unstable sort may keep another.
+    """
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
 
 
 def _pareto_max(pts: np.ndarray) -> np.ndarray:

@@ -111,8 +111,11 @@ def _as_int(v, where: str) -> int:
 
 def _as_num(v, where: str) -> float:
     # json.load accepts NaN, Infinity and integers too large for a float.
-    message = f"{where}: expected a finite number, got {v!r}"
-    return float(check_real(where, v, -math.inf, error=ParseError, message=message))
+    # The message is built only for a refused value, not for every number.
+    try:
+        return float(check_real(where, v, -math.inf, error=ParseError))
+    except ParseError:
+        raise ParseError(f"{where}: expected a finite number, got {v!r}") from None
 
 
 def _as_bool(v, where: str) -> bool:

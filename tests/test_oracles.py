@@ -29,6 +29,8 @@ from plantsim.oracles import (
     product_options,
     two_price_reduce,
     _best_pair_mix,
+    _distinct_rows,
+    _pareto_max,
     _reduce_one,
 )
 from plantsim.processes import (
@@ -697,6 +699,75 @@ def test_monotone_in_price_set_and_caps(rng):
         assert bigger >= base - 1e-9
 
 
+# sha256 over (value.hex(), pure_value.hex(), is_pure), or the InstanceTooLarge
+# message, of brute_force_opt on 60 random_tiny_instance plants (seed 7),
+# recorded with the search that deduplicated with np.unique and compared all
+# pairs in _pareto_max.  A search that moves any bit of an answer shows up here.
+BRUTE_FORCE_DIGEST = "3af4a221d31e9d99cf64a1eaf803c94d36a80c00622f7d04e2632afde888fa65"
+
+
+def test_brute_force_outputs_are_pinned():
+    rng = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        model, pi_x, pi_y = random_tiny_instance(rng)
+        try:
+            res = brute_force_opt(model, pi_x, pi_y)
+        except InstanceTooLarge as exc:
+            digest.update(str(exc).encode())
+        else:
+            digest.update(repr((res.value.hex(), res.pure_value.hex(), res.is_pure)).encode())
+    assert digest.hexdigest() == BRUTE_FORCE_DIGEST
+
+
+def _rounded_point_sets(rng, count):
+    """count random point sets of 2 or 3 columns, rounded as brute_force_opt's.
+
+    Coordinates come from a small integer grid (ties and equal coordinates),
+    a normal cloud or a front of many undominated rows, scaled by 1e-6 to 1e6,
+    with some signed zeros.
+    """
+    for i in range(count):
+        d = 2 + i % 2
+        n = int(rng.integers(1, 40))
+        kind = i // 2 % 3
+        if kind == 0:
+            pts = rng.integers(-3, 4, size=(n, d)).astype(float)
+        elif kind == 1:
+            pts = rng.normal(size=(n, d))
+        else:
+            pts = rng.dirichlet(np.ones(d), size=n) + rng.normal(0, 0.01, size=(n, d))
+        pts *= 10.0 ** rng.uniform(-6, 6)
+        pts[rng.random(pts.shape) < 0.05] = -0.0
+        yield np.round(pts, 12)
+
+
+def test_distinct_rows_matches_np_unique():
+    # np.unique(pts, axis=0) was brute_force_opt's dedupe before the one sort.
+    rng = np.random.default_rng(4141)
+    merged_zeros = 0
+    for pts in _rounded_point_sets(rng, 2000):
+        got = _distinct_rows(pts)
+        assert np.array_equal(got, np.unique(pts, axis=0))
+        # Bit for bit, each row kept is the first input row equal to it by
+        # value: that settles which sign a merged zero keeps.
+        first = []
+        for row in got:
+            same = pts[(pts == row).all(axis=1)]
+            first.append(same[0])
+            merged_zeros += bool((np.signbit(same) != np.signbit(same[0])).any())
+        assert got.tobytes() == np.array(first).tobytes()
+    assert merged_zeros >= 100
+
+
+def test_pareto_max_drops_rows_tied_in_a_coordinate():
+    # A row equal in one coordinate and lower in the other is dominated, also
+    # where 1e-15 is below one ulp of the coordinates.
+    for scale in (1.0, 1e6):
+        pts = scale * np.array([[1.0, 5.0], [3.0, 2.0], [1.0, 4.0], [0.0, 5.0], [3.0, 1.0]])
+        assert np.array_equal(_pareto_max(pts), scale * np.array([[1.0, 5.0], [3.0, 2.0]]))
+
+
 # --- two-price reduction --------------------------------------------------
 
 
@@ -1012,6 +1083,25 @@ def test_lookahead_matches_per_slot_reference():
         new = lookahead_value(model, xs.tolist(), ys.tolist()).phi_T
         assert abs(new - ref) <= 1e-9 * (1.0 + abs(ref)), (xs, ys)
     assert single_slot >= 10 and unvisited >= 50
+
+
+def test_lookahead_is_T_times_the_brute_force_optimum():
+    # The exhaustive search shares no code with the simplex, so this checks
+    # a frame's value without the LP: T times the optimum on its histograms.
+    rng = np.random.default_rng(11)
+    positive = 0
+    for _ in range(40):
+        model = random_tiny_instance(rng)[0]
+        n_x, n_y = len(model.supply_states), len(model.demand_states)
+        T = int(rng.integers(1, 7))
+        xs = rng.integers(0, n_x, size=T)
+        ys = rng.integers(0, n_y, size=T)
+        value = lookahead_value(model, xs, ys).phi_T
+        pis = empirical_distribution(xs, n_x), empirical_distribution(ys, n_y)
+        brute = T * brute_force_opt(model, *pis).value
+        assert abs(value - brute) <= 1e-6 * (1.0 + abs(value)), (xs, ys)
+        positive += value > 1e-9
+    assert positive >= 10
 
 
 def test_lookahead_ignores_unvisited_states():

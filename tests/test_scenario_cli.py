@@ -118,6 +118,18 @@ def test_markov_and_trace_processes_parse():
         parse_scenario(data)
 
 
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(float("nan"), "nan"), (float("inf"), "inf"), ("a", "'a'"), (True, "True")],
+)
+def test_number_message_is_pinned(bad, shown):
+    data = i1_data()
+    data["alpha"] = [bad]
+    with pytest.raises(ParseError) as err:
+        parse_scenario(data)
+    assert str(err.value) == f"alpha[0]: expected a finite number, got {shown}"
+
+
 def test_trace_file_loading(tmp_path):
     data = i1_data()
     del data["process_x"]

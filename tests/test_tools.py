@@ -1,5 +1,7 @@
-"""The command-line behaviour of tools/codelines.py."""
+"""The command-line behaviour of tools/codelines.py and tools/pairs.py."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,89 @@ def test_codelines_missing_path_exits_two(tmp_path):
         assert run.returncode == 2
         assert run.stdout == ""
         assert run.stderr == f"codelines: no such file or directory: {arg}\n"
+
+
+PAIRS = CODELINES.parent / "pairs.py"
+
+# A stand-in for perfbench/run.py: it logs its side, arguments and
+# PYTHONDONTWRITEBYTECODE to order.log beside the two trees, then prints a
+# line of noise and the JSON line of a run, with b_p50_ms read from VALUES by
+# seed and correct false for the seeds in BAD.
+_STUB = """\
+import json, os, sys
+from pathlib import Path
+SIDE, VALUES, BAD = {side!r}, {values!r}, {bad!r}
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open(Path(__file__).resolve().parents[2] / "order.log", "a") as fh:
+    flag = os.environ["PYTHONDONTWRITEBYTECODE"]
+    fh.write(" ".join([SIDE, *sys.argv[1:], flag]) + "\\n")
+print("workload: stub")
+metrics = {{"b_p50_ms": {{"value": VALUES[seed], "unit": "ms"}}}}
+print(json.dumps({{"correct": seed not in BAD, "attempted": 1, "failed": 0, "metrics": metrics}}))
+sys.exit(1 if seed in BAD else 0)
+"""
+
+
+def _stub_trees(root, base, head, bad=()):
+    for side, values in (("base", base), ("head", head)):
+        (root / side / "perfbench").mkdir(parents=True)
+        stub = _STUB.format(side=side, values=values, bad=list(bad))
+        (root / side / "perfbench" / "run.py").write_text(stub)
+
+
+def _pairs(*args, cwd, monkeypatch):
+    """tools/pairs.py run in this process (its runs are still subprocesses)."""
+    spec = importlib.util.spec_from_file_location("pairs", PAIRS)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    monkeypatch.chdir(cwd)
+    return pairs.main(["base", "head", "--workload", "oracle", *args])
+
+
+def test_pairs_alternate_and_summarize(tmp_path, monkeypatch, capsys):
+    base = {5: 1.0, 6: 2.0, 7: 3.0}
+    head = {5: 0.5, 6: 2.5, 7: 1.5}
+    _stub_trees(tmp_path, base, head)
+    args = ("--pairs", "3", "--seed", "5", "--out", "bench.json")
+    code = _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch)
+    assert code == 0
+    log = (tmp_path / "order.log").read_text().splitlines()
+    orders = [("base", "head"), ("head", "base"), ("base", "head")]
+    assert log == [
+        f"{side} --workload oracle --seed {seed} --seconds 15 --trace 0 1"
+        for seed, order in zip(range(5, 8), orders)
+        for side in order
+    ]
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    # medians 2.0 and 1.5 with inclusive quartiles; head lower in 2 of 3
+    assert row[:4] == ["b_p50_ms", "2", "[1.5,", "2.5]"]
+    assert row[4:7] == ["1.5", "[1,", "2]"]
+    assert row[-4:] == ["-25.0%", "2", "of", "3"]
+    out = json.loads((tmp_path / "bench.json").read_text())
+    oracle = out["workloads"]["oracle"]
+    assert [(r["side"], r["seed"]) for r in oracle["runs"]] == [
+        (side, seed) for seed, order in zip(range(5, 8), orders) for side in order
+    ]
+    summary = oracle["summary"]["b_p50_ms"]
+    assert summary["base"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert summary["head"] == {"median": 1.5, "q1": 1.0, "q3": 2.0}
+    assert summary["change_pct"] == -25.0 and summary["head_lower"] == 2
+    assert oracle["failed"] is None
+    assert set(out["machine"]) == {"nproc", "cpu", "python", "numpy"}
+
+
+def test_pairs_stop_at_a_failed_run(tmp_path, monkeypatch, capsys):
+    _stub_trees(tmp_path, {0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, bad=[1])
+    args = ("--pairs", "2", "--out", "bench.json")
+    code = _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "the head run of seed 1 failed (exit code 1, correct: False)" in err
+    # pair 1 runs head first, so its base run never starts
+    assert len((tmp_path / "order.log").read_text().splitlines()) == 3
+    oracle = json.loads((tmp_path / "bench.json").read_text())["workloads"]["oracle"]
+    assert [(r["side"], r["seed"]) for r in oracle["runs"]] == [("base", 0), ("head", 0)]
+    failed = {k: oracle["failed"][k] for k in ("pair", "side", "seed", "exit_code")}
+    assert failed == {"pair": 1, "side": "head", "seed": 1, "exit_code": 1}
+    assert oracle["failed"]["result"]["correct"] is False
+    assert oracle["summary"] is None
