@@ -105,6 +105,7 @@ class _Tables:
     """
 
     def __init__(self, params: ControllerParams, cfg: PlantConfig):
+        check_class("cfg", PlantConfig, cfg)
         self.cfg, self.V, self.blind = cfg, params.V, params.demand_blind
         self.mu_max = cfg.mu_max()
         self.first_prices = [prices[0] for prices in cfg.price_set]
@@ -163,6 +164,7 @@ def compute_theta(cfg: PlantConfig, V: float) -> list[float]:
     V may be 0 here, which leaves the buffer terms alone.
     """
     check_real("V", V)
+    check_class("cfg", PlantConfig, cfg)
     mu_max = cfg.mu_max()
     theta = []
     for m in range(cfg.M):

@@ -34,7 +34,7 @@ from plantsim.simulator import (
 )
 
 import conftest
-from conftest import (
+from plants import (
     make_blind,
     make_i1,
     make_i1_cfg,

@@ -21,7 +21,9 @@ from plantsim.controller import (
     InitOutOfRange,
     compute_theta,
     init_placeholder,
+    init_state,
     make_params,
+    queue_band,
 )
 from plantsim.model import (
     ConfigError,
@@ -65,7 +67,7 @@ from plantsim.simulator import (
     write_slot_log,
 )
 
-from conftest import make_i1, make_i1_cfg, make_two_phase
+from plants import _iid, make_i1, make_i1_cfg, make_two_phase
 
 NAN = math.nan
 
@@ -550,10 +552,6 @@ def test_online_run_refuses_oracle_policy():
     _raises(InputError, message, run_episode, ec, model)
 
 
-def _iid(ids, probs):
-    return StateProcessSpec(mode=IID, state_ids=ids, probs=probs)
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -694,6 +692,34 @@ def test_summarize_needs_an_episode():
             lambda: check_profit_bound(make_i1().cfg, None, None, 10.0, 50),
             "model must be of class Model, got PlantConfig",
         ),
+        # the model where its cfg belongs used to raise TypeError: 'list'
+        # object is not callable (Model.mu_max is a list, PlantConfig's a method)
+        (
+            lambda: make_params(make_i1(), 10.0),
+            "cfg must be of class PlantConfig, got Model",
+        ),
+        (
+            lambda: make_params(None, 10.0),
+            "cfg must be of class PlantConfig, got NoneType",
+        ),
+        (
+            lambda: compute_theta(make_i1(), 10.0),
+            "cfg must be of class PlantConfig, got Model",
+        ),
+        (
+            lambda: queue_band(make_params(make_i1_cfg(), 10.0), make_i1()),
+            "cfg must be of class PlantConfig, got Model",
+        ),
+        (
+            lambda: init_state(make_i1(), make_params(make_i1_cfg(), 10.0)),
+            "cfg must be of class PlantConfig, got Model",
+        ),
+        (
+            lambda: init_placeholder(
+                make_i1(), make_params(make_i1_cfg(), 10.0), [0]
+            ),
+            "cfg must be of class PlantConfig, got Model",
+        ),
         (
             lambda: summarize([1, 2]),
             "metrics entry must be of class Metrics, got int",
@@ -828,6 +854,12 @@ def test_summarize_needs_an_episode():
         "ec-none",
         "model-none",
         "bound-check-config",
+        "make-params-model",
+        "make-params-none",
+        "compute-theta-model",
+        "queue-band-model",
+        "init-state-model",
+        "init-placeholder-model",
         "summarize-ints",
         "replications-ec-none",
         "optimal-profit-none",

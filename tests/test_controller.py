@@ -1,9 +1,7 @@
 import dataclasses
 import gc
-import itertools
 import math
 import tracemalloc
-from operator import mul
 
 import numpy as np
 import pytest
@@ -34,8 +32,13 @@ from plantsim.model import (
 from plantsim.processes import constant_process
 from plantsim.simulator import EpisodeConfig, run_episode
 
-from conftest import make_i1, make_i1_cfg
-from test_episode_digest import make_mid
+from plants import make_i1, make_i1_cfg, make_mid, tie_plant
+from reference import (
+    _maximal_by_brute_force,
+    _ref_decide_pricing,
+    _ref_decide_purchase,
+    _ref_knapsack,
+)
 
 
 def _bounded_knapsack_lex_min(values, costs, caps, budget):
@@ -219,192 +222,7 @@ def test_purchase_brute_force_agreement(rng):
         assert got == best_a, (Q, theta, x.unit_cost, x.available, cfg.A_max)
 
 
-# -- reference decisions ---------------------------------------------------
-# The decisions as they were before the per-model tables and the
-# reachable-budget knapsack, kept verbatim (renamed) so the tests below can
-# show the table-driven versions return exactly the same results.
-
-def _ref_decide_purchase(
-    Q: list[int], x: SupplyState, params: ControllerParams, cfg: PlantConfig
-) -> list[int]:
-    """Choose this slot's purchase vector.
-
-    Minimizes V * spend + sum_m A[m] * (Q[m] - theta[m]) over the feasible
-    purchases under supply state x.  Only materials with negative linear
-    weight w[m] = V * unit_cost[m] + Q[m] - theta[m] are worth buying; they
-    are bought at their caps when the budget allows, otherwise an exact
-    bounded knapsack over integer cost units decides, returning the
-    lexicographically smallest optimal vector.
-    """
-    M = cfg.M
-    w = [params.V * x.unit_cost[m] + Q[m] - params.theta[m] for m in range(M)]
-    ub = [min(cfg.A_max[m], x.available[m]) for m in range(M)]
-    want = [ub[m] if w[m] < 0 else 0 for m in range(M)]
-    if purchase_cost(want, x) <= cfg.c_max:
-        return want
-
-    items = [m for m in range(M) if w[m] < 0]
-    values = [-w[m] for m in items]
-    costs = [x.unit_cost[m] for m in items]
-    caps = [ub[m] for m in items]
-    picked = _ref_knapsack(values, costs, caps, cfg.c_max)
-    A = [0] * M
-    for m, a in zip(items, picked):
-        A[m] = a
-    return A
-
-
-def _ref_knapsack(
-    values: list[float], costs: list[int], caps: list[int], budget: int
-) -> list[int]:
-    """Maximize sum values[i]*a[i] st sum costs[i]*a[i] <= budget, 0 <= a <= caps.
-
-    Returns the lexicographically smallest maximizer.  best[i][b] holds the
-    optimum over items i.. with budget b; the reconstruction pass recomputes
-    candidate scores with the identical arithmetic, so exact float equality
-    identifies optimal choices.
-    """
-    n = len(values)
-    best = [[0.0] * (budget + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        v, cost, cap = values[i], costs[i], caps[i]
-        nxt = best[i + 1]
-        row = best[i]
-        for b in range(budget + 1):
-            top = cap if cost == 0 else min(cap, b // cost)
-            m = nxt[b]
-            for a in range(1, top + 1):
-                cand = v * a + nxt[b - cost * a]
-                if cand > m:
-                    m = cand
-            row[b] = m
-    out = [0] * n
-    b = budget
-    for i in range(n):
-        v, cost, cap = values[i], costs[i], caps[i]
-        top = cap if cost == 0 else min(cap, b // cost)
-        target = best[i][b]
-        for a in range(top + 1):
-            if v * a + best[i + 1][b - cost * a] == target:
-                out[i] = a
-                b -= cost * a
-                break
-    return out
-
-
-def _ref_compute_indicators(Q: list[int], cfg: PlantConfig) -> list[int]:
-    """Flag products whose feeder queues cannot cover worst-case demand.
-
-    indicator[k] == 1 when some material m with beta[m][k] > 0 holds fewer
-    than mu_max[m] units; such products must not be offered this slot.
-    """
-    mu_max = cfg.mu_max()
-    low = [Q[m] < mu_max[m] for m in range(cfg.M)]
-    return [
-        int(any(low[m] and cfg.beta[m][k] > 0 for m in range(cfg.M)))
-        for k in range(cfg.K)
-    ]
-
-
-def _ref_decide_pricing(
-    Q: list[int], y: DemandState, params: ControllerParams, cfg: PlantConfig
-) -> tuple[list[int], list[float]]:
-    """Choose offer flags Z and prices P for this slot.
-
-    Product k scores each price p by V * (p - alpha[k]) * F + F * relief,
-    where relief is the queue headroom sum_m beta[m][k] * (Q[m] - theta[m])
-    and F is the mean demand at p.  The best strictly positive score wins
-    (ties go to the smaller price); otherwise the product is withheld, as it
-    is whenever a feeder queue is below its worst-case one-slot consumption.
-    In demand-blind mode the state-independent base table F_hat replaces F,
-    which leaves the decision unchanged whenever the true tables are the
-    base table scaled by a positive state factor.
-    """
-    ind = _ref_compute_indicators(Q, cfg)
-    Z = [0] * cfg.K
-    P = [0.0] * cfg.K
-    for k in range(cfg.K):
-        prices = cfg.price_set[k]
-        if ind[k]:
-            P[k] = prices[0]
-            continue
-        relief = sum(
-            cfg.beta[m][k] * (Q[m] - params.theta[m]) for m in range(cfg.M)
-        )
-        if params.demand_blind:
-            if y.F_hat is None:
-                raise ValueError(
-                    f"demand state {y.id!r} has no base table for blind pricing"
-                )
-            row = y.F_hat[k]
-        else:
-            row = y.F[k]
-        best = -np.inf
-        best_j = 0
-        for j, p in enumerate(prices):
-            f = row[j]
-            g = params.V * (p - cfg.alpha[k]) * f + f * relief
-            if g > best:
-                best = g
-                best_j = j
-        P[k] = prices[best_j]
-        if best > 0:
-            Z[k] = 1
-    return Z, P
-
-
-def _random_plant(rng, blind):
-    """A validated plant with M <= 3, K <= 4 and coarse grids that make ties.
-
-    Costs and availabilities include zeros, the budget may be zero, demand
-    means include zero, and half-unit prices and margins make exact zero
-    and equal scores common at integer V and theta.
-    """
-    M = int(rng.integers(1, 4))
-    K = int(rng.integers(1, 5))
-    beta = [[int(rng.integers(0, 3)) for _ in range(K)] for _ in range(M)]
-    for k in range(K):
-        if all(beta[m][k] == 0 for m in range(M)):
-            beta[int(rng.integers(0, M))][k] = 1
-    menu = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
-    price_set = []
-    for _ in range(K):
-        picks = rng.choice(len(menu), size=int(rng.integers(1, 4)), replace=False)
-        price_set.append([menu[i] for i in sorted(picks)])
-    D_max = [int(rng.integers(1, 4)) for _ in range(K)]
-    cfg = PlantConfig(
-        beta=beta,
-        alpha=[float(rng.choice([0.0, 0.5, 1.0])) for _ in range(K)],
-        price_set=price_set,
-        D_max=D_max,
-        A_max=[int(rng.integers(1, 5)) for _ in range(M)],
-        c_max=int(rng.integers(0, 10)),
-    )
-    supply = [
-        SupplyState(
-            id=f"x{i}",
-            unit_cost=[int(rng.integers(0, 4)) for _ in range(M)],
-            available=[int(rng.integers(0, 5)) for _ in range(M)],
-        )
-        for i in range(3)
-    ]
-
-    def table():
-        grid = [0.0, 0.5, 1.0, 2.0]  # times D_max / 2
-        return [
-            [float(rng.choice(grid)) * D_max[k] / 2 for _ in price_set[k]]
-            for k in range(K)
-        ]
-
-    demand = []
-    for i in range(3):
-        if blind:
-            base, h = table(), float(rng.choice([0.5, 1.0]))
-            F = [[h * f for f in row] for row in base]
-            demand.append(DemandState(id=f"y{i}", F=F, h=h, F_hat=base))
-        else:
-            demand.append(DemandState(id=f"y{i}", F=table()))
-    return validate_config(cfg, supply, demand)
+# -- the table-driven decisions against reference.py's -----------------------
 
 
 def _purchase_corners(Q, x, params, cfg):
@@ -448,7 +266,7 @@ def test_decisions_match_reference(rng):
     )
     for trial in range(150):
         blind = trial % 3 == 0
-        model = _random_plant(rng, blind)
+        model = tie_plant(rng, blind)
         cfg = model.cfg
         V = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
         if trial % 2:
@@ -891,17 +709,6 @@ SCAN_CASES = [
 def test_scan_near_ties_follow_the_dp(args, expected, route):
     assert _bounded_knapsack_lex_min(*args) == expected == _ref_knapsack(*args)
     assert _route(*args) == (expected, route)
-
-
-def _maximal_by_brute_force(costs, caps, budget):
-    out = set()
-    for a in itertools.product(*(range(u + 1) for u in caps)):
-        spend = sum(map(mul, costs, a))
-        if spend <= budget and all(
-            ai == u or spend + c > budget for ai, u, c in zip(a, caps, costs)
-        ):
-            out.add(a)
-    return out
 
 
 def test_scan_matches_knapsack():

@@ -1,10 +1,11 @@
 """Pinned digests of seeded episodes.
 
-Every case below is a seeded episode whose totals (as float.hex), queue
-extremes, final queues, drift maximum, violation and mismatch counts and
-per-slot log hash were recorded before the online and playback loops were
-merged into one slot loop.  A change to the slot arithmetic, the order of
-random draws or the fulfillment rule shows up here as a changed digest.
+Every case of plants.CASES is a seeded episode whose totals (as
+float.hex), queue extremes, final queues, drift maximum, violation and
+mismatch counts and per-slot log hash were recorded before the online and
+playback loops were merged into one slot loop.  A change to the slot
+arithmetic, the order of random draws or the fulfillment rule shows up
+here as a changed digest.
 
 Oracle playback logs Q at the slot start; it used to log the queue after
 the update, so the Q column is left out of the playback log hash.
@@ -13,125 +14,13 @@ the update, so the Q column is left out of the playback log hash.
 import hashlib
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from plantsim.model import (
-    DemandState,
-    PlantConfig,
-    SupplyState,
-    material_usage,
-    schedule_fulfillment,
-    validate_config,
-)
-from plantsim.oracles import extract_xy_policy, optimal_profit
-from plantsim.processes import IID, StateProcessSpec, constant_process
+from plantsim.model import material_usage, schedule_fulfillment
 from plantsim.simulator import EpisodeConfig, run_episode
 
-from conftest import make_blind, make_i1
+from plants import CASES, _i1, _iid, _mid, run_case
 
-
-MID_PRICES = [[4.3, 6.1, 9.7], [5.0, 7.5], [3.9, 8.2, 11.3], [6.6, 10.1]]
-MID_ALPHA = [0.7, 1.1, 0.3, 0.9]
-# Margins that are exact binary fractions, so every profit sum is exact.
-MID_INT_PRICES = [[4.0, 6.0, 10.0], [5.0, 8.0], [4.0, 8.0, 11.0], [7.0, 10.0]]
-MID_INT_ALPHA = [1.0, 0.5, 0.25, 1.0]
-
-
-def make_mid(price_set=MID_PRICES, alpha=MID_ALPHA):
-    """M=3, K=4 with two supply and two demand states and a binding budget."""
-    cfg = PlantConfig(
-        beta=[[1, 0, 2, 1], [0, 1, 1, 0], [2, 1, 0, 1]],
-        alpha=alpha,
-        price_set=price_set,
-        D_max=[3, 2, 3, 2],
-        A_max=[6, 6, 6],
-        c_max=12,
-    )
-    supply = [
-        SupplyState(id="x0", unit_cost=[1, 2, 3], available=[6, 4, 5]),
-        SupplyState(id="x1", unit_cost=[3, 1, 2], available=[3, 6, 6]),
-    ]
-    demand = [
-        DemandState(
-            id="y0",
-            F=[[2.7, 1.9, 0.4], [1.8, 0.6], [2.9, 1.2, 0.3], [1.5, 0.8]],
-        ),
-        DemandState(
-            id="y1",
-            F=[[1.3, 0.9, 0.2], [1.1, 0.2], [2.2, 2.0, 1.1], [1.9, 1.4]],
-        ),
-    ]
-    return validate_config(cfg, supply, demand)
-
-
-def _iid(ids, probs):
-    return StateProcessSpec(mode=IID, state_ids=ids, probs=probs)
-
-
-def _i1(**kw):
-    base = dict(
-        horizon=4000,
-        seed=31,
-        V=10.0,
-        process_x=constant_process("s0"),
-        process_y=constant_process("d0"),
-    )
-    base.update(kw)
-    return make_i1(), EpisodeConfig(**base)
-
-
-def _mid(model=None, **kw):
-    base = dict(
-        horizon=3000,
-        seed=5,
-        V=40.0,
-        process_x=_iid(["x0", "x1"], [0.6, 0.4]),
-        process_y=_iid(["y0", "y1"], [0.3, 0.7]),
-    )
-    base.update(kw)
-    return model or make_mid(), EpisodeConfig(**base)
-
-
-def _with_oracle(model, ec, pi_x, pi_y):
-    _, plp, sol = optimal_profit(model, np.asarray(pi_x), np.asarray(pi_y))
-    ec.controller = "oracle"
-    ec.oracle_policy = extract_xy_policy(plp, sol)
-    return model, ec
-
-
-def _blind():
-    model = make_blind()
-    ec = EpisodeConfig(
-        horizon=4000,
-        seed=8,
-        V=10.0,
-        process_x=constant_process("s0"),
-        process_y=_iid(["lo", "hi"], [0.5, 0.5]),
-        demand_blind=True,
-    )
-    return model, ec
-
-
-CASES = {
-    "i1-online": lambda: _i1(),
-    "i1-placeholder": lambda: _i1(placeholder=True, Q0=[3]),
-    "i1-assembly-delay": lambda: _i1(assembly_delay=True, stream=2),
-    "i1-unsafe-theta": lambda: _i1(theta=[12.0], allow_unsafe_theta=True),
-    "blind-demand-blind": _blind,
-    "mid-online": lambda: _mid(),
-    "mid-placeholder": lambda: _mid(placeholder=True, Q0=[1, 0, 2]),
-    "mid-assembly-delay": lambda: _mid(assembly_delay=True, seed=6),
-    "mid-unsafe-theta": lambda: _mid(
-        theta=[100.0, 80.0, 100.0], allow_unsafe_theta=True
-    ),
-    "i1-oracle": lambda: _with_oracle(*_i1(), [1.0], [1.0]),
-    "i1-oracle-Q0": lambda: _with_oracle(*_i1(seed=4, Q0=[7]), [1.0], [1.0]),
-    "mid-oracle": lambda: _with_oracle(*_mid(), [0.6, 0.4], [0.3, 0.7]),
-    "mid-int-oracle": lambda: _with_oracle(
-        *_mid(make_mid(MID_INT_PRICES, MID_INT_ALPHA), seed=9), [0.6, 0.4], [0.3, 0.7]
-    ),
-}
 
 # Playback books a slot's profit in the online controller's order, the
 # purchase bill first and then each sale in product order; it used to add
@@ -170,12 +59,6 @@ def digest(name: str, ec: EpisodeConfig, m) -> dict:
         "startup_cost": m.startup_cost,
         "log": hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
     }
-
-
-def run_case(name: str):
-    model, ec = CASES[name]()
-    ec.record_log = True
-    return model, ec, run_episode(ec, model)
 
 
 PINNED = {

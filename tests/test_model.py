@@ -15,7 +15,7 @@ from plantsim.model import (
     validate_config,
 )
 
-from conftest import make_i1, make_i1_cfg
+from plants import make_i1, make_i1_cfg
 
 
 def test_i1_accepted_with_mu_max():

@@ -9,7 +9,6 @@ from plantsim.model import (
     DemandState,
     PlantConfig,
     SupplyState,
-    purchase_cost,
     validate_config,
 )
 from plantsim.oracles import (
@@ -40,9 +39,17 @@ from plantsim.processes import (
     empirical_distribution,
     generate_states,
 )
-from plantsim.simplex import LinearProgram, LpSolution, solve_lp
+from plantsim.simplex import LpSolution, solve_lp
 
-from conftest import doubled_rows, make_i1, make_two_phase, random_tiny_instance
+from plants import (
+    _m3_k4_plant,
+    _t8_frame_programs,
+    doubled_rows,
+    make_i1,
+    make_two_phase,
+    random_tiny_instance,
+)
+from reference import _per_slot_lookahead, _ref_enumerate_actions, _reference_profit_lp
 
 
 def one(state_count):
@@ -82,36 +89,6 @@ def test_action_guard_fires():
     x = SupplyState(id="x", unit_cost=[0, 0, 0], available=[99, 99, 99])
     with pytest.raises(ActionSpaceTooLarge):
         enumerate_actions(x, cfg)
-
-
-def _ref_enumerate_actions(x, cfg):
-    """enumerate_actions as a depth-first recursion over the materials.
-
-    Kept as the reference for the level-by-level enumeration: it appends
-    the vectors one at a time and raises when one more would pass the cap.
-    """
-    ub = [min(cfg.A_max[m], x.available[m]) for m in range(cfg.M)]
-    out = []
-    vec = [0] * cfg.M
-
-    def rec(m, budget):
-        if m == cfg.M:
-            if len(out) >= oracles.ACTION_CAP:
-                raise ActionSpaceTooLarge(
-                    f"supply state {x.id!r} admits more than {oracles.ACTION_CAP} "
-                    "purchase vectors"
-                )
-            out.append(tuple(vec))
-            return
-        cost = x.unit_cost[m]
-        top = ub[m] if cost == 0 else min(ub[m], budget // cost)
-        for a in range(top + 1):
-            vec[m] = a
-            rec(m + 1, budget - cost * a)
-        vec[m] = 0
-
-    rec(0, cfg.c_max)
-    return out
 
 
 def test_enumerate_actions_matches_reference(monkeypatch):
@@ -341,119 +318,6 @@ def test_extract_policy_zero_demand_idles():
     assert pol.c_hat == pytest.approx(0.0, abs=1e-9)
     assert pol.r_hat == pytest.approx(0.0, abs=1e-9)
     assert pol.a_hat[0] == pytest.approx(0.0, abs=1e-9)
-
-
-def _reference_profit_lp(model, pi_x, pi_y) -> LinearProgram:
-    """The stationary-profit LP as build_profit_lp wrote it, pass by pass.
-
-    Kept as the reference for the block layout: it tracks a purchase offset
-    per supply state and an option offset per (product, demand state), and
-    fills the objective and each row kind in a separate loop.
-    """
-    cfg = model.cfg
-    pi_x = np.asarray(pi_x, dtype=float)
-    pi_y = np.asarray(pi_y, dtype=float)
-
-    actions = [enumerate_actions(x, cfg) for x in model.supply_states]
-    purchase_offset = []
-    n = 0
-    for acts in actions:
-        purchase_offset.append(n)
-        n += len(acts)
-    option_offset: dict[tuple[int, int], int] = {}
-    for k in range(cfg.K):
-        n_opts = len(product_options(cfg, k))
-        for yi in range(len(model.demand_states)):
-            option_offset[(k, yi)] = n
-            n += n_opts
-
-    c = np.zeros(n)
-    for xi, x in enumerate(model.supply_states):
-        base = purchase_offset[xi]
-        for ai, a in enumerate(actions[xi]):
-            c[base + ai] = -pi_x[xi] * purchase_cost(list(a), x)
-    for k in range(cfg.K):
-        opts = product_options(cfg, k)
-        for yi, y in enumerate(model.demand_states):
-            base = option_offset[(k, yi)]
-            for oi, (z, j) in enumerate(opts):
-                if z:
-                    c[base + oi] = (
-                        pi_y[yi] * (cfg.price_set[k][j] - cfg.alpha[k]) * y.F[k][j]
-                    )
-
-    n_eq = len(actions) + cfg.K * len(model.demand_states) + cfg.M
-    a_eq = np.zeros((n_eq, n))
-    b_eq = np.zeros(n_eq)
-    row = 0
-    for xi, acts in enumerate(actions):
-        a_eq[row, purchase_offset[xi] : purchase_offset[xi] + len(acts)] = 1.0
-        b_eq[row] = 1.0
-        row += 1
-    for k in range(cfg.K):
-        n_opts = len(product_options(cfg, k))
-        for yi in range(len(model.demand_states)):
-            base = option_offset[(k, yi)]
-            a_eq[row, base : base + n_opts] = 1.0
-            b_eq[row] = 1.0
-            row += 1
-    for m in range(cfg.M):
-        for xi, acts in enumerate(actions):
-            base = purchase_offset[xi]
-            for ai, a in enumerate(acts):
-                a_eq[row, base + ai] = pi_x[xi] * a[m]
-        for k in range(cfg.K):
-            if cfg.beta[m][k] == 0:
-                continue
-            opts = product_options(cfg, k)
-            for yi, y in enumerate(model.demand_states):
-                base = option_offset[(k, yi)]
-                for oi, (z, j) in enumerate(opts):
-                    if z:
-                        a_eq[row, base + oi] -= (
-                            pi_y[yi] * cfg.beta[m][k] * y.F[k][j]
-                        )
-        row += 1
-
-    return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)
-
-
-def _m3_k4_plant(rng):
-    """A seeded M=3, K=4 plant with three supply and three demand states."""
-    M, K = 3, 4
-    beta = [[int(rng.integers(0, 3)) for _ in range(K)] for _ in range(M)]
-    for k in range(K):
-        beta[k % M][k] = max(beta[k % M][k], 1)
-    menu = [4.0, 6.0, 8.0, 10.0]
-    price_set = [sorted(rng.choice(menu, size=2, replace=False)) for _ in range(K)]
-    cfg = PlantConfig(
-        beta=beta,
-        alpha=[1.0] * K,
-        price_set=price_set,
-        D_max=[3] * K,
-        A_max=[4] * M,
-        c_max=8,
-    )
-    supply = [
-        SupplyState(
-            id=f"x{i}",
-            unit_cost=rng.integers(1, 4, size=M).tolist(),
-            available=rng.integers(2, 5, size=M).tolist(),
-        )
-        for i in range(3)
-    ]
-    demand = [
-        DemandState(
-            id=f"y{i}",
-            F=[
-                sorted(rng.uniform(0, 3, size=2).round(3).tolist(), reverse=True)
-                for _ in range(K)
-            ],
-        )
-        for i in range(3)
-    ]
-    pi_x, pi_y = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
-    return validate_config(cfg, supply, demand), pi_x, pi_y
 
 
 def test_block_layout_matches_reference_builder():
@@ -992,78 +856,6 @@ def test_lookahead_nonnegative_on_random_frames(rng):
         assert res.phi_T >= -1e-9
 
 
-def _per_slot_lookahead(model, xs, ys) -> float:
-    """Reference frame value: one purchase and offer block per slot.
-
-    This is the frame program written out slot by slot, as lookahead_value
-    built it before it solved the stationary program on the frame's state
-    histogram.  Its size grows with T.
-    """
-    cfg = model.cfg
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("xs and ys must be equally long and non-empty")
-    T = len(xs)
-    states_x = [model.supply_states[i] for i in xs]
-    states_y = [model.demand_states[i] for i in ys]
-
-    actions = [enumerate_actions(x, cfg) for x in states_x]
-    buy_offset = []
-    n = 0
-    for acts in actions:
-        buy_offset.append(n)
-        n += len(acts)
-    opt_offset: dict[tuple[int, int], int] = {}
-    for t in range(T):
-        for k in range(cfg.K):
-            opt_offset[(t, k)] = n
-            n += len(product_options(cfg, k))
-
-    c = np.zeros(n)
-    for t in range(T):
-        base = buy_offset[t]
-        for ai, a in enumerate(actions[t]):
-            c[base + ai] = -purchase_cost(list(a), states_x[t])
-        for k in range(cfg.K):
-            obase = opt_offset[(t, k)]
-            for oi, (z, j) in enumerate(product_options(cfg, k)):
-                if z:
-                    c[obase + oi] = (
-                        cfg.price_set[k][j] - cfg.alpha[k]
-                    ) * states_y[t].F[k][j]
-
-    n_eq = T + T * cfg.K + cfg.M
-    a_eq = np.zeros((n_eq, n))
-    b_eq = np.zeros(n_eq)
-    row = 0
-    for t in range(T):
-        a_eq[row, buy_offset[t] : buy_offset[t] + len(actions[t])] = 1.0
-        b_eq[row] = 1.0
-        row += 1
-    for t in range(T):
-        for k in range(cfg.K):
-            base = opt_offset[(t, k)]
-            a_eq[row, base : base + len(product_options(cfg, k))] = 1.0
-            b_eq[row] = 1.0
-            row += 1
-    for m in range(cfg.M):
-        for t in range(T):
-            base = buy_offset[t]
-            for ai, a in enumerate(actions[t]):
-                a_eq[row, base + ai] = a[m]
-            for k in range(cfg.K):
-                if cfg.beta[m][k] == 0:
-                    continue
-                obase = opt_offset[(t, k)]
-                for oi, (z, j) in enumerate(product_options(cfg, k)):
-                    if z:
-                        a_eq[row, obase + oi] -= cfg.beta[m][k] * states_y[t].F[k][j]
-        row += 1
-
-    return solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq)).value
-
-
 def test_lookahead_matches_per_slot_reference():
     rng = np.random.default_rng(4040)
     single_slot = unvisited = 0
@@ -1193,25 +985,8 @@ def test_two_price_target_just_below_a_vertex():
     assert ent.r_star == 1.0
 
 
-def _t8_frame_programs():
-    """20 profit LPs of _m3_k4_plant on the state histograms of 8-slot frames.
-
-    The oracle benchmark's lookahead frames have T = 8, so these pin the
-    pivot paths of the programs it solves, where _mid_pinned_programs'
-    frames have only one or two slots.
-    """
-    rng = np.random.default_rng(8080)
-    lps = []
-    for _ in range(20):
-        model = _m3_k4_plant(rng)[0]
-        xs, ys = rng.integers(0, 3, size=(2, 8))
-        pi_x, pi_y = empirical_distribution(xs, 3), empirical_distribution(ys, 3)
-        lps.append(build_profit_lp(model, pi_x, pi_y).lp)
-    return lps
-
-
 # sha256 over (value.hex(), x.tobytes(), iterations) of _t8_frame_programs(),
-# recorded with the plain tableau kernel that test_simplex.py's
+# recorded with the plain tableau kernel that reference.py's
 # _tableau_iterate keeps: a kernel that moves any float shows up here.
 FRAME_PIVOT_PATH_DIGEST = "6bc35b864fbe6fd2e930a46e6b7c635371fb71cb577d3cd0f6eb45e3c10805a6"
 

@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from plantsim.processes import (
     RngStream,
     StateProcessSpec,
     TraceExhausted,
-    _cumulative,
     constant_process,
     empirical_distribution,
     generate_states,
@@ -22,31 +20,8 @@ from plantsim.processes import (
     stationary_distribution,
 )
 
-from conftest import make_i1
-
-
-class StateProcess:
-    """Stepwise reference sampler for the IID and Markov modes.
-
-    next_state(t, rng) must be called with consecutive t starting at 0; it
-    draws one uniform per IID slot and per Markov transition, which is the
-    draw order generate_states must reproduce in one batch.
-    """
-
-    def __init__(self, spec: StateProcessSpec):
-        self.spec = spec
-        if spec.mode == IID:
-            self._cum = _cumulative(spec.probs)
-        else:
-            self._rows = [_cumulative(row) for row in spec.transition]
-        self._current = spec.initial
-
-    def next_state(self, t: int, rng: np.random.Generator) -> int:
-        if self.spec.mode == IID:
-            return bisect_right(self._cum, rng.random())
-        if t > 0:
-            self._current = bisect_right(self._rows[self._current], rng.random())
-        return self._current
+from plants import make_i1
+from reference import StateProcess
 
 
 def test_rng_stream_reproducible():

@@ -21,7 +21,7 @@ from plantsim.scenario import (
     parse_scenario,
 )
 
-from conftest import make_i1
+from plants import make_i1
 
 REPO = Path(__file__).resolve().parents[1]
 I1_PATH = str(REPO / "scenarios" / "i1.scenario")

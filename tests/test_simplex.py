@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,114 +8,14 @@ from plantsim import simplex
 from plantsim.oracles import build_profit_lp
 from plantsim.simplex import Infeasible, LinearProgram, Unbounded, solve_lp
 
-from conftest import doubled_rows, make_i1, random_tiny_instance
-from test_oracles import _m3_k4_plant, _t8_frame_programs
-
-
-def _bland_iterate(T, basis, obj, phase):
-    """Reference pivot loop: Bland's rule in both phases.
-
-    The smallest-index column with a positive reduced cost enters; the
-    ratio test is the solver's own.  Slow on wide programs but simple, so
-    the equivalence tests below compare solve_lp against it.
-    """
-    count = 0
-    width = len(obj)
-    while True:
-        reduced = obj - obj[basis] @ T[:, :width]
-        enter = -1
-        for j in range(width):
-            if reduced[j] > simplex._TOL:
-                enter = j
-                break
-        if enter < 0:
-            return count
-        col = T[:, enter]
-        best = -1
-        best_ratio = np.inf
-        for i in range(T.shape[0]):
-            if col[i] > simplex._PIVOT_TOL:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15
-                    and best >= 0
-                    and basis[i] < basis[best]
-                ):
-                    best = i
-                    best_ratio = ratio
-        if best < 0:
-            if phase == 2:
-                raise Unbounded(f"column {enter} can grow without bound")
-            raise RuntimeError("phase 1 unbounded; this should be impossible")
-        simplex._pivot(T, best, enter)
-        basis[best] = enter
-        count += 1
-        if count > simplex._MAX_ITER:
-            raise RuntimeError("simplex exceeded the iteration guard")
-
-
-def bland_solve(lp):
-    with mock.patch.object(simplex, "_iterate", _bland_iterate):
-        return solve_lp(lp)
-
-
-def _tableau_pivot(T, row, col):
-    """Reference pivot: divide the pivot row, then re-read the column and
-    update each other non-zero row with a temporary of its own."""
-    T[row] /= T[row, col]
-    pivot_row = T[row]
-    for i, f in enumerate(T[:, col].tolist()):
-        if f != 0.0 and i != row:
-            T[i] -= f * pivot_row
-
-
-def _tableau_iterate(T, basis, obj, phase):
-    """Reference pivot loop: solve_lp's pricing and ratio test, computed the
-    plain way.
-
-    It prices with obj[basis] taken afresh each iteration, reads the
-    entering column once for the ratio test and once more for the
-    elimination, and updates each row with T[i] -= f * pivot_row.  The
-    kernel tests below require solve_lp to match it bit for bit.
-    """
-    count = 0
-    degenerate = 0
-    width = len(obj)
-    while True:
-        reduced = obj - obj[basis] @ T[:, :width]
-        enter = int(reduced.argmax())
-        if reduced[enter] <= simplex._TOL:
-            return count
-        if phase == 1 or degenerate >= simplex._DEGENERATE_RUN:
-            enter = int((reduced > simplex._TOL).argmax())
-        rhs = T[:, -1].tolist()
-        best = -1
-        best_ratio = np.inf
-        for i, a in enumerate(T[:, enter].tolist()):
-            if a > simplex._PIVOT_TOL:
-                ratio = rhs[i] / a
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15
-                    and best >= 0
-                    and basis[i] < basis[best]
-                ):
-                    best = i
-                    best_ratio = ratio
-        if best < 0:
-            if phase == 2:
-                raise Unbounded(f"column {enter} can grow without bound")
-            raise RuntimeError("phase 1 unbounded; this should be impossible")
-        degenerate = degenerate + 1 if best_ratio <= simplex._DEGENERATE_STEP else 0
-        _tableau_pivot(T, best, enter)
-        basis[best] = enter
-        count += 1
-        if count > simplex._MAX_ITER:
-            raise RuntimeError("simplex exceeded the iteration guard")
-
-
-def tableau_solve(lp):
-    with mock.patch.object(simplex, "_iterate", _tableau_iterate):
-        return solve_lp(lp)
+from plants import (
+    _m3_k4_plant,
+    _t8_frame_programs,
+    doubled_rows,
+    make_i1,
+    random_tiny_instance,
+)
+from reference import _tableau_pivot, bland_solve, tableau_solve
 
 
 def _equality_form(c, a_eq=(), b_eq=(), a_ub=(), b_ub=(), upper=np.inf):

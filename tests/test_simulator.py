@@ -10,25 +10,13 @@ import pytest
 
 import plantsim.simulator as sim
 from plantsim.controller import (
-    ControllerState,
     InitOutOfRange,
     InvariantViolation,
     compute_theta,
-    init_placeholder,
-    init_state,
     make_params,
     queue_band,
 )
-from plantsim.model import (
-    DemandState,
-    InputError,
-    PlantConfig,
-    SupplyState,
-    material_usage,
-    purchase_cost,
-    schedule_fulfillment,
-    validate_config,
-)
+from plantsim.model import DemandState, PlantConfig, SupplyState, validate_config
 from plantsim.oracles import OraclePolicy, extract_xy_policy, optimal_profit
 from plantsim.processes import (
     IID,
@@ -39,16 +27,11 @@ from plantsim.processes import (
     TraceExhausted,
     _cumulative,
     constant_process,
-    generate_states,
     realize_demand,
 )
 from plantsim.simulator import (
     _CH_DEMAND,
-    _CH_POLICY,
-    _CH_X,
-    _CH_Y,
     EpisodeConfig,
-    Metrics,
     check_frame_bound,
     check_profit_bound,
     drift_constant,
@@ -59,8 +42,16 @@ from plantsim.simulator import (
     write_slot_log,
 )
 
-from conftest import make_i1, make_i1_cfg, make_blind, make_two_phase
-from test_episode_digest import CASES, run_case
+from plants import (
+    CASES,
+    blind_plant,
+    make_blind,
+    make_i1,
+    make_i1_cfg,
+    make_two_phase,
+    run_case,
+)
+from reference import _reference_run_episode
 
 
 def _i1_ec(**kw):
@@ -467,353 +458,7 @@ def test_check_markov_bound_variant():
     assert rep.rhs < rep.phi_opt  # the allowance terms push the bound down
 
 
-# -- the slot loop before it memoized each draw's outcome --------------------
-#
-# run_episode memoizes what a (decision, demand draw) pair leads to and, for
-# the online controller, the queues it leads to.  Below is the loop as it was
-# before, slot by slot with every check, kept as the reference the memoized
-# loop must match bit for bit.  It looks the controller functions up on the
-# simulator module, so a test can patch them for both loops at once.
-
-
-class _RefUniformBuffer:
-    """Chunked uniform variates, identical to sequential Generator.random calls.
-
-    numpy generators fill batched requests from the same bit stream as
-    repeated scalar calls, so pulling draws through this buffer in any
-    grouping reproduces the plain call-by-call sequence.
-    """
-
-    _CHUNK = 1 << 15
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def take(self, n: int) -> list[float]:
-        pos = self._pos
-        buf = self._buf
-        if pos + n <= len(buf):
-            self._pos = pos + n
-            return buf[pos : pos + n]
-        out = buf[pos:]
-        need = n - len(out)
-        while need > self._CHUNK:
-            out.extend(self._rng.random(self._CHUNK).tolist())
-            need -= self._CHUNK
-        self._buf = self._rng.random(self._CHUNK).tolist()
-        out.extend(self._buf[:need])
-        self._pos = need
-        return out
-
-
-def _reference_run_episode(ec: EpisodeConfig, model) -> Metrics:
-    """run_episode as it was before it memoized what each draw leads to."""
-    if ec.horizon <= 0:
-        raise InputError("horizon must be positive")
-    if ec.controller not in ("online", "oracle"):
-        raise InputError(f"unknown controller {ec.controller!r}")
-    if ec.controller == "oracle":
-        if ec.oracle_policy is None:
-            raise InputError("oracle controller needs oracle_policy")
-        for name in ("placeholder", "demand_blind", "theta", "allow_unsafe_theta"):
-            if getattr(ec, name) not in (None, False):
-                raise InputError(f"oracle playback does not use {name}")
-    cfg = model.cfg
-    M, K = cfg.M, cfg.K
-    d_max = cfg.D_max
-    alpha = cfg.alpha
-    prices = cfg.price_set
-    # sell[yi][k][j]: what the loop needs to draw and book the demand of
-    # product k offered at menu price j in demand state yi.
-    sell = [
-        [
-            [
-                (
-                    k,
-                    prices[k][j] - alpha[k],
-                    y.F[k][j] / d_max[k],
-                    d_max[k],
-                    [(m, cfg.beta[m][k]) for m in range(M) if cfg.beta[m][k] > 0],
-                )
-                for j in range(len(prices[k]))
-            ]
-            for k in range(K)
-        ]
-        for y in model.demand_states
-    ]
-    rs = RngStream(ec.seed, ec.stream)
-    online = ec.controller == "online"
-    if online:
-        decide, state, band = _ref_online_setup(ec, model, sell)
-    else:
-        decide, state, band = _ref_oracle_setup(ec, model, sell, rs)
-    xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X)).tolist()
-    ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y)).tolist()
-    dbuf = _RefUniformBuffer(rs.generator(_CH_DEMAND))
-
-    # Without a band, infinite limits keep the per-material check branch-free.
-    lo, hi = band or ([-math.inf] * M, [math.inf] * M)
-    ids_x = [x.id for x in model.supply_states]
-    ids_y = [y.id for y in model.demand_states]
-    check = not ec.allow_unsafe_theta
-    # Units sold from the assembly-delay product queues are re-assembled by
-    # the end of the slot, so the queues always start full and only their
-    # initial stock costs anything.
-    startup = sum(d_max[k] * alpha[k] for k in range(K)) if ec.assembly_delay else 0.0
-
-    max_bt = 0.0
-    violations = 0
-    mismatch = 0
-    tphi = 0.0
-    tphia = 0.0
-    Q = list(state.Q)
-    q_min = list(Q)
-    q_max = list(Q)
-    log: list[tuple] | None = [] if ec.record_log else None
-    # Online decisions are pure functions of (Q, x, y); playback draws them.
-    cache: dict | None = {} if online else None
-
-    for t in range(ec.horizon):
-        xi = xs[t]
-        yi = ys[t]
-        if cache is None:
-            A, cost, Z, P, sells = decide(Q, xi, yi)
-        else:
-            key = (tuple(Q), xi, yi)
-            entry = cache.get(key)
-            if entry is None:
-                entry = decide(Q, xi, yi)
-                cache[key] = entry
-            A, cost, Z, P, sells = entry
-
-        phi = -cost
-        used = [0] * M
-        D = [0] * K
-        for k, margin, pr, n, cols in sells:
-            d = 0
-            for u in dbuf.take(n):
-                if u < pr:
-                    d += 1
-            if d:
-                D[k] = d
-                phi += d * margin
-                for m, b in cols:
-                    used[m] += b * d
-
-        short = False
-        for m in range(M):
-            if used[m] > Q[m]:
-                short = True
-                break
-        if short:
-            if band is not None:
-                if check:
-                    raise InvariantViolation(
-                        f"slot {t}: accepted demand exceeds stored material"
-                    )
-                violations += 1
-            mismatch += 1
-            d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
-            phia = (
-                sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(K)) - cost
-            )
-            used = material_usage(d_tilde, cfg)
-        else:
-            phia = phi
-
-        tphi += phi
-        tphia += phia
-        if log is not None:
-            log.append(
-                (
-                    t,
-                    ids_x[xi],
-                    ids_y[yi],
-                    tuple(Q),
-                    tuple(A),
-                    tuple(Z),
-                    tuple(P),
-                    tuple(D),
-                    phi,
-                    phia,
-                    tphia / (t + 1),
-                )
-            )
-
-        bt = 0.0
-        for m in range(M):
-            q = Q[m] - used[m] + A[m]
-            diff = A[m] - used[m]
-            bt += diff * diff
-            Q[m] = q
-            if q < q_min[m]:
-                q_min[m] = q
-            elif q > q_max[m]:
-                q_max[m] = q
-            if not lo[m] <= q <= hi[m]:
-                if check:
-                    raise InvariantViolation(
-                        f"slot {t}: queue {m} left its band: {q} not in "
-                        f"[{lo[m]}, {hi[m]}]"
-                    )
-                violations += 1
-        bt *= 0.5
-        if bt > max_bt:
-            max_bt = bt
-
-    return Metrics(
-        horizon=ec.horizon,
-        seed=ec.seed,
-        stream=ec.stream,
-        total_phi=tphi,
-        total_phi_actual=tphia,
-        avg_phi=tphi / ec.horizon,
-        avg_phi_actual=tphia / ec.horizon,
-        q_min=q_min,
-        q_max=q_max,
-        q_lower_bound=band[0] if band else None,
-        q_upper_bound=band[1] if band else None,
-        drift_bound=drift_constant(model),
-        max_slot_drift=max_bt,
-        bound_violations=violations,
-        phi_mismatch_slots=mismatch,
-        final_Q=list(Q),
-        fake=list(state.fake),
-        startup_cost=startup,
-        log=log,
-    )
-
-
-def _ref_online_setup(ec: EpisodeConfig, model, sell):
-    """The online controller: its decide, starting state and queue band."""
-    cfg = model.cfg
-    K = cfg.K
-    params = make_params(
-        cfg,
-        ec.V,
-        theta=ec.theta,
-        demand_blind=ec.demand_blind,
-        allow_unsafe_theta=ec.allow_unsafe_theta,
-    )
-    if ec.demand_blind:
-        sim._check_blind_tables(model)
-    if ec.placeholder:
-        Q0 = [0] * cfg.M if ec.Q0 is None else ec.Q0
-        state = init_placeholder(cfg, params, Q0)
-    else:
-        state = init_state(cfg, params, ec.Q0)
-    supply = model.supply_states
-    demand = model.demand_states
-    # offers[yi][k]: the sell entry of each menu price of product k
-    offers = [[dict(zip(ps, s)) for ps, s in zip(cfg.price_set, row)] for row in sell]
-
-    def decide(Q, xi, yi):
-        x = supply[xi]
-        A = sim.decide_purchase(Q, x, params, cfg)
-        Z, P = sim.decide_pricing(Q, demand[yi], params, cfg)
-        sells = [offers[yi][k][P[k]] for k in range(K) if Z[k]]
-        return A, purchase_cost(A, x), Z, P, sells
-
-    return decide, state, sim.queue_band(params, cfg)
-
-
-def _ref_oracle_setup(ec: EpisodeConfig, model, sell, rs: RngStream):
-    """Playback of a stationary policy: its decide, starting state and band.
-
-    decide takes 1 + K uniforms per slot from channel _CH_POLICY: the
-    purchase draw, then each product's offer in ascending k.  There is no
-    band and no fake unit; the queues start at Q0, by default mu_max, and
-    a Q0 of the wrong length or with a negative entry raises InitOutOfRange.
-    """
-    cfg = model.cfg
-    K = cfg.K
-    policy = ec.oracle_policy
-    buy = [
-        (
-            _cumulative([p for _, p in dist]),
-            [(list(a), purchase_cost(list(a), x)) for a, _ in dist],
-        )
-        for x, dist in zip(model.supply_states, policy.purchase_dist)
-    ]
-    # offer[k][yi]: cumulative weights and (z, posted price, sell entry) per
-    # option; a withheld product posts its lowest price.
-    offer = [
-        [
-            (
-                _cumulative([p for *_, p in dist]),
-                [
-                    (1, cfg.price_set[k][j], sell[yi][k][j])
-                    if z
-                    else (0, cfg.price_set[k][0], None)
-                    for z, j, _ in dist
-                ],
-            )
-            for yi, dist in enumerate(policy.price_dist[k])
-        ]
-        for k in range(K)
-    ]
-    take = _RefUniformBuffer(rs.generator(_CH_POLICY)).take
-
-    def decide(Q, xi, yi):
-        u = take(K + 1)
-        cum, acts = buy[xi]
-        A, cost = acts[bisect_right(cum, u[0])]
-        Z = [0] * K
-        P = [0.0] * K
-        sells = []
-        for k in range(K):
-            cum, opts = offer[k][yi]
-            Z[k], P[k], s = opts[bisect_right(cum, u[k + 1])]
-            if s is not None:
-                sells.append(s)
-        return A, cost, Z, P, sells
-
-    Q0 = list(model.mu_max if ec.Q0 is None else ec.Q0)
-    if len(Q0) != cfg.M:
-        raise InitOutOfRange("Q0 must have one entry per material")
-    if min(Q0) < 0:
-        raise InitOutOfRange(f"Q0 {Q0} has a negative entry")
-    return decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
-
-
-def _random_plant(rng):
-    """A random plant with M, K <= 3 whose demand tables allow blind pricing."""
-    M = int(rng.integers(1, 4))
-    K = int(rng.integers(1, 4))
-    beta = [[int(rng.integers(0, 3)) for _ in range(K)] for _ in range(M)]
-    for k in range(K):
-        beta[int(rng.integers(0, M))][k] += 1
-    menu = [0.5, 1.0, 1.5, 2.25, 3.0]
-    price_set = [
-        sorted(rng.choice(menu, size=int(rng.integers(1, 4)), replace=False).tolist())
-        for _ in range(K)
-    ]
-    D_max = [int(rng.integers(1, 4)) for _ in range(K)]
-    cfg = PlantConfig(
-        beta=beta,
-        alpha=[float(rng.choice([0.0, 0.25])) for _ in range(K)],
-        price_set=price_set,
-        D_max=D_max,
-        A_max=[int(rng.integers(1, 4)) for _ in range(M)],
-        c_max=int(rng.integers(0, 7)),
-    )
-    supply = [
-        SupplyState(
-            id=f"x{i}",
-            unit_cost=[int(rng.integers(0, 3)) for _ in range(M)],
-            available=[int(rng.integers(0, 4)) for _ in range(M)],
-        )
-        for i in range(int(rng.integers(1, 4)))
-    ]
-    base = [[float(rng.uniform(0, d)) for _ in ps] for ps, d in zip(price_set, D_max)]
-    demand = []
-    for i in range(int(rng.integers(1, 4))):
-        h = float(rng.choice([0.5, 1.0]))
-        F = [[h * f for f in row] for row in base]
-        demand.append(DemandState(id=f"y{i}", F=F, h=h, F_hat=base))
-    return validate_config(cfg, supply, demand)
+# -- the memoized slot loop against reference.py's slot-by-slot loop ---------
 
 
 def _random_process(rng, ids, mode, horizon):
@@ -880,7 +525,7 @@ def test_memoized_loop_matches_reference_loop(monkeypatch):
     seen = {"raised band": 0, "raised short": 0, "counted": 0, "playback short": 0}
     modes = (IID, MARKOV, TRACE)
     for i in range(32):
-        model = _random_plant(rng)
+        model = blind_plant(rng)
         ids_x = [x.id for x in model.supply_states]
         ids_y = [y.id for y in model.demand_states]
         px = _random_process(rng, ids_x, modes[i % 3], H)
@@ -952,7 +597,7 @@ def test_count_only_queues_stay_in_the_code_box():
     counted = 0
     modes = (IID, MARKOV, TRACE)
     for i in range(30):
-        model = _random_plant(rng)
+        model = blind_plant(rng)
         cfg = model.cfg
         ids_x = [x.id for x in model.supply_states]
         ids_y = [y.id for y in model.demand_states]
@@ -1084,7 +729,7 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
     modes = (IID, MARKOV, TRACE)
     runs = []
     for i in range(6):
-        model = _random_plant(rng)
+        model = blind_plant(rng)
         ids_x = [x.id for x in model.supply_states]
         ids_y = [y.id for y in model.demand_states]
         px = _random_process(rng, ids_x, modes[i % 3], H)
@@ -1174,7 +819,7 @@ def _seeded_run(rng, i, H):
     with i, the supply process fastest.
     """
     modes = (IID, MARKOV, TRACE)
-    model = _random_plant(rng)
+    model = blind_plant(rng)
     ids_x = [x.id for x in model.supply_states]
     ids_y = [y.id for y in model.demand_states]
     px = _random_process(rng, ids_x, modes[i % 3], H)
@@ -1272,7 +917,7 @@ def test_block_playback_matches_reference_loop(monkeypatch, chunk):
     H = 150
     modes = (IID, MARKOV, TRACE)
     for i in range(9):
-        model = _random_plant(rng)
+        model = blind_plant(rng)
         ids_x = [x.id for x in model.supply_states]
         ids_y = [y.id for y in model.demand_states]
         px = _random_process(rng, ids_x, modes[i % 3], H)
@@ -1584,7 +1229,7 @@ def test_playback_steps_only_short_slots(monkeypatch, chunk):
     H = 150
     stepped = booked = 0
     for i in range(6):
-        model = _random_plant(rng)
+        model = blind_plant(rng)
         ids_x = [x.id for x in model.supply_states]
         ids_y = [y.id for y in model.demand_states]
         pi_x = np.full(len(ids_x), 1 / len(ids_x))

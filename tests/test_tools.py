@@ -1,10 +1,14 @@
-"""The command-line behaviour of tools/codelines.py and tools/pairs.py."""
+"""The command-line behaviour of tools/codelines.py and tools/pairs.py, and the
+layout of tests/ itself."""
 
+import ast
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 CODELINES = Path(__file__).resolve().parent.parent / "tools" / "codelines.py"
 
@@ -57,11 +61,12 @@ sys.exit(1 if seed in BAD else 0)
 """
 
 
-def _stub_trees(root, base, head, bad=()):
-    for side, values in (("base", base), ("head", head)):
+def _stub_trees(root, base, head, bad=(), stub=_STUB, run_seconds=(15, 15)):
+    for side, values, seconds in zip(("base", "head"), (base, head), run_seconds):
         (root / side / "perfbench").mkdir(parents=True)
-        stub = _STUB.format(side=side, values=values, bad=list(bad))
-        (root / side / "perfbench" / "run.py").write_text(stub)
+        text = stub.format(side=side, values=values, bad=list(bad))
+        (root / side / "perfbench" / "run.py").write_text(text)
+        (root / side / "BENCHMARK.json").write_text(json.dumps({"run_seconds": seconds}))
 
 
 def _pairs(*args, cwd, monkeypatch):
@@ -120,3 +125,92 @@ def test_pairs_stop_at_a_failed_run(tmp_path, monkeypatch, capsys):
     assert failed == {"pair": 1, "side": "head", "seed": 1, "exit_code": 1}
     assert oracle["failed"]["result"]["correct"] is False
     assert oracle["summary"] is None
+
+
+def _test_module_imports(source):
+    """The test modules that source imports, as `import test_x` or `from test_x import`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("test_")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("test_"):
+            found.append(node.module)
+    return found
+
+
+def test_no_test_module_imports_another():
+    # Shared plants live in plants.py and reference implementations in
+    # reference.py, so no test module needs another's helpers.
+    tests = Path(__file__).resolve().parent
+    found = {p.name: _test_module_imports(p.read_text()) for p in tests.glob("*.py")}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+    # the four imports the suite once had, and the plain import form
+    for line, module in [
+        ("from test_episode_digest import make_mid", "test_episode_digest"),
+        ("from test_episode_digest import CASES, run_case", "test_episode_digest"),
+        ("from test_oracles import _m3_k4_plant, _t8_frame_programs", "test_oracles"),
+        ("from test_oracles import _m3_k4_plant", "test_oracles"),
+        ("def f():\n    import test_oracles", "test_oracles"),
+    ]:
+        assert _test_module_imports(line) == [module], line
+
+
+# A stand-in for perfbench/run.py --trace 1: it logs its side and arguments
+# to order.log beside the two trees and prints VALUES as its metrics.
+_TRACE_STUB = """\
+import json, sys
+from pathlib import Path
+with open(Path(__file__).resolve().parents[2] / "order.log", "a") as fh:
+    fh.write(" ".join([{side!r}, *sys.argv[1:]]) + "\\n")
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {values!r}}}))
+"""
+
+_COUNTS = {
+    "simulator.slots": {"value": 111000, "unit": "slots"},
+    "simulator.memo_hit_ratio": {"value": 0.022, "unit": "ratio"},
+    "simplex.pivots": {"value": 7133, "unit": "count"},
+    "simplex.pivot_cells": {"value": 37269544, "unit": "cells"},
+}
+
+
+def _timed(busy_s):
+    return dict(_COUNTS, **{"simplex.solve_lp.busy_s": {"value": busy_s, "unit": "s"}})
+
+
+def test_pairs_trace_finds_equal_counts(tmp_path, monkeypatch, capsys):
+    # times may differ; every count is equal
+    trees = (_timed(0.1), _timed(0.2))
+    _stub_trees(tmp_path, *trees, stub=_TRACE_STUB, run_seconds=(20, 20))
+    args = ("--trace", "--seed", "5", "--out", "bench.json")
+    assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch) == 0
+    log = (tmp_path / "order.log").read_text().splitlines()
+    run = "--workload oracle --seed 5 --seconds 20 --trace 1"
+    assert log == [f"base {run}", f"head {run}"]
+    out = capsys.readouterr().out
+    assert out == "oracle: traced pair, seed 5: 4 of 4 count metrics equal\n"
+    oracle = json.loads((tmp_path / "bench.json").read_text())["workloads"]["oracle"]
+    assert [r["result"]["metrics"] for r in oracle["runs"]] == [_timed(0.1), _timed(0.2)]
+    assert oracle["trace"] is True and oracle["seeds"] == [5, 5]
+    assert oracle["summary"]["simplex.pivots"] == {
+        "unit": "count", "base": 7133, "head": 7133, "equal": True
+    }
+    assert "simplex.solve_lp.busy_s" not in oracle["summary"]
+
+
+def test_pairs_trace_reports_a_differing_count(tmp_path, monkeypatch, capsys):
+    head = dict(_COUNTS, **{"simplex.pivots": {"value": 7134, "unit": "count"}})
+    _stub_trees(tmp_path, _COUNTS, head, stub=_TRACE_STUB)
+    assert _pairs("--trace", cwd=tmp_path, monkeypatch=monkeypatch) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "oracle: traced pair, seed 0: 3 of 4 count metrics equal",
+        "simplex.pivots: base 7133, head 7134",
+    ]
+
+
+def test_pairs_refuse_trees_that_disagree_on_run_seconds(tmp_path, monkeypatch, capsys):
+    _stub_trees(tmp_path, {0: 1.0}, {0: 1.0}, run_seconds=(15, 20))
+    with pytest.raises(SystemExit) as end:
+        _pairs("--pairs", "1", cwd=tmp_path, monkeypatch=monkeypatch)
+    assert end.value.code == 2
+    assert "base and head disagree on run_seconds: 15 and 20" in capsys.readouterr().err
+    assert not (tmp_path / "order.log").exists()

@@ -1,25 +1,34 @@
 """Run the benchmark in alternating pairs on two checkouts and compare them.
 
     python tools/pairs.py BASE HEAD --workload W [--pairs N] [--seed S] [--out FILE]
+    python tools/pairs.py BASE HEAD --workload W --trace [--seed S] [--out FILE]
 
 BASE and HEAD are directories that each hold a checkout of the repository
 (a `git worktree` is enough).  Pair i runs
 
-    perfbench/run.py --workload W --seed S+i --seconds 15 --trace 0
+    perfbench/run.py --workload W --seed S+i --seconds R --trace 0
 
-in each tree, with this Python and PYTHONDONTWRITEBYTECODE=1; the side that
-runs first alternates from pair to pair, BASE first in pair 0.  The last
-line of each run's standard output is read as JSON.  A run that exits
-non-zero or reads "correct": false ends the runs with a message naming the
-side, the seed and the exit code, and the tool exits 1.
+in each tree, with this Python and PYTHONDONTWRITEBYTECODE=1, where R is
+the run_seconds of the trees' BENCHMARK.json; trees that disagree on it
+end the tool with a usage error (exit 2).  The side that runs first
+alternates from pair to pair, BASE first in pair 0.  The last line of each
+run's standard output is read as JSON.  A run that exits non-zero or reads
+"correct": false ends the runs with a message naming the side, the seed
+and the exit code, and the tool exits 1.
 
 Per metric it prints the BASE and HEAD medians with their quartiles, the
 change of the median in percent and the number of pairs in which HEAD read
-lower.  --out FILE writes the machine (nproc, CPU, Python, numpy), and
-under the workload's name every run's JSON object, the failed run (side,
-seed, exit code and its JSON, or null) and the summary, which is null when
-a run failed; the other workloads of an existing FILE are kept, so one
-file can hold them all.  Standard library only.
+lower.  --trace instead runs one pair at seed S with --trace 1 (--pairs is
+not read) and compares every metric whose unit is count, slots, cells or
+ratio for equality: it prints each one that differs with both values and
+exits 1 if any does.
+
+--out FILE writes the machine (nproc, CPU, Python, numpy), and under the
+workload's name every run's JSON object, the failed run (side, seed, exit
+code and its JSON, or null) and the summary (the count comparison with
+--trace), which is null when a run failed; the other workloads of an
+existing FILE are kept, so one file can hold them all.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -35,12 +44,23 @@ from importlib import metadata
 from pathlib import Path
 
 SIDES = ("base", "head")
+# the units of the metrics that count work, which a traced pair compares
+COUNT_UNITS = ("count", "slots", "cells", "ratio")
 
 
-def run_once(tree: Path, workload: str, seed: int) -> tuple[int, dict | None]:
+def run_seconds(tree: Path):
+    """The run_seconds of tree's BENCHMARK.json, or None if it declares none."""
+    try:
+        return json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def run_once(tree: Path, args, seed: int) -> tuple[int, dict | None]:
     """The exit code of one benchmark run in tree and its last stdout line, read as JSON."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
-    cmd += ["--seed", str(seed), "--seconds", "15", "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload]
+    cmd += ["--seed", str(seed), "--seconds", str(args.seconds)]
+    cmd += ["--trace", str(int(args.trace))]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -67,6 +87,19 @@ def summarize(runs: list[dict]) -> dict:
         row["change_pct"] = 100 * (row["head"]["median"] - base) / base if base else None
         row["head_lower"] = sum(h < b for b, h in zip(values["base"], values["head"]))
         summary[name] = row
+    return summary
+
+
+def compare_counts(runs: list[dict]) -> dict:
+    """Per count metric of a traced pair: its unit, both values, whether they are equal."""
+    sides = {r["side"]: r["result"]["metrics"] for r in runs}
+    summary = {}
+    for name, entry in {**sides["base"], **sides["head"]}.items():
+        if entry["unit"] in COUNT_UNITS:
+            base, head = (sides[side].get(name, {}).get("value") for side in SIDES)
+            summary[name] = {
+                "unit": entry["unit"], "base": base, "head": head, "equal": base == head
+            }
     return summary
 
 
@@ -100,19 +133,29 @@ def main(argv: list[str]) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trace", action="store_true", help="compare one traced pair's counts")
     p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
     for side in SIDES:
         if not (getattr(args, side) / "perfbench" / "run.py").is_file():
             p.error(f"{side} {getattr(args, side)} holds no perfbench/run.py")
+    seconds = [run_seconds(getattr(args, side)) for side in SIDES]
+    for side, s in zip(SIDES, seconds):
+        if s is None:
+            p.error(f"{side} {getattr(args, side)} holds no BENCHMARK.json with run_seconds")
+    if seconds[0] != seconds[1]:
+        p.error(f"base and head disagree on run_seconds: {seconds[0]} and {seconds[1]}")
+    args.seconds = seconds[0]
+    if args.trace:
+        args.pairs = 1  # traced counts do not vary from run to run
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
 
     runs, failed = run_pairs(args)
     summary = None
     if failed is None:
-        summary = summarize(runs)
-        print_summary(summary, args)
+        summary = compare_counts(runs) if args.trace else summarize(runs)
+        (print_counts if args.trace else print_summary)(summary, args)
     if args.out:
         out = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
         out["machine"] = machine()
@@ -120,12 +163,15 @@ def main(argv: list[str]) -> int:
             "base": str(args.base),
             "head": str(args.head),
             "seeds": [args.seed, args.seed + args.pairs - 1],
+            "trace": args.trace,
             "runs": runs,
             "failed": failed,
             "summary": summary,
         }
         args.out.write_text(json.dumps(out, indent=1) + "\n")
-    return 0 if failed is None else 1
+    if failed is not None:
+        return 1
+    return int(args.trace and not all(row["equal"] for row in summary.values()))
 
 
 def run_pairs(args) -> tuple[list[dict], dict | None]:
@@ -134,7 +180,7 @@ def run_pairs(args) -> tuple[list[dict], dict | None]:
     for i in range(args.pairs):
         seed = args.seed + i
         for side in SIDES[:: 1 if i % 2 == 0 else -1]:
-            code, result = run_once(getattr(args, side), args.workload, seed)
+            code, result = run_once(getattr(args, side), args, seed)
             if code or result is None or result.get("correct") is not True:
                 print(
                     f"pairs: the {side} run of seed {seed} failed "
@@ -159,6 +205,17 @@ def print_summary(summary: dict, args) -> None:
             f"{name:<14} {_side(row['base']):<30} {_side(row['head']):<30} "
             f"{change:>6}  {row['head_lower']} of {args.pairs}"
         )
+
+
+def print_counts(summary: dict, args) -> None:
+    differ = {name: row for name, row in summary.items() if not row["equal"]}
+    equal = len(summary) - len(differ)
+    print(
+        f"{args.workload}: traced pair, seed {args.seed}: "
+        f"{equal} of {len(summary)} count metrics equal"
+    )
+    for name, row in differ.items():
+        print(f"{name}: base {row['base']!r}, head {row['head']!r}")
 
 
 if __name__ == "__main__":
