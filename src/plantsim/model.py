@@ -214,18 +214,45 @@ def check_path(name, path, *, error=InputError) -> None:
         raise error(f"{name} must be a str or os.PathLike, got {type(path).__name__}")
 
 
-def _check_amount(name: str, v) -> None:
+# validate_config checks every entry of a plant, so it names an entry only
+# when the entry is refused: it calls a check_* rule with the name "", and
+# since every message of those rules starts with the name, _named puts the
+# entry's name, name.format(*parts), in front of the message.
+
+
+def _named(err: InputError, name: str, parts) -> InputError:
+    """err, raised by a check_* rule under the name "", under name.format(*parts)."""
+    return type(err)(name.format(*parts) + str(err))
+
+
+def _check_amount(v, name: str, *parts) -> None:
     """Check a price, an assembly cost or a mean demand: finite and non-negative."""
-    check_real(name, v, error=ConfigError, negative=NegativeEntry)
+    try:
+        check_real("", v, error=ConfigError, negative=NegativeEntry)
+    except ConfigError as err:
+        raise _named(err, name, parts) from None
 
 
-def _check_int_vector(name: str, vec, length: int, minimum=0, maximum=2**53) -> None:
+def _check_seq(vec, name: str, *parts):
+    """vec if it is a sequence (check_seq), else raise ConfigError."""
+    try:
+        return check_seq("", vec, error=ConfigError)
+    except ConfigError as err:
+        raise _named(err, name, parts) from None
+
+
+def _check_int_vector(vec, length: int, name: str, *parts, minimum=0, maximum=2**53):
     # The default maximum keeps each entry exact as a float (the LP computes in floats).
-    if len(check_seq(name, vec, error=ConfigError)) != length:
+    if len(_check_seq(vec, name, *parts)) != length:
+        name = name.format(*parts)
         raise ConfigError(f"{name} must have length {length}, got {len(vec)}")
-    name += " entry"
-    for v in vec:
-        check_int(name, v, minimum, maximum, error=ConfigError, negative=NegativeEntry)
+    try:
+        for v in vec:
+            check_int(
+                " entry", v, minimum, maximum, error=ConfigError, negative=NegativeEntry
+            )
+    except ConfigError as err:
+        raise _named(err, name, parts) from None
 
 
 def validate_config(
@@ -255,18 +282,18 @@ def validate_config(
     if len(cfg.alpha) != K or len(cfg.price_set) != K or len(cfg.D_max) != K:
         raise ConfigError("alpha, price_set and D_max must all have length K")
     for m, row in enumerate(cfg.beta):
-        _check_int_vector(f"beta[{m}]", row, K)
+        _check_int_vector(row, K, "beta[{}]", m)
     # A slot draws D_max[k] uniforms per offered product; bound that cost.
-    _check_int_vector("D_max", cfg.D_max, K, minimum=1, maximum=10**6)
-    _check_int_vector("A_max", cfg.A_max, M, minimum=1)
+    _check_int_vector(cfg.D_max, K, "D_max", minimum=1, maximum=10**6)
+    _check_int_vector(cfg.A_max, M, "A_max", minimum=1)
     check_int("c_max", cfg.c_max, error=ConfigError, negative=NegativeEntry)
     for k in range(K):
-        _check_amount(f"alpha[{k}]", cfg.alpha[k])
-        prices = check_seq(f"price_set[{k}]", cfg.price_set[k], error=ConfigError)
+        _check_amount(cfg.alpha[k], "alpha[{}]", k)
+        prices = _check_seq(cfg.price_set[k], "price_set[{}]", k)
         if len(prices) == 0:
             raise EmptyPriceSet(f"product {k} has an empty price set")
         for p in prices:
-            _check_amount(f"price {p} of product {k}", p)
+            _check_amount(p, "price {} of product {}", p, k)
         if any(b >= a for a, b in zip(prices[1:], prices)):
             raise ConfigError(f"price_set[{k}] must be strictly ascending")
         if not any(cfg.beta[m][k] > 0 for m in range(M)):
@@ -286,8 +313,8 @@ def validate_config(
         if x.id in seen:
             raise ConfigError(f"duplicate supply state id {x.id!r}")
         seen.add(x.id)
-        _check_int_vector(f"supply state {x.id!r} unit_cost", x.unit_cost, M)
-        _check_int_vector(f"supply state {x.id!r} available", x.available, M)
+        _check_int_vector(x.unit_cost, M, "supply state {!r} unit_cost", x.id)
+        _check_int_vector(x.available, M, "supply state {!r} available", x.id)
 
     if not demand_states:
         raise ConfigError("need at least one demand state")
@@ -317,10 +344,10 @@ def _table_entries(cfg: PlantConfig, y: DemandState, name: str, table):
     if len(check_seq(where, table, error=ConfigError)) != cfg.K:
         raise ConfigError(f"{where} must have one row per product")
     for k, (row, prices) in enumerate(zip(table, cfg.price_set)):
-        if len(check_seq(f"{where}[{k}]", row, error=ConfigError)) != len(prices):
+        if len(_check_seq(row, "{}[{}]", where, k)) != len(prices):
             raise ConfigError(f"{where}[{k}] must align with price_set[{k}]")
         for j, f in enumerate(row):
-            _check_amount(f"{where}[{k}][{j}]", f)
+            _check_amount(f, "{}[{}][{}]", where, k, j)
             yield k, j, f
 
 
@@ -370,22 +397,44 @@ def schedule_fulfillment(
     (ties broken by ascending product index), each taking the largest integer
     quantity the residual material inventory allows, never more than its
     demand.  When inventory covers everything the result is exactly Z * D.
+    The rule has two halves: fulfillment_order, which depends only on the
+    decision, and serve_in_order, which serves a demand in that order.
     """
-    K, alpha, beta = cfg.K, cfg.alpha, cfg.beta
-    order = sorted(
-        (k for k in range(K) if Z[k] == 1 and D[k] > 0),
-        key=lambda k: (-(P[k] - alpha[k]), k),
+    return serve_in_order(Q, fulfillment_order(Z, P, cfg), D, cfg.K)[0]
+
+
+def fulfillment_order(Z: list[int], P: list[float], cfg: PlantConfig) -> list[tuple]:
+    """The order schedule_fulfillment serves a decision's offered products in.
+
+    The products with Z[k] == 1, in descending margin P[k] - alpha[k], ties
+    broken by ascending k, each as (k, feeders): feeders lists the (m,
+    beta[m][k]) of the materials k consumes.  A caller that serves one
+    decision many times may keep its order.
+    """
+    alpha, beta = cfg.alpha, cfg.beta
+    offered = sorted(
+        (k for k in range(cfg.K) if Z[k] == 1), key=lambda k: (-(P[k] - alpha[k]), k)
     )
+    return [(k, [(m, row[k]) for m, row in enumerate(beta) if row[k]]) for k in offered]
+
+
+def serve_in_order(Q: list[int], order: list[tuple], D: list[int], K: int) -> tuple:
+    """(served, residual): demand D served from queues Q in a fulfillment_order.
+
+    Each product of order in turn takes the largest integer quantity the
+    residual material allows, never more than D[k]; served lists the K
+    quantities, and residual is Q less the material they use.
+    """
     residual = list(Q)
-    out = [0] * K
-    for k in order:
+    served = [0] * K
+    for k, feeders in order:
         n = D[k]
-        for m, row in enumerate(beta):
-            b = row[k]
-            if b > 0:
-                n = min(n, residual[m] // b)
+        for m, b in feeders:
+            r = residual[m] // b
+            if r < n:
+                n = r
         if n > 0:
-            out[k] = n
-            for m, row in enumerate(beta):
-                residual[m] -= row[k] * n
-    return out
+            served[k] = n
+            for m, b in feeders:
+                residual[m] -= b * n
+    return served, residual

@@ -234,8 +234,14 @@ def _read_purchases(policy: OraclePolicy, model: Model) -> list[tuple[list, list
     """The purchases of a policy: per supply state, (options, probabilities).
 
     The options are the checked (A, cost) of each entry (_purchase_option),
-    the probabilities floats (_read_dists).
+    the probabilities floats (_read_dists).  A policy of plain lists and
+    tuples of Python ints and floats is read in one pass that builds no
+    name (_plain_purchases); any other, or one that pass refuses, is read
+    entry by entry, and the first fault raises with its name.
     """
+    out = _plain_purchases(policy, model)
+    if out is not None:
+        return out
     cfg, states = model.cfg, model.supply_states
     dists = _read_dists("purchase_dist", policy.purchase_dist, len(states), 2)
     return [
@@ -250,8 +256,12 @@ def _read_offers(policy: OraclePolicy, model: Model) -> list[list[tuple[list, li
 
     The options are the checked (z, j) of each entry (_offer_option), the
     probabilities floats (_read_dists).  Only price_dist is read, so a
-    policy without purchases, as two_price_reduce may be given, passes.
+    policy without purchases, as two_price_reduce may be given, passes.  As
+    in _read_purchases, a plain policy is read in one pass (_plain_offers).
     """
+    out = _plain_offers(policy, model)
+    if out is not None:
+        return out
     cfg, n_y = model.cfg, len(model.demand_states)
     out = []
     for k, dists in enumerate(check_seq("price_dist", policy.price_dist, cfg.K)):
@@ -279,6 +289,92 @@ def _read_dists(name: str, dists, n: int, fields: int) -> list[tuple]:
         p = [e[-1] for e in entries]
         p = check_distribution(p, len(p), f"{at} probabilities").tolist()
         out.append((at, entries, p))
+    return out
+
+
+# The one-pass readers take these containers, and Python ints and floats in
+# them; anything else goes to the checked path, which accepts what they
+# accept and reads it to the same result.
+_PLAIN = (list, tuple)
+
+
+def _plain_purchases(policy: OraclePolicy, model: Model) -> list | None:
+    """_read_purchases of a plain policy that passes every check, else None."""
+    cfg, states = model.cfg, model.supply_states
+    dists = _plain_dists(policy.purchase_dist, len(states), 2)
+    if dists is None:
+        return None
+    out = []
+    for x, (entries, p) in zip(states, dists):
+        caps = list(map(min, cfg.A_max, x.available))
+        opts = []
+        for a, _ in entries:
+            if type(a) not in _PLAIN or len(a) != cfg.M:
+                return None
+            for v, c in zip(a, caps):
+                if type(v) is not int or not 0 <= v <= c:
+                    return None
+            cost = purchase_cost(a, x)
+            if cost > cfg.c_max:
+                return None
+            opts.append((list(a), cost))
+        out.append((opts, p))
+    return out
+
+
+def _plain_offers(policy: OraclePolicy, model: Model) -> list | None:
+    """_read_offers of a plain policy that passes every check, else None."""
+    cfg, n_y = model.cfg, len(model.demand_states)
+    if type(policy.price_dist) not in _PLAIN or len(policy.price_dist) != cfg.K:
+        return None
+    out = []
+    for ps, dists in zip(cfg.price_set, policy.price_dist):
+        dists = _plain_dists(dists, n_y, 3)
+        if dists is None:
+            return None
+        n, per_y = len(ps), []
+        for entries, p in dists:
+            opts = []
+            for z, j, _ in entries:
+                if type(z) is not int or type(j) is not int:
+                    return None
+                if not (z == 1 and 0 <= j < n or z == 0 and j == -1):
+                    return None
+                opts.append((z, j))
+            per_y.append((opts, p))
+        out.append(per_y)
+    return out
+
+
+def _plain_dists(dists, n: int, fields: int) -> list | None:
+    """(entries, probabilities) of the n distributions in dists, or None.
+
+    None unless dists, each distribution and each of its entries are plain
+    lists or tuples, each entry of fields values, and the probabilities
+    Python floats, or ints, that check_distribution passes; they come back
+    as its floats.  Such an int is 0 or 1, since the probabilities are
+    non-negative and sum to 1.
+    """
+    if type(dists) not in _PLAIN or len(dists) != n:
+        return None
+    out = []
+    for dist in dists:
+        if type(dist) not in _PLAIN:
+            return None
+        p = []
+        for e in dist:
+            if type(e) not in _PLAIN or len(e) != fields:
+                return None
+            v = e[-1]
+            if type(v) is not float:
+                if type(v) is not int or not 0 <= v <= 1:
+                    return None
+                v = float(v)
+            p.append(v)
+        # a NaN or an infinite entry fails the sum's test
+        if not abs(sum(p) - 1.0) <= 1e-9 or min(p) < 0:
+            return None
+        out.append((dist, p))
     return out
 
 

@@ -24,7 +24,7 @@ run sets allow_unsafe_theta.  A short slot, or a queue above theta +
 A_max or below 0, only a faulty controller can reach (_Transitions), and
 it raises in every run.  Playback has no band and no queue feedback, so
 its slots can fall short: _short_slot serves each short slot by
-schedule_fulfillment, and the run counts it as a mismatch.
+schedule_fulfillment's rule, and the run counts it as a mismatch.
 
 The slot loop keeps a decision table.  A decision (A, cost, Z, P, the
 offered products' sell entries) is made once per (x, y, A, Z, P).  It
@@ -82,11 +82,14 @@ uniforms, at a time: it draws the block's policy and demand uniforms,
 gathers each slot's rows from the option tables by its drawn options and
 books every slot with array operations, _outcome's sums taken in the
 same order.  The queues follow the start queues plus the cumulative
-queue change; only a short slot, found by searching that path, is served
-on its own (_short_slot), and its correction offsets the path after it.
-A decision (A, cost, Z, P) is made only for a short or a logged slot.
-Totals are summed in slot order, so the results equal the slot loop's bit
-for bit.
+queue change; only a short slot, found by searching that path or, after
+a short slot, by testing the next one, is served on its own
+(_short_slot), and its correction offsets the path after it.  A short
+slot is served from its plan: its purchase's A and cost, and the
+fulfillment order and margins of its offers, which are built once per
+run for each set of offer options a short slot meets.  Only a logged slot
+rebuilds its decision (A, cost, Z, P).  Totals are summed in slot order,
+so the results equal the slot loop's bit for bit.
 
 Per run, each of these counts is at most the horizon and at most
 * online states: the integer volume of [0, theta + A_max] times
@@ -102,8 +105,9 @@ array and a list) and a code table of one entry per buffered uniform for
 each tabled signature, until its first read after the next refill.
 Playback keeps its option tables, |X| rows of purchase options and
 |Y| * K rows of offer options, each padded to the longest row of its
-table, and _play_blocks one block's arrays, a few rows per slot and its
-demand uniforms.
+table, a plan half per set of offer options met by a short slot, and
+_play_blocks one block's arrays, a few rows per slot and its demand
+uniforms.
 
 The check_* helpers run whole experiments: check_profit_bound compares
 the controller's mean profit against the stationary optimum, for i.i.d.
@@ -118,7 +122,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from operator import add, getitem, gt, itemgetter, mul, sub
+from operator import add, gt, itemgetter, mul, sub
 
 import numpy as np
 
@@ -142,9 +146,9 @@ from plantsim.model import (
     check_path,
     check_real,
     check_seq,
-    material_usage,
+    fulfillment_order,
     purchase_cost,
-    schedule_fulfillment,
+    serve_in_order,
 )
 from plantsim.oracles import OraclePolicy, frame_values, optimal_profit
 from plantsim.oracles import _read_offers, _read_purchases
@@ -204,7 +208,8 @@ class Metrics:
 
     bound_violations counts the queues below the band of a count-only
     online run.  phi_mismatch_slots counts playback's short slots, served
-    by schedule_fulfillment; it is 0 online, where a short slot raises.
+    by schedule_fulfillment's rule; it is 0 online, where a short slot
+    raises.
     Online, every slot is served in full, so total_phi_actual is total_phi.
     """
 
@@ -382,8 +387,8 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     reads it.  A short slot, or a queue above theta + A_max, comes only from
     a faulty controller and raises in every run: the controller offers a
     product only while each of its feeders holds mu_max, the worst-case use
-    over every product.  Oracle playback has no band: its short slots
-    are served by schedule_fulfillment and only counted as mismatches.  It
+    over every product.  Oracle playback has no band: its short slots are
+    served by schedule_fulfillment's rule and only counted as mismatches.  It
     rejects the online-only settings placeholder, demand_blind, theta and
     allow_unsafe_theta rather than ignore them, as an online run rejects
     oracle_policy, a malformed policy before its first slot
@@ -415,7 +420,7 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     if online:
         decide, state, band = _online_setup(ec, model)
     else:
-        pick, decide, state, band = _oracle_setup(ec, model)
+        pick, decide, plan, state, band = _oracle_setup(ec, model)
     xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X))
     ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y))
     # Units sold from the assembly-delay product queues are re-assembled by
@@ -433,7 +438,9 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
         tphi, Q = _slot_loop(model, decide, run, Q, xs, rs, log)
         tphia = tphi
     else:
-        tphi, tphia, Q = _play_blocks(model, pick, decide, run, Q, xs, ys, rs, log)
+        tphi, tphia, Q = _play_blocks(
+            model, pick, decide, plan, run, Q, xs, ys, rs, log
+        )
 
     return Metrics(
         horizon=ec.horizon,
@@ -608,7 +615,7 @@ def _code_table(arr: np.ndarray, pos: int, sells) -> list:
 
 
 def _play_blocks(
-    model: Model, pick, decide, run: _Transitions, Q, xs, ys, rs, log
+    model: Model, pick, decide, plan, run: _Transitions, Q, xs, ys, rs, log
 ) -> tuple:
     """Oracle playback, a block of slots at a time: (tphi, tphia, final Q).
 
@@ -617,8 +624,9 @@ def _play_blocks(
     options at once, gathers their booking rows from the option tables
     (pick) and books them in arrays (_block_book), from the same draws as
     one slot at a time.  The queues follow Q plus the cumulative queue
-    change; only short slots are served one at a time (_block_queues).  A
-    decision is rebuilt (decide) only for a short or a logged slot.
+    change; only short slots are served one at a time (_block_queues),
+    each from its plan (plan).  Only a logged slot rebuilds its decision
+    (decide).
     """
     cfg = model.cfg
     K = cfg.K
@@ -639,11 +647,11 @@ def _play_blocks(
     for t0 in range(0, len(xs), size):
         x, y = xs[t0 : t0 + size], ys[t0 : t0 + size]
         u = policy.random((len(x), K + 1))
-        opts, bought, width, terms = pick(x, y, u)
+        b, o, bought, width, terms = pick(x, y, u)
         book = _block_book(bought, width, terms, demand, beta)
         start = Q
         Q, after, stepped = _block_queues(
-            run, cfg, Q, lambda i: decide(x[i], y[i], opts[i].tolist()), book
+            run, cfg, Q, lambda i: plan(int(b[i]), o[i].tolist()), book
         )
         phi, D = book[:2]
         phia = phi.copy()
@@ -656,9 +664,9 @@ def _play_blocks(
         if log is not None:
             avg = (ctota[1:] / np.arange(t0 + 1, t0 + len(x) + 1)).tolist()
             starts = [start, *map(tuple, after[:-1].tolist())]
-            rows = zip(x.tolist(), y.tolist(), opts.tolist(), D.tolist(), phi.tolist())
-            for i, (xi, yi, opt, d, p) in enumerate(rows):
-                A, cost, Z, P = decide(xi, yi, opt)
+            rows = zip(*(a.tolist() for a in (x, y, b, o, D, phi)))
+            for i, (xi, yi, bi, oi, d, p) in enumerate(rows):
+                A, cost, Z, P = decide(bi, oi)
                 # a slot with no sale books -cost as _outcome does, an int
                 # under an integer cost
                 p = p if any(d) else -cost
@@ -693,10 +701,10 @@ def _block_book(bought, width, terms, rng, beta: np.ndarray) -> tuple:
     D = (hits[end] - hits[end - width]).reshape(-1, K)
     used = D @ beta.T
     diff = bought - used
+    sold = np.where(D != 0, D * terms[:, 1 : 1 + K], -0.0)
     phi = terms[:, 0]
     for k in range(K):
-        d = D[:, k]
-        phi += np.where(d != 0, d * terms[:, 1 + k], -0.0)
+        phi += sold[:, k]
     bt = 0.0
     for m in range(M):
         bt = bt + diff[:, m] * diff[:, m]
@@ -708,62 +716,90 @@ def _block_queues(run: _Transitions, cfg, Q, decision, book) -> tuple:
 
     The booked queue path is Q plus the cumulative queue change A - used
     of the booking.  A slot is short when the queues it starts from hold
-    less than it uses.  The next short slot is searched in windows that
-    double and served alone by _short_slot, under the decision that
-    decision(i) gives slot i; its drift replaces the booked one, and the
-    queues after it less the booked ones are a correction that offsets the
-    path from there on.  Every slot is then booked into run's extremes and
-    drift record, and the short ones into its mismatch count.
+    less than it uses.  Short slots are searched in windows that double,
+    under the correction so far: the booked queues less the served ones
+    after the last short slot.  Each is served alone by _short_slot, under
+    the plan that decision(i) gives slot i, and its drift replaces the
+    booked one; the slot after it starts from the served queues and is
+    tested against them in Python before the search resumes.  The path is
+    then offset by each short slot's correction from that slot on, and
+    every slot booked into run's extremes and drift record, the short ones
+    into its mismatch count.
     """
     _, D, used, diff, bt = book
     n, int_t = len(diff), diff.dtype
-    path = np.cumsum(diff, axis=0)
-    path += np.array(Q, dtype=int_t)
-    # low[i] is slot i's booked start queues less its use; under the
-    # correction so far, c, slot i is short where low[i] < lim = -c.
+    path = diff.copy()
+    path[0] += Q
+    np.cumsum(path, axis=0, out=path)
+    # low[i] is slot i's booked start queues less its use; with lim the
+    # booked queues less the served ones after the last short slot, slot i
+    # is short where low[i] < lim.
     low = path - diff - used
     lim = np.zeros(len(Q), dtype=int_t)
-    fixes: dict = {}  # short slot -> the correction it adds
-    stepped: dict = {}  # short slot -> phi_actual
-    i, w = 0, 32
+    served: dict = {}  # short slot -> (next Q, phi_actual, drift)
+    # start is the queues slot i starts from, known after a short slot
+    i, w, start = 0, 32, None
     while i < n:
-        short = low[i : i + w] < lim
-        f = int(short.argmax())  # the first short (slot, material), flat
-        if not short.flat[f]:
-            i, w = i + w, 2 * w
+        if start is None:
+            short = low[i : i + w] < lim
+            f = int(short.argmax())  # the first short (slot, material), flat
+            if not short.flat[f]:
+                i, w = i + w, 2 * w
+                continue
+            i += f // len(Q)
+            start = Q if i == 0 else tuple((path[i - 1] - lim).tolist())
+        elif not any(map(gt, used[i].tolist(), start)):
+            lim = path[i - 1] - start
+            i, w, start = i + 1, 32, None
             continue
-        i += f // len(Q)
-        start = Q if i == 0 else tuple((path[i - 1] - lim).tolist())
-        Qn, stepped[i], bt[i] = _short_slot(cfg, start, decision(i), D[i].tolist())
-        fix = path[i] - Qn  # the next lim
-        fixes[i] = lim - fix
-        lim = fix
-        i, w = i + 1, 32
+        served[i] = _short_slot(cfg, start, decision(i), D[i].tolist())
+        start = served[i][0]
+        i += 1
 
-    if stepped:
+    stepped = {i: out[1] for i, out in served.items()}
+    if served:
+        rows = list(served)
+        after, _, drift = zip(*served.values())
+        bt[rows] = drift
+        # each short slot's served queues less its booked ones, added from
+        # there on in place of the last one's
         corr = np.zeros_like(path)
-        corr[list(fixes)] = list(fixes.values())
+        corr[rows] = np.array(after, dtype=int_t) - path[rows]
+        corr[rows] = np.diff(corr[rows], axis=0, prepend=0)
         path += np.cumsum(corr, axis=0)
-        run.mismatch += len(stepped)
+        run.mismatch += len(served)
     run.max_bt = max(run.max_bt, float(bt.max()))
-    run.q_min[:] = map(min, run.q_min, path.min(axis=0).tolist())
-    run.q_max[:] = map(max, run.q_max, path.max(axis=0).tolist())
+    # one row per material: numpy reduces a long last axis far faster
+    by_m = np.ascontiguousarray(path.T)
+    run.q_min[:] = map(min, run.q_min, by_m.min(axis=1).tolist())
+    run.q_max[:] = map(max, run.q_max, by_m.max(axis=1).tolist())
     return tuple(path[-1].tolist()), path, stepped
 
 
-def _short_slot(cfg, Q, dec, D) -> tuple:
+def _short_slot(cfg, Q, plan, D) -> tuple:
     """(next Q, phi_actual, drift) of a short playback slot from Q.
 
-    schedule_fulfillment serves what it can of demand D from the queues
-    under the decision (A, cost, Z, P); phi_actual books the served units'
-    margins less the cost, and the drift is the served change's.
+    plan is the slot's (A, cost, order, margins): serve_in_order serves
+    what it can of demand D from the queues in the decision's
+    fulfillment_order, schedule_fulfillment's rule.  phi_actual adds each
+    product's served units times its margin P[k] - alpha[k] in ascending
+    k, a withheld product's 0 * margin included, then subtracts the cost,
+    as the sum of Z[k] * served[k] * (P[k] - alpha[k]) less the cost does;
+    the drift is the served change's.
     """
-    A, cost, Z, P = dec
-    d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
-    alpha = cfg.alpha
-    phia = sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(cfg.K)) - cost
-    diff, bt = _change(A, material_usage(d_tilde, cfg))
-    return tuple(map(add, Q, diff)), phia, bt
+    A, cost, order, margins = plan
+    served, residual = serve_in_order(Q, order, D, cfg.K)
+    Qn = tuple(map(add, residual, A))
+    return Qn, sum(map(mul, served, margins)) - cost, _change(Qn, Q)[1]
+
+
+def _fulfillment(cfg, Z, P) -> tuple:
+    """(order, margins): the half of a playback plan that its offers Z, P fix.
+
+    order is their fulfillment_order, and margins each product's P[k] -
+    alpha[k], a withheld product's at the price it posts.
+    """
+    return fulfillment_order(Z, P, cfg), tuple(map(sub, P, cfg.alpha))
 
 
 def _check_blind_tables(model: Model) -> None:
@@ -787,7 +823,8 @@ def _sells(model: Model) -> list:
     strictly ascending (validate_config), so its prices are distinct keys.
     The entry is (k, margin, threshold, D_max, feeders), where feeders lists
     the (m, beta[m][k]) of the materials k consumes: what the slot loop
-    draws and books a sale by, and playback's offer rows read.
+    draws and books a sale by.  Playback's offer rows hold the margin,
+    threshold and D_max of the same entries, computed alike.
     """
     cfg = model.cfg
     feeders = [[(m, b) for m, b in enumerate(col) if b > 0] for col in zip(*cfg.beta)]
@@ -852,7 +889,7 @@ def _online_setup(ec: EpisodeConfig, model: Model):
 
 
 def _oracle_setup(ec: EpisodeConfig, model: Model):
-    """Playback of a stationary policy: its pick, decide, starting state, band.
+    """Playback of a stationary policy: pick, decide, plan, starting state, band.
 
     The policy's checked options and probabilities come from oracles'
     readers, _read_purchases and _read_offers, which read each entry once
@@ -863,59 +900,73 @@ def _oracle_setup(ec: EpisodeConfig, model: Model):
     is withheld.  pick(x, y, u) draws each slot's options from its states
     and its 1 + K uniforms u of channel _CH_POLICY (the purchase draw, then
     each product's offer in ascending k) and gathers the rows _block_book
-    takes: it returns (options, bought, width, terms), the options being
-    each slot's purchase option and offer option of each product.
-    decide(xi, yi, opt) makes the decision (A, cost, Z, P) of one slot's
-    options.  There is no band and no fake unit; the queues start at Q0,
-    by default mu_max, and the start rule check_start asks only for
-    non-negative integers.
+    takes: it returns (b, o, bought, width, terms), where b is each slot's
+    row of the purchase table and o its K rows of the offer table.
+    decide(b, o) makes the decision (A, cost, Z, P) of one slot's rows,
+    and plan(b, o) its plan (A, cost, order, margins), which _short_slot
+    serves: the second half (_fulfillment) is built once per run for each
+    o that a short slot meets.  There is no band and no fake unit; the
+    queues start at Q0, by default mu_max, and the start rule check_start
+    asks only for non-negative integers.
     """
     cfg = model.cfg
     K, M = cfg.K, cfg.M
     # buy[xi][i]: (A, cost) of purchase option i in supply state xi, and
-    # offer[yi][k][j]: (z, posted price) of offer option j, where a withheld
-    # product posts its lowest price.  Their table rows are floats, which
-    # hold A and D_max exactly (validate_config bounds them by 2**53); -cost
-    # is negated before its conversion, so an integer cost of 0 starts at
-    # 0.0 as it does in _outcome, where -0 is the int 0.
+    # offer[yi * K + k][j]: (z, posted price) of offer option j of product k,
+    # where a withheld product posts its lowest price.  Their table rows
+    # are floats, which hold A and D_max exactly (validate_config bounds
+    # them by 2**53); -cost is negated before its conversion, so an integer
+    # cost of 0 starts at 0.0 as it does in _outcome, where -0 is the int 0.
     buy, buy_p = zip(*_read_purchases(ec.oracle_policy, model))
     buy_cum = list(map(_cumulative, buy_p))
     buy_rows = [[(-c, *A) for A, c in acts] for acts in buy]
     offer, offer_cum, offer_rows = [], [], []
     by_y = zip(*_read_offers(ec.oracle_policy, model))  # per demand state, then k
-    for rows, dists in zip(_sells(model), by_y):
-        offer.append([])
-        for ps, row, (opts, p) in zip(cfg.price_set, rows, dists):
-            offer[-1].append([(z, ps[j] if z else ps[0]) for z, j in opts])
+    for y, dists in zip(model.demand_states, by_y):
+        products = zip(cfg.price_set, cfg.alpha, cfg.D_max, y.F, dists)
+        for ps, a, n, F, (opts, p) in products:
+            offer.append([(z, ps[j] if z else ps[0]) for z, j in opts])
             offer_cum.append(_cumulative(p))
-            # the sell entry's margin, threshold and D_max
-            offer_rows.append([row[ps[j]][1:4] if z else (0.0, 0.0, 0) for z, j in opts])
-    # option i of supply state xi is row xi * n_i + i of buys, and offer
-    # option j of product k in demand state yi row (yi * K + k) * n_j + j
-    # of offers
+            # the margin, threshold and D_max of _sells' entry
+            row = [(ps[j] - a, F[j] / n, n) if z else (0.0, 0.0, 0) for z, j in opts]
+            offer_rows.append(row)
+    # Option i of supply state xi is row xi * n_i + i of buys, and offer
+    # option j of product k in demand state yi row (yi * K + k) * n_j + j of
+    # offers; buy and offer become flat lists of the same rows.
     buy_cum, offer_cum = _weight_table(buy_cum), _weight_table(offer_cum)
     n_i, n_j = len(buy_cum), len(offer_cum)
     buys = _padded(buy_rows, (0.0,) * (1 + M)).reshape(-1, 1 + M)
     offers = _padded(offer_rows, (0.0, 0.0, 0)).reshape(-1, 3)
-    ks = np.arange(K)
+    buy = [a for acts in buy for a in (*acts, *[None] * (n_i - len(acts)))]
+    offer = [o for opts in offer for o in (*opts, *[None] * (n_j - len(opts)))]
+    # the offer_cum column yi * K + k of each demand state yi and product k
+    cols = np.arange(len(model.demand_states) * K).reshape(-1, K)
 
     def pick(x, y, u):
-        i = _bisect_rows(buy_cum, x, u[:, 0])
-        r = y[:, None] * K + ks
-        j = _bisect_rows(offer_cum, r, u[:, 1:])
-        b, o = buys.take(x * n_i + i, axis=0), offers.take(r * n_j + j, axis=0)
-        terms = np.concatenate((b[:, :1], o[..., 0], o[..., 1]), axis=1)
-        bought, width = b[:, 1:].astype(np.int64), o[..., 2].astype(np.int64)
-        return np.column_stack((i, j)), bought, width, terms
+        r = cols.take(y, axis=0)
+        b = x * n_i + _bisect_rows(buy_cum, x, u[:, 0])
+        o = r * n_j + _bisect_rows(offer_cum, r, u[:, 1:])
+        rb, ro = buys.take(b, axis=0), offers.take(o, axis=0)
+        terms = np.concatenate((rb[:, :1], ro[..., 0], ro[..., 1]), axis=1)
+        bought, width = rb[:, 1:].astype(np.int64), ro[..., 2].astype(np.int64)
+        return b, o, bought, width, terms
 
-    def decide(xi, yi, opt):
-        A, cost = buy[xi][opt[0]]
-        Z, P = zip(*map(getitem, offer[yi], opt[1:]))
+    def decide(b, o):
+        A, cost = buy[b]
+        Z, P = zip(*map(offer.__getitem__, o))
         return A, cost, Z, P
+
+    fills: dict = {}  # a slot's offers rows -> their fulfillment order and margins
+
+    def plan(b, o):
+        key = tuple(o)
+        if key not in fills:
+            fills[key] = _fulfillment(cfg, *decide(b, o)[2:])
+        return (*buy[b], *fills[key])
 
     Q0 = model.mu_max if ec.Q0 is None else ec.Q0
     Q0 = check_start("Q0", Q0, [0] * cfg.M, [math.inf] * cfg.M)
-    return pick, decide, ControllerState(Q=Q0, fake=[0] * cfg.M), None
+    return pick, decide, plan, ControllerState(Q=Q0, fake=[0] * cfg.M), None
 
 
 def _padded(rows: list, fill) -> np.ndarray:

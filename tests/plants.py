@@ -325,6 +325,60 @@ def blind_plant(rng):
     return validate_config(cfg, supply, demand)
 
 
+def short_slot_cases(rng, n):
+    """Yield n random (cfg, decision, slots) for the fulfillment rule.
+
+    cfg has M and K up to 4 and beta entries of 0 to 2.  alpha, the menus
+    and the decision's cost are ints, or floats that binary fractions do
+    not hold, so that sums in another order would round differently; a
+    cost may also be 0 or 0.0.  Margins come from a few values, so they tie
+    and may be negative.  The decision (A, cost, Z, P) withholds some
+    products, each posting its lowest price, as playback does.  slots
+    lists five (Q, D) each, whose demand often runs beyond the stock.  The
+    rng is drawn from in a fixed order.
+    """
+    for _ in range(n):
+        M, K = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        beta = rng.integers(0, 3, size=(M, K)).tolist()
+        for k in range(K):
+            if not any(row[k] for row in beta):
+                beta[int(rng.integers(M))][k] = 1
+        if rng.random() < 0.3:
+            costs, alphas, menu = [0, 0, 7], [0, 1, 2], [0, 1, 2, 3, 4]
+        else:
+            costs, alphas = [0, 0.0, 2.3], [0.0, 0.2, 0.6]
+            menu = [0.1, 0.7, 1.3, 2.9, 4.1]
+        alpha = [alphas[i] for i in rng.integers(0, 3, size=K).tolist()]
+        price_set = [
+            sorted({menu[i] for i in rng.integers(0, 5, size=3).tolist()})
+            for _ in range(K)
+        ]
+        D_max = rng.integers(1, 6, size=K).tolist()
+        cfg = PlantConfig(
+            beta=beta,
+            alpha=alpha,
+            price_set=price_set,
+            D_max=D_max,
+            A_max=[4] * M,
+            c_max=20,
+        )
+        Z = (rng.random(K) < 0.75).astype(int).tolist()
+        P = [
+            ps[int(rng.integers(len(ps)))] if z else ps[0]
+            for ps, z in zip(price_set, Z)
+        ]
+        A = rng.integers(0, 5, size=M).tolist()
+        cost = costs[int(rng.integers(3))]
+        slots = [
+            (
+                rng.integers(0, 6, size=M).tolist(),
+                [int(rng.integers(d + 1)) for d in D_max],
+            )
+            for _ in range(5)
+        ]
+        yield cfg, (A, cost, Z, P), slots
+
+
 # -- transforms --------------------------------------------------------------
 
 

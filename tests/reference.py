@@ -4,8 +4,9 @@ Each function here transcribes one rule the plain way, as the package
 wrote it before it was made fast: the controller's purchase decision (a
 bounded knapsack) and menu-price argmax, the oracles' enumeration of
 purchase vectors, stationary-profit LP and per-slot frame program, the
-simplex's pivot loop, the state processes' draws one slot at a time, and
-an episode's slot loop.  The tests hold the package to these functions,
+simplex's pivot loop, the state processes' draws one slot at a time, a
+short playback slot with its fulfillment rule, and an episode's slot
+loop.  The tests hold the package to these functions,
 most of them bit for bit; the package never imports this module.
 
 The reference slot loop looks decide_purchase, decide_pricing and
@@ -17,7 +18,7 @@ in for simplex._iterate.
 import itertools
 import math
 from bisect import bisect_right
-from operator import mul
+from operator import add, mul, sub
 from unittest import mock
 
 import numpy as np
@@ -525,6 +526,44 @@ class StateProcess:
         if t > 0:
             self._current = bisect_right(self._rows[self._current], rng.random())
         return self._current
+
+
+# -- a short playback slot before its cached plan ----------------------------
+# Playback served each short slot by sorting the offered products on every
+# call; below are that rule and that slot, kept verbatim (renamed), which the
+# cached fulfillment order and the plan must match bit for bit.
+
+
+def _ref_schedule_fulfillment(Q, Z, P, D, cfg: PlantConfig) -> list[int]:
+    """Demand D served greedily from queues Q: descending margin, ties by k."""
+    K, alpha, beta = cfg.K, cfg.alpha, cfg.beta
+    order = sorted(
+        (k for k in range(K) if Z[k] == 1 and D[k] > 0),
+        key=lambda k: (-(P[k] - alpha[k]), k),
+    )
+    residual = list(Q)
+    out = [0] * K
+    for k in order:
+        n = D[k]
+        for m, row in enumerate(beta):
+            b = row[k]
+            if b > 0:
+                n = min(n, residual[m] // b)
+        if n > 0:
+            out[k] = n
+            for m, row in enumerate(beta):
+                residual[m] -= row[k] * n
+    return out
+
+
+def _ref_short_slot(cfg: PlantConfig, Q, dec, D) -> tuple:
+    """(next Q, phi_actual, drift) of a short playback slot under (A, cost, Z, P)."""
+    A, cost, Z, P = dec
+    d_tilde = _ref_schedule_fulfillment(Q, Z, P, D, cfg)
+    alpha = cfg.alpha
+    phia = sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(cfg.K)) - cost
+    diff = tuple(map(sub, A, material_usage(d_tilde, cfg)))
+    return tuple(map(add, Q, diff)), phia, 0.5 * sum(map(mul, diff, diff), 0.0)
 
 
 # -- the slot loop before it memoized each draw's outcome --------------------

@@ -1012,6 +1012,93 @@ def test_playback_checks_its_policy(make_model, changes, message):
     _raises(InputError, message, run_episode, ec, make_model())
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            {"price_dist": [[[(1, 1, NAN)]]]},
+            "price_dist[0][0] probabilities must be finite",
+        ),
+        (
+            {"price_dist": [[[(0, -1, 0.0), (1, 1, math.inf)]]]},
+            "price_dist[0][0] probabilities must be finite",
+        ),
+        (
+            {"purchase_dist": [[((1,), NAN)]]},
+            "purchase_dist[0] probabilities must be finite",
+        ),
+        (
+            {"purchase_dist": [[((1,), math.inf)]]},
+            "purchase_dist[0] probabilities must be finite",
+        ),
+        (
+            {"price_dist": [[[(True, 1, 1.0)]]]},
+            "price_dist[0][0] z must be an integer, got True",
+        ),
+        (
+            {"price_dist": [[[(1, 1, True)]]]},
+            "price_dist[0][0] probabilities must be numbers, got True",
+        ),
+        (
+            {"purchase_dist": [[((1,), True)]]},
+            "purchase_dist[0] probabilities must be numbers, got True",
+        ),
+        (
+            {"price_dist": [[[(1.0, 1, 1.0)]]]},
+            "price_dist[0][0] z must be an integer, got 1.0",
+        ),
+        (
+            {"price_dist": [[[(1, True, 1.0)]]]},
+            "price_dist[0][0] price index must be an integer, got True",
+        ),
+        (
+            {"purchase_dist": [[((True,), 1.0)]]},
+            "purchase_dist[0] purchase must be an integer, got True",
+        ),
+        ({"purchase_dist": [[(np.array([1]), 1.0)]]}, None),
+        ({"purchase_dist": [[((np.int64(1),), np.float64(1.0))]]}, None),
+        ({"price_dist": [[[(np.int64(1), np.int64(1), 1.0)]]]}, None),
+        ({"price_dist": [[[(1, np.int8(1), np.float64(1.0))]]]}, None),
+    ],
+    ids=[
+        "offer-nan",
+        "offer-inf",
+        "purchase-nan",
+        "purchase-inf",
+        "z-true",
+        "offer-probability-true",
+        "purchase-probability-true",
+        "z-1.0",
+        "price-index-true",
+        "purchase-true",
+        "purchase-array",
+        "numpy-purchase",
+        "numpy-offer",
+        "numpy-index-and-probability",
+    ],
+)
+def test_policy_readers_pin_their_verdicts(changes, message):
+    """Playback and two_price_reduce give each policy entry one verdict.
+
+    A NaN or inf probability, True as z, a price index, a purchase or a
+    probability, and 1.0 as z are refused with these messages; a purchase
+    vector as a numpy array and numpy integers and floats as options and
+    probabilities are read as the plain numbers they equal.  A purchase
+    never reaches two_price_reduce, which reads only price_dist.
+    """
+    policy = _i1_policy(**changes)
+    ec = _ec(controller="oracle", oracle_policy=policy)
+    play = _verdict(run_episode, ec, make_i1())
+    two_price = _verdict(two_price_reduce, policy, make_i1())
+    assert play == message
+    assert two_price == (message if "price_dist" in changes else None)
+    if message is None:
+        plain = _i1_policy()
+        played = run_episode(ec, make_i1())
+        assert played == run_episode(replace(ec, oracle_policy=plain), make_i1())
+        assert two_price_reduce(policy, make_i1()) == two_price_reduce(plain, make_i1())
+
+
 def test_trace_process_has_no_stationary_distribution():
     _raises(
         InputError,

@@ -1,3 +1,6 @@
+from operator import sub
+
+import numpy as np
 import pytest
 
 from plantsim.model import (
@@ -9,13 +12,16 @@ from plantsim.model import (
     OrphanProduct,
     PlantConfig,
     SupplyState,
+    fulfillment_order,
     material_usage,
     purchase_cost,
     schedule_fulfillment,
+    serve_in_order,
     validate_config,
 )
 
-from plants import make_i1, make_i1_cfg
+from plants import make_i1, make_i1_cfg, short_slot_cases
+from reference import _ref_schedule_fulfillment
 
 
 def test_i1_accepted_with_mu_max():
@@ -245,3 +251,33 @@ def test_fulfillment_respects_constraints_random(rng):
         used = material_usage(out, cfg)
         for m in range(M):
             assert used[m] <= Q[m]
+
+
+def test_cached_order_serves_as_schedule_fulfillment():
+    """One fulfillment_order per decision serves every demand as before.
+
+    On random decisions (short_slot_cases), the order is computed once and
+    then serves five (Q, D) each: the served quantities equal
+    schedule_fulfillment's and the reference rule's, which sorts on every
+    call, and the residual is Q less their material use.  Ties in margin
+    must go to the lower product index.
+    """
+    seen = dict.fromkeys(["tie shorted", "withheld", "zero beta", "beyond stock"], 0)
+    cases = short_slot_cases(np.random.default_rng(20261101), 400)
+    for cfg, (_, _, Z, P), slots in cases:
+        order = fulfillment_order(Z, P, cfg)
+        margins = [p - a if z else None for z, p, a in zip(Z, P, cfg.alpha)]
+        for Q, D in slots:
+            served, residual = serve_in_order(Q, order, D, cfg.K)
+            ref = _ref_schedule_fulfillment(Q, Z, P, D, cfg)
+            assert served == schedule_fulfillment(Q, Z, P, D, cfg) == ref, (Z, P, Q, D)
+            assert residual == list(map(sub, Q, material_usage(served, cfg)))
+            demanded = [k for k in range(cfg.K) if Z[k] and D[k]]
+            shorted = [k for k in demanded if served[k] < D[k]]
+            seen["beyond stock"] += bool(shorted)
+            seen["tie shorted"] += any(
+                margins[k] == margins[h] for k in shorted for h in demanded if h != k
+            )
+            seen["withheld"] += not all(Z)
+            seen["zero beta"] += any(0 in row for row in cfg.beta)
+    assert min(seen.values()) >= 100, seen

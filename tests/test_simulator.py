@@ -50,8 +50,9 @@ from plants import (
     make_i1_cfg,
     make_two_phase,
     run_case,
+    short_slot_cases,
 )
-from reference import _reference_run_episode
+from reference import _ref_short_slot, _reference_run_episode
 
 
 def _i1_ec(**kw):
@@ -1206,6 +1207,42 @@ def test_block_book_matches_outcome():
             seen["negative margin sold"] += any(s[1] < 0 for s in sold)
         assert pos == width
     assert min(seen.values()) >= 20, seen
+
+
+def test_short_slot_serves_its_plan_as_before():
+    """_short_slot under a plan equals the reference short slot, bit for bit.
+
+    The plan is playback's (A, cost, *_fulfillment(cfg, Z, P)): the cached
+    fulfillment order and each product's margin.  On random decisions
+    (short_slot_cases) the next queues must be equal, phi_actual of the
+    same type and float.hex, and the drift of the same float.hex as the
+    reference's, which sorts the offered products and sums Z[k] *
+    served[k] * (P[k] - alpha[k]) over every k.
+    """
+    kinds = ["int phi_actual", "-0.0 term", "beyond stock", "margin tie"]
+    seen = dict.fromkeys(kinds, 0)
+    for cfg, dec, slots in short_slot_cases(np.random.default_rng(20261102), 400):
+        A, cost, Z, P = dec
+        plan = (A, cost, *sim._fulfillment(cfg, Z, P))
+        margins = [p - a for p, a in zip(P, cfg.alpha)]
+        for Q, D in slots:
+            Qn, phia, bt = sim._short_slot(cfg, tuple(Q), plan, D)
+            ref = _ref_short_slot(cfg, tuple(Q), dec, D)
+            assert Qn == ref[0], (cfg, dec, Q, D)
+            assert type(phia) is type(ref[1]), (cfg, dec, Q, D)
+            assert float(phia).hex() == float(ref[1]).hex(), (cfg, dec, Q, D)
+            assert bt.hex() == ref[2].hex(), (cfg, dec, Q, D)
+            seen["int phi_actual"] += type(phia) is int
+            seen["-0.0 term"] += any(m < 0 for m in margins)
+            served_all = (q + a - u for q, a, u in zip(Q, A, _uses(cfg, D, Z)))
+            seen["beyond stock"] += Qn != tuple(served_all)
+            seen["margin tie"] += len({m for m, z in zip(margins, Z) if z}) < sum(Z)
+    assert min(seen.values()) >= 100, seen
+
+
+def _uses(cfg, D, Z):
+    """The material that serving all of demand D of the offered products uses."""
+    return [sum(b * d * z for b, d, z in zip(row, D, Z)) for row in cfg.beta]
 
 
 @pytest.mark.parametrize("chunk", [2, 5, 64])

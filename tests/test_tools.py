@@ -214,3 +214,82 @@ def test_pairs_refuse_trees_that_disagree_on_run_seconds(tmp_path, monkeypatch, 
     assert end.value.code == 2
     assert "base and head disagree on run_seconds: 15 and 20" in capsys.readouterr().err
     assert not (tmp_path / "order.log").exists()
+
+
+# A stand-in for perfbench/run.py that fails: 30 lines on standard error,
+# no JSON line, exit code 1.
+_FAILING_STUB = """\
+import sys
+for i in range(30):
+    print(f"{side} error line {{i}}", file=sys.stderr)
+sys.exit(1)
+"""
+
+
+def test_pairs_show_why_a_run_failed(tmp_path, monkeypatch, capsys):
+    # used to report only "exit code 1, correct: None"
+    _stub_trees(tmp_path, {}, {}, stub=_FAILING_STUB)
+    args = ("--pairs", "1", "--out", "bench.json")
+    assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch) == 1
+    tail = [f"base error line {i}" for i in range(10, 30)]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "pairs: the base run of seed 0 failed (exit code 1, correct: None); "
+        "the last 20 lines of its standard error:",
+        *tail,
+    ]
+    oracle = json.loads((tmp_path / "bench.json").read_text())["workloads"]["oracle"]
+    assert oracle["failed"]["stderr"] == tail and oracle["failed"]["result"] is None
+
+
+def _git(*args, cwd):
+    user = ["-c", "user.name=pairs test", "-c", "user.email=pairs@example.invalid"]
+    return subprocess.run(
+        ["git", *user, *args], cwd=cwd, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+# A stand-in for perfbench/run.py that needs the tracked file
+# scenarios/stub.scenario of its tree and prints VALUES as its metrics.
+_TREE_STUB = """\
+import json
+open("scenarios/stub.scenario").close()
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {values!r}}}))
+"""
+
+
+def test_pairs_take_git_revisions(tmp_path, monkeypatch, capsys):
+    # Two commits of one stub tree, whose run.py reads b_p50_ms 2.0 and then
+    # 1.0; BASE and HEAD name them as revisions of the current directory's
+    # repository, extracted whole, and a name that is neither a directory
+    # nor a revision is refused.
+    repo = tmp_path / "repo"
+    for sub in ("perfbench", "scenarios"):
+        (repo / sub).mkdir(parents=True)
+    (repo / "scenarios" / "stub.scenario").write_text("{}")
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 15}))
+    _git("init", "-q", cwd=repo)
+    commits = []
+    for value in (2.0, 1.0):
+        metrics = {"b_p50_ms": {"value": value, "unit": "ms"}}
+        (repo / "perfbench" / "run.py").write_text(_TREE_STUB.format(values=metrics))
+        _git("add", "-A", cwd=repo)
+        _git("commit", "-q", "-m", f"b_p50_ms {value}", cwd=repo)
+        commits.append(_git("rev-parse", "HEAD", cwd=repo))
+    out = tmp_path / "bench.json"
+    args = ("HEAD~1", "HEAD", "--workload", "oracle", "--pairs", "2", "--out", str(out))
+    monkeypatch.chdir(repo)
+    spec = importlib.util.spec_from_file_location("pairs", PAIRS)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    assert pairs.main(list(args)) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert row[0] == "b_p50_ms" and row[1] == "2" and row[4] == "1"
+    oracle = json.loads(out.read_text())["workloads"]["oracle"]
+    assert oracle["commits"] == {"base": commits[0], "head": commits[1]}
+    assert (oracle["base"], oracle["head"]) == ("HEAD~1", "HEAD")
+    with pytest.raises(SystemExit) as end:
+        pairs.main(["HEAD~1", "nowhere", "--workload", "oracle"])
+    assert end.value.code == 2
+    err = capsys.readouterr().err
+    assert "head nowhere is neither a directory nor a git revision" in err

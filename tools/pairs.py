@@ -3,18 +3,23 @@
     python tools/pairs.py BASE HEAD --workload W [--pairs N] [--seed S] [--out FILE]
     python tools/pairs.py BASE HEAD --workload W --trace [--seed S] [--out FILE]
 
-BASE and HEAD are directories that each hold a checkout of the repository
-(a `git worktree` is enough).  Pair i runs
+BASE and HEAD each name a tree of the repository: a directory that holds
+a checkout, or else a git revision of the repository in the current
+directory, which `git archive` extracts into a temporary directory for
+the runs (so the tree holds every tracked file, scenarios/ included).
+Pair i runs
 
     perfbench/run.py --workload W --seed S+i --seconds R --trace 0
 
 in each tree, with this Python and PYTHONDONTWRITEBYTECODE=1, where R is
-the run_seconds of the trees' BENCHMARK.json; trees that disagree on it
-end the tool with a usage error (exit 2).  The side that runs first
-alternates from pair to pair, BASE first in pair 0.  The last line of each
-run's standard output is read as JSON.  A run that exits non-zero or reads
-"correct": false ends the runs with a message naming the side, the seed
-and the exit code, and the tool exits 1.
+the run_seconds of the trees' BENCHMARK.json; trees that disagree on it,
+or a name that is neither a directory nor a revision, end the tool with a
+usage error (exit 2).  The side that runs first alternates from pair to
+pair, BASE first in pair 0.  The last line of each run's standard output
+is read as JSON.  A run that exits non-zero or reads "correct": false ends
+the runs with a message naming the side, the seed and the exit code,
+followed by the last 20 lines of the run's standard error, and the tool
+exits 1.
 
 Per metric it prints the BASE and HEAD medians with their quartiles, the
 change of the median in percent and the number of pairs in which HEAD read
@@ -24,9 +29,10 @@ ratio for equality: it prints each one that differs with both values and
 exits 1 if any does.
 
 --out FILE writes the machine (nproc, CPU, Python, numpy), and under the
-workload's name every run's JSON object, the failed run (side, seed, exit
-code and its JSON, or null) and the summary (the count comparison with
---trace), which is null when a run failed; the other workloads of an
+workload's name both trees (with the commit of a revision), every run's
+JSON object, the failed run (side, seed, exit code, its JSON and the tail
+of its standard error, or null) and the summary (the count comparison
+with --trace), which is null when a run failed; the other workloads of an
 existing FILE are kept, so one file can hold them all.  Standard library
 only.
 """
@@ -40,12 +46,15 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 from pathlib import Path
 
 SIDES = ("base", "head")
 # the units of the metrics that count work, which a traced pair compares
 COUNT_UNITS = ("count", "slots", "cells", "ratio")
+# the lines of a failed run's standard error that are shown and kept
+STDERR_TAIL = 20
 
 
 def run_seconds(tree: Path):
@@ -56,18 +65,41 @@ def run_seconds(tree: Path):
         return None
 
 
-def run_once(tree: Path, args, seed: int) -> tuple[int, dict | None]:
-    """The exit code of one benchmark run in tree and its last stdout line, read as JSON."""
+def extract(name: str, into: Path) -> str | None:
+    """The commit of revision name, whose tree git archive extracts into into.
+
+    None if the repository of the current directory has no such revision.
+    """
+    rev = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{name}^{{commit}}"],
+        capture_output=True,
+        text=True,
+    )
+    if rev.returncode:
+        return None
+    commit = rev.stdout.strip()
+    archive = subprocess.run(
+        ["git", "archive", commit], capture_output=True, check=True
+    )
+    into.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+    return commit
+
+
+def run_once(tree: Path, args, seed: int) -> tuple[int, dict | None, list[str]]:
+    """One benchmark run in tree: its exit code, last stdout line read as
+    JSON, and the last STDERR_TAIL lines of its standard error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload]
     cmd += ["--seed", str(seed), "--seconds", str(args.seconds)]
     cmd += ["--trace", str(int(args.trace))]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    tail = proc.stderr.splitlines()[-STDERR_TAIL:]
     try:
-        return proc.returncode, json.loads(lines[-1])
+        return proc.returncode, json.loads(lines[-1]), tail
     except (IndexError, json.JSONDecodeError):
-        return proc.returncode, None
+        return proc.returncode, None, tail
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -128,18 +160,32 @@ def _side(x: dict) -> str:
 
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description="paired benchmark runs of two checkouts")
-    p.add_argument("base", type=Path)
-    p.add_argument("head", type=Path)
+    p.add_argument("base", help="a checkout's directory or a git revision")
+    p.add_argument("head", help="a checkout's directory or a git revision")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="compare one traced pair's counts")
     p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        return compare(p, args, Path(tmp))
+
+
+def compare(p: argparse.ArgumentParser, args, tmp: Path) -> int:
+    """main's work, with tmp to extract revisions into."""
+    args.trees, commits = {}, {}
     for side in SIDES:
-        if not (getattr(args, side) / "perfbench" / "run.py").is_file():
-            p.error(f"{side} {getattr(args, side)} holds no perfbench/run.py")
-    seconds = [run_seconds(getattr(args, side)) for side in SIDES]
+        name = getattr(args, side)
+        if Path(name).is_dir():
+            commits[side], args.trees[side] = None, Path(name)
+        else:
+            commits[side], args.trees[side] = extract(name, tmp / side), tmp / side
+            if commits[side] is None:
+                p.error(f"{side} {name} is neither a directory nor a git revision")
+        if not (args.trees[side] / "perfbench" / "run.py").is_file():
+            p.error(f"{side} {name} holds no perfbench/run.py")
+    seconds = [run_seconds(args.trees[side]) for side in SIDES]
     for side, s in zip(SIDES, seconds):
         if s is None:
             p.error(f"{side} {getattr(args, side)} holds no BENCHMARK.json with run_seconds")
@@ -160,8 +206,9 @@ def main(argv: list[str]) -> int:
         out = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
         out["machine"] = machine()
         out["workloads"][args.workload] = {
-            "base": str(args.base),
-            "head": str(args.head),
+            "base": args.base,
+            "head": args.head,
+            "commits": commits,
             "seeds": [args.seed, args.seed + args.pairs - 1],
             "trace": args.trace,
             "runs": runs,
@@ -180,15 +227,18 @@ def run_pairs(args) -> tuple[list[dict], dict | None]:
     for i in range(args.pairs):
         seed = args.seed + i
         for side in SIDES[:: 1 if i % 2 == 0 else -1]:
-            code, result = run_once(getattr(args, side), args, seed)
+            code, result, stderr = run_once(args.trees[side], args, seed)
             if code or result is None or result.get("correct") is not True:
                 print(
                     f"pairs: the {side} run of seed {seed} failed "
-                    f"(exit code {code}, correct: {result and result.get('correct')})",
+                    f"(exit code {code}, correct: {result and result.get('correct')}); "
+                    f"the last {len(stderr)} lines of its standard error:",
+                    *stderr,
+                    sep="\n",
                     file=sys.stderr,
                 )
                 failed = {"pair": i, "side": side, "seed": seed, "exit_code": code}
-                return runs, dict(failed, result=result)
+                return runs, dict(failed, result=result, stderr=stderr)
             runs.append({"pair": i, "side": side, "seed": seed, "result": result})
             print(f"pair {i} seed {seed}: {side} done", file=sys.stderr)
     return runs, None
