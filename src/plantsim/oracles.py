@@ -19,7 +19,10 @@ T times the stationary optimum of the full model on its state histogram.
 
 A stationary policy given from outside, to be played back by the
 simulator or reduced here, is read and checked here, by one reader per
-part of the policy: _read_purchases and _read_offers.
+part of the policy: _read_purchases and _read_offers.  Each takes an entry
+of plain lists, tuples, Python ints and floats that passes a short inline
+test as it is, and reads any other through the check_* rules, which name
+its fault.
 """
 
 from __future__ import annotations
@@ -230,166 +233,108 @@ class OraclePolicy:
     phi: float
 
 
+# The readers take these containers, and Python ints and floats in them, as
+# they are; anything else goes through the check_* rules, which accept what
+# they accept and read it to the same result.
+_PLAIN = (list, tuple)
+
+
 def _read_purchases(policy: OraclePolicy, model: Model) -> list[tuple[list, list]]:
     """The purchases of a policy: per supply state, (options, probabilities).
 
-    The options are the checked (A, cost) of each entry (_purchase_option),
-    the probabilities floats (_read_dists).  A policy of plain lists and
-    tuples of Python ints and floats is read in one pass that builds no
-    name (_plain_purchases); any other, or one that pass refuses, is read
-    entry by entry, and the first fault raises with its name.
+    Each option is the (A, cost) of its entry, checked feasible as in
+    enumerate_actions: integers 0 <= A[m] <= min(A_max[m], available[m])
+    whose spend is at most c_max.  A list or tuple of M Python ints in
+    range is taken as it is; any other entry goes through check_seq and
+    check_int, which name its fault.  Every distribution is read
+    (_read_dists) before any option.
     """
-    out = _plain_purchases(policy, model)
-    if out is not None:
-        return out
     cfg, states = model.cfg, model.supply_states
     dists = _read_dists("purchase_dist", policy.purchase_dist, len(states), 2)
-    return [
-        ([_purchase_option(f"{at} purchase", a, x, cfg) for a, _ in e], p)
-        for x, (at, e, p) in zip(states, dists)
-    ]
+    out = []
+    for x, (i, entries, p) in zip(states, dists):
+        caps = list(map(min, cfg.A_max, x.available))
+        opts = []
+        for a, _ in entries:
+            A = None
+            if type(a) in _PLAIN and len(a) == cfg.M:
+                for v, c in zip(a, caps):
+                    if type(v) is not int or not 0 <= v <= c:
+                        break
+                else:
+                    A = list(a)
+            if A is None:
+                at = f"purchase_dist[{i}] purchase"
+                A = [check_int(at, v, 0, c) for v, c in zip(check_seq(at, a, cfg.M), caps)]
+            cost = purchase_cost(A, x)
+            if cost > cfg.c_max:
+                raise InputError(
+                    f"purchase_dist[{i}] purchase {A} spends {cost}, above c_max {cfg.c_max}"
+                )
+            opts.append((A, cost))
+        out.append((opts, p))
+    return out
 
 
 def _read_offers(policy: OraclePolicy, model: Model) -> list[list[tuple[list, list]]]:
     """The offers of a policy: per product k, per demand state, (options,
     probabilities).
 
-    The options are the checked (z, j) of each entry (_offer_option), the
-    probabilities floats (_read_dists).  Only price_dist is read, so a
-    policy without purchases, as two_price_reduce may be given, passes.  As
-    in _read_purchases, a plain policy is read in one pass (_plain_offers).
+    Each option is the (z, j) of its entry: (1, a menu index) or (0, -1).
+    A pair of Python ints of that form is taken as it is; any other goes
+    through _offer_option, which names its fault.  Each product's
+    distributions are read (_read_dists) before its options.  Only
+    price_dist is read, so a policy without purchases, as two_price_reduce
+    may be given, passes.
     """
-    out = _plain_offers(policy, model)
-    if out is not None:
-        return out
     cfg, n_y = model.cfg, len(model.demand_states)
     out = []
     for k, dists in enumerate(check_seq("price_dist", policy.price_dist, cfg.K)):
-        n = len(cfg.price_set[k])
-        dists = _read_dists(f"price_dist[{k}]", dists, n_y, 3)
-        out.append(
-            [([_offer_option(at, z, j, n) for z, j, _ in e], p) for at, e, p in dists]
-        )
-    return out
-
-
-def _read_dists(name: str, dists, n: int, fields: int) -> list[tuple]:
-    """(name[i], entries, probabilities) of each of the n distributions in dists.
-
-    Distribution i, named name[i], lists entries of fields values each, an
-    option then its probability.  Each entry is read once: its length is
-    checked here, its option by the caller.  The probabilities must form a
-    distribution (check_distribution) and come back as floats.
-    """
-    out = []
-    for i, dist in enumerate(check_seq(name, dists, n)):
-        at = f"{name}[{i}]"
-        entry = at + " entry"
-        entries = [check_seq(entry, e, fields) for e in check_seq(at, dist)]
-        p = [e[-1] for e in entries]
-        p = check_distribution(p, len(p), f"{at} probabilities").tolist()
-        out.append((at, entries, p))
-    return out
-
-
-# The one-pass readers take these containers, and Python ints and floats in
-# them; anything else goes to the checked path, which accepts what they
-# accept and reads it to the same result.
-_PLAIN = (list, tuple)
-
-
-def _plain_purchases(policy: OraclePolicy, model: Model) -> list | None:
-    """_read_purchases of a plain policy that passes every check, else None."""
-    cfg, states = model.cfg, model.supply_states
-    dists = _plain_dists(policy.purchase_dist, len(states), 2)
-    if dists is None:
-        return None
-    out = []
-    for x, (entries, p) in zip(states, dists):
-        caps = list(map(min, cfg.A_max, x.available))
-        opts = []
-        for a, _ in entries:
-            if type(a) not in _PLAIN or len(a) != cfg.M:
-                return None
-            for v, c in zip(a, caps):
-                if type(v) is not int or not 0 <= v <= c:
-                    return None
-            cost = purchase_cost(a, x)
-            if cost > cfg.c_max:
-                return None
-            opts.append((list(a), cost))
-        out.append((opts, p))
-    return out
-
-
-def _plain_offers(policy: OraclePolicy, model: Model) -> list | None:
-    """_read_offers of a plain policy that passes every check, else None."""
-    cfg, n_y = model.cfg, len(model.demand_states)
-    if type(policy.price_dist) not in _PLAIN or len(policy.price_dist) != cfg.K:
-        return None
-    out = []
-    for ps, dists in zip(cfg.price_set, policy.price_dist):
-        dists = _plain_dists(dists, n_y, 3)
-        if dists is None:
-            return None
-        n, per_y = len(ps), []
-        for entries, p in dists:
+        n, name = len(cfg.price_set[k]), f"price_dist[{k}]"
+        per_y = []
+        for i, entries, p in _read_dists(name, dists, n_y, 3):
             opts = []
             for z, j, _ in entries:
-                if type(z) is not int or type(j) is not int:
-                    return None
-                if not (z == 1 and 0 <= j < n or z == 0 and j == -1):
-                    return None
-                opts.append((z, j))
+                ints = type(z) is int and type(j) is int
+                if ints and (z == 1 and 0 <= j < n or z == 0 and j == -1):
+                    opts.append((z, j))
+                else:
+                    opts.append(_offer_option(f"{name}[{i}]", z, j, n))
             per_y.append((opts, p))
         out.append(per_y)
     return out
 
 
-def _plain_dists(dists, n: int, fields: int) -> list | None:
-    """(entries, probabilities) of the n distributions in dists, or None.
+def _read_dists(name: str, dists, n: int, fields: int) -> list[tuple]:
+    """(i, entries, probabilities) of each of the n distributions in dists.
 
-    None unless dists, each distribution and each of its entries are plain
-    lists or tuples, each entry of fields values, and the probabilities
-    Python floats, or ints, that check_distribution passes; they come back
-    as its floats.  Such an int is 0 or 1, since the probabilities are
-    non-negative and sum to 1.
+    Distribution i lists entries of fields values each, an option then its
+    probability; the caller reads the options.  A list or tuple of lists
+    and tuples of fields values, whose probabilities are Python floats, sum
+    to 1 within 1e-9 and are non-negative, is taken as it is.  Any other
+    goes through check_seq and check_distribution, which name its first
+    fault under name[i], and its probabilities come back as floats.
     """
-    if type(dists) not in _PLAIN or len(dists) != n:
-        return None
     out = []
-    for dist in dists:
-        if type(dist) not in _PLAIN:
-            return None
-        p = []
-        for e in dist:
-            if type(e) not in _PLAIN or len(e) != fields:
-                return None
-            v = e[-1]
-            if type(v) is not float:
-                if type(v) is not int or not 0 <= v <= 1:
-                    return None
-                v = float(v)
-            p.append(v)
-        # a NaN or an infinite entry fails the sum's test
-        if not abs(sum(p) - 1.0) <= 1e-9 or min(p) < 0:
-            return None
-        out.append((dist, p))
+    for i, dist in enumerate(check_seq(name, dists, n)):
+        if type(dist) in _PLAIN:
+            p = []
+            for e in dist:
+                if type(e) not in _PLAIN or len(e) != fields or type(e[-1]) is not float:
+                    break
+                p.append(e[-1])
+            else:
+                # the sum first: it fails on a NaN or an infinite entry, and
+                # on an empty distribution, which min would refuse
+                if abs(sum(p) - 1.0) <= 1e-9 and min(p) >= 0:
+                    out.append((i, dist, p))
+                    continue
+        at = f"{name}[{i}]"
+        entries = [check_seq(at + " entry", e, fields) for e in check_seq(at, dist)]
+        p = [e[-1] for e in entries]
+        p = check_distribution(p, len(p), f"{at} probabilities").tolist()
+        out.append((i, entries, p))
     return out
-
-
-def _purchase_option(name: str, a, x: SupplyState, cfg: PlantConfig) -> tuple:
-    """(A, cost) of purchase vector a in supply state x, checked feasible.
-
-    Feasible as in enumerate_actions: integers 0 <= A[m] <= min(A_max[m],
-    available[m]) whose spend is at most c_max.
-    """
-    a = check_seq(name, a, cfg.M)
-    A = [check_int(name, v, 0, min(c, n)) for v, c, n in zip(a, cfg.A_max, x.available)]
-    cost = purchase_cost(A, x)
-    if cost > cfg.c_max:
-        raise InputError(f"{name} {A} spends {cost}, above c_max {cfg.c_max}")
-    return A, cost
 
 
 def _offer_option(name: str, z, j, n_prices: int) -> tuple:

@@ -892,8 +892,8 @@ def _oracle_setup(ec: EpisodeConfig, model: Model):
     """Playback of a stationary policy: pick, decide, plan, starting state, band.
 
     The policy's checked options and probabilities come from oracles'
-    readers, _read_purchases and _read_offers, which read each entry once
-    and raise InputError on a malformed policy.  From them it builds padded
+    readers, _read_purchases and _read_offers, one per part of the policy,
+    which raise InputError on a malformed one.  From them it builds padded
     option tables: per supply state, each purchase option's cumulative
     weight, -cost and A; per demand state and product, each offer option's
     cumulative weight, margin, threshold and D_max, zeros where the product

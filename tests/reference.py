@@ -4,10 +4,11 @@ Each function here transcribes one rule the plain way, as the package
 wrote it before it was made fast: the controller's purchase decision (a
 bounded knapsack) and menu-price argmax, the oracles' enumeration of
 purchase vectors, stationary-profit LP and per-slot frame program, the
-simplex's pivot loop, the state processes' draws one slot at a time, a
-short playback slot with its fulfillment rule, and an episode's slot
-loop.  The tests hold the package to these functions,
-most of them bit for bit; the package never imports this module.
+simplex's pivot loop, the state processes' draws one slot at a time, the
+oracle policy readers entry by entry, a short playback slot with its
+fulfillment rule, and an episode's slot loop.  The tests hold the package
+to these functions, most of them bit for bit; the package never imports
+this module.
 
 The reference slot loop looks decide_purchase, decide_pricing and
 queue_band up on plantsim.simulator, so a test that patches them there
@@ -39,6 +40,8 @@ from plantsim.model import (
     InputError,
     PlantConfig,
     SupplyState,
+    check_int,
+    check_seq,
     material_usage,
     purchase_cost,
     schedule_fulfillment,
@@ -49,6 +52,7 @@ from plantsim.processes import (
     RngStream,
     StateProcessSpec,
     _cumulative,
+    check_distribution,
     generate_states,
 )
 from plantsim.simplex import LinearProgram, Unbounded, solve_lp
@@ -526,6 +530,67 @@ class StateProcess:
         if t > 0:
             self._current = bisect_right(self._rows[self._current], rng.random())
         return self._current
+
+
+# -- oracle policy readers --------------------------------------------------
+# The readers of an OraclePolicy as they were before the fast test of plain
+# entries: every entry through check_seq, check_int and check_distribution,
+# named as it is read.  The package readers must return what these return,
+# or raise the same InputError.
+
+
+def _ref_read_purchases(policy, model) -> list[tuple[list, list]]:
+    """Per supply state, ((A, cost) per entry, probabilities as floats)."""
+    cfg, states = model.cfg, model.supply_states
+    dists = _ref_read_dists("purchase_dist", policy.purchase_dist, len(states), 2)
+    return [
+        ([_ref_purchase_option(f"{at} purchase", a, x, cfg) for a, _ in e], p)
+        for x, (at, e, p) in zip(states, dists)
+    ]
+
+
+def _ref_read_offers(policy, model) -> list[list[tuple[list, list]]]:
+    """Per product and demand state, ((z, j) per entry, probabilities)."""
+    cfg, n_y = model.cfg, len(model.demand_states)
+    out = []
+    for k, dists in enumerate(check_seq("price_dist", policy.price_dist, cfg.K)):
+        n = len(cfg.price_set[k])
+        dists = _ref_read_dists(f"price_dist[{k}]", dists, n_y, 3)
+        out.append(
+            [([_ref_offer_option(at, z, j, n) for z, j, _ in e], p) for at, e, p in dists]
+        )
+    return out
+
+
+def _ref_read_dists(name: str, dists, n: int, fields: int) -> list[tuple]:
+    """(name[i], entries, probabilities) of each of the n distributions."""
+    out = []
+    for i, dist in enumerate(check_seq(name, dists, n)):
+        at = f"{name}[{i}]"
+        entry = at + " entry"
+        entries = [check_seq(entry, e, fields) for e in check_seq(at, dist)]
+        p = [e[-1] for e in entries]
+        p = check_distribution(p, len(p), f"{at} probabilities").tolist()
+        out.append((at, entries, p))
+    return out
+
+
+def _ref_purchase_option(name: str, a, x: SupplyState, cfg: PlantConfig) -> tuple:
+    """(A, cost) of purchase vector a in supply state x, checked feasible."""
+    a = check_seq(name, a, cfg.M)
+    A = [check_int(name, v, 0, min(c, n)) for v, c, n in zip(a, cfg.A_max, x.available)]
+    cost = purchase_cost(A, x)
+    if cost > cfg.c_max:
+        raise InputError(f"{name} {A} spends {cost}, above c_max {cfg.c_max}")
+    return A, cost
+
+
+def _ref_offer_option(name: str, z, j, n_prices: int) -> tuple:
+    """(z, j) of an offer option: z in {0, 1}; j a menu index if z, else -1."""
+    if check_int(f"{name} z", z, 0, 1):
+        return 1, check_int(f"{name} price index", j, 0, n_prices - 1)
+    message = f"{name}: a withheld product has price index -1, got {j!r}"
+    return 0, check_int(name, j, -1, -1, message=message)
 
 
 # -- a short playback slot before its cached plan ----------------------------

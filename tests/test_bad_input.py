@@ -36,6 +36,8 @@ from plantsim.model import (
 )
 from plantsim.oracles import (
     InstanceTooLarge,
+    _read_offers,
+    _read_purchases,
     brute_force_opt,
     build_profit_lp,
     extract_xy_policy,
@@ -67,7 +69,8 @@ from plantsim.simulator import (
     write_slot_log,
 )
 
-from plants import _iid, make_i1, make_i1_cfg, make_two_phase
+from plants import _iid, _m3_k4_plant, make_i1, make_i1_cfg, make_two_phase
+from reference import _ref_read_offers, _ref_read_purchases
 
 NAN = math.nan
 
@@ -1059,6 +1062,37 @@ def test_playback_checks_its_policy(make_model, changes, message):
         ({"purchase_dist": [[((np.int64(1),), np.float64(1.0))]]}, None),
         ({"price_dist": [[[(np.int64(1), np.int64(1), 1.0)]]]}, None),
         ({"price_dist": [[[(1, np.int8(1), np.float64(1.0))]]]}, None),
+        ({"purchase_dist": [[((1,), 1)]]}, None),
+        ({"price_dist": [[[(1, 1, 1)]]]}, None),
+        ({"purchase_dist": [[((1,), 0), ((1,), 1.0)]]}, None),
+        ({"price_dist": [[[[1, 1, 1.0]]]]}, None),
+        ({"purchase_dist": [[]]}, "purchase_dist[0] probabilities must sum to 1"),
+        ({"price_dist": [[[]]]}, "price_dist[0][0] probabilities must sum to 1"),
+        (
+            {"price_dist": [[[(1, 1.0)]]]},
+            "price_dist[0][0] entry must have 3 entries, got 2",
+        ),
+        (
+            {"purchase_dist": [[((1, 0), 1.0)]]},
+            "purchase_dist[0] purchase must have 1 entries, got 2",
+        ),
+        (
+            {"purchase_dist": [[((99,), 1.0)]]},
+            "purchase_dist[0] purchase 99 is above the maximum 2",
+        ),
+        (
+            {"price_dist": [[[(1, -1, 1.0)]]]},
+            "price_dist[0][0] price index -1 is below the minimum 0",
+        ),
+        (
+            {"price_dist": [[[(0, 0, 1.0)]]]},
+            "price_dist[0][0]: a withheld product has price index -1, got 0",
+        ),
+        (
+            {"purchase_dist": [np.array([[1, 1.0]])]},
+            "purchase_dist[0] purchase must be a sequence, got np.float64(1.0)",
+        ),
+        ({"price_dist": [["ab"]]}, "price_dist[0][0] must be a sequence, got 'ab'"),
     ],
     ids=[
         "offer-nan",
@@ -1075,16 +1109,32 @@ def test_playback_checks_its_policy(make_model, changes, message):
         "numpy-purchase",
         "numpy-offer",
         "numpy-index-and-probability",
+        "purchase-probability-int",
+        "offer-probability-int",
+        "purchase-probabilities-int-and-float",
+        "offer-entry-list",
+        "purchase-empty",
+        "offer-empty",
+        "offer-entry-short",
+        "purchase-long",
+        "purchase-99",
+        "offered-index--1",
+        "withheld-index-0",
+        "purchase-array-row",
+        "offer-string",
     ],
 )
 def test_policy_readers_pin_their_verdicts(changes, message):
     """Playback and two_price_reduce give each policy entry one verdict.
 
     A NaN or inf probability, True as z, a price index, a purchase or a
-    probability, and 1.0 as z are refused with these messages; a purchase
-    vector as a numpy array and numpy integers and floats as options and
-    probabilities are read as the plain numbers they equal.  A purchase
-    never reaches two_price_reduce, which reads only price_dist.
+    probability, and 1.0 as z are refused with these messages, as are an
+    empty distribution, an entry or purchase of the wrong length, an
+    option out of range and a string or number for a sequence; a purchase
+    vector as a numpy array, numpy integers and floats as options and
+    probabilities, Python int probabilities and an entry as a list are
+    read as the plain numbers they equal.  A purchase never reaches
+    two_price_reduce, which reads only price_dist.
     """
     policy = _i1_policy(**changes)
     ec = _ec(controller="oracle", oracle_policy=policy)
@@ -1097,6 +1147,75 @@ def test_policy_readers_pin_their_verdicts(changes, message):
         played = run_episode(ec, make_i1())
         assert played == run_episode(replace(ec, oracle_policy=plain), make_i1())
         assert two_price_reduce(policy, make_i1()) == two_price_reduce(plain, make_i1())
+
+
+def _leaf_changes(v):
+    """What a policy leaf or container v is changed to, one at a time."""
+    if isinstance(v, (list, tuple)):
+        swapped = list(v) if isinstance(v, tuple) else tuple(v)
+        return [swapped, type(v)([*v, *v[-1:]]), v[:-1]]
+    changes = [NAN, math.inf, -math.inf, -1, 0, 2**63, 1e300, True, "a", None, []]
+    if type(v) is int:
+        return changes + [np.int64(v), float(v), v - 1, v + 1]
+    return changes + [np.float64(v)]
+
+
+def _one_leaf_changes(value, at=()):
+    """(path, change) for each one-leaf change of value, a policy's part."""
+    for change in _leaf_changes(value):
+        yield at, change
+    if isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield from _one_leaf_changes(v, at + (i,))
+
+
+def _with_change(value, path, change):
+    if not path:
+        return change
+    i, rest = path[0], path[1:]
+    out = list(value)
+    out[i] = _with_change(value[i], rest, change)
+    return type(value)(out)
+
+
+def _read_verdict(read, policy, model):
+    """repr of what read returns, or the class and message it raises."""
+    try:
+        return repr(read(policy, model))
+    except Exception as err:  # any difference, InputError or not, fails
+        return f"{type(err).__name__}: {err}"
+
+
+def test_policy_readers_match_the_reference_under_one_leaf_changes():
+    """The readers agree with the entry-by-entry reference on every change.
+
+    i1's policy and 10 seeded M=3, K=4 policies, each changed at one leaf
+    or container at a time: a non-finite, negative, huge or non-numeric
+    value, a bool, None, a numpy number or a float for an int, an int one
+    off, a list for a tuple or a tuple for a list, and one entry more or
+    fewer.  i1's policy takes every change; each M=3, K=4 policy a seeded
+    third of them, which keeps the test under a second.  Each reader
+    returns what the reference returns, types included, or raises the same
+    InputError; about one change in six is accepted.
+    """
+    rng = np.random.default_rng(700)
+    cases = [(make_i1(), [1.0], [1.0])] + [_m3_k4_plant(rng) for _ in range(10)]
+    refused = 0
+    for share, (model, pi_x, pi_y) in zip([1.0] + [1 / 3] * 10, cases):
+        policy = extract_xy_policy(*optimal_profit(model, pi_x, pi_y)[1:])
+        for field, read, ref in [
+            ("purchase_dist", _read_purchases, _ref_read_purchases),
+            ("price_dist", _read_offers, _ref_read_offers),
+        ]:
+            part = getattr(policy, field)
+            for path, change in _one_leaf_changes(part):
+                if rng.random() >= share:
+                    continue
+                changed = replace(policy, **{field: _with_change(part, path, change)})
+                verdict = _read_verdict(ref, changed, model)
+                assert _read_verdict(read, changed, model) == verdict, (field, path, change)
+                refused += verdict.startswith("InputError")
+    assert refused > 1000
 
 
 def test_trace_process_has_no_stationary_distribution():

@@ -242,6 +242,51 @@ def test_pairs_show_why_a_run_failed(tmp_path, monkeypatch, capsys):
     assert oracle["failed"]["stderr"] == tail and oracle["failed"]["result"] is None
 
 
+# A stand-in for perfbench/run.py whose gate and operation fail: its report
+# names them on standard output, then its JSON line reads correct false.
+_GATE_STUB = """\
+import json
+print("  fail_frac = 0.500000   (1 of 2 operations)")
+print("  failure: b: ValueError: boom (0.001 s)")
+print("  gates: 1 passed, 1 failed")
+print("  GATE FAILED: mid: rerun is bit-identical ")
+print(json.dumps({{"correct": False, "attempted": 2, "failed": 1, "metrics": {{}}}}))
+"""
+
+
+def test_pairs_name_a_failed_gate(tmp_path, monkeypatch, capsys):
+    # used to show only the standard error's tail, here empty
+    _stub_trees(tmp_path, {}, {}, stub=_GATE_STUB)
+    args = ("--pairs", "1", "--out", "bench.json")
+    assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch) == 1
+    failures = [
+        "failure: b: ValueError: boom (0.001 s)",
+        "GATE FAILED: mid: rerun is bit-identical",
+    ]
+    assert capsys.readouterr().err.splitlines() == [
+        "pairs: the base run of seed 0 failed (exit code 0, correct: False); "
+        "the last 0 lines of its standard error:",
+        "its 2 failure lines of standard output:",
+        *failures,
+    ]
+    oracle = json.loads((tmp_path / "bench.json").read_text())["workloads"]["oracle"]
+    assert oracle["failed"]["failures"] == failures and oracle["failed"]["stderr"] == []
+
+
+def test_pairs_out_keeps_every_batch(tmp_path, monkeypatch, capsys):
+    # a second batch of a workload used to replace the first
+    _stub_trees(tmp_path, {0: 1.0, 1: 2.0, 2: 3.0}, {0: 1.0, 1: 2.0, 2: 3.0})
+    for seed in ("0", "1", "2"):
+        args = ("--pairs", "1", "--seed", seed, "--out", "bench.json")
+        assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch) == 0
+    oracle = json.loads((tmp_path / "bench.json").read_text())["workloads"]["oracle"]
+    assert oracle["seeds"] == [2, 2]
+    assert [b["seeds"] for b in oracle["earlier"]] == [[0, 0], [1, 1]]
+    metrics = [b["runs"][0]["result"]["metrics"] for b in oracle["earlier"]]
+    assert [m["b_p50_ms"]["value"] for m in metrics] == [1.0, 2.0]
+    assert all("earlier" not in b for b in oracle["earlier"])
+
+
 def _git(*args, cwd):
     user = ["-c", "user.name=pairs test", "-c", "user.email=pairs@example.invalid"]
     return subprocess.run(

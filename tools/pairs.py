@@ -18,8 +18,9 @@ usage error (exit 2).  The side that runs first alternates from pair to
 pair, BASE first in pair 0.  The last line of each run's standard output
 is read as JSON.  A run that exits non-zero or reads "correct": false ends
 the runs with a message naming the side, the seed and the exit code,
-followed by the last 20 lines of the run's standard error, and the tool
-exits 1.
+followed by the last 20 lines of the run's standard error and by the lines
+of its standard output that start with "GATE FAILED:" or "failure:" (a
+failed gate or operation), and the tool exits 1.
 
 Per metric it prints the BASE and HEAD medians with their quartiles, the
 change of the median in percent and the number of pairs in which HEAD read
@@ -30,11 +31,13 @@ exits 1 if any does.
 
 --out FILE writes the machine (nproc, CPU, Python, numpy), and under the
 workload's name both trees (with the commit of a revision), every run's
-JSON object, the failed run (side, seed, exit code, its JSON and the tail
-of its standard error, or null) and the summary (the count comparison
-with --trace), which is null when a run failed; the other workloads of an
-existing FILE are kept, so one file can hold them all.  Standard library
-only.
+JSON object, the failed run (side, seed, exit code, its JSON, the tail of
+its standard error and its failure lines, or null) and the summary (the
+count comparison with --trace), which is null when a run failed.  The
+other workloads of an existing FILE are kept, so one file can hold them
+all, and so are the workload's earlier batches: the batch written last
+stays under the workload's name, and the batches it replaces move to its
+"earlier" list, oldest first.  Standard library only.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ SIDES = ("base", "head")
 COUNT_UNITS = ("count", "slots", "cells", "ratio")
 # the lines of a failed run's standard error that are shown and kept
 STDERR_TAIL = 20
+# how perfbench starts a standard-output line that names a failed gate or
+# a failed operation
+FAILURE_PREFIXES = ("GATE FAILED:", "failure:")
 
 
 def run_seconds(tree: Path):
@@ -86,9 +92,10 @@ def extract(name: str, into: Path) -> str | None:
     return commit
 
 
-def run_once(tree: Path, args, seed: int) -> tuple[int, dict | None, list[str]]:
+def run_once(tree: Path, args, seed: int) -> tuple[int, dict | None, list[str], list[str]]:
     """One benchmark run in tree: its exit code, last stdout line read as
-    JSON, and the last STDERR_TAIL lines of its standard error."""
+    JSON, the last STDERR_TAIL lines of its standard error and its failure
+    lines (the stdout lines that start with a FAILURE_PREFIXES entry)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload]
     cmd += ["--seed", str(seed), "--seconds", str(args.seconds)]
     cmd += ["--trace", str(int(args.trace))]
@@ -96,10 +103,12 @@ def run_once(tree: Path, args, seed: int) -> tuple[int, dict | None, list[str]]:
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     tail = proc.stderr.splitlines()[-STDERR_TAIL:]
+    failures = [x.strip() for x in lines if x.lstrip().startswith(FAILURE_PREFIXES)]
     try:
-        return proc.returncode, json.loads(lines[-1]), tail
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return proc.returncode, None, tail
+        result = None
+    return proc.returncode, result, tail, failures
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -205,6 +214,8 @@ def compare(p: argparse.ArgumentParser, args, tmp: Path) -> int:
     if args.out:
         out = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
         out["machine"] = machine()
+        last = out["workloads"].get(args.workload)
+        earlier = [*last.pop("earlier", []), last] if last else []
         out["workloads"][args.workload] = {
             "base": args.base,
             "head": args.head,
@@ -214,6 +225,7 @@ def compare(p: argparse.ArgumentParser, args, tmp: Path) -> int:
             "runs": runs,
             "failed": failed,
             "summary": summary,
+            "earlier": earlier,
         }
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     if failed is not None:
@@ -227,7 +239,7 @@ def run_pairs(args) -> tuple[list[dict], dict | None]:
     for i in range(args.pairs):
         seed = args.seed + i
         for side in SIDES[:: 1 if i % 2 == 0 else -1]:
-            code, result, stderr = run_once(args.trees[side], args, seed)
+            code, result, stderr, failures = run_once(args.trees[side], args, seed)
             if code or result is None or result.get("correct") is not True:
                 print(
                     f"pairs: the {side} run of seed {seed} failed "
@@ -237,8 +249,15 @@ def run_pairs(args) -> tuple[list[dict], dict | None]:
                     sep="\n",
                     file=sys.stderr,
                 )
+                if failures:
+                    print(
+                        f"its {len(failures)} failure lines of standard output:",
+                        *failures,
+                        sep="\n",
+                        file=sys.stderr,
+                    )
                 failed = {"pair": i, "side": side, "seed": seed, "exit_code": code}
-                return runs, dict(failed, result=result, stderr=stderr)
+                return runs, dict(failed, result=result, stderr=stderr, failures=failures)
             runs.append({"pair": i, "side": side, "seed": seed, "result": result})
             print(f"pair {i} seed {seed}: {side} done", file=sys.stderr)
     return runs, None
