@@ -290,22 +290,22 @@ def _read_offers(policy: OraclePolicy, model: Model) -> list[list[tuple[list, li
     cfg, n_y = model.cfg, len(model.demand_states)
     out = []
     for k, dists in enumerate(check_seq("price_dist", policy.price_dist, cfg.K)):
-        n, name = len(cfg.price_set[k]), f"price_dist[{k}]"
+        n = len(cfg.price_set[k])
         per_y = []
-        for i, entries, p in _read_dists(name, dists, n_y, 3):
+        for i, entries, p in _read_dists("price_dist", dists, n_y, 3, k):
             opts = []
             for z, j, _ in entries:
                 ints = type(z) is int and type(j) is int
                 if ints and (z == 1 and 0 <= j < n or z == 0 and j == -1):
                     opts.append((z, j))
                 else:
-                    opts.append(_offer_option(f"{name}[{i}]", z, j, n))
+                    opts.append(_offer_option(f"price_dist[{k}][{i}]", z, j, n))
             per_y.append((opts, p))
         out.append(per_y)
     return out
 
 
-def _read_dists(name: str, dists, n: int, fields: int) -> list[tuple]:
+def _read_dists(name: str, dists, n: int, fields: int, k=None) -> list[tuple]:
     """(i, entries, probabilities) of each of the n distributions in dists.
 
     Distribution i lists entries of fields values each, an option then its
@@ -313,10 +313,13 @@ def _read_dists(name: str, dists, n: int, fields: int) -> list[tuple]:
     and tuples of fields values, whose probabilities are Python floats, sum
     to 1 within 1e-9 and are non-negative, is taken as it is.  Any other
     goes through check_seq and check_distribution, which name its first
-    fault under name[i], and its probabilities come back as floats.
+    fault under name[i], and its probabilities come back as floats.  With
+    k given, name[k] names dists, and a name is built only for a fault.
     """
+    if type(dists) not in _PLAIN or len(dists) != n:
+        check_seq(name if k is None else f"{name}[{k}]", dists, n)
     out = []
-    for i, dist in enumerate(check_seq(name, dists, n)):
+    for i, dist in enumerate(dists):
         if type(dist) in _PLAIN:
             p = []
             for e in dist:
@@ -329,7 +332,7 @@ def _read_dists(name: str, dists, n: int, fields: int) -> list[tuple]:
                 if abs(sum(p) - 1.0) <= 1e-9 and min(p) >= 0:
                     out.append((i, dist, p))
                     continue
-        at = f"{name}[{i}]"
+        at = f"{name}[{i}]" if k is None else f"{name}[{k}][{i}]"
         entries = [check_seq(at + " entry", e, fields) for e in check_seq(at, dist)]
         p = [e[-1] for e in entries]
         p = check_distribution(p, len(p), f"{at} probabilities").tolist()

@@ -64,14 +64,18 @@ below the band too.
 A slot's demand code depends only on its decision's signature, the
 offered products' (threshold, D_max[k]) pairs in order, and on where the
 slot starts in the demand stream.  The loop buffers the demand uniforms,
-at least _CHUNK at a time, and keeps a code table per signature: the code
-from every start in the buffer, computed in numpy.  Only the fast path
-reads a table, with one list index; every checked slot counts its
-uniforms one by one.  A table is built once checked slots of revisited
-states have met its signature _TABLE_AFTER times without a table of the
-current buffer.  It is dated by the stream offset of the buffer's end, so
-a refill leaves the old tables stale without touching them; the next
-checked slot to meet a stale table drops it.  A signature wider than
+at least _CHUNK at a time, in one array, and keeps a code table per
+signature: the code from every start in the buffer, computed in numpy.
+Only the fast path reads a table, with one list index; a checked slot
+counts its uniforms, in numpy until _TABLE_AFTER checked slots have read
+the buffer, and then one by one from the buffer listed.  A table is built
+once checked slots of revisited states have met its signature
+_TABLE_AFTER times without a table of the current buffer.  It is dated by
+the stream offset of the buffer's end, so a refill leaves the old tables
+stale without touching them; the next checked slot to meet a stale table
+drops it.  Only the slot that refills the buffer rebuilds its own
+signature's table at once, if that table was current, so that a state
+whose slots the fast path serves keeps being served.  A signature wider than
 _CHUNK or one whose codes could outgrow int64 never gets a table.  A
 signature with no offer gets one like any other: its codes are all 0,
 and it lets the states that offer nothing take the link store's fast
@@ -100,9 +104,11 @@ Per run, each of these counts is at most the horizon and at most
 * link entries: the states, each with at most the outcomes of its
   decision.
 The slot loop also holds the state index as an array, built in place of
-the supply path, and as a list for _CHUNK slots, its demand buffer (as an
-array and a list) and a code table of one entry per buffered uniform for
-each tabled signature, until its first read after the next refill.
+the supply path, and as a list for _CHUNK slots, its demand buffer (an
+array, and a list once _TABLE_AFTER checked slots have read it) and a
+code table of one entry per buffered uniform for each tabled signature,
+until its first read after the next refill.  A one-state IID or MARKOV
+process's path is all zeros and draws nothing from its channel.
 Playback keeps its option tables, |X| rows of purchase options and
 |Y| * K rows of offer options, each padded to the longest row of its
 table, a plan half per set of offer options met by a short slot, and
@@ -177,7 +183,8 @@ _CHUNK = 1 << 12
 # slots of revisited states have met it this many times without a table of
 # the current buffer.  A build costs about as much as counting 100 slots one
 # by one, so a signature met only a few times per buffer is cheaper to
-# count.
+# count.  By the same economics, a buffer is listed, for checked slots to
+# count from one uniform at a time, once this many have counted in numpy.
 _TABLE_AFTER = 8
 
 
@@ -421,8 +428,14 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
         decide, state, band = _online_setup(ec, model)
     else:
         pick, decide, plan, state, band = _oracle_setup(ec, model)
-    xs = generate_states(ec.process_x, ec.horizon, rs.generator(_CH_X))
-    ys = generate_states(ec.process_y, ec.horizon, rs.generator(_CH_Y))
+    # A one-state IID or MARKOV process stays in state 0 and draws nothing:
+    # its channel serves only its path, so no other draw moves.
+    xs, ys = (
+        np.zeros(ec.horizon, dtype=np.int64)
+        if spec.mode != TRACE and len(spec.state_ids) == 1
+        else generate_states(spec, ec.horizon, rs.generator(channel))
+        for spec, channel in ((ec.process_x, _CH_X), (ec.process_y, _CH_Y))
+    )
     # Units sold from the assembly-delay product queues are re-assembled by
     # the end of the slot, so the queues always start full and only their
     # initial stock costs anything.
@@ -474,12 +487,16 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     buffer, with the code at pos linked, serves the slot by advancing pos,
     booking the outcome's profit and moving q, without decoding the queues.
     Every other slot takes the checked path, which counts its demand code
-    one uniform at a time and reads no code table; a revisited state there
-    only dates its signature's table and builds it (_code_table) on the
-    _TABLE_AFTER-th slot without a current one.  A code the state's entry
-    links books its outcome there too; otherwise _Transitions.step checks
-    the slot, and a clean step out of a revisited state of an unlogged run
-    is linked.  Every slot moves q by its outcome's change.
+    and reads no code table: in numpy, over each product's window, until
+    the buffer has served _TABLE_AFTER checked slots, and then from its
+    list, one uniform at a time.  A revisited state there only dates its
+    signature's table and builds it (_code_table) on the _TABLE_AFTER-th
+    slot without a current one; a slot that refills the buffer (_refill)
+    rebuilds its own signature's table at once if that table was current.
+    A code the state's entry links books its outcome there too; otherwise
+    _Transitions.step checks the slot, and a clean step out of a revisited
+    state of an unlogged run is linked.  Every slot moves q by its
+    outcome's change.
     """
     K = model.cfg.K
     n_y = len(model.demand_states)
@@ -498,11 +515,12 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     # every other state, and an untabled signature's table is never current
     links: dict = {}
     unlinked = ((None,), {})
-    # The demand buffer, as an array for the code tables and a list to
-    # count; drawn is the stream offset of its end, which dates the tables.
+    # The demand buffer, as an array; drawn is the stream offset of its end,
+    # which dates the tables.  reads counts its checked slots, which count
+    # in numpy until the _TABLE_AFTER-th lists it as buf.
     arr = np.empty(0)
-    buf: list[float] = []
-    pos = drawn = 0
+    buf = None
+    pos = drawn = reads = 0
 
     for t0 in range(0, len(states), _CHUNK):
         for t, s in enumerate(states[t0 : t0 + _CHUNK].tolist(), t0):
@@ -529,29 +547,40 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 tab[1] = None  # built before the last refill
                 tab[3] += 1
                 if tab[3] >= _TABLE_AFTER:
-                    if pos + tab[2] > len(buf):
-                        arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
+                    if pos + tab[2] > len(arr):
+                        arr, pos, drawn = _refill(arr, pos, drawn, demand)
+                        buf, reads = None, 0
                     tab[:] = drawn, _code_table(arr, pos, dec[4]), tab[2], 0
+            reads += 1
+            if reads == _TABLE_AFTER:
+                buf = arr.tolist()
             # Each offered product's demand d as one digit of radix
             # D_max[k] + 1, the first product's the most significant.
             code = 0
             for _, _, pr, n, _ in dec[4]:
                 end = pos + n
                 d = 0
-                if end > len(buf):
+                if end > len(arr):
                     if n > _CHUNK:
                         # counted in numpy, over the same uniforms
-                        rest = demand.random(end - len(buf))
+                        rest = demand.random(end - len(arr))
                         drawn += len(rest)
                         d = int(np.count_nonzero(arr[pos:] < pr))
                         d += int(np.count_nonzero(rest < pr))
-                        arr, buf, pos, end = arr[:0], [], 0, 0
+                        arr, buf, pos, end = arr[:0], None, 0, 0
                     else:
-                        arr, buf, pos, drawn = _refill(arr, buf, pos, drawn, demand)
-                        end = n
-                for u in buf[pos:end]:
-                    if u < pr:
-                        d += 1
+                        # the slot's own table, if current, is rebuilt at once
+                        tab = dec[6] if dec[6] and dec[6][0] == drawn else None
+                        arr, pos, drawn = _refill(arr, pos, drawn, demand)
+                        buf, reads, end = None, 0, n
+                        if tab:
+                            tab[:] = drawn, _code_table(arr, 0, dec[4]), tab[2], 0
+                if buf is None:
+                    d += int(np.count_nonzero(arr[pos:end] < pr))
+                else:
+                    for u in buf[pos:end]:
+                        if u < pr:
+                            d += 1
                 pos = end
                 code = code * (n + 1) + d
 
@@ -579,15 +608,13 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     return tphi, run.decode(q) if Q is None else Q
 
 
-def _refill(arr: np.ndarray, buf: list, pos: int, drawn: int, rng) -> tuple:
+def _refill(arr: np.ndarray, pos: int, drawn: int, rng) -> tuple:
     """The demand buffer from pos on, with _CHUNK fresh uniforms drawn.
 
-    Returns it as an array and a list, its start position 0 and the stream
-    offset of its new end.
+    Returns it as one array, with no list made, its start position 0 and
+    the stream offset of its new end.
     """
-    fresh = rng.random(_CHUNK)
-    buf = buf[pos:] + fresh.tolist()
-    return np.concatenate((arr[pos:], fresh)), buf, 0, drawn + _CHUNK
+    return np.concatenate((arr[pos:], rng.random(_CHUNK))), 0, drawn + _CHUNK
 
 
 def _code_table(arr: np.ndarray, pos: int, sells) -> list:
@@ -596,13 +623,16 @@ def _code_table(arr: np.ndarray, pos: int, sells) -> list:
     The code from start p is the slot loop's: product j of sells, with
     threshold pr and D_max n, counts the uniforms below pr in its window
     of n after the windows of the products before it, as one digit of
-    radix n + 1.  Starts before pos, and those whose windows run past the
-    end of arr, hold -1.  The codes must fit in int64 (_online_setup).
+    radix n + 1.  It holds len(arr) + 1 starts, filled in one int64 array
+    and listed once; those before pos, and those whose windows run past
+    the end of arr, hold -1.  The codes must fit in int64 (_online_setup).
     """
     u = arr[pos:]
     width = sum(n for *_, n, _ in sells)
     starts = len(u) - width + 1
-    code = np.zeros(starts, dtype=np.int64)
+    table = np.full(len(arr) + 1, -1, dtype=np.int64)
+    code = table[pos : pos + starts]
+    code[:] = 0
     hits = np.zeros(len(u) + 1, dtype=np.int64)
     off = 0
     for _, _, pr, n, _ in sells:
@@ -611,7 +641,7 @@ def _code_table(arr: np.ndarray, pos: int, sells) -> list:
         code += hits[off + n : off + n + starts]
         code -= hits[off : off + starts]
         off += n
-    return [-1] * pos + code.tolist() + [-1] * width
+    return table.tolist()
 
 
 def _play_blocks(

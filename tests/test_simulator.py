@@ -1,3 +1,4 @@
+import collections
 import inspect
 import math
 import sys
@@ -647,6 +648,68 @@ def test_overflowed_theta_still_runs():
     assert ref == new and new["q_upper_bound"] == [math.inf.hex()]
 
 
+# The source lines of _slot_loop, read when the tests are collected from the
+# source that was imported, so an edit to simulator.py while the suite runs
+# cannot move the lines the tests count.
+_lines, _first = inspect.getsourcelines(sim._slot_loop)
+
+
+def _line(text):
+    """The one line of _slot_loop whose stripped source is text."""
+    [line] = [_first + i for i, t in enumerate(_lines) if t.strip() == text]
+    return line
+
+
+def _line_runs(call, texts):
+    """call() and how often each line of _slot_loop given by its text ran.
+
+    The runs are counted by a line tracer on _slot_loop frames alone.
+    Every event still reaches the tracer set before, if there is one.
+    """
+    code = sim._slot_loop.__code__
+    lines = [_line(text) for text in texts]
+    counts = [0] * len(lines)
+    outer = sys.gettrace()
+
+    def trace(frame, event, arg):
+        inner = outer(frame, event, arg) if outer else None
+        if frame.f_code is not code:
+            return inner
+
+        def local(frame, event, arg):
+            nonlocal inner
+            if event == "line" and frame.f_lineno in lines:
+                counts[lines.index(frame.f_lineno)] += 1
+            if inner is not None:
+                inner = inner(frame, event, arg)
+            return local
+
+        return local
+
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(outer)
+    return result, counts
+
+
+def _fast_slots(call):
+    """call() and the number of slots the slot loop served on its fast path.
+
+    Those are the runs of _slot_loop's one `continue` line, the fast
+    path's last.
+    """
+    result, (count,) = _line_runs(call, ["continue"])
+    return result, count
+
+
+# A checked slot's count of one product's demand: the branch on a listed
+# buffer, then the count in numpy or, from the list, one uniform at a time.
+_BRANCH = "if buf is None:"
+_NUMPY_COUNT = "d += int(np.count_nonzero(arr[pos:end] < pr))"
+
+
 class _Draws:
     """A generator that records the stream offset at which each draw ends."""
 
@@ -680,10 +743,15 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
     one across it.  Per random plant, with IID, MARKOV or TRACE processes:
     an online run (plain or placeholder, logged or not) and a count-only
     unsafe-theta run; then i1 with D_max above _CHUNK, which is counted in
-    numpy.  Each of the four routes is taken at least 3 times.
+    numpy.  A checked slot counts a product's window in numpy until
+    _TABLE_AFTER checked slots have read the buffer, and from its list
+    after that.  Each of the six routes is taken at least 3 times, except
+    the list at _CHUNK 1 and 2: there a buffer is used up before it is
+    listed, so the list is read seldom or never.
     """
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     routes = ["table reads", "first-visit counts", "refills in a slot", "linked"]
+    routes += ["counted in numpy", "counted from the list"]
     seen = dict.fromkeys(routes, 0)
 
     class Table(list):
@@ -764,53 +832,152 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
 
     for model, ec in runs:
         seen["linked"] += H
-        ref, new = _both(ec, model)
+        texts = [_BRANCH, _NUMPY_COUNT]
+        (ref, new), (branch, numpy) = _line_runs(lambda: _both(ec, model), texts)
         assert ref == new and isinstance(ref, dict), (ec.seed, ec.theta)
+        seen["counted in numpy"] += numpy
+        seen["counted from the list"] += branch - numpy
         if ec.record_log:
             ends = draws[-1].ends
             seen["refills in a slot"] += _straddles(new["log"], model.cfg.D_max, ends)
+    if chunk < 5:
+        # a buffer of a uniform or two is used up by the slot that refills it
+        # or soon after, before it is listed
+        del seen["counted from the list"]
     assert min(seen.values()) >= 3, seen
 
 
-# The lines of _slot_loop's `continue`s: one, its fast path's last.  They
-# are read when the tests are collected, from the source that was imported,
-# so an edit to simulator.py while the suite runs cannot move them.
-_lines, _first = inspect.getsourcelines(sim._slot_loop)
-_CONTINUES = [_first + i for i, t in enumerate(_lines) if t.strip() == "continue"]
+@pytest.mark.parametrize("chunk", [8, 64])
+def test_a_refill_costs_about_one_checked_slot(monkeypatch, chunk):
+    """On i1 with a small buffer, each refill adds about one checked slot.
 
-
-def _fast_slots(call):
-    """call() and the number of slots the slot loop served on its fast path.
-
-    Those are the runs of _slot_loop's one `continue` line, counted by a
-    line tracer on _slot_loop frames alone.  Every event still reaches the
-    tracer set before, if there is one.
+    The slot that refills the buffer rebuilds its own signature's table at
+    once, if that table was current, so the next slots of its state take
+    the fast path again.  Every other checked slot is a first visit, the
+    first slot of a (state, demand code) pair, which links it, or one of
+    the _TABLE_AFTER slots before its signature's first table.  A refill
+    used to cost about _TABLE_AFTER checked slots, until the table was
+    rebuilt: 3,007 of these 4,000 slots were checked at _CHUNK 8, with
+    1,000 refills.
     """
-    code = sim._slot_loop.__code__
-    [line] = _CONTINUES
-    count = 0
-    outer = sys.gettrace()
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    visits = 0
+    setup = sim._online_setup
 
-    def trace(frame, event, arg):
-        inner = outer(frame, event, arg) if outer else None
-        if frame.f_code is not code:
-            return inner
+    def counted_setup(*args):
+        decide, state, band = setup(*args)
 
-        def local(frame, event, arg):
-            nonlocal count, inner
-            count += event == "line" and frame.f_lineno == line
-            if inner is not None:
-                inner = inner(frame, event, arg)
-            return local
+        def counted(*key):
+            nonlocal visits
+            visits += 1
+            return decide(*key)
 
-        return local
+        return counted, state, band
 
-    sys.settrace(trace)
-    try:
-        result = call()
-    finally:
-        sys.settrace(outer)
-    return result, count
+    draws = []
+
+    class Recorded(RngStream):
+        def generator(self, channel=0):
+            rng = super().generator(channel)
+            if channel == _CH_DEMAND:
+                rng = _Draws(rng)
+                draws.append(rng)
+            return rng
+
+    monkeypatch.setattr(sim, "_online_setup", counted_setup)
+    monkeypatch.setattr(sim, "RngStream", Recorded)
+    model = make_i1()
+    ec = _i1_ec(horizon=4000, seed=3)
+    (ref, new), fast = _fast_slots(lambda: _both(ec, model))
+    assert ref == new and isinstance(ref, dict)
+    refills = len(draws[-1].ends) - 1
+    assert refills >= ec.horizon // chunk, refills
+    codes = math.prod(n + 1 for n in model.cfg.D_max)  # demand codes per decision
+    checked = ec.horizon - fast
+    bound = visits * (1 + codes) + sim._TABLE_AFTER + refills
+    assert checked <= bound, (checked, visits, refills)
+
+
+def test_one_state_paths_draw_nothing(monkeypatch):
+    """A one-state IID or MARKOV process takes the all-zero path, drawn free.
+
+    Online and playback runs equal the slot-by-slot reference, which draws
+    every path by generate_states, bit for bit: on i1, both of whose
+    processes have one state, and on random plants with one supply or one
+    demand state, the other process IID, MARKOV or TRACE.  A spy on the
+    state channels (_CH_X, _CH_Y) shows that a one-state process draws
+    nothing there, and a process with more states one uniform per slot or
+    per transition, as generate_states does.
+    """
+    drawn = collections.Counter()
+
+    class Spy(np.random.Generator):
+        def random(self, size=None, *args, **kwargs):
+            drawn[self.channel] += math.prod(np.atleast_1d(1 if size is None else size))
+            return super().random(size, *args, **kwargs)
+
+    class Spied(RngStream):
+        def generator(self, channel=0):
+            spy = Spy(super().generator(channel).bit_generator)
+            spy.channel = channel
+            return spy
+
+    monkeypatch.setattr(sim, "RngStream", Spied)
+
+    def draws(spec, H):
+        if spec.mode == TRACE or len(spec.state_ids) == 1:
+            return 0
+        return H if spec.mode == IID else H - 1
+
+    def one_state(mode, ids):
+        if mode == IID:
+            return constant_process(ids[0])
+        return StateProcessSpec(mode=MARKOV, state_ids=ids, transition=[[1.0]])
+
+    H = 300
+    i1 = make_i1()
+    cases = [(i1, one_state(m, ["s0"]), one_state(m, ["d0"])) for m in (IID, MARKOV)]
+    rng = np.random.default_rng(20261023)
+    modes = (IID, MARKOV, TRACE)
+    for i in range(30):
+        model = blind_plant(rng)
+        ids_x = [x.id for x in model.supply_states]
+        ids_y = [y.id for y in model.demand_states]
+        if len(ids_x) > 1 and len(ids_y) > 1:
+            continue
+        px, py = (
+            one_state(modes[i % 2], ids)
+            if len(ids) == 1
+            else _random_process(rng, ids, modes[i % 3], H)
+            for ids in (ids_x, ids_y)
+        )
+        cases.append((model, px, py))
+    assert len(cases) >= 12, len(cases)
+    for i, (model, px, py) in enumerate(cases):
+        ec = EpisodeConfig(horizon=H, seed=i, V=5.0, process_x=px, process_y=py)
+        pi_x, pi_y = (
+            np.full(len(states), 1 / len(states))
+            for states in (model.supply_states, model.demand_states)
+        )
+        _, plp, sol = optimal_profit(model, pi_x, pi_y)
+        policy = extract_xy_policy(plp, sol)
+        playback = replace(ec, controller="oracle", oracle_policy=policy)
+        for run in (ec, playback):
+            drawn.clear()
+            ref, new = _both(run, model)
+            assert ref == new and isinstance(ref, dict), (i, run.controller)
+            assert drawn[sim._CH_X] == draws(px, H), (i, px.mode, drawn)
+            assert drawn[sim._CH_Y] == draws(py, H), (i, py.mode, drawn)
+
+
+def test_a_one_state_trace_still_runs_out():
+    # a one-state TRACE path is still its trace, checked for its length
+    model = make_i1()
+    for side, state in (("process_x", "s0"), ("process_y", "d0")):
+        trace = StateProcessSpec(mode=TRACE, state_ids=[state], trace=[0] * 10)
+        assert run_episode(_i1_ec(horizon=10, **{side: trace}), model).horizon == 10
+        with pytest.raises(TraceExhausted, match="trace has 10 slots, 11 requested"):
+            run_episode(_i1_ec(horizon=11, **{side: trace}), model)
 
 
 def _seeded_run(rng, i, H):

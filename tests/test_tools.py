@@ -287,6 +287,53 @@ def test_pairs_out_keeps_every_batch(tmp_path, monkeypatch, capsys):
     assert all("earlier" not in b for b in oracle["earlier"])
 
 
+@pytest.mark.parametrize(
+    "head, met, lower, gap",
+    [
+        # lower by 5 in every pair, more than the base IQR 4.5
+        ({s: 5.0 + s for s in range(10)}, True, 10, 5.0),
+        # lower by 8, but a tie and a higher pair leave 8 of 10
+        ({**{s: 2.0 + s for s in range(10)}, 0: 10.0, 1: 12.0}, False, 8, 6.0),
+        # lower in every pair, by less than the base IQR
+        ({s: 9.0 + s for s in range(10)}, False, 10, 1.0),
+    ],
+    ids=["met", "ties and a loss", "within the spread"],
+)
+def test_pairs_claim_follows_the_nine_tenths_rule(
+    tmp_path, monkeypatch, capsys, head, met, lower, gap
+):
+    # base reads 10..19: median 14.5, inclusive quartiles 12.25 and 16.75
+    _stub_trees(tmp_path, {s: 10.0 + s for s in range(10)}, head)
+    args = ("--pairs", "10", "--claim", "b_p50_ms", "--out", "bench.json")
+    assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch) == (0 if met else 1)
+    verdict = "met" if met else "not met"
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"claim b_p50_ms: {verdict} (HEAD lower in {lower} of 10 pairs, nine tenths "
+        f"needed; median gap {gap:.4g} against base IQR 4.5)"
+    )
+    oracle = json.loads((tmp_path / "bench.json").read_text())["workloads"]["oracle"]
+    assert oracle["claim"] == {
+        "metric": "b_p50_ms",
+        "met": met,
+        "head_lower": lower,
+        "pairs": 10,
+        "median_gap": gap,
+        "base_iqr": 4.5,
+    }
+
+
+def test_pairs_claim_needs_a_known_timed_metric(tmp_path, monkeypatch, capsys):
+    _stub_trees(tmp_path, {0: 1.0}, {0: 1.0})
+    for args, error in [
+        (("--claim", "a_p50_ms"), "--claim a_p50_ms: the runs report no such metric"),
+        (("--claim", "b_p50_ms", "--trace"), "--claim judges timed pairs, not a --trace"),
+    ]:
+        with pytest.raises(SystemExit) as end:
+            _pairs("--pairs", "1", *args, cwd=tmp_path, monkeypatch=monkeypatch)
+        assert end.value.code == 2
+        assert error in capsys.readouterr().err
+
+
 def _git(*args, cwd):
     user = ["-c", "user.name=pairs test", "-c", "user.email=pairs@example.invalid"]
     return subprocess.run(

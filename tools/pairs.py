@@ -1,6 +1,7 @@
 """Run the benchmark in alternating pairs on two checkouts and compare them.
 
     python tools/pairs.py BASE HEAD --workload W [--pairs N] [--seed S] [--out FILE]
+        [--claim METRIC]
     python tools/pairs.py BASE HEAD --workload W --trace [--seed S] [--out FILE]
 
 BASE and HEAD each name a tree of the repository: a directory that holds
@@ -24,20 +25,26 @@ failed gate or operation), and the tool exits 1.
 
 Per metric it prints the BASE and HEAD medians with their quartiles, the
 change of the median in percent and the number of pairs in which HEAD read
-lower.  --trace instead runs one pair at seed S with --trace 1 (--pairs is
-not read) and compares every metric whose unit is count, slots, cells or
-ratio for equality: it prints each one that differs with both values and
-exits 1 if any does.
+lower.  --claim METRIC then judges a claimed gain on METRIC, a metric
+that is better lower, and prints "met" or "not met" with the figures: the
+claim is met when HEAD read lower in at least nine tenths of the pairs (a
+tie counts for neither side) and the BASE median exceeds the HEAD median
+by more than the BASE interquartile range (q3 - q1); the tool exits 1
+when it is not met.  --trace instead runs one pair at seed S with --trace
+1 (--pairs is not read) and compares every metric whose unit is count,
+slots, cells or ratio for equality: it prints each one that differs with
+both values and exits 1 if any does.
 
 --out FILE writes the machine (nproc, CPU, Python, numpy), and under the
 workload's name both trees (with the commit of a revision), every run's
 JSON object, the failed run (side, seed, exit code, its JSON, the tail of
-its standard error and its failure lines, or null) and the summary (the
-count comparison with --trace), which is null when a run failed.  The
-other workloads of an existing FILE are kept, so one file can hold them
-all, and so are the workload's earlier batches: the batch written last
-stays under the workload's name, and the batches it replaces move to its
-"earlier" list, oldest first.  Standard library only.
+its standard error and its failure lines, or null), the summary (the
+count comparison with --trace), which is null when a run failed, and the
+claim's verdict, null without --claim.  The other workloads of an
+existing FILE are kept, so one file can hold them all, and so are the
+workload's earlier batches: the batch written last stays under the
+workload's name, and the batches it replaces move to its "earlier" list,
+oldest first.  Standard library only.
 """
 
 from __future__ import annotations
@@ -144,6 +151,26 @@ def compare_counts(runs: list[dict]) -> dict:
     return summary
 
 
+def judge(metric: str, row: dict, pairs: int) -> dict:
+    """The verdict on a claimed gain on metric, from its summary row.
+
+    Met when HEAD read lower in at least nine tenths of the pairs, ties
+    counting for neither side, and the BASE median exceeds the HEAD median
+    by more than BASE's interquartile range.
+    """
+    gap = row["base"]["median"] - row["head"]["median"]
+    spread = row["base"]["q3"] - row["base"]["q1"]
+    met = 10 * row["head_lower"] >= 9 * pairs and gap > spread
+    return {
+        "metric": metric,
+        "met": met,
+        "head_lower": row["head_lower"],
+        "pairs": pairs,
+        "median_gap": gap,
+        "base_iqr": spread,
+    }
+
+
 def machine() -> dict:
     cpu = platform.processor() or platform.machine()
     try:
@@ -176,7 +203,10 @@ def main(argv: list[str]) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="compare one traced pair's counts")
     p.add_argument("--out", type=Path)
+    p.add_argument("--claim", metavar="METRIC", help="judge a claimed gain on METRIC")
     args = p.parse_args(argv)
+    if args.claim and args.trace:
+        p.error("--claim judges timed pairs, not a --trace pair")
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         return compare(p, args, Path(tmp))
 
@@ -207,10 +237,15 @@ def compare(p: argparse.ArgumentParser, args, tmp: Path) -> int:
         p.error("--pairs must be at least 1")
 
     runs, failed = run_pairs(args)
-    summary = None
+    summary = verdict = None
     if failed is None:
         summary = compare_counts(runs) if args.trace else summarize(runs)
         (print_counts if args.trace else print_summary)(summary, args)
+        if args.claim:
+            if args.claim not in summary:
+                p.error(f"--claim {args.claim}: the runs report no such metric")
+            verdict = judge(args.claim, summary[args.claim], args.pairs)
+            print_verdict(verdict)
     if args.out:
         out = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
         out["machine"] = machine()
@@ -225,10 +260,11 @@ def compare(p: argparse.ArgumentParser, args, tmp: Path) -> int:
             "runs": runs,
             "failed": failed,
             "summary": summary,
+            "claim": verdict,
             "earlier": earlier,
         }
         args.out.write_text(json.dumps(out, indent=1) + "\n")
-    if failed is not None:
+    if failed is not None or verdict and not verdict["met"]:
         return 1
     return int(args.trace and not all(row["equal"] for row in summary.values()))
 
@@ -274,6 +310,14 @@ def print_summary(summary: dict, args) -> None:
             f"{name:<14} {_side(row['base']):<30} {_side(row['head']):<30} "
             f"{change:>6}  {row['head_lower']} of {args.pairs}"
         )
+
+
+def print_verdict(v: dict) -> None:
+    print(
+        f"claim {v['metric']}: {'met' if v['met'] else 'not met'} "
+        f"(HEAD lower in {v['head_lower']} of {v['pairs']} pairs, nine tenths needed; "
+        f"median gap {v['median_gap']:.4g} against base IQR {v['base_iqr']:.4g})"
+    )
 
 
 def print_counts(summary: dict, args) -> None:
