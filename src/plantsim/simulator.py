@@ -63,23 +63,26 @@ below the band too.
 
 A slot's demand code depends only on its decision's signature, the
 offered products' (threshold, D_max[k]) pairs in order, and on where the
-slot starts in the demand stream.  The loop buffers the demand uniforms,
-at least _CHUNK at a time, in one array, and keeps a code table per
+slot starts in the demand stream.  The loop's demand buffer is one draw
+of demand uniforms, in one array, and it keeps a code table per
 signature: the code from every start in the buffer, computed in numpy.
 Only the fast path reads a table, with one list index; a checked slot
 counts its uniforms, in numpy until _TABLE_AFTER checked slots have read
-the buffer, and then one by one from the buffer listed.  A table is built
-once checked slots of revisited states have met its signature
-_TABLE_AFTER times without a table of the current buffer.  It is dated by
-the stream offset of the buffer's end, so a refill leaves the old tables
-stale without touching them; the next checked slot to meet a stale table
-drops it.  Only the slot that refills the buffer rebuilds its own
-signature's table at once, if that table was current, so that a state
-whose slots the fast path serves keeps being served.  A signature wider than
-_CHUNK or one whose codes could outgrow int64 never gets a table.  A
-signature with no offer gets one like any other: its codes are all 0,
-and it lets the states that offer nothing take the link store's fast
-path (above) too.
+the buffer, and then one by one from the buffer listed.  A window that
+runs past the buffer is counted in two parts: its head there, in numpy,
+and its tail in a fresh draw of _CHUNK uniforms, or of the tail when that
+is longer, which becomes the buffer.  A table is built once checked slots
+of revisited states have met its signature _TABLE_AFTER times without a
+table of the current buffer, by the first of them whose windows fit the
+buffer.  It is dated by the stream offset of the buffer's end, so a
+refill leaves the old tables stale without touching them; the next
+checked slot to meet a stale table drops it.  Only the slot that refills
+the buffer rebuilds its own signature's table at once, if that table was
+current, so that a state whose slots the fast path serves keeps being
+served.  A signature wider than _CHUNK or one whose codes could outgrow
+int64 never gets a table.  A signature with no offer gets one like any
+other: its codes are all 0, and it lets the states that offer nothing
+take the link store's fast path (above) too.
 
 The block driver plays up to _CHUNK slots, and at most 2**16 demand
 uniforms, at a time: it draws the block's policy and demand uniforms,
@@ -104,11 +107,12 @@ Per run, each of these counts is at most the horizon and at most
 * link entries: the states, each with at most the outcomes of its
   decision.
 The slot loop also holds the state index as an array, built in place of
-the supply path, and as a list for _CHUNK slots, its demand buffer (an
-array, and a list once _TABLE_AFTER checked slots have read it) and a
-code table of one entry per buffered uniform for each tabled signature,
-until its first read after the next refill.  A one-state IID or MARKOV
-process's path is all zeros and draws nothing from its channel.
+the supply path, and as a list for _CHUNK slots, its demand buffer (one
+draw of at most max(_CHUNK, max D_max) uniforms, as an array, and a list
+once _TABLE_AFTER checked slots have read it) and a code table of one
+entry per buffered uniform for each tabled signature, until its first
+read after the next refill.  A one-state IID or MARKOV process's path is
+all zeros and draws nothing from its channel.
 Playback keeps its option tables, |X| rows of purchase options and
 |Y| * K rows of offer options, each padded to the longest row of its
 table, a plan half per set of offer options met by a short slot, and
@@ -172,8 +176,8 @@ _CH_X = 0
 _CH_Y = 1
 _CH_DEMAND = 2
 _CH_POLICY = 3
-# The slot loop draws demand uniforms this many at a time, counts a
-# product with a larger D_max in numpy and reads its state index this many
+# The slot loop draws demand uniforms this many at a time, or a window's
+# whole tail when that is longer, and reads its state index this many
 # slots at a time; the block driver plays at most this many slots at a
 # time.  numpy generators fill batched requests from the same bit stream as
 # repeated scalar calls, so any grouping of the draws reproduces the plain
@@ -490,9 +494,12 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     and reads no code table: in numpy, over each product's window, until
     the buffer has served _TABLE_AFTER checked slots, and then from its
     list, one uniform at a time.  A revisited state there only dates its
-    signature's table and builds it (_code_table) on the _TABLE_AFTER-th
-    slot without a current one; a slot that refills the buffer (_refill)
-    rebuilds its own signature's table at once if that table was current.
+    signature's table and builds it (_code_table) from the _TABLE_AFTER-th
+    slot without a current one on, once the slot's windows fit the buffer.
+    A window that runs past the buffer counts its head there and its tail
+    in a fresh draw of max(_CHUNK, tail) uniforms, the new buffer; the slot
+    that draws it rebuilds its own signature's table at once if that table
+    was current.
     A code the state's entry links books its outcome there too; otherwise
     _Transitions.step checks the slot, and a clean step out of a revisited
     state of an unlogged run is linked.  Every slot moves q by its
@@ -515,9 +522,9 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     # every other state, and an untabled signature's table is never current
     links: dict = {}
     unlinked = ((None,), {})
-    # The demand buffer, as an array; drawn is the stream offset of its end,
-    # which dates the tables.  reads counts its checked slots, which count
-    # in numpy until the _TABLE_AFTER-th lists it as buf.
+    # The demand buffer, one draw, as an array; drawn is the stream offset
+    # of its end, which dates the tables.  reads counts its checked slots,
+    # which count in numpy until the _TABLE_AFTER-th lists it as buf.
     arr = np.empty(0)
     buf = None
     pos = drawn = reads = 0
@@ -546,10 +553,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 tab = dec[6]
                 tab[1] = None  # built before the last refill
                 tab[3] += 1
-                if tab[3] >= _TABLE_AFTER:
-                    if pos + tab[2] > len(arr):
-                        arr, pos, drawn = _refill(arr, pos, drawn, demand)
-                        buf, reads = None, 0
+                if tab[3] >= _TABLE_AFTER and pos + tab[2] <= len(arr):
                     tab[:] = drawn, _code_table(arr, pos, dec[4]), tab[2], 0
             reads += 1
             if reads == _TABLE_AFTER:
@@ -561,20 +565,15 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 end = pos + n
                 d = 0
                 if end > len(arr):
-                    if n > _CHUNK:
-                        # counted in numpy, over the same uniforms
-                        rest = demand.random(end - len(arr))
-                        drawn += len(rest)
-                        d = int(np.count_nonzero(arr[pos:] < pr))
-                        d += int(np.count_nonzero(rest < pr))
-                        arr, buf, pos, end = arr[:0], None, 0, 0
-                    else:
-                        # the slot's own table, if current, is rebuilt at once
-                        tab = dec[6] if dec[6] and dec[6][0] == drawn else None
-                        arr, pos, drawn = _refill(arr, pos, drawn, demand)
-                        buf, reads, end = None, 0, n
-                        if tab:
-                            tab[:] = drawn, _code_table(arr, 0, dec[4]), tab[2], 0
+                    # the head is counted here and the tail in a fresh draw;
+                    # the slot's own table, if current, is rebuilt on it
+                    tab = dec[6] if dec[6] and dec[6][0] == drawn else None
+                    d = int(np.count_nonzero(arr[pos:] < pr))
+                    end -= len(arr)
+                    arr = demand.random(max(_CHUNK, end))
+                    buf, pos, drawn, reads = None, 0, drawn + len(arr), 0
+                    if tab:
+                        tab[:] = drawn, _code_table(arr, 0, dec[4]), tab[2], 0
                 if buf is None:
                     d += int(np.count_nonzero(arr[pos:end] < pr))
                 else:
@@ -606,15 +605,6 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 log.append((t, *ids[s], Q, *row, tphi / (t + 1)))
             Q, q = Qn, q + out[5]
     return tphi, run.decode(q) if Q is None else Q
-
-
-def _refill(arr: np.ndarray, pos: int, drawn: int, rng) -> tuple:
-    """The demand buffer from pos on, with _CHUNK fresh uniforms drawn.
-
-    Returns it as one array, with no list made, its start position 0 and
-    the stream offset of its new end.
-    """
-    return np.concatenate((arr[pos:], rng.random(_CHUNK))), 0, drawn + _CHUNK
 
 
 def _code_table(arr: np.ndarray, pos: int, sells) -> list:

@@ -2,6 +2,7 @@ import collections
 import inspect
 import math
 import sys
+import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
 from operator import le
@@ -739,19 +740,24 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
 
     With _CHUNK patched to a few uniforms, refills land inside slots: a
     revisited state reads its demand code from its signature's table,
-    built after the refill, and a first visit counts its uniforms one by
-    one across it.  Per random plant, with IID, MARKOV or TRACE processes:
-    an online run (plain or placeholder, logged or not) and a count-only
-    unsafe-theta run; then i1 with D_max above _CHUNK, which is counted in
-    numpy.  A checked slot counts a product's window in numpy until
-    _TABLE_AFTER checked slots have read the buffer, and from its list
-    after that.  Each of the six routes is taken at least 3 times, except
-    the list at _CHUNK 1 and 2: there a buffer is used up before it is
-    listed, so the list is read seldom or never.
+    built after the refill, and a checked slot counts a window that runs
+    past the buffer in two parts, its head there and its tail in a fresh
+    draw.  Per random plant, with IID, MARKOV or TRACE processes: an online
+    run (plain or placeholder, logged or not) and a count-only unsafe-theta
+    run; then i1 with D_max above _CHUNK, and a one-material plant whose two
+    products, of D_max 2 * _CHUNK + 1 and 1, are offered together on most
+    slots, each logged and unlogged.  Their tails draw more than _CHUNK
+    uniforms, and the two-product slots span draws.  A checked slot counts
+    a product's window in numpy until _TABLE_AFTER checked slots have read
+    the buffer, and from its list after that.  Each of the eight routes is
+    taken at least 3 times, except the list at _CHUNK 1 and 2: there a
+    buffer is used up before it is listed, so the list is read seldom or
+    never.
     """
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     routes = ["table reads", "first-visit counts", "refills in a slot", "linked"]
     routes += ["counted in numpy", "counted from the list"]
+    routes += ["wide tails", "two-product slots across draws"]
     seen = dict.fromkeys(routes, 0)
 
     class Table(list):
@@ -829,6 +835,10 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
     _, hi = queue_band(make_params(wide.cfg, 10.0), wide.cfg)
     for log in (True, False):
         runs.append((wide, _i1_ec(horizon=H, Q0=[int(hi[0])], record_log=log)))
+    pair = _two_product_plant(2 * chunk + 1, 1)
+    _, hi = queue_band(make_params(pair.cfg, 10.0), pair.cfg)
+    for log in (True, False):
+        runs.append((pair, _i1_ec(horizon=H, Q0=[int(hi[0])], record_log=log)))
 
     for model, ec in runs:
         seen["linked"] += H
@@ -837,9 +847,16 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
         assert ref == new and isinstance(ref, dict), (ec.seed, ec.theta)
         seen["counted in numpy"] += numpy
         seen["counted from the list"] += branch - numpy
+        ends = draws[-1].ends
+        seen["wide tails"] += sum(b - a > chunk for a, b in zip(ends, ends[1:]))
         if ec.record_log:
-            ends = draws[-1].ends
-            seen["refills in a slot"] += _straddles(new["log"], model.cfg.D_max, ends)
+            across = _straddles(new["log"], model.cfg.D_max, ends)
+            seen["refills in a slot"] += across
+            if model is pair:
+                seen["two-product slots across draws"] += across
+                # both products offered on most slots
+                both = sum(row[5] == (1, 1) for row in new["log"])
+                assert both >= 0.9 * H, both
     if chunk < 5:
         # a buffer of a uniform or two is used up by the slot that refills it
         # or soon after, before it is listed
@@ -1223,6 +1240,38 @@ def _i1_demand_cap(n):
     supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
     demand = [DemandState(id="d0", F=[[2.0, 1.0]], h=1.0, F_hat=[[2.0, 1.0]])]
     return validate_config(cfg, supply, demand)
+
+
+def _two_product_plant(n1, n2):
+    """i1 with a second product of the same material, of D_max n1 and n2."""
+    cfg = replace(make_i1_cfg(), beta=[[1, 1]], alpha=[0.0, 0.0], D_max=[n1, n2])
+    cfg = replace(cfg, price_set=[[1.0, 2.0]] * 2)
+    supply = [SupplyState(id="s0", unit_cost=[1], available=[2])]
+    F = [[2.0, 1.0], [1.0, 0.5]]
+    return validate_config(cfg, supply, [DemandState(id="d0", F=F, h=1.0, F_hat=F)])
+
+
+def test_wide_windows_hold_two_draws_at_most():
+    """Windows of 10**6 uniforms hold at most two draws of that size at once.
+
+    A 6-slot online run on a one-material plant whose two products both
+    have D_max 10**6 starts at the top of its band, so it offers both on
+    every slot.  Each slot's windows run past the buffer, whose head is
+    counted there and whose tail is a fresh draw: the old draw and the new
+    one (8 MB each) are the peak.  Refilling at the slot's start with the
+    whole slot's shortfall held 48.0 MB here.
+    """
+    model = _two_product_plant(10**6, 10**6)
+    _, hi = queue_band(make_params(model.cfg, 10.0), model.cfg)
+    ec = _i1_ec(horizon=6, Q0=[int(hi[0])], record_log=True)
+    tracemalloc.start()
+    try:
+        m = run_episode(ec, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row[5] == (1, 1) for row in m.log)
+    assert peak < 24 * 10**6, peak
 
 
 def test_large_demand_cap_draws_as_realize_demand():

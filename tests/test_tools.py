@@ -61,12 +61,13 @@ sys.exit(1 if seed in BAD else 0)
 """
 
 
-def _stub_trees(root, base, head, bad=(), stub=_STUB, run_seconds=(15, 15)):
+def _stub_trees(root, base, head, bad=(), stub=_STUB, run_seconds=(15, 15), e2e=()):
     for side, values, seconds in zip(("base", "head"), (base, head), run_seconds):
         (root / side / "perfbench").mkdir(parents=True)
         text = stub.format(side=side, values=values, bad=list(bad))
         (root / side / "perfbench" / "run.py").write_text(text)
-        (root / side / "BENCHMARK.json").write_text(json.dumps({"run_seconds": seconds}))
+        spec = {"run_seconds": seconds, "end_to_end": list(e2e)}
+        (root / side / "BENCHMARK.json").write_text(json.dumps(spec))
 
 
 def _pairs(*args, cwd, monkeypatch):
@@ -320,6 +321,38 @@ def test_pairs_claim_follows_the_nine_tenths_rule(
         "median_gap": gap,
         "base_iqr": 4.5,
     }
+
+
+_NARROW = {s: 100.0 + s for s in range(10)}  # median 104.5, IQR 4.5 (4.3%)
+_WIDE = {s: 10.0 * (s + 1) for s in range(10)}  # median 55, IQR 45 (82%)
+
+
+@pytest.mark.parametrize(
+    "base, head, verdict",
+    [
+        # every head run lower than every base run, however wide the spread
+        (_WIDE, {s: 5.0 for s in range(10)}, "better"),
+        # base's IQR is 82% of its median, wider than the bound
+        (_WIDE, {s: 11.0 * (s + 1) for s in range(10)}, "unresolved"),
+        # the head median 144.5 is 38% above 104.5
+        (_NARROW, {s: 140.0 + s for s in range(10)}, "worse"),
+        # the head median 114.5 is 9.6% above 104.5
+        (_NARROW, {s: 110.0 + s for s in range(10)}, "within"),
+    ],
+    ids=["better", "unresolved", "worse", "within"],
+)
+def test_pairs_judge_each_bounded_metric(tmp_path, monkeypatch, capsys, base, head, verdict):
+    # BASE's BENCHMARK.json lists no end_to_end metric: only HEAD's is read
+    entry = {"name": "b_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+    _stub_trees(tmp_path, base, head, e2e=[entry])
+    (tmp_path / "base" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 15}))
+    args = ("--pairs", "10", "--out", "bench.json")
+    assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].split()[-1] == "verdict"
+    assert out[-1].split()[-1] == verdict
+    oracle = json.loads((tmp_path / "bench.json").read_text())["workloads"]["oracle"]
+    assert oracle["summary"]["b_p50_ms"]["verdict"] == verdict
 
 
 def test_pairs_claim_needs_a_known_timed_metric(tmp_path, monkeypatch, capsys):

@@ -25,7 +25,13 @@ failed gate or operation), and the tool exits 1.
 
 Per metric it prints the BASE and HEAD medians with their quartiles, the
 change of the median in percent and the number of pairs in which HEAD read
-lower.  --claim METRIC then judges a claimed gain on METRIC, a metric
+lower.  Each end_to_end metric of HEAD's BENCHMARK.json, each better
+lower, also gets a no-regression verdict against its bound, a share of
+the BASE median: "better" when every HEAD run reads lower than every BASE
+run; otherwise "unresolved" when BASE's interquartile range exceeds the
+bound; otherwise "worse" when the HEAD median exceeds the BASE median by
+more than the bound; otherwise "within".  The verdict does not change the exit
+status.  --claim METRIC then judges a claimed gain on METRIC, a metric
 that is better lower, and prints "met" or "not met" with the figures: the
 claim is met when HEAD read lower in at least nine tenths of the pairs (a
 tie counts for neither side) and the BASE median exceeds the HEAD median
@@ -39,7 +45,9 @@ both values and exits 1 if any does.
 workload's name both trees (with the commit of a revision), every run's
 JSON object, the failed run (side, seed, exit code, its JSON, the tail of
 its standard error and its failure lines, or null), the summary (the
-count comparison with --trace), which is null when a run failed, and the
+count comparison with --trace; without it, each metric's no-regression
+verdict too, null for a metric with no bound), which is null when a run
+failed, and the
 claim's verdict, null without --claim.  The other workloads of an
 existing FILE are kept, so one file can hold them all, and so are the
 workload's earlier batches: the batch written last stays under the
@@ -70,12 +78,13 @@ STDERR_TAIL = 20
 FAILURE_PREFIXES = ("GATE FAILED:", "failure:")
 
 
-def run_seconds(tree: Path):
-    """The run_seconds of tree's BENCHMARK.json, or None if it declares none."""
+def benchmark(tree: Path) -> dict:
+    """tree's BENCHMARK.json, or {} if it holds no JSON object."""
     try:
-        return json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
+        spec = json.loads((tree / "BENCHMARK.json").read_text())
+    except (OSError, ValueError):
+        return {}
+    return spec if isinstance(spec, dict) else {}
 
 
 def extract(name: str, into: Path) -> str | None:
@@ -118,8 +127,12 @@ def run_once(tree: Path, args, seed: int) -> tuple[int, dict | None, list[str], 
     return proc.returncode, result, tail, failures
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, the change, HEAD's wins."""
+def summarize(runs: list[dict], bounds: dict) -> dict:
+    """Per metric: each side's median and quartiles, the change, HEAD's wins.
+
+    A metric that bounds (HEAD's end_to_end bounds by name) holds also
+    gets its no-regression verdict; the others get None.
+    """
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
@@ -134,8 +147,25 @@ def summarize(runs: list[dict]) -> dict:
         base = row["base"]["median"]
         row["change_pct"] = 100 * (row["head"]["median"] - base) / base if base else None
         row["head_lower"] = sum(h < b for b, h in zip(values["base"], values["head"]))
+        row["verdict"] = no_regression(values, row, bounds[name]) if name in bounds else None
         summary[name] = row
     return summary
+
+
+def no_regression(values: dict, row: dict, bound: float) -> str:
+    """The no-regression verdict on an end_to_end metric, from both sides' runs.
+
+    better, unresolved, worse or within, as the module docstring says, for
+    a metric that is better lower; bound is a share of the BASE median.
+    """
+    if max(values["head"]) < min(values["base"]):
+        return "better"
+    bound *= abs(row["base"]["median"])
+    if row["base"]["q3"] - row["base"]["q1"] > bound:
+        return "unresolved"
+    if row["head"]["median"] - row["base"]["median"] > bound:
+        return "worse"
+    return "within"
 
 
 def compare_counts(runs: list[dict]) -> dict:
@@ -224,7 +254,8 @@ def compare(p: argparse.ArgumentParser, args, tmp: Path) -> int:
                 p.error(f"{side} {name} is neither a directory nor a git revision")
         if not (args.trees[side] / "perfbench" / "run.py").is_file():
             p.error(f"{side} {name} holds no perfbench/run.py")
-    seconds = [run_seconds(args.trees[side]) for side in SIDES]
+    specs = {side: benchmark(args.trees[side]) for side in SIDES}
+    seconds = [specs[side].get("run_seconds") for side in SIDES]
     for side, s in zip(SIDES, seconds):
         if s is None:
             p.error(f"{side} {getattr(args, side)} holds no BENCHMARK.json with run_seconds")
@@ -239,7 +270,8 @@ def compare(p: argparse.ArgumentParser, args, tmp: Path) -> int:
     runs, failed = run_pairs(args)
     summary = verdict = None
     if failed is None:
-        summary = compare_counts(runs) if args.trace else summarize(runs)
+        bounds = {e["name"]: e["bound"] for e in specs["head"].get("end_to_end", [])}
+        summary = compare_counts(runs) if args.trace else summarize(runs, bounds)
         (print_counts if args.trace else print_summary)(summary, args)
         if args.claim:
             if args.claim not in summary:
@@ -303,12 +335,13 @@ def print_summary(summary: dict, args) -> None:
     last = args.seed + args.pairs - 1
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{last}")
     header = f"{'metric':<14} {'base median [q1, q3]':<30} {'head median [q1, q3]':<30}"
-    print(f"{header} change  head lower")
+    print(f"{header} change  head lower  verdict")
     for name, row in summary.items():
         change = "n/a" if row["change_pct"] is None else f"{row['change_pct']:+.1f}%"
+        lower = f"{row['head_lower']} of {args.pairs}"
         print(
             f"{name:<14} {_side(row['base']):<30} {_side(row['head']):<30} "
-            f"{change:>6}  {row['head_lower']} of {args.pairs}"
+            f"{change:>6}  {lower:<10}  {row['verdict'] or ''}".rstrip()
         )
 
 
