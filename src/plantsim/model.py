@@ -6,8 +6,8 @@ decides which products to offer and at what price from a finite menu, and
 assembles sold units out of the material buffers.  This module holds the
 static configuration, the exogenous state types, and the pure arithmetic
 shared by the controller, the optimality oracles and the simulator:
-purchase cost, material usage and demand fulfillment under limited
-inventory.
+purchase cost, and demand fulfillment under limited inventory by one
+greedy rule in two halves, fulfillment_order and serve_in_order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 
@@ -379,37 +378,17 @@ def purchase_cost(A: list[int], x: SupplyState) -> int:
     return sum(c * a for c, a in zip(x.unit_cost, A))
 
 
-def material_usage(D_tilde: list[int], cfg: PlantConfig) -> list[int]:
-    """Material consumed when D_tilde[k] units of each product are assembled."""
-    return [sum(map(mul, row, D_tilde)) for row in cfg.beta]
-
-
-def schedule_fulfillment(
-    Q: list[int],
-    Z: list[int],
-    P: list[float],
-    D: list[int],
-    cfg: PlantConfig,
-) -> list[int]:
-    """Decide how much of the realized demand to actually serve.
-
-    Offered products are served greedily in descending margin P[k] - alpha[k]
-    (ties broken by ascending product index), each taking the largest integer
-    quantity the residual material inventory allows, never more than its
-    demand.  When inventory covers everything the result is exactly Z * D.
-    The rule has two halves: fulfillment_order, which depends only on the
-    decision, and serve_in_order, which serves a demand in that order.
-    """
-    return serve_in_order(Q, fulfillment_order(Z, P, cfg), D, cfg.K)[0]
-
-
 def fulfillment_order(Z: list[int], P: list[float], cfg: PlantConfig) -> list[tuple]:
-    """The order schedule_fulfillment serves a decision's offered products in.
+    """The order the fulfillment rule serves a decision's offered products in.
 
-    The products with Z[k] == 1, in descending margin P[k] - alpha[k], ties
-    broken by ascending k, each as (k, feeders): feeders lists the (m,
-    beta[m][k]) of the materials k consumes.  A caller that serves one
-    decision many times may keep its order.
+    The rule's first half, which depends only on the decision: the products
+    with Z[k] == 1, in descending margin P[k] - alpha[k], ties broken by
+    ascending k, each as (k, feeders): feeders lists the (m, beta[m][k]) of
+    the materials k consumes.  serve_in_order, its second half, serves a
+    demand in this order, each product taking the largest integer quantity
+    the residual material allows, so that when inventory covers everything
+    the result is exactly Z * D.  A caller that serves one decision many
+    times may keep its order.
     """
     alpha, beta = cfg.alpha, cfg.beta
     offered = sorted(

@@ -135,11 +135,6 @@ def check_distribution(p, n: int, name: str) -> np.ndarray:
     return p
 
 
-def constant_process(state_id: str) -> StateProcessSpec:
-    """A degenerate process that stays in one state forever."""
-    return StateProcessSpec(mode=IID, state_ids=[state_id], probs=[1.0])
-
-
 def _cumulative(probs: list[float]) -> list[float]:
     # The last bucket is inf, so that rounding never lets bisect fall off the end.
     return [*accumulate(probs[:-1]), math.inf]

@@ -23,8 +23,9 @@ below the band raises InvariantViolation, or is only counted when the
 run sets allow_unsafe_theta.  A short slot, or a queue above theta +
 A_max or below 0, only a faulty controller can reach (_Transitions), and
 it raises in every run.  Playback has no band and no queue feedback, so
-its slots can fall short: _short_slot serves each short slot by
-schedule_fulfillment's rule, and the run counts it as a mismatch.
+its slots can fall short: _short_slot serves each short slot by the
+greedy fulfillment rule, the decision's fulfillment_order served by
+serve_in_order, and the run counts it as a mismatch.
 
 The slot loop keeps a decision table.  A decision (A, cost, Z, P, the
 offered products' sell entries) is made once per (x, y, A, Z, P).  It
@@ -67,19 +68,19 @@ slot starts in the demand stream.  The loop's demand buffer is one draw
 of demand uniforms, in one array, and it keeps a code table per
 signature: the code from every start in the buffer, computed in numpy.
 Only the fast path reads a table, with one list index; a checked slot
-counts its uniforms, in numpy until _TABLE_AFTER checked slots have read
-the buffer, and then one by one from the buffer listed.  A window that
-runs past the buffer is counted in two parts: its head there, in numpy,
-and its tail in a fresh draw of _CHUNK uniforms, or of the tail when that
-is longer, which becomes the buffer.  A table is built once checked slots
-of revisited states have met its signature _TABLE_AFTER times without a
-table of the current buffer, by the first of them whose windows fit the
-buffer.  It is dated by the stream offset of the buffer's end, so a
-refill leaves the old tables stale without touching them; the next
-checked slot to meet a stale table drops it.  Only the slot that refills
-the buffer rebuilds its own signature's table at once, if that table was
-current, so that a state whose slots the fast path serves keeps being
-served.  A signature wider than _CHUNK or one whose codes could outgrow
+counts its uniforms in numpy until a slot of the draw calls decide, which
+lists the buffer unless it holds more than _CHUNK uniforms, and then one
+by one from that list.  A window that runs past the buffer is counted in
+two parts: its head there, in numpy, and its tail in a fresh draw of
+_CHUNK uniforms, or of the tail when that is longer, which becomes the
+buffer.  A table is built once checked slots of revisited states have
+met its signature _TABLE_AFTER times without a table of the current
+buffer, by the first of them whose windows fit the buffer.  It is dated
+by the stream offset of the buffer's end, so a refill leaves the old
+tables stale without touching them; the next checked slot to meet a
+stale table drops it.  Only the slot that refills the buffer rebuilds its
+own signature's table at once, if that table was current, so that a
+state whose slots the fast path serves keeps being served.  A signature wider than _CHUNK or one whose codes could outgrow
 int64 never gets a table.  A signature with no offer gets one like any
 other: its codes are all 0, and it lets the states that offer nothing
 take the link store's fast path (above) too.
@@ -109,10 +110,10 @@ Per run, each of these counts is at most the horizon and at most
 The slot loop also holds the state index as an array, built in place of
 the supply path, and as a list for _CHUNK slots, its demand buffer (one
 draw of at most max(_CHUNK, max D_max) uniforms, as an array, and a list
-once _TABLE_AFTER checked slots have read it) and a code table of one
-entry per buffered uniform for each tabled signature, until its first
-read after the next refill.  A one-state IID or MARKOV process's path is
-all zeros and draws nothing from its channel.
+once a slot of a draw of at most _CHUNK has called decide) and a code
+table of one entry per buffered uniform for each tabled signature, until
+its first read after the next refill.  A one-state IID or MARKOV
+process's path is all zeros and draws nothing from its channel.
 Playback keeps its option tables, |X| rows of purchase options and
 |Y| * K rows of offer options, each padded to the longest row of its
 table, a plan half per set of offer options met by a short slot, and
@@ -187,8 +188,7 @@ _CHUNK = 1 << 12
 # slots of revisited states have met it this many times without a table of
 # the current buffer.  A build costs about as much as counting 100 slots one
 # by one, so a signature met only a few times per buffer is cheaper to
-# count.  By the same economics, a buffer is listed, for checked slots to
-# count from one uniform at a time, once this many have counted in numpy.
+# count.
 _TABLE_AFTER = 8
 
 
@@ -219,8 +219,8 @@ class Metrics:
 
     bound_violations counts the queues below the band of a count-only
     online run.  phi_mismatch_slots counts playback's short slots, served
-    by schedule_fulfillment's rule; it is 0 online, where a short slot
-    raises.
+    in the decision's fulfillment_order by serve_in_order; it is 0 online,
+    where a short slot raises.
     Online, every slot is served in full, so total_phi_actual is total_phi.
     """
 
@@ -399,14 +399,14 @@ def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     a faulty controller and raises in every run: the controller offers a
     product only while each of its feeders holds mu_max, the worst-case use
     over every product.  Oracle playback has no band: its short slots are
-    served by schedule_fulfillment's rule and only counted as mismatches.  It
-    rejects the online-only settings placeholder, demand_blind, theta and
-    allow_unsafe_theta rather than ignore them, as an online run rejects
-    oracle_policy, a malformed policy before its first slot
-    (_oracle_setup), and a process whose states are not the model's
-    (_check_state_ids).  The online controller runs the slot loop, playback
-    the block driver; both keep the tables the module docstring describes,
-    with results bit-identical to checking every slot.
+    served in the decision's fulfillment_order by serve_in_order and only
+    counted as mismatches.  It rejects the online-only settings
+    placeholder, demand_blind, theta and allow_unsafe_theta rather than
+    ignore them, as an online run rejects oracle_policy, a malformed policy
+    before its first slot (_oracle_setup), and a process whose states are
+    not the model's (_check_state_ids).  The online controller runs the
+    slot loop, playback the block driver; both keep the tables the module
+    docstring describes, with results bit-identical to checking every slot.
     """
     check_class("ec", EpisodeConfig, ec)
     check_int("horizon", ec.horizon, 1)
@@ -491,11 +491,12 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     buffer, with the code at pos linked, serves the slot by advancing pos,
     booking the outcome's profit and moving q, without decoding the queues.
     Every other slot takes the checked path, which counts its demand code
-    and reads no code table: in numpy, over each product's window, until
-    the buffer has served _TABLE_AFTER checked slots, and then from its
-    list, one uniform at a time.  A revisited state there only dates its
-    signature's table and builds it (_code_table) from the _TABLE_AFTER-th
-    slot without a current one on, once the slot's windows fit the buffer.
+    and reads no code table: in numpy, over each product's window, until a
+    slot calls decide, which lists a draw of at most _CHUNK uniforms, and
+    then from that list, one uniform at a time.  A revisited state there
+    only dates its signature's table and builds it (_code_table) from the
+    _TABLE_AFTER-th slot without a current one on, once the slot's windows
+    fit the buffer.
     A window that runs past the buffer counts its head there and its tail
     in a fresh draw of max(_CHUNK, tail) uniforms, the new buffer; the slot
     that draws it rebuilds its own signature's table at once if that table
@@ -523,11 +524,12 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     links: dict = {}
     unlinked = ((None,), {})
     # The demand buffer, one draw, as an array; drawn is the stream offset
-    # of its end, which dates the tables.  reads counts its checked slots,
-    # which count in numpy until the _TABLE_AFTER-th lists it as buf.
+    # of its end, which dates the tables.  The draw's first decide lists it
+    # as buf, unless it is wider than _CHUNK; until then checked slots
+    # count in numpy.
     arr = np.empty(0)
     buf = None
-    pos = drawn = reads = 0
+    pos = drawn = 0
 
     for t0 in range(0, len(states), _CHUNK):
         for t, s in enumerate(states[t0 : t0 + _CHUNK].tolist(), t0):
@@ -547,6 +549,8 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 if Q is None:
                     Q = run.decode(q)
                 dec = memo[key] = decide(Q, *divmod(s, n_y))
+                if buf is None and len(arr) <= _CHUNK:
+                    buf = arr.tolist()
             elif dec[6] is not None and dec[6][0] != drawn:
                 # No table of this buffer: the signature is tabled, for the
                 # fast path, on the _TABLE_AFTER-th such slot.
@@ -555,9 +559,6 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 tab[3] += 1
                 if tab[3] >= _TABLE_AFTER and pos + tab[2] <= len(arr):
                     tab[:] = drawn, _code_table(arr, pos, dec[4]), tab[2], 0
-            reads += 1
-            if reads == _TABLE_AFTER:
-                buf = arr.tolist()
             # Each offered product's demand d as one digit of radix
             # D_max[k] + 1, the first product's the most significant.
             code = 0
@@ -571,7 +572,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                     d = int(np.count_nonzero(arr[pos:] < pr))
                     end -= len(arr)
                     arr = demand.random(max(_CHUNK, end))
-                    buf, pos, drawn, reads = None, 0, drawn + len(arr), 0
+                    buf, pos, drawn = None, 0, drawn + len(arr)
                     if tab:
                         tab[:] = drawn, _code_table(arr, 0, dec[4]), tab[2], 0
                 if buf is None:
@@ -801,11 +802,11 @@ def _short_slot(cfg, Q, plan, D) -> tuple:
 
     plan is the slot's (A, cost, order, margins): serve_in_order serves
     what it can of demand D from the queues in the decision's
-    fulfillment_order, schedule_fulfillment's rule.  phi_actual adds each
-    product's served units times its margin P[k] - alpha[k] in ascending
-    k, a withheld product's 0 * margin included, then subtracts the cost,
-    as the sum of Z[k] * served[k] * (P[k] - alpha[k]) less the cost does;
-    the drift is the served change's.
+    fulfillment_order, the two halves of the greedy fulfillment rule.
+    phi_actual adds each product's served units times its margin P[k] -
+    alpha[k] in ascending k, a withheld product's 0 * margin included, then
+    subtracts the cost, as the sum of Z[k] * served[k] * (P[k] - alpha[k])
+    less the cost does; the drift is the served change's.
     """
     A, cost, order, margins = plan
     served, residual = serve_in_order(Q, order, D, cfg.K)

@@ -18,12 +18,7 @@ import numpy as np
 
 from plantsim.model import DemandState, PlantConfig, SupplyState, validate_config
 from plantsim.oracles import build_profit_lp, extract_xy_policy, optimal_profit
-from plantsim.processes import (
-    IID,
-    StateProcessSpec,
-    constant_process,
-    empirical_distribution,
-)
+from plantsim.processes import IID, StateProcessSpec, empirical_distribution
 from plantsim.simplex import LinearProgram
 from plantsim.simulator import EpisodeConfig, run_episode
 
@@ -460,6 +455,11 @@ def _with_dominated_price(model):
 
 def _iid(ids, probs):
     return StateProcessSpec(mode=IID, state_ids=ids, probs=probs)
+
+
+def constant_process(state_id):
+    """A degenerate process that stays in one state forever."""
+    return _iid([state_id], [1.0])
 
 
 def _i1(**kw):

@@ -42,9 +42,7 @@ from plantsim.model import (
     SupplyState,
     check_int,
     check_seq,
-    material_usage,
     purchase_cost,
-    schedule_fulfillment,
 )
 from plantsim.oracles import ActionSpaceTooLarge, enumerate_actions, product_options
 from plantsim.processes import (
@@ -595,8 +593,10 @@ def _ref_offer_option(name: str, z, j, n_prices: int) -> tuple:
 
 # -- a short playback slot before its cached plan ----------------------------
 # Playback served each short slot by sorting the offered products on every
-# call; below are that rule and that slot, kept verbatim (renamed), which the
-# cached fulfillment order and the plan must match bit for bit.
+# call; below are that rule and that slot, kept verbatim (renamed, with the
+# material use summed in place), which the cached fulfillment order and the
+# plan must match bit for bit.  The reference slot loop serves its short
+# slots by the same rule.
 
 
 def _ref_schedule_fulfillment(Q, Z, P, D, cfg: PlantConfig) -> list[int]:
@@ -627,7 +627,8 @@ def _ref_short_slot(cfg: PlantConfig, Q, dec, D) -> tuple:
     d_tilde = _ref_schedule_fulfillment(Q, Z, P, D, cfg)
     alpha = cfg.alpha
     phia = sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(cfg.K)) - cost
-    diff = tuple(map(sub, A, material_usage(d_tilde, cfg)))
+    used = [sum(map(mul, row, d_tilde)) for row in cfg.beta]
+    diff = tuple(map(sub, A, used))
     return tuple(map(add, Q, diff)), phia, 0.5 * sum(map(mul, diff, diff), 0.0)
 
 
@@ -779,11 +780,11 @@ def _reference_run_episode(ec: EpisodeConfig, model) -> Metrics:
                     )
                 violations += 1
             mismatch += 1
-            d_tilde = schedule_fulfillment(Q, Z, P, D, cfg)
+            d_tilde = _ref_schedule_fulfillment(Q, Z, P, D, cfg)
             phia = (
                 sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(K)) - cost
             )
-            used = material_usage(d_tilde, cfg)
+            used = [sum(map(mul, row, d_tilde)) for row in cfg.beta]
         else:
             phia = phi
 

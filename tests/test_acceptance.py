@@ -22,7 +22,7 @@ from plantsim.oracles import (
     optimal_profit,
     two_price_reduce,
 )
-from plantsim.processes import MARKOV, StateProcessSpec, constant_process
+from plantsim.processes import MARKOV, StateProcessSpec
 from plantsim.simulator import (
     EpisodeConfig,
     check_frame_bound,
@@ -35,6 +35,7 @@ from plantsim.simulator import (
 
 import conftest
 from plants import (
+    constant_process,
     make_blind,
     make_i1,
     make_i1_cfg,

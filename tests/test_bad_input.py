@@ -52,7 +52,6 @@ from plantsim.processes import (
     TRACE,
     RngStream,
     StateProcessSpec,
-    constant_process,
     generate_states,
     realize_demand,
     stationary_distribution,
@@ -69,7 +68,14 @@ from plantsim.simulator import (
     write_slot_log,
 )
 
-from plants import _iid, _m3_k4_plant, make_i1, make_i1_cfg, make_two_phase
+from plants import (
+    _iid,
+    _m3_k4_plant,
+    constant_process,
+    make_i1,
+    make_i1_cfg,
+    make_two_phase,
+)
 from reference import _ref_read_offers, _ref_read_purchases
 
 NAN = math.nan

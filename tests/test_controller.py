@@ -29,10 +29,9 @@ from plantsim.model import (
     purchase_cost,
     validate_config,
 )
-from plantsim.processes import constant_process
 from plantsim.simulator import EpisodeConfig, run_episode
 
-from plants import make_i1, make_i1_cfg, make_mid, tie_plant
+from plants import constant_process, make_i1, make_i1_cfg, make_mid, tie_plant
 from reference import (
     _maximal_by_brute_force,
     _ref_decide_pricing,

@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from plantsim.model import material_usage, schedule_fulfillment
+from plantsim.model import fulfillment_order, serve_in_order
 from plantsim.simulator import EpisodeConfig, run_episode
 
 from plants import CASES, _i1, _iid, _mid, run_case
@@ -247,9 +247,9 @@ def test_oracle_log_queue_at_slot_start(name):
     assert list(m.log[0][3]) == (ec.Q0 or model.mu_max)
     Qs = [list(row[3]) for row in m.log] + [m.final_Q]
     for t, (_, _, _, Q, A, Z, P, D, *_) in enumerate(m.log):
-        served = schedule_fulfillment(list(Q), list(Z), list(P), list(D), cfg)
-        used = material_usage(served, cfg)
-        assert Qs[t + 1] == [Q[i] - used[i] + A[i] for i in range(cfg.M)]
+        order = fulfillment_order(Z, P, cfg)
+        _, residual = serve_in_order(list(Q), order, D, cfg.K)
+        assert Qs[t + 1] == [residual[i] + A[i] for i in range(cfg.M)]
 
 
 def test_online_tables_stay_small():

@@ -1,4 +1,5 @@
-"""A metamorphic relation of the online episode: the money scale.
+"""Metamorphic relations of the online episode: the money scale and a
+relabeling of the materials.
 
 Prices, assembly costs, unit costs and the budget times c, with V divided
 by c, leave every quantity the controller compares unchanged: theta, the
@@ -8,6 +9,11 @@ and draws the same demand, and its profit is c times the unchanged
 episode's; no reference implementation is needed.  At c = 2 every scaling
 is exact in binary, so the two episodes must agree bit for bit; at c = 3
 the scaled products round, and only the profit is held, within 1e-9.
+
+Listing the materials in reverse order, with their rows of beta, A_max,
+unit costs and availabilities, relabels every per-material quantity the
+controller reads and leaves the demand draws alone, so the episode's
+profit is the same bit for bit and its queues come out reversed.
 
 The plants are every third of test_lp_relations.py's 300 random tiny ones
 and its 20 seeded M=3, K=4 ones, each run for 200 slots on its own i.i.d.
@@ -19,7 +25,13 @@ import pytest
 
 from plantsim.simulator import EpisodeConfig, run_episode
 
-from plants import _iid, _m3_k4_plant, _scale_money, random_tiny_instance
+from plants import (
+    _iid,
+    _m3_k4_plant,
+    _reverse_materials,
+    _scale_money,
+    random_tiny_instance,
+)
 
 
 def _episode(model, pi_x, pi_y, seed, V):
@@ -72,3 +84,19 @@ def test_tripling_money_triples_the_profit(episodes):
             if not _same_decisions(row, base, 3.0)
         ]
         assert abs(got.total_phi - want) <= 1e-9 * (1.0 + abs(want)), (seed, differ)
+
+
+def test_reversing_materials_keeps_the_episode(episodes):
+    # The tiny plants only: on the M=3, K=4 ones the controller sums relief
+    # and breaks knapsack ties in material order, which a relabeling moves.
+    multi = sold = 0
+    for model, pi_x, pi_y, seed, m in episodes[:100]:
+        got = _episode(_reverse_materials(model), pi_x, pi_y, seed, 10.0)
+        assert got.total_phi == m.total_phi, seed
+        queues = (got.final_Q, got.q_min, got.q_max)
+        assert queues == (m.final_Q[::-1], m.q_min[::-1], m.q_max[::-1]), seed
+        multi += model.cfg.M > 1
+        sold += any(any(row[7]) for row in m.log)
+    # the relation is not vacuous: 54 of the 100 plants have two materials,
+    # and 33 sell something
+    assert multi >= 40 and sold >= 25, (multi, sold)

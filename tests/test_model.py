@@ -1,4 +1,4 @@
-from operator import sub
+from operator import mul
 
 import numpy as np
 import pytest
@@ -13,9 +13,7 @@ from plantsim.model import (
     PlantConfig,
     SupplyState,
     fulfillment_order,
-    material_usage,
     purchase_cost,
-    schedule_fulfillment,
     serve_in_order,
     validate_config,
 )
@@ -185,16 +183,21 @@ def test_purchase_cost_linear(rng):
 # --- fulfillment and queues ----------------------------------------------
 
 
+def _serve(Q, Z, P, D, cfg):
+    """(served, residual) by the fulfillment rule's two halves, as playback runs it."""
+    return serve_in_order(Q, fulfillment_order(Z, P, cfg), D, cfg.K)
+
+
 def test_fulfillment_full_when_stocked():
     cfg = make_i1_cfg()
-    assert schedule_fulfillment([5], [1], [2.0], [2], cfg) == [2]
-    assert schedule_fulfillment([5], [0], [2.0], [2], cfg) == [0]
+    assert _serve([5], [1], [2.0], [2], cfg)[0] == [2]
+    assert _serve([5], [0], [2.0], [2], cfg)[0] == [0]
 
 
 def test_fulfillment_partial_and_empty():
     cfg = make_i1_cfg()
-    assert schedule_fulfillment([1], [1], [2.0], [2], cfg) == [1]
-    assert schedule_fulfillment([0], [1], [2.0], [2], cfg) == [0]
+    assert _serve([1], [1], [2.0], [2], cfg)[0] == [1]
+    assert _serve([0], [1], [2.0], [2], cfg)[0] == [0]
 
 
 def test_fulfillment_greedy_margin_order():
@@ -208,7 +211,7 @@ def test_fulfillment_greedy_margin_order():
     )
     # product 2 has the higher margin, so it is served first and its
     # two-unit material-2 requirement caps it at one unit
-    out = schedule_fulfillment([3, 2], [1, 1], [3.0, 5.0], [2, 2], cfg)
+    out = _serve([3, 2], [1, 1], [3.0, 5.0], [2, 2], cfg)[0]
     assert out == [2, 1]
 
 
@@ -221,7 +224,7 @@ def test_fulfillment_margin_tie_prefers_low_index():
         A_max=[2],
         c_max=10,
     )
-    out = schedule_fulfillment([2], [1, 1], [2.0, 2.0], [2, 2], cfg)
+    out = _serve([2], [1, 1], [2.0, 2.0], [2, 2], cfg)[0]
     assert out == [2, 0]
 
 
@@ -245,22 +248,20 @@ def test_fulfillment_respects_constraints_random(rng):
         Z = [int(rng.integers(0, 2)) for _ in range(K)]
         P = [cfg.price_set[k][0] for k in range(K)]
         D = [int(rng.integers(0, 4)) for _ in range(K)]
-        out = schedule_fulfillment(Q, Z, P, D, cfg)
+        out, residual = _serve(Q, Z, P, D, cfg)
         for k in range(K):
             assert 0 <= out[k] <= Z[k] * D[k]
-        used = material_usage(out, cfg)
         for m in range(M):
-            assert used[m] <= Q[m]
+            assert residual[m] >= 0
 
 
-def test_cached_order_serves_as_schedule_fulfillment():
+def test_cached_order_serves_as_the_reference_rule():
     """One fulfillment_order per decision serves every demand as before.
 
     On random decisions (short_slot_cases), the order is computed once and
-    then serves five (Q, D) each: the served quantities equal
-    schedule_fulfillment's and the reference rule's, which sorts on every
-    call, and the residual is Q less their material use.  Ties in margin
-    must go to the lower product index.
+    then serves five (Q, D) each: the served quantities equal the reference
+    rule's, which sorts on every call, and the residual is Q less their
+    material use.  Ties in margin must go to the lower product index.
     """
     seen = dict.fromkeys(["tie shorted", "withheld", "zero beta", "beyond stock"], 0)
     cases = short_slot_cases(np.random.default_rng(20261101), 400)
@@ -270,8 +271,9 @@ def test_cached_order_serves_as_schedule_fulfillment():
         for Q, D in slots:
             served, residual = serve_in_order(Q, order, D, cfg.K)
             ref = _ref_schedule_fulfillment(Q, Z, P, D, cfg)
-            assert served == schedule_fulfillment(Q, Z, P, D, cfg) == ref, (Z, P, Q, D)
-            assert residual == list(map(sub, Q, material_usage(served, cfg)))
+            assert served == ref, (Z, P, Q, D)
+            used = [sum(map(mul, row, served)) for row in cfg.beta]
+            assert residual == [q - u for q, u in zip(Q, used)]
             demanded = [k for k in range(cfg.K) if Z[k] and D[k]]
             shorted = [k for k in demanded if served[k] < D[k]]
             seen["beyond stock"] += bool(shorted)

@@ -13,14 +13,13 @@ from plantsim.processes import (
     RngStream,
     StateProcessSpec,
     TraceExhausted,
-    constant_process,
     empirical_distribution,
     generate_states,
     realize_demand,
     stationary_distribution,
 )
 
-from plants import make_i1
+from plants import constant_process, make_i1
 from reference import StateProcess
 
 

@@ -156,6 +156,72 @@ def test_no_test_module_imports_another():
         assert _test_module_imports(line) == [module], line
 
 
+PACKAGE = CODELINES.parent.parent / "src" / "plantsim"
+
+# Top-level names of the package that no package path loads, each kept on
+# purpose: a reference the tests hold the package to.
+UNLOADED_KEPT = {
+    "brute_force_opt": "criterion 1's check of the stationary LP, independent of it",
+    "realize_demand": "the draw reference test_loop_demand_is_realize_demand "
+    "pins the slot loop to",
+}
+
+
+def _unloaded(sources):
+    """The top-level functions and classes that no module of sources loads.
+
+    sources maps a module's name to its text.  A name counts as loaded
+    where an ast.Name or ast.Attribute of that name is read, anywhere but
+    inside its own definition; docstrings, comments, imports and stores
+    do not count.
+    """
+    defined, loaders = [], {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (module, node.name)
+                defined.append(owner)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    loaders.setdefault(sub.id, set()).add(owner)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    loaders.setdefault(sub.attr, set()).add(owner)
+    # a name is unloaded when nothing but its own definition reads it
+    unread = [owner for owner in defined if loaders.get(owner[1], set()) <= {owner}]
+    return sorted(name for _, name in unread)
+
+
+def test_package_loads_every_top_level_name():
+    # A function or class that only tests reach belongs in plants.py or
+    # reference.py, unless UNLOADED_KEPT names it with its reason.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _unloaded(sources) == sorted(UNLOADED_KEPT)
+    # recursion, a docstring, a comment, an import and a store load nothing;
+    # a call from another function or module, an attribute or a class does
+    stubs = {
+        "a": '"""f and g are documented here."""\n'
+        "from b import i\n"
+        "def f(n):\n"
+        "    return f(n - 1)  # g(n)\n"
+        "def g():\n"
+        '    """Calls h."""\n'
+        "    k = 1\n"
+        "    return k\n"
+        "def h():\n"
+        "    return b.j\n"
+        "class C:\n"
+        "    pass\n",
+        "b": "import a\n"
+        "def i():\n"
+        "    return a.h(), a.C\n"
+        "def j():\n"
+        "    pass\n"
+        "g = None\n",
+    }
+    assert _unloaded(stubs) == ["f", "g", "i"]
+
+
 # A stand-in for perfbench/run.py --trace 1: it logs its side and arguments
 # to order.log beside the two trees and prints VALUES as its metrics.
 _TRACE_STUB = """\
