@@ -68,19 +68,19 @@ slot starts in the demand stream.  The loop's demand buffer is one draw
 of demand uniforms, in one array, and it keeps a code table per
 signature: the code from every start in the buffer, computed in numpy.
 Only the fast path reads a table, with one list index; a checked slot
-counts its uniforms in numpy until a slot of the draw calls decide, which
-lists the buffer unless it holds more than _CHUNK uniforms, and then one
-by one from that list.  A window that runs past the buffer is counted in
-two parts: its head there, in numpy, and its tail in a fresh draw of
-_CHUNK uniforms, or of the tail when that is longer, which becomes the
-buffer.  A table is built once checked slots of revisited states have
-met its signature _TABLE_AFTER times without a table of the current
-buffer, by the first of them whose windows fit the buffer.  It is dated
-by the stream offset of the buffer's end, so a refill leaves the old
-tables stale without touching them; the next checked slot to meet a
-stale table drops it.  Only the slot that refills the buffer rebuilds its
-own signature's table at once, if that table was current, so that a
-state whose slots the fast path serves keeps being served.  A signature wider than _CHUNK or one whose codes could outgrow
+counts its uniforms, in numpy until _TABLE_AFTER checked slots have read
+the buffer, and then one by one from the buffer listed.  A window that
+runs past the buffer is counted in two parts: its head there, in numpy,
+and its tail in a fresh draw of _CHUNK uniforms, or of the tail when that
+is longer, which becomes the buffer.  A table is built once checked slots
+of revisited states have met its signature _TABLE_AFTER times without a
+table of the current buffer, by the first of them whose windows fit the
+buffer.  It is dated by the stream offset of the buffer's end, so a
+refill leaves the old tables stale without touching them; the next
+checked slot to meet a stale table drops it.  Only the slot that refills
+the buffer rebuilds its own signature's table at once, if that table was
+current, so that a state whose slots the fast path serves keeps being
+served.  A signature wider than _CHUNK or one whose codes could outgrow
 int64 never gets a table.  A signature with no offer gets one like any
 other: its codes are all 0, and it lets the states that offer nothing
 take the link store's fast path (above) too.
@@ -110,10 +110,10 @@ Per run, each of these counts is at most the horizon and at most
 The slot loop also holds the state index as an array, built in place of
 the supply path, and as a list for _CHUNK slots, its demand buffer (one
 draw of at most max(_CHUNK, max D_max) uniforms, as an array, and a list
-once a slot of a draw of at most _CHUNK has called decide) and a code
-table of one entry per buffered uniform for each tabled signature, until
-its first read after the next refill.  A one-state IID or MARKOV
-process's path is all zeros and draws nothing from its channel.
+once _TABLE_AFTER checked slots have read it) and a code table of one
+entry per buffered uniform for each tabled signature, until its first
+read after the next refill.  A one-state IID or MARKOV process's path is
+all zeros and draws nothing from its channel.
 Playback keeps its option tables, |X| rows of purchase options and
 |Y| * K rows of offer options, each padded to the longest row of its
 table, a plan half per set of offer options met by a short slot, and
@@ -188,7 +188,8 @@ _CHUNK = 1 << 12
 # slots of revisited states have met it this many times without a table of
 # the current buffer.  A build costs about as much as counting 100 slots one
 # by one, so a signature met only a few times per buffer is cheaper to
-# count.
+# count.  By the same economics, a buffer is listed, for checked slots to
+# count from one uniform at a time, once this many have counted in numpy.
 _TABLE_AFTER = 8
 
 
@@ -491,12 +492,11 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     buffer, with the code at pos linked, serves the slot by advancing pos,
     booking the outcome's profit and moving q, without decoding the queues.
     Every other slot takes the checked path, which counts its demand code
-    and reads no code table: in numpy, over each product's window, until a
-    slot calls decide, which lists a draw of at most _CHUNK uniforms, and
-    then from that list, one uniform at a time.  A revisited state there
-    only dates its signature's table and builds it (_code_table) from the
-    _TABLE_AFTER-th slot without a current one on, once the slot's windows
-    fit the buffer.
+    and reads no code table: in numpy, over each product's window, until
+    the buffer has served _TABLE_AFTER checked slots, and then from its
+    list, one uniform at a time.  A revisited state there only dates its
+    signature's table and builds it (_code_table) from the _TABLE_AFTER-th
+    slot without a current one on, once the slot's windows fit the buffer.
     A window that runs past the buffer counts its head there and its tail
     in a fresh draw of max(_CHUNK, tail) uniforms, the new buffer; the slot
     that draws it rebuilds its own signature's table at once if that table
@@ -524,12 +524,11 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     links: dict = {}
     unlinked = ((None,), {})
     # The demand buffer, one draw, as an array; drawn is the stream offset
-    # of its end, which dates the tables.  The draw's first decide lists it
-    # as buf, unless it is wider than _CHUNK; until then checked slots
-    # count in numpy.
+    # of its end, which dates the tables.  reads counts its checked slots,
+    # which count in numpy until the _TABLE_AFTER-th lists it as buf.
     arr = np.empty(0)
     buf = None
-    pos = drawn = 0
+    pos = drawn = reads = 0
 
     for t0 in range(0, len(states), _CHUNK):
         for t, s in enumerate(states[t0 : t0 + _CHUNK].tolist(), t0):
@@ -549,8 +548,6 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 if Q is None:
                     Q = run.decode(q)
                 dec = memo[key] = decide(Q, *divmod(s, n_y))
-                if buf is None and len(arr) <= _CHUNK:
-                    buf = arr.tolist()
             elif dec[6] is not None and dec[6][0] != drawn:
                 # No table of this buffer: the signature is tabled, for the
                 # fast path, on the _TABLE_AFTER-th such slot.
@@ -559,6 +556,9 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 tab[3] += 1
                 if tab[3] >= _TABLE_AFTER and pos + tab[2] <= len(arr):
                     tab[:] = drawn, _code_table(arr, pos, dec[4]), tab[2], 0
+            reads += 1
+            if reads == _TABLE_AFTER:
+                buf = arr.tolist()
             # Each offered product's demand d as one digit of radix
             # D_max[k] + 1, the first product's the most significant.
             code = 0
@@ -572,7 +572,7 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                     d = int(np.count_nonzero(arr[pos:] < pr))
                     end -= len(arr)
                     arr = demand.random(max(_CHUNK, end))
-                    buf, pos, drawn = None, 0, drawn + len(arr)
+                    buf, pos, drawn, reads = None, 0, drawn + len(arr), 0
                     if tab:
                         tab[:] = drawn, _code_table(arr, 0, dec[4]), tab[2], 0
                 if buf is None:

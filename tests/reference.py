@@ -593,9 +593,9 @@ def _ref_offer_option(name: str, z, j, n_prices: int) -> tuple:
 
 # -- a short playback slot before its cached plan ----------------------------
 # Playback served each short slot by sorting the offered products on every
-# call; below are that rule and that slot, kept verbatim (renamed, with the
-# material use summed in place), which the cached fulfillment order and the
-# plan must match bit for bit.  The reference slot loop serves its short
+# call; below are that rule, its material use and that slot, kept verbatim
+# (renamed), which the cached fulfillment order and the plan must match bit
+# for bit.  The reference slot loop serves its short
 # slots by the same rule.
 
 
@@ -621,14 +621,18 @@ def _ref_schedule_fulfillment(Q, Z, P, D, cfg: PlantConfig) -> list[int]:
     return out
 
 
+def _ref_material_usage(D_tilde, cfg: PlantConfig) -> list[int]:
+    """Material consumed when D_tilde[k] units of each product are assembled."""
+    return [sum(map(mul, row, D_tilde)) for row in cfg.beta]
+
+
 def _ref_short_slot(cfg: PlantConfig, Q, dec, D) -> tuple:
     """(next Q, phi_actual, drift) of a short playback slot under (A, cost, Z, P)."""
     A, cost, Z, P = dec
     d_tilde = _ref_schedule_fulfillment(Q, Z, P, D, cfg)
     alpha = cfg.alpha
     phia = sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(cfg.K)) - cost
-    used = [sum(map(mul, row, d_tilde)) for row in cfg.beta]
-    diff = tuple(map(sub, A, used))
+    diff = tuple(map(sub, A, _ref_material_usage(d_tilde, cfg)))
     return tuple(map(add, Q, diff)), phia, 0.5 * sum(map(mul, diff, diff), 0.0)
 
 
@@ -784,7 +788,7 @@ def _reference_run_episode(ec: EpisodeConfig, model) -> Metrics:
             phia = (
                 sum(Z[k] * d_tilde[k] * (P[k] - alpha[k]) for k in range(K)) - cost
             )
-            used = [sum(map(mul, row, d_tilde)) for row in cfg.beta]
+            used = _ref_material_usage(d_tilde, cfg)
         else:
             phia = phi
 

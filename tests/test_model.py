@@ -1,4 +1,4 @@
-from operator import mul
+from operator import sub
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from plantsim.model import (
 )
 
 from plants import make_i1, make_i1_cfg, short_slot_cases
-from reference import _ref_schedule_fulfillment
+from reference import _ref_material_usage, _ref_schedule_fulfillment
 
 
 def test_i1_accepted_with_mu_max():
@@ -272,8 +272,7 @@ def test_cached_order_serves_as_the_reference_rule():
             served, residual = serve_in_order(Q, order, D, cfg.K)
             ref = _ref_schedule_fulfillment(Q, Z, P, D, cfg)
             assert served == ref, (Z, P, Q, D)
-            used = [sum(map(mul, row, served)) for row in cfg.beta]
-            assert residual == [q - u for q, u in zip(Q, used)]
+            assert residual == list(map(sub, Q, _ref_material_usage(served, cfg)))
             demanded = [k for k in range(cfg.K) if Z[k] and D[k]]
             shorted = [k for k in demanded if served[k] < D[k]]
             seen["beyond stock"] += bool(shorted)

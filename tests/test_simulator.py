@@ -748,12 +748,11 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
     products, of D_max 2 * _CHUNK + 1 and 1, are offered together on most
     slots, each logged and unlogged.  Their tails draw more than _CHUNK
     uniforms, and the two-product slots span draws.  A checked slot counts
-    a product's window in numpy until a slot of the draw calls decide,
-    which lists a draw of at most _CHUNK uniforms, and from its list after
-    that.  Each of the eight routes is taken at least 3 times, except the
-    list at _CHUNK 1 and 2: there most draws are wide tails, never listed,
-    or are used up before a slot calls decide, so the list is read seldom
-    or never.
+    a product's window in numpy until _TABLE_AFTER checked slots have read
+    the buffer, and from its list after that.  Each of the eight routes is
+    taken at least 3 times, except the list at _CHUNK 1 and 2: there a
+    buffer is used up before it is listed, so the list is read seldom or
+    never.
     """
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     routes = ["table reads", "first-visit counts", "refills in a slot", "linked"]
@@ -859,8 +858,8 @@ def test_online_loop_matches_reference_across_refills(monkeypatch, chunk):
                 both = sum(row[5] == (1, 1) for row in new["log"])
                 assert both >= 0.9 * H, both
     if chunk < 5:
-        # a buffer of a uniform or two is a wide tail, or is used up by the
-        # slot that refills it or soon after, before a slot calls decide
+        # a buffer of a uniform or two is used up by the slot that refills it
+        # or soon after, before it is listed
         del seen["counted from the list"]
     assert min(seen.values()) >= 3, seen
 

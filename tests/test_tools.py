@@ -167,17 +167,36 @@ UNLOADED_KEPT = {
 }
 
 
+def _module_aliases(tree, modules):
+    """The names that tree's imports bind to a module of modules."""
+    aliases = set()
+    for node in ast.walk(tree):
+        pairs = []
+        if isinstance(node, ast.Import):
+            pairs = [
+                (a.name.removeprefix("plantsim."), a.asname or a.name) for a in node.names
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("plantsim", None):
+            pairs = [(a.name, a.asname or a.name) for a in node.names]
+        aliases.update(bound for module, bound in pairs if module in modules)
+    return aliases
+
+
 def _unloaded(sources):
     """The top-level functions and classes that no module of sources loads.
 
     sources maps a module's name to its text.  A name counts as loaded
-    where an ast.Name or ast.Attribute of that name is read, anywhere but
-    inside its own definition; docstrings, comments, imports and stores
-    do not count.
+    where it is read, anywhere but inside its own definition: as an
+    ast.Name, or as the attribute of a name that the reading module's
+    imports bind to a module of sources (m.f after import m).  An
+    attribute of anything else (self.step, x.decode) is another object's
+    and does not count; nor do docstrings, comments, imports and stores.
     """
     defined, loaders = [], {}
     for module, text in sources.items():
-        for node in ast.parse(text).body:
+        tree = ast.parse(text)
+        aliases = _module_aliases(tree, sources)
+        for node in tree.body:
             owner = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = (module, node.name)
@@ -185,7 +204,12 @@ def _unloaded(sources):
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     loaders.setdefault(sub.id, set()).add(owner)
-                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                elif (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Load)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id in aliases
+                ):
                     loaders.setdefault(sub.attr, set()).add(owner)
     # a name is unloaded when nothing but its own definition reads it
     unread = [owner for owner in defined if loaders.get(owner[1], set()) <= {owner}]
@@ -197,10 +221,12 @@ def test_package_loads_every_top_level_name():
     # reference.py, unless UNLOADED_KEPT names it with its reason.
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert _unloaded(sources) == sorted(UNLOADED_KEPT)
-    # recursion, a docstring, a comment, an import and a store load nothing;
-    # a call from another function or module, an attribute or a class does
+    # recursion, a docstring, a comment, an import, a store and another
+    # object's attribute load nothing; a call from another function or
+    # module, a module's attribute or a class does
     stubs = {
         "a": '"""f and g are documented here."""\n'
+        "import b\n"
         "from b import i\n"
         "def f(n):\n"
         "    return f(n - 1)  # g(n)\n"
@@ -208,18 +234,20 @@ def test_package_loads_every_top_level_name():
         '    """Calls h."""\n'
         "    k = 1\n"
         "    return k\n"
-        "def h():\n"
-        "    return b.j\n"
+        "def h(x):\n"
+        "    return b.j, x.e\n"
         "class C:\n"
         "    pass\n",
-        "b": "import a\n"
+        "b": "from plantsim import a as m\n"
         "def i():\n"
-        "    return a.h(), a.C\n"
+        "    return m.h(), m.C\n"
         "def j():\n"
+        "    pass\n"
+        "def e():\n"
         "    pass\n"
         "g = None\n",
     }
-    assert _unloaded(stubs) == ["f", "g", "i"]
+    assert _unloaded(stubs) == ["e", "f", "g", "i"]
 
 
 # A stand-in for perfbench/run.py --trace 1: it logs its side and arguments
