@@ -48,19 +48,21 @@ decision.  Once a transition from a revisited s under a demand code has
 passed every check, it is linked: the link store maps s to one entry, its
 signature's code table (below) and a dict from each linked demand code to
 its outcome.  A first visit links nothing, since most states of a run
-that misses the memo are never revisited, and neither does a logged run,
-so that no slot skips its log row.  A slot opens with one lookup in the
-store: when s has an entry whose table is of the current buffer and
-whose code at the slot's start is linked, the slot only books the
-outcome's profit and adds its change to q.  The short-slot and band
-checks and the queue-extreme and drift records it skips are functions of
-that transition and were done.  Every other slot takes the checked path:
-decide or the memo, counting its demand code from the buffered uniforms,
-then _outcome and _Transitions.step, unless the state's entry links that
-code, whose outcome it books without a step.  Either way it adds the
-outcome's change to q.  So a count-only run counts every queue below
-mu_max, and only those, and links the clean transitions out of states
-below the band too.
+that misses the memo are never revisited.  Every online run links by
+this rule; record_log only adds rows, which a logged run appends on
+either path from the memo's decision, the outcome and the queues at the
+slot's start.  A slot opens with one lookup in the store: when s has an
+entry whose table is of the current buffer and whose code at the slot's
+start is linked, the slot only books the outcome's profit and adds its
+change to q.  The short-slot and band checks and the queue-extreme and
+drift records it skips are functions of that transition and were done.
+Every other slot takes the checked path: decide or the memo, counting its
+demand code from the buffered uniforms, then _outcome and
+_Transitions.step, unless the state's entry links that code, whose
+outcome it books without a step.  Either way it adds the outcome's
+change to q.  So a count-only run counts every queue below mu_max, and
+only those, and links the clean transitions out of states below the band
+too.
 
 A slot's demand code depends only on its decision's signature, the
 offered products' (threshold, D_max[k]) pairs in order, and on where the
@@ -490,21 +492,23 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     it as a list, _CHUNK slots at a time.  A slot first looks up its state
     code in the link store: an entry whose code table is of the current
     buffer, with the code at pos linked, serves the slot by advancing pos,
-    booking the outcome's profit and moving q, without decoding the queues.
-    Every other slot takes the checked path, which counts its demand code
-    and reads no code table: in numpy, over each product's window, until
-    the buffer has served _TABLE_AFTER checked slots, and then from its
-    list, one uniform at a time.  A revisited state there only dates its
-    signature's table and builds it (_code_table) from the _TABLE_AFTER-th
-    slot without a current one on, once the slot's windows fit the buffer.
+    booking the outcome's profit and moving q, without decoding the queues
+    unless the run is logged.  Every other slot takes the checked path,
+    which counts its demand code and reads no code table: in numpy, over
+    each product's window, until the buffer has served _TABLE_AFTER
+    checked slots, and then from its list, one uniform at a time.  A
+    revisited state there only dates its signature's table and builds it
+    (_code_table) from the _TABLE_AFTER-th slot without a current one on,
+    once the slot's windows fit the buffer.
     A window that runs past the buffer counts its head there and its tail
     in a fresh draw of max(_CHUNK, tail) uniforms, the new buffer; the slot
     that draws it rebuilds its own signature's table at once if that table
     was current.
     A code the state's entry links books its outcome there too; otherwise
     _Transitions.step checks the slot, and a clean step out of a revisited
-    state of an unlogged run is linked.  Every slot moves q by its
-    outcome's change.
+    state is linked.  Every slot moves q by its outcome's change.  A log
+    changes no route: each path appends its slot's row (log_row) before q
+    moves.
     """
     K = model.cfg.K
     n_y = len(model.demand_states)
@@ -530,6 +534,12 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     buf = None
     pos = drawn = reads = 0
 
+    def log_row(t, key, Q, q, out, tphi):
+        # slot t's row; its queues at the slot's start are Q, or q's if Q is None
+        A, _, Z, P = memo[key][:4]
+        row = (tuple(A), tuple(Z), tuple(P), out[1], out[0], out[0], tphi / (t + 1))
+        log.append((t, *ids[key % n_s], run.decode(q) if Q is None else Q, *row))
+
     for t0 in range(0, len(states), _CHUNK):
         for t, s in enumerate(states[t0 : t0 + _CHUNK].tolist(), t0):
             key = q * n_s + s
@@ -539,6 +549,8 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 if out is not None:
                     pos += tab[2]
                     tphi += out[0]
+                    if log is not None:
+                        log_row(t, key, Q, q, out, tphi)
                     q += out[5]
                     Q = None
                     continue
@@ -595,15 +607,11 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                 if Q is None:
                     Q = run.decode(q)
                 Qn, clean = run.step(t, Q, out)
-                # a logged run links nothing, so no slot skips its row and
-                # its queues are always decoded
-                if clean and revisit and log is None:
+                if clean and revisit:
                     links.setdefault(key, (dec[6] or unlinked[0], {}))[1][code] = out
             tphi += out[0]
             if log is not None:
-                A, _, Z, P = dec[:4]
-                row = (tuple(A), tuple(Z), tuple(P), tuple(out[1]), out[0], out[0])
-                log.append((t, *ids[s], Q, *row, tphi / (t + 1)))
+                log_row(t, key, Q, q, out, tphi)
             Q, q = Qn, q + out[5]
     return tphi, run.decode(q) if Q is None else Q
 

@@ -15,17 +15,30 @@ unit costs and availabilities, relabels every per-material quantity the
 controller reads and leaves the demand draws alone, so the episode's
 profit is the same bit for bit and its queues come out reversed.
 
+The drift identity ties a logged run's booked profit to its queue path.
+With L(Q) = 1/2 sum_m (Q_m - theta_m)^2, each slot has L(Q_t+1) - L(Q_t)
+= sum_m (Q_m - theta_m) * (A_m - used_m) + bt, where bt = 1/2 sum_m
+(A_m - used_m)^2.  So V * sum_t phi_t = L(Q_T) - L(Q_0) + sum_t (score_t
+- bt_t), where score_t = -V * cost - sum_m (Q_m - theta_m) * A_m + sum_k
+D_k * (V * (P_k - alpha_k) + relief_k) is the slot's drift-plus-penalty
+score and relief_k = sum_m beta[m][k] * (Q_m - theta_m).  Every term comes
+from the log's Q, A, P and D and the plant, with no transcription of the
+slot loop.
+
 The plants are every third of test_lp_relations.py's 300 random tiny ones
 and its 20 seeded M=3, K=4 ones, each run for 200 slots on its own i.i.d.
-state distributions at V = 10.
+state distributions at V = 10; the drift identity also holds on a
+20,000-slot i1 run, whose slots the fast path serves.
 """
 
 import numpy as np
 import pytest
 
+from plantsim.controller import compute_theta
 from plantsim.simulator import EpisodeConfig, run_episode
 
 from plants import (
+    _i1,
     _iid,
     _m3_k4_plant,
     _reverse_materials,
@@ -100,3 +113,49 @@ def test_reversing_materials_keeps_the_episode(episodes):
     # the relation is not vacuous: 54 of the 100 plants have two materials,
     # and 33 sell something
     assert multi >= 40 and sold >= 25, (multi, sold)
+
+
+# The identity's float slack, relative to 1 + sum_t (|score_t| + bt_t): 0 on
+# every plant here (their prices are dyadic), and at most 3.0e-15 over these
+# plants at V = 7.3 and 0.1.  A wrong row misses it by at least 2 * bt >= 1.
+_DRIFT_SLACK = 1e-13
+
+
+def _drift_gap(model, V, m):
+    """(V * total_phi - the identity's right side, its scale, sum_t bt_t) of log m."""
+    cfg = model.cfg
+    theta = compute_theta(cfg, V)
+    supply = {x.id: x for x in model.supply_states}
+
+    def lyapunov(Q):
+        return 0.5 * sum((q - th) ** 2 for q, th in zip(Q, theta))
+
+    terms = scale = moved = 0.0
+    for _, x_id, _, Q, A, _, P, D, *_ in m.log:
+        cost = sum(c * a for c, a in zip(supply[x_id].unit_cost, A))
+        used = [sum(b * d for b, d in zip(row, D)) for row in cfg.beta]
+        dev = [q - th for q, th in zip(Q, theta)]
+        score = -V * cost - sum(e * a for e, a in zip(dev, A))
+        for k, d in enumerate(D):
+            relief = sum(row[k] * e for row, e in zip(cfg.beta, dev))
+            score += d * (V * (P[k] - cfg.alpha[k]) + relief)
+        bt = 0.5 * sum((a - u) ** 2 for a, u in zip(A, used))
+        terms += score - bt
+        scale += abs(score) + bt
+        moved += bt
+    final = [q + a - u for q, a, u in zip(Q, A, used)]
+    rhs = lyapunov(final) - lyapunov(m.log[0][3]) + terms
+    return V * m.total_phi - rhs, scale, moved
+
+
+def test_drift_identity_of_a_logged_run(episodes):
+    moving = 0
+    model, ec = _i1(horizon=20_000, record_log=True)
+    runs = [(model, ec.V, run_episode(ec, model))]
+    runs += [(model, 10.0, m) for model, *_, m in episodes]
+    for model, V, m in runs:
+        gap, scale, moved = _drift_gap(model, V, m)
+        assert abs(gap) <= _DRIFT_SLACK * (1.0 + scale), (m.seed, gap, scale)
+        moving += moved > 0
+    # the relation is not vacuous: a queue moves in 78 of the 121 runs
+    assert moving >= 60, moving

@@ -70,11 +70,25 @@ def _stub_trees(root, base, head, bad=(), stub=_STUB, run_seconds=(15, 15), e2e=
         (root / side / "BENCHMARK.json").write_text(json.dumps(spec))
 
 
-def _pairs(*args, cwd, monkeypatch):
-    """tools/pairs.py run in this process (its runs are still subprocesses)."""
+def _pairs(*args, cwd, monkeypatch, values=None):
+    """tools/pairs.py run in this process.
+
+    Its runs are subprocesses of the trees' perfbench/run.py, unless values
+    holds the base and head trees' _STUB values: then each run returns, in
+    this process, the result that _STUB prints for its seed.
+    """
     spec = importlib.util.spec_from_file_location("pairs", PAIRS)
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
+    if values is not None:
+        by_side = dict(zip(("base", "head"), values))
+
+        def run_once(tree, args, seed):
+            metrics = {"b_p50_ms": {"value": by_side[tree.name][seed], "unit": "ms"}}
+            result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+            return 0, result, [], []  # exit code, result, stderr tail, failure lines
+
+        monkeypatch.setattr(pairs, "run_once", run_once)
     monkeypatch.chdir(cwd)
     return pairs.main(["base", "head", "--workload", "oracle", *args])
 
@@ -398,9 +412,11 @@ def test_pairs_claim_follows_the_nine_tenths_rule(
     tmp_path, monkeypatch, capsys, head, met, lower, gap
 ):
     # base reads 10..19: median 14.5, inclusive quartiles 12.25 and 16.75
-    _stub_trees(tmp_path, {s: 10.0 + s for s in range(10)}, head)
+    base = {s: 10.0 + s for s in range(10)}
+    _stub_trees(tmp_path, base, head)
     args = ("--pairs", "10", "--claim", "b_p50_ms", "--out", "bench.json")
-    assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch) == (0 if met else 1)
+    code = _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch, values=(base, head))
+    assert code == (0 if met else 1)
     verdict = "met" if met else "not met"
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"claim b_p50_ms: {verdict} (HEAD lower in {lower} of 10 pairs, nine tenths "
@@ -441,7 +457,7 @@ def test_pairs_judge_each_bounded_metric(tmp_path, monkeypatch, capsys, base, he
     _stub_trees(tmp_path, base, head, e2e=[entry])
     (tmp_path / "base" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 15}))
     args = ("--pairs", "10", "--out", "bench.json")
-    assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch) == 0
+    assert _pairs(*args, cwd=tmp_path, monkeypatch=monkeypatch, values=(base, head)) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-2].split()[-1] == "verdict"
     assert out[-1].split()[-1] == verdict
