@@ -117,7 +117,8 @@ def test_reversing_materials_keeps_the_episode(episodes):
 
 # The identity's float slack, relative to 1 + sum_t (|score_t| + bt_t): 0 on
 # every plant here (their prices are dyadic), and at most 3.0e-15 over these
-# plants at V = 7.3 and 0.1.  A wrong row misses it by at least 2 * bt >= 1.
+# plants at V = 7.3 and 0.1.  A row that gives the queues after its slot
+# moves score_t by -2 * bt_t, at least 1 whenever a queue moves.
 _DRIFT_SLACK = 1e-13
 
 

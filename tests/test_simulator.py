@@ -1037,12 +1037,12 @@ def test_linked_slots_take_the_fast_path(monkeypatch, chunk):
     reference bit for bit.  The same run logged takes the same routes, so
     it serves as many slots by the fast path, and writes every row; it
     equals the reference, log included, and its metrics, log aside, are the
-    unlogged run's.  With _CHUNK patched
-    small, at least 3 runs draw 10 or more buffers, so their tables go
-    stale inside the run; a plant that never offers draws none.  Many
-    random plants never offer, so five more plants are ones that sell: the
-    first draws of a second seed whose reference run sells (5 of its first
-    6), each logged run selling at least one unit.
+    unlogged run's.  With _CHUNK patched small, at least 3 runs draw 10 or
+    more buffers, so their tables go stale inside the run; a plant that
+    never offers draws none.  Many random plants never offer, so five more
+    plants are ones that sell: the first draws of a second seed whose
+    reference run sells (5 of its first 6), each logged run selling at
+    least one unit.
     """
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     rng = np.random.default_rng(20261021 + chunk)
