@@ -775,9 +775,9 @@ def _histograms(model: Model, xs, ys) -> list[np.ndarray]:
 def frame_values(model: Model, xs, ys, T: int, J: int) -> list[float]:
     """Lookahead values of the J consecutive T-slot frames of a trace.
 
-    A frame's value depends only on its two state histograms, so
-    lookahead_value runs once per distinct pair; every frame's entries are
-    checked all the same.
+    Each frame's entries are checked once, by _histograms.  A frame's value
+    is lookahead_value's, T times the stationary optimum on its two state
+    histograms, so the program is solved once per distinct pair.
     """
     n = min(len(check_seq("xs", xs)), len(check_seq("ys", ys)))
     message = (
@@ -790,9 +790,9 @@ def frame_values(model: Model, xs, ys, T: int, J: int) -> list[float]:
     values = {}
     out = []
     for j in range(J):
-        fx, fy = xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T]
-        key = tuple(pi.tobytes() for pi in _histograms(model, fx, fy))
+        pis = _histograms(model, xs[j * T : (j + 1) * T], ys[j * T : (j + 1) * T])
+        key = tuple(pi.tobytes() for pi in pis)
         if key not in values:
-            values[key] = lookahead_value(model, fx, fy).phi_T
+            values[key] = T * optimal_profit(model, *pis)[0]
         out.append(values[key])
     return out

@@ -1,105 +1,19 @@
 """Episode simulation, metrics and long-run bound checks.
 
-run_episode runs the online controller through the slot loop and oracle
-playback through the block driver.  A small setup per controller hands
-them a decide function, the starting queues with their fake-unit ledger
-and the queue band:
+run_episode checks a run's settings and hands it to one of two loops, each
+prepared by a setup that returns its decisions, starting queues and band:
 
-* the online controller decides by decide_purchase and decide_pricing,
-  pure functions of (queues, supply state, demand state).  Its band is
-  controller.queue_band, [mu_max, theta + A_max].
-* oracle playback draws the purchase and the offers of a fixed stationary
-  policy from the policy channel: each slot's options, drawn from its
-  states, which do not depend on the queues.  It has no band.
+* the online controller: _online_setup makes and keeps its decisions
+  (decide_purchase, decide_pricing) and _slot_loop runs them one slot at
+  a time, with demand codes from _code_table, bookings from _outcome and
+  the band checks of _Transitions.step;
+* oracle playback of a stationary policy: _oracle_setup builds its option
+  tables and _play_blocks runs it a block at a time, booking by
+  _block_book and serving short slots by _block_queues and _short_slot.
 
-Both share the rules of a slot.  Each offered product draws D_max[k]
-uniforms from the demand channel, in slot order and ascending k, and its
-demand is the count below its threshold.  _outcome books a demand code
-under a decision, and each slot records its drift 0.5 * sum (A - used)^2
-against its constant bound.  Online, _Transitions.step verifies the
-controller's guarantees as it updates the queues: they stay inside the
-band and no slot is short (the queues do not cover the demand).  A queue
-below the band raises InvariantViolation, or is only counted when the
-run sets allow_unsafe_theta.  A short slot, or a queue above theta +
-A_max or below 0, only a faulty controller can reach (_Transitions), and
-it raises in every run.  Playback has no band and no queue feedback, so
-its slots can fall short: _short_slot serves each short slot by the
-greedy fulfillment rule, the decision's fulfillment_order served by
-serve_in_order, and the run counts it as a mismatch.
-
-The slot loop keeps a decision table.  A decision (A, cost, Z, P, the
-offered products' sell entries) is made once per (x, y, A, Z, P).  It
-also carries the outcome table of its demand codes, each offered
-product's demand as one digit of radix D_max[k] + 1, mapped by _outcome
-to the profit, D, the material use and the queue change, none of which
-depend on the queues; and its signature's demand-code table (below).
-Playback keeps no decisions.  Its set-up builds option tables from the
-policy's options and probabilities, which oracles reads and checks (this
-module does not read the policy format): per supply state, each purchase
-option's A and -cost; per demand state and product, each offer option's
-D_max, margin and threshold.
-
-The slot loop keeps a state table.  The online controller is a finite
-chain on (Q, x, y): from a start in its band each queue stays in
-[0, floor(theta[m] + A_max[m])], for safe and unsafe theta alike, so every
-queue vector it reaches is one mixed-radix integer q over that box.  The
-state code is s = (q * |X| + x) * |Y| + y, and the memo maps s to its
-decision.  Once a transition from a revisited s under a demand code has
-passed every check, it is linked: the link store maps s to one entry, its
-signature's code table (below) and a dict from each linked demand code to
-its outcome.  A first visit links nothing, since most states of a run
-that misses the memo are never revisited.  Every online run links by
-this rule; record_log only adds rows, which a logged run appends on
-either path from the memo's decision, the outcome and the queues at the
-slot's start.  A slot opens with one lookup in the store: when s has an
-entry whose table is of the current buffer and whose code at the slot's
-start is linked, the slot only books the outcome's profit and adds its
-change to q.  The short-slot and band checks and the queue-extreme and
-drift records it skips are functions of that transition and were done.
-Every other slot takes the checked path: decide or the memo, counting its
-demand code from the buffered uniforms, then _outcome and
-_Transitions.step, unless the state's entry links that code, whose
-outcome it books without a step.  Either way it adds the outcome's
-change to q.  So a count-only run counts every queue below mu_max, and
-only those, and links the clean transitions out of states below the band
-too.
-
-A slot's demand code depends only on its decision's signature, the
-offered products' (threshold, D_max[k]) pairs in order, and on where the
-slot starts in the demand stream.  The loop's demand buffer is one draw
-of demand uniforms, in one array, and it keeps a code table per
-signature: the code from every start in the buffer, computed in numpy.
-Only the fast path reads a table, with one list index; a checked slot
-counts its uniforms, in numpy until _TABLE_AFTER checked slots have read
-the buffer, and then one by one from the buffer listed.  A window that
-runs past the buffer is counted in two parts: its head there, in numpy,
-and its tail in a fresh draw of _CHUNK uniforms, or of the tail when that
-is longer, which becomes the buffer.  A table is built once checked slots
-of revisited states have met its signature _TABLE_AFTER times without a
-table of the current buffer, by the first of them whose windows fit the
-buffer.  It is dated by the stream offset of the buffer's end, so a
-refill leaves the old tables stale without touching them; the next
-checked slot to meet a stale table drops it.  Only the slot that refills
-the buffer rebuilds its own signature's table at once, if that table was
-current, so that a state whose slots the fast path serves keeps being
-served.  A signature wider than _CHUNK or one whose codes could outgrow
-int64 never gets a table.  A signature with no offer gets one like any
-other: its codes are all 0, and it lets the states that offer nothing
-take the link store's fast path (above) too.
-
-The block driver plays up to _CHUNK slots, and at most 2**16 demand
-uniforms, at a time: it draws the block's policy and demand uniforms,
-gathers each slot's rows from the option tables by its drawn options and
-books every slot with array operations, _outcome's sums taken in the
-same order.  The queues follow the start queues plus the cumulative
-queue change; only a short slot, found by searching that path or, after
-a short slot, by testing the next one, is served on its own
-(_short_slot), and its correction offsets the path after it.  A short
-slot is served from its plan: its purchase's A and cost, and the
-fulfillment order and margins of its offers, which are built once per
-run for each set of offer options a short slot meets.  Only a logged slot
-rebuilds its decision (A, cost, Z, P).  Totals are summed in slot order,
-so the results equal the slot loop's bit for bit.
+Both give the results of checking every slot one at a time, bit for bit.
+check_profit_bound and check_frame_bound run whole experiments against
+the stationary optimum and the frame lookahead.
 
 Per run, each of these counts is at most the horizon and at most
 * online states: the integer volume of [0, theta + A_max] times
@@ -114,20 +28,11 @@ the supply path, and as a list for _CHUNK slots, its demand buffer (one
 draw of at most max(_CHUNK, max D_max) uniforms, as an array, and a list
 once _TABLE_AFTER checked slots have read it) and a code table of one
 entry per buffered uniform for each tabled signature, until its first
-read after the next refill.  A one-state IID or MARKOV process's path is
-all zeros and draws nothing from its channel.
-Playback keeps its option tables, |X| rows of purchase options and
-|Y| * K rows of offer options, each padded to the longest row of its
-table, a plan half per set of offer options met by a short slot, and
-_play_blocks one block's arrays, a few rows per slot and its demand
-uniforms.
-
-The check_* helpers run whole experiments: check_profit_bound compares
-the controller's mean profit against the stationary optimum, for i.i.d.
-states or, given a mixing window and tolerance, Markov-modulated ones;
-check_frame_bound compares it against per-frame lookahead values on
-arbitrary traces.  Monte Carlo comparisons carry a 3-standard-error
-allowance; everything else is exact.
+read after the next refill.  Playback keeps its option tables, |X| rows
+of purchase options and |Y| * K rows of offer options, each padded to the
+longest row of its table, a plan half per set of offer options met by a
+short slot, and _play_blocks one block's arrays, a few rows per slot and
+its demand uniforms.
 """
 
 from __future__ import annotations
@@ -221,10 +126,9 @@ class Metrics:
     """Per-episode results and invariant accounting.
 
     bound_violations counts the queues below the band of a count-only
-    online run.  phi_mismatch_slots counts playback's short slots, served
-    in the decision's fulfillment_order by serve_in_order; it is 0 online,
-    where a short slot raises.
-    Online, every slot is served in full, so total_phi_actual is total_phi.
+    online run (_Transitions.step), phi_mismatch_slots playback's short
+    slots (_short_slot).  Online, every slot is served in full, so
+    total_phi_actual is total_phi.
     """
 
     horizon: int
@@ -263,10 +167,10 @@ def drift_constant(model: Model) -> float:
 def _outcome(dec, code: int, K: int, radix: list) -> tuple:
     """(phi, D, used, A - used, drift, dq) of a demand code under a decision.
 
-    The last three are the queue change, the drift 0.5 * sum (A - used)^2
-    and the change dq of the state code q of a slot that is not short.
-    The slot loop books a slot by it; playback's array booking
-    (_block_book) must equal it.
+    The last three are the queue change, its drift (drift_constant) and
+    the change dq of the state code q of a slot that is not short.  The
+    slot loop books a slot by it; playback's array booking (_block_book)
+    must equal it.
     """
     A, cost, _, _, sells = dec[:5]
     M = len(radix)
@@ -294,18 +198,16 @@ def _change(A, used) -> tuple:
 class _Transitions:
     """The online chain's checked transitions, its state codes and records.
 
-    step runs a slot that has no link.  With the band [lo, hi], queues Q
-    have the code q = sum Q[m] * radix[m], where radix[m] is the product of
-    the widths floor(hi[n]) + 1 for n < m.  Every queue vector an online
-    run reaches has one: from a start in the band the controller buys only
-    while Q < theta, at most A_max, and offers a product only while each
-    of its feeders holds mu_max, the worst-case use over every product, so
-    no slot uses more than Q and Q stays in [0, floor(hi)] whatever theta
-    is.  A short slot or a queue outside that box comes only from a faulty
-    controller and raises, in a count-only run too.  A theta that
-    overflowed to inf codes as the largest float, which no queue reaches.
-    Playback has no band: it keeps only the records, q_min, q_max, max_bt
-    and mismatch, here (_block_queues).
+    With the band [lo, hi], queues Q have the code q = sum Q[m] * radix[m],
+    where radix[m] is the product of the widths floor(hi[n]) + 1 for n < m.
+    Every queue vector an online run reaches has one: from a start in the
+    band the controller buys only while Q < theta, at most A_max, and
+    offers a product only while each of its feeders holds mu_max, the
+    worst-case use over every product, so no slot uses more than Q and Q
+    stays in [0, floor(hi)] whatever theta is.  A theta that overflowed to
+    inf codes as the largest float, which no queue reaches.  Playback has
+    no band: it keeps only the records, q_min, q_max, max_bt and mismatch,
+    here (_block_queues).
     """
 
     def __init__(self, band, check: bool, Q: tuple) -> None:
@@ -332,14 +234,16 @@ class _Transitions:
         return tuple(Q)
 
     def step(self, t: int, Q: tuple, out) -> tuple:
-        """(next Q, clean) of slot t from Q, under outcome out.
+        """(next Q, clean) of a slot t that has no link, from Q under outcome out.
 
-        The slot loop moves the state code q by out's change itself, so
-        step computes no code.  A short slot (the queues do not cover the
-        demand) always raises InvariantViolation.  A queue below the band
-        raises too, or is counted in a count-only run; a queue outside
-        [0, hi] always raises.  clean is true when nothing was counted, so
-        the transition may be linked.
+        This checks the online controller's guarantees.  A short slot (the
+        queues do not cover the demand) always raises InvariantViolation.
+        A queue below the band raises too, or is counted in a count-only
+        run (allow_unsafe_theta); a queue outside [0, hi] always raises.
+        Only a faulty controller reaches a short slot or a queue outside
+        [0, hi] (see the class).  clean is true when nothing was counted,
+        so the transition may be linked.  The slot loop moves the state
+        code q by out's change itself, so step computes no code.
         """
         _, _, used, diff, bt, _ = out
         if any(map(gt, used, Q)):
@@ -393,29 +297,22 @@ def _check_state_ids(
 def run_episode(ec: EpisodeConfig, model: Model) -> Metrics:
     """Simulate one episode and return its metrics.
 
-    A breach of the controller's queue band raises InvariantViolation
-    immediately, unless the run sets allow_unsafe_theta: then a queue below
-    the band is only counted, which supports deliberately unsafe threshold
-    experiments.  Each flag (placeholder, assembly_delay, demand_blind,
+    Each flag (placeholder, assembly_delay, demand_blind,
     allow_unsafe_theta, record_log) must be a bool, checked before anything
-    reads it.  A short slot, or a queue above theta + A_max, comes only from
-    a faulty controller and raises in every run: the controller offers a
-    product only while each of its feeders holds mu_max, the worst-case use
-    over every product.  Oracle playback has no band: its short slots are
-    served in the decision's fulfillment_order by serve_in_order and only
-    counted as mismatches.  It rejects the online-only settings
+    reads it.  Oracle playback rejects the online-only settings
     placeholder, demand_blind, theta and allow_unsafe_theta rather than
     ignore them, as an online run rejects oracle_policy, a malformed policy
     before its first slot (_oracle_setup), and a process whose states are
-    not the model's (_check_state_ids).  The online controller runs the
-    slot loop, playback the block driver; both keep the tables the module
-    docstring describes, with results bit-identical to checking every slot.
+    not the model's (_check_state_ids).  The online controller runs
+    _slot_loop, which checks its band (_Transitions.step); playback runs
+    _play_blocks, which has no band and counts its short slots.
+    allow_unsafe_theta supports deliberately unsafe threshold experiments.
     """
     check_class("ec", EpisodeConfig, ec)
     check_int("horizon", ec.horizon, 1)
-    for name in ("placeholder", "assembly_delay", "demand_blind", "allow_unsafe_theta"):
+    for name in ("placeholder", "assembly_delay", "demand_blind", "allow_unsafe_theta",
+                 "record_log"):
         check_class(name, bool, getattr(ec, name))
-    check_class("record_log", bool, ec.record_log)
     if ec.controller not in ("online", "oracle"):
         raise InputError(f"unknown controller {ec.controller!r}")
     if ec.controller == "oracle":
@@ -489,26 +386,51 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     """The online controller, one slot at a time: (tphi, final Q).
 
     states holds each slot's state index s = x * |Y| + y; the loop reads
-    it as a list, _CHUNK slots at a time.  A slot first looks up its state
-    code in the link store: an entry whose code table is of the current
-    buffer, with the code at pos linked, serves the slot by advancing pos,
-    booking the outcome's profit and moving q, without decoding the queues
-    unless the run is logged.  Every other slot takes the checked path,
-    which counts its demand code and reads no code table: in numpy, over
-    each product's window, until the buffer has served _TABLE_AFTER
-    checked slots, and then from its list, one uniform at a time.  A
-    revisited state there only dates its signature's table and builds it
-    (_code_table) from the _TABLE_AFTER-th slot without a current one on,
-    once the slot's windows fit the buffer.
-    A window that runs past the buffer counts its head there and its tail
-    in a fresh draw of max(_CHUNK, tail) uniforms, the new buffer; the slot
-    that draws it rebuilds its own signature's table at once if that table
-    was current.
-    A code the state's entry links books its outcome there too; otherwise
-    _Transitions.step checks the slot, and a clean step out of a revisited
-    state is linked.  Every slot moves q by its outcome's change.  A log
-    changes no route: each path appends its slot's row (log_row) before q
-    moves.
+    it as a list, _CHUNK slots at a time.  The online controller is a
+    finite chain on (Q, x, y): with q the code of the queues
+    (_Transitions), the state code is q * |X| * |Y| + s, and the memo maps
+    it to its decision, made on the first visit (_online_setup).  Each
+    offered product k of a slot, in ascending k, counts D_max[k] uniforms
+    of the demand channel, after those of the slots and products before
+    it, and its demand is the count below its threshold.  The slot's
+    demand code holds each count as one digit of radix D_max[k] + 1, the
+    first product's the most significant; _outcome maps it to the slot's
+    profit and change.  The uniforms come from the demand buffer, one draw.
+
+    A slot first looks up its state code in the link store: an entry whose
+    code table is of the current buffer, with the code at pos linked,
+    serves the slot by advancing pos, booking the outcome's profit and
+    moving q, without decoding the queues unless the run is logged.  The
+    short-slot and band checks and the queue-extreme and drift records it
+    skips are functions of that transition, and were done when it was
+    linked.  Every other slot takes the checked path, which counts its
+    demand code and reads no code table: in numpy, over each product's
+    window, until the buffer has served _TABLE_AFTER checked slots, and
+    then from its list, one uniform at a time.  A code the state's entry
+    links books its outcome there too; otherwise _Transitions.step checks
+    the slot, and a clean step out of a revisited state is linked.  A first
+    visit links nothing, since most states of a run that misses the memo
+    are never revisited.  So a count-only run counts every queue below
+    mu_max, and only those, and links the clean transitions out of states
+    below the band too.  Every slot moves q by its outcome's change.
+
+    A slot's demand code depends only on its decision's signature, the
+    offered products' (threshold, D_max[k]) pairs in order, and on pos, so
+    one code table (_code_table) serves every state of a signature.  A
+    revisited state on the checked path dates its signature's table and
+    builds it from the _TABLE_AFTER-th slot without a current one on, once
+    the slot's windows fit the buffer.  A table is dated by drawn, the
+    stream offset of the buffer's end, so a refill leaves the old tables
+    stale without touching them, and the next checked slot to meet one
+    drops it.  A window that runs past the buffer counts its head there and
+    its tail in a fresh draw of max(_CHUNK, tail) uniforms, the new buffer;
+    the slot that draws it rebuilds its own signature's table at once if
+    that table was current, so that a state whose slots the fast path
+    serves keeps being served.
+
+    A log changes no route: each path appends its slot's row (log_row),
+    from the memo's decision, the outcome and the queues at the slot's
+    start, before q moves.
     """
     K = model.cfg.K
     n_y = len(model.demand_states)
@@ -518,18 +440,17 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
     demand = rs.generator(_CH_DEMAND)
     tphi = 0.0
     # Q is the queue tuple, or None after a link until a slot needs it; q
-    # is its state code: every queue vector the loop reaches has one, below
-    # the band too (_Transitions).
+    # is its code, which every queue vector the loop reaches has, below the
+    # band too (_Transitions).
     q = run.encode(Q)
     memo: dict = {}  # q * n_s + s -> decision
-    # q * n_s + s -> (its signature's code table, {demand code: outcome})
-    # of a state revisited after a clean checked step; unlinked stands for
-    # every other state, and an untabled signature's table is never current
+    # q * n_s + s -> (its signature's code table, {demand code: outcome});
+    # unlinked stands for every other state, and an untabled signature's
+    # table is never current
     links: dict = {}
     unlinked = ((None,), {})
-    # The demand buffer, one draw, as an array; drawn is the stream offset
-    # of its end, which dates the tables.  reads counts its checked slots,
-    # which count in numpy until the _TABLE_AFTER-th lists it as buf.
+    # the demand buffer, as an array and, once reads (its checked slots)
+    # reaches _TABLE_AFTER, as the list buf; drawn dates it
     arr = np.empty(0)
     buf = None
     pos = drawn = reads = 0
@@ -561,8 +482,6 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
                     Q = run.decode(q)
                 dec = memo[key] = decide(Q, *divmod(s, n_y))
             elif dec[6] is not None and dec[6][0] != drawn:
-                # No table of this buffer: the signature is tabled, for the
-                # fast path, on the _TABLE_AFTER-th such slot.
                 tab = dec[6]
                 tab[1] = None  # built before the last refill
                 tab[3] += 1
@@ -571,15 +490,11 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
             reads += 1
             if reads == _TABLE_AFTER:
                 buf = arr.tolist()
-            # Each offered product's demand d as one digit of radix
-            # D_max[k] + 1, the first product's the most significant.
             code = 0
             for _, _, pr, n, _ in dec[4]:
                 end = pos + n
                 d = 0
                 if end > len(arr):
-                    # the head is counted here and the tail in a fresh draw;
-                    # the slot's own table, if current, is rebuilt on it
                     tab = dec[6] if dec[6] and dec[6][0] == drawn else None
                     d = int(np.count_nonzero(arr[pos:] < pr))
                     end -= len(arr)
@@ -617,14 +532,11 @@ def _slot_loop(model: Model, decide, run: _Transitions, Q, states, rs, log) -> t
 
 
 def _code_table(arr: np.ndarray, pos: int, sells) -> list:
-    """codes[p]: the demand code of sells from each start p >= pos of arr.
+    """codes[p]: the demand code (_slot_loop) of sells from each start p >= pos of arr.
 
-    The code from start p is the slot loop's: product j of sells, with
-    threshold pr and D_max n, counts the uniforms below pr in its window
-    of n after the windows of the products before it, as one digit of
-    radix n + 1.  It holds len(arr) + 1 starts, filled in one int64 array
-    and listed once; those before pos, and those whose windows run past
-    the end of arr, hold -1.  The codes must fit in int64 (_online_setup).
+    It holds len(arr) + 1 starts, filled in one int64 array and listed
+    once; those before pos, and those whose windows run past the end of
+    arr, hold -1.  The codes must fit in int64 (_online_setup).
     """
     u = arr[pos:]
     width = sum(n for *_, n, _ in sells)
@@ -710,16 +622,14 @@ def _block_book(bought, width, terms, rng, beta: np.ndarray) -> tuple:
     Row t of each input is slot t's: bought its purchase A, width each
     product's D_max (0 where withheld), and terms its -cost, then each
     product's margin, then each product's threshold (0.0 where withheld).
-    As in the slot loop, each offered product k takes D_max[k] uniforms
-    from rng, in slot order and ascending k, and its demand is the count
-    below its threshold: read row by row, the (slot, product) grid is that
-    order when a withheld product takes no uniform.  The rest equal
-    _outcome's, bit for bit.  phi starts at -cost and adds D[k] * margin
-    for each product in ascending k, where a product with no demand adds
-    -0.0: that leaves every float as it is, sign of zero included, as
-    _outcome's skip does.  The drift 0.5 * sum (A - used)^2 adds the
-    squares in _change's order.  used and A - used take beta's dtype,
-    object where int64 could overflow (_play_blocks).
+    Demands are counted from rng by the slot loop's rule (_slot_loop):
+    read row by row, the (slot, product) grid is its order when a withheld
+    product takes no uniform.  The rest equal _outcome's, bit for bit.
+    phi starts at -cost and adds D[k] * margin for each product in
+    ascending k, where a product with no demand adds -0.0: that leaves
+    every float as it is, sign of zero included, as _outcome's skip does.
+    The drift adds the squares in _change's order.  used and A - used take
+    beta's dtype, object where int64 could overflow (_play_blocks).
     """
     M, K = beta.shape
     width = width.ravel()
@@ -868,7 +778,18 @@ def _sells(model: Model) -> list:
 
 
 def _online_setup(ec: EpisodeConfig, model: Model):
-    """The online controller: its decide, starting state and band."""
+    """The online controller: its decide, starting state and band.
+
+    decide(Q, xi, yi) is the decision of queues Q in states (xi, yi), made
+    once per (xi, yi, A, Z, P): (A, cost, Z, P, sells, outcomes, table),
+    where sells are the offered products' entries (_sells), outcomes the
+    dict from each demand code met to its _outcome, and table the
+    signature's demand-code table (_slot_loop): [the stream offset it was
+    built at, codes, width, reads without it], or None where the slot loop
+    always counts: offers wider than _CHUNK, or codes that could outgrow
+    int64.  A signature with no offer is tabled like any other: its codes
+    are all 0, so states that offer nothing take the fast path too.
+    """
     cfg = model.cfg
     params = make_params(
         cfg,
@@ -900,10 +821,6 @@ def _online_setup(ec: EpisodeConfig, model: Model):
         dec = decisions.get(dkey)
         if dec is None:
             sells = [o[p] for o, z, p in zip(offers[yi], Z, P) if z]
-            # the demand-code table of the offers' (threshold, D_max) pairs:
-            # [stream offset it was built at, codes, width, reads without
-            # it], or None where the slot loop always counts: offers wider
-            # than _CHUNK, or codes that could outgrow int64
             sig = tuple(map(pr_n, sells))
             if sig not in tables:
                 width = sum(n for _, n in sig)

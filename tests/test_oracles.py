@@ -447,6 +447,22 @@ def test_frame_values_solve_each_histogram_once(monkeypatch):
             assert len(solves) == len(keys)
 
 
+def test_frame_values_checks_each_frame_once(monkeypatch):
+    # one _histograms call per frame: the solve reuses its histograms
+    # rather than reading the frame again through lookahead_value
+    model = make_two_phase()
+    calls = []
+    histograms = oracles._histograms
+    monkeypatch.setattr(
+        oracles, "_histograms", lambda *a: calls.append(a) or histograms(*a)
+    )
+    for T, J in ((4, 50), (1, 200)):
+        for xs, ys in _frame_traces():
+            calls.clear()
+            frame_values(model, xs, ys, T, J)
+            assert len(calls) == J
+
+
 def test_zero_probability_state_is_empty_block():
     # A state of probability 0 gets no column and no row, so a supply state
     # past the enumeration cap is never enumerated; it is reported idle.

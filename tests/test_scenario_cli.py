@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import runpy
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plantsim
 from plantsim import cli
 from plantsim.cli import main
 from plantsim.scenario import (
@@ -204,6 +207,17 @@ def test_readme_python_example_runs(capsys):
     exec(block, names)
     assert names["phi_opt"] == 1.0
     assert run.stdout == f"{names['reps'].mean} 1.0\n" == capsys.readouterr().out
+
+
+def test_readme_names_resolve():
+    # each backticked package name, such as `model.fulfillment_order` or
+    # `plantsim.model.InputError`, is an attribute of its module
+    text = (REPO / "README.md").read_text()
+    modules = "|".join(m.name for m in pkgutil.iter_modules(plantsim.__path__))
+    names = re.findall(rf"`(?:plantsim\.)?({modules})\.(\w+)`", text)
+    assert len(names) >= 10
+    module = lambda m: importlib.import_module(f"plantsim.{m}")
+    assert [f"{m}.{a}" for m, a in names if not hasattr(module(m), a)] == []
 
 
 def test_cli_simulate(capsys):

@@ -176,6 +176,8 @@ PACKAGE = CODELINES.parent.parent / "src" / "plantsim"
 # purpose: a reference the tests hold the package to.
 UNLOADED_KEPT = {
     "brute_force_opt": "criterion 1's check of the stationary LP, independent of it",
+    "lookahead_value": "the public one-frame lookahead, which perfbench's oracle "
+    "workload times; frame_values solves on the histograms it has already checked",
     "realize_demand": "the draw reference test_loop_demand_is_realize_demand "
     "pins the slot loop to",
 }
