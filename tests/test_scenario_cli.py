@@ -216,8 +216,12 @@ def test_readme_names_resolve():
     modules = "|".join(m.name for m in pkgutil.iter_modules(plantsim.__path__))
     names = re.findall(rf"`(?:plantsim\.)?({modules})\.(\w+)`", text)
     assert len(names) >= 10
-    module = lambda m: importlib.import_module(f"plantsim.{m}")
-    assert [f"{m}.{a}" for m, a in names if not hasattr(module(m), a)] == []
+    missing = [
+        f"{m}.{a}"
+        for m, a in names
+        if not hasattr(importlib.import_module(f"plantsim.{m}"), a)
+    ]
+    assert missing == []
 
 
 def test_cli_simulate(capsys):
